@@ -27,12 +27,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var be serve.Backend
-	var nodeWG sync.WaitGroup
+	join := func() error { return nil } // self-hosted TCP nodes, if any
 	switch *tr {
 	case "channel":
 		var err error
@@ -121,7 +121,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	case "tcp":
-		man, err := serveManifest(cfg, *manifest, *nodes, &nodeWG, stderr)
+		var man transport.Manifest
+		var err error
+		if *manifest != "" {
+			man, err = transport.LoadManifest(*manifest)
+		} else {
+			man, join, err = machine.Loopback(*nodes, cfg.W, cfg.H)
+		}
 		if err != nil {
 			return fail(err)
 		}
@@ -134,8 +140,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rep, err := serve.Run(cfg, be)
 	be.Close()
-	nodeWG.Wait()
-	if err != nil {
+	// A self-hosted node's failure fails the command even when the run
+	// itself reported nothing.
+	if err = errors.Join(err, join()); err != nil {
 		return fail(err)
 	}
 	b, err := rep.JSON()
@@ -151,27 +158,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stdout.Write(b)
 	}
 	return 0
-}
-
-// serveManifest resolves the TCP cluster: an external manifest as-is, or
-// a self-hosted loopback cluster with one in-process ServeNode goroutine
-// per manifest entry (the nodes exit when the backend shuts the run down).
-func serveManifest(cfg serve.Config, manifestPath string, nodes int, wg *sync.WaitGroup, stderr io.Writer) (transport.Manifest, error) {
-	if manifestPath != "" {
-		return transport.LoadManifest(manifestPath)
-	}
-	man, err := transport.LocalManifest(nodes, cfg.W, cfg.H)
-	if err != nil {
-		return transport.Manifest{}, err
-	}
-	for i := range man.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := machine.ServeNode(man, i); err != nil {
-				fmt.Fprintf(stderr, "em2serve: node %d: %v\n", i, err)
-			}
-		}(i)
-	}
-	return man, nil
 }

@@ -81,18 +81,26 @@ func TestTraceFileAndOutput(t *testing.T) {
 	}
 }
 
-// TestBadFlags pins the error paths.
+// TestBadFlags pins the error paths: a non-zero exit and an em2serve
+// error line carrying the wanted text.
 func TestBadFlags(t *testing.T) {
-	for _, tc := range [][]string{
-		{"-transport", "carrier-pigeon"},
-		{"-workload", "nope"},
-		{"-placement", "first-touch"},
-		{"-trace", "/nonexistent/trace.txt"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-transport", "carrier-pigeon"}, "unknown transport"},
+		{[]string{"-workload", "nope"}, "nope"},
+		{[]string{"-placement", "first-touch"}, "first-touch"},
+		{[]string{"-trace", "/nonexistent/trace.txt"}, "/nonexistent/trace.txt"},
+		{[]string{"-transport", "tcp", "-scheme", "bogus"}, "unknown scheme"},
+		// A window only NewPart rejects: the coordinator's parse passes and
+		// the self-hosted nodes fail their load, so the error names one.
+		{[]string{"-transport", "tcp", "-scheme", "hybrid:70000"}, "node "},
 	} {
-		if code, _, errw := capture(t, tc...); code == 0 {
-			t.Fatalf("args %v exited 0, stderr: %s", tc, errw)
-		} else if !strings.Contains(errw, "em2serve:") {
-			t.Fatalf("args %v produced no em2serve error line: %s", tc, errw)
+		if code, _, errw := capture(t, tc.args...); code == 0 {
+			t.Fatalf("args %v exited 0, stderr: %s", tc.args, errw)
+		} else if !strings.Contains(errw, "em2serve:") || !strings.Contains(errw, tc.want) {
+			t.Fatalf("args %v: stderr lacks an em2serve line with %q: %s", tc.args, tc.want, errw)
 		}
 	}
 }

@@ -30,12 +30,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -148,33 +148,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		o, err := soak(cfg, be, nil, extra)
+		o, err := soak(cfg, be, extra)
 		if err != nil {
 			return fail(fmt.Errorf("channel: %v", err))
 		}
 		outcomes = append(outcomes, o)
 	}
 	if *tr == "tcp" || *tr == "both" {
-		man, err := transport.LocalManifest(*nodes, cfg.W, cfg.H)
+		man, join, err := machine.Loopback(*nodes, cfg.W, cfg.H)
 		if err != nil {
 			return fail(err)
-		}
-		var wg sync.WaitGroup
-		for i := range man.Nodes {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if err := machine.ServeNode(man, i); err != nil {
-					fmt.Fprintf(stderr, "em2soak: node %d: %v\n", i, err)
-				}
-			}(i)
 		}
 		be, err := serve.NewClusterBackend(cfg, man)
 		if err != nil {
 			return fail(err)
 		}
-		o, err := soak(cfg, be, &wg, nil)
-		if err != nil {
+		o, err := soak(cfg, be, nil)
+		// A self-hosted node's failure fails the soak even when the run
+		// itself reported nothing.
+		if err = errors.Join(err, join()); err != nil {
 			return fail(fmt.Errorf("tcp: %v", err))
 		}
 		outcomes = append(outcomes, o)
@@ -244,10 +236,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // soak runs one serving mix on be with the stream captured in memory and
-// every sample fed through an invariant checker. nodeWG, when non-nil, is
-// waited out after the backend closes (self-hosted TCP nodes). extra,
+// every sample fed through an invariant checker, and closes be. extra,
 // when non-nil, receives a copy of the stream.
-func soak(cfg serve.Config, be serve.Backend, nodeWG *sync.WaitGroup, extra telemetry.Sink) (*soakOutcome, error) {
+func soak(cfg serve.Config, be serve.Backend, extra telemetry.Sink) (*soakOutcome, error) {
 	mem := &telemetry.MemorySink{}
 	checker := &telemetry.Checker{
 		// The serve window bound: MaxInflight live regions of RegionBytes.
@@ -267,9 +258,6 @@ func soak(cfg serve.Config, be serve.Backend, nodeWG *sync.WaitGroup, extra tele
 	}
 	rep, err := serve.Run(cfg, be)
 	be.Close()
-	if nodeWG != nil {
-		nodeWG.Wait()
-	}
 	if err != nil {
 		return nil, err
 	}

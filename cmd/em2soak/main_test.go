@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -87,5 +88,10 @@ func TestSoakFlagValidation(t *testing.T) {
 	}
 	if code, _, errw := capture(t, "-sample-every", "0"); code != 1 || errw == "" {
 		t.Fatalf("zero cadence: exit %d, stderr %q", code, errw)
+	}
+	// A window only NewPart rejects: the coordinator's parse passes and the
+	// self-hosted nodes fail their load, so the error names one.
+	if code, _, errw := capture(t, "-transport", "tcp", "-scheme", "hybrid:70000"); code != 1 || !strings.Contains(errw, "node ") {
+		t.Fatalf("node load failure: exit %d, stderr %q", code, errw)
 	}
 }

@@ -5,7 +5,7 @@
 // dynamic-programming decision oracles.
 //
 // See README.md for a tour and DESIGN.md for the system inventory and
-// per-experiment index. The root-level benchmarks in bench_test.go
-// regenerate every figure and table; `go run ./cmd/figures all` prints
-// them through the internal/sweep parallel experiment harness.
+// per-experiment index. `go run ./cmd/figures all` regenerates every figure
+// and table through the internal/sweep parallel experiment harness;
+// `go run ./benchmark` is the performance yardstick (BENCHMARK.json).
 package repro

@@ -8,13 +8,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/geom"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/placement"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -66,54 +66,21 @@ func main() {
 
 	// --- Across the transport: two nodes on TCP loopback, eight cores
 	// each; every cross-node migration ships the context's wire encoding.
-	man, err := transport.LocalManifest(2, 4, 4)
+	man, join, err := machine.Loopback(2, 4, 4)
 	if err != nil {
 		panic(err)
 	}
-	nodeErrs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { nodeErrs <- machine.ServeNode(man, i) }(i)
-	}
-	// Watch the nodes while the run is in flight: a node that fails at
-	// startup (e.g. its probed port was taken) surfaces immediately
-	// instead of masquerading as a run timeout.
-	type clusterOutcome struct {
-		res *machine.ClusterResult
-		err error
-	}
-	runDone := make(chan clusterOutcome, 1)
-	go func() {
-		res, err := machine.ClusterRun{
-			Manifest: man,
-			Config: machine.ClusterConfig{
-				GuestContexts: 2,
-				Placement:     "striped:64",
-				LogEvents:     true,
-			},
-			Threads: threads,
-		}.Run()
-		runDone <- clusterOutcome{res, err}
-	}()
-	var cres *machine.ClusterResult
-	nodesLeft := len(man.Nodes)
-	for cres == nil {
-		select {
-		case o := <-runDone:
-			if o.err != nil {
-				panic(o.err)
-			}
-			cres = o.res
-		case err := <-nodeErrs:
-			if err != nil {
-				panic(err)
-			}
-			nodesLeft--
-		}
-	}
-	for ; nodesLeft > 0; nodesLeft-- {
-		if err := <-nodeErrs; err != nil {
-			panic(err)
-		}
+	cres, err := machine.ClusterRun{
+		Manifest: man,
+		Config: machine.ClusterConfig{
+			GuestContexts: 2,
+			Placement:     "striped:64",
+			LogEvents:     true,
+		},
+		Threads: threads,
+	}.Run()
+	if err = errors.Join(err, join()); err != nil {
+		panic(err)
 	}
 	fmt.Printf("\nTCP cluster: instructions=%d migrations=%d evictions=%d local-ops=%d\n",
 		cres.Instructions, cres.Migrations, cres.Evictions, cres.LocalOps)

@@ -108,6 +108,29 @@ func TestLeaseCapacityLRU(t *testing.T) {
 	}
 }
 
+// TestLeaseLookupHitZeroAlloc pins the read hot path every cached remote
+// read under cached-remote or hybrid pays — tag probe, virtual-time expiry
+// check, LRU touch at a valid lease — at zero allocations.
+func TestLeaseLookupHitZeroAlloc(t *testing.T) {
+	const entries = 64
+	c := NewLeaseCache(entries, 1<<15)
+	for i := 0; i < entries; i++ {
+		c.Fill(cache.Addr(i*64), uint32(i), 0)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		if v, ok := c.Lookup(cache.Addr(i%entries*64), 1); !ok || v != uint32(i%entries) {
+			t.Fatalf("Lookup %d = %d, %v; want a hit", i, v, ok)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("LeaseCache.Lookup hit: %.0f allocs, want 0", n)
+	}
+	if c.Len() != entries {
+		t.Errorf("hit loop changed occupancy: %d entries, want %d", c.Len(), entries)
+	}
+}
+
 // TestLeaseDropAllAndDropRange covers the departure and region-reclaim
 // removals.
 func TestLeaseDropAllAndDropRange(t *testing.T) {

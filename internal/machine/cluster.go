@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -314,6 +315,38 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	<-tn.ShutdownC()
 	part.Stop()
 	return nil
+}
+
+// Loopback self-hosts a cluster on TCP loopback: a LocalManifest over a
+// w x h mesh plus one in-process ServeNode goroutine per entry — the
+// em2node code path without process spawn. join blocks until every node
+// has exited and returns the lowest-numbered node's error, naming the
+// node. Nodes exit when a coordinator shuts them down (ClusterRun.Run
+// once it has dialed, a serve backend's Close) or when they fail, so
+// call join after that; a cluster nobody dialed never joins.
+func Loopback(nodes, w, h int) (man transport.Manifest, join func() error, err error) {
+	man, err = transport.LocalManifest(nodes, w, h)
+	if err != nil {
+		return transport.Manifest{}, nil, err
+	}
+	errs := make([]error, len(man.Nodes))
+	var wg sync.WaitGroup
+	for i := range man.Nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = ServeNode(man, i)
+		}()
+	}
+	return man, func() error {
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("node %d: %w", i, err)
+			}
+		}
+		return nil
+	}, nil
 }
 
 // ClusterConfig describes a cluster run. Scheme and Placement travel by

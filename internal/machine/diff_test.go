@@ -11,33 +11,37 @@ import (
 	"repro/internal/transport"
 )
 
+// joinWithin bounds a Loopback join, so a node that never exits fails the
+// test instead of hanging it.
+func joinWithin(t *testing.T, join func() error, d time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- join() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("loopback nodes did not exit within %v of shutdown", d)
+		return nil
+	}
+}
+
 // runOnTCP executes lit on an nodes-wide TCP-loopback cluster whose node
-// endpoints run in-process (goroutines hosting ServeNode) — real sockets,
-// real gob frames, real ContextWireBytes serialization, without process-
-// spawn overhead. The separate multi-process test lives in cluster_test.go.
+// endpoints run in-process (Loopback) — real sockets, real frame batches,
+// real ContextWireBytes serialization, without process-spawn overhead. The
+// separate multi-process test lives in cluster_test.go.
 func runOnTCP(t *testing.T, nodes, w, h int, cfg ClusterConfig, lit Litmus) *ClusterResult {
 	t.Helper()
-	man, err := transport.LocalManifest(nodes, w, h)
+	man, join, err := Loopback(nodes, w, h)
 	if err != nil {
 		t.Fatal(err)
-	}
-	errs := make(chan error, nodes)
-	for i := 0; i < nodes; i++ {
-		go func(i int) { errs <- ServeNode(man, i) }(i)
 	}
 	res, err := ClusterRun{Manifest: man, Config: cfg, Threads: lit.Threads, Mem: lit.Mem}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nodes; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("node exited: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("node did not exit after shutdown")
-		}
+	if err := joinWithin(t, join, 30*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	if err := CheckSCFrom(lit.Mem, res.Events); err != nil {
 		t.Fatalf("%s over TCP: SC violation: %v", lit.Name, err)
@@ -111,13 +115,9 @@ func TestDifferentialInProcVsTCP(t *testing.T) {
 // ServeNode returns instead of parking forever on Loads/CollectRequests.
 func TestServeNodeShutdownWithoutRun(t *testing.T) {
 	t.Parallel()
-	man, err := transport.LocalManifest(2, 2, 1)
+	man, join, err := Loopback(2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- ServeNode(man, i) }(i)
 	}
 	co, err := transport.DialCluster(man, 10*time.Second)
 	if err != nil {
@@ -125,15 +125,8 @@ func TestServeNodeShutdownWithoutRun(t *testing.T) {
 	}
 	co.Shutdown()
 	co.Close()
-	for range man.Nodes {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Errorf("node returned %v on abort", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("node did not exit after shutdown-without-load")
-		}
+	if err := joinWithin(t, join, 10*time.Second); err != nil {
+		t.Errorf("%v on abort", err)
 	}
 }
 

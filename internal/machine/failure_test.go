@@ -127,15 +127,14 @@ func TestClusterRunRejectsBogusHalts(t *testing.T) {
 // only the node can reject and requires the coordinator to receive the
 // node's actual error message through the ack barrier — before this fix
 // the node process just exited and the coordinator saw a bare connection
-// death.
+// death. The same failure must come back from the Loopback join, naming
+// the node.
 func TestServeNodeReportsLoadError(t *testing.T) {
 	t.Parallel()
-	man, err := transport.LocalManifest(1, 2, 2)
+	man, join, err := Loopback(1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- ServeNode(man, 0) }()
 
 	co, err := transport.DialCluster(man, 10*time.Second)
 	if err != nil {
@@ -159,13 +158,9 @@ func TestServeNodeReportsLoadError(t *testing.T) {
 		t.Fatalf("load failure surfaced as %q, want the node's actual parse error", err)
 	}
 	co.Shutdown()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("ServeNode returned nil after failing to load")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("ServeNode did not exit after its load failed")
+	err = joinWithin(t, join, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "node 0: ") || !strings.Contains(err.Error(), "bogus-scheme") {
+		t.Fatalf("join after a failed load = %v, want node 0's parse error", err)
 	}
 }
 

@@ -112,49 +112,6 @@ func AtomicCounterLitmus(threads, incs int) Litmus {
 	}
 }
 
-// SpinlockLitmus is the contended mutual-exclusion program: every thread
-// SWAP-acquires a test-and-set lock at 64 (core 1 under striped:64),
-// increments a non-atomic counter at 128 (core 2) inside the critical
-// section, and releases. Failed acquisitions spin — under always-migrate
-// each attempt ships the context to the lock's home and back, so the
-// program saturates the migration and eviction networks at once. The final
-// counter is exact iff mutual exclusion held; the memory image is
-// deterministic (counter and released lock), the registers are not.
-func SpinlockLitmus(threads, rounds int) Litmus {
-	prog := isa.MustAssemble(fmt.Sprintf(`
-		addi r2, r0, %d
-		addi r3, r0, 1
-	outer:
-	acquire:
-		swap r4, 64(r0), r3   ; try lock
-		bne  r4, r0, acquire  ; spin while it was held
-		lw   r5, 128(r0)      ; critical section: counter++
-		addi r5, r5, 1
-		sw   r5, 128(r0)
-		sw   r0, 64(r0)       ; release
-		addi r2, r2, -1
-		bne  r2, r0, outer
-		halt
-	`, rounds))
-	specs := make([]ThreadSpec, threads)
-	for i := range specs {
-		specs[i] = ThreadSpec{Program: prog}
-	}
-	return Litmus{
-		Name:    "spinlock",
-		Threads: specs,
-		Check: func(read func(uint32) uint32, regs [][isa.NumRegs]uint32) error {
-			if got, want := read(128), uint32(threads*rounds); got != want {
-				return fmt.Errorf("spinlock: counter %d after %d×%d locked increments, want %d", got, threads, rounds, want)
-			}
-			if lock := read(64); lock != 0 {
-				return fmt.Errorf("spinlock: lock word %d after all threads halted, want 0", lock)
-			}
-			return nil
-		},
-	}
-}
-
 // RandOpts parameterizes RandomLitmus; zero fields take defaults.
 type RandOpts struct {
 	Threads int // number of threads (default 3)

@@ -331,7 +331,8 @@ func (p *Part) PerCoreMetrics() []transport.CoreMetrics {
 // events — one atomic load per counter, one short lock per shard — so it
 // is cheap enough to take periodically while the machine runs. The slices
 // are reused via append(x[:0], ...), making repeated samples into the same
-// Sample allocation-free (the telemetry hot path; gated in bench).
+// Sample allocation-free (the telemetry hot path; held at 0 by
+// TestSampleEncodeZeroAlloc).
 // s.Cycle and s.Net are left untouched: the caller owns the virtual-time
 // stamp and the transport owns the wire counters.
 func (p *Part) SampleInto(s *transport.Sample) {

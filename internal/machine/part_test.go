@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/placement"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -41,5 +42,31 @@ func TestPeekDoesNotBindPlacement(t *testing.T) {
 	}
 	if v, ok := p.Peek(addr); !ok || v != 99 {
 		t.Fatalf("Peek after Preload = (%d, %v), want (99, true)", v, ok)
+	}
+}
+
+// TestSampleEncodeZeroAlloc pins the telemetry tick at zero allocations: a
+// 64-core part snapshotted into a reused Sample and rendered as
+// line-protocol points into a reused buffer — what one serve-loop sample
+// costs the machine — so periodic sampling can never become a per-tick
+// allocation tax on a soak.
+func TestSampleEncodeZeroAlloc(t *testing.T) {
+	mesh := geom.NewMesh(8, 8)
+	cfg := Config{Mesh: mesh, Placement: placement.NewStriped(64, mesh.Cores())}
+	part, err := NewPart(cfg, transport.NewLocal(mesh.Cores(), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s transport.Sample
+	part.SampleInto(&s)
+	buf := telemetry.AppendSamplePoints(nil, &s, 1)
+	if len(s.PerCore) != mesh.Cores() || len(buf) == 0 {
+		t.Fatalf("sampled %d cores into %d bytes, want %d cores", len(s.PerCore), len(buf), mesh.Cores())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		part.SampleInto(&s)
+		buf = telemetry.AppendSamplePoints(buf[:0], &s, 1)
+	}); n != 0 {
+		t.Errorf("SampleInto + AppendSamplePoints into reused storage: %.0f allocs, want 0", n)
 	}
 }

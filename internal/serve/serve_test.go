@@ -2,8 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -34,6 +34,26 @@ func runLocal(t *testing.T, cfg Config) *Report {
 	defer be.Close()
 	rep, err := Run(cfg, be)
 	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// runCluster serves cfg on a self-hosted loopback cluster of the given
+// node count; a node's failure fails the test.
+func runCluster(t *testing.T, cfg Config, nodes int) *Report {
+	t.Helper()
+	man, join, err := machine.Loopback(nodes, cfg.W, cfg.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := NewClusterBackend(cfg, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(cfg, be)
+	be.Close()
+	if err = errors.Join(err, join()); err != nil {
 		t.Fatal(err)
 	}
 	return rep
@@ -82,30 +102,7 @@ func TestServeDifferentialTransports(t *testing.T) {
 	cfg := testCfg(9)
 	local := runLocal(t, cfg)
 
-	man, err := transport.LocalManifest(2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := range man.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := machine.ServeNode(man, i); err != nil {
-				t.Errorf("serve node %d: %v", i, err)
-			}
-		}(i)
-	}
-	be, err := NewClusterBackend(cfg, man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clustered, err := Run(cfg, be)
-	be.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clustered := runCluster(t, cfg, 2)
 
 	lb, cb := reportBytes(t, local), reportBytes(t, clustered)
 	if !bytes.Equal(lb, cb) {
@@ -125,30 +122,7 @@ func TestServeDifferential8Node(t *testing.T) {
 	cfg.W, cfg.H = 4, 2
 	local := runLocal(t, cfg)
 
-	man, err := transport.LocalManifest(8, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := range man.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := machine.ServeNode(man, i); err != nil {
-				t.Errorf("serve node %d: %v", i, err)
-			}
-		}(i)
-	}
-	be, err := NewClusterBackend(cfg, man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clustered, err := Run(cfg, be)
-	be.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clustered := runCluster(t, cfg, 8)
 
 	lb, cb := reportBytes(t, local), reportBytes(t, clustered)
 	if !bytes.Equal(lb, cb) {
@@ -210,32 +184,9 @@ func TestServeTelemetryDifferential8Node(t *testing.T) {
 	cfg.Sink = &localSink
 	local := runLocal(t, cfg)
 
-	man, err := transport.LocalManifest(8, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := range man.Nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := machine.ServeNode(man, i); err != nil {
-				t.Errorf("serve node %d: %v", i, err)
-			}
-		}(i)
-	}
 	var tcpSink telemetry.MemorySink
 	cfg.Sink = &tcpSink
-	be, err := NewClusterBackend(cfg, man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clustered, err := Run(cfg, be)
-	be.Close()
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clustered := runCluster(t, cfg, 8)
 
 	lb, cb := reportBytes(t, local), reportBytes(t, clustered)
 	if !bytes.Equal(lb, cb) {

@@ -183,8 +183,8 @@ func Figure3Cells(p Platform) CellSet {
 // TableT1Cells decomposes T1 into one cell per trace length. Each cell runs
 // both DP variants and the O(N) evaluator on the same synthetic steps and
 // reports their (deterministic) model costs; the dense/sparse agreement
-// check is the §3 cross-validation. Wall-clock scaling lives in the root
-// benchmarks (BenchmarkTableT1OracleDP), keeping this table byte-stable.
+// check is the §3 cross-validation. No wall-clock enters the table, so it
+// is byte-stable.
 func TableT1Cells(p Platform, lengths []int) CellSet {
 	cfg := p.modelCore()
 	cells := make([]Cell, len(lengths))

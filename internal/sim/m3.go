@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/transport"
 )
 
 // M3 is the runtime-vs-model experiment: the same memory-access sequences
@@ -43,22 +43,6 @@ func m3Mesh() geom.Mesh { return geom.NewMesh(2, 2) }
 // m3Schemes are the decision schemes under test, by wire name (also
 // exercising machine.ParseScheme, the path a cluster node takes).
 var m3Schemes = []string{"always-migrate", "always-remote", "distance:1", "history:2"}
-
-// M3MicroLitmuses exposes the deterministic M3 micro-workloads as litmus
-// programs, for the benchmark subsystem: em2bench drives the exact access
-// sequences whose runtime message counts the M3 experiment validates
-// against the model.
-func M3MicroLitmuses() []machine.Litmus {
-	var lits []machine.Litmus
-	for _, m := range m3Micros() {
-		lits = append(lits, machine.Litmus{
-			Name:          "m3-" + m.name,
-			Threads:       []machine.ThreadSpec{{Program: m.program()}},
-			Deterministic: true,
-		})
-	}
-	return lits
-}
 
 // m3Micro is one deterministic micro-workload: a single thread reading the
 // given addresses in order. The same sequence becomes an ISA program (for
@@ -176,13 +160,9 @@ func m3RunChannel(scheme core.Scheme, lit machine.Litmus) (*machine.Result, erro
 // hosted in-process), SC-checks, and runs the litmus post-condition.
 func m3RunTCP(schemeName string, lit machine.Litmus) (*machine.ClusterResult, error) {
 	mesh := m3Mesh()
-	man, err := transport.LocalManifest(2, mesh.Width(), mesh.Height())
+	man, join, err := machine.Loopback(2, mesh.Width(), mesh.Height())
 	if err != nil {
 		return nil, err
-	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
 	}
 	res, err := machine.ClusterRun{
 		Manifest: man,
@@ -195,12 +175,7 @@ func m3RunTCP(schemeName string, lit machine.Litmus) (*machine.ClusterResult, er
 		Threads: lit.Threads,
 		Mem:     lit.Mem,
 	}.Run()
-	for range man.Nodes {
-		if e := <-errs; e != nil && err == nil {
-			err = fmt.Errorf("tcp node: %v", e)
-		}
-	}
-	if err != nil {
+	if err = errors.Join(err, join()); err != nil {
 		return nil, err
 	}
 	if err := machine.CheckSCFrom(lit.Mem, res.Events); err != nil {

@@ -1,13 +1,13 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/placement"
 	"repro/internal/stats"
-	"repro/internal/transport"
 	"repro/internal/workload"
 	"repro/internal/wprog"
 )
@@ -82,13 +82,9 @@ func m4RunChannel(scheme core.Scheme, c *wprog.Compiled) (*machine.Result, error
 // register-summary check.
 func m4RunTCP(schemeName string, c *wprog.Compiled) (*machine.ClusterResult, error) {
 	mesh := m3Mesh()
-	man, err := transport.LocalManifest(2, mesh.Width(), mesh.Height())
+	man, join, err := machine.Loopback(2, mesh.Width(), mesh.Height())
 	if err != nil {
 		return nil, err
-	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
 	}
 	res, err := machine.ClusterRun{
 		Manifest: man,
@@ -101,12 +97,7 @@ func m4RunTCP(schemeName string, c *wprog.Compiled) (*machine.ClusterResult, err
 		Threads: c.Threads,
 		Mem:     c.Mem,
 	}.Run()
-	for range man.Nodes {
-		if e := <-errs; e != nil && err == nil {
-			err = fmt.Errorf("tcp node: %v", e)
-		}
-	}
-	if err != nil {
+	if err = errors.Join(err, join()); err != nil {
 		return nil, err
 	}
 	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {

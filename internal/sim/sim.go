@@ -7,9 +7,7 @@
 // functions of the platform and a derived seed. The serial entry points
 // below (Figure1, TableT2, ...) run the cells in order on one goroutine;
 // internal/sweep fans the same cells out across a worker pool and assembles
-// byte-identical tables. cmd/figures is a thin CLI over the sweep registry,
-// and the root-level benchmarks wrap these functions so `go test -bench`
-// regenerates everything.
+// byte-identical tables. cmd/figures is a thin CLI over the sweep registry.
 package sim
 
 import (
@@ -131,8 +129,7 @@ func Figure3(p Platform) *stats.Table {
 // TableT1 cross-validates the §3 dynamic program: the dense and sparse DP
 // variants must agree on the optimal cost, and the O(N) scheme evaluator
 // bounds it from above, across trace lengths. The table reports model costs
-// (deterministic); wall-clock scaling of the same code is measured by
-// BenchmarkTableT1OracleDP in the root benchmarks.
+// (deterministic), never wall-clock.
 func TableT1(p Platform, lengths []int) *stats.Table {
 	return TableT1Cells(p, lengths).RunSerial(p.Seed)
 }

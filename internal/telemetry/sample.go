@@ -11,8 +11,8 @@ import (
 // counters and the guest gauge, then one "machine" point with the shard
 // footprint gauges, all stamped with cycle. The encoding is hand-rolled
 // appends (no Point construction, no fmt), so sampling into a reused
-// buffer is allocation-free — the hot path the bench registry gates at 0
-// allocs/op.
+// buffer is allocation-free (machine.TestSampleEncodeZeroAlloc holds it
+// at 0).
 //
 // Sample.Net is deliberately absent: wire batching differs per transport,
 // and this stream must be byte-identical across them (see the package

@@ -749,15 +749,6 @@ func (n *Node) SendHalt(h HaltMsg) error {
 	return c.sendJSON(FrameHalt, &h)
 }
 
-// SendCollect returns this node's post-run state to the coordinator.
-func (n *Node) SendCollect(rep CollectReply) error {
-	c, err := n.coord.get(n.shutdown)
-	if err != nil {
-		return err
-	}
-	return c.sendJSON(FrameCollectRep, &rep)
-}
-
 // SendLoadAck reports the outcome of installing the LoadSpec: success
 // after the node's data plane is open, or the actual failure message —
 // so the coordinator surfaces "bad scheme name" instead of a bare
@@ -1081,12 +1072,6 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 				return malformedf("halt report: %v", err)
 			}
 			co.halts <- h
-		case FrameCollectRep:
-			var rep CollectReply
-			if err := json.Unmarshal(f.Blob, &rep); err != nil {
-				return malformedf("collect reply: %v", err)
-			}
-			co.colls <- rep
 		case FrameCollectChunk:
 			var ch CollectChunk
 			if err := json.Unmarshal(f.Blob, &ch); err != nil {

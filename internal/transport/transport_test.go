@@ -155,7 +155,7 @@ func TestTCPNodesExchange(t *testing.T) {
 				return fmt.Errorf("node 0: no migration arrived")
 			}
 			<-n.CollectRequests()
-			if err := n.SendCollect(transport.CollectReply{Node: 0, Counters: map[string]int64{"instructions": 11}}); err != nil {
+			if err := n.SendCollectChunk(transport.CollectChunk{Node: 0, Done: true, Counters: map[string]int64{"instructions": 11}}); err != nil {
 				return err
 			}
 			<-n.ShutdownC()
@@ -195,7 +195,7 @@ func TestTCPNodesExchange(t *testing.T) {
 				return err
 			}
 			<-n.CollectRequests()
-			if err := n.SendCollect(transport.CollectReply{Node: 1, Counters: map[string]int64{"instructions": 31}}); err != nil {
+			if err := n.SendCollectChunk(transport.CollectChunk{Node: 1, Done: true, Counters: map[string]int64{"instructions": 31}}); err != nil {
 				return err
 			}
 			<-n.ShutdownC()

@@ -37,8 +37,8 @@ type FrameKind uint8
 // shard events. LoadAck, Heartbeat and CollectChunk shard the coordinator's
 // control plane at scale: LoadAck surfaces a node's actual load error (or
 // readiness) instead of a bare connection death, Heartbeat streams node
-// liveness and wire metrics asynchronously, and CollectChunk replaces the
-// single barrier CollectRep blob with an incremental per-core stream.
+// liveness and wire metrics asynchronously, and CollectChunk streams a
+// node's post-run state incrementally, one chunk per core.
 const (
 	FrameHello FrameKind = iota + 1
 	FrameMigration
@@ -48,7 +48,7 @@ const (
 	FrameLoad
 	FrameHalt
 	FrameCollect
-	FrameCollectRep
+	_ // 9: FrameCollectRep, retired by CollectChunk
 	FrameShutdown
 	FrameJobSubmit
 	FrameJobAck
@@ -145,7 +145,7 @@ type Frame struct {
 	Req  MemRequest  // FrameMemReq
 	Rep  MemReply    // FrameMemRep, FrameLeaseRep
 	Inv  LeaseInval  // FrameLeaseInval
-	Blob []byte      // control-plane kinds (Load, Halt, CollectRep, job/ack/heartbeat/chunk frames): JSON body
+	Blob []byte      // control-plane kinds (Load, Halt, job/ack/heartbeat/chunk frames): JSON body
 }
 
 // The per-kind frame encoders below are shared by AppendFrame and the
@@ -221,7 +221,7 @@ func AppendFrame(b []byte, f Frame) []byte {
 		return appendLeaseRepFrame(b, f.ID, f.Rep)
 	case FrameLeaseInval:
 		return appendLeaseInvalFrame(b, f.Inv)
-	case FrameLoad, FrameHalt, FrameCollectRep, FrameJobSubmit, FrameJobAck, FrameJobDone,
+	case FrameLoad, FrameHalt, FrameJobSubmit, FrameJobAck, FrameJobDone,
 		FrameLoadAck, FrameHeartbeat, FrameCollectChunk, FrameJobRetired, FrameSampleRep:
 		return appendBlobFrame(b, f.Kind, f.Blob)
 	case FrameCollect, FrameShutdown, FrameSampleReq:
@@ -306,7 +306,7 @@ func parseFrame(b []byte) (Frame, int, error) {
 		f.Inv.Addr = binary.BigEndian.Uint32(p[4:])
 		f.Inv.Value = binary.BigEndian.Uint32(p[8:])
 		return f, 1 + leaseInvalBody, nil
-	case FrameLoad, FrameHalt, FrameCollectRep, FrameJobSubmit, FrameJobAck, FrameJobDone,
+	case FrameLoad, FrameHalt, FrameJobSubmit, FrameJobAck, FrameJobDone,
 		FrameLoadAck, FrameHeartbeat, FrameCollectChunk, FrameJobRetired, FrameSampleRep:
 		if err := need(4); err != nil {
 			return Frame{}, 0, err

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -29,7 +30,6 @@ func sampleFrames() []transport.Frame {
 		{Kind: transport.FrameLoad, Blob: []byte(`{"NumThreads":2}`)},
 		{Kind: transport.FrameHalt, Blob: []byte(`{"Thread":1}`)},
 		{Kind: transport.FrameCollect},
-		{Kind: transport.FrameCollectRep, Blob: []byte(`{}`)},
 		{Kind: transport.FrameShutdown},
 		{Kind: transport.FrameJobSubmit, Blob: []byte(`{"Job":7,"NumThreads":2}`)},
 		{Kind: transport.FrameJobAck, Blob: []byte(`{"Job":7}`)},
@@ -43,6 +43,10 @@ func sampleFrames() []transport.Frame {
 	}
 }
 
+// retiredCollectRep is the reserved slot of the retired barrier collect
+// reply: no constant names it, and the decoder must reject it.
+const retiredCollectRep transport.FrameKind = 9
+
 // TestSampleFramesCoverEveryKind keeps sampleFrames honest: every declared
 // FrameKind must appear in the round-trip corpus, so adding a kind without
 // extending the corpus fails here (and under em2lint's framecheck).
@@ -53,6 +57,9 @@ func TestSampleFramesCoverEveryKind(t *testing.T) {
 		covered[f.Kind] = true
 	}
 	for k := transport.FrameHello; k <= transport.FrameLeaseInval; k++ {
+		if k == retiredCollectRep {
+			continue
+		}
 		if !covered[k] {
 			t.Errorf("frame kind %d missing from sampleFrames round-trip corpus", k)
 		}
@@ -105,8 +112,8 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 
 	mutate := func(name string, f func([]byte) []byte) {
 		b := f(append([]byte(nil), good...))
-		if err := transport.DecodeBatch(b, nop); err == nil {
-			t.Errorf("%s accepted", name)
+		if err := transport.DecodeBatch(b, nop); !errors.Is(err, transport.ErrMalformedFrame) {
+			t.Errorf("%s: got %v, want ErrMalformedFrame", name, err)
 		}
 	}
 	mutate("short header", func(b []byte) []byte { return b[:4] })
@@ -123,6 +130,7 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 		return b
 	})
 	mutate("unknown frame kind", func(b []byte) []byte { b[transport.BatchHeaderLen] = 0xEE; return b })
+	mutate("retired frame kind", func(b []byte) []byte { b[transport.BatchHeaderLen] = byte(retiredCollectRep); return b })
 
 	// An oversized declared payload must be rejected up front, not treated
 	// as an allocation request.
@@ -332,9 +340,9 @@ func TestRemoteFailsWhenPeerDies(t *testing.T) {
 	}
 }
 
-// TestWireHotPathZeroAlloc pins the allocation-free invariant the CI bench
-// gate tracks: encoding and decoding contexts and batches into reused
-// storage must not allocate.
+// TestWireHotPathZeroAlloc pins the data plane's allocation-free invariant:
+// encoding and decoding contexts and batches into reused storage must not
+// allocate.
 func TestWireHotPathZeroAlloc(t *testing.T) {
 	ctx := sampleContext()
 	ctx.Sched = []byte{1, 2, 3, 4, 5, 6, 7, 8}

@@ -1,6 +1,7 @@
 package wprog
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -71,17 +72,11 @@ func runScaleChannel(t *testing.T, c *Compiled) (*machine.Machine, *machine.Resu
 	return m, res
 }
 
-// runScaleCluster executes the compiled workload on an 8-node cluster over
-// TCP loopback; start spawns each node (in-process goroutine or real
-// process, supplied by the caller).
-func runScaleCluster(t *testing.T, c *Compiled, start func(t *testing.T, man transport.Manifest) func(error) error) *machine.ClusterResult {
+// runScaleCluster executes the compiled workload on the 8-node cluster
+// the caller started on man (in-process Loopback or real processes); join
+// waits the nodes out and yields their first failure.
+func runScaleCluster(t *testing.T, c *Compiled, man transport.Manifest, join func() error) *machine.ClusterResult {
 	t.Helper()
-	mesh := scaleMesh()
-	man, err := transport.LocalManifest(scaleNodes, mesh.Width(), mesh.Height())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wait := start(t, man)
 	res, err := machine.ClusterRun{
 		Manifest: man,
 		Config: machine.ClusterConfig{
@@ -94,34 +89,13 @@ func runScaleCluster(t *testing.T, c *Compiled, start func(t *testing.T, man tra
 		Threads: c.Threads,
 		Mem:     c.Mem,
 	}.Run()
-	if wait != nil {
-		err = wait(err)
-	}
-	if err != nil {
+	if err = errors.Join(err, join()); err != nil {
 		t.Fatal(err)
 	}
 	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
 		t.Fatalf("cluster: SC violation: %v", err)
 	}
 	return res
-}
-
-// inProcessNodes runs every manifest node as a machine.ServeNode goroutine
-// (the em2node code path without process spawn — CI-short friendly).
-func inProcessNodes(t *testing.T, man transport.Manifest) func(error) error {
-	t.Helper()
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
-	}
-	return func(err error) error {
-		for range man.Nodes {
-			if e := <-errs; e != nil && err == nil {
-				err = fmt.Errorf("tcp node: %v", e)
-			}
-		}
-		return err
-	}
 }
 
 // assertScaleIdentical is the acceptance comparison: final memory, final
@@ -149,7 +123,11 @@ func TestScaleOcean64Core8Node(t *testing.T) {
 	t.Parallel()
 	c := compileScaleOcean(t)
 	m, ch := runScaleChannel(t, c)
-	tcp := runScaleCluster(t, c, inProcessNodes)
+	man, join, err := machine.Loopback(scaleNodes, scaleMesh().Width(), scaleMesh().Height())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := runScaleCluster(t, c, man, join)
 	assertScaleIdentical(t, m, ch, tcp)
 
 	// The NetStats pin. The coordinator's whole conversation with each node
@@ -190,23 +168,23 @@ func TestScaleSmokeEm2nodeBinaries(t *testing.T) {
 
 	c := compileScaleOcean(t)
 	m, ch := runScaleChannel(t, c)
-	tcp := runScaleCluster(t, c, func(t *testing.T, man transport.Manifest) func(error) error {
-		path := filepath.Join(t.TempDir(), "manifest.json")
-		if err := man.WriteFile(path); err != nil {
+	man, err := transport.LocalManifest(scaleNodes, scaleMesh().Width(), scaleMesh().Height())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := man.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for i := range man.Nodes {
+		cmd := exec.Command(bin, "-manifest", path, "-node", strconv.Itoa(i))
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		for i := range man.Nodes {
-			cmd := exec.Command(bin, "-manifest", path, "-node", strconv.Itoa(i))
-			cmd.Stderr = os.Stderr
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func(cmd *exec.Cmd) func() {
-				return func() { cmd.Process.Kill(); cmd.Wait() }
-			}(cmd))
-		}
-		return nil
-	})
+		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
+	}
+	tcp := runScaleCluster(t, c, man, func() error { return nil }) // the processes are reaped by Cleanup
 	assertScaleIdentical(t, m, ch, tcp)
 }
 

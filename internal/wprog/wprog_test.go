@@ -1,6 +1,7 @@
 package wprog
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/placement"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -105,13 +105,9 @@ func runChannel(t *testing.T, c *Compiled, scheme core.Scheme, place placement.P
 func runTCP(t *testing.T, c *Compiled, schemeName, placeName string, guests int) *machine.ClusterResult {
 	t.Helper()
 	mesh := testMesh()
-	man, err := transport.LocalManifest(2, mesh.Width(), mesh.Height())
+	man, join, err := machine.Loopback(2, mesh.Width(), mesh.Height())
 	if err != nil {
 		t.Fatal(err)
-	}
-	errs := make(chan error, len(man.Nodes))
-	for i := range man.Nodes {
-		go func(i int) { errs <- machine.ServeNode(man, i) }(i)
 	}
 	res, err := machine.ClusterRun{
 		Manifest: man,
@@ -126,12 +122,7 @@ func runTCP(t *testing.T, c *Compiled, schemeName, placeName string, guests int)
 		Threads: c.Threads,
 		Mem:     c.Mem,
 	}.Run()
-	for range man.Nodes {
-		if e := <-errs; e != nil && err == nil {
-			err = fmt.Errorf("tcp node: %v", e)
-		}
-	}
-	if err != nil {
+	if err = errors.Join(err, join()); err != nil {
 		t.Fatal(err)
 	}
 	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
