@@ -8,15 +8,18 @@ import (
 
 // Errsink flags discarded error results from the calls whose failures the
 // runtime must propagate: transport Send*/Flush (a dead wire must park the
-// part, not spin — PR 7's dead-transport fix) and machine Part lifecycle
-// calls (Start, StartServe, SetThread, ApplyJob, CollectChunked — a
-// swallowed load failure is exactly the silent node death the load-ack
-// barrier exists to surface). Both the bare-statement form and the
-// explicit `_ =` discard are flagged: a deliberate discard must say why,
-// as `//em2:errsink-ok: <why>` on the line.
+// part, not spin — PR 7's dead-transport fix), the coordinator's side of
+// the run lifecycle (Load, AwaitLoadAcks, SubmitJob, InjectEviction and
+// machine.Inject — a driver that drops one of these awaits halts no node
+// will ever send) and machine Part lifecycle calls (Start, StartServe,
+// SetThread, ApplyJob, CollectChunked — a swallowed load failure is
+// exactly the silent node death the load-ack barrier exists to surface).
+// Both the bare-statement form and the explicit `_ =` discard are flagged:
+// a deliberate discard must say why, as `//em2:errsink-ok: <why>` on the
+// line.
 var Errsink = &Analyzer{
 	Name: "errsink",
-	Doc:  "flag discarded errors from transport sends/flushes and Part lifecycle calls",
+	Doc:  "flag discarded errors from transport sends/flushes, coordinator lifecycle calls and Part lifecycle calls",
 	Run:  runErrsink,
 }
 
@@ -50,7 +53,7 @@ func runErrsink(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"error result of %s is discarded; transport and Part failures must propagate (or annotate //em2:errsink-ok: <why>)",
+				"error result of %s is discarded; transport, coordinator and Part failures must propagate (or annotate //em2:errsink-ok: <why>)",
 				types.ExprString(call.Fun))
 			return true
 		})
@@ -68,24 +71,35 @@ var partLifecycle = map[string]bool{
 	"CollectChunked": true,
 }
 
-// errsinkTracked reports whether call invokes a method whose discarded
-// error errsink polices: a transport Send*/Flush, or a Part lifecycle
-// method, in either case returning an error as its only result.
+// coordLifecycle is the set of Coordinator methods that move a run (or a
+// serve job) forward and return only an error.
+var coordLifecycle = map[string]bool{
+	"Load":           true,
+	"AwaitLoadAcks":  true,
+	"SubmitJob":      true,
+	"InjectEviction": true,
+}
+
+// errsinkTracked reports whether call's discarded error errsink polices:
+// a transport Send*/Flush, a Coordinator lifecycle method, machine.Inject,
+// or a Part lifecycle method, in every case returning an error as its
+// only result.
 func errsinkTracked(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil {
 		return false
 	}
 	sig := fn.Signature()
-	if sig.Recv() == nil {
-		return false
-	}
 	if res := sig.Results(); res.Len() != 1 || !isErrorType(res.At(0).Type()) {
 		return false
 	}
 	name := fn.Name()
+	if sig.Recv() == nil {
+		return name == "Inject" && fromMachinePackage(fn)
+	}
 	if fromTransportPackage(fn) {
-		return name == "Flush" || (strings.HasPrefix(name, "Send") && len(name) > 4)
+		return name == "Flush" || (strings.HasPrefix(name, "Send") && len(name) > 4) ||
+			(coordLifecycle[name] && recvNamed(sig) == "Coordinator")
 	}
 	if !partLifecycle[name] {
 		return false

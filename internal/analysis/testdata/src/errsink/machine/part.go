@@ -9,3 +9,6 @@ func (p *Part) StartServe(int) error  { return nil }
 func (p *Part) SetThread(int) error   { return nil }
 func (p *Part) Stop()                 {}
 func (p *Part) CollectChunked() error { return nil }
+
+// Inject is the lifecycle's injection loop: a function, not a method.
+func Inject(send func(int) error) error { return send(0) }

@@ -24,3 +24,20 @@ func good(tr transport.Transport, p *machine.Part) error {
 func annotated(tr transport.Transport) {
 	_ = tr.Flush() // em2:errsink-ok: fixture proves the annotation
 }
+
+func badDriver(co *transport.Coordinator) {
+	co.Load()                             // want `error result of co\.Load is discarded`
+	_ = co.AwaitLoadAcks()                // want `error result of co\.AwaitLoadAcks is discarded`
+	co.SubmitJob()                        // want `error result of co\.SubmitJob is discarded`
+	co.InjectEviction(1)                  // want `error result of co\.InjectEviction is discarded`
+	machine.Inject(co.InjectEviction)     // want `error result of machine\.Inject is discarded`
+	co.Shutdown()                         // no error result: not tracked
+	_ = machine.Inject(co.InjectEviction) // em2:errsink-ok: fixture proves the annotation on the driver side
+}
+
+func goodDriver(co *transport.Coordinator) error {
+	if err := co.Load(); err != nil {
+		return err
+	}
+	return machine.Inject(co.InjectEviction)
+}

@@ -6,3 +6,13 @@ type Transport interface {
 	SendEviction(dst int) error
 	Flush() error
 }
+
+// Coordinator is the driver-side stand-in: lifecycle calls returning only
+// an error, plus Shutdown (no error) as the negative case.
+type Coordinator struct{}
+
+func (co *Coordinator) Load() error              { return nil }
+func (co *Coordinator) AwaitLoadAcks() error     { return nil }
+func (co *Coordinator) SubmitJob() error         { return nil }
+func (co *Coordinator) InjectEviction(int) error { return nil }
+func (co *Coordinator) Shutdown()                {}

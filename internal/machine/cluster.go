@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -124,30 +123,36 @@ func ParseScheme(spec string, mesh geom.Mesh) (core.Scheme, error) {
 	}
 }
 
-// encodePrograms packs thread programs into their 32-bit ISA encoding and
-// verifies each instruction survives the wire (immediates that overflow
-// their field would silently execute differently on the far side).
-func encodePrograms(threads []ThreadSpec) ([][]uint32, error) {
-	out := make([][]uint32, len(threads))
+// packThreads validates threads and renders them in wire form: programs
+// in their 32-bit ISA encoding, each instruction verified to survive the
+// wire (an immediate that overflows its field would silently execute
+// differently on the far side), and the initial register maps.
+func packThreads(threads []ThreadSpec) (programs [][]uint32, regs []map[int]uint32, err error) {
+	if err := validateSpecs(threads); err != nil {
+		return nil, nil, err
+	}
+	programs = make([][]uint32, len(threads))
+	regs = make([]map[int]uint32, len(threads))
 	for t := range threads {
 		prog := threads[t].Program
 		if len(prog) == 0 {
-			return nil, fmt.Errorf("machine: thread %d has an empty program", t)
+			return nil, nil, fmt.Errorf("machine: thread %d has an empty program", t)
 		}
-		out[t] = make([]uint32, len(prog))
+		programs[t] = make([]uint32, len(prog))
 		for i, in := range prog {
 			w := in.Encode()
 			back, err := isa.Decode(w)
 			if err != nil || back != in {
-				return nil, fmt.Errorf("machine: thread %d instruction %d (%v) does not survive the wire encoding", t, i, in)
+				return nil, nil, fmt.Errorf("machine: thread %d instruction %d (%v) does not survive the wire encoding", t, i, in)
 			}
-			out[t][i] = w
+			programs[t][i] = w
 		}
+		regs[t] = threads[t].Regs
 	}
-	return out, nil
+	return programs, regs, nil
 }
 
-// decodePrograms is the node-side inverse of encodePrograms.
+// decodePrograms is the node-side inverse of packThreads.
 func decodePrograms(spec *transport.LoadSpec) ([]ThreadSpec, error) {
 	if len(spec.Programs) != spec.NumThreads || len(spec.Regs) != spec.NumThreads {
 		return nil, fmt.Errorf("machine: load spec carries %d programs and %d reg maps for %d threads",
@@ -155,13 +160,9 @@ func decodePrograms(spec *transport.LoadSpec) ([]ThreadSpec, error) {
 	}
 	threads := make([]ThreadSpec, spec.NumThreads)
 	for t, words := range spec.Programs {
-		prog := make([]isa.Instr, len(words))
-		for i, w := range words {
-			in, err := isa.Decode(w)
-			if err != nil {
-				return nil, fmt.Errorf("machine: thread %d instruction %d: %v", t, i, err)
-			}
-			prog[i] = in
+		prog, err := decodeProgram(words)
+		if err != nil {
+			return nil, fmt.Errorf("machine: thread %d: %v", t, err)
 		}
 		threads[t] = ThreadSpec{Program: prog, Regs: spec.Regs[t]}
 	}
@@ -224,16 +225,8 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 		}
 		return err
 	}
-	cfg := Config{
-		Mesh:          geom.NewMesh(man.W, man.H),
-		GuestContexts: spec.GuestContexts,
-		Quantum:       spec.Quantum,
-		LogEvents:     spec.LogEvents,
-	}
-	if cfg.Placement, err = ParsePlacement(spec.Placement, cfg.Mesh.Cores()); err != nil {
-		return failLoad(err)
-	}
-	if cfg.Scheme, err = ParseScheme(spec.Scheme, cfg.Mesh); err != nil {
+	cfg, err := ResolveLoad(geom.NewMesh(man.W, man.H), spec)
+	if err != nil {
 		return failLoad(err)
 	}
 	tn.Prepare(spec.NumThreads)
@@ -349,9 +342,9 @@ func Loopback(nodes, w, h int) (man transport.Manifest, join func() error, err e
 	}, nil
 }
 
-// ClusterConfig describes a cluster run. Scheme and Placement travel by
-// name (see ParseScheme/ParsePlacement); zero values select pure EM² over
-// 64-byte striping with a 60 s timeout.
+// ClusterConfig describes a run by name: Scheme and Placement travel as
+// wire names (see ParseScheme/ParsePlacement), and zero values take the
+// defaults of WithDefaults.
 type ClusterConfig struct {
 	GuestContexts int
 	Quantum       int
@@ -373,41 +366,6 @@ type ClusterResult struct {
 	// the injection batching (a whole run's initial contexts reach each
 	// node in one write).
 	CoordNet transport.NetStats
-}
-
-// heartbeatSummary renders the coordinator's last-seen heartbeats for a
-// timeout diagnostic: which nodes were still alive, and how stale each
-// one's last report was. Advisory only — it annotates errors, never
-// results.
-func heartbeatSummary(co *transport.Coordinator, nodes int) string {
-	infos := co.Heartbeats()
-	if len(infos) == 0 {
-		return fmt.Sprintf("no heartbeats from any of %d nodes", nodes)
-	}
-	seen := make(map[int]transport.HeartbeatInfo, len(infos))
-	for _, hi := range infos {
-		seen[hi.Node] = hi
-	}
-	parts := make([]string, 0, nodes)
-	for i := 0; i < nodes; i++ {
-		if hi, ok := seen[i]; ok {
-			//em2:wallclock-ok: timeout diagnostics annotate real elapsed time; never feeds results
-			parts = append(parts, fmt.Sprintf("node %d seq %d %.1fs ago", i, hi.Seq, time.Since(hi.At).Seconds()))
-		} else {
-			parts = append(parts, fmt.Sprintf("node %d silent", i))
-		}
-	}
-	return "last heartbeats: " + strings.Join(parts, ", ")
-}
-
-// mergePerCore concatenates per-node core metrics and sorts by core id.
-func mergePerCore(reps []transport.CollectReply) []transport.CoreMetrics {
-	var out []transport.CoreMetrics
-	for _, rep := range reps {
-		out = append(out, rep.PerCore...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Core < out[j].Core })
-	return out
 }
 
 // ClusterRun is the spec for one cluster run. Manifest names the node
@@ -436,165 +394,61 @@ type ClusterRun struct {
 // cmd/em2node) must be starting or started on the manifest's addresses;
 // dialing retries until Config.Timeout.
 func (r ClusterRun) Run() (*ClusterResult, error) {
-	man, cfg, threads, mem := r.Manifest, r.Config, r.Threads, r.Mem
-	if err := man.Validate(); err != nil {
-		return nil, err
-	}
+	man, threads := r.Manifest, r.Threads
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("machine: no threads")
 	}
-	if err := validateSpecs(threads); err != nil {
-		return nil, err
-	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = "always-migrate"
-	}
-	if cfg.Placement == "" {
-		cfg.Placement = "striped:64"
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 60 * time.Second
-	}
-	mesh := geom.NewMesh(man.W, man.H)
-	// Fail fast on the coordinator for anything a node would reject: build
-	// and validate the exact Config every node will build from the spec.
+	cfg := r.Config.WithDefaults()
+	spec := cfg.LoadSpec(len(threads))
 	var err error
-	nodeCfg := Config{Mesh: mesh, GuestContexts: cfg.GuestContexts, Quantum: cfg.Quantum}
-	if nodeCfg.Placement, err = ParsePlacement(cfg.Placement, mesh.Cores()); err != nil {
+	if spec.Programs, spec.Regs, err = packThreads(threads); err != nil {
 		return nil, err
 	}
-	if nodeCfg.Scheme, err = ParseScheme(cfg.Scheme, mesh); err != nil {
-		return nil, err
-	}
-	if err := nodeCfg.Validate(); err != nil {
-		return nil, err
-	}
-	programs, err := encodePrograms(threads)
-	if err != nil {
-		return nil, err
-	}
+	spec.Mem = r.Mem
 
-	co, err := transport.DialCluster(man, cfg.Timeout)
+	co, err := LoadCluster(man, spec, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
 	defer co.Close()
 	defer co.Shutdown()
 
-	regs := make([]map[int]uint32, len(threads))
-	for t := range threads {
-		regs[t] = threads[t].Regs
-	}
-	if err := co.Load(&transport.LoadSpec{
-		GuestContexts: cfg.GuestContexts,
-		Quantum:       cfg.Quantum,
-		Scheme:        cfg.Scheme,
-		Placement:     cfg.Placement,
-		LogEvents:     cfg.LogEvents,
-		NumThreads:    len(threads),
-		Programs:      programs,
-		Regs:          regs,
-		Mem:           mem,
-	}); err != nil {
+	if err := Inject(threads, man.Cores(), co.InjectEviction); err != nil {
 		return nil, err
-	}
-	// The ack barrier turns a node's load failure into its actual error
-	// message and guarantees every data plane is open before injection.
-	if err := co.AwaitLoadAcks(cfg.Timeout); err != nil {
-		return nil, err
-	}
-
-	cores := mesh.Cores()
-	for t := range threads {
-		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
-		//em2:unordered-ok: each register lands in its own array slot; the filled Regs array is order-independent
-		for r, v := range threads[t].Regs {
-			ctx.Arch.Regs[r] = v
-		}
-		if err := co.InjectEviction(geom.CoreID(t%cores), ctx); err != nil {
-			return nil, err
-		}
 	}
 	// Injections coalesce per node; the whole run's initial contexts reach
 	// each node in one batch write.
 	if err := co.Flush(); err != nil {
 		return nil, err
 	}
-
-	res := &ClusterResult{Mem: make(map[uint32]uint32)}
-	res.FinalRegs = make([][isa.NumRegs]uint32, len(threads))
-	timer := time.NewTimer(cfg.Timeout)
-	defer timer.Stop()
-	// Track exactly which threads halted: a halt counter alone would let a
-	// duplicate (or fabricated) report for one thread mask another thread
-	// that never finished, and the run would "complete" with garbage
-	// registers for the missing thread.
-	halted := make([]bool, len(threads))
-	var maxCycles uint64
-	for n := 0; n < len(threads); n++ {
-		select {
-		case h, ok := <-co.Halts():
-			if !ok {
-				return nil, fmt.Errorf("machine: halt channel closed with %d of %d threads halted", n, len(threads))
-			}
-			if h.Thread < 0 || h.Thread >= len(threads) {
-				return nil, fmt.Errorf("machine: halt report for unknown thread %d", h.Thread)
-			}
-			if halted[h.Thread] {
-				return nil, fmt.Errorf("machine: duplicate halt report for thread %d", h.Thread)
-			}
-			halted[h.Thread] = true
-			res.FinalRegs[h.Thread] = h.Regs
-			if h.Cycles > maxCycles {
-				maxCycles = h.Cycles
-			}
-		case err := <-co.Deaths():
-			// A node process died mid-run: every context and shard it held
-			// is gone. Fail loudly and immediately instead of letting the
-			// run bleed out into a timeout.
-			return nil, fmt.Errorf("machine: cluster run failed with %d of %d threads halted: %v", n, len(threads), err)
-		case <-timer.C:
-			return nil, fmt.Errorf("machine: cluster run timed out with %d of %d threads halted (%s)",
-				n, len(threads), heartbeatSummary(co, len(man.Nodes)))
-		}
+	halts, err := AwaitHalts(len(threads), co.Halts(), co.Deaths(), cfg.Timeout, co.HeartbeatSummary)
+	if err != nil {
+		return nil, err
 	}
-
 	reps, err := co.Collect(cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
+	all := MergeCollect(reps)
+	res := &ClusterResult{Result: newResult(all, halts), Mem: all.Mem, CoordNet: co.NetStats()}
 	for _, rep := range reps {
-		res.Instructions += rep.Counters["instructions"]
-		res.Migrations += rep.Counters["migrations"]
-		res.Evictions += rep.Counters["evictions"]
-		res.RemoteReads += rep.Counters["remote_reads"]
-		res.RemoteWrites += rep.Counters["remote_writes"]
-		res.LocalOps += rep.Counters["local_ops"]
-		res.ContextFlits += rep.Counters["context_flits"]
-		res.LeaseHits += rep.Counters["lease_hits"]
-		res.LeaseMisses += rep.Counters["lease_misses"]
-		res.LeaseInvals += rep.Counters["lease_invals"]
-		res.Overcommits += rep.Counters["overcommits"]
-		res.Events = append(res.Events, rep.Events...)
-		//em2:unordered-ok: node memory images are address-disjoint (single-home invariant); merge order cannot matter
-		for a, v := range rep.Mem {
-			res.Mem[a] = v
-		}
 		res.NodeCounters = append(res.NodeCounters, rep.Counters)
+		var net transport.NetStats
 		if rep.Net != nil {
-			res.NodeNet = append(res.NodeNet, *rep.Net)
-		} else {
-			res.NodeNet = append(res.NodeNet, transport.NetStats{})
+			net = *rep.Net
 		}
+		res.NodeNet = append(res.NodeNet, net)
 	}
-	res.PerCore = mergePerCore(reps)
-	res.CoordNet = co.NetStats()
 	if r.Sink != nil {
 		// One deterministic end-of-run sample: the collected counters with
 		// quiescent gauges (every thread halted, nothing resident), stamped
 		// at the slowest thread's halt cycle. Built entirely from surfaces
 		// the differential tests already pin, so enabling the sink changes
 		// nothing and the stream matches byte-for-byte across transports.
+		var maxCycles uint64
+		for _, h := range halts {
+			maxCycles = max(maxCycles, h.Cycles)
+		}
 		s := transport.Sample{
 			Cycle:   maxCycles,
 			PerCore: res.PerCore,

@@ -492,8 +492,10 @@ func (n *coreNode) execute(c *context) {
 			n.ctr.instructions.Add(1)
 			c.cycles++
 			c.pred.Flush() // end of the thread's access stream
-			n.p.onHalt(transport.HaltMsg{Thread: c.thread, Regs: c.regs, Cycles: c.cycles, Msgs: c.msgs})
+			// Depart before reporting: whoever awaits the halt may sample the
+			// machine at once and must find the guest gauge already settled.
 			n.guestDeparted(c)
+			n.p.onHalt(transport.HaltMsg{Thread: c.thread, Regs: c.regs, Cycles: c.cycles, Msgs: c.msgs})
 			return
 		}
 		executeALU(c, in)

@@ -123,6 +123,45 @@ func TestClusterRunRejectsBogusHalts(t *testing.T) {
 	}
 }
 
+// TestClusterRunNodeDiesDuringCollect drives ClusterRun.Run against a fake
+// node that loads, reports every halt, and then drops its connection when
+// the collect request arrives. The collect barrier must report the death
+// at once and name the node: it used to select on replies and its timer
+// only, so a node lost after the halt barrier cost the full timeout and
+// an error ("collect: 0 of 1 nodes replied") that named nobody.
+func TestClusterRunNodeDiesDuringCollect(t *testing.T) {
+	t.Parallel()
+	man, err := transport.LocalManifest(1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := transport.ListenNode(man, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tn.Close() })
+	go func() {
+		spec := <-tn.Loads()
+		tn.Prepare(spec.NumThreads)
+		tn.Ready()
+		_ = tn.SendLoadAck(transport.LoadAck{Node: 0}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+		for th := 0; th < spec.NumThreads; th++ {
+			_ = tn.SendHalt(transport.HaltMsg{Thread: th}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+		}
+		<-tn.CollectRequests()
+		tn.Close()
+	}()
+	lit := StoreBufferingLitmus(64)
+	start := time.Now() //em2:wallclock-ok: the test's subject is how long a failure takes to surface
+	_, err = ClusterRun{Manifest: man, Config: ClusterConfig{Timeout: 10 * time.Second}, Threads: lit.Threads, Mem: lit.Mem}.Run()
+	if err == nil || !strings.Contains(err.Error(), "connection to node 0 lost") {
+		t.Fatalf("got error %v, want the collect barrier to name the lost node", err)
+	}
+	if took := time.Since(start); took > 5*time.Second { //em2:wallclock-ok: see above
+		t.Fatalf("node death during collect took %v to surface (timeout bleed-out)", took)
+	}
+}
+
 // TestServeNodeReportsLoadError drives a real ServeNode with a LoadSpec
 // only the node can reject and requires the coordinator to receive the
 // node's actual error message through the ack barrier — before this fix
@@ -230,7 +269,7 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	threads := []ThreadSpec{{Program: spinForever()}}
-	programs, err := encodePrograms(threads)
+	programs, _, err := packThreads(threads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,3 +184,38 @@ func TestGuestPoolInvariantUnderContention(t *testing.T) {
 		t.Errorf("per-core overcommits sum %d != aggregate %d", perCore, res.Overcommits)
 	}
 }
+
+// TestHaltReportedAfterGuestDeparts pins the order of a guest's HALT: the
+// core retires the guest from its resident count before it reports the
+// halt, so a driver that samples the machine the moment its last halt
+// arrives finds the guest gauge at zero. Reported first, the serve
+// telemetry stream showed a phantom guest about every other em2soak run.
+func TestHaltReportedAfterGuestDeparts(t *testing.T) {
+	tr := transport.NewLocal(2, 1)
+	part, err := NewPart(Config{Mesh: geom.NewMesh(2, 1), Placement: placement.NewStriped(64, 2)}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Address 64 is homed at core 1: the thread migrates there and halts
+	// as a guest.
+	prog := isa.MustAssemble(`
+		sw   r0, 64(r0)
+		halt
+	`)
+	guests := make(chan int64, 1)
+	if err := part.Start([]ThreadSpec{{Program: prog}}, func(transport.HaltMsg) {
+		var s transport.Sample
+		part.SampleInto(&s)
+		guests <- s.GuestTotal()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Inject([]ThreadSpec{{Program: prog}}, 2, tr.SendEviction); err != nil {
+		t.Fatal(err)
+	}
+	got := <-guests
+	part.Stop()
+	if got != 0 {
+		t.Fatalf("guest gauge reads %d when the halt is reported, want 0", got)
+	}
+}

@@ -24,21 +24,14 @@ func BuildJob(job int, slots []int, threads []ThreadSpec, mem map[uint32]uint32)
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("machine: job %d has no threads", job)
 	}
-	if err := validateSpecs(threads); err != nil {
-		return nil, err
-	}
-	programs, err := encodePrograms(threads)
+	programs, regs, err := packThreads(threads)
 	if err != nil {
 		return nil, err
-	}
-	regs := make([]map[int]uint32, len(threads))
-	for t := range threads {
-		regs[t] = threads[t].Regs
 	}
 	return &transport.JobSpec{Job: job, Slots: slots, Programs: programs, Regs: regs, Mem: mem}, nil
 }
 
-// decodeProgram is the node-side inverse of one encodePrograms entry.
+// decodeProgram is the node-side inverse of one packThreads program.
 func decodeProgram(words []uint32) ([]isa.Instr, error) {
 	prog := make([]isa.Instr, len(words))
 	for i, w := range words {

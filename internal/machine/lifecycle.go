@@ -1,0 +1,204 @@
+package machine
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"time"
+
+	"repro/internal/geom"
+	"repro/internal/isa"
+	"repro/internal/stats"
+	"repro/internal/transport"
+)
+
+// This file is the run lifecycle, written once. Every way of driving the
+// machine — Machine.Run in one process, ClusterRun.Run across node
+// processes, a serve backend's RunJob and Drain on either — is the same
+// four steps, and differs only in the channels and send function it hands
+// them (DESIGN.md §6–§7):
+//
+//	resolve  names → the LoadSpec that ships them → validated Config
+//	inject   every thread's initial context to its native core
+//	await    one HALT per thread, or the first death / timeout
+//	fold     collected shards → one CollectReply → Result
+
+// WithDefaults fills the zero values of a run description: pure EM² over
+// 64-byte striping with a 60 s timeout. Defined here and nowhere else;
+// serve.Config inherits them through this method.
+func (c ClusterConfig) WithDefaults() ClusterConfig {
+	if c.Scheme == "" {
+		c.Scheme = "always-migrate"
+	}
+	if c.Placement == "" {
+		c.Placement = "striped:64"
+	}
+	if c.Timeout == 0 {
+		c.Timeout = 60 * time.Second
+	}
+	return c
+}
+
+// LoadSpec renders the description as the broadcast that ships it, sized
+// for numThreads threads (or serve slots). The caller adds what the run
+// carries: programs, registers and memory image, or the Serve flag.
+func (c ClusterConfig) LoadSpec(numThreads int) *transport.LoadSpec {
+	c = c.WithDefaults()
+	return &transport.LoadSpec{
+		GuestContexts: c.GuestContexts,
+		Quantum:       c.Quantum,
+		Scheme:        c.Scheme,
+		Placement:     c.Placement,
+		LogEvents:     c.LogEvents,
+		NumThreads:    numThreads,
+	}
+}
+
+// ResolveLoad builds the validated Config a LoadSpec describes on mesh.
+// Every node resolves the spec it received through here and every driver
+// resolves the spec it is about to send, so whatever a node would reject
+// fails fast at the driver, with the same message.
+func ResolveLoad(mesh geom.Mesh, spec *transport.LoadSpec) (Config, error) {
+	cfg := Config{Mesh: mesh, GuestContexts: spec.GuestContexts, Quantum: spec.Quantum, LogEvents: spec.LogEvents}
+	var err error
+	if cfg.Placement, err = ParsePlacement(spec.Placement, mesh.Cores()); err != nil {
+		return Config{}, err
+	}
+	if cfg.Scheme, err = ParseScheme(spec.Scheme, mesh); err != nil {
+		return Config{}, err
+	}
+	return cfg, cfg.Validate()
+}
+
+// LoadCluster brings an already-listening cluster to the point where
+// contexts may be injected: resolve spec here (fail fast), dial, broadcast,
+// and await every load ack — the barrier that turns a node's load failure
+// into its actual message and guarantees every data plane is open. On
+// failure the nodes are shut down.
+func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.Duration) (*transport.Coordinator, error) {
+	if err := man.Validate(); err != nil {
+		return nil, err
+	}
+	if _, err := ResolveLoad(geom.NewMesh(man.W, man.H), spec); err != nil {
+		return nil, err
+	}
+	co, err := transport.DialCluster(man, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if err = co.Load(spec); err == nil {
+		err = co.AwaitLoadAcks(timeout)
+	}
+	if err != nil {
+		co.Shutdown()
+		co.Close()
+		return nil, err
+	}
+	return co, nil
+}
+
+// Inject places every thread's initial context at its native core — thread
+// t at core t mod cores — by handing it to send, the eviction network of
+// whatever transport drives the run (Local.SendEviction in process,
+// Coordinator.InjectEviction across nodes): a native arrival is always
+// accepted, so initial placement can never be refused.
+func Inject(threads []ThreadSpec, cores int, send func(geom.CoreID, transport.Context) error) error {
+	for t := range threads {
+		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
+		//em2:unordered-ok: each register lands in its own array slot; the filled Regs array is order-independent
+		for r, v := range threads[t].Regs {
+			ctx.Arch.Regs[r] = v
+		}
+		if err := send(geom.CoreID(t%cores), ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AwaitHalts collects one HALT report per thread from halts and returns
+// them indexed by thread. It fails on a closed channel, an out-of-range or
+// repeated thread, an error on deaths (a node died: every context and
+// shard it held is gone, so fail at once instead of bleeding out into the
+// timeout), or the timeout — whose error carries diag's text, the one
+// place a timeout becomes a diagnosis. A zero timeout never fires and nil
+// deaths/diag are skipped: the in-process machine has no nodes to lose.
+func AwaitHalts(n int, halts <-chan transport.HaltMsg, deaths <-chan error, timeout time.Duration, diag func() string) ([]transport.HaltMsg, error) {
+	var expired <-chan time.Time
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	out := make([]transport.HaltMsg, n)
+	// Track exactly which threads halted: a halt counter alone would let a
+	// duplicate (or fabricated) report for one thread mask another thread
+	// that never finished, and the run would "complete" with garbage
+	// registers for the missing thread.
+	seen := make([]bool, n)
+	for got := 0; got < n; got++ {
+		select {
+		case h, ok := <-halts:
+			if !ok {
+				return nil, fmt.Errorf("machine: halt channel closed with %d of %d threads halted", got, n)
+			}
+			if h.Thread < 0 || h.Thread >= n {
+				return nil, fmt.Errorf("machine: halt report for unknown thread %d", h.Thread)
+			}
+			if seen[h.Thread] {
+				return nil, fmt.Errorf("machine: duplicate halt report for thread %d", h.Thread)
+			}
+			seen[h.Thread] = true
+			out[h.Thread] = h
+		case err := <-deaths:
+			return nil, fmt.Errorf("machine: cluster run failed with %d of %d threads halted: %v", got, n, err)
+		case <-expired:
+			why := ""
+			if diag != nil {
+				why = " (" + diag() + ")"
+			}
+			return nil, fmt.Errorf("machine: run timed out with %d of %d threads halted%s", got, n, why)
+		}
+	}
+	return out, nil
+}
+
+// MergeCollect folds per-node collect replies into the machine-wide one:
+// event logs and memory slices joined, per-core rows ascending by core,
+// counters re-derived from the rows. One reply from a part spanning the
+// whole machine merges to itself.
+func MergeCollect(reps []transport.CollectReply) transport.CollectReply {
+	var all transport.CollectReply
+	for _, rep := range reps {
+		all.Grow(rep.Events, rep.Mem, rep.PerCore...)
+	}
+	slices.SortFunc(all.PerCore, func(a, b transport.CoreMetrics) int { return cmp.Compare(a.Core, b.Core) })
+	all.Counters = stats.CounterMap(transport.SumMetrics(all.PerCore))
+	return all
+}
+
+// newResult is the one conversion from collected state to a Result: totals
+// from the per-core rows, final registers from the halts.
+func newResult(coll transport.CollectReply, halts []transport.HaltMsg) Result {
+	t := transport.SumMetrics(coll.PerCore)
+	res := Result{
+		Instructions: t.Instructions,
+		Migrations:   t.Migrations,
+		Evictions:    t.Evictions,
+		RemoteReads:  t.RemoteReads,
+		RemoteWrites: t.RemoteWrites,
+		LocalOps:     t.LocalOps,
+		ContextFlits: t.ContextFlits,
+		LeaseHits:    t.LeaseHits,
+		LeaseMisses:  t.LeaseMisses,
+		LeaseInvals:  t.LeaseInvals,
+		Overcommits:  t.Overcommits,
+		PerCore:      coll.PerCore,
+		Events:       coll.Events,
+		FinalRegs:    make([][isa.NumRegs]uint32, len(halts)),
+	}
+	for t, h := range halts {
+		res.FinalRegs[t] = h.Regs
+	}
+	return res
+}

@@ -12,6 +12,10 @@
 //     cores of its manifest entry, and contexts cross real TCP sockets in
 //     their fixed wire encoding (transport.Node).
 //
+// Either way a run is resolve → inject → await halts → fold, written once
+// in lifecycle.go; Machine.Run, ClusterRun.Run and the serve backends only
+// choose the channels and the send function.
+//
 // The runtime preserves the paper's structural guarantees in both shapes:
 //
 //   - Single home: every word lives in exactly one per-core shard, and every
@@ -31,7 +35,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -116,15 +119,10 @@ type Result struct {
 // Machine is a runnable in-process EM² instance: one Part spanning every
 // core over the channel transport. Create with New, run with Run.
 type Machine struct {
-	cfg        Config
 	numThreads int
 	tr         *transport.Local
 	part       *Part
 	ran        bool
-
-	mu        sync.Mutex
-	finalRegs map[int][isa.NumRegs]uint32
-	haltWG    sync.WaitGroup
 }
 
 // New builds a machine for the given thread count (the count sizes the
@@ -138,13 +136,7 @@ func New(cfg Config, numThreads int) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{
-		cfg:        cfg,
-		numThreads: numThreads,
-		tr:         tr,
-		part:       part,
-		finalRegs:  make(map[int][isa.NumRegs]uint32),
-	}, nil
+	return &Machine{numThreads: numThreads, tr: tr, part: part}, nil
 }
 
 // Preload stores a word at addr before the run, binding the page to `by`
@@ -181,58 +173,28 @@ func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
 		return nil, fmt.Errorf("machine: Run called twice")
 	}
 
-	cores := m.cfg.Mesh.Cores()
+	// Sized for every thread, so a halting core never blocks on the
+	// collector below.
+	halts := make(chan transport.HaltMsg, len(threads))
 	// Part.Start is the single validation authority for thread specs; it
 	// spawns nothing on error.
-	if err := m.part.Start(threads, func(h transport.HaltMsg) {
-		m.mu.Lock()
-		m.finalRegs[h.Thread] = h.Regs
-		m.mu.Unlock()
-		m.haltWG.Done()
-	}); err != nil {
+	if err := m.part.Start(threads, func(h transport.HaltMsg) { halts <- h }); err != nil {
 		return nil, err
 	}
 	m.ran = true
-	// Counted before the first injection below; halts only follow injection.
-	m.haltWG.Add(len(threads))
-	for t := range threads {
-		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
-		//em2:unordered-ok: each register lands in its own array slot; the filled Regs array is order-independent
-		for r, v := range threads[t].Regs {
-			ctx.Arch.Regs[r] = v
-		}
-		// Initial placement: the native context, via the eviction channel
-		// (a native arrival is always accepted; the in-process transport's
-		// eviction inbox is sized for every thread, so this cannot fail).
-		_ = m.tr.SendEviction(geom.CoreID(t%cores), ctx) //em2:errsink-ok: local eviction send is infallible by inbox sizing
+	// lifecycle.go's steps over the channel transport: its eviction
+	// inboxes are sized for every thread, so injection cannot block, and
+	// with no nodes to lose there is no death channel and no timeout — the
+	// run ends when its threads do.
+	err := Inject(threads, m.tr.Cores(), m.tr.SendEviction)
+	var got []transport.HaltMsg
+	if err == nil {
+		got, err = AwaitHalts(len(threads), halts, nil, 0, nil)
 	}
-	m.haltWG.Wait()
 	m.part.Stop()
-
-	coll := m.part.Collect(0)
-	res := &Result{
-		Instructions: coll.Counters["instructions"],
-		Migrations:   coll.Counters["migrations"],
-		Evictions:    coll.Counters["evictions"],
-		RemoteReads:  coll.Counters["remote_reads"],
-		RemoteWrites: coll.Counters["remote_writes"],
-		LocalOps:     coll.Counters["local_ops"],
-		ContextFlits: coll.Counters["context_flits"],
-		LeaseHits:    coll.Counters["lease_hits"],
-		LeaseMisses:  coll.Counters["lease_misses"],
-		LeaseInvals:  coll.Counters["lease_invals"],
-		Overcommits:  coll.Counters["overcommits"],
-		PerCore:      coll.PerCore,
-		FinalRegs:    make([][isa.NumRegs]uint32, len(threads)),
+	if err != nil {
+		return nil, err
 	}
-	m.mu.Lock()
-	//em2:unordered-ok: each thread's registers land in its own slice slot; order-independent
-	for t, regs := range m.finalRegs {
-		res.FinalRegs[t] = regs
-	}
-	m.mu.Unlock()
-	if m.cfg.LogEvents {
-		res.Events = coll.Events
-	}
-	return res, nil
+	res := newResult(m.part.Collect(0), got)
+	return &res, nil
 }

@@ -315,16 +315,6 @@ func (p *Part) ClearThreads(slots []int) {
 	}
 }
 
-// PerCoreMetrics snapshots the runtime counters of this part's owned
-// cores, ascending by core id.
-func (p *Part) PerCoreMetrics() []transport.CoreMetrics {
-	out := make([]transport.CoreMetrics, 0, len(p.tr.Owned()))
-	for _, id := range p.tr.Owned() {
-		out = append(out, p.ctr[id].metrics(id))
-	}
-	return out
-}
-
 // SampleInto fills s with a non-destructive snapshot of this part's
 // metrics: per-core counters and guest gauges (ascending by core id) plus
 // the summed shard footprint. Unlike Collect it copies no memory and no
@@ -359,25 +349,12 @@ func (p *Part) Sample() (transport.Sample, error) {
 // counters, the event logs of its shards in core order, and its slice of
 // the memory image.
 func (p *Part) Collect(node int) transport.CollectReply {
-	perCore := p.PerCoreMetrics()
-	var agg transport.CoreMetrics
-	for _, m := range perCore {
-		agg = agg.Add(m)
-	}
-	rep := transport.CollectReply{
-		Node:     node,
-		Counters: stats.CounterMap(agg),
-		PerCore:  perCore,
-		Mem:      make(map[uint32]uint32),
-	}
+	rep := transport.CollectReply{Node: node, PerCore: make([]transport.CoreMetrics, 0, len(p.tr.Owned()))}
 	for _, id := range p.tr.Owned() {
 		mem, events := p.shards[id].snapshot()
-		rep.Events = append(rep.Events, events...)
-		//em2:unordered-ok: shard images are address-disjoint (single-home invariant); merge order cannot matter
-		for a, v := range mem {
-			rep.Mem[a] = v
-		}
+		rep.Grow(events, mem, p.ctr[id].metrics(id))
 	}
+	rep.Counters = stats.CounterMap(transport.SumMetrics(rep.PerCore))
 	return rep
 }
 

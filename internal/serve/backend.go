@@ -45,42 +45,35 @@ type DrainResult struct {
 	MemWords int // words still held by the machine's shards at drain
 }
 
-// machineConfig builds the runtime config both backends validate against.
-// GuestContexts is pinned to 0 (unlimited): capacity evictions depend on
-// arrival timing between unrelated cores, which would make job latencies
+// loadSpec describes the serving machine by name, as the LoadSpec both
+// backends resolve (and the cluster backend ships): serve mode over a pool
+// of slots empty slots, events logged for the per-job SC check.
+// GuestContexts stays 0 (unlimited): capacity evictions depend on arrival
+// timing between unrelated cores, which would make job latencies
 // schedule-dependent and break the byte-identical report guarantee.
-func machineConfig(cfg Config) (machine.Config, error) {
-	mesh := geom.NewMesh(cfg.W, cfg.H)
-	mcfg := machine.Config{Mesh: mesh, Quantum: cfg.Quantum, LogEvents: true}
-	var err error
-	if mcfg.Placement, err = machine.ParsePlacement(cfg.Placement, mesh.Cores()); err != nil {
-		return machine.Config{}, err
-	}
-	if mcfg.Scheme, err = machine.ParseScheme(cfg.Scheme, mesh); err != nil {
-		return machine.Config{}, err
-	}
-	return mcfg, nil
+func (c Config) loadSpec(slots int) *transport.LoadSpec {
+	spec := machine.ClusterConfig{Quantum: c.Quantum, Scheme: c.Scheme, Placement: c.Placement, LogEvents: true}.LoadSpec(slots)
+	spec.Serve = true
+	return spec
 }
 
 // localBackend serves jobs on an in-process Part over the channel
 // transport — the single-machine shape of the server.
 type localBackend struct {
-	tr      *transport.Local
-	part    *machine.Part
-	halts   chan transport.HaltMsg
-	cores   int
-	stopped bool
+	tr    *transport.Local
+	part  *machine.Part
+	halts chan transport.HaltMsg
 }
 
 // NewLocalBackend builds the in-process backend: one Part spanning the
 // whole mesh, started in serve mode over the workload's slot pool.
 func NewLocalBackend(cfg Config) (Backend, error) {
 	cfg = cfg.withDefaults()
-	mcfg, err := machineConfig(cfg)
+	slots, err := slotsFor(cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
-	slots, err := slotsFor(cfg.Workload)
+	mcfg, err := machine.ResolveLoad(geom.NewMesh(cfg.W, cfg.H), cfg.loadSpec(slots))
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +82,7 @@ func NewLocalBackend(cfg Config) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &localBackend{tr: tr, part: part, halts: make(chan transport.HaltMsg, slots), cores: mcfg.Mesh.Cores()}
+	b := &localBackend{tr: tr, part: part, halts: make(chan transport.HaltMsg, slots)}
 	if err := part.StartServe(slots, func(h transport.HaltMsg) { b.halts <- h }); err != nil {
 		return nil, err
 	}
@@ -104,10 +97,10 @@ func (b *localBackend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMs
 	if err := b.part.ApplyJob(spec); err != nil {
 		return nil, err
 	}
-	if err := injectJob(j, b.cores, b.tr.SendEviction); err != nil {
+	if err := machine.Inject(j.Threads, b.tr.Cores(), b.tr.SendEviction); err != nil {
 		return nil, err
 	}
-	return haltsForJob(j, b.halts, nil, timeout)
+	return machine.AwaitHalts(len(j.Threads), b.halts, nil, timeout, nil)
 }
 
 func (b *localBackend) Retire(j *Job, _ time.Duration) ([]machine.Event, error) {
@@ -121,19 +114,17 @@ func (b *localBackend) Sample() (transport.Sample, error) {
 }
 
 func (b *localBackend) Drain(time.Duration) (*DrainResult, error) {
-	b.stop()
-	coll := b.part.Collect(0)
-	return &DrainResult{Events: coll.Events, Counters: coll.Counters, MemWords: len(coll.Mem)}, nil
+	b.part.Stop()
+	return drainResult(b.part.Collect(0)), nil
 }
 
-func (b *localBackend) stop() {
-	if !b.stopped {
-		b.stopped = true
-		b.part.Stop()
-	}
+// drainResult reads a DrainResult off the machine-wide collect reply.
+func drainResult(coll transport.CollectReply) *DrainResult {
+	return &DrainResult{Events: coll.Events, Counters: coll.Counters, MemWords: len(coll.Mem)}
 }
 
-func (b *localBackend) Close() { b.stop() }
+// Close stops the part; Part.Stop is idempotent, so Close after Drain is safe.
+func (b *localBackend) Close() { b.part.Stop() }
 
 // clusterBackend serves jobs on an already-listening TCP cluster through
 // the coordinator's job control plane.
@@ -148,40 +139,15 @@ type clusterBackend struct {
 // must be starting or started on the manifest's addresses.
 func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 	cfg = cfg.withDefaults()
-	if err := man.Validate(); err != nil {
-		return nil, err
-	}
 	if man.W != cfg.W || man.H != cfg.H {
 		return nil, fmt.Errorf("serve: manifest mesh %dx%d does not match configured %dx%d", man.W, man.H, cfg.W, cfg.H)
-	}
-	// Fail fast on the coordinator for anything a node would reject.
-	if _, err := machineConfig(cfg); err != nil {
-		return nil, err
 	}
 	slots, err := slotsFor(cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
-	co, err := transport.DialCluster(man, cfg.Timeout)
+	co, err := machine.LoadCluster(man, cfg.loadSpec(slots), cfg.Timeout)
 	if err != nil {
-		return nil, err
-	}
-	err = co.Load(&transport.LoadSpec{
-		Serve:      true,
-		Quantum:    cfg.Quantum,
-		Scheme:     cfg.Scheme,
-		Placement:  cfg.Placement,
-		LogEvents:  true,
-		NumThreads: slots,
-	})
-	if err == nil {
-		// The ack barrier surfaces a node's actual load failure here
-		// instead of as a bare connection death on the first job.
-		err = co.AwaitLoadAcks(cfg.Timeout)
-	}
-	if err != nil {
-		co.Shutdown()
-		co.Close()
 		return nil, err
 	}
 	return &clusterBackend{co: co, cores: man.Cores()}, nil
@@ -198,13 +164,13 @@ func (b *clusterBackend) RunJob(j *Job, timeout time.Duration) ([]transport.Halt
 	if err := b.co.SubmitJob(spec, timeout); err != nil {
 		return nil, err
 	}
-	if err := injectJob(j, b.cores, b.co.InjectEviction); err != nil {
+	if err := machine.Inject(j.Threads, b.cores, b.co.InjectEviction); err != nil {
 		return nil, err
 	}
 	if err := b.co.Flush(); err != nil {
 		return nil, err
 	}
-	return haltsForJob(j, b.co.Halts(), b.co.Deaths(), timeout)
+	return machine.AwaitHalts(len(j.Threads), b.co.Halts(), b.co.Deaths(), timeout, b.co.HeartbeatSummary)
 }
 
 func (b *clusterBackend) Retire(j *Job, timeout time.Duration) ([]machine.Event, error) {
@@ -229,16 +195,7 @@ func (b *clusterBackend) Drain(timeout time.Duration) (*DrainResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	dr := &DrainResult{Counters: make(map[string]int64)}
-	for _, rep := range reps {
-		dr.Events = append(dr.Events, rep.Events...)
-		dr.MemWords += len(rep.Mem)
-		//em2:unordered-ok: integer += accumulation is commutative; order cannot matter
-		for k, v := range rep.Counters {
-			dr.Counters[k] += v
-		}
-	}
-	return dr, nil
+	return drainResult(machine.MergeCollect(reps)), nil
 }
 
 func (b *clusterBackend) Close() {
@@ -247,21 +204,4 @@ func (b *clusterBackend) Close() {
 		b.co.Shutdown()
 		b.co.Close()
 	}
-}
-
-// injectJob places each job thread's initial context at its native core
-// (slot t at core t mod cores) through the eviction network, exactly like
-// a whole-machine run's initial injection.
-func injectJob(j *Job, cores int, send func(geom.CoreID, transport.Context) error) error {
-	for t := range j.Threads {
-		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
-		//em2:unordered-ok: each register lands in its own array slot; the filled Regs array is order-independent
-		for r, v := range j.Threads[t].Regs {
-			ctx.Arch.Regs[r] = v
-		}
-		if err := send(geom.CoreID(t%cores), ctx); err != nil {
-			return err
-		}
-	}
-	return nil
 }

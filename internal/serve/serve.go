@@ -82,12 +82,9 @@ func (c Config) withDefaults() Config {
 	if c.W == 0 && c.H == 0 {
 		c.W, c.H = 2, 2
 	}
-	if c.Scheme == "" {
-		c.Scheme = "always-migrate"
-	}
-	if c.Placement == "" {
-		c.Placement = "striped:64"
-	}
+	// Scheme, placement and timeout defaults are the machine's own.
+	d := machine.ClusterConfig{Scheme: c.Scheme, Placement: c.Placement, Timeout: c.Timeout}.WithDefaults()
+	c.Scheme, c.Placement, c.Timeout = d.Scheme, d.Placement, d.Timeout
 	if c.Workload == "" {
 		c.Workload = "mix"
 	}
@@ -96,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MeanGap == 0 {
 		c.MeanGap = 2000
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 60 * time.Second
 	}
 	return c
 }
@@ -364,34 +358,4 @@ func Run(cfg Config, be Backend) (*Report, error) {
 		MsgsPerJob:     stats.Summarize(msgsPerJob),
 		Counters:       dr.Counters,
 	}, nil
-}
-
-// haltsForJob collects one halt per slot from the stream ch, guarded by
-// deaths (a lost node) and the timeout. Shared by both backends.
-func haltsForJob(job *Job, ch <-chan transport.HaltMsg, deaths <-chan error, timeout time.Duration) ([]transport.HaltMsg, error) {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	out := make([]transport.HaltMsg, len(job.Threads))
-	seen := make([]bool, len(job.Threads))
-	for n := 0; n < len(job.Threads); n++ {
-		select {
-		case h, ok := <-ch:
-			if !ok {
-				return nil, fmt.Errorf("halt channel closed with %d of %d threads halted", n, len(job.Threads))
-			}
-			if h.Thread < 0 || h.Thread >= len(job.Threads) {
-				return nil, fmt.Errorf("halt report for slot %d outside the job's %d slots", h.Thread, len(job.Threads))
-			}
-			if seen[h.Thread] {
-				return nil, fmt.Errorf("duplicate halt report for slot %d", h.Thread)
-			}
-			seen[h.Thread] = true
-			out[h.Thread] = h
-		case err := <-deaths:
-			return nil, fmt.Errorf("failed with %d of %d threads halted: %v", n, len(job.Threads), err)
-		case <-timer.C:
-			return nil, fmt.Errorf("timed out with %d of %d threads halted", n, len(job.Threads))
-		}
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -478,7 +479,8 @@ func TestRebasedJobMatchesOriginal(t *testing.T) {
 	}
 	run := func(th []machine.ThreadSpec, image map[uint32]uint32) *machine.Machine {
 		t.Helper()
-		mcfg, err := machineConfig(testCfg(1).withDefaults())
+		cfg := testCfg(1).withDefaults()
+		mcfg, err := machine.ResolveLoad(geom.NewMesh(cfg.W, cfg.H), cfg.loadSpec(len(th)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,5 +501,90 @@ func TestRebasedJobMatchesOriginal(t *testing.T) {
 	moved := run(threads, mem)
 	if o, m := orig.Read(0), moved.Read(base); o != m || m != 12 {
 		t.Fatalf("counter at %#x is %d, original at 0 is %d, want both 12", base, m, o)
+	}
+}
+
+// TestClusterDrainNodeDiesDuringCollect is the serve face of the collect
+// barrier's death arm: a fake node loads in serve mode and drops its
+// connection when the drain's collect request arrives. Drain must fail at
+// once naming the node, not wait out its timeout.
+func TestClusterDrainNodeDiesDuringCollect(t *testing.T) {
+	t.Parallel()
+	man, err := transport.LocalManifest(1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := transport.ListenNode(man, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tn.Close() })
+	go func() {
+		spec := <-tn.Loads()
+		tn.Prepare(spec.NumThreads)
+		tn.Ready()
+		_ = tn.SendLoadAck(transport.LoadAck{Node: 0}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+		<-tn.CollectRequests()
+		tn.Close()
+	}()
+	be, err := NewClusterBackend(testCfg(1), man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	start := time.Now() //em2:wallclock-ok: the test's subject is how long a failure takes to surface
+	_, err = be.Drain(10 * time.Second)
+	if err == nil || !strings.Contains(err.Error(), "connection to node 0 lost") {
+		t.Fatalf("got error %v, want the drain to name the lost node", err)
+	}
+	if took := time.Since(start); took > 5*time.Second { //em2:wallclock-ok: see above
+		t.Fatalf("node death during drain took %v to surface (timeout bleed-out)", took)
+	}
+}
+
+// TestClusterStuckJobTimeoutNamesNodes runs a job that never halts on a
+// 2-node cluster backend. The timeout must come back as a diagnosis — the
+// coordinator's last heartbeat from each node — as ClusterRun's does; the
+// serve path used to report only "timed out with k of n threads halted".
+func TestClusterStuckJobTimeoutNamesNodes(t *testing.T) {
+	t.Parallel()
+	cfg := testCfg(1)
+	man, join, err := machine.Loopback(2, cfg.W, cfg.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := NewClusterBackend(cfg, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wait until both nodes have heartbeated, so the diagnosis has a line
+	// with a sequence number for each.
+	co := be.(*clusterBackend).co
+	for deadline := time.After(10 * time.Second); len(co.Heartbeats()) < 2; {
+		select {
+		case <-deadline:
+			t.Fatalf("heartbeats from %d of 2 nodes after 10s", len(co.Heartbeats()))
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	spin := isa.MustAssemble(`
+	spin:
+		lw   r1, 128(r0)
+		beq  r1, r0, spin
+		halt
+	`)
+	job := &Job{Index: 0, Name: "spin", Base: RegionBytes, Threads: []machine.ThreadSpec{{Program: spin}}}
+	_, err = be.RunJob(job, 300*time.Millisecond)
+	be.Close()
+	if jerr := join(); jerr != nil {
+		t.Fatal(jerr)
+	}
+	if err == nil {
+		t.Fatal("a job that never halts completed")
+	}
+	for _, want := range []string{"timed out with 0 of 1 threads halted", "last heartbeats", "node 0 seq", "node 1 seq"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("timeout surfaced as %q, want it to contain %q", err, want)
+		}
 	}
 }

@@ -1,0 +1,69 @@
+package transport
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestGather drives the coordinator's one barrier over plain channels —
+// no sockets — through every way it can end. Replies are LoadAcks, the
+// kind whose "queued reply beats the death that explains it" rule the
+// barrier must keep.
+func TestGather(t *testing.T) {
+	t.Parallel()
+	errDeath := errors.New("transport: connection to node 1 lost: EOF")
+	for _, tc := range []struct {
+		name    string
+		replies []LoadAck
+		death   error
+		timeout time.Duration
+		want    string // "" = success
+		checked int    // replies check must have seen
+	}{
+		{name: "all replies", replies: []LoadAck{{Node: 0}, {Node: 1}}, timeout: 10 * time.Second, checked: 2},
+		{name: "reply check fails", replies: []LoadAck{{Node: 0, Err: "unknown scheme"}, {Node: 1}}, timeout: 10 * time.Second,
+			want: "node 0 failed to load: unknown scheme", checked: 1},
+		{name: "death, nothing queued", death: errDeath, timeout: 10 * time.Second, want: "connection to node 1 lost"},
+		{name: "death, explaining reply queued", replies: []LoadAck{{Node: 1, Err: "bad placement"}}, death: errDeath, timeout: 10 * time.Second,
+			want: "node 1 failed to load: bad placement", checked: 1},
+		{name: "death, only healthy replies queued", replies: []LoadAck{{Node: 0}}, death: errDeath, timeout: 10 * time.Second,
+			want: "connection to node 1 lost", checked: 1},
+		{name: "timeout", replies: []LoadAck{{Node: 0}}, timeout: 20 * time.Millisecond,
+			want: "load: 1 of 2 nodes replied before timeout", checked: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			replies := make(chan LoadAck, 2)
+			deaths := make(chan error, 1)
+			checked := 0
+			check := func(ack LoadAck) error {
+				checked++
+				if ack.Err != "" {
+					return fmt.Errorf("transport: node %d failed to load: %s", ack.Node, ack.Err)
+				}
+				return nil
+			}
+			for _, r := range tc.replies {
+				replies <- r
+			}
+			if tc.death != nil {
+				// With a reply and the death both ready the select may take
+				// either first; both orders must end in the same error.
+				deaths <- tc.death
+			}
+			err := gather("load", 2, replies, deaths, tc.timeout, check)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("gather failed: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("gather error %v, want it to contain %q", err, tc.want)
+			}
+			if checked != tc.checked {
+				t.Fatalf("check saw %d replies, want %d", checked, tc.checked)
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,6 +274,23 @@ type CollectReply struct {
 	Events   []Event
 	Mem      map[uint32]uint32
 	Net      *NetStats `json:",omitempty"` // nil for in-process parts
+}
+
+// Grow folds one increment of post-run state into r — a shard's events,
+// its slice of the memory image and the metrics rows that go with them. It
+// is the one accumulation step of every collect: a part reading its own
+// shards, the coordinator reassembling a node's CollectChunk stream, and
+// the merge of per-node replies into the machine-wide one.
+func (r *CollectReply) Grow(events []Event, mem map[uint32]uint32, perCore ...CoreMetrics) {
+	r.PerCore = append(r.PerCore, perCore...)
+	r.Events = append(r.Events, events...)
+	if r.Mem == nil {
+		r.Mem = make(map[uint32]uint32)
+	}
+	//em2:unordered-ok: memory slices are address-disjoint (single-home invariant); merge order cannot matter
+	for a, v := range mem {
+		r.Mem[a] = v
+	}
 }
 
 // --- wire protocol -------------------------------------------------------
@@ -739,39 +757,30 @@ func (n *Node) CollectRequests() <-chan struct{} { return n.collects }
 // ShutdownC closes when the coordinator sends Shutdown.
 func (n *Node) ShutdownC() <-chan struct{} { return n.shutdown }
 
-// SendHalt reports a thread HALT to the coordinator. Control frames flush
-// immediately.
-func (n *Node) SendHalt(h HaltMsg) error {
+// sendCoord ships one JSON control frame to the coordinator. Control
+// frames flush immediately.
+func (n *Node) sendCoord(kind FrameKind, v any) error {
 	c, err := n.coord.get(n.shutdown)
 	if err != nil {
 		return err
 	}
-	return c.sendJSON(FrameHalt, &h)
+	return c.sendJSON(kind, v)
 }
+
+// SendHalt reports a thread HALT to the coordinator.
+func (n *Node) SendHalt(h HaltMsg) error { return n.sendCoord(FrameHalt, &h) }
 
 // SendLoadAck reports the outcome of installing the LoadSpec: success
 // after the node's data plane is open, or the actual failure message —
 // so the coordinator surfaces "bad scheme name" instead of a bare
 // connection death.
-func (n *Node) SendLoadAck(ack LoadAck) error {
-	c, err := n.coord.get(n.shutdown)
-	if err != nil {
-		return err
-	}
-	return c.sendJSON(FrameLoadAck, &ack)
-}
+func (n *Node) SendLoadAck(ack LoadAck) error { return n.sendCoord(FrameLoadAck, &ack) }
 
 // SendCollectChunk streams one increment of the node's post-run state.
 // The node sends per-core chunks as it drains and a final Done chunk
 // carrying its aggregates; the coordinator reassembles them in arrival
 // order (per-connection FIFO makes that the send order).
-func (n *Node) SendCollectChunk(ch CollectChunk) error {
-	c, err := n.coord.get(n.shutdown)
-	if err != nil {
-		return err
-	}
-	return c.sendJSON(FrameCollectChunk, &ch)
-}
+func (n *Node) SendCollectChunk(ch CollectChunk) error { return n.sendCoord(FrameCollectChunk, &ch) }
 
 // StartHeartbeat begins the node's liveness/metrics heartbeat toward the
 // coordinator: every interval, a Heartbeat frame with an increasing Seq
@@ -790,17 +799,13 @@ func (n *Node) StartHeartbeat(interval time.Duration) {
 					return
 				case <-tick.C:
 				}
-				c, err := n.coord.get(n.shutdown)
-				if err != nil {
-					return
-				}
 				seq++
 				hb := Heartbeat{Node: n.idx, Seq: seq, Net: n.nc.snapshot()}
 				if n.sampleH != nil {
 					s := n.sampleH()
 					hb.Sample = &s
 				}
-				if err := c.sendJSON(FrameHeartbeat, &hb); err != nil {
+				if n.sendCoord(FrameHeartbeat, &hb) != nil {
 					return
 				}
 			}
@@ -1009,7 +1014,7 @@ type Coordinator struct {
 	down     atomic.Bool // set by Shutdown/Close: reader exits become orderly
 
 	hbMu sync.Mutex
-	hb   map[int]HeartbeatInfo
+	hb   []HeartbeatInfo // by node; Seq 0 until the node's first heartbeat
 }
 
 // HeartbeatInfo is the coordinator's last-seen liveness record for one
@@ -1040,7 +1045,7 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 		retired:  make(chan JobRetired, len(man.Nodes)),
 		samples:  make(chan NodeSample, len(man.Nodes)),
 		deaths:   make(chan error, len(man.Nodes)),
-		hb:       make(map[int]HeartbeatInfo),
+		hb:       make([]HeartbeatInfo, len(man.Nodes)),
 	}
 	for i, ns := range man.Nodes {
 		c, err := dialRetry(ns.Addr, timeout)
@@ -1059,19 +1064,26 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 	return co, nil
 }
 
+// deliver decodes one JSON control reply and queues it for the barrier
+// (or halt collector) gathering that kind.
+func deliver[T any](ch chan<- T, f Frame, what string) error {
+	var v T
+	if err := json.Unmarshal(f.Blob, &v); err != nil {
+		return malformedf("%s: %v", what, err)
+	}
+	ch <- v
+	return nil
+}
+
 func (co *Coordinator) readLoop(node int, c *conn) {
 	// acc reassembles this node's streamed CollectChunks. Chunks for node i
 	// arrive only on node i's connection, so the accumulator is local to
 	// this reader — no lock, no cross-node interleaving.
-	var acc *CollectReply
+	acc := CollectReply{Node: node}
 	err := readBatches(c.br, &co.nc, func(f Frame) error {
 		switch f.Kind {
 		case FrameHalt:
-			var h HaltMsg
-			if err := json.Unmarshal(f.Blob, &h); err != nil {
-				return malformedf("halt report: %v", err)
-			}
-			co.halts <- h
+			return deliver(co.halts, f, "halt report")
 		case FrameCollectChunk:
 			var ch CollectChunk
 			if err := json.Unmarshal(f.Blob, &ch); err != nil {
@@ -1080,41 +1092,22 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 			if ch.Node != node {
 				return malformedf("collect chunk for node %d on node %d's connection", ch.Node, node)
 			}
-			if acc == nil {
-				acc = &CollectReply{Node: node, Mem: make(map[uint32]uint32)}
-			}
 			if ch.PerCore != nil {
-				acc.PerCore = append(acc.PerCore, *ch.PerCore)
-			}
-			acc.Events = append(acc.Events, ch.Events...)
-			//em2:unordered-ok: chunk memory slices are address-disjoint (single-home invariant); merge order cannot matter
-			for a, v := range ch.Mem {
-				acc.Mem[a] = v
+				acc.Grow(ch.Events, ch.Mem, *ch.PerCore)
+			} else {
+				acc.Grow(ch.Events, ch.Mem)
 			}
 			if ch.Done {
-				acc.Counters = ch.Counters
-				acc.Net = ch.Net
-				co.colls <- *acc
-				acc = nil
+				acc.Counters, acc.Net = ch.Counters, ch.Net
+				co.colls <- acc
+				acc = CollectReply{Node: node}
 			}
 		case FrameJobAck:
-			var ack JobAck
-			if err := json.Unmarshal(f.Blob, &ack); err != nil {
-				return malformedf("job ack: %v", err)
-			}
-			co.jobAcks <- ack
+			return deliver(co.jobAcks, f, "job ack")
 		case FrameLoadAck:
-			var ack LoadAck
-			if err := json.Unmarshal(f.Blob, &ack); err != nil {
-				return malformedf("load ack: %v", err)
-			}
-			co.loadAcks <- ack
+			return deliver(co.loadAcks, f, "load ack")
 		case FrameJobRetired:
-			var ret JobRetired
-			if err := json.Unmarshal(f.Blob, &ret); err != nil {
-				return malformedf("job retired: %v", err)
-			}
-			co.retired <- ret
+			return deliver(co.retired, f, "job retired")
 		case FrameSampleRep:
 			var ns NodeSample
 			if err := json.Unmarshal(f.Blob, &ns); err != nil {
@@ -1123,7 +1116,7 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 			select {
 			case co.samples <- ns:
 			default:
-				// A reply for a SampleCluster that already timed out; drop it
+				// A reply for a Sample that already timed out; drop it
 				// rather than wedging the reader.
 			}
 		case FrameHeartbeat:
@@ -1156,46 +1149,72 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 	}
 }
 
-// Load broadcasts the run description to every node. Follow with
-// AwaitLoadAcks to learn whether every node actually installed it.
-func (co *Coordinator) Load(spec *LoadSpec) error {
+// broadcast sends one control frame to every node: v marshalled once as
+// the frame's JSON body, or the bare kind byte when v is nil.
+func (co *Coordinator) broadcast(kind FrameKind, v any) (err error) {
+	var blob []byte
+	if v != nil {
+		if blob, err = json.Marshal(v); err != nil {
+			return err
+		}
+	}
 	for _, c := range co.conns {
-		if err := c.sendJSON(FrameLoad, spec); err != nil {
+		if v == nil {
+			err = c.w.appendKind(kind, 0)
+		} else {
+			err = c.w.appendBlob(kind, blob)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// AwaitLoadAcks gathers one LoadAck per node: the barrier that turns a
-// node's load failure into its actual error message ("unknown scheme
-// …") instead of a bare connection death. A node that fails to load
-// sends its error ack and then exits, so when a death arrives the ack
-// that explains it may already be queued — pending acks are preferred
-// over deaths.
-func (co *Coordinator) AwaitLoadAcks(timeout time.Duration) error {
+// gather is the coordinator's one barrier: it takes want replies — one per
+// node — from replies, handing each to check, and fails on the first check
+// error, on a node death, or when timeout passes. A dying node's last
+// reply can be queued ahead of its death (a node that fails to load sends
+// the ack carrying its error, then exits; one reader delivers both, in
+// that order), so queued replies are checked before a death is reported:
+// the reply that explains a death beats the death.
+func gather[T any](what string, want int, replies <-chan T, deaths <-chan error, timeout time.Duration, check func(T) error) error {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	for acked := 0; acked < len(co.conns); acked++ {
-		var ack LoadAck
+	for got := 0; got < want; got++ {
 		select {
-		case ack = <-co.loadAcks:
-		case err := <-co.deaths:
-			// The failing node's explanatory ack may have raced in ahead of
-			// its connection teardown; drain it before reporting the death.
-			select {
-			case ack = <-co.loadAcks:
-			default:
+		case r := <-replies:
+			if err := check(r); err != nil {
 				return err
 			}
+		case death := <-deaths:
+			for len(replies) > 0 {
+				if err := check(<-replies); err != nil {
+					return err
+				}
+			}
+			return death
 		case <-timer.C:
-			return fmt.Errorf("transport: load: %d of %d nodes acked before timeout", acked, len(co.conns))
-		}
-		if ack.Err != "" {
-			return fmt.Errorf("transport: node %d failed to load: %s", ack.Node, ack.Err)
+			return fmt.Errorf("transport: %s: %d of %d nodes replied before timeout", what, got, want)
 		}
 	}
 	return nil
+}
+
+// Load broadcasts the run description to every node. Follow with
+// AwaitLoadAcks to learn whether every node actually installed it.
+func (co *Coordinator) Load(spec *LoadSpec) error { return co.broadcast(FrameLoad, spec) }
+
+// AwaitLoadAcks gathers one LoadAck per node: the barrier that turns a
+// node's load failure into its actual error message ("unknown scheme
+// …") instead of a bare connection death.
+func (co *Coordinator) AwaitLoadAcks(timeout time.Duration) error {
+	return gather("load", len(co.conns), co.loadAcks, co.deaths, timeout, func(ack LoadAck) error {
+		if ack.Err != "" {
+			return fmt.Errorf("transport: node %d failed to load: %s", ack.Node, ack.Err)
+		}
+		return nil
+	})
 }
 
 // Heartbeats snapshots the last heartbeat seen from each node, sorted by
@@ -1203,14 +1222,29 @@ func (co *Coordinator) AwaitLoadAcks(timeout time.Duration) error {
 // use it to annotate timeouts, never to compute results.
 func (co *Coordinator) Heartbeats() []HeartbeatInfo {
 	co.hbMu.Lock()
-	infos := make([]HeartbeatInfo, 0, len(co.hb))
-	//em2:unordered-ok: the snapshot is sorted by node index immediately below
+	defer co.hbMu.Unlock()
+	var infos []HeartbeatInfo
 	for _, hi := range co.hb {
-		infos = append(infos, hi)
+		if hi.Seq > 0 {
+			infos = append(infos, hi)
+		}
 	}
-	co.hbMu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Node < infos[j].Node })
 	return infos
+}
+
+// HeartbeatSummary renders the last-seen heartbeats for a timeout
+// diagnostic: which nodes were still alive, and how stale each one's last
+// report was. Advisory only — it annotates errors, never results.
+func (co *Coordinator) HeartbeatSummary() string {
+	parts := make([]string, len(co.conns))
+	for i := range parts {
+		parts[i] = fmt.Sprintf("node %d silent", i)
+	}
+	for _, hi := range co.Heartbeats() {
+		//em2:wallclock-ok: timeout diagnostics annotate real elapsed time; never feeds results
+		parts[hi.Node] = fmt.Sprintf("node %d seq %d %.1fs ago", hi.Node, hi.Seq, time.Since(hi.At).Seconds())
+	}
+	return "last heartbeats: " + strings.Join(parts, ", ")
 }
 
 // InjectEviction places an initial context: like the in-process machine,
@@ -1252,29 +1286,18 @@ func (co *Coordinator) Deaths() <-chan error { return co.deaths }
 // before that node installed the job's thread specs. Inject the job's
 // contexts only after SubmitJob returns nil.
 func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
-	for _, c := range co.conns {
-		if err := c.sendJSON(FrameJobSubmit, spec); err != nil {
-			return err
-		}
+	if err := co.broadcast(FrameJobSubmit, spec); err != nil {
+		return err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for acked := 0; acked < len(co.conns); acked++ {
-		select {
-		case ack := <-co.jobAcks:
-			if ack.Job != spec.Job {
-				return fmt.Errorf("transport: node %d acked job %d while job %d was submitting", ack.Node, ack.Job, spec.Job)
-			}
-			if ack.Err != "" {
-				return fmt.Errorf("transport: node %d rejected job %d: %s", ack.Node, spec.Job, ack.Err)
-			}
-		case err := <-co.deaths:
-			return err
-		case <-timer.C:
-			return fmt.Errorf("transport: job %d: %d of %d nodes acked before timeout", spec.Job, acked, len(co.conns))
+	return gather("job submit", len(co.conns), co.jobAcks, co.deaths, timeout, func(ack JobAck) error {
+		if ack.Job != spec.Job {
+			return fmt.Errorf("transport: node %d acked job %d while job %d was submitting", ack.Node, ack.Job, spec.Job)
 		}
-	}
-	return nil
+		if ack.Err != "" {
+			return fmt.Errorf("transport: node %d rejected job %d: %s", ack.Node, spec.Job, ack.Err)
+		}
+		return nil
+	})
 }
 
 // RetireJob broadcasts a JobDone and gathers one JobRetired per node —
@@ -1284,70 +1307,54 @@ func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
 // (removed from every node's shards; merge order is irrelevant because SC
 // checking orders events by home and sequence).
 func (co *Coordinator) RetireJob(d JobDone, timeout time.Duration) ([]Event, error) {
-	for _, c := range co.conns {
-		if err := c.sendJSON(FrameJobDone, &d); err != nil {
-			return nil, err
-		}
+	if err := co.broadcast(FrameJobDone, &d); err != nil {
+		return nil, err
 	}
 	var events []Event
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for retired := 0; retired < len(co.conns); retired++ {
-		select {
-		case ret := <-co.retired:
-			if ret.Job != d.Job {
-				return nil, fmt.Errorf("transport: node %d retired job %d while job %d was retiring", ret.Node, ret.Job, d.Job)
-			}
-			if ret.Err != "" {
-				return nil, fmt.Errorf("transport: node %d failed to retire job %d: %s", ret.Node, d.Job, ret.Err)
-			}
-			events = append(events, ret.Events...)
-		case err := <-co.deaths:
-			return nil, err
-		case <-timer.C:
-			return nil, fmt.Errorf("transport: job %d: %d of %d nodes retired before timeout", d.Job, retired, len(co.conns))
+	err := gather("job retire", len(co.conns), co.retired, co.deaths, timeout, func(ret JobRetired) error {
+		if ret.Job != d.Job {
+			return fmt.Errorf("transport: node %d retired job %d while job %d was retiring", ret.Node, ret.Job, d.Job)
 		}
+		if ret.Err != "" {
+			return fmt.Errorf("transport: node %d failed to retire job %d: %s", ret.Node, d.Job, ret.Err)
+		}
+		events = append(events, ret.Events...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return events, nil
 }
 
-// SampleCluster broadcasts a sample request and merges one NodeSample per
-// node into a cluster-wide Sample: per-core rows sorted ascending by core,
-// gauges summed, wire counters summed across the nodes plus the
-// coordinator's own. Non-destructive and safe to call repeatedly while a
-// run is live — the nodes answer on their reader goroutines without
-// touching the data plane.
-func (co *Coordinator) SampleCluster(timeout time.Duration) (Sample, error) {
+// sampleTimeout bounds one cluster-wide sample gather.
+const sampleTimeout = 30 * time.Second
+
+// Sample implements MetricsSource for the whole cluster: it broadcasts a
+// sample request and merges one NodeSample per node into a cluster-wide
+// Sample — per-core rows sorted ascending by core, gauges summed, wire
+// counters summed across the nodes plus the coordinator's own.
+// Non-destructive and safe to call repeatedly while a run is live: the
+// nodes answer on their reader goroutines without touching the data plane.
+func (co *Coordinator) Sample() (Sample, error) {
 	// Drop replies stranded by an earlier timed-out request; the ones being
 	// gathered below must all answer this broadcast.
-	for {
-		select {
-		case <-co.samples:
-			continue
-		default:
-		}
-		break
+	for len(co.samples) > 0 {
+		<-co.samples
 	}
-	for _, c := range co.conns {
-		if err := c.w.appendKind(FrameSampleReq, 0); err != nil {
-			return Sample{}, err
-		}
+	if err := co.broadcast(FrameSampleReq, nil); err != nil {
+		return Sample{}, err
 	}
 	var merged Sample
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for got := 0; got < len(co.conns); got++ {
-		select {
-		case ns := <-co.samples:
-			if ns.Err != "" {
-				return Sample{}, fmt.Errorf("transport: node %d failed to sample: %s", ns.Node, ns.Err)
-			}
-			merged.Merge(ns.Sample)
-		case err := <-co.deaths:
-			return Sample{}, err
-		case <-timer.C:
-			return Sample{}, fmt.Errorf("transport: sample: %d of %d nodes replied before timeout", got, len(co.conns))
+	err := gather("sample", len(co.conns), co.samples, co.deaths, sampleTimeout, func(ns NodeSample) error {
+		if ns.Err != "" {
+			return fmt.Errorf("transport: node %d failed to sample: %s", ns.Node, ns.Err)
 		}
+		merged.Merge(ns.Sample)
+		return nil
+	})
+	if err != nil {
+		return Sample{}, err
 	}
 	// Replies merge in arrival order; re-sort by core, carrying the aligned
 	// guest gauge along with its row.
@@ -1369,31 +1376,20 @@ func (co *Coordinator) SampleCluster(timeout time.Duration) (Sample, error) {
 	return merged, nil
 }
 
-// Sample implements MetricsSource for the whole cluster with a default
-// gather timeout.
-func (co *Coordinator) Sample() (Sample, error) {
-	return co.SampleCluster(30 * time.Second)
-}
-
-// Collect broadcasts the collect request and gathers one reply per node.
+// Collect broadcasts the collect request and gathers one reply per node,
+// ascending by node index.
 func (co *Coordinator) Collect(timeout time.Duration) ([]CollectReply, error) {
-	for _, c := range co.conns {
-		if err := c.w.appendKind(FrameCollect, 0); err != nil {
-			return nil, err
-		}
+	if err := co.broadcast(FrameCollect, nil); err != nil {
+		return nil, err
 	}
-	reps := make([]CollectReply, 0, len(co.conns))
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for len(reps) < len(co.conns) {
-		select {
-		case r := <-co.colls:
-			reps = append(reps, r)
-		case <-timer.C:
-			return nil, fmt.Errorf("transport: collect: %d of %d nodes replied", len(reps), len(co.conns))
-		}
+	reps := make([]CollectReply, len(co.conns))
+	err := gather("collect", len(co.conns), co.colls, co.deaths, timeout, func(r CollectReply) error {
+		reps[r.Node] = r // readLoop stamps Node with the connection's own index
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].Node < reps[j].Node })
 	return reps, nil
 }
 

@@ -314,14 +314,18 @@ type Sample struct {
 	Net NetStats `json:"net"`
 }
 
-// Total returns the counter-wise sum over PerCore.
-func (s *Sample) Total() CoreMetrics {
+// SumMetrics returns the counter-wise sum of rows: the machine-wide totals
+// of a per-core breakdown.
+func SumMetrics(rows []CoreMetrics) CoreMetrics {
 	var t CoreMetrics
-	for _, m := range s.PerCore {
+	for _, m := range rows {
 		t = t.Add(m)
 	}
 	return t
 }
+
+// Total returns the counter-wise sum over PerCore.
+func (s *Sample) Total() CoreMetrics { return SumMetrics(s.PerCore) }
 
 // GuestTotal returns the summed guest gauge.
 func (s *Sample) GuestTotal() int64 {
