@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/machine"
@@ -53,21 +52,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tr := fs.String("transport", "channel", "backend: channel (in-process) or tcp")
 	nodes := fs.Int("nodes", 2, "tcp: self-host this many in-process nodes on loopback")
 	manifest := fs.String("manifest", "", "tcp: run against externally started em2node processes on this manifest instead of self-hosting")
-	w := fs.Int("w", 2, "mesh width")
-	h := fs.Int("h", 2, "mesh height")
-	scheme := fs.String("scheme", "always-migrate", "decision scheme: "+strings.Join(machine.SchemeNames(), ", "))
-	placement := fs.String("placement", "striped:64", "placement: "+strings.Join(machine.PlacementNames(), ", "))
-	quantum := fs.Int("quantum", 0, "instructions per scheduling slice (0 = runtime default)")
-	workload := fs.String("workload", "mix", "job generator: "+strings.Join(serve.Workloads(), ", "))
-	jobs := fs.Int("jobs", 32, "number of Poisson arrivals (ignored with -trace)")
-	seed := fs.Int64("seed", 1, "seed for the arrival process and workload generator")
-	meanGap := fs.Float64("mean-gap", 2000, "mean Poisson interarrival gap in cycles")
+	cfg := serve.Config{Seed: 1, MaxInflight: 8, SampleEvery: 10000}
+	cfg.RegisterFlags(fs)
+	fs.Lookup("jobs").Usage += " (ignored with -trace)"
+	fs.Lookup("sample-every").Usage += " (with -telemetry)"
+	fs.IntVar(&cfg.Quantum, "quantum", 0, "instructions per scheduling slice (0 = runtime default)")
 	trace := fs.String("trace", "", "trace-driven arrivals: file with one absolute arrival time (cycles) per line")
-	maxInflight := fs.Int("max-inflight", 8, "admission window: reject arrivals beyond this many in-flight jobs (0 = unbounded)")
-	timeout := fs.Duration("timeout", 60*time.Second, "per-job and drain guard")
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	telem := fs.String("telemetry", "", "stream line-protocol telemetry to this sink: a file path, '-' (stdout), udp:host:port, or mem:")
-	sampleEvery := fs.Uint64("sample-every", 10000, "telemetry sampling period in virtual cycles (with -telemetry)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -79,18 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	cfg := serve.Config{
-		W: *w, H: *h,
-		Scheme:      *scheme,
-		Placement:   *placement,
-		Quantum:     *quantum,
-		Workload:    *workload,
-		Jobs:        *jobs,
-		Seed:        *seed,
-		MeanGap:     *meanGap,
-		MaxInflight: *maxInflight,
-		Timeout:     *timeout,
-	}
 	if *telem != "" {
 		sink, err := telemetry.Open(*telem, time.Second)
 		if err != nil {
@@ -98,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer sink.Close()
 		cfg.Sink = sink
-		cfg.SampleEvery = *sampleEvery
 	}
 	if *trace != "" {
 		f, err := os.Open(*trace)
@@ -132,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if be, err = serve.NewClusterBackend(cfg, man); err != nil {
-			return fail(err)
+			return fail(errors.Join(err, join()))
 		}
 	default:
 		return fail(fmt.Errorf("unknown transport %q (channel or tcp)", *tr))

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/machine"
@@ -91,17 +90,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	tr := fs.String("transport", "both", "machines to soak: channel, tcp, or both (cross-checked)")
 	nodes := fs.Int("nodes", 2, "tcp: self-host this many in-process nodes on loopback")
-	w := fs.Int("w", 2, "mesh width")
-	h := fs.Int("h", 2, "mesh height")
-	scheme := fs.String("scheme", "always-migrate", "decision scheme: "+strings.Join(machine.SchemeNames(), ", "))
-	placement := fs.String("placement", "striped:64", "placement: "+strings.Join(machine.PlacementNames(), ", "))
-	workload := fs.String("workload", "mix", "job generator: "+strings.Join(serve.Workloads(), ", "))
-	jobs := fs.Int("jobs", 256, "number of Poisson arrivals")
-	seed := fs.Int64("seed", 1, "seed for the arrival process and workload generator")
-	meanGap := fs.Float64("mean-gap", 2000, "mean Poisson interarrival gap in cycles")
-	maxInflight := fs.Int("max-inflight", 8, "admission window: reject arrivals beyond this many in-flight jobs (0 = unbounded)")
-	sampleEvery := fs.Uint64("sample-every", 5000, "telemetry sampling period in virtual cycles")
-	timeout := fs.Duration("timeout", 120*time.Second, "per-job and drain guard")
+	cfg := serve.Config{Jobs: 256, Seed: 1, MaxInflight: 8, Timeout: 120 * time.Second, SampleEvery: 5000}
+	cfg.RegisterFlags(fs)
 	telem := fs.String("telemetry", "", "also copy the channel stream to this sink: a file path, '-' (stdout), or udp:host:port")
 	out := fs.String("o", "", "write the findings report to this file instead of stdout")
 	if err := fs.Parse(args); err != nil {
@@ -117,22 +107,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *tr != "channel" && *tr != "tcp" && *tr != "both" {
 		return fail(fmt.Errorf("unknown transport %q (channel, tcp, or both)", *tr))
 	}
-	if *sampleEvery == 0 {
+	if cfg.SampleEvery == 0 {
 		return fail(fmt.Errorf("-sample-every must be positive: the soak's invariants live on the sample stream"))
 	}
 
-	cfg := serve.Config{
-		W: *w, H: *h,
-		Scheme:      *scheme,
-		Placement:   *placement,
-		Workload:    *workload,
-		Jobs:        *jobs,
-		Seed:        *seed,
-		MeanGap:     *meanGap,
-		MaxInflight: *maxInflight,
-		Timeout:     *timeout,
-		SampleEvery: *sampleEvery,
-	}
 	var extra telemetry.Sink
 	if *telem != "" {
 		var err error
@@ -161,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		be, err := serve.NewClusterBackend(cfg, man)
 		if err != nil {
-			return fail(err)
+			return fail(errors.Join(err, join()))
 		}
 		o, err := soak(cfg, be, nil)
 		// A self-hosted node's failure fails the soak even when the run

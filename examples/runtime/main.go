@@ -1,9 +1,9 @@
 // Runtime demonstrates the concurrent EM² runtime on both transports: the
-// same program (in the repository's mini-ISA) first executes on goroutine
-// cores with contexts migrating over Go channels, then on a two-node TCP
-// loopback cluster with contexts genuinely serialized over sockets — and
-// both executions are verified sequentially consistent on their recorded
-// events. (The nodes run in-process here for a self-contained example; see
+// same machine.ClusterRun description (a program in the repository's
+// mini-ISA) first executes on goroutine cores with contexts migrating over
+// Go channels, then on a two-node TCP loopback cluster with contexts
+// genuinely serialized over sockets — only the manifest changes — and both
+// executions are verified sequentially consistent on their recorded events. (The nodes run in-process here for a self-contained example; see
 // cmd/em2node and `em2sim -cluster` for separate OS processes.)
 package main
 
@@ -11,10 +11,9 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/geom"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/placement"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -38,62 +37,60 @@ func main() {
 	for i := range threads {
 		threads[i] = machine.ThreadSpec{Program: prog}
 	}
-
-	// --- In one process: cores are goroutines, channels are the networks.
-	cfg := machine.Config{
-		Mesh:          geom.SquareMesh(16),
-		GuestContexts: 2,
-		Placement:     placement.NewStriped(64, 16),
-		LogEvents:     true,
-	}
-	m, err := machine.New(cfg, len(threads))
-	if err != nil {
-		panic(err)
-	}
-	res, err := m.Run(threads)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("\nin-process: instructions=%d migrations=%d evictions=%d local-ops=%d\n",
-		res.Instructions, res.Migrations, res.Evictions, res.LocalOps)
-	for _, addr := range []uint32{0, 256, 512} {
-		fmt.Printf("  counter @%-4d = %d (want %d)\n", addr, m.Read(addr), 8*100)
-	}
-	if err := machine.CheckSC(res.Events); err != nil {
-		panic(err)
-	}
-	fmt.Printf("  sequential consistency: OK (%d events checked)\n", len(res.Events))
-
-	// --- Across the transport: two nodes on TCP loopback, eight cores
-	// each; every cross-node migration ships the context's wire encoding.
-	man, join, err := machine.Loopback(2, 4, 4)
-	if err != nil {
-		panic(err)
-	}
-	cres, err := machine.ClusterRun{
-		Manifest: man,
-		Config: machine.ClusterConfig{
-			GuestContexts: 2,
-			Placement:     "striped:64",
-			LogEvents:     true,
-		},
+	// The program with its outcome check: one description, verified the same
+	// way wherever it ran.
+	lit := machine.Litmus{
+		Name:    "three-counters",
 		Threads: threads,
-	}.Run()
+		Check: func(read func(uint32) uint32, _ [][isa.NumRegs]uint32) error {
+			for _, addr := range []uint32{0, 256, 512} {
+				if got := read(addr); got != 8*100 {
+					return fmt.Errorf("counter @%d = %d, want %d", addr, got, 8*100)
+				}
+			}
+			return nil
+		},
+	}
+	run := machine.ClusterRun{
+		Config:  machine.ClusterConfig{GuestContexts: 2, Placement: "striped:64", LogEvents: true},
+		Threads: lit.Threads,
+	}
+	report := func(title string, res *machine.ClusterResult) {
+		fmt.Printf("\n%s: instructions=%d migrations=%d evictions=%d local-ops=%d\n",
+			title, res.Instructions, res.Migrations, res.Evictions, res.LocalOps)
+		for i, c := range res.NodeCounters {
+			fmt.Printf("  node %d: instructions=%d migrations=%d\n", i, c["instructions"], c["migrations"])
+		}
+		for _, addr := range []uint32{0, 256, 512} {
+			fmt.Printf("  counter @%-4d = %d (want %d)\n", addr, res.Mem[addr], 8*100)
+		}
+		if err := lit.Verify(res); err != nil {
+			panic(err)
+		}
+		fmt.Printf("  sequential consistency: OK (%d events checked)\n", len(res.Events))
+	}
+
+	// --- In one process: the manifest names the 4x4 mesh and no nodes, so
+	// cores are goroutines and channels are the networks.
+	run.Manifest = transport.Manifest{W: 4, H: 4}
+	res, err := run.Run()
+	if err != nil {
+		panic(err)
+	}
+	report("in-process", res)
+
+	// --- Across the transport: the same description on two nodes on TCP
+	// loopback, eight cores each; every cross-node migration ships the
+	// context's wire encoding.
+	var join func() error
+	if run.Manifest, join, err = machine.Loopback(2, 4, 4); err != nil {
+		panic(err)
+	}
+	cres, err := run.Run()
 	if err = errors.Join(err, join()); err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nTCP cluster: instructions=%d migrations=%d evictions=%d local-ops=%d\n",
-		cres.Instructions, cres.Migrations, cres.Evictions, cres.LocalOps)
-	for i, c := range cres.NodeCounters {
-		fmt.Printf("  node %d: instructions=%d migrations=%d\n", i, c["instructions"], c["migrations"])
-	}
-	for _, addr := range []uint32{0, 256, 512} {
-		fmt.Printf("  counter @%-4d = %d (want %d)\n", addr, cres.Mem[addr], 8*100)
-	}
-	if err := machine.CheckSC(cres.Events); err != nil {
-		panic(err)
-	}
-	fmt.Printf("  sequential consistency: OK (%d events checked)\n", len(cres.Events))
+	report("TCP cluster", cres)
 
 	if res.Instructions != cres.Instructions {
 		panic(fmt.Sprintf("transports disagree on retired instructions: %d vs %d",

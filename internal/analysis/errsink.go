@@ -11,15 +11,17 @@ import (
 // part, not spin — PR 7's dead-transport fix), the coordinator's side of
 // the run lifecycle (Load, AwaitLoadAcks, SubmitJob, InjectEviction and
 // machine.Inject — a driver that drops one of these awaits halts no node
-// will ever send) and machine Part lifecycle calls (Start, StartServe,
+// will ever send), machine Part lifecycle calls (Start, StartServe,
 // SetThread, ApplyJob, CollectChunked — a swallowed load failure is
-// exactly the silent node death the load-ack barrier exists to surface).
+// exactly the silent node death the load-ack barrier exists to surface)
+// and the verifier (Litmus.Verify, CheckSC, CheckSCFrom — a dropped verdict
+// is a silently wrong image).
 // Both the bare-statement form and the explicit `_ =` discard are flagged:
 // a deliberate discard must say why, as `//em2:errsink-ok: <why>` on the
 // line.
 var Errsink = &Analyzer{
 	Name: "errsink",
-	Doc:  "flag discarded errors from transport sends/flushes, coordinator lifecycle calls and Part lifecycle calls",
+	Doc:  "flag discarded errors from transport sends/flushes, coordinator lifecycle calls, Part lifecycle calls and the run verifier",
 	Run:  runErrsink,
 }
 
@@ -53,7 +55,7 @@ func runErrsink(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"error result of %s is discarded; transport, coordinator and Part failures must propagate (or annotate //em2:errsink-ok: <why>)",
+				"error result of %s is discarded; transport, coordinator, Part and verifier failures must propagate (or annotate //em2:errsink-ok: <why>)",
 				types.ExprString(call.Fun))
 			return true
 		})
@@ -61,14 +63,20 @@ func runErrsink(pass *Pass) error {
 	return nil
 }
 
-// partLifecycle is the set of Part methods whose error results carry load
-// or lifecycle failures.
-var partLifecycle = map[string]bool{
-	"Start":          true,
-	"StartServe":     true,
-	"SetThread":      true,
-	"ApplyJob":       true,
-	"CollectChunked": true,
+// machineTracked is the machine package's tracked surface, functions by
+// name and methods as Receiver.Name: the lifecycle's injection loop, the
+// Part methods whose error results carry load or lifecycle failures, and
+// the verifier.
+var machineTracked = map[string]bool{
+	"Inject":              true,
+	"Part.Start":          true,
+	"Part.StartServe":     true,
+	"Part.SetThread":      true,
+	"Part.ApplyJob":       true,
+	"Part.CollectChunked": true,
+	"Litmus.Verify":       true,
+	"CheckSC":             true,
+	"CheckSCFrom":         true,
 }
 
 // coordLifecycle is the set of Coordinator methods that move a run (or a
@@ -81,9 +89,8 @@ var coordLifecycle = map[string]bool{
 }
 
 // errsinkTracked reports whether call's discarded error errsink polices:
-// a transport Send*/Flush, a Coordinator lifecycle method, machine.Inject,
-// or a Part lifecycle method, in every case returning an error as its
-// only result.
+// a transport Send*/Flush, a Coordinator lifecycle method, or one of
+// machineTracked, in every case returning an error as its only result.
 func errsinkTracked(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
 	if fn == nil {
@@ -94,17 +101,14 @@ func errsinkTracked(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	name := fn.Name()
-	if sig.Recv() == nil {
-		return name == "Inject" && fromMachinePackage(fn)
-	}
-	if fromTransportPackage(fn) {
+	if fromTransportPackage(fn) && sig.Recv() != nil {
 		return name == "Flush" || (strings.HasPrefix(name, "Send") && len(name) > 4) ||
 			(coordLifecycle[name] && recvNamed(sig) == "Coordinator")
 	}
-	if !partLifecycle[name] {
-		return false
+	if sig.Recv() != nil {
+		name = recvNamed(sig) + "." + name
 	}
-	return recvNamed(sig) == "Part" && fromMachinePackage(fn)
+	return machineTracked[name] && fromMachinePackage(fn)
 }
 
 func isErrorType(t types.Type) bool {

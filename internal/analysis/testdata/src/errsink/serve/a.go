@@ -41,3 +41,16 @@ func goodDriver(co *transport.Coordinator) error {
 	}
 	return machine.Inject(co.InjectEviction)
 }
+
+func badVerdict(lit machine.Litmus) {
+	lit.Verify()                // want `error result of lit\.Verify is discarded`
+	_ = machine.CheckSC()       // want `error result of machine\.CheckSC is discarded`
+	defer machine.CheckSCFrom() // want `error result of machine\.CheckSCFrom is discarded`
+}
+
+func goodVerdict(lit machine.Litmus) error {
+	if err := machine.CheckSCFrom(); err != nil {
+		return err
+	}
+	return lit.Verify()
+}

@@ -174,6 +174,9 @@ type NodeOption func(*nodeOptions)
 
 type nodeOptions struct {
 	wireStats io.Writer
+	// abort, when closed, releases a node no coordinator has loaded yet;
+	// Loopback's join fires it. Nil (never ready) everywhere else.
+	abort <-chan struct{}
 }
 
 // WithWireStats makes ServeNode print the node's wire-level traffic
@@ -215,6 +218,8 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	case spec = <-tn.Loads():
 	case <-tn.ShutdownC():
 		return nil // coordinator aborted before loading
+	case <-opt.abort:
+		return nil // the run failed before any coordinator dialed
 	}
 	// failLoad ships the actual failure message to the coordinator before
 	// this process exits: "unknown scheme …" at the driver beats a bare
@@ -315,23 +320,26 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 // em2node code path without process spawn. join blocks until every node
 // has exited and returns the lowest-numbered node's error, naming the
 // node. Nodes exit when a coordinator shuts them down (ClusterRun.Run
-// once it has dialed, a serve backend's Close) or when they fail, so
-// call join after that; a cluster nobody dialed never joins.
+// once it has dialed, a serve backend's Close) or when they fail; join
+// also releases the nodes no coordinator ever loaded, so call it once the
+// run is over, whether or not it got as far as dialing.
 func Loopback(nodes, w, h int) (man transport.Manifest, join func() error, err error) {
 	man, err = transport.LocalManifest(nodes, w, h)
 	if err != nil {
 		return transport.Manifest{}, nil, err
 	}
+	abort := make(chan struct{})
 	errs := make([]error, len(man.Nodes))
 	var wg sync.WaitGroup
 	for i := range man.Nodes {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = ServeNode(man, i)
+			errs[i] = ServeNode(man, i, func(o *nodeOptions) { o.abort = abort })
 		}()
 	}
-	return man, func() error {
+	return man, sync.OnceValue(func() error {
+		close(abort)
 		wg.Wait()
 		for i, err := range errs {
 			if err != nil {
@@ -339,7 +347,7 @@ func Loopback(nodes, w, h int) (man transport.Manifest, join func() error, err e
 			}
 		}
 		return nil
-	}, nil
+	}), nil
 }
 
 // ClusterConfig describes a run by name: Scheme and Placement travel as
@@ -354,9 +362,10 @@ type ClusterConfig struct {
 	Timeout       time.Duration
 }
 
-// ClusterResult is a cluster run's outcome: the aggregate Result plus the
-// merged final memory image, the per-node counter breakdown, and each
-// node's wire-level traffic counters (index-aligned with NodeCounters).
+// ClusterResult is a run's outcome on either transport: the aggregate
+// Result plus the merged final memory image, the per-node counter
+// breakdown, and each node's wire-level traffic counters (index-aligned
+// with NodeCounters). An in-process run is one node with no wire.
 type ClusterResult struct {
 	Result
 	Mem          map[uint32]uint32
@@ -368,14 +377,15 @@ type ClusterResult struct {
 	CoordNet transport.NetStats
 }
 
-// ClusterRun is the spec for one cluster run. Manifest names the node
-// processes, Config the run parameters, Threads and Mem the program and
-// initial image; Sink optionally receives the run's telemetry.
+// ClusterRun is the spec for one run. Manifest names the mesh and the node
+// processes — or the mesh alone, and the run stays in this process —
+// Config the run parameters, Threads and Mem the program and initial
+// image; Sink optionally receives the run's telemetry.
 type ClusterRun struct {
 	Manifest transport.Manifest
 	Config   ClusterConfig
-	// Threads is the full cluster-wide thread list; thread t starts at
-	// core t mod cores, as in Machine.Run.
+	// Threads is the full machine-wide thread list; thread t starts at
+	// core t mod cores.
 	Threads []ThreadSpec
 	// Mem is the initial memory image, broadcast with the LoadSpec (each
 	// node preloads the addresses it homes).
@@ -389,10 +399,15 @@ type ClusterRun struct {
 	Sink telemetry.Sink
 }
 
-// Run drives an already-listening cluster through one run: load, inject,
-// await HALTs, collect, shut down. The node processes (ServeNode /
-// cmd/em2node) must be starting or started on the manifest's addresses;
-// dialing retries until Config.Timeout.
+// Run executes the description on the transport its manifest selects. A
+// manifest that names nodes drives that already-listening cluster through
+// one run: load, inject, await HALTs, collect, shut down — the node
+// processes (ServeNode / cmd/em2node) must be starting or started on the
+// manifest's addresses, and dialing retries until Config.Timeout. A
+// manifest that names only the mesh (transport.Manifest{W, H}) runs the
+// same description in this process over channels. Either way the
+// description is resolved, validated and rendered in wire form first, so
+// both transports accept and reject exactly the same runs.
 func (r ClusterRun) Run() (*ClusterResult, error) {
 	man, threads := r.Manifest, r.Threads
 	if len(threads) == 0 {
@@ -405,6 +420,14 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 		return nil, err
 	}
 	spec.Mem = r.Mem
+
+	if len(man.Nodes) == 0 {
+		reps, halts, err := runLocal(man, spec, threads, cfg.Timeout)
+		if err != nil {
+			return nil, err
+		}
+		return r.finish(reps, halts, transport.NetStats{})
+	}
 
 	co, err := LoadCluster(man, spec, cfg.Timeout)
 	if err != nil {
@@ -429,8 +452,14 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.finish(reps, halts, co.NetStats())
+}
+
+// finish folds the per-node replies and halts of either arm into the
+// result and emits the end-of-run sample.
+func (r ClusterRun) finish(reps []transport.CollectReply, halts []transport.HaltMsg, coordNet transport.NetStats) (*ClusterResult, error) {
 	all := MergeCollect(reps)
-	res := &ClusterResult{Result: newResult(all, halts), Mem: all.Mem, CoordNet: co.NetStats()}
+	res := &ClusterResult{Result: newResult(all, halts), Mem: all.Mem, CoordNet: coordNet}
 	for _, rep := range reps {
 		res.NodeCounters = append(res.NodeCounters, rep.Counters)
 		var net transport.NetStats
@@ -461,4 +490,30 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// runLocal is the in-process arm: the node's own resolve-and-preload
+// (ServeNode) over a Machine spanning the whole mesh, which collects as
+// one node with no wire.
+func runLocal(man transport.Manifest, spec *transport.LoadSpec, threads []ThreadSpec, timeout time.Duration) ([]transport.CollectReply, []transport.HaltMsg, error) {
+	if man.W <= 0 || man.H <= 0 {
+		return nil, nil, fmt.Errorf("machine: bad mesh %dx%d", man.W, man.H)
+	}
+	cfg, err := ResolveLoad(geom.NewMesh(man.W, man.H), spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := New(cfg, len(threads))
+	if err != nil {
+		return nil, nil, err
+	}
+	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
+	for a, v := range spec.Mem {
+		m.Preload(a, v, 0)
+	}
+	halts, err := m.run(threads, timeout)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []transport.CollectReply{m.part.Collect(0)}, halts, nil
 }

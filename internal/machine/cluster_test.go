@@ -74,20 +74,7 @@ func runOnProcesses(t *testing.T, nodes int, lit Litmus, start func(string, int)
 		t.Fatal(err)
 	}
 	spawnCluster(t, man, start)
-	res, err := ClusterRun{Manifest: man, Config: ClusterConfig{LogEvents: true}, Threads: lit.Threads, Mem: lit.Mem}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSCFrom(lit.Mem, res.Events); err != nil {
-		t.Fatalf("%s: SC violation across processes: %v", lit.Name, err)
-	}
-	if lit.Check != nil {
-		read := func(a uint32) uint32 { return res.Mem[a] }
-		if err := lit.Check(read, res.FinalRegs); err != nil {
-			t.Fatalf("%s: %v", lit.Name, err)
-		}
-	}
-	return res
+	return runVerified(t, man, nil, ClusterConfig{LogEvents: true}, lit) // the processes are reaped by Cleanup
 }
 
 // TestTwoProcessClusterLitmus is the acceptance test: a 2-process cluster

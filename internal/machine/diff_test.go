@@ -1,12 +1,12 @@
 package machine
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/transport"
 )
@@ -26,33 +26,42 @@ func joinWithin(t *testing.T, join func() error, d time.Duration) error {
 	}
 }
 
-// runOnTCP executes lit on an nodes-wide TCP-loopback cluster whose node
-// endpoints run in-process (Loopback) — real sockets, real frame batches,
-// real ContextWireBytes serialization, without process-spawn overhead. The
-// separate multi-process test lives in cluster_test.go.
-func runOnTCP(t *testing.T, nodes, w, h int, cfg ClusterConfig, lit Litmus) *ClusterResult {
+// localManifest names the litmus platform's mesh and no nodes: the run stays
+// in this process.
+var localManifest = transport.Manifest{W: 2, H: 2}
+
+// runVerified executes lit as one ClusterRun on man — in this process when
+// man names no nodes, else on the cluster the caller started there — waits
+// the nodes out through join (nil: none of ours to wait for) and verifies
+// the execution.
+func runVerified(t *testing.T, man transport.Manifest, join func() error, cfg ClusterConfig, lit Litmus) *ClusterResult {
 	t.Helper()
-	man, join, err := Loopback(nodes, w, h)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := ClusterRun{Manifest: man, Config: cfg, Threads: lit.Threads, Mem: lit.Mem}.Run()
+	if join != nil {
+		err = errors.Join(err, joinWithin(t, join, 30*time.Second))
+	}
+	if err == nil {
+		err = lit.Verify(res)
+	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := joinWithin(t, join, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSCFrom(lit.Mem, res.Events); err != nil {
-		t.Fatalf("%s over TCP: SC violation: %v", lit.Name, err)
-	}
-	if lit.Check != nil {
-		read := func(a uint32) uint32 { return res.Mem[a] }
-		if err := lit.Check(read, res.FinalRegs); err != nil {
-			t.Fatalf("%s over TCP: %v", lit.Name, err)
-		}
 	}
 	return res
+}
+
+// runOnBoth runs lit under cfg from the one description on both transports:
+// in process, then on a 2-node TCP-loopback cluster whose node endpoints run
+// in-process (Loopback) — real sockets, real frame batches, real
+// ContextWireBytes serialization, without process-spawn overhead. The
+// separate multi-process test lives in cluster_test.go.
+func runOnBoth(t *testing.T, cfg ClusterConfig, lit Litmus) (local, tcp *ClusterResult) {
+	t.Helper()
+	local = runVerified(t, localManifest, nil, cfg, lit)
+	man, join, err := Loopback(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return local, runVerified(t, man, join, cfg, lit)
 }
 
 // TestDifferentialInProcVsTCP runs the same programs on the in-process
@@ -75,37 +84,117 @@ func TestDifferentialInProcVsTCP(t *testing.T) {
 
 	for _, lit := range cases {
 		t.Run(lit.Name, func(t *testing.T) {
-			cfg := litmusConfig()
-			m, inproc := runLitmus(t, cfg, lit)
-			tcp := runOnTCP(t, 2, 2, 2, ClusterConfig{
-				GuestContexts: cfg.GuestContexts,
-				Quantum:       cfg.Quantum,
-				Scheme:        "always-migrate",
-				Placement:     "striped:64",
-				LogEvents:     true,
-			}, lit)
-
-			inMem, tcpMem := m.MemImage(), tcp.Mem
+			inproc, tcp := runOnBoth(t, ClusterConfig{GuestContexts: 2, Quantum: 8, LogEvents: true}, lit)
 			if lit.Deterministic {
-				if !reflect.DeepEqual(inMem, tcpMem) {
+				if !reflect.DeepEqual(inproc.Mem, tcp.Mem) {
 					t.Fatalf("final memory images differ:\n in-proc %v\n tcp     %v",
-						inMem, tcpMem)
+						inproc.Mem, tcp.Mem)
 				}
 				if !reflect.DeepEqual(inproc.FinalRegs, tcp.FinalRegs) {
 					t.Fatalf("final registers differ:\n in-proc %v\n tcp     %v",
 						inproc.FinalRegs, tcp.FinalRegs)
 				}
-			} else {
+			} else if len(inproc.Mem) != len(tcp.Mem) {
 				// Schedule-dependent programs must still agree on which
 				// addresses exist (same footprint, both SC — checked above).
-				if len(inMem) != len(tcpMem) {
-					t.Fatalf("memory footprints differ: %d vs %d words", len(inMem), len(tcpMem))
-				}
+				t.Fatalf("memory footprints differ: %d vs %d words", len(inproc.Mem), len(tcp.Mem))
 			}
 			// Op totals are deliberately not compared even for
 			// deterministic programs: a spin loop (MP's reader) retires a
 			// schedule-dependent number of loads while still producing a
-			// deterministic outcome.
+			// deterministic outcome, and evictions under the guest limit
+			// depend on the schedule — which is why this is not
+			// Litmus.Identical.
+		})
+	}
+}
+
+// TestClusterRunLocalMatchesMachineRun: the in-process arm of ClusterRun.Run
+// is Machine.Run behind the names-based description — on every
+// Deterministic litmus program the two agree bit for bit on registers,
+// per-core rows, memory image and event count — and it rejects what a
+// cluster would reject, with the same message.
+func TestClusterRunLocalMatchesMachineRun(t *testing.T) {
+	t.Parallel()
+	cases := []Litmus{MessagePassingLitmus(64)}
+	for seed := 0; seed < sized(6, 3); seed++ {
+		cases = append(cases, RandomLitmus(uint64(seed), RandOpts{PrivateWrites: true}))
+	}
+	for _, lit := range cases {
+		for _, scheme := range []string{"always-migrate", "history:2", "hybrid:16"} {
+			t.Run(lit.Name+"/"+scheme, func(t *testing.T) {
+				cfg := litmusConfig()
+				cfg.GuestContexts = 0
+				var err error
+				if cfg.Scheme, err = ParseScheme(scheme, cfg.Mesh); err != nil {
+					t.Fatal(err)
+				}
+				m, res := runLitmus(t, cfg, lit)
+				object := &ClusterResult{Result: *res, Mem: m.MemImage()}
+				names := runVerified(t, localManifest, nil,
+					ClusterConfig{Quantum: cfg.Quantum, Scheme: scheme, LogEvents: true}, lit)
+				// MP's reader spins, so only its outcome is comparable.
+				if lit.Name == "mp" {
+					object.PerCore, names.PerCore = nil, nil
+				} else if len(object.Events) != len(names.Events) {
+					t.Errorf("event counts differ: %d vs %d", len(object.Events), len(names.Events))
+				}
+				if err := lit.Identical(object, names); err != nil {
+					t.Error(err)
+				}
+				if len(names.NodeCounters) != 1 || len(names.NodeNet) != 1 ||
+					names.NodeNet[0] != (transport.NetStats{}) || names.CoordNet != (transport.NetStats{}) {
+					t.Errorf("in-process run reported %d counter rows, wire %+v / %+v; want one node and no wire",
+						len(names.NodeCounters), names.NodeNet, names.CoordNet)
+				}
+			})
+		}
+	}
+
+	_, err := ClusterRun{Manifest: localManifest, Config: ClusterConfig{Placement: "first-touch"},
+		Threads: cases[0].Threads}.Run()
+	_, want := ParsePlacement("first-touch", 4)
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("first-touch on the in-process arm: %v, want %v", err, want)
+	}
+	if _, err := (ClusterRun{Config: ClusterConfig{}, Threads: cases[0].Threads}).Run(); err == nil {
+		t.Error("a manifest with no mesh accepted")
+	}
+}
+
+// TestLoopbackJoinAfterPreDialFailure: every way a run can fail before the
+// coordinator dials leaves the nodes parked waiting for a load that never
+// comes; join must release them, so callers can join unconditionally.
+func TestLoopbackJoinAfterPreDialFailure(t *testing.T) {
+	t.Parallel()
+	lit := MessagePassingLitmus(64)
+	wide := []ThreadSpec{{Program: []isa.Instr{
+		{Op: isa.FAA, Rd: 4, Rs: 0, Rt: 3, Imm: 5000}, // does not survive the wire
+		{Op: isa.HALT},
+	}}}
+	for _, tc := range []struct {
+		name    string
+		cfg     ClusterConfig
+		threads []ThreadSpec
+		want    string
+	}{
+		{"bad scheme", ClusterConfig{Scheme: "bogus"}, lit.Threads, `unknown scheme "bogus"`},
+		{"first-touch", ClusterConfig{Placement: "first-touch"}, lit.Threads, "first-touch placement is per-process"},
+		{"wire-unsafe instruction", ClusterConfig{}, wide, "does not survive the wire"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			man, join, err := Loopback(2, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ClusterRun{Manifest: man, Config: tc.cfg, Threads: tc.threads}.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run error %v, want it to mention %q", err, tc.want)
+			}
+			if err := joinWithin(t, join, 5*time.Second); err != nil {
+				t.Errorf("join after a pre-dial failure: %v", err)
+			}
 		})
 	}
 }
@@ -200,24 +289,9 @@ func TestDifferentialHistoryScheme(t *testing.T) {
 		lit := RandomLitmus(uint64(seed), RandOpts{PrivateWrites: true})
 		t.Run(lit.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := litmusConfig()
-			cfg.GuestContexts = 0
-			cfg.Scheme = core.NewHistory(2)
-			m, inproc := runLitmus(t, cfg, lit)
-			tcp := runOnTCP(t, 2, 2, 2, ClusterConfig{
-				Quantum:   cfg.Quantum,
-				Scheme:    "history:2",
-				Placement: "striped:64",
-				LogEvents: true,
-			}, lit)
-			if !reflect.DeepEqual(m.MemImage(), tcp.Mem) {
-				t.Fatalf("final memory images differ:\n in-proc %v\n tcp     %v", m.MemImage(), tcp.Mem)
-			}
-			if !reflect.DeepEqual(inproc.FinalRegs, tcp.FinalRegs) {
-				t.Fatalf("final registers differ:\n in-proc %v\n tcp     %v", inproc.FinalRegs, tcp.FinalRegs)
-			}
-			if !reflect.DeepEqual(inproc.PerCore, tcp.PerCore) {
-				t.Fatalf("per-core metrics differ:\n in-proc %+v\n tcp     %+v", inproc.PerCore, tcp.PerCore)
+			inproc, tcp := runOnBoth(t, ClusterConfig{Quantum: 8, Scheme: "history:2", LogEvents: true}, lit)
+			if err := lit.Identical(inproc, tcp); err != nil {
+				t.Fatal(err)
 			}
 			if inproc.Migrations == 0 {
 				t.Error("history scheme produced no migrations on a cross-home workload")
@@ -231,10 +305,11 @@ func TestDifferentialHistoryScheme(t *testing.T) {
 func TestClusterRemoteAccessScheme(t *testing.T) {
 	t.Parallel()
 	lit := AtomicCounterLitmus(4, sized(20, 8))
-	res := runOnTCP(t, 2, 2, 2, ClusterConfig{
-		Scheme:    "always-remote",
-		LogEvents: true,
-	}, lit)
+	man, join, err := Loopback(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runVerified(t, man, join, ClusterConfig{Scheme: "always-remote", LogEvents: true}, lit)
 	if res.Migrations != 0 {
 		t.Errorf("always-remote migrated %d times", res.Migrations)
 	}

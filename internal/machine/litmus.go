@@ -2,7 +2,9 @@ package machine
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -23,6 +25,39 @@ type Litmus struct {
 	// means the SC check (and, if Deterministic, the differential
 	// comparison) is the whole assertion.
 	Check func(read func(uint32) uint32, regs [][isa.NumRegs]uint32) error
+}
+
+// Verify checks one run of l: the recorded execution must be sequentially
+// consistent from l.Mem (the run needs LogEvents), and the outcome must
+// pass l.Check on the final memory image and registers.
+func (l Litmus) Verify(res *ClusterResult) error {
+	if err := CheckSCFrom(l.Mem, res.Events); err != nil {
+		return fmt.Errorf("%s: SC violation: %v", l.Name, err)
+	}
+	if l.Check == nil {
+		return nil
+	}
+	return l.Check(func(a uint32) uint32 { return res.Mem[a] }, res.FinalRegs)
+}
+
+// Identical reports the first difference between two runs of l that must
+// agree bit for bit — the same description on two transports, or twice on
+// one: final registers and per-core counter rows always, the memory image
+// when l is Deterministic (two writers to one word leave a
+// schedule-dependent image even when every counter is exact). It is for
+// runs whose counters are schedule-independent: no guest limit to evict
+// on, no spin loops.
+func (l Litmus) Identical(a, b *ClusterResult) error {
+	if !slices.Equal(a.FinalRegs, b.FinalRegs) {
+		return fmt.Errorf("%s: final registers differ:\n %v\n %v", l.Name, a.FinalRegs, b.FinalRegs)
+	}
+	if !slices.Equal(a.PerCore, b.PerCore) {
+		return fmt.Errorf("%s: per-core metrics differ:\n %+v\n %+v", l.Name, a.PerCore, b.PerCore)
+	}
+	if l.Deterministic && !maps.Equal(a.Mem, b.Mem) {
+		return fmt.Errorf("%s: final memory images differ (%d and %d words)", l.Name, len(a.Mem), len(b.Mem))
+	}
+	return nil
 }
 
 // MessagePassingLitmus is the MP litmus test: once the reader observes the

@@ -14,7 +14,12 @@
 //
 // Either way a run is resolve → inject → await halts → fold, written once
 // in lifecycle.go; Machine.Run, ClusterRun.Run and the serve backends only
-// choose the channels and the send function.
+// choose the channels and the send function. ClusterRun is the one way to
+// run a program by name on either shape — its manifest names the nodes, or
+// only the mesh and the run stays in this process — and Litmus.Verify and
+// Litmus.Identical check and compare what it returns; New and Machine.Run
+// are the object-level entry for what names cannot express (first-touch
+// placement, decorated schemes).
 //
 // The runtime preserves the paper's structural guarantees in both shapes:
 //
@@ -35,6 +40,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -161,8 +167,21 @@ func (m *Machine) MemImage() map[uint32]uint32 {
 }
 
 // Run executes the threads to completion and returns aggregate results.
-// Thread t starts at core t mod cores. A machine runs once.
+// Thread t starts at core t mod cores. A machine runs once. With no nodes
+// to lose there is no timeout: the run ends when its threads do.
 func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
+	halts, err := m.run(threads, 0)
+	if err != nil {
+		return nil, err
+	}
+	res := newResult(m.part.Collect(0), halts)
+	return &res, nil
+}
+
+// run is lifecycle.go's inject and await steps over the channel transport,
+// under Run and the in-process arm of ClusterRun.Run; a zero timeout never
+// fires.
+func (m *Machine) run(threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error) {
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("machine: no threads")
 	}
@@ -182,19 +201,13 @@ func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
 		return nil, err
 	}
 	m.ran = true
-	// lifecycle.go's steps over the channel transport: its eviction
-	// inboxes are sized for every thread, so injection cannot block, and
-	// with no nodes to lose there is no death channel and no timeout — the
-	// run ends when its threads do.
+	// The eviction inboxes are sized for every thread, so injection cannot
+	// block, and there is no death channel.
 	err := Inject(threads, m.tr.Cores(), m.tr.SendEviction)
 	var got []transport.HaltMsg
 	if err == nil {
-		got, err = AwaitHalts(len(threads), halts, nil, 0, nil)
+		got, err = AwaitHalts(len(threads), halts, nil, timeout, nil)
 	}
 	m.part.Stop()
-	if err != nil {
-		return nil, err
-	}
-	res := newResult(m.part.Collect(0), got)
-	return &res, nil
+	return got, err
 }

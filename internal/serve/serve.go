@@ -26,7 +26,9 @@ package serve
 import (
 	"container/heap"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/machine"
@@ -95,6 +97,24 @@ func (c Config) withDefaults() Config {
 		c.MeanGap = 2000
 	}
 	return c
+}
+
+// RegisterFlags declares the flags every serving CLI shares on fs, bound to
+// c's fields. The defaults are c's current values over withDefaults, so a
+// CLI states only where it differs.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	*c = c.withDefaults()
+	fs.IntVar(&c.W, "w", c.W, "mesh width")
+	fs.IntVar(&c.H, "h", c.H, "mesh height")
+	fs.StringVar(&c.Scheme, "scheme", c.Scheme, "decision scheme: "+strings.Join(machine.SchemeNames(), ", "))
+	fs.StringVar(&c.Placement, "placement", c.Placement, "placement: "+strings.Join(machine.PlacementNames(), ", "))
+	fs.StringVar(&c.Workload, "workload", c.Workload, "job generator: "+strings.Join(Workloads(), ", "))
+	fs.IntVar(&c.Jobs, "jobs", c.Jobs, "number of Poisson arrivals")
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "seed for the arrival process and workload generator")
+	fs.Float64Var(&c.MeanGap, "mean-gap", c.MeanGap, "mean Poisson interarrival gap in cycles")
+	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "admission window: reject arrivals beyond this many in-flight jobs (0 = unbounded)")
+	fs.DurationVar(&c.Timeout, "timeout", c.Timeout, "per-job and drain guard")
+	fs.Uint64Var(&c.SampleEvery, "sample-every", c.SampleEvery, "telemetry sampling period in virtual cycles")
 }
 
 // Report is the run's SLO summary. Its JSON form is the determinism

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/geom"
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -477,29 +476,17 @@ func TestRebasedJobMatchesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(th []machine.ThreadSpec, image map[uint32]uint32) *machine.Machine {
+	run := func(th []machine.ThreadSpec, image map[uint32]uint32) *machine.ClusterResult {
 		t.Helper()
-		cfg := testCfg(1).withDefaults()
-		mcfg, err := machine.ResolveLoad(geom.NewMesh(cfg.W, cfg.H), cfg.loadSpec(len(th)))
+		res, err := machine.ClusterRun{Manifest: transport.Manifest{W: 2, H: 2}, Threads: th, Mem: image}.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := machine.New(mcfg, len(th))
-		if err != nil {
-			t.Fatal(err)
-		}
-		//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
-		for a, v := range image {
-			m.Preload(a, v, 0)
-		}
-		if _, err := m.Run(th); err != nil {
-			t.Fatal(err)
-		}
-		return m
+		return res
 	}
 	orig := run(lit.Threads, lit.Mem)
 	moved := run(threads, mem)
-	if o, m := orig.Read(0), moved.Read(base); o != m || m != 12 {
+	if o, m := orig.Mem[0], moved.Mem[base]; o != m || m != 12 {
 		t.Fatalf("counter at %#x is %d, original at 0 is %d, want both 12", base, m, o)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // M3 is the runtime-vs-model experiment: the same memory-access sequences
@@ -119,75 +120,41 @@ func m3ModelCounts(scheme core.Scheme, tr *trace.Trace) (mig, remote, local int6
 	return res.Migrations, res.RemoteAccesses, res.Local
 }
 
-// m3MachineConfig is the runtime configuration matching m3ModelCounts.
-func m3MachineConfig(scheme core.Scheme) machine.Config {
-	return machine.Config{
-		Mesh:      m3Mesh(),
-		Placement: placement.NewStriped(64, m3Mesh().Cores()),
-		Scheme:    scheme,
-		Quantum:   8,
-		LogEvents: true,
-	}
+// m3Config is the runtime description matching m3ModelCounts.
+func m3Config(scheme string) machine.ClusterConfig {
+	return machine.ClusterConfig{Quantum: 8, Scheme: scheme, Placement: "striped:64", LogEvents: true}
 }
 
-// m3RunChannel executes lit on the in-process channel transport, SC-checks
-// the recorded execution, and runs the litmus post-condition if any.
-func m3RunChannel(scheme core.Scheme, lit machine.Litmus) (*machine.Result, error) {
-	m, err := machine.New(m3MachineConfig(scheme), len(lit.Threads))
-	if err != nil {
-		return nil, err
-	}
-	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
-	for a, v := range lit.Mem {
-		m.Preload(a, v, 0)
-	}
-	res, err := m.Run(lit.Threads)
-	if err != nil {
-		return nil, err
-	}
-	if err := machine.CheckSCFrom(lit.Mem, res.Events); err != nil {
-		return nil, fmt.Errorf("channel transport: %v", err)
-	}
-	if lit.Check != nil {
-		if err := lit.Check(m.Read, res.FinalRegs); err != nil {
-			return nil, fmt.Errorf("channel transport: %v", err)
-		}
-	}
-	return res, nil
-}
-
-// m3RunTCP executes lit on a two-node TCP-loopback cluster (node endpoints
-// hosted in-process), SC-checks, and runs the litmus post-condition.
-func m3RunTCP(schemeName string, lit machine.Litmus) (*machine.ClusterResult, error) {
+// runBoth executes lit under cfg twice from the one description — in this
+// process (a manifest naming the mesh and no nodes), then on a two-node
+// TCP-loopback cluster (node endpoints hosted in-process) — and verifies
+// each execution: SC from lit.Mem, then the litmus post-condition.
+func runBoth(lit machine.Litmus, cfg machine.ClusterConfig) (local, tcp *machine.ClusterResult, err error) {
 	mesh := m3Mesh()
-	man, join, err := machine.Loopback(2, mesh.Width(), mesh.Height())
+	run := machine.ClusterRun{
+		Manifest: transport.Manifest{W: mesh.Width(), H: mesh.Height()},
+		Config:   cfg,
+		Threads:  lit.Threads,
+		Mem:      lit.Mem,
+	}
+	if local, err = run.Run(); err == nil {
+		err = lit.Verify(local)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("channel transport: %v", err)
 	}
-	res, err := machine.ClusterRun{
-		Manifest: man,
-		Config: machine.ClusterConfig{
-			Quantum:   8,
-			Scheme:    schemeName,
-			Placement: "striped:64",
-			LogEvents: true,
-		},
-		Threads: lit.Threads,
-		Mem:     lit.Mem,
-	}.Run()
-	if err = errors.Join(err, join()); err != nil {
-		return nil, err
+	var join func() error
+	if run.Manifest, join, err = machine.Loopback(2, mesh.Width(), mesh.Height()); err != nil {
+		return nil, nil, err
 	}
-	if err := machine.CheckSCFrom(lit.Mem, res.Events); err != nil {
-		return nil, fmt.Errorf("tcp transport: %v", err)
+	tcp, err = run.Run()
+	if err = errors.Join(err, join()); err == nil {
+		err = lit.Verify(tcp)
 	}
-	if lit.Check != nil {
-		read := func(a uint32) uint32 { return res.Mem[a] }
-		if err := lit.Check(read, res.FinalRegs); err != nil {
-			return nil, fmt.Errorf("tcp transport: %v", err)
-		}
+	if err != nil {
+		return nil, nil, fmt.Errorf("tcp transport: %v", err)
 	}
-	return res, nil
+	return local, tcp, nil
 }
 
 // m3MicroRows runs one micro-workload under every scheme and renders one
@@ -202,11 +169,7 @@ func m3MicroRows(m m3Micro) [][]string {
 			panic(err)
 		}
 		mig, remote, local := m3ModelCounts(scheme, tr)
-		ch, err := m3RunChannel(scheme, lit)
-		if err != nil {
-			panic(fmt.Sprintf("sim: m3 %s/%s: %v", m.name, name, err))
-		}
-		tcp, err := m3RunTCP(name, lit)
+		ch, tcp, err := runBoth(lit, m3Config(name))
 		if err != nil {
 			panic(fmt.Sprintf("sim: m3 %s/%s: %v", m.name, name, err))
 		}
@@ -238,14 +201,8 @@ func m3MicroRows(m m3Micro) [][]string {
 func m3LitmusRows(lit machine.Litmus) [][]string {
 	var rows [][]string
 	for _, name := range m3Schemes {
-		scheme, err := machine.ParseScheme(name, m3Mesh())
-		if err != nil {
-			panic(err)
-		}
 		verdict := "sc+litmus ok"
-		if _, err := m3RunChannel(scheme, lit); err != nil {
-			verdict = err.Error()
-		} else if _, err := m3RunTCP(name, lit); err != nil {
+		if _, _, err := runBoth(lit, m3Config(name)); err != nil {
 			verdict = err.Error()
 		}
 		rows = append(rows, stats.FormatRow(lit.Name, name, "-", "-", "-", "-", verdict))

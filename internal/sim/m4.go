@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/placement"
 	"repro/internal/stats"
@@ -48,66 +46,15 @@ func m4Placement() placement.Policy {
 	return placement.NewPageStriped(placement.DefaultPageBytes, m3Mesh().Cores())
 }
 
-// m4RunChannel executes the compiled workload on the channel transport,
-// SC-checks from the preload image, and runs the register-summary check.
-func m4RunChannel(scheme core.Scheme, c *wprog.Compiled) (*machine.Result, error) {
-	m, err := machine.New(machine.Config{
-		Mesh:      m3Mesh(),
-		Placement: m4Placement(),
-		Scheme:    scheme,
+// m4Config is the runtime description matching the model's: page-striped
+// placement by wire name, the scheme under test, no guest limit.
+func m4Config(scheme string) machine.ClusterConfig {
+	return machine.ClusterConfig{
 		Quantum:   16,
+		Scheme:    scheme,
+		Placement: fmt.Sprintf("page-striped:%d", placement.DefaultPageBytes),
 		LogEvents: true,
-	}, len(c.Threads))
-	if err != nil {
-		return nil, err
 	}
-	for _, pg := range c.Pages {
-		m.Preload(pg.Base, c.Mem[pg.Base], pg.Home)
-	}
-	res, err := m.Run(c.Threads)
-	if err != nil {
-		return nil, err
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		return nil, fmt.Errorf("channel transport: %v", err)
-	}
-	if err := c.Litmus().Check(m.Read, res.FinalRegs); err != nil {
-		return nil, fmt.Errorf("channel transport: %v", err)
-	}
-	return res, nil
-}
-
-// m4RunTCP executes the compiled workload on a two-node TCP-loopback
-// cluster (node endpoints hosted in-process), SC-checks, and runs the
-// register-summary check.
-func m4RunTCP(schemeName string, c *wprog.Compiled) (*machine.ClusterResult, error) {
-	mesh := m3Mesh()
-	man, join, err := machine.Loopback(2, mesh.Width(), mesh.Height())
-	if err != nil {
-		return nil, err
-	}
-	res, err := machine.ClusterRun{
-		Manifest: man,
-		Config: machine.ClusterConfig{
-			Quantum:   16,
-			Scheme:    schemeName,
-			Placement: fmt.Sprintf("page-striped:%d", placement.DefaultPageBytes),
-			LogEvents: true,
-		},
-		Threads: c.Threads,
-		Mem:     c.Mem,
-	}.Run()
-	if err = errors.Join(err, join()); err != nil {
-		return nil, err
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		return nil, fmt.Errorf("tcp transport: %v", err)
-	}
-	read := func(a uint32) uint32 { return res.Mem[a] }
-	if err := c.Litmus().Check(read, res.FinalRegs); err != nil {
-		return nil, fmt.Errorf("tcp transport: %v", err)
-	}
-	return res, nil
 }
 
 // m4Rows runs one compiled workload under every scheme and renders one row
@@ -129,15 +76,11 @@ func m4Rows(name string, cfg workload.Config, seed uint64) [][]string {
 			panic(fmt.Sprintf("sim: m4 %s/%s: %v", name, schemeName, err))
 		}
 		want := wprog.ModelCounts(model, scheme)
-		ch, err := m4RunChannel(scheme, c)
+		ch, tcp, err := runBoth(c.Litmus(), m4Config(schemeName))
 		if err != nil {
 			panic(fmt.Sprintf("sim: m4 %s/%s: %v", name, schemeName, err))
 		}
-		tcp, err := m4RunTCP(schemeName, c)
-		if err != nil {
-			panic(fmt.Sprintf("sim: m4 %s/%s: %v", name, schemeName, err))
-		}
-		chC, tcpC := wprog.RuntimeCounts(ch), wprog.RuntimeCounts(&tcp.Result)
+		chC, tcpC := wprog.RuntimeCounts(&ch.Result), wprog.RuntimeCounts(&tcp.Result)
 		verdict := "exact"
 		if len(want.Diff(chC)) != 0 || len(want.Diff(tcpC)) != 0 {
 			verdict = "MISMATCH"

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -63,19 +62,16 @@ func m5Rows(name string, cfg workload.Config, seed uint64) [][]string {
 			panic(fmt.Sprintf("sim: m5 %s/%s: %v", name, schemeName, err))
 		}
 		want := wprog.ModelCounts(model, scheme)
-		ch, chMem, err := m5RunChannel(scheme, c)
+		lit := c.Litmus()
+		ch, tcp, err := runBoth(lit, m4Config(schemeName))
 		if err != nil {
 			panic(fmt.Sprintf("sim: m5 %s/%s: %v", name, schemeName, err))
 		}
-		tcp, err := m4RunTCP(schemeName, c)
-		if err != nil {
-			panic(fmt.Sprintf("sim: m5 %s/%s: %v", name, schemeName, err))
-		}
-		chC, tcpC := wprog.RuntimeCounts(ch), wprog.RuntimeCounts(&tcp.Result)
+		chC, tcpC := wprog.RuntimeCounts(&ch.Result), wprog.RuntimeCounts(&tcp.Result)
 		verdict := "exact"
 		if len(want.Diff(chC)) != 0 || len(want.Diff(tcpC)) != 0 {
 			verdict = "MISMATCH(model)"
-		} else if err := m5BitIdentical(c, ch, chMem, tcp); err != nil {
+		} else if lit.Identical(ch, tcp) != nil {
 			verdict = "MISMATCH(transport)"
 		}
 		rows = append(rows, stats.FormatRow(name, schemeName,
@@ -86,72 +82,6 @@ func m5Rows(name string, cfg workload.Config, seed uint64) [][]string {
 			verdict))
 	}
 	return rows
-}
-
-// m5RunChannel is m4RunChannel plus a memory-image snapshot for the
-// transport bit-identity check.
-func m5RunChannel(scheme core.Scheme, c *wprog.Compiled) (*machine.Result, map[uint32]uint32, error) {
-	m, err := machine.New(machine.Config{
-		Mesh:      m3Mesh(),
-		Placement: m4Placement(),
-		Scheme:    scheme,
-		Quantum:   16,
-		LogEvents: true,
-	}, len(c.Threads))
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, pg := range c.Pages {
-		m.Preload(pg.Base, c.Mem[pg.Base], pg.Home)
-	}
-	res, err := m.Run(c.Threads)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		return nil, nil, fmt.Errorf("channel transport: %v", err)
-	}
-	if err := c.Litmus().Check(m.Read, res.FinalRegs); err != nil {
-		return nil, nil, fmt.Errorf("channel transport: %v", err)
-	}
-	return res, m.MemImage(), nil
-}
-
-// m5BitIdentical demands the deterministic surfaces agree bit-for-bit
-// across transports: final registers, the full per-core metrics breakdown
-// (including lease counters), and — for single-writer workloads — the
-// final memory image.
-func m5BitIdentical(c *wprog.Compiled, ch *machine.Result, chMem map[uint32]uint32, tcp *machine.ClusterResult) error {
-	if len(ch.FinalRegs) != len(tcp.FinalRegs) {
-		return fmt.Errorf("final-reg thread counts differ: %d vs %d", len(ch.FinalRegs), len(tcp.FinalRegs))
-	}
-	for t := range ch.FinalRegs {
-		if ch.FinalRegs[t] != tcp.FinalRegs[t] {
-			return fmt.Errorf("thread %d final registers differ across transports", t)
-		}
-	}
-	if len(ch.PerCore) != len(tcp.PerCore) {
-		return fmt.Errorf("per-core row counts differ: %d vs %d", len(ch.PerCore), len(tcp.PerCore))
-	}
-	for i := range ch.PerCore {
-		if ch.PerCore[i] != tcp.PerCore[i] {
-			return fmt.Errorf("core %d metrics differ across transports: %+v vs %+v",
-				ch.PerCore[i].Core, ch.PerCore[i], tcp.PerCore[i])
-		}
-	}
-	if !c.Deterministic {
-		return nil
-	}
-	if len(chMem) != len(tcp.Mem) {
-		return fmt.Errorf("memory images differ in size: %d vs %d words", len(chMem), len(tcp.Mem))
-	}
-	//em2:unordered-ok: set-equality check; which differing address is reported first is diagnostic only, the verdict is order-independent
-	for a, v := range chMem {
-		if tv, ok := tcp.Mem[a]; !ok || tv != v {
-			return fmt.Errorf("memory images differ at %#x: %#x vs %#x", a, v, tv)
-		}
-	}
-	return nil
 }
 
 // M5Cells decomposes M5: one cell per compiled workload, byte-stable at

@@ -147,22 +147,41 @@ func TestGolden(t *testing.T) {
 	exps, opts := testExperiments(t)
 	opts.Parallel = 4
 	for _, r := range sweep.Run(p, exps, opts) {
-		path := filepath.Join("testdata", r.Experiment+"_small.golden")
-		got := []byte(r.Table.String())
-		if *update {
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+		checkGolden(t, r.Experiment+"_small.golden", []byte(r.Table.String()))
+	}
+
+	// The runtime-vs-model tables (every count model/local/tcp, every
+	// verdict) in one file: exactly what `figures -platform small -run
+	// 'm3|m4|m5'` prints.
+	m345, err := sweep.Match("m3|m4|m5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := sweep.WriteText(&got, sweep.Run(p, m345, sweep.Options{Parallel: 4})); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "m345_small.golden", got.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run with -update to create)", path, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: rendered table drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s",
-				r.Experiment, got, want)
-		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run with -update to create)", path, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s: rendered table drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s",
+			name, got, want)
 	}
 }
 

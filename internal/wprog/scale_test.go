@@ -1,19 +1,13 @@
 package wprog
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
-	"repro/internal/machine"
-	"repro/internal/placement"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -40,80 +34,6 @@ func compileScaleOcean(t *testing.T) *Compiled {
 	return c
 }
 
-// runScaleChannel executes the compiled workload on a single-process
-// 64-core channel machine — the reference the cluster must match.
-func runScaleChannel(t *testing.T, c *Compiled) (*machine.Machine, *machine.Result) {
-	t.Helper()
-	mesh := scaleMesh()
-	scheme, err := machine.ParseScheme("history:2", mesh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(machine.Config{
-		Mesh:      mesh,
-		Placement: placement.NewPageStriped(PageBytes, mesh.Cores()),
-		Scheme:    scheme,
-		Quantum:   16,
-		LogEvents: true,
-	}, len(c.Threads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pg := range c.Pages {
-		m.Preload(pg.Base, c.Mem[pg.Base], pg.Home)
-	}
-	res, err := m.Run(c.Threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		t.Fatalf("channel: SC violation: %v", err)
-	}
-	return m, res
-}
-
-// runScaleCluster executes the compiled workload on the 8-node cluster
-// the caller started on man (in-process Loopback or real processes); join
-// waits the nodes out and yields their first failure.
-func runScaleCluster(t *testing.T, c *Compiled, man transport.Manifest, join func() error) *machine.ClusterResult {
-	t.Helper()
-	res, err := machine.ClusterRun{
-		Manifest: man,
-		Config: machine.ClusterConfig{
-			Quantum:   16,
-			Scheme:    "history:2",
-			Placement: fmt.Sprintf("page-striped:%d", PageBytes),
-			LogEvents: true,
-			Timeout:   180 * time.Second,
-		},
-		Threads: c.Threads,
-		Mem:     c.Mem,
-	}.Run()
-	if err = errors.Join(err, join()); err != nil {
-		t.Fatal(err)
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		t.Fatalf("cluster: SC violation: %v", err)
-	}
-	return res
-}
-
-// assertScaleIdentical is the acceptance comparison: final memory, final
-// registers and per-core metrics must be bit-identical between the
-// single-process channel run and the 8-node cluster run.
-func assertScaleIdentical(t *testing.T, m *machine.Machine, ch *machine.Result, tcp *machine.ClusterResult) {
-	t.Helper()
-	if !reflect.DeepEqual(m.MemImage(), tcp.Mem) {
-		t.Fatal("final memory images differ between channel and 8-node cluster")
-	}
-	if !reflect.DeepEqual(ch.FinalRegs, tcp.FinalRegs) {
-		t.Fatal("final registers differ between channel and 8-node cluster")
-	}
-	if !reflect.DeepEqual(ch.PerCore, tcp.PerCore) {
-		t.Fatal("per-core metrics differ between channel and 8-node cluster")
-	}
-}
-
 // TestScaleOcean64Core8Node is the tentpole acceptance test: ocean at 64
 // threads on 64 cores across 8 node processes (in-process endpoints, so it
 // runs under -short in CI) must be bit-identical to the single-process
@@ -122,13 +42,7 @@ func assertScaleIdentical(t *testing.T, m *machine.Machine, ch *machine.Result, 
 func TestScaleOcean64Core8Node(t *testing.T) {
 	t.Parallel()
 	c := compileScaleOcean(t)
-	m, ch := runScaleChannel(t, c)
-	man, join, err := machine.Loopback(scaleNodes, scaleMesh().Width(), scaleMesh().Height())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp := runScaleCluster(t, c, man, join)
-	assertScaleIdentical(t, m, ch, tcp)
+	_, tcp := runBoth(t, c, scaleMesh(), scaleNodes, "history:2")
 
 	// The NetStats pin. The coordinator's whole conversation with each node
 	// is a handful of control writes: the load blob, one flush carrying all
@@ -167,7 +81,7 @@ func TestScaleSmokeEm2nodeBinaries(t *testing.T) {
 	}
 
 	c := compileScaleOcean(t)
-	m, ch := runScaleChannel(t, c)
+	local := run(t, c, inProcess(scaleMesh()), nil, "history:2")
 	man, err := transport.LocalManifest(scaleNodes, scaleMesh().Width(), scaleMesh().Height())
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +98,10 @@ func TestScaleSmokeEm2nodeBinaries(t *testing.T) {
 		}
 		t.Cleanup(func() { cmd.Process.Kill(); cmd.Wait() })
 	}
-	tcp := runScaleCluster(t, c, man, func() error { return nil }) // the processes are reaped by Cleanup
-	assertScaleIdentical(t, m, ch, tcp)
+	tcp := run(t, c, man, nil, "history:2") // the processes are reaped by Cleanup
+	if err := c.Litmus().Identical(local, tcp); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // repoRoot walks up from the package directory to the module root.

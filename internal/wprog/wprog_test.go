@@ -3,7 +3,6 @@ package wprog
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/placement"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -64,76 +64,62 @@ func parseScheme(t *testing.T, name string) core.Scheme {
 	return s
 }
 
-// runChannel executes the compiled workload on the in-process channel
-// transport, SC-checks the execution from the preload image, and runs the
-// register-summary check.
-func runChannel(t *testing.T, c *Compiled, scheme core.Scheme, place placement.Policy, guests int) (*machine.Machine, *machine.Result) {
-	t.Helper()
-	m, err := machine.New(machine.Config{
-		Mesh:          testMesh(),
-		GuestContexts: guests,
-		Placement:     place,
-		Scheme:        scheme,
-		Quantum:       16,
-		LogEvents:     true,
-	}, len(c.Threads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Preloading each page's marker with by = preserved home is what binds
-	// pages correctly under first-touch placement; static placements ignore
-	// the toucher.
-	for _, pg := range c.Pages {
-		m.Preload(pg.Base, c.Mem[pg.Base], pg.Home)
-	}
-	res, err := m.Run(c.Threads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		t.Fatalf("%s channel: SC violation: %v", c.Name, err)
-	}
-	lit := c.Litmus()
-	if err := lit.Check(m.Read, res.FinalRegs); err != nil {
-		t.Fatalf("%s channel: %v", c.Name, err)
-	}
-	return m, res
+// pageStriped is the placement wire name under which the compacted
+// addresses keep the trace's first-touch homes.
+var pageStriped = fmt.Sprintf("page-striped:%d", PageBytes)
+
+// inProcess is the manifest that names mesh and no nodes: the run stays in
+// this process.
+func inProcess(mesh geom.Mesh) transport.Manifest {
+	return transport.Manifest{W: mesh.Width(), H: mesh.Height()}
 }
 
-// runTCP executes the compiled workload on a two-node TCP-loopback cluster
-// (node endpoints in-process), SC-checks, and runs the summary check.
-func runTCP(t *testing.T, c *Compiled, schemeName, placeName string, guests int) *machine.ClusterResult {
+// run executes the compiled workload as one ClusterRun on man — in this
+// process when man names the mesh and no nodes, else on the cluster the
+// caller started there — under scheme and page-striped placement, waits the
+// nodes out through join (nil: none of ours to wait for), and verifies the
+// execution: SC from the preload image, then the register-summary check.
+func run(t *testing.T, c *Compiled, man transport.Manifest, join func() error, scheme string) *machine.ClusterResult {
 	t.Helper()
-	mesh := testMesh()
-	man, join, err := machine.Loopback(2, mesh.Width(), mesh.Height())
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := machine.ClusterRun{
 		Manifest: man,
 		Config: machine.ClusterConfig{
-			GuestContexts: guests,
-			Quantum:       16,
-			Scheme:        schemeName,
-			Placement:     placeName,
-			LogEvents:     true,
-			Timeout:       120 * time.Second,
+			Quantum:   16,
+			Scheme:    scheme,
+			Placement: pageStriped,
+			LogEvents: true,
+			Timeout:   180 * time.Second,
 		},
 		Threads: c.Threads,
 		Mem:     c.Mem,
 	}.Run()
-	if err = errors.Join(err, join()); err != nil {
-		t.Fatal(err)
+	if join != nil {
+		err = errors.Join(err, join())
 	}
-	if err := machine.CheckSCFrom(c.Mem, res.Events); err != nil {
-		t.Fatalf("%s tcp: SC violation: %v", c.Name, err)
+	if err == nil {
+		err = c.Litmus().Verify(res)
 	}
-	lit := c.Litmus()
-	read := func(a uint32) uint32 { return res.Mem[a] }
-	if err := lit.Check(read, res.FinalRegs); err != nil {
-		t.Fatalf("%s tcp: %v", c.Name, err)
+	if err != nil {
+		t.Fatalf("%s on %d nodes: %v", c.Name, len(man.Nodes), err)
 	}
 	return res
+}
+
+// runBoth runs c from the one description in process and on an nodes-wide
+// TCP-loopback cluster (node endpoints in-process) and demands bit-identical
+// final registers, per-core metrics and memory image.
+func runBoth(t *testing.T, c *Compiled, mesh geom.Mesh, nodes int, scheme string) (local, tcp *machine.ClusterResult) {
+	t.Helper()
+	local = run(t, c, inProcess(mesh), nil, scheme)
+	man, join, err := machine.Loopback(nodes, mesh.Width(), mesh.Height())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp = run(t, c, man, join, scheme)
+	if err := c.Litmus().Identical(local, tcp); err != nil {
+		t.Fatal(err)
+	}
+	return local, tcp
 }
 
 // TestCompileMapping pins the compaction invariants for every registered
@@ -276,8 +262,8 @@ func TestRuntimeMatchesModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, res := runChannel(t, c, scheme, placement.NewPageStriped(PageBytes, mesh.Cores()), 0)
-				if diff := ModelCounts(model, scheme).Diff(RuntimeCounts(res)); len(diff) != 0 {
+				res := run(t, c, inProcess(mesh), nil, schemeName)
+				if diff := ModelCounts(model, scheme).Diff(RuntimeCounts(&res.Result)); len(diff) != 0 {
 					t.Errorf("runtime diverged from model: %v", diff)
 				}
 			})
@@ -298,7 +284,29 @@ func TestRuntimeFirstTouchBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res := runChannel(t, c, scheme, placement.NewFirstTouch(PageBytes), 0)
+	// First-touch is per-process state no wire name can express, so this is
+	// the object-level entry: preloading each page's marker with by = the
+	// preserved home is what binds the pages.
+	m, err := machine.New(machine.Config{
+		Mesh:      mesh,
+		Placement: placement.NewFirstTouch(PageBytes),
+		Scheme:    scheme,
+		Quantum:   16,
+		LogEvents: true,
+	}, len(c.Threads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pg := range c.Pages {
+		m.Preload(pg.Base, c.Mem[pg.Base], pg.Home)
+	}
+	res, err := m.Run(c.Threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Litmus().Verify(&machine.ClusterResult{Result: *res, Mem: m.MemImage()}); err != nil {
+		t.Fatal(err)
+	}
 	if diff := ModelCounts(model, scheme).Diff(RuntimeCounts(res)); len(diff) != 0 {
 		t.Errorf("first-touch runtime diverged from model: %v", diff)
 	}
@@ -330,20 +338,9 @@ func TestDifferentialChannelVsTCP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, ch := runChannel(t, c, scheme, place, 0)
-				tcp := runTCP(t, c, schemeName, fmt.Sprintf("page-striped:%d", PageBytes), 0)
-
-				if !reflect.DeepEqual(m.MemImage(), tcp.Mem) {
-					t.Fatalf("final memory images differ:\n channel %v\n tcp     %v", m.MemImage(), tcp.Mem)
-				}
-				if !reflect.DeepEqual(ch.FinalRegs, tcp.FinalRegs) {
-					t.Fatalf("final registers differ:\n channel %v\n tcp     %v", ch.FinalRegs, tcp.FinalRegs)
-				}
-				if !reflect.DeepEqual(ch.PerCore, tcp.PerCore) {
-					t.Fatalf("per-core metrics differ:\n channel %+v\n tcp     %+v", ch.PerCore, tcp.PerCore)
-				}
+				ch, tcp := runBoth(t, c, mesh, 2, schemeName)
 				want := ModelCounts(model, scheme)
-				if diff := want.Diff(RuntimeCounts(ch)); len(diff) != 0 {
+				if diff := want.Diff(RuntimeCounts(&ch.Result)); len(diff) != 0 {
 					t.Errorf("channel diverged from model: %v", diff)
 				}
 				if diff := want.Diff(RuntimeCounts(&tcp.Result)); len(diff) != 0 {
