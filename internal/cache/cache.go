@@ -89,9 +89,6 @@ func New(cfg Config) *Cache {
 	return &Cache{cfg: cfg, sets: sets}
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 func (c *Cache) setAndTag(a Addr) (int, Addr) {
 	lineAddr := c.cfg.LineOf(a)
 	set := int(lineAddr/Addr(c.cfg.LineBytes)) % c.cfg.Sets()

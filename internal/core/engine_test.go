@@ -18,15 +18,9 @@ func testConfig() Config {
 	return cfg
 }
 
-// testPlacement binds page k (4 KB) to core k for k=0..3, so address
+// testPlacement homes page k (4 KB) at core k for k=0..3, so address
 // 0x0000 is homed at core 0, 0x1000 at core 1, etc.
-func testPlacement() *placement.Static {
-	p := placement.NewStatic(4096, placement.NewStriped(64, 4))
-	for k := 0; k < 4; k++ {
-		p.Bind(trace.Addr(k*4096), geom.CoreID(k))
-	}
-	return p
-}
+func testPlacement() placement.Policy { return placement.NewPageStriped(4096, 4) }
 
 func mustRun(t *testing.T, cfg Config, pl placement.Policy, s Scheme, tr *trace.Trace,
 	cb func(int, AccessInfo, Outcome)) (*Engine, *Result) {

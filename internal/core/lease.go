@@ -242,17 +242,13 @@ func (cachedRemotePredictor) Decide(info AccessInfo) Decision {
 type Hybrid struct {
 	// Window is the lease validity window (0 = DefaultLeaseWindow).
 	Window uint64
-	// History configures the write-side decision; nil takes
-	// NewHistory(DefaultHybridMinRun).
-	History *History
 }
 
-// DefaultHybridMinRun is the write-side history threshold when Hybrid
-// does not carry an explicit History.
+// DefaultHybridMinRun is Hybrid's write-side history threshold.
 const DefaultHybridMinRun = 2
 
 // NewHybrid returns the hybrid scheme with the given lease window
-// (0 = DefaultLeaseWindow) and the default write-side history.
+// (0 = DefaultLeaseWindow).
 func NewHybrid(window uint64) *Hybrid { return &Hybrid{Window: window} }
 
 // Name implements Scheme.
@@ -266,16 +262,10 @@ func (h *Hybrid) LeaseWindow() uint64 {
 	return h.Window
 }
 
-func (h *Hybrid) history() *History {
-	if h.History != nil {
-		return h.History
-	}
-	return NewHistory(DefaultHybridMinRun)
-}
-
 // NewPredictor implements Scheme.
 func (h *Hybrid) NewPredictor(thread int) Predictor {
-	return &hybridPredictor{hist: h.history().NewPredictor(thread).(*HistoryPredictor)}
+	hist := NewHistory(DefaultHybridMinRun).NewPredictor(thread)
+	return &hybridPredictor{hist: hist.(*HistoryPredictor)}
 }
 
 // hybridPredictor wraps one thread's history state; the read side is

@@ -89,23 +89,6 @@ func (m Mesh) Hops(a, b CoreID) int {
 // Diameter returns the largest hop distance on the mesh.
 func (m Mesh) Diameter() int { return (m.w - 1) + (m.h - 1) }
 
-// MeanHops returns the average hop distance between distinct core pairs,
-// used to sanity-check analytical network latencies.
-func (m Mesh) MeanHops() float64 {
-	n := m.Cores()
-	if n < 2 {
-		return 0
-	}
-	var total int
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			total += m.Hops(CoreID(a), CoreID(b))
-		}
-	}
-	pairs := n * (n - 1) / 2
-	return float64(total) / float64(pairs)
-}
-
 // Route returns the sequence of cores a dimension-ordered (X-then-Y) packet
 // visits travelling from src to dst, inclusive of both endpoints. XY routing
 // is deadlock-free on a mesh, which is why EM² uses it for all six virtual
@@ -124,26 +107,6 @@ func (m Mesh) Route(src, dst CoreID) []CoreID {
 		path = append(path, m.CoreAt(cur))
 	}
 	return path
-}
-
-// Neighbors returns the mesh neighbours of a core in N, E, S, W order,
-// omitting directions that fall off the chip edge.
-func (m Mesh) Neighbors(id CoreID) []CoreID {
-	c := m.CoordOf(id)
-	out := make([]CoreID, 0, 4)
-	if c.Y > 0 {
-		out = append(out, m.CoreAt(Coord{c.X, c.Y - 1}))
-	}
-	if c.X < m.w-1 {
-		out = append(out, m.CoreAt(Coord{c.X + 1, c.Y}))
-	}
-	if c.Y < m.h-1 {
-		out = append(out, m.CoreAt(Coord{c.X, c.Y + 1}))
-	}
-	if c.X > 0 {
-		out = append(out, m.CoreAt(Coord{c.X - 1, c.Y}))
-	}
-	return out
 }
 
 // String implements fmt.Stringer.

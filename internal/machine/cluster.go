@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"io"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -177,6 +178,9 @@ type nodeOptions struct {
 	// abort, when closed, releases a node no coordinator has loaded yet;
 	// Loopback's join fires it. Nil (never ready) everywhere else.
 	abort <-chan struct{}
+	// ln, when set, is the open listener at the node's manifest address
+	// (Loopback holds it from before the manifest exists); nil listens.
+	ln net.Listener
 }
 
 // WithWireStats makes ServeNode print the node's wire-level traffic
@@ -186,8 +190,8 @@ func WithWireStats(w io.Writer) NodeOption {
 	return func(o *nodeOptions) { o.wireStats = w }
 }
 
-// defaultHeartbeatMillis is the node liveness-report interval when the
-// LoadSpec does not set one.
+// defaultHeartbeatMillis is the node liveness-report interval. Heartbeats
+// are advisory — they never enter any deterministic result surface.
 const defaultHeartbeatMillis = 500
 
 // ServeNode runs one cluster node to completion: listen per the manifest,
@@ -201,7 +205,13 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	for _, o := range opts {
 		o(&opt)
 	}
-	tn, err := transport.ListenNode(man, idx)
+	var tn *transport.Node
+	var err error
+	if opt.ln != nil {
+		tn, err = transport.ListenNodeOn(man, idx, opt.ln)
+	} else {
+		tn, err = transport.ListenNode(man, idx)
+	}
 	if err != nil {
 		return err
 	}
@@ -286,11 +296,7 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	if err := tn.SendLoadAck(transport.LoadAck{Node: idx}); err != nil {
 		return err
 	}
-	hb := spec.HeartbeatMillis
-	if hb <= 0 {
-		hb = defaultHeartbeatMillis
-	}
-	tn.StartHeartbeat(time.Duration(hb) * time.Millisecond)
+	tn.StartHeartbeat(defaultHeartbeatMillis * time.Millisecond)
 
 	select {
 	case <-tn.CollectRequests():
@@ -315,16 +321,18 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	return nil
 }
 
-// Loopback self-hosts a cluster on TCP loopback: a LocalManifest over a
-// w x h mesh plus one in-process ServeNode goroutine per entry — the
-// em2node code path without process spawn. join blocks until every node
+// Loopback self-hosts a cluster on TCP loopback: a manifest of reserved
+// ports over a w x h mesh plus one in-process ServeNode goroutine per
+// entry — the em2node code path without process spawn. Each node adopts
+// the listener that reserved its port, so no port is ever released between
+// reservation and use. join blocks until every node
 // has exited and returns the lowest-numbered node's error, naming the
 // node. Nodes exit when a coordinator shuts them down (ClusterRun.Run
 // once it has dialed, a serve backend's Close) or when they fail; join
 // also releases the nodes no coordinator ever loaded, so call it once the
 // run is over, whether or not it got as far as dialing.
 func Loopback(nodes, w, h int) (man transport.Manifest, join func() error, err error) {
-	man, err = transport.LocalManifest(nodes, w, h)
+	man, lns, err := transport.LocalListeners(nodes, w, h)
 	if err != nil {
 		return transport.Manifest{}, nil, err
 	}
@@ -335,7 +343,7 @@ func Loopback(nodes, w, h int) (man transport.Manifest, join func() error, err e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = ServeNode(man, i, func(o *nodeOptions) { o.abort = abort })
+			errs[i] = ServeNode(man, i, func(o *nodeOptions) { o.abort, o.ln = abort, lns[i] })
 		}()
 	}
 	return man, sync.OnceValue(func() error {

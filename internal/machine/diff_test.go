@@ -2,8 +2,10 @@ package machine
 
 import (
 	"errors"
+	"net"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -196,6 +198,30 @@ func TestLoopbackJoinAfterPreDialFailure(t *testing.T) {
 				t.Errorf("join after a pre-dial failure: %v", err)
 			}
 		})
+	}
+}
+
+// TestLoopbackHoldsItsPorts: Loopback's nodes adopt the listeners that
+// reserved their ports, so from the moment the manifest exists no other
+// process (here: this test) can bind one of its addresses — the port steal
+// that used to kill a node with "address already in use" under go test ./...
+func TestLoopbackHoldsItsPorts(t *testing.T) {
+	t.Parallel()
+	man, join, err := Loopback(4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range man.Nodes {
+		ln, err := net.Listen("tcp", n.Addr)
+		if err == nil {
+			ln.Close()
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) {
+			t.Errorf("node %d: listen on %s: %v, want address already in use", i, n.Addr, err)
+		}
+	}
+	if err := joinWithin(t, join, 10*time.Second); err != nil {
+		t.Errorf("join: %v", err)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package noc models the on-chip interconnect of the Execution Migration
 // Machine: the six-virtual-network channel layout the paper requires for
-// deadlock freedom, an analytical latency/traffic model used by the EM² cost
-// engine and the DP oracle, and an event-driven mesh network simulator used
-// by the integration tests and the concurrent runtime.
+// deadlock freedom and the analytical latency/traffic model used by the EM²
+// cost engine and the DP oracle.
 //
 // The paper's channel accounting (§3): migrations need two virtual networks
 // (one for ordinary guest-bound migrations, one for evictions travelling to
@@ -11,11 +10,7 @@
 // request/reply pair — six virtual channels in total.
 package noc
 
-import (
-	"fmt"
-
-	"repro/internal/geom"
-)
+import "fmt"
 
 // VNet identifies one of the six virtual networks.
 type VNet int
@@ -119,21 +114,6 @@ func VNetFor(k Kind) VNet {
 	}
 	panic(fmt.Sprintf("noc: unknown message kind %d", int(k)))
 }
-
-// Message is one packet on the interconnect.
-type Message struct {
-	Kind        Kind
-	Src, Dst    geom.CoreID
-	PayloadBits int         // architectural payload (context, address+word, …)
-	Thread      int         // originating thread, for tracing; -1 if none
-	Seq         uint64      // injection sequence number, assigned by the network
-	Data        interface{} // opaque payload for the event network's consumers
-
-	injectedAt int64 // set by Network.Send, used for latency accounting
-}
-
-// VNet returns the virtual network this message travels on.
-func (m *Message) VNet() VNet { return VNetFor(m.Kind) }
 
 // Config holds the link-level parameters of the interconnect.
 type Config struct {

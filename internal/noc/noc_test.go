@@ -165,13 +165,6 @@ func TestTrafficProxy(t *testing.T) {
 	}
 }
 
-func TestMessageVNet(t *testing.T) {
-	m := &Message{Kind: KindEviction, Src: 0, Dst: 1}
-	if m.VNet() != VNEviction {
-		t.Errorf("VNet = %v", m.VNet())
-	}
-}
-
 func TestDependsOnPanicsNever(t *testing.T) {
 	for a := VNet(0); a < NumVNets; a++ {
 		for b := VNet(0); b < NumVNets; b++ {

@@ -148,54 +148,3 @@ func (s *PageStriped) HomeOf(a Addr) (geom.CoreID, bool) {
 
 // Name implements Policy.
 func (s *PageStriped) Name() string { return "page-striped" }
-
-// Static is an explicit page→core map with a fallback policy for unmapped
-// pages, used to construct directed micro-benchmarks and oracle placements.
-type Static struct {
-	pageBytes Addr
-	pages     map[Addr]geom.CoreID
-	fallback  Policy
-	name      string
-}
-
-// NewStatic returns a static policy with the given page size and fallback
-// (used for pages not present in the map; must not be nil).
-func NewStatic(pageBytes int, fallback Policy) *Static {
-	if pageBytes == 0 {
-		pageBytes = DefaultPageBytes
-	}
-	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
-		panic(fmt.Sprintf("placement: page size %d not a power of two", pageBytes))
-	}
-	if fallback == nil {
-		panic("placement: nil fallback")
-	}
-	return &Static{
-		pageBytes: Addr(pageBytes),
-		pages:     make(map[Addr]geom.CoreID),
-		fallback:  fallback,
-		name:      "static",
-	}
-}
-
-// Bind maps the page containing a to the given home.
-func (s *Static) Bind(a Addr, home geom.CoreID) { s.pages[a/s.pageBytes] = home }
-
-// Touch implements Policy.
-func (s *Static) Touch(a Addr, by geom.CoreID) geom.CoreID {
-	if home, ok := s.pages[a/s.pageBytes]; ok {
-		return home
-	}
-	return s.fallback.Touch(a, by)
-}
-
-// HomeOf implements Policy.
-func (s *Static) HomeOf(a Addr) (geom.CoreID, bool) {
-	if home, ok := s.pages[a/s.pageBytes]; ok {
-		return home, true
-	}
-	return s.fallback.HomeOf(a)
-}
-
-// Name implements Policy.
-func (s *Static) Name() string { return s.name }

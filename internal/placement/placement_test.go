@@ -104,15 +104,12 @@ func TestStriped(t *testing.T) {
 }
 
 func TestPageStriped(t *testing.T) {
+	// Pages 0-3 home on cores 0-3: the binding core's engine tests run on.
 	p := NewPageStriped(4096, 4)
-	if h := p.Touch(0, 99); h != 0 {
-		t.Errorf("page 0 home = %d", h)
-	}
-	if h := p.Touch(4096, 99); h != 1 {
-		t.Errorf("page 1 home = %d", h)
-	}
-	if h := p.Touch(4*4096, 99); h != 0 {
-		t.Errorf("page 4 home = %d", h)
+	for page, want := range []geom.CoreID{0, 1, 2, 3, 0} {
+		if h := p.Touch(Addr(page)*4096+100, 99); h != want {
+			t.Errorf("page %d home = %d, want %d", page, h, want)
+		}
 	}
 	p2 := NewPageStriped(0, 4)
 	if h := p2.Touch(DefaultPageBytes, 99); h != 1 {
@@ -120,51 +117,7 @@ func TestPageStriped(t *testing.T) {
 	}
 }
 
-func TestStatic(t *testing.T) {
-	s := NewStatic(4096, NewStriped(64, 8))
-	s.Bind(0, 7)
-	if h := s.Touch(100, 2); h != 7 {
-		t.Errorf("bound page home = %d, want 7", h)
-	}
-	// Unbound page falls through to striped.
-	if h := s.Touch(8192, 2); h != NewStriped(64, 8).Touch(8192, 2) {
-		t.Errorf("fallback home = %d", h)
-	}
-	if h, ok := s.HomeOf(100); !ok || h != 7 {
-		t.Errorf("HomeOf = %d,%v", h, ok)
-	}
-	if s.Name() != "static" {
-		t.Error("name")
-	}
-}
-
-func TestProfile(t *testing.T) {
-	p := NewProfile(4096, 8)
-	// Page 0: core 2 accesses 3 times, core 5 once → home 2.
-	p.Observe(0, 2)
-	p.Observe(4, 2)
-	p.Observe(8, 2)
-	p.Observe(12, 5)
-	// Page 1: tie between cores 3 and 4 → lowest wins.
-	p.Observe(4096, 4)
-	p.Observe(4100, 3)
-	p.Freeze()
-	if h, _ := p.HomeOf(0); h != 2 {
-		t.Errorf("page 0 home = %d, want 2", h)
-	}
-	if h, _ := p.HomeOf(4096); h != 3 {
-		t.Errorf("page 1 home = %d, want 3 (tie to lowest)", h)
-	}
-	// Unobserved page falls back to page-striping, deterministic.
-	h1 := p.Touch(99*4096, 0)
-	h2, ok := p.HomeOf(99 * 4096)
-	if !ok || h1 != h2 {
-		t.Errorf("fallback mismatch: %d vs %d", h1, h2)
-	}
-	p.Freeze() // idempotent
-}
-
-func TestProfilePanics(t *testing.T) {
+func TestConstructorPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
@@ -174,23 +127,11 @@ func TestProfilePanics(t *testing.T) {
 		}()
 		f()
 	}
-	p := NewProfile(4096, 4)
-	mustPanic("Touch before Freeze", func() { p.Touch(0, 0) })
-	if _, ok := p.HomeOf(0); ok {
-		t.Error("HomeOf before Freeze should report !ok")
-	}
-	p.Freeze()
-	mustPanic("Observe after Freeze", func() { p.Observe(0, 0) })
-
 	mustPanic("NewFirstTouch(3)", func() { NewFirstTouch(3) })
 	mustPanic("NewStriped(0,4)", func() { NewStriped(0, 4) })
 	mustPanic("NewStriped(64,0)", func() { NewStriped(64, 0) })
 	mustPanic("NewPageStriped(5,4)", func() { NewPageStriped(5, 4) })
 	mustPanic("NewPageStriped(4096,0)", func() { NewPageStriped(4096, 0) })
-	mustPanic("NewStatic nil fallback", func() { NewStatic(4096, nil) })
-	mustPanic("NewStatic bad page", func() { NewStatic(3, NewStriped(64, 2)) })
-	mustPanic("NewProfile bad page", func() { NewProfile(3, 2) })
-	mustPanic("NewProfile bad cores", func() { NewProfile(4096, 0) })
 }
 
 func TestNames(t *testing.T) {
@@ -199,9 +140,5 @@ func TestNames(t *testing.T) {
 	}
 	if NewPageStriped(0, 2).Name() != "page-striped" {
 		t.Error("page-striped name")
-	}
-	p := NewProfile(0, 2)
-	if p.Name() != "profile" {
-		t.Error("profile name")
 	}
 }

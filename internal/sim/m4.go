@@ -116,8 +116,3 @@ func M4Cells(p Platform) CellSet {
 		Cells: cells,
 	}
 }
-
-// M4 runs the compiled-workload runtime-vs-model comparison serially.
-func M4(p Platform) *stats.Table {
-	return M4Cells(p).RunSerial(p.Seed)
-}

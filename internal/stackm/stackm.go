@@ -1,18 +1,10 @@
 // Package stackm implements the paper's §4 stack-machine EM² architecture
-// at two levels:
-//
-//   - StackCache: the hardware structure itself — a bounded top-of-stack
-//     cache backed by stack memory at the thread's native core, with
-//     automatic spill (overflow) and refill (underflow), and partial-stack
-//     serialization for migration.
-//
-//   - The migration *model*: the cost semantics of carrying only the top k
-//     stack entries on each migration, with stack-cache overflow/underflow
-//     at a guest core forcing an automatic return migration to the native
-//     core ("the offending thread will automatically migrate back to its
-//     native core (where its stack memory is assigned)"), plus the depth
-//     decision schemes the paper wants evaluated against the depth DP in
-//     internal/oracle.
+// as a migration *model*: the cost semantics of carrying only the top k
+// stack entries on each migration, with stack-cache overflow/underflow at a
+// guest core forcing an automatic return migration to the native core ("the
+// offending thread will automatically migrate back to its native core
+// (where its stack memory is assigned)"), plus the depth decision schemes
+// the paper wants evaluated against the depth DP in dp.go.
 //
 // Modelling choices (recorded in DESIGN.md): the carried depth is chosen
 // when a thread departs its native core (where the rest of the stack can be

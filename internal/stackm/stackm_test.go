@@ -274,131 +274,3 @@ func TestStackMigrationCheaperThanRegister(t *testing.T) {
 		t.Errorf("stack bits %d not below register bits %d", stack.BitsMoved, regBits)
 	}
 }
-
-func TestStackCacheBasics(t *testing.T) {
-	b := &SliceBacking{}
-	s := NewStackCache(4, b)
-	for i := uint32(1); i <= 4; i++ {
-		s.Push(i)
-	}
-	if s.Depth() != 4 || s.Cached() != 4 || s.Spills != 0 {
-		t.Fatalf("depth=%d cached=%d spills=%d", s.Depth(), s.Cached(), s.Spills)
-	}
-	s.Push(5) // spills bottom entry (1)
-	if s.Spills != 1 || s.Depth() != 5 || s.Cached() != 4 {
-		t.Errorf("after spill: spills=%d depth=%d cached=%d", s.Spills, s.Depth(), s.Cached())
-	}
-	// Pop everything back: the spilled entry refills transparently.
-	for want := uint32(5); want >= 1; want-- {
-		if got := s.Pop(); got != want {
-			t.Fatalf("pop = %d, want %d", got, want)
-		}
-	}
-	if s.Refills != 1 {
-		t.Errorf("refills = %d, want 1", s.Refills)
-	}
-}
-
-func TestStackCachePeek(t *testing.T) {
-	b := &SliceBacking{}
-	s := NewStackCache(2, b)
-	s.Push(10)
-	s.Push(20)
-	s.Push(30) // spills 10
-	if got := s.Peek(0); got != 30 {
-		t.Errorf("peek(0) = %d", got)
-	}
-	if got := s.Peek(2); got != 10 { // from backing
-		t.Errorf("peek(2) = %d", got)
-	}
-}
-
-func TestStackCacheSerializeLoad(t *testing.T) {
-	b := &SliceBacking{}
-	s := NewStackCache(4, b)
-	for i := uint32(1); i <= 6; i++ { // 5,6 cached... capacity 4: 3..6 cached, 1,2 spilled
-		s.Push(i)
-	}
-	carried := s.Serialize(2) // carry top 2 (5,6), flush the rest
-	if len(carried) != 2 || carried[0] != 5 || carried[1] != 6 {
-		t.Fatalf("carried = %v", carried)
-	}
-	if s.Cached() != 0 || s.Depth() != 4 {
-		t.Errorf("after serialize: cached=%d depth=%d", s.Cached(), s.Depth())
-	}
-	// Guest core: load carried entries over a remote depth of 4.
-	guest := NewStackCache(4, &SliceBacking{})
-	guest.Load(carried, 4)
-	if guest.Depth() != 6 || guest.Cached() != 2 {
-		t.Errorf("guest depth=%d cached=%d", guest.Depth(), guest.Cached())
-	}
-	if got := guest.Pop(); got != 6 {
-		t.Errorf("guest pop = %d", got)
-	}
-	// Returning home: serialize the remaining entry and load at depth 4.
-	back := guest.Serialize(guest.Cached())
-	s.Load(back, 4)
-	if got := s.Pop(); got != 5 {
-		t.Errorf("home pop = %d, want 5", got)
-	}
-	// The flushed entries are intact underneath.
-	for want := uint32(4); want >= 1; want-- {
-		if got := s.Pop(); got != want {
-			t.Fatalf("pop = %d, want %d", got, want)
-		}
-	}
-}
-
-// Property: a stack cache over any push/pop sequence behaves exactly like an
-// unbounded software stack (spill/refill is transparent).
-func TestStackCacheTransparency(t *testing.T) {
-	f := func(ops []uint8) bool {
-		sc := NewStackCache(3, &SliceBacking{})
-		var ref []uint32
-		for i, op := range ops {
-			if op%3 != 0 || len(ref) == 0 {
-				v := uint32(i)
-				sc.Push(v)
-				ref = append(ref, v)
-			} else {
-				want := ref[len(ref)-1]
-				ref = ref[:len(ref)-1]
-				if sc.Pop() != want {
-					return false
-				}
-			}
-			if sc.Depth() != len(ref) {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{}
-	if testing.Short() {
-		cfg.MaxCount = 25
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStackCachePanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("pop empty", func() { NewStackCache(2, &SliceBacking{}).Pop() })
-	mustPanic("bad capacity", func() { NewStackCache(0, &SliceBacking{}) })
-	mustPanic("nil backing", func() { NewStackCache(2, nil) })
-	mustPanic("peek out of range", func() { NewStackCache(2, &SliceBacking{}).Peek(0) })
-	mustPanic("serialize too deep", func() { NewStackCache(2, &SliceBacking{}).Serialize(1) })
-	mustPanic("load too much", func() {
-		NewStackCache(1, &SliceBacking{}).Load([]uint32{1, 2}, 0)
-	})
-	mustPanic("backing read OOB", func() { (&SliceBacking{}).StackRead(0) })
-}

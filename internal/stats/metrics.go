@@ -33,33 +33,6 @@ func MetricsTable(perCore []transport.CoreMetrics) *Table {
 	return t
 }
 
-// SampleTable renders a live Sample as the per-core metrics table plus
-// the guest gauge column — the snapshot view behind em2soak's -stats and
-// any MetricsSource consumer.
-func SampleTable(s *transport.Sample) *Table {
-	t := NewTable("per-core sample",
-		"core", "instructions", "local ops", "remote reads", "remote writes",
-		"migrations out", "evictions", "overcommits", "context flits",
-		"lease hits", "lease misses", "lease invals", "guests")
-	var total transport.CoreMetrics
-	var guests int64
-	for i, m := range s.PerCore {
-		var g int64
-		if i < len(s.Guests) {
-			g = s.Guests[i]
-		}
-		t.AddRow(int(m.Core), m.Instructions, m.LocalOps, m.RemoteReads, m.RemoteWrites,
-			m.Migrations, m.Evictions, m.Overcommits, m.ContextFlits,
-			m.LeaseHits, m.LeaseMisses, m.LeaseInvals, g)
-		total = total.Add(m)
-		guests += g
-	}
-	t.AddRow("total", total.Instructions, total.LocalOps, total.RemoteReads,
-		total.RemoteWrites, total.Migrations, total.Evictions, total.Overcommits, total.ContextFlits,
-		total.LeaseHits, total.LeaseMisses, total.LeaseInvals, guests)
-	return t
-}
-
 // NetLine renders one endpoint's wire counters as the shared one-line
 // summary used by `em2node -wire-stats` and `em2sim -stats`:
 //
@@ -68,14 +41,6 @@ func NetLine(s transport.NetStats) string {
 	return fmt.Sprintf("sent %d msgs in %d batches (%.2f msgs/batch, %d bytes), recv %d msgs in %d batches (%d bytes)",
 		s.MsgsSent, s.BatchesSent, s.MsgsPerBatch(), s.BytesSent,
 		s.MsgsRecv, s.BatchesRecv, s.BytesRecv)
-}
-
-// SampleCounters folds a Sample's per-core counters into the canonical
-// named-counter map every aggregate surface uses (the machine's Collect
-// counters, the serve report's Counters). One naming, one place.
-func SampleCounters(s *transport.Sample) map[string]int64 {
-	t := s.Total()
-	return CounterMap(t)
 }
 
 // CounterMap renders one CoreMetrics as the canonical named-counter map.

@@ -103,16 +103,6 @@ func AppendPoint(b []byte, p *Point) []byte {
 	return append(b, '\n')
 }
 
-// EmitPoint encodes p into buf (reused across calls) and writes the line
-// to sink. It returns the buffer for reuse.
-func EmitPoint(sink Sink, buf []byte, p *Point) ([]byte, error) {
-	buf = AppendPoint(buf[:0], p)
-	if len(buf) == 0 {
-		return buf, nil
-	}
-	return buf, sink.Write(buf)
-}
-
 // appendEscaped appends s with line-protocol escaping: commas and spaces
 // always, '=' additionally inside tag keys/values and field keys (eq).
 // Every name this repo emits is a plain identifier, so the common path

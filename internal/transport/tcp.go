@@ -97,30 +97,52 @@ func LoadManifest(path string) (Manifest, error) {
 	return m, m.Validate()
 }
 
-// LocalManifest builds a loopback manifest for an N-node cluster on a WxH
+// LocalListeners builds a loopback manifest for an N-node cluster on a WxH
 // mesh: cores are split into contiguous blocks and each node gets a free
-// 127.0.0.1 port (allocated by briefly listening on :0 — the standard
-// loopback trick; the window between release and the node's bind is
-// harmless on a test host).
-func LocalManifest(nodes, w, h int) (Manifest, error) {
+// 127.0.0.1 port, allocated by listening on :0. The listeners are returned
+// open, in node order, for ListenNodeOn to adopt — a port cannot be taken
+// by another process between reservation and use. On error none is open.
+func LocalListeners(nodes, w, h int) (Manifest, []net.Listener, error) {
 	cores := w * h
 	if nodes <= 0 || nodes > cores {
-		return Manifest{}, fmt.Errorf("transport: %d nodes for %d cores", nodes, cores)
+		return Manifest{}, nil, fmt.Errorf("transport: %d nodes for %d cores", nodes, cores)
 	}
 	m := Manifest{W: w, H: h, Nodes: make([]NodeSpec, nodes)}
+	lns := make([]net.Listener, 0, nodes)
 	for i := range m.Nodes {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return Manifest{}, err
+			closeAll(lns)
+			return Manifest{}, nil, err
 		}
+		lns = append(lns, ln)
 		m.Nodes[i].Addr = ln.Addr().String()
-		ln.Close()
 		lo, hi := i*cores/nodes, (i+1)*cores/nodes
 		for c := lo; c < hi; c++ {
 			m.Nodes[i].Cores = append(m.Nodes[i].Cores, geom.CoreID(c))
 		}
 	}
-	return m, m.Validate()
+	if err := m.Validate(); err != nil {
+		closeAll(lns)
+		return Manifest{}, nil, err
+	}
+	return m, lns, nil
+}
+
+func closeAll(lns []net.Listener) {
+	for _, ln := range lns {
+		ln.Close()
+	}
+}
+
+// LocalManifest is LocalListeners with the ports released again, for nodes
+// that bind by address (separate processes). Another process drawing
+// ephemeral ports can take one before its node re-binds it; the node then
+// fails to listen and says so.
+func LocalManifest(nodes, w, h int) (Manifest, error) {
+	m, lns, err := LocalListeners(nodes, w, h)
+	closeAll(lns)
+	return m, err
 }
 
 // LoadSpec is the coordinator's "load this run" broadcast: machine
@@ -142,10 +164,6 @@ type LoadSpec struct {
 	// of empty slots (Programs/Regs/Mem stay empty) and programs arrive
 	// per job through JobSubmit frames instead of riding the LoadSpec.
 	Serve bool
-	// HeartbeatMillis sets the node's liveness/metrics heartbeat interval;
-	// 0 selects the default (500 ms). Heartbeats are advisory — they never
-	// enter any deterministic result surface.
-	HeartbeatMillis int
 }
 
 // LoadAck confirms (or refuses) one node's LoadSpec installation. A node
@@ -417,20 +435,31 @@ type Node struct {
 	closed   atomic.Bool
 }
 
-// ListenNode starts the endpoint for man.Nodes[idx]: it listens on the
-// manifest address, dials every lower-index peer (with retry, so start
-// order does not matter), and accepts connections from higher-index peers
-// and the coordinator in the background.
+// ListenNode is ListenNodeOn over a fresh listener at the manifest address.
 func ListenNode(man Manifest, idx int) (*Node, error) {
-	if err := man.Validate(); err != nil {
-		return nil, err
-	}
 	if idx < 0 || idx >= len(man.Nodes) {
 		return nil, fmt.Errorf("transport: node index %d of %d", idx, len(man.Nodes))
 	}
 	ln, err := net.Listen("tcp", man.Nodes[idx].Addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: node %d listen: %v", idx, err)
+	}
+	return ListenNodeOn(man, idx, ln)
+}
+
+// ListenNodeOn starts the endpoint for man.Nodes[idx] on ln, an open
+// listener at the manifest address that the node now owns (closed on error
+// and by Close): it dials every lower-index peer (with retry, so start
+// order does not matter), and accepts connections from higher-index peers
+// and the coordinator in the background.
+func ListenNodeOn(man Manifest, idx int, ln net.Listener) (*Node, error) {
+	err := man.Validate()
+	if err == nil && (idx < 0 || idx >= len(man.Nodes)) {
+		err = fmt.Errorf("transport: node index %d of %d", idx, len(man.Nodes))
+	}
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
 	owned := append([]geom.CoreID(nil), man.Nodes[idx].Cores...)
 	sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })

@@ -324,9 +324,6 @@ func SumMetrics(rows []CoreMetrics) CoreMetrics {
 	return t
 }
 
-// Total returns the counter-wise sum over PerCore.
-func (s *Sample) Total() CoreMetrics { return SumMetrics(s.PerCore) }
-
 // GuestTotal returns the summed guest gauge.
 func (s *Sample) GuestTotal() int64 {
 	var t int64
