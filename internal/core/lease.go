@@ -148,6 +148,13 @@ func (c *LeaseCache) Update(addr cache.Addr, value uint32) bool {
 	return true
 }
 
+// Reset returns the cache to the state NewLeaseCache builds, keeping its
+// storage: a reused context slot resets its cache on every arrival.
+func (c *LeaseCache) Reset() {
+	c.tags.Reset()
+	clear(c.ents)
+}
+
 // DropAll empties the cache — migration or eviction departure.
 func (c *LeaseCache) DropAll() {
 	if len(c.ents) == 0 {

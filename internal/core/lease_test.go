@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -157,6 +159,71 @@ func TestLeaseDropAllAndDropRange(t *testing.T) {
 	if v, ok := c.Lookup(0, 1); !ok || v != 1 {
 		t.Errorf("fill after DropAll: Lookup = %d, %v", v, ok)
 	}
+}
+
+// TestLeaseCacheResetMatchesNew: a reused context slot resets its lease
+// cache on every arrival instead of building a new one, so a Reset cache
+// dirtied by any mix of Fill/Lookup/Update/InvalidateOwn must answer every
+// later op sequence exactly as a NewLeaseCache does.
+func TestLeaseCacheResetMatchesNew(t *testing.T) {
+	const entries, window = 4, 8
+	rng := rand.New(rand.NewSource(1))
+	// op applies one random operation and returns what it observed.
+	type op struct {
+		kind  int
+		addr  cache.Addr
+		value uint32
+		now   uint64
+	}
+	apply := func(c *LeaseCache, o op) [2]uint32 {
+		switch o.kind {
+		case 0:
+			c.Fill(o.addr, o.value, o.now)
+		case 1:
+			v, ok := c.Lookup(o.addr, o.now)
+			return [2]uint32{v, b2u(ok)}
+		case 2:
+			return [2]uint32{0, b2u(c.Update(o.addr, o.value))}
+		case 3:
+			return [2]uint32{0, b2u(c.InvalidateOwn(o.addr))}
+		}
+		return [2]uint32{uint32(c.Len()), b2u(c.Valid(o.addr, o.now))}
+	}
+	randOps := func(n int) []op {
+		ops := make([]op, n)
+		for i := range ops {
+			ops[i] = op{kind: rng.Intn(5), addr: cache.Addr(4 * rng.Intn(8)), value: rng.Uint32(), now: uint64(i / 2)}
+		}
+		return ops
+	}
+	for trial := 0; trial < 200; trial++ {
+		dirty := NewLeaseCache(entries, window)
+		for _, o := range randOps(rng.Intn(40)) {
+			apply(dirty, o)
+		}
+		dirty.Reset()
+		fresh := NewLeaseCache(entries, window)
+		// Stale tags would be invisible to the ops below (LRU evicts them
+		// first), so the state itself is compared too.
+		if !reflect.DeepEqual(dirty, fresh) {
+			t.Fatalf("trial %d: reset cache state differs from a new cache's", trial)
+		}
+		for i, o := range randOps(40) {
+			if got, want := apply(dirty, o), apply(fresh, o); got != want {
+				t.Fatalf("trial %d op %d %+v: reset cache %v, new cache %v", trial, i, o, got, want)
+			}
+		}
+		if dirty.Len() != fresh.Len() || dirty.Window() != fresh.Window() {
+			t.Fatalf("trial %d: reset cache Len %d Window %d, new %d %d", trial, dirty.Len(), dirty.Window(), fresh.Len(), fresh.Window())
+		}
+	}
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestLeaseViewZeroValue: the zero view is never valid, so non-caching

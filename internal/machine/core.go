@@ -16,7 +16,9 @@ import (
 // context is a thread's architectural state — exactly what a hardware
 // migration serializes (isa.ContextBits worth) — plus the runtime routing
 // metadata and the per-thread decision-unit state that ride with it on the
-// wire (transport.Context).
+// wire (transport.Context). Each Part owns one context per thread slot
+// (Part.ctxs) and reuses it on every arrival, like the fixed context
+// registers the hardware ships between.
 type context struct {
 	thread int
 	pc     int32
@@ -37,18 +39,23 @@ type context struct {
 
 	// pred is the thread's decision predictor; its state migrates with the
 	// context (transport.Context.Sched), so stateful schemes work across
-	// cores and across node processes without any shared tables.
-	pred core.Predictor
+	// cores and across node processes without any shared tables. sched is
+	// the slot's reusable buffer for that wire state.
+	pred  core.Predictor
+	sched []byte
 	// lease is the thread's read cache for remote words under a caching
 	// scheme (nil otherwise). It is machine state, not predictor state: it
-	// is dropped on every departure and starts empty on every arrival, so
-	// it never rides the wire. Guarded by the residing core's leaseMu —
+	// is unregistered on every departure and reset on every arrival, so it
+	// never rides the wire. Guarded by the residing core's leaseMu —
 	// the home shard's write-updates arrive on handler goroutines.
 	lease *core.LeaseCache
 	// observed marks a context shipped mid-instruction: the access at pc
 	// was fed to pred.Observe before the migration, and the re-execution at
 	// the home core must not observe it a second time.
 	observed bool
+	// live marks the slot as holding the thread's one resident context:
+	// set on arrival, cleared on departure before the send.
+	live bool
 }
 
 // archContext extracts the architectural half of a context.
@@ -151,9 +158,9 @@ func (n *coreNode) adoptLease(c *context) {
 	n.leaseMu.Unlock()
 }
 
-// dropLease retires a departing context's lease cache: migration,
-// eviction, halt, or transport teardown. The cache is discarded with the
-// registration — a re-arrival starts empty, which is the determinism
+// dropLease unregisters a departing context's lease cache: migration,
+// eviction, halt, or transport teardown. The slot keeps the cache and
+// fromWire resets it — a re-arrival starts empty, which is the determinism
 // contract (lease state never rides the wire).
 func (n *coreNode) dropLease(c *context) {
 	if c.lease == nil {
@@ -162,7 +169,6 @@ func (n *coreNode) dropLease(c *context) {
 	n.leaseMu.Lock()
 	delete(n.leases, c.thread)
 	n.leaseMu.Unlock()
-	c.lease = nil
 }
 
 // applyLeaseUpdate delivers one home-shard write-update to every resident
@@ -216,16 +222,18 @@ func (n *coreNode) loop() {
 			n.flush()
 			select {
 			case c := <-n.evictIn:
-				n.acceptNative(n.p.fromWire(c))
+				n.acceptNative(n.p.fromWire(n.id, c))
 			case c := <-n.migIn:
-				n.acceptGuest(n.p.fromWire(c))
+				n.acceptGuest(n.p.fromWire(n.id, c))
 			case <-n.p.done:
 				return
 			}
 			continue
 		}
+		// Pop in place: re-slicing would shed capacity at the front and
+		// make every later append allocate.
 		c := n.runq[0]
-		n.runq = n.runq[1:]
+		n.runq = n.runq[:copy(n.runq, n.runq[1:])]
 		// The popped context stays resident (and counted in guests) while it
 		// executes; execGuest marks it so the pool invariant covers it.
 		n.execGuest = c.native != n.id
@@ -256,13 +264,13 @@ func (n *coreNode) drain() {
 	for {
 		select {
 		case c := <-n.evictIn:
-			n.acceptNative(n.p.fromWire(c))
+			n.acceptNative(n.p.fromWire(n.id, c))
 			continue
 		default:
 		}
 		select {
 		case c := <-n.migIn:
-			n.acceptGuest(n.p.fromWire(c))
+			n.acceptGuest(n.p.fromWire(n.id, c))
 			continue
 		default:
 		}
@@ -328,6 +336,7 @@ func (n *coreNode) evictOneGuest() *context {
 			n.ctr.guests.Store(int64(n.guests))
 			n.ctr.evictions.Add(1)
 			n.dropLease(g)
+			g.live = false
 			// The eviction traversal is charged to the evicted context (its
 			// thread caused the residency), before serialization so the wire
 			// carries the updated accumulators.
@@ -358,9 +367,11 @@ func (n *coreNode) requeue(c *context) {
 
 // guestDeparted retires the executing context from the core: it migrated
 // away, halted, or was lost to transport teardown. Guests leave the
-// resident count here.
+// resident count here. A departing context is retired before it is sent:
+// from the send on, the receiving core owns the slot.
 func (n *coreNode) guestDeparted(c *context) {
 	n.dropLease(c)
+	c.live = false
 	if c.native != n.id {
 		n.guests--
 		n.ctr.guests.Store(int64(n.guests))
@@ -453,10 +464,10 @@ func (n *coreNode) execute(c *context) {
 					c.msgs++
 					w := n.p.toWire(c)
 					n.ctr.contextFlits.Add(contextFlits(w))
+					n.guestDeparted(c)
 					// A send error means the transport was torn down mid-run;
 					// either way the context has left this core.
 					_ = n.p.tr.SendMigration(home, w) //em2:errsink-ok: teardown mid-run; the run's failure surfaces at the halt barrier
-					n.guestDeparted(c)
 					return
 				}
 				if in.IsWrite() {
@@ -494,8 +505,10 @@ func (n *coreNode) execute(c *context) {
 			c.pred.Flush() // end of the thread's access stream
 			// Depart before reporting: whoever awaits the halt may sample the
 			// machine at once and must find the guest gauge already settled.
+			// The report is built first, while the slot is still ours.
+			h := transport.HaltMsg{Thread: c.thread, Regs: c.regs, Cycles: c.cycles, Msgs: c.msgs}
 			n.guestDeparted(c)
-			n.p.onHalt(transport.HaltMsg{Thread: c.thread, Regs: c.regs, Cycles: c.cycles, Msgs: c.msgs})
+			n.p.onHalt(h)
 			return
 		}
 		executeALU(c, in)

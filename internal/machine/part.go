@@ -119,7 +119,11 @@ type Part struct {
 	// rewritten while one of its contexts is resident or in flight (the
 	// JobAck barrier orders installation before injection; a halt report
 	// orders completion before reuse).
-	specs    []atomic.Pointer[ThreadSpec]
+	specs []atomic.Pointer[ThreadSpec]
+	// ctxs holds one reusable context per thread slot: at most one context
+	// per thread is live system-wide, so every arrival lands in its slot
+	// (fromWire) and a hand-off allocates nothing.
+	ctxs     []context
 	onHalt   func(transport.HaltMsg)
 	done     chan struct{}
 	stopOnce sync.Once
@@ -254,6 +258,7 @@ func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 
 func (p *Part) start(onHalt func(transport.HaltMsg)) error {
 	p.onHalt = onHalt
+	p.ctxs = make([]context, len(p.specs))
 	for _, id := range p.tr.Owned() {
 		n := &coreNode{
 			id:      id,
@@ -417,7 +422,10 @@ func (p *Part) MemImage() map[uint32]uint32 {
 }
 
 // toWire serializes a resident context for the transport, including the
-// thread's predictor state and instruction-progress flag.
+// thread's predictor state and instruction-progress flag. The predictor
+// state is appended into the slot's reusable sched buffer, so Sched aliases
+// the slot: the sender must retire the context before the send (the
+// receiving core may overwrite the slot as soon as it arrives).
 func (p *Part) toWire(c *context) transport.Context {
 	w := transport.Context{
 		Thread: int32(c.thread),
@@ -431,16 +439,19 @@ func (p *Part) toWire(c *context) transport.Context {
 		w.Flags |= transport.FlagObserved
 	}
 	if c.pred.StateLen() > 0 {
-		w.Sched = c.pred.AppendState(make([]byte, 0, c.pred.StateLen()))
+		c.sched = c.pred.AppendState(c.sched[:0])
+		w.Sched = c.sched
 	}
 	return w
 }
 
-// fromWire rebuilds a resident context from its wire form; the program is
-// looked up locally because code is replicated to every part, and the
-// predictor is rebuilt from the scheme plus the shipped state (an empty
-// Sched — the coordinator's initial injection — yields a fresh predictor).
-func (p *Part) fromWire(w transport.Context) *context {
+// fromWire lands a context in its thread's slot, rebuilding every field
+// from the wire form; the program is looked up locally because code is
+// replicated to every part. The slot's predictor takes the shipped state; a
+// fresh one is built only when the slot has none or Sched is empty (the
+// coordinator's initial injection, so every serve job starts fresh). The
+// slot's lease cache is reset: lease state never rides the wire.
+func (p *Part) fromWire(at geom.CoreID, w transport.Context) *context {
 	t := int(w.Thread)
 	if t < 0 || t >= len(p.specs) {
 		panic(fmt.Sprintf("machine: context for unknown thread %d", t))
@@ -452,7 +463,16 @@ func (p *Part) fromWire(w transport.Context) *context {
 		// job's retirement): protocol corruption, fail loudly.
 		panic(fmt.Sprintf("machine: context for thread slot %d with no installed spec", t))
 	}
-	pred := p.cfg.Scheme.NewPredictor(t)
+	c := &p.ctxs[t]
+	if c.live {
+		// At most one context per thread is in flight system-wide; a second
+		// arrival would alias the resident one.
+		panic(fmt.Sprintf("machine: thread %d arrived at core %d while its context is still live on this part", t, at))
+	}
+	pred, lease := c.pred, c.lease
+	if pred == nil || len(w.Sched) == 0 {
+		pred = p.cfg.Scheme.NewPredictor(t)
+	}
 	if len(w.Sched) > 0 {
 		if err := pred.SetState(w.Sched); err != nil {
 			// Undecodable predictor state is protocol corruption (scheme
@@ -461,7 +481,17 @@ func (p *Part) fromWire(w transport.Context) *context {
 			panic(fmt.Sprintf("machine: thread %d predictor state: %v", t, err))
 		}
 	}
-	c := &context{
+	if p.leaseWindow != 0 {
+		// Every arrival starts with an empty lease cache — the trace-model
+		// oracle drops the cache at the same points, which is what keeps
+		// hit/miss sequences identical.
+		if lease == nil {
+			lease = core.NewLeaseCache(core.DefaultLeaseEntries, p.leaseWindow)
+		} else {
+			lease.Reset()
+		}
+	}
+	*c = context{
 		thread:   t,
 		pc:       w.Arch.PC,
 		regs:     w.Arch.Regs,
@@ -471,13 +501,10 @@ func (p *Part) fromWire(w transport.Context) *context {
 		cycles:   w.Cycles,
 		msgs:     w.Msgs,
 		pred:     pred,
+		sched:    c.sched,
+		lease:    lease,
 		observed: w.Flags&transport.FlagObserved != 0,
-	}
-	if p.leaseWindow != 0 {
-		// Every arrival starts with an empty lease cache (lease state never
-		// rides the wire) — the trace-model oracle drops the cache at the
-		// same points, which is what keeps hit/miss sequences identical.
-		c.lease = core.NewLeaseCache(core.DefaultLeaseEntries, p.leaseWindow)
+		live:     true,
 	}
 	return c
 }

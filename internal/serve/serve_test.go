@@ -575,3 +575,98 @@ func TestClusterStuckJobTimeoutNamesNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestServeSlotReuseStateFree pins that a serve slot carries nothing from
+// one job to the next. A Part keeps one context object per slot and reuses
+// it on every arrival, so a job run in the slots (and region) of an earlier,
+// different job must report exactly what it reports on a fresh machine: the
+// same halts (Regs, Cycles, Msgs) and the same lease counters, under both
+// stateful schemes, on the channel and the 2-node TCP backend.
+func TestServeSlotReuseStateFree(t *testing.T) {
+	t.Parallel()
+	for _, scheme := range []string{"history:2", "hybrid:64"} {
+		cfg := testCfg(1)
+		cfg.Workload, cfg.Scheme = "rand-priv", scheme
+		cfg = cfg.withDefaults()
+		// Both jobs use region 1, as the pool hands it out again after a
+		// retirement, so stale predictor or lease state would meet its pages.
+		prev, job := mustBuildJob(t, cfg, 0), mustBuildJob(t, cfg, 1)
+		for _, nodes := range []int{0, 2} {
+			fresh := runJobs(t, cfg, nodes, job)
+			reused := runJobs(t, cfg, nodes, prev, job)
+			if fresh.lease != reused.lease {
+				t.Errorf("%s, %d nodes: lease hits/misses/invals %v on a reused slot, %v on a fresh one",
+					scheme, nodes, reused.lease, fresh.lease)
+			}
+			for i := range fresh.halts {
+				if fresh.halts[i] != reused.halts[i] {
+					t.Errorf("%s, %d nodes, slot %d: halt %+v on a reused slot, %+v on a fresh one",
+						scheme, nodes, i, reused.halts[i], fresh.halts[i])
+				}
+			}
+		}
+	}
+}
+
+func mustBuildJob(t *testing.T, cfg Config, i int) *Job {
+	t.Helper()
+	j, err := buildJob(cfg, i, RegionBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// jobOutcome is what one job leaves behind: its halts and the lease
+// counters (hits, misses, own-write invalidations) it moved.
+type jobOutcome struct {
+	halts []transport.HaltMsg
+	lease [3]int64
+}
+
+// runJobs runs jobs one after another on a new backend (channel when nodes
+// is 0, else a loopback TCP cluster) and returns the last job's outcome.
+func runJobs(t *testing.T, cfg Config, nodes int, jobs ...*Job) jobOutcome {
+	t.Helper()
+	var be Backend
+	join := func() error { return nil }
+	var err error
+	if nodes == 0 {
+		be, err = NewLocalBackend(cfg)
+	} else {
+		var man transport.Manifest
+		if man, join, err = machine.Loopback(nodes, cfg.W, cfg.H); err == nil {
+			be, err = NewClusterBackend(cfg, man)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := func() [3]int64 {
+		s, err := be.Sample()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := transport.SumMetrics(s.PerCore)
+		return [3]int64{m.LeaseHits, m.LeaseMisses, m.LeaseInvals}
+	}
+	var out jobOutcome
+	for _, j := range jobs {
+		before := leases()
+		if out.halts, err = be.RunJob(j, cfg.Timeout); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = be.Retire(j, cfg.Timeout); err != nil {
+			t.Fatal(err)
+		}
+		after := leases()
+		for i := range out.lease {
+			out.lease[i] = after[i] - before[i]
+		}
+	}
+	be.Close()
+	if err := join(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
