@@ -290,7 +290,7 @@ func (n *coreNode) acceptNative(c *context) {
 
 // acceptGuest implements Figure 1's "# threads exceeded?" box: if the guest
 // pool is full, a resident guest is evicted to its native core on the
-// eviction channel (which has capacity for every thread in the system, so
+// eviction channel (which has capacity for every native of that core, so
 // this send cannot block — the deadlock-freedom argument). The currently
 // executing guest cannot be displaced mid-instruction; when it is the only
 // remaining guest the arrival is accepted anyway (refusing would deadlock
@@ -342,7 +342,7 @@ func (n *coreNode) evictOneGuest() *context {
 			// carries the updated accumulators.
 			g.cycles += n.shipCost(g, n.p.cfg.Mesh.Hops(n.id, g.native))
 			g.msgs++
-			// Eviction inboxes hold every thread in the system, so this
+			// Eviction inboxes hold every native of their core, so this
 			// send never blocks (in-process) / never stalls the wire (TCP).
 			w := n.p.toWire(g)
 			n.ctr.contextFlits.Add(contextFlits(w))
@@ -381,9 +381,10 @@ func (n *coreNode) guestDeparted(c *context) {
 }
 
 // execute runs a context for up to one quantum. The context either stays
-// (requeued), halts, or migrates away.
+// (requeued), halts, or migrates away; each exit publishes sc first.
 func (n *coreNode) execute(c *context) {
 	prog := c.spec.Program
+	var sc sliceCounts
 	for step := 0; step < n.p.cfg.Quantum; step++ {
 		if c.pc < 0 || int(c.pc) >= len(prog) {
 			panic(fmt.Sprintf("machine: thread %d pc %d outside program of %d instructions",
@@ -392,7 +393,7 @@ func (n *coreNode) execute(c *context) {
 		in := prog[c.pc]
 		if in.IsMem() {
 			addr := c.regs[in.Rs] + uint32(in.Imm)
-			home := n.p.place.touch(cache.Addr(addr), c.native)
+			home := n.p.place.Touch(cache.Addr(addr), c.native)
 			// Ground truth reaches the predictor exactly once per access,
 			// before the decision — the same Observe-then-Decide order the
 			// trace engine uses, which is what makes runtime decision
@@ -432,11 +433,11 @@ func (n *coreNode) execute(c *context) {
 							panic(fmt.Sprintf("machine: scheme %q answered cached-read for a lease miss", n.p.cfg.Scheme.Name()))
 						}
 						writeReg(c, in.Rd, v)
-						n.ctr.leaseHits.Add(1)
+						sc.leaseHits++
 						c.memSeq++
 						c.observed = false
 						c.pc++
-						n.ctr.instructions.Add(1)
+						sc.instructions++
 						c.cycles++
 						continue
 					}
@@ -447,7 +448,7 @@ func (n *coreNode) execute(c *context) {
 					// cache is dropped on departure, matching the trace
 					// model's migrate arm.
 					if in.IsWrite() && dec != core.Migrate && c.lease.InvalidateOwn(cache.Addr(addr)) {
-						n.ctr.leaseInvals.Add(1)
+						sc.leaseInvals++
 					}
 					n.leaseMu.Unlock()
 				} else {
@@ -464,6 +465,7 @@ func (n *coreNode) execute(c *context) {
 					c.msgs++
 					w := n.p.toWire(c)
 					n.ctr.contextFlits.Add(contextFlits(w))
+					n.ctr.publish(&sc)
 					n.guestDeparted(c)
 					// A send error means the transport was torn down mid-run;
 					// either way the context has left this core.
@@ -471,50 +473,53 @@ func (n *coreNode) execute(c *context) {
 					return
 				}
 				if in.IsWrite() {
-					n.ctr.remoteWrites.Add(1)
+					sc.remoteWrites++
 				} else {
-					n.ctr.remoteReads.Add(1)
+					sc.remoteReads++
 				}
 				if dec == core.RemoteReadCached {
 					// A lease-requesting read: counted as a remote read AND a
 					// lease miss; the reply travels as the slightly larger
 					// FrameLeaseRep.
 					leased = true
-					n.ctr.leaseMisses.Add(1)
+					sc.leaseMisses++
 					c.cycles += leasedRemoteCost(n.p.cfg.Mesh.Hops(n.id, home))
 				} else {
 					c.cycles += remoteCost(n.p.cfg.Mesh.Hops(n.id, home))
 				}
 				c.msgs += 2 // request out, reply back
 			} else {
-				n.ctr.localOps.Add(1)
+				sc.localOps++
 			}
 			if !n.applyMem(c, in, addr, home, leased) {
+				n.ctr.publish(&sc)
 				n.guestDeparted(c) // run lost to transport teardown
 				return
 			}
 			c.observed = false // the access completed; the next one is fresh
 			c.pc++
-			n.ctr.instructions.Add(1)
+			sc.instructions++
 			c.cycles++
 			continue
 		}
 		if in.Op == isa.HALT {
-			n.ctr.instructions.Add(1)
+			sc.instructions++
 			c.cycles++
 			c.pred.Flush() // end of the thread's access stream
 			// Depart before reporting: whoever awaits the halt may sample the
 			// machine at once and must find the guest gauge already settled.
 			// The report is built first, while the slot is still ours.
 			h := transport.HaltMsg{Thread: c.thread, Regs: c.regs, Cycles: c.cycles, Msgs: c.msgs}
+			n.ctr.publish(&sc)
 			n.guestDeparted(c)
 			n.p.onHalt(h)
 			return
 		}
 		executeALU(c, in)
-		n.ctr.instructions.Add(1)
+		sc.instructions++
 		c.cycles++
 	}
+	n.ctr.publish(&sc)
 	n.requeue(c)
 }
 

@@ -53,7 +53,7 @@ import (
 type Config struct {
 	Mesh          geom.Mesh
 	GuestContexts int              // guest contexts per core; 0 = unlimited
-	Placement     placement.Policy // wrapped with a lock internally
+	Placement     placement.Policy // must be safe for concurrent use; every internal/placement policy is
 	Scheme        core.Scheme      // nil = pure EM² (always migrate); NewPredictor must be safe for concurrent use (predictor state is per thread and migrates with the context)
 	Quantum       int              // instructions per scheduling slice (default 64)
 	LogEvents     bool             // record memory events for the SC checker
@@ -137,8 +137,11 @@ func New(cfg Config, numThreads int) (*Machine, error) {
 	if numThreads <= 0 {
 		return nil, fmt.Errorf("machine: need at least one thread")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	tr := transport.NewLocal(cfg.Mesh.Cores(), numThreads)
-	part, err := NewPart(cfg, tr) // NewPart validates cfg
+	part, err := NewPart(cfg, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +177,7 @@ func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := newResult(m.part.Collect(0), halts)
+	res := newResult(m.part.collectState(0), halts)
 	return &res, nil
 }
 
@@ -201,7 +204,7 @@ func (m *Machine) run(threads []ThreadSpec, timeout time.Duration) ([]transport.
 		return nil, err
 	}
 	m.ran = true
-	// The eviction inboxes are sized for every thread, so injection cannot
+	// Each eviction inbox holds its core's natives, so injection cannot
 	// block, and there is no death channel.
 	err := Inject(threads, m.tr.Cores(), m.tr.SendEviction)
 	var got []transport.HaltMsg

@@ -14,29 +14,12 @@ import (
 	"repro/internal/transport"
 )
 
-// lockedPolicy makes any placement.Policy safe for concurrent Touch.
-type lockedPolicy struct {
-	mu sync.Mutex
-	p  placement.Policy
-}
-
-func (l *lockedPolicy) touch(a cache.Addr, by geom.CoreID) geom.CoreID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.p.Touch(a, by)
-}
-
-// peek resolves a's current home without binding: a read-only lookup for
-// inspection APIs, which must never perturb a dynamic placement.
-func (l *lockedPolicy) peek(a cache.Addr) (geom.CoreID, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.p.HomeOf(a)
-}
-
 // coreCounters is one core's runtime metrics. Each counter is written only
 // by its core's own goroutine, so the atomics are uncontended; they exist
-// so Collect can read a consistent snapshot from another goroutine.
+// so Collect and Sample can read them from another goroutine. Those in
+// sliceCounts are published once per execution slice, before its send, halt
+// report, departure or requeue, which every deterministic sample point
+// follows; an advisory heartbeat sample may lag by one slice.
 type coreCounters struct {
 	instructions atomic.Int64
 	localOps     atomic.Int64
@@ -54,6 +37,30 @@ type coreCounters struct {
 	// counter) — Sample carries it separately, and it must read zero
 	// whenever the machine is quiescent.
 	guests atomic.Int64
+}
+
+// sliceCounts is one execution slice's per-instruction counts.
+type sliceCounts struct {
+	instructions, localOps, remoteReads, remoteWrites int64
+	leaseHits, leaseMisses, leaseInvals               int64
+}
+
+// publish adds one slice's counts to the core's counters.
+func (c *coreCounters) publish(s *sliceCounts) {
+	addNonZero(&c.instructions, s.instructions)
+	addNonZero(&c.localOps, s.localOps)
+	addNonZero(&c.remoteReads, s.remoteReads)
+	addNonZero(&c.remoteWrites, s.remoteWrites)
+	addNonZero(&c.leaseHits, s.leaseHits)
+	addNonZero(&c.leaseMisses, s.leaseMisses)
+	addNonZero(&c.leaseInvals, s.leaseInvals)
+}
+
+// addNonZero spares the atomic for the counters most slices leave at zero.
+func addNonZero(a *atomic.Int64, n int64) {
+	if n != 0 {
+		a.Add(n)
+	}
 }
 
 // metrics snapshots the counters for the Collect control plane.
@@ -96,7 +103,7 @@ func contextFlits(w transport.Context) int64 {
 type Part struct {
 	cfg   Config
 	tr    transport.Transport
-	place *lockedPolicy
+	place placement.Policy
 	// shards is indexed by core id — the hottest lookup in the machine —
 	// with nil entries for cores other endpoints own.
 	shards []*shard
@@ -168,7 +175,7 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 	p := &Part{
 		cfg:         cfg,
 		tr:          tr,
-		place:       &lockedPolicy{p: cfg.Placement},
+		place:       cfg.Placement,
 		shards:      make([]*shard, tr.Cores()),
 		ctr:         make([]coreCounters, tr.Cores()),
 		nodeOf:      make([]atomic.Pointer[coreNode], tr.Cores()),
@@ -207,7 +214,7 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 // home, binding the page to `by` under dynamic placements. Safe to call on
 // every part of a cluster with the full image: each keeps only its slice.
 func (p *Part) Preload(addr uint32, value uint32, by geom.CoreID) {
-	home := p.place.touch(cache.Addr(addr), by)
+	home := p.place.Touch(cache.Addr(addr), by)
 	if s := p.shards[home]; s != nil {
 		s.apply(transport.MemRequest{Thread: -1, Op: transport.OpWrite, Addr: addr, Arg: value})
 	}
@@ -219,7 +226,7 @@ func (p *Part) Preload(addr uint32, value uint32, by geom.CoreID) {
 // core 0 as a side effect of inspection), so an unbound address reports
 // not-homed.
 func (p *Part) Peek(addr uint32) (uint32, bool) {
-	home, ok := p.place.peek(cache.Addr(addr))
+	home, ok := p.place.HomeOf(cache.Addr(addr))
 	if !ok {
 		return 0, false
 	}
@@ -354,10 +361,18 @@ func (p *Part) Sample() (transport.Sample, error) {
 // counters, the event logs of its shards in core order, and its slice of
 // the memory image.
 func (p *Part) Collect(node int) transport.CollectReply {
+	rep := p.collectState(node)
+	rep.Mem = p.MemImage()
+	return rep
+}
+
+// collectState is Collect without the memory image, for Machine.Run, which
+// reads only counters and events.
+func (p *Part) collectState(node int) transport.CollectReply {
 	rep := transport.CollectReply{Node: node, PerCore: make([]transport.CoreMetrics, 0, len(p.tr.Owned()))}
 	for _, id := range p.tr.Owned() {
-		mem, events := p.shards[id].snapshot()
-		rep.Grow(events, mem, p.ctr[id].metrics(id))
+		rep.PerCore = append(rep.PerCore, p.ctr[id].metrics(id))
+		rep.Events = p.shards[id].appendEvents(rep.Events)
 	}
 	rep.Counters = stats.CounterMap(transport.SumMetrics(rep.PerCore))
 	return rep
@@ -375,8 +390,11 @@ func (p *Part) CollectChunked(node int, emit func(transport.CollectChunk) error)
 	for _, id := range p.tr.Owned() {
 		m := p.ctr[id].metrics(id)
 		agg = agg.Add(m)
-		mem, events := p.shards[id].snapshot()
-		if err := emit(transport.CollectChunk{Node: node, PerCore: &m, Events: events, Mem: mem}); err != nil {
+		s := p.shards[id]
+		words, _ := s.gauges()
+		mem := make(map[uint32]uint32, words)
+		s.imageInto(mem)
+		if err := emit(transport.CollectChunk{Node: node, PerCore: &m, Events: s.appendEvents(nil), Mem: mem}); err != nil {
 			return err
 		}
 	}
@@ -409,14 +427,16 @@ func (p *Part) ReclaimRegion(lo, hi uint32) ([]transport.Event, int) {
 }
 
 // MemImage returns a copy of every word this part's shards hold, without
-// duplicating event logs or counters.
+// duplicating event logs or counters, in one map sized for all shards.
 func (p *Part) MemImage() map[uint32]uint32 {
-	out := make(map[uint32]uint32)
+	words := int64(0)
 	for _, id := range p.tr.Owned() {
-		//em2:unordered-ok: shard images are address-disjoint (single-home invariant); merge order cannot matter
-		for a, v := range p.shards[id].image() {
-			out[a] = v
-		}
+		w, _ := p.shards[id].gauges()
+		words += w
+	}
+	out := make(map[uint32]uint32, words)
+	for _, id := range p.tr.Owned() {
+		p.shards[id].imageInto(out)
 	}
 	return out
 }

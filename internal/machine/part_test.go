@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/geom"
+	"repro/internal/isa"
 	"repro/internal/placement"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -68,5 +70,67 @@ func TestSampleEncodeZeroAlloc(t *testing.T) {
 		buf = telemetry.AppendSamplePoints(buf[:0], &s, 1)
 	}); n != 0 {
 		t.Errorf("SampleInto + AppendSamplePoints into reused storage: %.0f allocs, want 0", n)
+	}
+}
+
+// TestCountersPublishedBeforeHalt: per-instruction counters reach the
+// core's atomics once per execution slice, and the halting slice's before
+// the halt report, so a driver that samples the moment a thread halts sees
+// every instruction it ran.
+func TestCountersPublishedBeforeHalt(t *testing.T) {
+	tr := transport.NewLocal(1, 1)
+	part, err := NewPart(Config{Mesh: geom.NewMesh(1, 1), Placement: placement.NewStriped(64, 1)}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One slice: two local memory ops among four instructions.
+	threads := []ThreadSpec{{Program: isa.MustAssemble(`
+		addi r1, r0, 1
+		sw   r1, 0(r0)
+		lw   r2, 0(r0)
+		halt
+	`)}}
+	seen := make(chan transport.CoreMetrics, 1)
+	if err := part.Start(threads, func(transport.HaltMsg) {
+		s, _ := part.Sample()
+		seen <- s.PerCore[0]
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Inject(threads, 1, tr.SendEviction); err != nil {
+		t.Fatal(err)
+	}
+	got := <-seen
+	part.Stop()
+	if got.Instructions != 4 || got.LocalOps != 2 {
+		t.Fatalf("sampled at the halt report: %d instructions, %d local ops; want 4 and 2", got.Instructions, got.LocalOps)
+	}
+}
+
+// TestMachineRunCopiesNoImage: Machine.Run returns counters, registers and
+// events, never the memory image, so it must not copy the image either —
+// the allocations of a run cannot grow with the words preloaded.
+func TestMachineRunCopiesNoImage(t *testing.T) {
+	mallocs := func(words int) uint64 {
+		m, err := New(Config{Mesh: geom.NewMesh(2, 2), Placement: placement.NewStriped(64, 4)}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < words; a++ {
+			m.Preload(uint32(4*a), 1, 0)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.Run([]ThreadSpec{{Program: isa.MustAssemble("halt")}}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	// The fewest of three runs each, so a stray runtime allocation cannot
+	// decide the verdict.
+	least := func(words int) uint64 { return min(mallocs(words), mallocs(words), mallocs(words)) }
+	if small, large := least(1), least(50_000); large > small+16 {
+		t.Errorf("Machine.Run: %d allocations with 50 000 preloaded words, %d with one; the image is being copied", large, small)
 	}
 }

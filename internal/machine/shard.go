@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/geom"
@@ -57,7 +58,10 @@ func newShard(home geom.CoreID, log bool) *shard {
 func (s *shard) apply(req transport.MemRequest) (transport.MemReply, []transport.LeaseInval) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.mem[req.Addr]
+	var old uint32 // a plain write never reads it: one hash, not two
+	if req.Op != transport.OpWrite {
+		old = s.mem[req.Addr]
+	}
 	var rep transport.MemReply
 	var invals []transport.LeaseInval
 	e := Event{Addr: req.Addr}
@@ -190,30 +194,20 @@ func (s *shard) peek(addr uint32) uint32 {
 	return s.mem[addr]
 }
 
-// snapshot copies the shard's memory contents and event log under the
-// lock. Collection can overlap the tail of remote-request handler
-// goroutines (their appends happen before the requester's next step, but
-// that ordering crosses the wire, not this process's memory model), so the
-// reader must take the same mutex the writers do.
-func (s *shard) snapshot() (map[uint32]uint32, []Event) {
+// imageInto copies the shard's words into dst; shards are address-disjoint
+// (single home), so several can fill one map. Collection can overlap the
+// tail of remote-request handler goroutines (their appends happen before
+// the requester's next step, but that ordering crosses the wire, not this
+// process's memory model), so the collect readers take the writers' mutex.
+func (s *shard) imageInto(dst map[uint32]uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.imageLocked(), append([]Event(nil), s.events...)
+	maps.Copy(dst, s.mem)
 }
 
-// image copies only the memory contents, for callers that do not want the
-// event log duplicated.
-func (s *shard) image() map[uint32]uint32 {
+// appendEvents appends the shard's event log to dst under the lock.
+func (s *shard) appendEvents(dst []Event) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.imageLocked()
-}
-
-func (s *shard) imageLocked() map[uint32]uint32 {
-	m := make(map[uint32]uint32, len(s.mem))
-	//em2:unordered-ok: map-to-map copy; the result is order-independent
-	for a, v := range s.mem {
-		m[a] = v
-	}
-	return m
+	return append(dst, s.events...)
 }

@@ -7,10 +7,13 @@
 // All policies operate at page granularity (first-touch is an OS-page
 // mechanism) except Striped, which interleaves at line granularity like a
 // conventional S-NUCA address hash.
+// Every policy is safe for concurrent use, as the machine's cores touch at
+// once: the static ones are pure functions and FirstTouch locks its pages.
 package placement
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/geom"
@@ -22,7 +25,7 @@ type Addr = cache.Addr
 // Policy maps addresses to home cores. Touch is called in trace order by
 // the simulators; for dynamic policies (first-touch) the first Touch of a
 // page binds it to the accessing core, while static policies ignore the
-// accessor.
+// accessor. Implementations must be safe for concurrent use.
 type Policy interface {
 	// Touch returns the home of a, assigning it first if the policy is
 	// dynamic and a's page is unassigned. by is the core performing the
@@ -44,6 +47,7 @@ const DefaultPageBytes = 4096
 // unusable; construct with NewFirstTouch.
 type FirstTouch struct {
 	pageBytes Addr
+	mu        sync.Mutex
 	pages     map[Addr]geom.CoreID
 }
 
@@ -64,6 +68,8 @@ func (f *FirstTouch) page(a Addr) Addr { return a / f.pageBytes }
 // Touch implements Policy.
 func (f *FirstTouch) Touch(a Addr, by geom.CoreID) geom.CoreID {
 	p := f.page(a)
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if home, ok := f.pages[p]; ok {
 		return home
 	}
@@ -73,15 +79,14 @@ func (f *FirstTouch) Touch(a Addr, by geom.CoreID) geom.CoreID {
 
 // HomeOf implements Policy.
 func (f *FirstTouch) HomeOf(a Addr) (geom.CoreID, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	home, ok := f.pages[f.page(a)]
 	return home, ok
 }
 
 // Name implements Policy.
 func (f *FirstTouch) Name() string { return "first-touch" }
-
-// Pages returns the number of pages bound so far.
-func (f *FirstTouch) Pages() int { return len(f.pages) }
 
 // Striped interleaves consecutive lines across cores round-robin, the
 // S-NUCA-style static hash used as a placement baseline.

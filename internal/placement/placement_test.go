@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -20,8 +21,50 @@ func TestFirstTouchBindsOnce(t *testing.T) {
 	if home := p.Touch(4096, 9); home != 9 {
 		t.Errorf("new page home = %d, want 9", home)
 	}
-	if p.Pages() != 2 {
-		t.Errorf("Pages = %d", p.Pages())
+	if len(p.pages) != 2 {
+		t.Errorf("%d pages bound, want 2", len(p.pages))
+	}
+}
+
+// TestFirstTouchConcurrent: FirstTouch is the one dynamic policy, and the
+// machine calls it from every core goroutine at once. Goroutines touching
+// and peeking overlapping pages in different orders must bind each page
+// once, to one of its touchers, and all see that same home.
+func TestFirstTouchConcurrent(t *testing.T) {
+	const goroutines, pages = 8, 64
+	f := NewFirstTouch(64)
+	homes := make([][pages]geom.CoreID, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < pages; i++ {
+				// Each goroutine walks the pages in its own order, at its
+				// own offset inside each page.
+				pg := (i*7 + g*5) % pages
+				a := Addr(pg*64 + g)
+				if h, ok := f.HomeOf(a); ok && h >= goroutines {
+					t.Errorf("page %d homed at %d before any toucher bound it", pg, h)
+				}
+				homes[g][pg] = f.Touch(a, geom.CoreID(g))
+			}
+		}()
+	}
+	wg.Wait()
+	if len(f.pages) != pages {
+		t.Fatalf("%d pages bound, want %d", len(f.pages), pages)
+	}
+	for pg := 0; pg < pages; pg++ {
+		home, ok := f.HomeOf(Addr(pg * 64))
+		if !ok || home >= goroutines {
+			t.Fatalf("page %d: home %d, %v; want one of its touchers", pg, home, ok)
+		}
+		for g := range homes {
+			if homes[g][pg] != home {
+				t.Errorf("page %d: goroutine %d saw home %d, HomeOf says %d", pg, g, homes[g][pg], home)
+			}
+		}
 	}
 }
 

@@ -19,9 +19,9 @@ type Local struct {
 	invH  func(inv LeaseInval)
 }
 
-// NewLocal builds an in-process transport for the given core count. Both
-// inboxes of every core get capacity for all numThreads threads, which is
-// what makes eviction sends (and therefore guest acceptance) non-blocking.
+// NewLocal builds an in-process transport for the given core count. A
+// migration inbox holds all numThreads threads and an eviction inbox the
+// natives of its core: eviction sends, so guest acceptance, never block.
 func NewLocal(cores, numThreads int) *Local {
 	l := &Local{
 		mig:   make([]chan Context, cores),
@@ -30,7 +30,7 @@ func NewLocal(cores, numThreads int) *Local {
 	}
 	for i := range l.mig {
 		l.mig[i] = make(chan Context, numThreads)
-		l.evict[i] = make(chan Context, numThreads)
+		l.evict[i] = make(chan Context, (numThreads+cores-1)/cores)
 		l.owned[i] = geom.CoreID(i)
 	}
 	return l
@@ -59,6 +59,9 @@ func (l *Local) SendMigration(dst geom.CoreID, c Context) error {
 
 // SendEviction implements Transport.
 func (l *Local) SendEviction(dst geom.CoreID, c Context) error {
+	if err := checkEviction(dst, c); err != nil {
+		return err
+	}
 	l.evict[dst] <- c
 	return nil
 }

@@ -581,8 +581,8 @@ func (n *Node) failPending(c *conn) {
 // handleFrame dispatches one inbound frame. Data-plane frames wait for
 // Ready — the coordinator's Load always gets through first because it
 // arrives on its own connection — and are delivered into per-core inboxes
-// whose capacity (one slot per thread) guarantees the push never blocks;
-// that is the wire credit that keeps every socket drained even mid-batch.
+// whose capacity (one slot per thread that can arrive) guarantees the push
+// never blocks; that is the wire credit that keeps every socket drained.
 func (n *Node) handleFrame(c *conn, f Frame) error {
 	switch f.Kind {
 	case FrameLoad:
@@ -600,6 +600,11 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 			// A context that does not decode is protocol corruption (version
 			// skew, mangled frame): the thread it carried is gone.
 			return malformedf("context for core %d: %v", f.Dst, err)
+		}
+		if f.Kind == FrameEviction {
+			if err := checkEviction(f.Dst, ctx); err != nil {
+				return malformedf("%v", err)
+			}
 		}
 		if !n.waitReady() {
 			return errStopRead
@@ -750,14 +755,14 @@ func (n *Node) inbox(m map[geom.CoreID]chan Context, core geom.CoreID) chan Cont
 	return ch
 }
 
-// Prepare sizes the per-core inboxes for a run of numThreads threads. It
-// must be called (by the machine part) before Ready.
+// Prepare sizes the per-core inboxes for a run of numThreads threads (an
+// eviction inbox for its core's natives). Call it before Ready.
 func (n *Node) Prepare(numThreads int) {
 	n.mig = make(map[geom.CoreID]chan Context, len(n.owned))
 	n.evict = make(map[geom.CoreID]chan Context, len(n.owned))
 	for _, c := range n.owned {
 		n.mig[c] = make(chan Context, numThreads)
-		n.evict[c] = make(chan Context, numThreads)
+		n.evict[c] = make(chan Context, (numThreads+n.Cores()-1)/n.Cores())
 	}
 }
 

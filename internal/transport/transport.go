@@ -16,10 +16,10 @@
 //     scheduling cycle, so a node ships all ready messages in one syscall.
 //
 // The channel-capacity invariant carries over to the wire: every per-core
-// inbox has capacity for every thread in the system, so an inbound reader
-// never blocks delivering into it — the socket is always drained, writes
-// never stall, and the in-process deadlock-freedom argument becomes a
-// bounded-wire-credit argument (DESIGN.md §6).
+// inbox has capacity for every context that can be sent to it, so an
+// inbound reader never blocks delivering into it — the socket is always
+// drained, writes never stall, and the in-process deadlock-freedom argument
+// becomes a bounded-wire-credit argument (DESIGN.md §6).
 //
 // The control plane is sharded to keep the coordinator off the critical
 // path at paper scale (64–256 cores, 8+ nodes): injection defers into the
@@ -371,9 +371,9 @@ type Transport interface {
 	Owns(core geom.CoreID) bool
 
 	// MigrationIn and EvictionIn return the inbox channels of a locally
-	// owned core. Each has capacity for every thread in the system, so a
-	// delivery never blocks while the machine invariant (at most one
-	// in-flight context per thread) holds.
+	// owned core: capacity for every thread, and for every thread native to
+	// the core, so a delivery never blocks while the machine invariant (at
+	// most one in-flight context per thread) holds.
 	MigrationIn(core geom.CoreID) <-chan Context
 	EvictionIn(core geom.CoreID) <-chan Context
 
@@ -408,4 +408,13 @@ type Transport interface {
 	// HandleLeaseInval installs the function that applies lease updates
 	// to locally owned cores. It must be installed before traffic flows.
 	HandleLeaseInval(h func(inv LeaseInval))
+}
+
+// checkEviction rejects a context evicted to a core it is not native to,
+// which could find that core's natives-sized inbox full.
+func checkEviction(dst geom.CoreID, c Context) error {
+	if c.Native != int32(dst) {
+		return fmt.Errorf("transport: eviction of thread %d to core %d, but its native core is %d", c.Thread, dst, c.Native)
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,6 +118,53 @@ func TestLocalTransport(t *testing.T) {
 	if err != nil || rep.Value != 42 {
 		t.Fatalf("remote = %v, %v", rep, err)
 	}
+}
+
+// TestEvictionToWrongCoreRejected: an eviction inbox holds only its core's
+// natives, so a context evicted to any other core could find it full and
+// block the sender (in process) or wedge the connection reader (TCP). Both
+// transports refuse it before it reaches an inbox.
+func TestEvictionToWrongCoreRejected(t *testing.T) {
+	t.Parallel()
+	c := sampleContext() // thread 3, native to core 1
+	t.Run("local", func(t *testing.T) {
+		l := transport.NewLocal(4, 4)
+		err := l.SendEviction(0, c)
+		if err == nil || !strings.Contains(err.Error(), "thread 3 to core 0") || !strings.Contains(err.Error(), "native core is 1") {
+			t.Errorf("eviction to the wrong core: error %v, want one naming thread 3 and cores 0 and 1", err)
+		}
+		if n := len(l.EvictionIn(0)); n != 0 {
+			t.Errorf("%d contexts reached core 0's eviction inbox", n)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) {
+		t.Parallel()
+		man, err := transport.LocalManifest(2, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := transport.ListenNode(man, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		n.Prepare(4)
+		n.Ready()
+		conn := dialNode(t, man, 0, 1)
+		defer conn.Close()
+		frame := transport.Frame{Kind: transport.FrameEviction, Dst: 0, Ctx: c.EncodeWire()}
+		if _, err := conn.Write(transport.AppendBatch(nil, []transport.Frame{frame})); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-n.ShutdownC():
+		case <-time.After(10 * time.Second):
+			t.Fatal("node accepted an eviction for a core its context is not native to")
+		}
+		if k := len(n.EvictionIn(0)); k != 0 {
+			t.Errorf("%d contexts reached core 0's eviction inbox", k)
+		}
+	})
 }
 
 // TestTCPNodesExchange wires two real Node endpoints plus a Coordinator
