@@ -2,7 +2,7 @@ package transport
 
 // The fixture's round-trip corpus: references FrameA, FrameB and FrameC.
 // FrameD is deliberately absent — framecheck's test-coverage arm reads
-// this file from disk (the loader never compiles fixture test files).
+// this file from disk, as it must for external test packages.
 func roundTripAll() []FrameKind {
 	return []FrameKind{FrameA, FrameB, FrameC}
 }

@@ -15,37 +15,37 @@ type part struct {
 
 func (p *part) flushUnderLock() {
 	p.mu.Lock()
-	p.tr.Flush() // want `p\.tr\.Flush called while p\.mu is held`
+	p.tr.Flush() // want `p\.tr\.Flush called while p\.mu is held` `error result of p\.tr\.Flush is discarded`
 	p.mu.Unlock()
 }
 
 func (p *part) sendUnderDeferredUnlock() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_ = p.tr.SendMigration(1) // want `p\.tr\.SendMigration called while p\.mu is held`
+	_ = p.tr.SendMigration(1) // want `p\.tr\.SendMigration called while p\.mu is held` `error result of p\.tr\.SendMigration is discarded`
 }
 
 func (p *part) sendAfterUnlock() {
 	p.mu.Lock()
 	x := 1
 	p.mu.Unlock()
-	_ = p.tr.SendMigration(x)
+	_ = p.tr.SendMigration(x) // want `error result of p\.tr\.SendMigration is discarded`
 }
 
 func (p *part) branches(cond bool) {
 	if cond {
 		p.mu.Lock()
-		_ = p.tr.Flush() // want `called while p\.mu is held`
+		_ = p.tr.Flush() // want `called while p\.mu is held` `error result of p\.tr\.Flush is discarded`
 		p.mu.Unlock()
 	}
-	_ = p.tr.Flush() // after the branch: nothing held on this path
+	_ = p.tr.Flush() // after the branch: nothing held on this path // want `error result of p\.tr\.Flush is discarded`
 }
 
 // goroutineBody is not entered: the literal runs later, under whatever
 // locks its caller then holds.
 func (p *part) goroutineBody() {
 	p.mu.Lock()
-	go func() { _ = p.tr.Flush() }()
+	go func() { _ = p.tr.Flush() }() // want `error result of p\.tr\.Flush is discarded`
 	p.mu.Unlock()
 }
 
@@ -64,5 +64,5 @@ func (p *part) predFlush() {
 func (p *part) annotated() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_ = p.tr.Flush() // em2:locksend-ok: fixture proves the annotation
+	_ = p.tr.Flush() // em2:locksend-ok: fixture proves the annotation // want `error result of p\.tr\.Flush is discarded`
 }

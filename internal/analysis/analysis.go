@@ -18,9 +18,8 @@
 //     order is randomized) unless the loop is the collect-keys-then-sort
 //     idiom, has no iteration variables, or carries //em2:unordered-ok.
 //   - noclock:    time.Now/Since/Sleep/NewTicker/Tick and package-global
-//     math/rand functions in deterministic packages, minus the allowlisted
-//     wall-clock sites in tcp.go (noclock_allow.txt) and
-//     //em2:wallclock-ok annotations.
+//     math/rand functions in deterministic packages, minus
+//     //em2:wallclock-ok.
 //   - framecheck: every FrameKind constant must appear in the AppendFrame
 //     encode switch, the parseFrame decode switch, and at least one
 //     _test.go file of the package (the round-trip corpus).
@@ -33,10 +32,12 @@
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite could migrate to the real framework if the
 // dependency ever becomes available; everything here is standard library
-// only. The suite is run three ways: `go vet -vettool=em2lint ./...` (the
-// unitchecker subpackage speaks cmd/go's vet protocol), the analysistest
-// fixture corpora, and the full-repo self-check in selfcheck_test.go that
-// keeps the tree lint-clean even without CI.
+// only. The suite has one driver: the unitchecker subpackage, which speaks
+// cmd/go's vet protocol and is built into cmd/em2lint. CI and the tests
+// run that binary the same way, `go vet -vettool=em2lint ./...`: on the
+// tree, which must stay clean, and on the fixture modules under
+// cmd/em2lint/testdata, whose diagnostics must match their `// want`
+// comments.
 package analysis
 
 import (
@@ -81,9 +82,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// All returns the full em2lint suite, ordered by name. cmd/em2lint and the
-// self-check both run exactly this list, so adding an analyzer here is the
-// single registration point.
+// All returns the full em2lint suite, ordered by name. cmd/em2lint runs
+// exactly this list, so adding an analyzer here is the single registration
+// point.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Detrange,
@@ -99,7 +100,7 @@ func All() []*Analyzer {
 // to the bit-identical contract. transport is included whole — its
 // deterministic surfaces (wire encoding, local delivery, collection) are
 // the bulk of the package — with tcp.go's legitimate wall-clock sites
-// carried by the noclock allowlist instead of a package-level exemption.
+// annotated one by one instead of a package-level exemption.
 var deterministicSegments = map[string]bool{
 	"cache":     true,
 	"core":      true,
@@ -116,10 +117,11 @@ var deterministicSegments = map[string]bool{
 }
 
 // deterministicPkg reports whether the package at path is held to the
-// determinism contract.
+// determinism contract. An external test package (transport_test) is held
+// to it like the package it tests.
 func deterministicPkg(path string) bool {
 	for _, seg := range strings.Split(path, "/") {
-		if deterministicSegments[seg] {
+		if deterministicSegments[strings.TrimSuffix(seg, "_test")] {
 			return true
 		}
 	}
@@ -176,19 +178,6 @@ func fileOf(pass *Pass, pos token.Pos) *ast.File {
 		}
 	}
 	return nil
-}
-
-// funcFor returns the name of the innermost function declaration enclosing
-// pos ("" outside any). Function literals report their enclosing
-// declaration: an allowlist names the human-visible site.
-func funcFor(f *ast.File, pos token.Pos) string {
-	name := ""
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos < fd.End() {
-			name = fd.Name.Name
-		}
-	}
-	return name
 }
 
 // calleeFunc resolves a call expression to the *types.Func it invokes via a

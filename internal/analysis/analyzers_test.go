@@ -4,49 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 )
 
-// Each analyzer has at least one failing (want-bearing) and one passing
-// fixture package under testdata/src; the harness fails on any unexpected
-// or missing diagnostic, so the passing fixtures assert silence.
-
-func TestDetrange(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Detrange, "det/machine", "det/other")
-}
-
-func TestNoclock(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Noclock, "noclock/sim")
-}
-
-func TestFramecheck(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Framecheck, "framecheck/transport")
-}
-
-func TestFramecheckIgnoresFramelessPackages(t *testing.T) {
-	// A package with no FrameKind type is out of framecheck's scope even
-	// when deterministic. (Run directly: the analysistest harness would
-	// apply det/machine's detrange want comments to any analyzer.)
-	lp, err := analysis.NewLoader("testdata").Load("det/machine")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.RunAnalyzer(analysis.Framecheck, lp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("unexpected framecheck diagnostic: %s: %s", lp.Fset.Position(d.Pos), d.Message)
-	}
-}
-
-func TestLocksend(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Locksend, "locksend/machine")
-}
-
-func TestErrsink(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Errsink, "errsink/serve")
-}
+// The analyzers' behavior is tested through the built vettool, over the
+// fixture modules under cmd/em2lint/testdata (cmd/em2lint's TestFixtures).
 
 func TestAllIsComplete(t *testing.T) {
 	want := []string{"detrange", "errsink", "framecheck", "locksend", "noclock"}

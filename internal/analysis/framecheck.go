@@ -21,9 +21,9 @@ import (
 //     round-trip corpus that pins the encoding as canonical.
 //
 // The test-file arm reads the package directory's *_test.go sources
-// directly (syntax only), so the check holds under plain
-// `go vet -vettool=em2lint ./...`, where the unit being analyzed contains
-// no test files.
+// directly (syntax only). The vet unit holds the package together with its
+// in-package test files, but external `package <name>_test` files form a
+// separate unit — and most of transport's round-trip tests live there.
 //
 // The historical bug class: PR 7 added FrameJobDone's retirement path and
 // each of PRs 4-7 extended the frame set; a kind added to the constants but

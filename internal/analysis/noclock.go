@@ -1,13 +1,6 @@
 package analysis
 
-import (
-	"bufio"
-	_ "embed"
-	"go/ast"
-	"path/filepath"
-	"strings"
-	"sync"
-)
+import "go/ast"
 
 // Noclock forbids wall-clock reads and package-global math/rand calls in
 // deterministic packages. A time.Now that leaks into a report, a ticker
@@ -17,15 +10,11 @@ import (
 // is allowed — it constructs exactly that); time must stay out of
 // deterministic surfaces entirely.
 //
-// Two escape hatches:
-//
-//   - noclock_allow.txt (embedded) lists the legitimate wall-clock sites by
-//     file base name and function: tcp.go's dial-retry deadline loop and
-//     the advisory heartbeat machinery, which talk to real sockets and
-//     never feed a deterministic result.
-//   - `//em2:wallclock-ok: <why>` on the line for one-off sites outside
-//     tcp.go (cluster.go's heartbeat-age summary, which only decorates a
-//     timeout error message).
+// One escape hatch: `//em2:wallclock-ok: <why>` on the line or the line
+// above. It carries tcp.go's dial-retry deadline loop and advisory
+// heartbeat machinery, which talk to real sockets, and cluster.go's
+// heartbeat-age summary, which only decorates a timeout error message;
+// none of them feeds a deterministic result.
 //
 // The historical bug this would have caught: the PR 1 seed's TableT1
 // reported wall-clock cell timings, so no two runs of the flagship table
@@ -57,34 +46,10 @@ var allowedRand = map[string]bool{
 	"NewZipf":   true,
 }
 
-//go:embed noclock_allow.txt
-var noclockAllowRaw string
-
-var noclockAllowOnce = sync.OnceValue(parseNoclockAllow)
-
-// parseNoclockAllow parses the embedded allowlist: one "<file base>
-// <function>" pair per line, '#' comments and blanks ignored.
-func parseNoclockAllow() map[[2]string]bool {
-	allow := make(map[[2]string]bool)
-	sc := bufio.NewScanner(strings.NewReader(noclockAllowRaw))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) == 2 {
-			allow[[2]string{f[0], f[1]}] = true
-		}
-	}
-	return allow
-}
-
 func runNoclock(pass *Pass) error {
 	if !deterministicPkg(pass.Pkg.Path()) {
 		return nil
 	}
-	allow := noclockAllowOnce()
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -112,15 +77,11 @@ func runNoclock(pass *Pass) error {
 			if what == "" {
 				return true
 			}
-			base := filepath.Base(pass.Fset.Position(call.Pos()).Filename)
-			if allow[[2]string{base, funcFor(f, call.Pos())}] {
-				return true
-			}
 			if annotated(pass, call.Pos(), markWallclockOK) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"%s in deterministic package %s; inject seeded state (or list the site in noclock_allow.txt / annotate //em2:wallclock-ok: <why>)",
+				"%s in deterministic package %s; inject seeded state (or annotate //em2:wallclock-ok: <why>)",
 				what, pass.Pkg.Path())
 			return true
 		})

@@ -95,15 +95,16 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 	}
 
 	// Heartbeats flow with no request: the coordinator only has to look.
+	//em2:wallclock-ok: the poll waits for a real heartbeat on a real socket
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if hbs := co.Heartbeats(); len(hbs) == 1 && hbs[0].Node == 0 && hbs[0].Seq >= 1 {
 			break
 		}
-		if time.Now().After(deadline) {
+		if time.Now().After(deadline) { //em2:wallclock-ok: the poll waits for a real heartbeat on a real socket
 			t.Fatalf("no heartbeat observed; have %+v", co.Heartbeats())
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) //em2:wallclock-ok: the poll waits for a real heartbeat on a real socket
 	}
 
 	// Chunked collect reassembles into the same CollectReply shape the
@@ -149,6 +150,7 @@ func TestLoadAckSurfacesNodeError(t *testing.T) {
 			return
 		}
 		<-n.Loads()
+		//em2:errsink-ok: a failed send shows as the missing node error the test asserts
 		n.SendLoadAck(transport.LoadAck{Node: 0, Err: "unknown scheme \"bogus\""})
 		n.Close() // exit like a failed node process would
 	}()

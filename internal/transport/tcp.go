@@ -383,16 +383,16 @@ func (p *peerSlot) get(cancel <-chan struct{}) (*conn, error) {
 // dialRetry dials addr until it succeeds or the deadline passes — node and
 // coordinator processes start in arbitrary order.
 func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(timeout) //em2:wallclock-ok: the retry deadline is about real connect attempts; never feeds results
 	for {
 		c, err := net.DialTimeout("tcp", addr, timeout)
 		if err == nil {
 			return c, nil
 		}
-		if time.Now().After(deadline) {
+		if time.Now().After(deadline) { //em2:wallclock-ok: the retry deadline is about real connect attempts; never feeds results
 			return nil, fmt.Errorf("transport: dial %s: %v", addr, err)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond) //em2:wallclock-ok: backoff between real connect attempts; never feeds results
 	}
 }
 
@@ -824,6 +824,7 @@ func (n *Node) SendCollectChunk(ch CollectChunk) error { return n.sendCoord(Fram
 func (n *Node) StartHeartbeat(interval time.Duration) {
 	n.hbOnce.Do(func() {
 		go func() {
+			//em2:wallclock-ok: paces advisory liveness frames, which never enter deterministic surfaces
 			tick := time.NewTicker(interval)
 			defer tick.Stop()
 			var seq uint64
@@ -1159,6 +1160,7 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 				return malformedf("heartbeat: %v", err)
 			}
 			co.hbMu.Lock()
+			//em2:wallclock-ok: the arrival stamp only dates the heartbeat in a timeout error
 			co.hb[node] = HeartbeatInfo{Node: node, Seq: hb.Seq, At: time.Now(), Net: hb.Net}
 			co.hbMu.Unlock()
 		default:

@@ -328,8 +328,9 @@ func TestRemoteFailsWhenPeerDies(t *testing.T) {
 		_, err := src.Remote(1, transport.MemRequest{Op: transport.OpRead, Addr: 64})
 		done <- err
 	}()
-	time.Sleep(200 * time.Millisecond) // let the request reach the peer
-	sink.Close()                       // the peer dies with the reply owed
+	//em2:wallclock-ok: gives the request real time to reach the peer's socket
+	time.Sleep(200 * time.Millisecond)
+	sink.Close() // the peer dies with the reply owed
 	select {
 	case err := <-done:
 		if err == nil {
