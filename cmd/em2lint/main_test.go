@@ -5,15 +5,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // buildLint compiles the real em2lint binary into a temp dir and returns
-// its path. Both tests drive the exact artifact CI uses, through the exact
-// `go vet -vettool` protocol — not the analyzers in-process.
+// its path. The test drives the exact artifact CI uses, through the exact
+// `go vet -vettool` protocol — not the analyzers in-process. (The fixture
+// tests in internal/analysis build and run it the same way.)
 func buildLint(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "em2lint")
@@ -26,7 +25,7 @@ func buildLint(t *testing.T) string {
 
 // vet runs `go vet -vettool=bin ./...` in dir and returns its combined
 // output. A nonzero exit is not an error here: it is how vet reports
-// diagnostics, which the callers judge from the output.
+// diagnostics, which the caller judges from the output.
 func vet(t *testing.T, bin, dir string) string {
 	t.Helper()
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
@@ -64,118 +63,4 @@ func TestVettoolRepoClean(t *testing.T) {
 	if out := vet(t, bin, root); out != "" {
 		t.Fatalf("go vet -vettool=em2lint ./... not clean:\n%s", out)
 	}
-}
-
-// wantRE captures the quoted regexps of a `// want` comment; chunkRE
-// splits them. Each backquoted or double-quoted string is a regexp that
-// must match exactly one diagnostic reported on the comment's line:
-//
-//	for k := range m { // want `range over map`
-var (
-	wantRE  = regexp.MustCompile("//\\s*want\\s+((?:(?:`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")\\s*)+)")
-	chunkRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
-)
-
-// diagRE parses one em2lint diagnostic line of vet's output.
-var diagRE = regexp.MustCompile(`^(.+?):(\d+):\d+: (.*) \[em2lint/\w+\]$`)
-
-type want struct {
-	pos string // file:line, the file relative to the fixture module
-	re  *regexp.Regexp
-	hit bool
-}
-
-// TestFixtures runs the built em2lint over each fixture module under
-// testdata — one module per corpus, named so its import paths gate the
-// analyzers (det/machine is deterministic, det/other is not) — and
-// matches the output against the fixtures' `// want` comments. Every
-// analyzer runs on every fixture, so a diagnostic no want expects fails
-// whichever analyzer reported it; so does a want no diagnostic met, and
-// any output line that is neither a diagnostic nor a `# pkg` header (a
-// fixture that does not type-check, or a vettool error).
-func TestFixtures(t *testing.T) {
-	bin := buildLint(t)
-	mods, err := filepath.Glob(filepath.Join("testdata", "*", "go.mod"))
-	if err != nil || len(mods) == 0 {
-		t.Fatalf("no fixture modules under testdata (%v)", err)
-	}
-	for _, mod := range mods {
-		dir := filepath.Dir(mod)
-		t.Run(filepath.Base(dir), func(t *testing.T) {
-			wants := readWants(t, dir)
-			for _, line := range strings.Split(vet(t, bin, dir), "\n") {
-				if line == "" || strings.HasPrefix(line, "# ") {
-					continue
-				}
-				m := diagRE.FindStringSubmatch(line)
-				if m == nil {
-					t.Errorf("unexpected vet output: %s", line)
-					continue
-				}
-				// vet prints file names relative to the module directory.
-				if !hitWant(wants, filepath.ToSlash(m[1])+":"+m[2], m[3]) {
-					t.Errorf("unexpected diagnostic: %s", line)
-				}
-			}
-			for _, w := range wants {
-				if !w.hit {
-					t.Errorf("%s: no diagnostic matched %q", w.pos, w.re)
-				}
-			}
-		})
-	}
-}
-
-// hitWant marks the first unmet want at pos whose regexp matches msg.
-func hitWant(wants []*want, pos, msg string) bool {
-	for _, w := range wants {
-		if !w.hit && w.pos == pos && w.re.MatchString(msg) {
-			w.hit = true
-			return true
-		}
-	}
-	return false
-}
-
-// readWants collects the `// want` expectations of every Go file in the
-// fixture module at dir.
-func readWants(t *testing.T, dir string) []*want {
-	t.Helper()
-	var wants []*want
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return err
-		}
-		for i, line := range strings.Split(string(src), "\n") {
-			m := wantRE.FindStringSubmatch(line)
-			if m == nil {
-				continue
-			}
-			pos := filepath.ToSlash(rel) + ":" + strconv.Itoa(i+1)
-			for _, chunk := range chunkRE.FindAllString(m[1], -1) {
-				pat, err := strconv.Unquote(chunk)
-				if err != nil {
-					t.Fatalf("%s: bad want pattern %s: %v", pos, chunk, err)
-				}
-				re, err := regexp.Compile(pat)
-				if err != nil {
-					t.Fatalf("%s: bad want regexp %q: %v", pos, pat, err)
-				}
-				wants = append(wants, &want{pos: pos, re: re})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return wants
 }

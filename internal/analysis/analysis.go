@@ -36,7 +36,7 @@
 // cmd/go's vet protocol and is built into cmd/em2lint. CI and the tests
 // run that binary the same way, `go vet -vettool=em2lint ./...`: on the
 // tree, which must stay clean, and on the fixture modules under
-// cmd/em2lint/testdata, whose diagnostics must match their `// want`
+// internal/analysis/testdata, whose diagnostics must match their `// want`
 // comments.
 package analysis
 
