@@ -9,11 +9,11 @@ import (
 // Errsink flags discarded error results from the calls whose failures the
 // runtime must propagate: transport Send*/Flush (a dead wire must park the
 // part, not spin — PR 7's dead-transport fix), the coordinator's side of
-// the run lifecycle (Load, AwaitLoadAcks, SubmitJob, InjectEviction and
+// the run lifecycle (Load, SubmitJob, InjectEviction and
 // machine.Inject — a driver that drops one of these awaits halts no node
 // will ever send), machine Part lifecycle calls (Start, StartServe,
 // SetThread, ApplyJob, CollectChunked — a swallowed load failure is
-// exactly the silent node death the load-ack barrier exists to surface)
+// exactly the silent node death the load barrier exists to surface)
 // and the verifier (Litmus.Verify, CheckSC, CheckSCFrom — a dropped verdict
 // is a silently wrong image).
 // Both the bare-statement form and the explicit `_ =` discard are flagged:
@@ -83,7 +83,6 @@ var machineTracked = map[string]bool{
 // serve job) forward and return only an error.
 var coordLifecycle = map[string]bool{
 	"Load":           true,
-	"AwaitLoadAcks":  true,
 	"SubmitJob":      true,
 	"InjectEviction": true,
 }

@@ -27,8 +27,7 @@ func annotated(tr transport.Transport) {
 
 func badDriver(co *transport.Coordinator) {
 	co.Load()                             // want `error result of co\.Load is discarded`
-	_ = co.AwaitLoadAcks()                // want `error result of co\.AwaitLoadAcks is discarded`
-	co.SubmitJob()                        // want `error result of co\.SubmitJob is discarded`
+	_ = co.SubmitJob()                    // want `error result of co\.SubmitJob is discarded`
 	co.InjectEviction(1)                  // want `error result of co\.InjectEviction is discarded`
 	machine.Inject(co.InjectEviction)     // want `error result of machine\.Inject is discarded`
 	co.Shutdown()                         // no error result: not tracked

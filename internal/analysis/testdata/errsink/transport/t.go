@@ -12,7 +12,6 @@ type Transport interface {
 type Coordinator struct{}
 
 func (co *Coordinator) Load() error              { return nil }
-func (co *Coordinator) AwaitLoadAcks() error     { return nil }
 func (co *Coordinator) SubmitJob() error         { return nil }
 func (co *Coordinator) InjectEviction(int) error { return nil }
 func (co *Coordinator) Shutdown()                {}

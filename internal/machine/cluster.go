@@ -195,11 +195,11 @@ func WithWireStats(w io.Writer) NodeOption {
 const defaultHeartbeatMillis = 500
 
 // ServeNode runs one cluster node to completion: listen per the manifest,
-// receive the coordinator's LoadSpec, acknowledge it (or report the
-// actual load failure), execute the owned cores' loops with contexts and
-// remote accesses crossing the TCP transport, heartbeat liveness, report
-// HALTs, stream the collect reply in per-core chunks, and exit on
-// shutdown. This is the whole of cmd/em2node.
+// receive the coordinator's LoadSpec, answer it (or report the actual load
+// failure), execute the owned cores' loops with contexts and remote
+// accesses crossing the TCP transport, heartbeat liveness, report HALTs,
+// let the part answer every later request, and exit on shutdown. This is
+// the whole of cmd/em2node.
 func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	var opt nodeOptions
 	for _, o := range opts {
@@ -218,8 +218,7 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	defer tn.Close()
 	if opt.wireStats != nil {
 		defer func() {
-			s, _ := tn.Sample() //em2:errsink-ok: Node.Sample never fails locally; the MetricsSource signature carries the error for remote sources
-			fmt.Fprintf(opt.wireStats, "em2node %d wire: %s\n", idx, stats.NetLine(s.Net))
+			fmt.Fprintf(opt.wireStats, "em2node %d wire: %s\n", idx, stats.NetLine(tn.NetStats()))
 		}()
 	}
 
@@ -235,8 +234,8 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	// this process exits: "unknown scheme …" at the driver beats a bare
 	// connection death.
 	failLoad := func(err error) error {
-		if serr := tn.SendLoadAck(transport.LoadAck{Node: idx, Err: err.Error()}); serr != nil {
-			return fmt.Errorf("%w (and the load ack did not reach the coordinator: %v)", err, serr)
+		if serr := tn.SendReply(transport.Reply{Err: err.Error()}); serr != nil {
+			return fmt.Errorf("%w (and the load reply did not reach the coordinator: %v)", err, serr)
 		}
 		return err
 	}
@@ -249,13 +248,9 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	if err != nil {
 		return failLoad(err)
 	}
-	// The non-destructive sampling plane: sample requests and heartbeat
-	// piggybacks read the part's counters without touching Collect.
-	// Installed before Ready, like the job handlers.
-	tn.HandleSample(func() transport.Sample {
-		s, _ := part.Sample() //em2:errsink-ok: Part.Sample never fails; the MetricsSource signature carries the error for remote sources
-		return s
-	})
+	// The part answers every later request — job submit and retire,
+	// sample, collect — on the coordinator link's reader.
+	tn.HandleControl(part)
 	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
 	for a, v := range spec.Mem {
 		part.Preload(a, v, 0) // keeps only the addresses this node homes
@@ -265,21 +260,7 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	onHalt := func(h transport.HaltMsg) { _ = tn.SendHalt(h) } //em2:errsink-ok: no error path out of the halt callback; link teardown surfaces at the coordinator's barrier
 	if spec.Serve {
 		// Job-serving mode: the slot pool starts empty and per-job specs
-		// arrive through JobSubmit frames, handled on the coordinator
-		// link's reader before any of the job's contexts can be injected.
-		tn.HandleJob(part.ApplyJob)
-		// Retirement, also on the reader: clear the slots, reclaim the
-		// job's region from the owned shards, and return the reclaimed
-		// events so the coordinator can SC-check the job and reuse the
-		// region knowing every node released it.
-		tn.HandleJobDone(func(d transport.JobDone) transport.JobRetired {
-			part.ClearThreads(d.Slots)
-			ret := transport.JobRetired{Job: d.Job, Node: idx}
-			if d.Reclaim {
-				ret.Events, ret.Words = part.ReclaimRegion(d.Base, d.Base+d.Size)
-			}
-			return ret
-		})
+		// arrive through JobSubmit requests.
 		if err := part.StartServe(spec.NumThreads, onHalt); err != nil {
 			return failLoad(err)
 		}
@@ -293,29 +274,10 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 		}
 	}
 	tn.Ready() // open the data plane: Prepare'd inboxes + handler are live
-	if err := tn.SendLoadAck(transport.LoadAck{Node: idx}); err != nil {
+	if err := tn.SendReply(transport.Reply{}); err != nil {
 		return err
 	}
 	tn.StartHeartbeat(defaultHeartbeatMillis * time.Millisecond)
-
-	select {
-	case <-tn.CollectRequests():
-	case <-tn.ShutdownC():
-		part.Stop() // coordinator aborted mid-run (timeout, error)
-		return nil
-	}
-	// Stream the post-run state in per-core chunks; wire counters are
-	// snapshotted before the stream so they do not count its own traffic,
-	// then ride the final Done chunk.
-	net := tn.NetStats()
-	if err := part.CollectChunked(idx, func(ch transport.CollectChunk) error {
-		if ch.Done {
-			ch.Net = &net
-		}
-		return tn.SendCollectChunk(ch)
-	}); err != nil {
-		return err
-	}
 	<-tn.ShutdownC()
 	part.Stop()
 	return nil
@@ -469,7 +431,7 @@ func (r ClusterRun) finish(reps []transport.CollectReply, halts []transport.Halt
 	all := MergeCollect(reps)
 	res := &ClusterResult{Result: newResult(all, halts), Mem: all.Mem, CoordNet: coordNet}
 	for _, rep := range reps {
-		res.NodeCounters = append(res.NodeCounters, rep.Counters)
+		res.NodeCounters = append(res.NodeCounters, stats.CounterMap(transport.SumMetrics(rep.PerCore)))
 		var net transport.NetStats
 		if rep.Net != nil {
 			net = *rep.Net

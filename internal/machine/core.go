@@ -185,7 +185,7 @@ func (n *coreNode) applyLeaseUpdate(inv transport.LeaseInval) {
 }
 
 // dropLeaseRange removes every resident lease in [lo, hi) — serve-mode
-// region reclamation (Part.ReclaimRegion).
+// region reclamation (Part.RetireJob).
 func (n *coreNode) dropLeaseRange(lo, hi uint32) {
 	n.leaseMu.Lock()
 	//em2:unordered-ok: per-cache range drops are independent

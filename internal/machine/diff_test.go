@@ -227,7 +227,7 @@ func TestLoopbackHoldsItsPorts(t *testing.T) {
 
 // TestServeNodeShutdownWithoutRun: a coordinator that aborts before
 // loading (or before collecting) must still release the node processes —
-// ServeNode returns instead of parking forever on Loads/CollectRequests.
+// ServeNode returns instead of parking forever on Loads or ShutdownC.
 func TestServeNodeShutdownWithoutRun(t *testing.T) {
 	t.Parallel()
 	man, join, err := Loopback(2, 2, 1)

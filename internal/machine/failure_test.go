@@ -105,7 +105,7 @@ func TestClusterRunRejectsBogusHalts(t *testing.T) {
 				tn.Ready()
 				// Stub node: a failed send just means the coordinator tore
 				// down first, which the barrier under test then reports.
-				_ = tn.SendLoadAck(transport.LoadAck{Node: 0}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+				_ = tn.SendReply(transport.Reply{}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
 				for _, th := range tc.halts {
 					_ = tn.SendHalt(transport.HaltMsg{Thread: th}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
 				}
@@ -125,10 +125,12 @@ func TestClusterRunRejectsBogusHalts(t *testing.T) {
 
 // TestClusterRunNodeDiesDuringCollect drives ClusterRun.Run against a fake
 // node that loads, reports every halt, and then drops its connection when
-// the collect request arrives. The collect barrier must report the death
-// at once and name the node: it used to select on replies and its timer
-// only, so a node lost after the halt barrier cost the full timeout and
-// an error ("collect: 0 of 1 nodes replied") that named nobody.
+// the collect request arrives: it installs no control handler, so the
+// request is protocol corruption to it. The collect barrier must report
+// the death at once and name the node: it used to select on replies and
+// its timer only, so a node lost after the halt barrier cost the full
+// timeout and an error ("collect: 0 of 1 nodes replied") that named
+// nobody.
 func TestClusterRunNodeDiesDuringCollect(t *testing.T) {
 	t.Parallel()
 	man, err := transport.LocalManifest(1, 2, 2)
@@ -144,12 +146,10 @@ func TestClusterRunNodeDiesDuringCollect(t *testing.T) {
 		spec := <-tn.Loads()
 		tn.Prepare(spec.NumThreads)
 		tn.Ready()
-		_ = tn.SendLoadAck(transport.LoadAck{Node: 0}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+		_ = tn.SendReply(transport.Reply{}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
 		for th := 0; th < spec.NumThreads; th++ {
 			_ = tn.SendHalt(transport.HaltMsg{Thread: th}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
 		}
-		<-tn.CollectRequests()
-		tn.Close()
 	}()
 	lit := StoreBufferingLitmus(64)
 	start := time.Now() //em2:wallclock-ok: the test's subject is how long a failure takes to surface
@@ -180,18 +180,15 @@ func TestServeNodeReportsLoadError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if err := co.Load(&transport.LoadSpec{
+	err = co.Load(&transport.LoadSpec{
 		Scheme:     "bogus-scheme",
 		Placement:  "striped:64",
 		NumThreads: 1,
 		Programs:   [][]uint32{{0}},
 		Regs:       []map[int]uint32{nil},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err = co.AwaitLoadAcks(10 * time.Second)
+	}, 10*time.Second)
 	if err == nil {
-		t.Fatal("AwaitLoadAcks succeeded despite an unloadable spec")
+		t.Fatal("Load succeeded despite an unloadable spec")
 	}
 	if !strings.Contains(err.Error(), "bogus-scheme") {
 		t.Fatalf("load failure surfaced as %q, want the node's actual parse error", err)
@@ -279,7 +276,7 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 		NumThreads: 1,
 		Programs:   programs,
 		Regs:       []map[int]uint32{nil},
-	}); err != nil {
+	}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.InjectEviction(geom.CoreID(0), transport.Context{Thread: 0, Native: 0}); err != nil {

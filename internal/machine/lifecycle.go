@@ -71,10 +71,9 @@ func ResolveLoad(mesh geom.Mesh, spec *transport.LoadSpec) (Config, error) {
 }
 
 // LoadCluster brings an already-listening cluster to the point where
-// contexts may be injected: resolve spec here (fail fast), dial, broadcast,
-// and await every load ack — the barrier that turns a node's load failure
-// into its actual message and guarantees every data plane is open. On
-// failure the nodes are shut down.
+// contexts may be injected: resolve spec here (fail fast), dial, and load —
+// the barrier that turns a node's load failure into its actual message and
+// guarantees every data plane is open. On failure the nodes are shut down.
 func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.Duration) (*transport.Coordinator, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
@@ -86,10 +85,7 @@ func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.
 	if err != nil {
 		return nil, err
 	}
-	if err = co.Load(spec); err == nil {
-		err = co.AwaitLoadAcks(timeout)
-	}
-	if err != nil {
+	if err := co.Load(spec, timeout); err != nil {
 		co.Shutdown()
 		co.Close()
 		return nil, err

@@ -120,11 +120,11 @@ type Part struct {
 	// caches remote reads (core.Leaser); 0 for every other scheme.
 	leaseWindow uint64
 	// specs is the per-slot thread table. Slots are atomic pointers because
-	// serve mode rewrites them between jobs (SetThread/ClearThreads) while
+	// serve mode rewrites them between jobs (SetThread/RetireJob) while
 	// the core goroutines are live; the atomics make the handoff visible and
 	// race-detector clean. The serve protocol guarantees a slot is never
 	// rewritten while one of its contexts is resident or in flight (the
-	// JobAck barrier orders installation before injection; a halt report
+	// job submit barrier orders installation before injection; a halt report
 	// orders completion before reuse).
 	specs []atomic.Pointer[ThreadSpec]
 	// ctxs holds one reusable context per thread slot: at most one context
@@ -316,17 +316,6 @@ func (p *Part) SetThread(slot int, spec ThreadSpec) error {
 	return nil
 }
 
-// ClearThreads retires serve slots after their job completed: a stray late
-// context for a cleared slot fails loudly instead of executing a stale
-// program.
-func (p *Part) ClearThreads(slots []int) {
-	for _, s := range slots {
-		if s >= 0 && s < len(p.specs) {
-			p.specs[s].Store(nil)
-		}
-	}
-}
-
 // SampleInto fills s with a non-destructive snapshot of this part's
 // metrics: per-core counters and guest gauges (ascending by core id) plus
 // the summed shard footprint. Unlike Collect it copies no memory and no
@@ -378,44 +367,42 @@ func (p *Part) collectState(node int) transport.CollectReply {
 	return rep
 }
 
-// CollectChunked streams this part's post-run state through emit as a
-// sequence of transport.CollectChunks: one per owned core (that core's
-// metrics, its shard's events and memory slice), then a final Done chunk
-// with the aggregate counters. The caller (ServeNode) may add wire stats
-// to the Done chunk before sending. Chunking bounds each control-plane
-// blob by one core's state, which is what keeps a 256-core node's
-// collection inside the wire's blob cap.
-func (p *Part) CollectChunked(node int, emit func(transport.CollectChunk) error) error {
-	var agg transport.CoreMetrics
+// CollectChunked streams this part's post-run state through emit: one
+// reply per owned core — that core's metrics row, its shard's events and
+// memory slice, More set — then a last, empty one, which the node stamps
+// with its wire counters. Chunking bounds each control-plane blob by one
+// core's state, which is what keeps a 256-core node's collection inside
+// the wire's blob cap.
+func (p *Part) CollectChunked(emit func(transport.Reply) error) error {
 	for _, id := range p.tr.Owned() {
-		m := p.ctr[id].metrics(id)
-		agg = agg.Add(m)
 		s := p.shards[id]
 		words, _ := s.gauges()
 		mem := make(map[uint32]uint32, words)
 		s.imageInto(mem)
-		if err := emit(transport.CollectChunk{Node: node, PerCore: &m, Events: s.appendEvents(nil), Mem: mem}); err != nil {
+		r := transport.Reply{PerCore: []transport.CoreMetrics{p.ctr[id].metrics(id)}, Events: s.appendEvents(nil), Mem: mem, More: true}
+		if err := emit(r); err != nil {
 			return err
 		}
 	}
-	return emit(transport.CollectChunk{
-		Node:     node,
-		Done:     true,
-		Counters: stats.CounterMap(agg),
-	})
+	return emit(transport.Reply{})
 }
 
-// ReclaimRegion deletes the words and removes the event-log entries of
-// [lo, hi) from every owned shard, returning the removed events (core
-// order) and the total words reclaimed — the serve path's retirement hook
-// that keeps a long-running server's footprint bounded.
-func (p *Part) ReclaimRegion(lo, hi uint32) ([]transport.Event, int) {
+// RetireJob retires a finished serve job: its slots are cleared, so a
+// stray late context for one fails loudly instead of executing a stale
+// program, and the words and event-log entries of its region are deleted
+// from every owned shard — the hook that keeps a long-running server's
+// footprint bounded. It returns the removed events, in core order.
+func (p *Part) RetireJob(d transport.JobDone) []transport.Event {
+	for _, s := range d.Slots {
+		if s >= 0 && s < len(p.specs) {
+			p.specs[s].Store(nil)
+		}
+	}
+	lo, hi := d.Base, d.Base+d.Size
 	var events []transport.Event
-	words := 0
 	for _, id := range p.tr.Owned() {
-		ev, w := p.shards[id].reclaim(lo, hi)
+		ev, _ := p.shards[id].reclaim(lo, hi)
 		events = append(events, ev...)
-		words += w
 		// Resident threads' lease caches may hold words of the reclaimed
 		// region; drop them so a recycled region can never serve a stale
 		// lease to the next job.
@@ -423,7 +410,7 @@ func (p *Part) ReclaimRegion(lo, hi uint32) ([]transport.Event, int) {
 			n.dropLeaseRange(lo, hi)
 		}
 	}
-	return events, words
+	return events
 }
 
 // MemImage returns a copy of every word this part's shards hold, without

@@ -104,9 +104,13 @@ func (b *localBackend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMs
 }
 
 func (b *localBackend) Retire(j *Job, _ time.Duration) ([]machine.Event, error) {
-	b.part.ClearThreads(j.Slots())
-	events, _ := b.part.ReclaimRegion(j.Base, j.Base+RegionBytes)
-	return events, nil
+	return b.part.RetireJob(jobDone(j)), nil
+}
+
+// jobDone is j's retirement as both backends issue it: its slots and its
+// whole region.
+func jobDone(j *Job) transport.JobDone {
+	return transport.JobDone{Job: j.Index, Slots: j.Slots(), Base: j.Base, Size: RegionBytes}
 }
 
 func (b *localBackend) Sample() (transport.Sample, error) {
@@ -158,9 +162,9 @@ func (b *clusterBackend) RunJob(j *Job, timeout time.Duration) ([]transport.Halt
 	if err != nil {
 		return nil, err
 	}
-	// The ack barrier: every node has installed the job's specs and memory
-	// before any context is injected, so a context can never race its own
-	// program across nodes.
+	// The submit barrier: every node has installed the job's specs and
+	// memory before any context is injected, so a context can never race
+	// its own program across nodes.
 	if err := b.co.SubmitJob(spec, timeout); err != nil {
 		return nil, err
 	}
@@ -175,15 +179,10 @@ func (b *clusterBackend) RunJob(j *Job, timeout time.Duration) ([]transport.Halt
 
 func (b *clusterBackend) Retire(j *Job, timeout time.Duration) ([]machine.Event, error) {
 	// The retirement barrier: every node cleared the slots and reclaimed
-	// the region before the coordinator may reuse either. The merged reply
-	// carries the job's events from whichever nodes homed its addresses.
-	return b.co.RetireJob(transport.JobDone{
-		Job:     j.Index,
-		Slots:   j.Slots(),
-		Base:    j.Base,
-		Size:    RegionBytes,
-		Reclaim: true,
-	}, timeout)
+	// the region before the coordinator may reuse either. The merged
+	// replies carry the job's events from whichever nodes homed its
+	// addresses.
+	return b.co.RetireJob(jobDone(j), timeout)
 }
 
 func (b *clusterBackend) Sample() (transport.Sample, error) {

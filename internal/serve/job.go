@@ -78,7 +78,7 @@ type Job struct {
 // Slots returns the slot assignment: job thread t runs in pool slot t.
 // Jobs execute one at a time physically, so every job reuses the same
 // slots — which is exactly what the slot-rewrite machinery (SetThread /
-// ClearThreads and the submit/ack barrier) exists to make safe.
+// RetireJob and the job submit barrier) exists to make safe.
 func (j *Job) Slots() []int {
 	s := make([]int, len(j.Threads))
 	for i := range s {

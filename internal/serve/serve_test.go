@@ -493,8 +493,9 @@ func TestRebasedJobMatchesOriginal(t *testing.T) {
 
 // TestClusterDrainNodeDiesDuringCollect is the serve face of the collect
 // barrier's death arm: a fake node loads in serve mode and drops its
-// connection when the drain's collect request arrives. Drain must fail at
-// once naming the node, not wait out its timeout.
+// connection when the drain's collect request arrives (it installs no
+// control handler, so the request is protocol corruption to it). Drain
+// must fail at once naming the node, not wait out its timeout.
 func TestClusterDrainNodeDiesDuringCollect(t *testing.T) {
 	t.Parallel()
 	man, err := transport.LocalManifest(1, 2, 2)
@@ -510,9 +511,7 @@ func TestClusterDrainNodeDiesDuringCollect(t *testing.T) {
 		spec := <-tn.Loads()
 		tn.Prepare(spec.NumThreads)
 		tn.Ready()
-		_ = tn.SendLoadAck(transport.LoadAck{Node: 0}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
-		<-tn.CollectRequests()
-		tn.Close()
+		_ = tn.SendReply(transport.Reply{}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
 	}()
 	be, err := NewClusterBackend(testCfg(1), man)
 	if err != nil {

@@ -1,7 +1,7 @@
 package transport_test
 
 import (
-	"fmt"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,33 +11,47 @@ import (
 	"repro/internal/transport"
 )
 
-// TestControlPlaneRoundTrip exercises the sharded control plane end to
-// end on one real Node/Coordinator pair: the load-ack barrier, the async
-// heartbeat, the job-retirement barrier with reclaimed events, and the
-// chunked incremental collect — each of the v2 control frames that keep
-// the coordinator off the critical path.
-func TestControlPlaneRoundTrip(t *testing.T) {
-	man, err := transport.LocalManifest(1, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retEvents := []transport.Event{
-		{Thread: 0, TSeq: 1, Addr: 4096, Kind: transport.EvWrite, Wrote: 7, Seq: 1, Home: 0},
-		{Thread: 1, TSeq: 1, Addr: 4100, Kind: transport.EvRead, Read: 7, Seq: 2, Home: 1},
-	}
-	chunks := []transport.CollectChunk{
-		{Node: 0, PerCore: &transport.CoreMetrics{Core: 0, Instructions: 5}, Mem: map[uint32]uint32{8192: 1}},
-		{Node: 0, PerCore: &transport.CoreMetrics{Core: 1, Instructions: 6},
-			Events: []transport.Event{{Thread: 2, Addr: 8192, Seq: 3, Home: 1}},
-			Mem:    map[uint32]uint32{8196: 2}},
-		{Node: 0, Done: true, Counters: map[string]int64{"instructions": 11},
-			Net: &transport.NetStats{MsgsSent: 99}},
-	}
+// stubControl is a scripted ControlHandler: it records the retirement it
+// was asked for and answers every request from fixed data.
+type stubControl struct {
+	retired chan transport.JobDone
+	events  []transport.Event
+	sample  transport.Sample
+	chunks  []transport.Reply
+	// collectErr, when set, fails the collect stream after its chunks —
+	// the node then drops its coordinator link.
+	collectErr error
+}
 
+func (s *stubControl) ApplyJob(*transport.JobSpec) error { return nil }
+
+func (s *stubControl) RetireJob(d transport.JobDone) []transport.Event {
+	s.retired <- d
+	return s.events
+}
+
+func (s *stubControl) Sample() (transport.Sample, error) { return s.sample, nil }
+
+func (s *stubControl) CollectChunked(emit func(transport.Reply) error) error {
+	for _, r := range s.chunks {
+		if err := emit(r); err != nil {
+			return err
+		}
+	}
+	if s.collectErr != nil {
+		return s.collectErr
+	}
+	return emit(transport.Reply{})
+}
+
+// serveStub runs node idx of man with ctl as its control handler: load,
+// open the data plane, answer the load, heartbeat, and wait for shutdown.
+// It returns the node's exit error on the channel.
+func serveStub(man transport.Manifest, idx int, ctl transport.ControlHandler) <-chan error {
 	errs := make(chan error, 1)
 	go func() {
 		errs <- func() error {
-			n, err := transport.ListenNode(man, 0)
+			n, err := transport.ListenNode(man, idx)
 			if err != nil {
 				return err
 			}
@@ -45,53 +59,80 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 			spec := <-n.Loads()
 			n.Prepare(spec.NumThreads)
 			n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{} })
-			n.HandleJob(func(*transport.JobSpec) error { return nil })
-			n.HandleJobDone(func(d transport.JobDone) transport.JobRetired {
-				ret := transport.JobRetired{Job: d.Job, Node: 0}
-				if d.Reclaim {
-					if d.Base != 4096 || d.Size != 4096 {
-						ret.Err = fmt.Sprintf("unexpected region [%d,+%d)", d.Base, d.Size)
-						return ret
-					}
-					ret.Events, ret.Words = retEvents, len(retEvents)
-				}
-				return ret
-			})
+			n.HandleControl(ctl)
 			n.Ready()
-			if err := n.SendLoadAck(transport.LoadAck{Node: 0}); err != nil {
+			if err := n.SendReply(transport.Reply{}); err != nil {
 				return err
 			}
 			n.StartHeartbeat(5 * time.Millisecond)
-			<-n.CollectRequests()
-			for _, ch := range chunks {
-				if err := n.SendCollectChunk(ch); err != nil {
-					return err
-				}
-			}
 			<-n.ShutdownC()
 			return nil
 		}()
 	}()
+	return errs
+}
+
+// TestControlPlaneRoundTrip exercises the control plane end to end on one
+// real Node/Coordinator pair: the load barrier, the async heartbeat, the
+// job-retirement barrier with reclaimed events, the sample request, and
+// the chunked collect folded into one reply per node.
+func TestControlPlaneRoundTrip(t *testing.T) {
+	man, err := transport.LocalManifest(1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := &stubControl{
+		retired: make(chan transport.JobDone, 1),
+		events: []transport.Event{
+			{Thread: 0, TSeq: 1, Addr: 4096, Kind: transport.EvWrite, Wrote: 7, Seq: 1, Home: 0},
+			{Thread: 1, TSeq: 1, Addr: 4100, Kind: transport.EvRead, Read: 7, Seq: 2, Home: 1},
+		},
+		sample: transport.Sample{
+			PerCore: []transport.CoreMetrics{{Core: 1, Instructions: 6}, {Core: 0, Instructions: 5}},
+			Guests:  []int64{1, 0},
+			Words:   3,
+		},
+		chunks: []transport.Reply{
+			{PerCore: []transport.CoreMetrics{{Core: 0, Instructions: 5}}, Mem: map[uint32]uint32{8192: 1}, More: true},
+			{PerCore: []transport.CoreMetrics{{Core: 1, Instructions: 6}},
+				Events: []transport.Event{{Thread: 2, Addr: 8192, Seq: 3, Home: 1}},
+				Mem:    map[uint32]uint32{8196: 2}, More: true},
+		},
+	}
+	errs := serveStub(man, 0, ctl)
 
 	co, err := transport.DialCluster(man, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if err := co.Load(&transport.LoadSpec{NumThreads: 4, Serve: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.AwaitLoadAcks(10 * time.Second); err != nil {
+	if err := co.Load(&transport.LoadSpec{NumThreads: 4, Serve: true}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	// The retirement barrier returns the reclaimed events.
-	got, err := co.RetireJob(transport.JobDone{Job: 3, Slots: []int{0, 1}, Base: 4096, Size: 4096, Reclaim: true}, 10*time.Second)
+	// The retirement barrier hands the node the whole JobDone and returns
+	// the reclaimed events.
+	done := transport.JobDone{Job: 3, Slots: []int{0, 1}, Base: 4096, Size: 4096}
+	got, err := co.RetireJob(done, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, retEvents) {
-		t.Fatalf("retired events = %+v, want %+v", got, retEvents)
+	if d := <-ctl.retired; !reflect.DeepEqual(d, done) {
+		t.Fatalf("node retired %+v, want %+v", d, done)
+	}
+	if !reflect.DeepEqual(got, ctl.events) {
+		t.Fatalf("retired events = %+v, want %+v", got, ctl.events)
+	}
+
+	// A sample comes back re-sorted by core, gauges aligned, with wire
+	// counters stamped.
+	s, err := co.Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.PerCore) != 2 || s.PerCore[0].Core != 0 || s.PerCore[1].Core != 1 ||
+		!reflect.DeepEqual(s.Guests, []int64{0, 1}) || s.Words != 3 || s.Net.MsgsSent == 0 {
+		t.Fatalf("sample = %+v", s)
 	}
 
 	// Heartbeats flow with no request: the coordinator only has to look.
@@ -107,8 +148,8 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 		time.Sleep(5 * time.Millisecond) //em2:wallclock-ok: the poll waits for a real heartbeat on a real socket
 	}
 
-	// Chunked collect reassembles into the same CollectReply shape the
-	// barrier protocol produced.
+	// The chunked collect reassembles into one CollectReply per node, the
+	// last reply stamping the node's wire counters.
 	reps, err := co.Collect(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +167,8 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rep.Mem, map[uint32]uint32{8192: 1, 8196: 2}) {
 		t.Fatalf("assembled mem = %+v", rep.Mem)
 	}
-	if rep.Counters["instructions"] != 11 || rep.Net == nil || rep.Net.MsgsSent != 99 {
-		t.Fatalf("assembled aggregates: counters=%+v net=%+v", rep.Counters, rep.Net)
+	if rep.Net == nil || rep.Net.MsgsSent == 0 {
+		t.Fatalf("assembled wire counters = %+v", rep.Net)
 	}
 
 	co.Shutdown()
@@ -138,7 +179,9 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 
 // TestLoadAckSurfacesNodeError pins the silent-load-failure fix at the
 // transport layer: a node that rejects its LoadSpec reports the actual
-// message through the ack barrier, not a bare connection death.
+// message through the load barrier, not a bare connection death. The
+// coordinator then refuses every later request, since the failed barrier
+// may still have answers in flight.
 func TestLoadAckSurfacesNodeError(t *testing.T) {
 	man, err := transport.LocalManifest(1, 2, 1)
 	if err != nil {
@@ -151,7 +194,7 @@ func TestLoadAckSurfacesNodeError(t *testing.T) {
 		}
 		<-n.Loads()
 		//em2:errsink-ok: a failed send shows as the missing node error the test asserts
-		n.SendLoadAck(transport.LoadAck{Node: 0, Err: "unknown scheme \"bogus\""})
+		n.SendReply(transport.Reply{Err: "unknown scheme \"bogus\""})
 		n.Close() // exit like a failed node process would
 	}()
 
@@ -160,14 +203,91 @@ func TestLoadAckSurfacesNodeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if err := co.Load(&transport.LoadSpec{NumThreads: 1}); err != nil {
-		t.Fatal(err)
-	}
-	err = co.AwaitLoadAcks(10 * time.Second)
+	err = co.Load(&transport.LoadSpec{NumThreads: 1}, 10*time.Second)
 	if err == nil {
-		t.Fatal("AwaitLoadAcks succeeded despite a node load failure")
+		t.Fatal("Load succeeded despite a node load failure")
 	}
-	if !strings.Contains(err.Error(), "unknown scheme") {
+	if !strings.Contains(err.Error(), "node 0 failed: unknown scheme") {
 		t.Fatalf("load failure surfaced as %q, want the node's actual error", err)
 	}
+	if _, err := co.Sample(); err == nil || !strings.Contains(err.Error(), "refused") {
+		t.Fatalf("sample after a failed load = %v, want a refusal", err)
+	}
+}
+
+// TestJobRequestToNonServingNodeFails: a node loaded without Serve treats
+// a job submit or retire as protocol corruption — it shuts down, and the
+// coordinator's barrier fails naming the node instead of installing or
+// clearing slots under a closed-loop run.
+func TestJobRequestToNonServingNodeFails(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		send func(*transport.Coordinator) error
+	}{
+		{"submit", func(co *transport.Coordinator) error {
+			return co.SubmitJob(&transport.JobSpec{Job: 1, Slots: []int{0}}, 10*time.Second)
+		}},
+		{"retire", func(co *transport.Coordinator) error {
+			_, err := co.RetireJob(transport.JobDone{Job: 1, Slots: []int{0}}, 10*time.Second)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			man, err := transport.LocalManifest(1, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl := &stubControl{retired: make(chan transport.JobDone, 1)}
+			errs := serveStub(man, 0, ctl)
+			co, err := transport.DialCluster(man, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			if err := co.Load(&transport.LoadSpec{NumThreads: 1}, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			err = tc.send(co)
+			if err == nil || !strings.Contains(err.Error(), "connection to node 0 lost") {
+				t.Fatalf("job request to a non-serving node = %v, want the node's death", err)
+			}
+			select {
+			case d := <-ctl.retired:
+				t.Fatalf("non-serving node retired %+v", d)
+			default:
+			}
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCollectDeathNamesNode: a node whose collect stream breaks after some
+// of its chunks drops the link, and the collect barrier reports the lost
+// node at once instead of delivering a partial reply.
+func TestCollectDeathNamesNode(t *testing.T) {
+	man, err := transport.LocalManifest(1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := &stubControl{
+		chunks:     []transport.Reply{{PerCore: []transport.CoreMetrics{{Core: 0}}, More: true}},
+		collectErr: errors.New("disk on fire"),
+	}
+	errs := serveStub(man, 0, ctl)
+	co, err := transport.DialCluster(man, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if err := co.Load(&transport.LoadSpec{NumThreads: 1}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Collect(10 * time.Second); err == nil || !strings.Contains(err.Error(), "connection to node 0 lost") {
+		t.Fatalf("collect with a broken stream = %v, want the node's death", err)
+	}
+	// The stub's load reply may report the link's teardown: a send that
+	// takes the flusher role also writes the chunk queued behind it.
+	<-errs
 }

@@ -9,40 +9,44 @@ import (
 )
 
 // TestGather drives the coordinator's one barrier over plain channels —
-// no sockets — through every way it can end. Replies are LoadAcks, the
-// kind whose "queued reply beats the death that explains it" rule the
+// no sockets — through every way it can end. Replies answer a load, the
+// request whose "queued reply beats the death that explains it" rule the
 // barrier must keep.
 func TestGather(t *testing.T) {
 	t.Parallel()
 	errDeath := errors.New("transport: connection to node 1 lost: EOF")
 	for _, tc := range []struct {
 		name    string
-		replies []LoadAck
+		replies []Reply
 		death   error
 		timeout time.Duration
 		want    string // "" = success
 		checked int    // replies check must have seen
 	}{
-		{name: "all replies", replies: []LoadAck{{Node: 0}, {Node: 1}}, timeout: 10 * time.Second, checked: 2},
-		{name: "reply check fails", replies: []LoadAck{{Node: 0, Err: "unknown scheme"}, {Node: 1}}, timeout: 10 * time.Second,
+		{name: "all replies", replies: []Reply{{Node: 0}, {Node: 1}}, timeout: 10 * time.Second, checked: 2},
+		{name: "reply check fails", replies: []Reply{{Node: 0, Err: "unknown scheme"}, {Node: 1}}, timeout: 10 * time.Second,
 			want: "node 0 failed to load: unknown scheme", checked: 1},
 		{name: "death, nothing queued", death: errDeath, timeout: 10 * time.Second, want: "connection to node 1 lost"},
-		{name: "death, explaining reply queued", replies: []LoadAck{{Node: 1, Err: "bad placement"}}, death: errDeath, timeout: 10 * time.Second,
+		{name: "death, explaining reply queued", replies: []Reply{{Node: 1, Err: "bad placement"}}, death: errDeath, timeout: 10 * time.Second,
 			want: "node 1 failed to load: bad placement", checked: 1},
-		{name: "death, only healthy replies queued", replies: []LoadAck{{Node: 0}}, death: errDeath, timeout: 10 * time.Second,
+		{name: "death, only healthy replies queued", replies: []Reply{{Node: 0}}, death: errDeath, timeout: 10 * time.Second,
 			want: "connection to node 1 lost", checked: 1},
-		{name: "timeout", replies: []LoadAck{{Node: 0}}, timeout: 20 * time.Millisecond,
+		{name: "timeout", replies: []Reply{{Node: 0}}, timeout: 20 * time.Millisecond,
 			want: "load: 1 of 2 nodes replied before timeout", checked: 1},
+		// Two answers from node 0 must not stand in for node 1's: the
+		// barrier would release while node 1 has not done the work.
+		{name: "second reply from one node", replies: []Reply{{Node: 0}, {Node: 0}}, timeout: 10 * time.Second,
+			want: "load: second reply from node 0", checked: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			replies := make(chan LoadAck, 2)
+			replies := make(chan Reply, 2)
 			deaths := make(chan error, 1)
 			checked := 0
-			check := func(ack LoadAck) error {
+			check := func(r Reply) error {
 				checked++
-				if ack.Err != "" {
-					return fmt.Errorf("transport: node %d failed to load: %s", ack.Node, ack.Err)
+				if r.Err != "" {
+					return fmt.Errorf("transport: node %d failed to load: %s", r.Node, r.Err)
 				}
 				return nil
 			}

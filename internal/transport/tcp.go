@@ -166,56 +166,42 @@ type LoadSpec struct {
 	Serve bool
 }
 
-// LoadAck confirms (or refuses) one node's LoadSpec installation. A node
-// that fails to build its part — bad scheme or placement name, undecodable
-// programs — reports the actual error here before exiting, so the
-// coordinator surfaces the message instead of a bare connection death. A
-// successful ack is sent after the node's data plane is open (Ready), so
-// awaiting all acks is also a readiness barrier.
-type LoadAck struct {
-	Node int
-	Err  string `json:",omitempty"`
-}
-
-// Heartbeat is a node's periodic liveness-and-metrics report: a sequence
-// number and the node's cumulative wire counters. It flows asynchronously
-// on the coordinator link — liveness is observed, not inferred from
-// connection death — and is purely advisory: nothing deterministic may
-// depend on it.
+// Heartbeat is a node's periodic liveness report: a sequence number that
+// flows asynchronously on the coordinator link — liveness is observed, not
+// inferred from connection death. Purely advisory: nothing deterministic
+// may depend on it.
 type Heartbeat struct {
 	Node int
 	Seq  uint64
-	Net  NetStats
-	// Sample piggybacks the node's latest metrics Sample on the liveness
-	// frame when a sampler is installed (HandleSample) — the cheap way to
-	// watch a live run without a sample round trip. Advisory like the rest
-	// of the heartbeat: wall-clock paced, so never deterministic.
-	Sample *Sample `json:",omitempty"`
 }
 
-// NodeSample is one node's reply to a FrameSampleReq: its metrics Sample,
-// or the reason it could not take one.
-type NodeSample struct {
-	Node   int
-	Sample Sample
-	Err    string `json:",omitempty"`
-}
-
-// CollectChunk is one increment of a node's post-run state: per-core
-// chunks (that core's metrics, its shard's events and memory slice) stream
-// as the node drains, followed by a final Done chunk carrying the node's
-// aggregate counters and wire stats. Chunking bounds each control blob by
-// one core's state instead of one node's, which is what keeps a 256-core
-// collection inside the wire's blob cap.
-type CollectChunk struct {
-	Node    int
-	PerCore *CoreMetrics      `json:",omitempty"` // per-core chunk
-	Events  []Event           `json:",omitempty"`
+// Reply is a node's answer to the coordinator's current request, the body
+// of every FrameReply. Each node answers each request once — Collect with a
+// run of replies, every one but the last with More set — so every request
+// ends in the same barrier: one answer per node, or an error naming the
+// node.
+type Reply struct {
+	// Node is stamped by the coordinator from the connection the reply
+	// arrived on; a node cannot answer for another.
+	Node int `json:"-"`
+	// Job echoes the job of the JobSubmit or JobDone answered; the
+	// coordinator cross-checks it against the request.
+	Job int    `json:",omitempty"`
+	Err string `json:",omitempty"`
+	// Events are the retired region's event-log entries (JobDone) or one
+	// core's shard events (Collect).
+	Events []Event `json:",omitempty"`
+	Sample *Sample `json:",omitempty"` // SampleReq
+	// Collect streams one reply per owned core — its metrics row, its
+	// shard's Events and memory words, More set — then a last reply
+	// carrying the node's wire counters. Chunking bounds each control blob
+	// by one core's state instead of one node's, which is what keeps a
+	// 256-core collection inside the wire's blob cap. The coordinator
+	// delivers the stream folded into one Reply per node.
+	PerCore []CoreMetrics     `json:",omitempty"`
 	Mem     map[uint32]uint32 `json:",omitempty"`
-	// Done marks the node's final chunk, carrying the aggregates.
-	Done     bool             `json:",omitempty"`
-	Counters map[string]int64 `json:",omitempty"`
-	Net      *NetStats        `json:",omitempty"`
+	More    bool              `json:",omitempty"`
+	Net     *NetStats         `json:",omitempty"`
 }
 
 // JobSpec is one serve-mode job: programs and initial registers for the
@@ -231,43 +217,35 @@ type JobSpec struct {
 	Mem      map[uint32]uint32
 }
 
-// JobAck confirms (or refuses) one node's installation of a JobSpec. The
-// coordinator must not inject the job's contexts until every node acked:
-// a migration can cross node links and arrive ahead of the coordinator's
-// own JobSubmit frame, and a context for a slot with no installed spec is
-// protocol corruption.
-type JobAck struct {
-	Job  int
-	Node int
-	Err  string `json:",omitempty"`
-}
-
-// JobDone retires a completed job's slots on every node, so a stray late
-// context for a retired slot fails loudly instead of executing a stale
-// program. When Reclaim is set it also names the job's memory region
-// [Base, Base+Size): each node deletes the region's shard words and
-// removes (and returns, via JobRetired) the region's event-log entries,
-// which is what keeps an open-loop server's footprint bounded by the
-// in-flight window instead of growing O(jobs).
+// JobDone retires a completed job on every node: its slots are cleared,
+// so a stray late context for a retired slot fails loudly instead of
+// executing a stale program, and its memory region [Base, Base+Size) is
+// reclaimed — each node deletes the region's shard words and removes (and
+// returns, in its Reply) the region's event-log entries, which is what
+// keeps an open-loop server's footprint bounded by the in-flight window
+// instead of growing O(jobs).
 type JobDone struct {
-	Job     int
-	Slots   []int
-	Base    uint32 `json:",omitempty"`
-	Size    uint32 `json:",omitempty"`
-	Reclaim bool   `json:",omitempty"`
+	Job   int
+	Slots []int
+	Base  uint32 `json:",omitempty"`
+	Size  uint32 `json:",omitempty"`
 }
 
-// JobRetired is one node's reply to a JobDone: confirmation that the slots
-// are cleared, plus — when the JobDone asked for reclamation — the retired
-// region's event-log entries (removed from the node's shards) and the
-// number of shard words reclaimed. The coordinator gathers one per node
-// before reusing the region, making retirement a barrier like submission.
-type JobRetired struct {
-	Job    int
-	Node   int
-	Events []Event `json:",omitempty"`
-	Words  int     `json:",omitempty"`
-	Err    string  `json:",omitempty"`
+// ControlHandler answers the coordinator's requests on a node, called
+// synchronously on the coordinator link's reader: injections that follow a
+// JobSubmit on the same connection find the job installed, and each answer
+// leaves before the next request is read. *machine.Part implements it.
+type ControlHandler interface {
+	// ApplyJob installs a serve-mode job (JobSubmit).
+	ApplyJob(*JobSpec) error
+	// RetireJob clears a finished job's slots and reclaims its region,
+	// returning the region's removed event-log entries (JobDone).
+	RetireJob(JobDone) []Event
+	// Sample takes a non-destructive metrics snapshot (SampleReq).
+	Sample() (Sample, error)
+	// CollectChunked streams the post-run state (Collect) through emit:
+	// one reply with More set per owned core, then a last one.
+	CollectChunked(emit func(Reply) error) error
 }
 
 // HaltMsg reports a thread's HALT to the coordinator, carrying its final
@@ -281,10 +259,12 @@ type HaltMsg struct {
 	Msgs   uint32
 }
 
-// CollectReply is one node's post-run state: its counters (aggregate and
-// per owned core), the event logs of its shards, its slice of the final
-// memory image, and — when the part ran over TCP — the node's wire-level
-// traffic counters.
+// CollectReply is one node's post-run state: its per-core counters, the
+// event logs of its shards, its slice of the final memory image, and —
+// when the part ran over TCP — the node's wire-level traffic counters.
+// Counters, the rows' aggregate, is filled where a part collects itself
+// (Part.Collect) and by the merge; over TCP it is re-derived from the rows
+// rather than shipped.
 type CollectReply struct {
 	Node     int
 	Counters map[string]int64
@@ -297,7 +277,7 @@ type CollectReply struct {
 // Grow folds one increment of post-run state into r — a shard's events,
 // its slice of the memory image and the metrics rows that go with them. It
 // is the one accumulation step of every collect: a part reading its own
-// shards, the coordinator reassembling a node's CollectChunk stream, and
+// shards, the coordinator reassembling a node's collect reply stream, and
 // the merge of per-node replies into the machine-wide one.
 func (r *CollectReply) Grow(events []Event, mem map[uint32]uint32, perCore ...CoreMetrics) {
 	r.PerCore = append(r.PerCore, perCore...)
@@ -400,12 +380,12 @@ func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
 
 // Node is the TCP transport endpoint of one node process. It implements
 // Transport for the cores its manifest entry owns and additionally carries
-// the coordinator's control plane: Load, Halt, Collect, Shutdown.
+// the coordinator's control plane: requests in, replies and halts out.
 //
 // Lifecycle (see machine.ServeNode): ListenNode, receive the LoadSpec from
 // Loads(), build the machine part (which installs the memory handler and
-// calls Prepare), call Ready, serve the run, answer CollectRequests, exit
-// on ShutdownC.
+// calls Prepare), install the control handler, call Ready, answer the load
+// with SendReply, serve the run, exit on ShutdownC.
 type Node struct {
 	man   Manifest
 	idx   int
@@ -423,14 +403,12 @@ type Node struct {
 	evict    map[geom.CoreID]chan Context
 	handler  func(core geom.CoreID, req MemRequest) MemReply
 	invH     func(inv LeaseInval)
-	jobH     func(*JobSpec) error
-	jobDoneH func(JobDone) JobRetired
-	sampleH  func() Sample
+	ctl      ControlHandler
+	serve    atomic.Bool // the delivered LoadSpec's Serve flag
 	hbOnce   sync.Once
 	nextID   atomic.Uint64
 	pending  map[uint64]*pendingCall
 	loads    chan *LoadSpec
-	collects chan struct{}
 	shutdown chan struct{}
 	closed   atomic.Bool
 }
@@ -474,7 +452,6 @@ func ListenNodeOn(man Manifest, idx int, ln net.Listener) (*Node, error) {
 		ready:    make(chan struct{}),
 		pending:  make(map[uint64]*pendingCall),
 		loads:    make(chan *LoadSpec, 1),
-		collects: make(chan struct{}, 1),
 		shutdown: make(chan struct{}),
 	}
 	for i := range n.peers {
@@ -592,6 +569,7 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		}
 		select {
 		case n.loads <- spec:
+			n.serve.Store(spec.Serve)
 		default:
 		}
 	case FrameMigration, FrameEviction:
@@ -641,60 +619,14 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		if n.invH != nil {
 			n.invH(f.Inv)
 		}
-	case FrameJobSubmit:
-		spec := new(JobSpec)
-		if err := json.Unmarshal(f.Blob, spec); err != nil {
-			return malformedf("job spec: %v", err)
-		}
+	case FrameJobSubmit, FrameJobDone, FrameSampleReq, FrameCollect:
 		if !n.waitReady() {
 			return errStopRead
 		}
-		if n.jobH == nil {
-			return malformedf("job submit to a node not serving jobs")
+		if n.ctl == nil {
+			return malformedf("request kind %d to a node with no control handler", f.Kind)
 		}
-		// Handled synchronously on the reader goroutine: eviction injections
-		// that follow on this same connection must find the specs installed.
-		ack := JobAck{Job: spec.Job, Node: n.idx}
-		if err := n.jobH(spec); err != nil {
-			ack.Err = err.Error()
-		}
-		return c.sendJSON(FrameJobAck, &ack)
-	case FrameJobDone:
-		var d JobDone
-		if err := json.Unmarshal(f.Blob, &d); err != nil {
-			return malformedf("job done: %v", err)
-		}
-		if !n.waitReady() {
-			return errStopRead
-		}
-		if n.jobDoneH == nil {
-			return malformedf("job done to a node not serving jobs")
-		}
-		// Synchronous on the reader, like JobSubmit: the reply confirms the
-		// slots are cleared and the region reclaimed before the coordinator
-		// can reuse either.
-		ret := n.jobDoneH(d)
-		return c.sendJSON(FrameJobRetired, &ret)
-	case FrameSampleReq:
-		// Synchronous on the reader like the job frames: the reply is cheap
-		// (one lock-light snapshot) and per-connection FIFO pairs it with
-		// its request. Waiting for Ready guarantees the sampler installed
-		// by the node lifecycle is visible.
-		if !n.waitReady() {
-			return errStopRead
-		}
-		rep := NodeSample{Node: n.idx}
-		if s, err := n.Sample(); err != nil {
-			rep.Err = err.Error()
-		} else {
-			rep.Sample = s
-		}
-		return c.sendJSON(FrameSampleRep, &rep)
-	case FrameCollect:
-		select {
-		case n.collects <- struct{}{}:
-		default:
-		}
+		return n.answer(c, f)
 	case FrameShutdown:
 		n.triggerShutdown()
 		return errStopRead
@@ -702,6 +634,54 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		return malformedf("unexpected frame kind %d on a node link", f.Kind)
 	}
 	return nil
+}
+
+// answer serves one coordinator request through the control handler,
+// synchronously on the coordinator link's reader, and sends its Reply back
+// on that link: a JobSubmit's answer means the job is installed before any
+// injection that follows it on the connection is read, and a JobDone's
+// that the slots and region are free before the coordinator reuses them.
+func (n *Node) answer(c *conn, f Frame) error {
+	if (f.Kind == FrameJobSubmit || f.Kind == FrameJobDone) && !n.serve.Load() {
+		return malformedf("job frame kind %d to a node not serving jobs", f.Kind)
+	}
+	var r Reply
+	switch f.Kind {
+	case FrameJobSubmit:
+		spec := new(JobSpec)
+		if err := json.Unmarshal(f.Blob, spec); err != nil {
+			return malformedf("job spec: %v", err)
+		}
+		r.Job = spec.Job
+		if err := n.ctl.ApplyJob(spec); err != nil {
+			r.Err = err.Error()
+		}
+	case FrameJobDone:
+		var d JobDone
+		if err := json.Unmarshal(f.Blob, &d); err != nil {
+			return malformedf("job done: %v", err)
+		}
+		r = Reply{Job: d.Job, Events: n.ctl.RetireJob(d)}
+	case FrameSampleReq:
+		s, err := n.ctl.Sample()
+		if err != nil {
+			r.Err = err.Error()
+		} else {
+			s.Net = n.nc.snapshot()
+			r.Sample = &s
+		}
+	case FrameCollect:
+		// Wire counters are snapshotted before the stream so they do not
+		// count its own traffic, then ride its last reply.
+		net := n.nc.snapshot()
+		return n.ctl.CollectChunked(func(r Reply) error {
+			if !r.More {
+				r.Net = &net
+			}
+			return c.sendJSON(FrameReply, &r)
+		})
+	}
+	return c.sendJSON(FrameReply, &r)
 }
 
 // dialPeer connects to a lower-index peer, retrying until it answers or
@@ -785,9 +765,6 @@ func (n *Node) waitReady() bool {
 // Loads returns the channel delivering the coordinator's LoadSpec.
 func (n *Node) Loads() <-chan *LoadSpec { return n.loads }
 
-// CollectRequests signals the coordinator's Collect broadcast.
-func (n *Node) CollectRequests() <-chan struct{} { return n.collects }
-
 // ShutdownC closes when the coordinator sends Shutdown.
 func (n *Node) ShutdownC() <-chan struct{} { return n.shutdown }
 
@@ -804,21 +781,16 @@ func (n *Node) sendCoord(kind FrameKind, v any) error {
 // SendHalt reports a thread HALT to the coordinator.
 func (n *Node) SendHalt(h HaltMsg) error { return n.sendCoord(FrameHalt, &h) }
 
-// SendLoadAck reports the outcome of installing the LoadSpec: success
-// after the node's data plane is open, or the actual failure message —
-// so the coordinator surfaces "bad scheme name" instead of a bare
-// connection death.
-func (n *Node) SendLoadAck(ack LoadAck) error { return n.sendCoord(FrameLoadAck, &ack) }
+// SendReply answers the LoadSpec, the one request the node's lifecycle
+// answers itself (the control handler answers the rest): an empty Reply
+// after the node's data plane is open, or one carrying the actual failure
+// message — so the coordinator surfaces "bad scheme name" instead of a
+// bare connection death.
+func (n *Node) SendReply(r Reply) error { return n.sendCoord(FrameReply, &r) }
 
-// SendCollectChunk streams one increment of the node's post-run state.
-// The node sends per-core chunks as it drains and a final Done chunk
-// carrying its aggregates; the coordinator reassembles them in arrival
-// order (per-connection FIFO makes that the send order).
-func (n *Node) SendCollectChunk(ch CollectChunk) error { return n.sendCoord(FrameCollectChunk, &ch) }
-
-// StartHeartbeat begins the node's liveness/metrics heartbeat toward the
-// coordinator: every interval, a Heartbeat frame with an increasing Seq
-// and the node's cumulative wire counters. The goroutine exits on
+// StartHeartbeat begins the node's liveness heartbeat toward the
+// coordinator: every interval, a Heartbeat frame with an increasing Seq.
+// The goroutine exits on
 // shutdown or the first send error (a dead coordinator link needs no
 // further liveness reports). Idempotent; interval must be positive.
 func (n *Node) StartHeartbeat(interval time.Duration) {
@@ -835,12 +807,7 @@ func (n *Node) StartHeartbeat(interval time.Duration) {
 				case <-tick.C:
 				}
 				seq++
-				hb := Heartbeat{Node: n.idx, Seq: seq, Net: n.nc.snapshot()}
-				if n.sampleH != nil {
-					s := n.sampleH()
-					hb.Sample = &s
-				}
-				if n.sendCoord(FrameHeartbeat, &hb) != nil {
+				if n.sendCoord(FrameHeartbeat, &Heartbeat{Node: n.idx, Seq: seq}) != nil {
 					return
 				}
 			}
@@ -897,34 +864,10 @@ func (n *Node) HandleMem(h func(core geom.CoreID, req MemRequest) MemReply) { n.
 // (write-updates are advisory — holders expire on their own clocks).
 func (n *Node) HandleLeaseInval(h func(inv LeaseInval)) { n.invH = h }
 
-// HandleJob installs the serve-mode job installer, called synchronously on
-// the coordinator link's reader for every JobSubmit (so injections that
-// follow on the same connection find the specs in place). Install before
-// Ready; a JobSubmit with no handler is protocol corruption.
-func (n *Node) HandleJob(h func(*JobSpec) error) { n.jobH = h }
-
-// HandleJobDone installs the retirement callback for JobDone frames. It
-// runs synchronously on the coordinator link's reader (like HandleJob) and
-// its JobRetired reply — slot clearance plus any reclaimed events — goes
-// straight back on the same connection. Install before Ready.
-func (n *Node) HandleJobDone(h func(JobDone) JobRetired) { n.jobDoneH = h }
-
-// HandleSample installs the machine-side sampler behind Sample(): the
-// part's non-destructive snapshot. Install before Ready (like the job
-// handlers); FrameSampleReq waits for Ready before consulting it.
-func (n *Node) HandleSample(h func() Sample) { n.sampleH = h }
-
-// Sample implements MetricsSource for the node endpoint: the installed
-// machine sampler's snapshot with the node's own wire counters stamped in.
-// Without an installed sampler only the wire counters are reported.
-func (n *Node) Sample() (Sample, error) {
-	var s Sample
-	if n.sampleH != nil {
-		s = n.sampleH()
-	}
-	s.Net = n.nc.snapshot()
-	return s, nil
-}
+// HandleControl installs the handler that answers the coordinator's
+// requests. Install before Ready; requests wait for Ready, and one reaching
+// a node with no handler is protocol corruption.
+func (n *Node) HandleControl(h ControlHandler) { n.ctl = h }
 
 // SendMigration implements Transport: a channel push when dst is owned
 // locally, a deferred frame into the owning node's batch buffer otherwise —
@@ -1032,35 +975,37 @@ func (n *Node) SendLeaseInval(inv LeaseInval) error {
 // Coordinator is the driver side of a cluster run: it owns no cores but
 // connects to every node to broadcast the LoadSpec, inject the initial
 // contexts, gather HALT reports, and collect the post-run state. In serve
-// mode it additionally broadcasts JobSubmit/JobDone frames and gathers the
-// per-node acks.
+// mode it additionally submits and retires jobs. Every request — load,
+// job submit, job retire, sample, collect — is one request: a broadcast
+// and one Reply per node.
 type Coordinator struct {
-	man      Manifest
-	route    []int
-	conns    []*conn
-	nc       netCounters
-	halts    chan HaltMsg
-	colls    chan CollectReply
-	jobAcks  chan JobAck
-	loadAcks chan LoadAck
-	retired  chan JobRetired
-	samples  chan NodeSample
-	deaths   chan error
-	down     atomic.Bool // set by Shutdown/Close: reader exits become orderly
+	man     Manifest
+	route   []int
+	conns   []*conn
+	nc      netCounters
+	halts   chan HaltMsg
+	replies chan Reply
+	deaths  chan error
+	down    atomic.Bool // set by Shutdown/Close: reader exits become orderly
+
+	// reqMu serializes requests, so the replies on hand always answer the
+	// one in flight. failed is the error of the first failed request: its
+	// unanswered replies may still arrive, so every later request refuses.
+	reqMu  sync.Mutex
+	failed error
 
 	hbMu sync.Mutex
 	hb   []HeartbeatInfo // by node; Seq 0 until the node's first heartbeat
 }
 
 // HeartbeatInfo is the coordinator's last-seen liveness record for one
-// node: the heartbeat's sequence number and wire counters, stamped with
-// the coordinator-side arrival time. Advisory only — it feeds timeout
+// node: the heartbeat's sequence number, stamped with the
+// coordinator-side arrival time. Advisory only — it feeds timeout
 // diagnostics, never results.
 type HeartbeatInfo struct {
 	Node int
 	Seq  uint64
 	At   time.Time
-	Net  NetStats
 }
 
 // DialCluster connects to every node in the manifest, retrying until
@@ -1070,17 +1015,13 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 		return nil, err
 	}
 	co := &Coordinator{
-		man:      man,
-		route:    man.routes(),
-		conns:    make([]*conn, len(man.Nodes)),
-		halts:    make(chan HaltMsg, 4096),
-		colls:    make(chan CollectReply, len(man.Nodes)),
-		jobAcks:  make(chan JobAck, len(man.Nodes)),
-		loadAcks: make(chan LoadAck, len(man.Nodes)),
-		retired:  make(chan JobRetired, len(man.Nodes)),
-		samples:  make(chan NodeSample, len(man.Nodes)),
-		deaths:   make(chan error, len(man.Nodes)),
-		hb:       make([]HeartbeatInfo, len(man.Nodes)),
+		man:     man,
+		route:   man.routes(),
+		conns:   make([]*conn, len(man.Nodes)),
+		halts:   make(chan HaltMsg, 4096),
+		replies: make(chan Reply, len(man.Nodes)),
+		deaths:  make(chan error, len(man.Nodes)),
+		hb:      make([]HeartbeatInfo, len(man.Nodes)),
 	}
 	for i, ns := range man.Nodes {
 		c, err := dialRetry(ns.Addr, timeout)
@@ -1099,69 +1040,53 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 	return co, nil
 }
 
-// deliver decodes one JSON control reply and queues it for the barrier
-// (or halt collector) gathering that kind.
-func deliver[T any](ch chan<- T, f Frame, what string) error {
-	var v T
-	if err := json.Unmarshal(f.Blob, &v); err != nil {
-		return malformedf("%s: %v", what, err)
-	}
-	ch <- v
-	return nil
-}
-
 func (co *Coordinator) readLoop(node int, c *conn) {
-	// acc reassembles this node's streamed CollectChunks. Chunks for node i
-	// arrive only on node i's connection, so the accumulator is local to
+	// acc folds this node's collect stream into one reply. A node's replies
+	// arrive only on its own connection, so the accumulator is local to
 	// this reader — no lock, no cross-node interleaving.
-	acc := CollectReply{Node: node}
+	var acc CollectReply
+	folding := false
+	// One decode target per frame kind, reset before each decode: the
+	// halt collector and the barrier receive copies, so nothing aliases.
+	var h HaltMsg
+	var r Reply
+	var hb Heartbeat
 	err := readBatches(c.br, &co.nc, func(f Frame) error {
 		switch f.Kind {
 		case FrameHalt:
-			return deliver(co.halts, f, "halt report")
-		case FrameCollectChunk:
-			var ch CollectChunk
-			if err := json.Unmarshal(f.Blob, &ch); err != nil {
-				return malformedf("collect chunk: %v", err)
+			h = HaltMsg{}
+			if err := json.Unmarshal(f.Blob, &h); err != nil {
+				return malformedf("halt report: %v", err)
 			}
-			if ch.Node != node {
-				return malformedf("collect chunk for node %d on node %d's connection", ch.Node, node)
+			co.halts <- h
+		case FrameReply:
+			r = Reply{}
+			if err := json.Unmarshal(f.Blob, &r); err != nil {
+				return malformedf("reply: %v", err)
 			}
-			if ch.PerCore != nil {
-				acc.Grow(ch.Events, ch.Mem, *ch.PerCore)
-			} else {
-				acc.Grow(ch.Events, ch.Mem)
+			r.Node = node
+			if r.More || folding {
+				acc.Grow(r.Events, r.Mem, r.PerCore...)
+				if folding = r.More; folding {
+					return nil
+				}
+				r.PerCore, r.Events, r.Mem, acc = acc.PerCore, acc.Events, acc.Mem, CollectReply{}
 			}
-			if ch.Done {
-				acc.Counters, acc.Net = ch.Counters, ch.Net
-				co.colls <- acc
-				acc = CollectReply{Node: node}
-			}
-		case FrameJobAck:
-			return deliver(co.jobAcks, f, "job ack")
-		case FrameLoadAck:
-			return deliver(co.loadAcks, f, "load ack")
-		case FrameJobRetired:
-			return deliver(co.retired, f, "job retired")
-		case FrameSampleRep:
-			var ns NodeSample
-			if err := json.Unmarshal(f.Blob, &ns); err != nil {
-				return malformedf("sample reply: %v", err)
-			}
+			// Each node answers the one request in flight once, so the
+			// channel, one slot per node, is never full.
 			select {
-			case co.samples <- ns:
+			case co.replies <- r:
 			default:
-				// A reply for a Sample that already timed out; drop it
-				// rather than wedging the reader.
+				return malformedf("node %d answered a request twice", node)
 			}
 		case FrameHeartbeat:
-			var hb Heartbeat
+			hb = Heartbeat{}
 			if err := json.Unmarshal(f.Blob, &hb); err != nil {
 				return malformedf("heartbeat: %v", err)
 			}
 			co.hbMu.Lock()
 			//em2:wallclock-ok: the arrival stamp only dates the heartbeat in a timeout error
-			co.hb[node] = HeartbeatInfo{Node: node, Seq: hb.Seq, At: time.Now(), Net: hb.Net}
+			co.hb[node] = HeartbeatInfo{Node: node, Seq: hb.Seq, At: time.Now()}
 			co.hbMu.Unlock()
 		default:
 			return malformedf("unexpected frame kind %d on the coordinator link", f.Kind)
@@ -1207,50 +1132,86 @@ func (co *Coordinator) broadcast(kind FrameKind, v any) (err error) {
 	return nil
 }
 
-// gather is the coordinator's one barrier: it takes want replies — one per
-// node — from replies, handing each to check, and fails on the first check
-// error, on a node death, or when timeout passes. A dying node's last
-// reply can be queued ahead of its death (a node that fails to load sends
-// the ack carrying its error, then exits; one reader delivers both, in
-// that order), so queued replies are checked before a death is reported:
-// the reply that explains a death beats the death.
-func gather[T any](what string, want int, replies <-chan T, deaths <-chan error, timeout time.Duration, check func(T) error) error {
+// gather is the coordinator's one barrier: it takes one Reply per node
+// from replies, handing each to check, and fails on the first check error,
+// on a second reply from one node, on a node death, or when timeout
+// passes. A dying node's last reply can be queued ahead of its death (a
+// node that fails to load sends the reply carrying its error, then exits;
+// one reader delivers both, in that order), so queued replies are checked
+// before a death is reported: the reply that explains a death beats the
+// death.
+func gather(what string, nodes int, replies <-chan Reply, deaths <-chan error, timeout time.Duration, check func(Reply) error) error {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	for got := 0; got < want; got++ {
+	var small [64]bool // no allocation for up to 64 nodes
+	seen := small[:]
+	if nodes > len(small) {
+		seen = make([]bool, nodes)
+	}
+	take := func(r Reply) error {
+		if seen[r.Node] {
+			return fmt.Errorf("transport: %s: second reply from node %d", what, r.Node)
+		}
+		seen[r.Node] = true
+		return check(r)
+	}
+	for got := 0; got < nodes; got++ {
 		select {
 		case r := <-replies:
-			if err := check(r); err != nil {
+			if err := take(r); err != nil {
 				return err
 			}
 		case death := <-deaths:
 			for len(replies) > 0 {
-				if err := check(<-replies); err != nil {
+				if err := take(<-replies); err != nil {
 					return err
 				}
 			}
 			return death
 		case <-timer.C:
-			return fmt.Errorf("transport: %s: %d of %d nodes replied before timeout", what, got, want)
+			return fmt.Errorf("transport: %s: %d of %d nodes replied before timeout", what, got, nodes)
 		}
 	}
 	return nil
 }
 
-// Load broadcasts the run description to every node. Follow with
-// AwaitLoadAcks to learn whether every node actually installed it.
-func (co *Coordinator) Load(spec *LoadSpec) error { return co.broadcast(FrameLoad, spec) }
+// request is the coordinator's one control exchange: broadcast the
+// request, then gather one Reply per node. A reply carrying an error, or
+// answering another job than job, fails the request naming the node; each
+// gets every other reply. A failed request may leave replies in flight, so
+// every later request fails too — serve.Run, ClusterRun.Run and
+// LoadCluster abandon the coordinator on any barrier error anyway.
+func (co *Coordinator) request(what string, kind FrameKind, v any, job int, timeout time.Duration, each func(Reply) error) error {
+	co.reqMu.Lock()
+	defer co.reqMu.Unlock()
+	if co.failed != nil {
+		return fmt.Errorf("transport: %s refused after a failed request: %w", what, co.failed)
+	}
+	err := co.broadcast(kind, v)
+	if err == nil {
+		err = gather(what, len(co.conns), co.replies, co.deaths, timeout, func(r Reply) error {
+			if r.Job != job {
+				return fmt.Errorf("transport: %s: node %d answered job %d, want %d", what, r.Node, r.Job, job)
+			}
+			if r.Err != "" {
+				return fmt.Errorf("transport: %s: node %d failed: %s", what, r.Node, r.Err)
+			}
+			if each != nil {
+				return each(r)
+			}
+			return nil
+		})
+	}
+	co.failed = err
+	return err
+}
 
-// AwaitLoadAcks gathers one LoadAck per node: the barrier that turns a
-// node's load failure into its actual error message ("unknown scheme
-// …") instead of a bare connection death.
-func (co *Coordinator) AwaitLoadAcks(timeout time.Duration) error {
-	return gather("load", len(co.conns), co.loadAcks, co.deaths, timeout, func(ack LoadAck) error {
-		if ack.Err != "" {
-			return fmt.Errorf("transport: node %d failed to load: %s", ack.Node, ack.Err)
-		}
-		return nil
-	})
+// Load broadcasts the run description to every node and awaits every
+// node's answer: the barrier that turns a node's load failure into its
+// actual error message ("unknown scheme …") instead of a bare connection
+// death, and after which every node's data plane is open.
+func (co *Coordinator) Load(spec *LoadSpec, timeout time.Duration) error {
+	return co.request("load", FrameLoad, spec, 0, timeout, nil)
 }
 
 // Heartbeats snapshots the last heartbeat seen from each node, sorted by
@@ -1318,43 +1279,22 @@ func (co *Coordinator) Halts() <-chan HaltMsg { return co.halts }
 func (co *Coordinator) Deaths() <-chan error { return co.deaths }
 
 // SubmitJob broadcasts one job's specs to every node and waits for every
-// ack — the barrier that keeps a cross-node migration from reaching a node
-// before that node installed the job's thread specs. Inject the job's
+// answer — the barrier that keeps a cross-node migration from reaching a
+// node before that node installed the job's thread specs. Inject the job's
 // contexts only after SubmitJob returns nil.
 func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
-	if err := co.broadcast(FrameJobSubmit, spec); err != nil {
-		return err
-	}
-	return gather("job submit", len(co.conns), co.jobAcks, co.deaths, timeout, func(ack JobAck) error {
-		if ack.Job != spec.Job {
-			return fmt.Errorf("transport: node %d acked job %d while job %d was submitting", ack.Node, ack.Job, spec.Job)
-		}
-		if ack.Err != "" {
-			return fmt.Errorf("transport: node %d rejected job %d: %s", ack.Node, spec.Job, ack.Err)
-		}
-		return nil
-	})
+	return co.request("job submit", FrameJobSubmit, spec, spec.Job, timeout, nil)
 }
 
-// RetireJob broadcasts a JobDone and gathers one JobRetired per node —
-// the barrier that keeps the coordinator from reusing the job's slots or
-// memory region before every node cleared them. When d.Reclaim is set,
-// the merged reply carries the retired region's event-log entries
-// (removed from every node's shards; merge order is irrelevant because SC
-// checking orders events by home and sequence).
+// RetireJob broadcasts a JobDone and waits for every answer — the barrier
+// that keeps the coordinator from reusing the job's slots or memory region
+// before every node cleared them. It returns the retired region's
+// event-log entries, removed from every node's shards (merge order is
+// irrelevant because SC checking orders events by home and sequence).
 func (co *Coordinator) RetireJob(d JobDone, timeout time.Duration) ([]Event, error) {
-	if err := co.broadcast(FrameJobDone, &d); err != nil {
-		return nil, err
-	}
 	var events []Event
-	err := gather("job retire", len(co.conns), co.retired, co.deaths, timeout, func(ret JobRetired) error {
-		if ret.Job != d.Job {
-			return fmt.Errorf("transport: node %d retired job %d while job %d was retiring", ret.Node, ret.Job, d.Job)
-		}
-		if ret.Err != "" {
-			return fmt.Errorf("transport: node %d failed to retire job %d: %s", ret.Node, d.Job, ret.Err)
-		}
-		events = append(events, ret.Events...)
+	err := co.request("job retire", FrameJobDone, &d, d.Job, timeout, func(r Reply) error {
+		events = append(events, r.Events...)
 		return nil
 	})
 	if err != nil {
@@ -1366,27 +1306,19 @@ func (co *Coordinator) RetireJob(d JobDone, timeout time.Duration) ([]Event, err
 // sampleTimeout bounds one cluster-wide sample gather.
 const sampleTimeout = 30 * time.Second
 
-// Sample implements MetricsSource for the whole cluster: it broadcasts a
-// sample request and merges one NodeSample per node into a cluster-wide
-// Sample — per-core rows sorted ascending by core, gauges summed, wire
-// counters summed across the nodes plus the coordinator's own.
-// Non-destructive and safe to call repeatedly while a run is live: the
-// nodes answer on their reader goroutines without touching the data plane.
+// Sample implements MetricsSource for the whole cluster: it requests one
+// Sample per node and merges them into a cluster-wide Sample — per-core
+// rows sorted ascending by core, gauges summed, wire counters summed across
+// the nodes plus the coordinator's own. Non-destructive and safe to call
+// repeatedly while a run is live: the nodes answer on their reader
+// goroutines without touching the data plane.
 func (co *Coordinator) Sample() (Sample, error) {
-	// Drop replies stranded by an earlier timed-out request; the ones being
-	// gathered below must all answer this broadcast.
-	for len(co.samples) > 0 {
-		<-co.samples
-	}
-	if err := co.broadcast(FrameSampleReq, nil); err != nil {
-		return Sample{}, err
-	}
 	var merged Sample
-	err := gather("sample", len(co.conns), co.samples, co.deaths, sampleTimeout, func(ns NodeSample) error {
-		if ns.Err != "" {
-			return fmt.Errorf("transport: node %d failed to sample: %s", ns.Node, ns.Err)
+	err := co.request("sample", FrameSampleReq, nil, 0, sampleTimeout, func(r Reply) error {
+		if r.Sample == nil {
+			return fmt.Errorf("transport: sample: node %d answered with no sample", r.Node)
 		}
-		merged.Merge(ns.Sample)
+		merged.Merge(*r.Sample)
 		return nil
 	})
 	if err != nil {
@@ -1412,15 +1344,12 @@ func (co *Coordinator) Sample() (Sample, error) {
 	return merged, nil
 }
 
-// Collect broadcasts the collect request and gathers one reply per node,
-// ascending by node index.
+// Collect requests every node's post-run state and returns one reply per
+// node, ascending by node index.
 func (co *Coordinator) Collect(timeout time.Duration) ([]CollectReply, error) {
-	if err := co.broadcast(FrameCollect, nil); err != nil {
-		return nil, err
-	}
 	reps := make([]CollectReply, len(co.conns))
-	err := gather("collect", len(co.conns), co.colls, co.deaths, timeout, func(r CollectReply) error {
-		reps[r.Node] = r // readLoop stamps Node with the connection's own index
+	err := co.request("collect", FrameCollect, nil, 0, timeout, func(r Reply) error {
+		reps[r.Node] = CollectReply{Node: r.Node, PerCore: r.PerCore, Events: r.Events, Mem: r.Mem, Net: r.Net}
 		return nil
 	})
 	if err != nil {

@@ -21,16 +21,16 @@
 // drained, writes never stall, and the in-process deadlock-freedom argument
 // becomes a bounded-wire-credit argument (DESIGN.md §6).
 //
-// The control plane is sharded to keep the coordinator off the critical
-// path at paper scale (64–256 cores, 8+ nodes): injection defers into the
-// per-node batch buffers and ships as one write per node (O(nodes)
-// coordinator writes, not O(threads) round trips); loading is acknowledged
-// per node (LoadAck carries the node's actual failure message); collection
-// streams incrementally (CollectChunk per core, then a Done aggregate) so
-// no single control blob scales with a node's core count; job retirement
-// is a barrier (JobDone → JobRetired) that reclaims the job's shard words
-// and events; and node liveness rides an async Heartbeat frame instead of
-// being inferred from connection death.
+// The control plane keeps the coordinator off the critical path at paper
+// scale (64–256 cores, 8+ nodes): injection defers into the per-node batch
+// buffers and ships as one write per node (O(nodes) coordinator writes,
+// not O(threads) round trips). Every request — load, job submit, job
+// retire, sample, collect — is answered by one Reply per node, gathered
+// by one barrier that names a failing node; the load's Reply carries a
+// node's actual failure message, and collect streams one Reply per core
+// so no single control blob scales with a node's core count. Node
+// liveness rides an async Heartbeat frame instead of being inferred from
+// connection death.
 package transport
 
 import (
@@ -223,8 +223,8 @@ const (
 // Event is one serialized memory operation at a home shard. Seq is the
 // shard-local serialization index: restricted to one address it is the
 // address's total modification/read order, the witness order the SC
-// checker uses. Events cross the wire in CollectReply, so the type lives
-// here; internal/machine aliases it.
+// checker uses. Events cross the wire in Reply, so the type lives here;
+// internal/machine aliases it.
 type Event struct {
 	Thread int
 	TSeq   int64 // per-thread memory-op index (program order)
@@ -346,11 +346,10 @@ func (s *Sample) Merge(o Sample) {
 }
 
 // MetricsSource is the common non-destructive metrics surface: anything
-// that can be sampled for telemetry. machine.Part (in-process cores),
-// Node (one cluster endpoint plus its wire counters) and Coordinator (a
-// whole cluster, via the sample control frames) all implement it, so the
-// stats renderers and the telemetry pipeline are written once against this
-// interface.
+// that can be sampled for telemetry. machine.Part (in-process cores) and
+// Coordinator (a whole cluster, via the sample request) implement it, so
+// the stats renderers and the telemetry pipeline are written once against
+// this interface.
 type MetricsSource interface {
 	// Sample takes a snapshot. It must be cheap and lock-light — safe to
 	// call periodically while the machine runs — and must not disturb any

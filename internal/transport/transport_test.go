@@ -190,7 +190,13 @@ func TestTCPNodesExchange(t *testing.T) {
 			n.HandleMem(func(core geom.CoreID, req transport.MemRequest) transport.MemReply {
 				return transport.MemReply{Value: req.Addr + req.Arg + uint32(core)}
 			})
+			n.HandleControl(&stubControl{chunks: []transport.Reply{
+				{PerCore: []transport.CoreMetrics{{Core: 0, Instructions: 11}}, More: true},
+			}})
 			n.Ready()
+			if err := n.SendReply(transport.Reply{}); err != nil {
+				return err
+			}
 			select {
 			case ctx := <-n.MigrationIn(0):
 				if ctx.Thread != 7 || ctx.MemSeq != 3 {
@@ -201,10 +207,6 @@ func TestTCPNodesExchange(t *testing.T) {
 				}
 			case <-time.After(10 * time.Second):
 				return fmt.Errorf("node 0: no migration arrived")
-			}
-			<-n.CollectRequests()
-			if err := n.SendCollectChunk(transport.CollectChunk{Node: 0, Done: true, Counters: map[string]int64{"instructions": 11}}); err != nil {
-				return err
 			}
 			<-n.ShutdownC()
 			return nil
@@ -223,7 +225,13 @@ func TestTCPNodesExchange(t *testing.T) {
 			spec := <-n.Loads()
 			n.Prepare(spec.NumThreads)
 			n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{} })
+			n.HandleControl(&stubControl{chunks: []transport.Reply{
+				{PerCore: []transport.CoreMetrics{{Core: 1, Instructions: 31}}, More: true},
+			}})
 			n.Ready()
+			if err := n.SendReply(transport.Reply{}); err != nil {
+				return err
+			}
 			rep, err := n.Remote(0, transport.MemRequest{Thread: 7, Op: transport.OpRead, Addr: 40, Arg: 2})
 			if err != nil {
 				return err
@@ -242,10 +250,6 @@ func TestTCPNodesExchange(t *testing.T) {
 			if err := n.Flush(); err != nil {
 				return err
 			}
-			<-n.CollectRequests()
-			if err := n.SendCollectChunk(transport.CollectChunk{Node: 1, Done: true, Counters: map[string]int64{"instructions": 31}}); err != nil {
-				return err
-			}
 			<-n.ShutdownC()
 			return nil
 		}()
@@ -256,7 +260,7 @@ func TestTCPNodesExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if err := co.Load(&transport.LoadSpec{NumThreads: 8}); err != nil {
+	if err := co.Load(&transport.LoadSpec{NumThreads: 8}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -274,8 +278,9 @@ func TestTCPNodesExchange(t *testing.T) {
 	if len(reps) != 2 || reps[0].Node != 0 || reps[1].Node != 1 {
 		t.Fatalf("collect replies %+v", reps)
 	}
-	if got := reps[0].Counters["instructions"] + reps[1].Counters["instructions"]; got != 42 {
-		t.Fatalf("summed counters = %d", got)
+	if len(reps[0].PerCore) != 1 || len(reps[1].PerCore) != 1 ||
+		reps[0].PerCore[0].Instructions+reps[1].PerCore[0].Instructions != 42 {
+		t.Fatalf("collected rows %+v, %+v", reps[0].PerCore, reps[1].PerCore)
 	}
 	co.Shutdown()
 	for i := 0; i < 2; i++ {

@@ -4,7 +4,7 @@ package transport
 // each a fixed 8-byte header followed by a run of self-delimiting frames.
 // Contexts, evictions and remote-access round trips are fixed-size
 // canonical binary (no reflection, no per-message allocation); the control
-// plane (Load/Halt/Collect replies) rides the same framing as
+// plane (requests, replies, halts, heartbeats) rides the same framing as
 // length-prefixed JSON blobs. Outbound frames coalesce in a per-connection
 // batch buffer — built over pooled storage, written with one syscall per
 // batch — so a node flushes all ready messages per scheduling cycle in a
@@ -27,18 +27,16 @@ import (
 // FrameKind classifies one wire frame.
 type FrameKind uint8
 
-// The frame kinds. Migration, eviction, memory request and memory reply are
-// the data plane; the rest are the coordinator's control plane. The job
-// frames carry the serve lifecycle: JobSubmit broadcasts one job's thread
-// specs, JobAck confirms a node installed them (the coordinator injects the
-// job's contexts only after every node acked — a migration must never reach
-// a node before its specs did), JobDone retires the job's slots, and
-// JobRetired confirms the retirement and carries back the job's reclaimed
-// shard events. LoadAck, Heartbeat and CollectChunk shard the coordinator's
-// control plane at scale: LoadAck surfaces a node's actual load error (or
-// readiness) instead of a bare connection death, Heartbeat streams node
-// liveness and wire metrics asynchronously, and CollectChunk streams a
-// node's post-run state incrementally, one chunk per core.
+// The frame kinds. Migration, eviction, memory request and memory reply
+// (with the lease reply and lease write-update) are the data plane; the
+// rest are the coordinator's control plane. The coordinator sends
+// requests — Load, JobSubmit, JobDone, SampleReq, Collect — and every node
+// answers each one with FrameReply: once, or as a run of replies ending in
+// one without More (collect streams one per core). Halt and Heartbeat are
+// the only unsolicited node frames: a thread's HALT report and the
+// advisory liveness beat. The blank slots are retired reply kinds; the
+// decoder rejects them like any unknown kind, so every live kind keeps its
+// value under WireVersion 2.
 const (
 	FrameHello FrameKind = iota + 1
 	FrameMigration
@@ -48,22 +46,22 @@ const (
 	FrameLoad
 	FrameHalt
 	FrameCollect
-	_ // 9: FrameCollectRep, retired by CollectChunk
+	_ // 9: barrier collect reply
 	FrameShutdown
 	FrameJobSubmit
-	FrameJobAck
+	_ // 12: job ack
 	FrameJobDone
-	FrameLoadAck
+	_ // 14: load ack
 	FrameHeartbeat
-	FrameCollectChunk
-	FrameJobRetired
+	_ // 16: collect chunk
+	_ // 17: job retired
 	// FrameSampleReq asks a node for one non-destructive metrics Sample
-	// (kind byte only); FrameSampleRep carries the NodeSample back. The
-	// sample plane is advisory — like heartbeats, its replies never enter a
-	// deterministic surface unless the sampler itself is deterministic (the
-	// serve loop's virtual-time ticks, where the machine is quiescent).
+	// (kind byte only). The sample plane is advisory — like heartbeats, its
+	// replies never enter a deterministic surface unless the sampler itself
+	// is deterministic (the serve loop's virtual-time ticks, where the
+	// machine is quiescent).
 	FrameSampleReq
-	FrameSampleRep
+	_ // 19: sample reply
 	// FrameLeaseRep is a remote-read reply that also grants a read lease:
 	// the same id/value as FrameMemRep plus the granted window, so plain
 	// replies keep their compact encoding. FrameLeaseInval carries a
@@ -73,6 +71,9 @@ const (
 	// copy.
 	FrameLeaseRep
 	FrameLeaseInval
+	// FrameReply is a node's answer to the coordinator's current request:
+	// one JSON Reply.
+	FrameReply
 )
 
 const (
@@ -145,7 +146,7 @@ type Frame struct {
 	Req  MemRequest  // FrameMemReq
 	Rep  MemReply    // FrameMemRep, FrameLeaseRep
 	Inv  LeaseInval  // FrameLeaseInval
-	Blob []byte      // control-plane kinds (Load, Halt, job/ack/heartbeat/chunk frames): JSON body
+	Blob []byte      // control-plane kinds (Load, Halt, job, heartbeat, reply frames): JSON body
 }
 
 // The per-kind frame encoders below are shared by AppendFrame and the
@@ -221,8 +222,7 @@ func AppendFrame(b []byte, f Frame) []byte {
 		return appendLeaseRepFrame(b, f.ID, f.Rep)
 	case FrameLeaseInval:
 		return appendLeaseInvalFrame(b, f.Inv)
-	case FrameLoad, FrameHalt, FrameJobSubmit, FrameJobAck, FrameJobDone,
-		FrameLoadAck, FrameHeartbeat, FrameCollectChunk, FrameJobRetired, FrameSampleRep:
+	case FrameLoad, FrameHalt, FrameJobSubmit, FrameJobDone, FrameHeartbeat, FrameReply:
 		return appendBlobFrame(b, f.Kind, f.Blob)
 	case FrameCollect, FrameShutdown, FrameSampleReq:
 		return append(b, byte(f.Kind)) // kind byte only
@@ -306,8 +306,7 @@ func parseFrame(b []byte) (Frame, int, error) {
 		f.Inv.Addr = binary.BigEndian.Uint32(p[4:])
 		f.Inv.Value = binary.BigEndian.Uint32(p[8:])
 		return f, 1 + leaseInvalBody, nil
-	case FrameLoad, FrameHalt, FrameJobSubmit, FrameJobAck, FrameJobDone,
-		FrameLoadAck, FrameHeartbeat, FrameCollectChunk, FrameJobRetired, FrameSampleRep:
+	case FrameLoad, FrameHalt, FrameJobSubmit, FrameJobDone, FrameHeartbeat, FrameReply:
 		if err := need(4); err != nil {
 			return Frame{}, 0, err
 		}

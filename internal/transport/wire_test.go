@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,20 +34,20 @@ func sampleFrames() []transport.Frame {
 		{Kind: transport.FrameCollect},
 		{Kind: transport.FrameShutdown},
 		{Kind: transport.FrameJobSubmit, Blob: []byte(`{"Job":7,"NumThreads":2}`)},
-		{Kind: transport.FrameJobAck, Blob: []byte(`{"Job":7}`)},
 		{Kind: transport.FrameJobDone, Blob: []byte(`{"Job":7,"Threads":[0,1]}`)},
-		{Kind: transport.FrameLoadAck, Blob: []byte(`{"Node":0,"Err":""}`)},
 		{Kind: transport.FrameHeartbeat, Blob: []byte(`{"Node":0,"Seq":3}`)},
-		{Kind: transport.FrameCollectChunk, Blob: []byte(`{"Node":0,"Done":true}`)},
-		{Kind: transport.FrameJobRetired, Blob: []byte(`{"Job":7}`)},
 		{Kind: transport.FrameSampleReq},
-		{Kind: transport.FrameSampleRep, Blob: []byte(`{"Node":0,"Sample":{"cycle":0,"per_core":null,"guests":null,"words":0,"events":0,"net":{}}}`)},
+		{Kind: transport.FrameReply, Blob: []byte(`{"Job":7,"Err":"x"}`)},
+		{Kind: transport.FrameReply, Blob: []byte(`{"PerCore":[{"Core":1}],"Mem":{"8192":1},"More":true}`)},
 	}
 }
 
-// retiredCollectRep is the reserved slot of the retired barrier collect
-// reply: no constant names it, and the decoder must reject it.
-const retiredCollectRep transport.FrameKind = 9
+// retiredKinds are the reserved slots of retired control frames — the
+// barrier collect reply (9) and the per-request replies FrameReply
+// replaced: job ack (12), load ack (14), collect chunk (16), job retired
+// (17) and sample reply (19). No constant names them, and the decoder must
+// reject every one.
+var retiredKinds = []transport.FrameKind{9, 12, 14, 16, 17, 19}
 
 // TestSampleFramesCoverEveryKind keeps sampleFrames honest: every declared
 // FrameKind must appear in the round-trip corpus, so adding a kind without
@@ -56,8 +58,8 @@ func TestSampleFramesCoverEveryKind(t *testing.T) {
 	for _, f := range sampleFrames() {
 		covered[f.Kind] = true
 	}
-	for k := transport.FrameHello; k <= transport.FrameLeaseInval; k++ {
-		if k == retiredCollectRep {
+	for k := transport.FrameHello; k <= transport.FrameReply; k++ {
+		if slices.Contains(retiredKinds, k) {
 			continue
 		}
 		if !covered[k] {
@@ -130,7 +132,6 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 		return b
 	})
 	mutate("unknown frame kind", func(b []byte) []byte { b[transport.BatchHeaderLen] = 0xEE; return b })
-	mutate("retired frame kind", func(b []byte) []byte { b[transport.BatchHeaderLen] = byte(retiredCollectRep); return b })
 
 	// An oversized declared payload must be rejected up front, not treated
 	// as an allocation request.
@@ -148,6 +149,25 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 	reqBatch[transport.BatchHeaderLen+1+4+8+4+8] = 200 // the op byte
 	if err := transport.DecodeBatch(reqBatch, nop); err == nil {
 		t.Error("unknown memory op accepted")
+	}
+}
+
+// TestRetiredKindsRejected: a frame that is well formed as a JSON blob
+// frame but carries a retired kind byte is an unknown kind, not an old
+// reply honored — a node or coordinator built before FrameReply fails
+// loudly against this one.
+func TestRetiredKindsRejected(t *testing.T) {
+	t.Parallel()
+	for _, k := range retiredKinds {
+		frame := append([]byte{byte(k)}, 0, 0, 0, 2, '{', '}')
+		b := make([]byte, transport.BatchHeaderLen)
+		binary.BigEndian.PutUint32(b, uint32(len(frame)))
+		binary.BigEndian.PutUint16(b[4:], 1)
+		b[6] = transport.WireVersion
+		err := transport.DecodeBatch(append(b, frame...), func(transport.Frame) error { return nil })
+		if !errors.Is(err, transport.ErrMalformedFrame) || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Errorf("retired kind %d: got %v, want an unknown-kind ErrMalformedFrame", k, err)
+		}
 	}
 }
 
