@@ -20,12 +20,15 @@
 //
 // Start one em2node per manifest entry (any order — peers retry their
 // dials), then run the driver against the same manifest. A node serves
-// exactly one run.
+// exactly one run, and refuses a second load.
 //
-// A node acknowledges its LoadSpec (success after the data plane is
-// wired, or its actual error — a bad scheme name fails the coordinator
-// with that message, not a bare connection drop), sends async heartbeats
-// with live wire stats while it runs, and streams its collect reply back
+// A node acknowledges its LoadSpec — configuration only: it starts its
+// cores over an empty pool of thread slots (success after the data plane
+// is wired, or its actual error — a bad scheme name fails the coordinator
+// with that message, not a bare connection drop). Programs and initial
+// memory arrive as jobs: a batch run is job 0, a serve session one job
+// per arrival, each installed before its contexts are injected. The node
+// sends async heartbeats while it runs and streams its collect reply back
 // as per-core chunks — the O(nodes) control plane that lets one
 // coordinator drive 8+ node processes (DESIGN.md §6). A cluster of
 // em2nodes scales to the paper's 64-core machine and beyond: CI runs 8

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/isa"
 	"repro/internal/placement"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -124,52 +123,6 @@ func ParseScheme(spec string, mesh geom.Mesh) (core.Scheme, error) {
 	}
 }
 
-// packThreads validates threads and renders them in wire form: programs
-// in their 32-bit ISA encoding, each instruction verified to survive the
-// wire (an immediate that overflows its field would silently execute
-// differently on the far side), and the initial register maps.
-func packThreads(threads []ThreadSpec) (programs [][]uint32, regs []map[int]uint32, err error) {
-	if err := validateSpecs(threads); err != nil {
-		return nil, nil, err
-	}
-	programs = make([][]uint32, len(threads))
-	regs = make([]map[int]uint32, len(threads))
-	for t := range threads {
-		prog := threads[t].Program
-		if len(prog) == 0 {
-			return nil, nil, fmt.Errorf("machine: thread %d has an empty program", t)
-		}
-		programs[t] = make([]uint32, len(prog))
-		for i, in := range prog {
-			w := in.Encode()
-			back, err := isa.Decode(w)
-			if err != nil || back != in {
-				return nil, nil, fmt.Errorf("machine: thread %d instruction %d (%v) does not survive the wire encoding", t, i, in)
-			}
-			programs[t][i] = w
-		}
-		regs[t] = threads[t].Regs
-	}
-	return programs, regs, nil
-}
-
-// decodePrograms is the node-side inverse of packThreads.
-func decodePrograms(spec *transport.LoadSpec) ([]ThreadSpec, error) {
-	if len(spec.Programs) != spec.NumThreads || len(spec.Regs) != spec.NumThreads {
-		return nil, fmt.Errorf("machine: load spec carries %d programs and %d reg maps for %d threads",
-			len(spec.Programs), len(spec.Regs), spec.NumThreads)
-	}
-	threads := make([]ThreadSpec, spec.NumThreads)
-	for t, words := range spec.Programs {
-		prog, err := decodeProgram(words)
-		if err != nil {
-			return nil, fmt.Errorf("machine: thread %d: %v", t, err)
-		}
-		threads[t] = ThreadSpec{Program: prog, Regs: spec.Regs[t]}
-	}
-	return threads, nil
-}
-
 // NodeOption customizes ServeNode.
 type NodeOption func(*nodeOptions)
 
@@ -195,11 +148,12 @@ func WithWireStats(w io.Writer) NodeOption {
 const defaultHeartbeatMillis = 500
 
 // ServeNode runs one cluster node to completion: listen per the manifest,
-// receive the coordinator's LoadSpec, answer it (or report the actual load
-// failure), execute the owned cores' loops with contexts and remote
-// accesses crossing the TCP transport, heartbeat liveness, report HALTs,
-// let the part answer every later request, and exit on shutdown. This is
-// the whole of cmd/em2node.
+// receive the coordinator's LoadSpec, start the owned cores' loops over an
+// empty slot pool and answer the load (or report the actual load failure),
+// let the part answer every later request — each job's programs and memory
+// arrive in a JobSpec — with contexts and remote accesses crossing the TCP
+// transport, heartbeat liveness, report HALTs, and exit on shutdown. This
+// is the whole of cmd/em2node.
 func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	var opt nodeOptions
 	for _, o := range opts {
@@ -251,27 +205,11 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	// The part answers every later request — job submit and retire,
 	// sample, collect — on the coordinator link's reader.
 	tn.HandleControl(part)
-	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
-	for a, v := range spec.Mem {
-		part.Preload(a, v, 0) // keeps only the addresses this node homes
-	}
 	// A halt that cannot be sent means the coordinator link is already
 	// torn down; the coordinator's halt barrier times out and reports it.
 	onHalt := func(h transport.HaltMsg) { _ = tn.SendHalt(h) } //em2:errsink-ok: no error path out of the halt callback; link teardown surfaces at the coordinator's barrier
-	if spec.Serve {
-		// Job-serving mode: the slot pool starts empty and per-job specs
-		// arrive through JobSubmit requests.
-		if err := part.StartServe(spec.NumThreads, onHalt); err != nil {
-			return failLoad(err)
-		}
-	} else {
-		threads, err := decodePrograms(spec)
-		if err != nil {
-			return failLoad(err)
-		}
-		if err := part.Start(threads, onHalt); err != nil {
-			return failLoad(err)
-		}
+	if err := part.StartServe(spec.NumThreads, onHalt); err != nil {
+		return failLoad(err)
 	}
 	tn.Ready() // open the data plane: Prepare'd inboxes + handler are live
 	if err := tn.SendReply(transport.Reply{}); err != nil {
@@ -357,8 +295,8 @@ type ClusterRun struct {
 	// Threads is the full machine-wide thread list; thread t starts at
 	// core t mod cores.
 	Threads []ThreadSpec
-	// Mem is the initial memory image, broadcast with the LoadSpec (each
-	// node preloads the addresses it homes).
+	// Mem is the initial memory image, broadcast with the job's programs
+	// (each node preloads the addresses it homes).
 	Mem map[uint32]uint32
 	// Sink, when set, receives one deterministic end-of-run telemetry
 	// sample: the collected per-core counters with quiescent gauges,
@@ -371,9 +309,9 @@ type ClusterRun struct {
 
 // Run executes the description on the transport its manifest selects. A
 // manifest that names nodes drives that already-listening cluster through
-// one run: load, inject, await HALTs, collect, shut down — the node
-// processes (ServeNode / cmd/em2node) must be starting or started on the
-// manifest's addresses, and dialing retries until Config.Timeout. A
+// one run: load, job 0 (submit, inject, await HALTs), collect, shut down —
+// the node processes (ServeNode / cmd/em2node) must be starting or started
+// on the manifest's addresses, and dialing retries until Config.Timeout. A
 // manifest that names only the mesh (transport.Manifest{W, H}) runs the
 // same description in this process over channels. Either way the
 // description is resolved, validated and rendered in wire form first, so
@@ -385,14 +323,13 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	}
 	cfg := r.Config.WithDefaults()
 	spec := cfg.LoadSpec(len(threads))
-	var err error
-	if spec.Programs, spec.Regs, err = packThreads(threads); err != nil {
+	job, err := BuildJob(0, threads, r.Mem)
+	if err != nil {
 		return nil, err
 	}
-	spec.Mem = r.Mem
 
 	if len(man.Nodes) == 0 {
-		reps, halts, err := runLocal(man, spec, threads, cfg.Timeout)
+		reps, halts, err := runLocal(man, spec, threads, r.Mem, cfg.Timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -406,15 +343,7 @@ func (r ClusterRun) Run() (*ClusterResult, error) {
 	defer co.Close()
 	defer co.Shutdown()
 
-	if err := Inject(threads, man.Cores(), co.InjectEviction); err != nil {
-		return nil, err
-	}
-	// Injections coalesce per node; the whole run's initial contexts reach
-	// each node in one batch write.
-	if err := co.Flush(); err != nil {
-		return nil, err
-	}
-	halts, err := AwaitHalts(len(threads), co.Halts(), co.Deaths(), cfg.Timeout, co.HeartbeatSummary)
+	halts, err := RunJob(co, job, threads, man.Cores(), cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -462,10 +391,10 @@ func (r ClusterRun) finish(reps []transport.CollectReply, halts []transport.Halt
 	return res, nil
 }
 
-// runLocal is the in-process arm: the node's own resolve-and-preload
-// (ServeNode) over a Machine spanning the whole mesh, which collects as
-// one node with no wire.
-func runLocal(man transport.Manifest, spec *transport.LoadSpec, threads []ThreadSpec, timeout time.Duration) ([]transport.CollectReply, []transport.HaltMsg, error) {
+// runLocal is the in-process arm: the node's own resolve and the job's
+// preload over a Machine spanning the whole mesh, which collects as one
+// node with no wire.
+func runLocal(man transport.Manifest, spec *transport.LoadSpec, threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.CollectReply, []transport.HaltMsg, error) {
 	if man.W <= 0 || man.H <= 0 {
 		return nil, nil, fmt.Errorf("machine: bad mesh %dx%d", man.W, man.H)
 	}
@@ -478,7 +407,7 @@ func runLocal(man transport.Manifest, spec *transport.LoadSpec, threads []Thread
 		return nil, nil, err
 	}
 	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
-	for a, v := range spec.Mem {
+	for a, v := range mem {
 		m.Preload(a, v, 0)
 	}
 	halts, err := m.run(threads, timeout)

@@ -74,8 +74,59 @@ func TestNodeDeathFailsLoudly(t *testing.T) {
 	}
 }
 
+// stubJobs is a fake node's control handler: it accepts every job,
+// signalling applied, and when the collect request arrives it closes
+// collected and fails the stream, which drops the node's coordinator link.
+type stubJobs struct{ applied, collected chan struct{} }
+
+func newStubJobs() *stubJobs {
+	return &stubJobs{applied: make(chan struct{}, 1), collected: make(chan struct{})}
+}
+
+func (s *stubJobs) ApplyJob(*transport.JobSpec) error {
+	s.applied <- struct{}{}
+	return nil
+}
+
+func (s *stubJobs) RetireJob(transport.JobDone) []transport.Event { return nil }
+
+func (s *stubJobs) Sample() (transport.Sample, error) { return transport.Sample{}, nil }
+
+func (s *stubJobs) CollectChunked(func(transport.Reply) error) error {
+	close(s.collected)
+	return fmt.Errorf("stub node dies at collect")
+}
+
+// stubNode runs node 0 of man as a fake node: load, accept job 0, then
+// report a HALT for each thread in halts.
+func stubNode(t *testing.T, man transport.Manifest, ctl *stubJobs, halts func(numThreads int) []int) {
+	tn, err := transport.ListenNode(man, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tn.Close() })
+	go func() {
+		spec := <-tn.Loads()
+		tn.Prepare(spec.NumThreads)
+		tn.HandleControl(ctl)
+		tn.Ready()
+		// Stub node: a failed send just means the coordinator tore down
+		// first, which the barrier under test then reports.
+		_ = tn.SendReply(transport.Reply{}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+		select {
+		case <-ctl.applied:
+		case <-tn.ShutdownC():
+			return
+		}
+		for _, th := range halts(spec.NumThreads) {
+			_ = tn.SendHalt(transport.HaltMsg{Thread: th}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+		}
+	}()
+}
+
 // TestClusterRunRejectsBogusHalts drives ClusterRun.Run against a fake node
-// (a bare transport endpoint) that reports malformed HALTs. A duplicate
+// (a bare transport endpoint) that accepts the job, then reports malformed
+// HALTs. A duplicate
 // report must not satisfy the halt count on behalf of a thread that never
 // finished, and an out-of-range thread id must be rejected outright.
 func TestClusterRunRejectsBogusHalts(t *testing.T) {
@@ -94,23 +145,7 @@ func TestClusterRunRejectsBogusHalts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tn, err := transport.ListenNode(man, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { tn.Close() })
-			go func() {
-				spec := <-tn.Loads()
-				tn.Prepare(spec.NumThreads)
-				tn.Ready()
-				// Stub node: a failed send just means the coordinator tore
-				// down first, which the barrier under test then reports.
-				_ = tn.SendReply(transport.Reply{}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
-				for _, th := range tc.halts {
-					_ = tn.SendHalt(transport.HaltMsg{Thread: th}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
-				}
-				<-tn.ShutdownC()
-			}()
+			stubNode(t, man, newStubJobs(), func(int) []int { return tc.halts })
 			lit := StoreBufferingLitmus(64)
 			_, err = ClusterRun{Manifest: man, Config: ClusterConfig{Timeout: 10 * time.Second}, Threads: lit.Threads, Mem: lit.Mem}.Run()
 			if err == nil {
@@ -124,33 +159,26 @@ func TestClusterRunRejectsBogusHalts(t *testing.T) {
 }
 
 // TestClusterRunNodeDiesDuringCollect drives ClusterRun.Run against a fake
-// node that loads, reports every halt, and then drops its connection when
-// the collect request arrives: it installs no control handler, so the
-// request is protocol corruption to it. The collect barrier must report
-// the death at once and name the node: it used to select on replies and
-// its timer only, so a node lost after the halt barrier cost the full
-// timeout and an error ("collect: 0 of 1 nodes replied") that named
-// nobody.
+// node that loads, accepts the job, reports every halt, and then drops its
+// connection when the collect request arrives. The collect barrier must
+// report the death at once and name the node: it used to select on
+// replies and its timer only, so a node lost after the halt barrier cost
+// the full timeout and an error ("collect: 0 of 1 nodes replied") that
+// named nobody.
 func TestClusterRunNodeDiesDuringCollect(t *testing.T) {
 	t.Parallel()
 	man, err := transport.LocalManifest(1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := transport.ListenNode(man, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tn.Close() })
-	go func() {
-		spec := <-tn.Loads()
-		tn.Prepare(spec.NumThreads)
-		tn.Ready()
-		_ = tn.SendReply(transport.Reply{}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
-		for th := 0; th < spec.NumThreads; th++ {
-			_ = tn.SendHalt(transport.HaltMsg{Thread: th}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+	ctl := newStubJobs()
+	stubNode(t, man, ctl, func(n int) []int {
+		all := make([]int, n)
+		for th := range all {
+			all[th] = th
 		}
-	}()
+		return all
+	})
 	lit := StoreBufferingLitmus(64)
 	start := time.Now() //em2:wallclock-ok: the test's subject is how long a failure takes to surface
 	_, err = ClusterRun{Manifest: man, Config: ClusterConfig{Timeout: 10 * time.Second}, Threads: lit.Threads, Mem: lit.Mem}.Run()
@@ -159,6 +187,11 @@ func TestClusterRunNodeDiesDuringCollect(t *testing.T) {
 	}
 	if took := time.Since(start); took > 5*time.Second { //em2:wallclock-ok: see above
 		t.Fatalf("node death during collect took %v to surface (timeout bleed-out)", took)
+	}
+	select {
+	case <-ctl.collected:
+	default:
+		t.Fatal("the node died before the collect request reached it")
 	}
 }
 
@@ -180,13 +213,7 @@ func TestServeNodeReportsLoadError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	err = co.Load(&transport.LoadSpec{
-		Scheme:     "bogus-scheme",
-		Placement:  "striped:64",
-		NumThreads: 1,
-		Programs:   [][]uint32{{0}},
-		Regs:       []map[int]uint32{nil},
-	}, 10*time.Second)
+	err = co.Load(&transport.LoadSpec{Scheme: "bogus-scheme", Placement: "striped:64", NumThreads: 1}, 10*time.Second)
 	if err == nil {
 		t.Fatal("Load succeeded despite an unloadable spec")
 	}
@@ -265,18 +292,14 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	threads := []ThreadSpec{{Program: spinForever()}}
-	programs, _, err := packThreads(threads)
+	if err := co.Load(&transport.LoadSpec{Scheme: "always-migrate", Placement: "striped:64", NumThreads: 1}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	job, err := BuildJob(0, []ThreadSpec{{Program: spinForever()}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := co.Load(&transport.LoadSpec{
-		Scheme:     "always-migrate",
-		Placement:  "striped:64",
-		NumThreads: 1,
-		Programs:   programs,
-		Regs:       []map[int]uint32{nil},
-	}, 10*time.Second); err != nil {
+	if err := co.SubmitJob(job, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.InjectEviction(geom.CoreID(0), transport.Context{Thread: 0, Native: 0}); err != nil {
@@ -297,5 +320,60 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("ServeNode did not return within 10s of coordinator shutdown (core loop wedged on a busy context)")
+	}
+}
+
+// TestLoadTwiceFailsNamingNode: a node serves one run, so a second load is
+// refused at once with an error naming the node. The node used to park the
+// second LoadSpec unanswered, and the load barrier waited out its whole
+// timeout, then failed naming no node ("0 of 1 nodes replied").
+func TestLoadTwiceFailsNamingNode(t *testing.T) {
+	t.Parallel()
+	man, join, err := Loopback(1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ClusterConfig{}.LoadSpec(1)
+	co, err := LoadCluster(man, spec, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = co.Load(spec, 3*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "node 0 failed: already loaded") {
+		t.Fatalf("second load = %v, want node 0's refusal", err)
+	}
+	co.Shutdown()
+	co.Close()
+	if err := joinWithin(t, join, 10*time.Second); err != nil {
+		t.Errorf("join after a refused second load: %v", err)
+	}
+}
+
+// TestJobLargerThanPoolRefusedAtSubmit: a job with more threads than the
+// node's slot pool is refused at the submit barrier, naming the node and
+// carrying the node's own range error.
+func TestJobLargerThanPoolRefusedAtSubmit(t *testing.T) {
+	t.Parallel()
+	man, join, err := Loopback(1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := LoadCluster(man, ClusterConfig{}.LoadSpec(1), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := StoreBufferingLitmus(64) // two threads
+	job, err := BuildJob(0, lit.Threads, lit.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = co.SubmitJob(job, 10*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "node 0 failed") || !strings.Contains(err.Error(), "outside the 1-slot pool") {
+		t.Fatalf("two-thread job on a one-slot pool = %v, want node 0's slot range error", err)
+	}
+	co.Shutdown()
+	co.Close()
+	if err := joinWithin(t, join, 10*time.Second); err != nil {
+		t.Errorf("join after a refused job: %v", err)
 	}
 }

@@ -7,31 +7,46 @@ import (
 	"repro/internal/transport"
 )
 
-// This file is the machine side of the serve job lifecycle: packing a
-// job's threads into the JobSpec control frame on the coordinator, and
-// installing a received JobSpec into a serving part's slot pool on a node.
-// DESIGN.md §7 describes the protocol (submit → ack barrier → inject →
-// halts → retire).
+// This file is the machine side of the job lifecycle: packing a job's
+// threads into the JobSpec control frame on the coordinator, and
+// installing a received JobSpec into a part's slot pool on a node. Every
+// run is a job: a ClusterRun is job 0, a serve session one job per
+// arrival. DESIGN.md §7 describes the protocol (submit → ack barrier →
+// inject → halts → retire).
 
-// BuildJob packs a job's threads into the JobSpec wire form: slot
-// assignments, programs in their 32-bit ISA encoding (validated to survive
-// the wire, like a LoadSpec's), initial registers, and the job's initial
-// memory image.
-func BuildJob(job int, slots []int, threads []ThreadSpec, mem map[uint32]uint32) (*transport.JobSpec, error) {
-	if len(slots) != len(threads) {
-		return nil, fmt.Errorf("machine: job %d has %d slots for %d threads", job, len(slots), len(threads))
-	}
+// BuildJob validates a job's threads and packs them into the JobSpec wire
+// form, as threads 0..len(threads)-1 of the slot pool: programs in their
+// 32-bit ISA encoding, each instruction verified to survive the wire (an
+// immediate that overflows its field would silently execute differently
+// on the far side), initial registers, and the job's initial memory image.
+func BuildJob(job int, threads []ThreadSpec, mem map[uint32]uint32) (*transport.JobSpec, error) {
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("machine: job %d has no threads", job)
 	}
-	programs, regs, err := packThreads(threads)
-	if err != nil {
+	if err := validateSpecs(threads); err != nil {
 		return nil, err
 	}
-	return &transport.JobSpec{Job: job, Slots: slots, Programs: programs, Regs: regs, Mem: mem}, nil
+	spec := &transport.JobSpec{Job: job, Programs: make([][]uint32, len(threads)), Regs: make([]map[int]uint32, len(threads)), Mem: mem}
+	for t := range threads {
+		prog := threads[t].Program
+		if len(prog) == 0 {
+			return nil, fmt.Errorf("machine: thread %d has an empty program", t)
+		}
+		spec.Programs[t] = make([]uint32, len(prog))
+		for i, in := range prog {
+			w := in.Encode()
+			back, err := isa.Decode(w)
+			if err != nil || back != in {
+				return nil, fmt.Errorf("machine: thread %d instruction %d (%v) does not survive the wire encoding", t, i, in)
+			}
+			spec.Programs[t][i] = w
+		}
+		spec.Regs[t] = threads[t].Regs
+	}
+	return spec, nil
 }
 
-// decodeProgram is the node-side inverse of one packThreads program.
+// decodeProgram is the node-side inverse of one BuildJob program.
 func decodeProgram(words []uint32) ([]isa.Instr, error) {
 	prog := make([]isa.Instr, len(words))
 	for i, w := range words {
@@ -44,21 +59,21 @@ func decodeProgram(words []uint32) ([]isa.Instr, error) {
 	return prog, nil
 }
 
-// ApplyJob installs a received JobSpec into this part's serve slots and
+// ApplyJob installs a received JobSpec into this part's slots 0..n-1 and
 // preloads the job's memory image (keeping only the addresses this part
 // homes). It runs synchronously on the transport's control-plane reader,
 // before any of the job's contexts can arrive.
 func (p *Part) ApplyJob(js *transport.JobSpec) error {
-	if len(js.Programs) != len(js.Slots) || len(js.Regs) != len(js.Slots) {
-		return fmt.Errorf("machine: job %d carries %d programs and %d reg maps for %d slots",
-			js.Job, len(js.Programs), len(js.Regs), len(js.Slots))
+	if len(js.Regs) != len(js.Programs) {
+		return fmt.Errorf("machine: job %d carries %d programs and %d reg maps",
+			js.Job, len(js.Programs), len(js.Regs))
 	}
-	for i, words := range js.Programs {
+	for t, words := range js.Programs {
 		prog, err := decodeProgram(words)
 		if err != nil {
-			return fmt.Errorf("machine: job %d slot %d: %v", js.Job, js.Slots[i], err)
+			return fmt.Errorf("machine: job %d thread %d: %v", js.Job, t, err)
 		}
-		if err := p.SetThread(js.Slots[i], ThreadSpec{Program: prog, Regs: js.Regs[i]}); err != nil {
+		if err := p.SetThread(t, ThreadSpec{Program: prog, Regs: js.Regs[t]}); err != nil {
 			return err
 		}
 	}

@@ -19,7 +19,8 @@ import (
 // them (DESIGN.md §6–§7):
 //
 //	resolve  names → the LoadSpec that ships them → validated Config
-//	inject   every thread's initial context to its native core
+//	inject   every thread's initial context to its native core (on a
+//	         cluster, after the job's submit barrier: RunJob)
 //	await    one HALT per thread, or the first death / timeout
 //	fold     collected shards → one CollectReply → Result
 
@@ -39,9 +40,9 @@ func (c ClusterConfig) WithDefaults() ClusterConfig {
 	return c
 }
 
-// LoadSpec renders the description as the broadcast that ships it, sized
-// for numThreads threads (or serve slots). The caller adds what the run
-// carries: programs, registers and memory image, or the Serve flag.
+// LoadSpec renders the description as the broadcast that ships it, over
+// a pool of numThreads thread slots. Programs and memory travel per job,
+// in BuildJob's JobSpec.
 func (c ClusterConfig) LoadSpec(numThreads int) *transport.LoadSpec {
 	c = c.WithDefaults()
 	return &transport.LoadSpec{
@@ -110,6 +111,25 @@ func Inject(threads []ThreadSpec, cores int, send func(geom.CoreID, transport.Co
 		}
 	}
 	return nil
+}
+
+// RunJob runs one job on a loaded cluster: the submit barrier (every node
+// installs spec before any context is injected, so a context can never
+// race its own program across nodes), every thread's initial context
+// injected and flushed — one batch write per node — and the halt barrier,
+// whose timeout names each node's last heartbeat. ClusterRun.Run is job 0
+// of a fresh cluster; a serve cluster backend runs each job through here.
+func RunJob(co *transport.Coordinator, spec *transport.JobSpec, threads []ThreadSpec, cores int, timeout time.Duration) ([]transport.HaltMsg, error) {
+	if err := co.SubmitJob(spec, timeout); err != nil {
+		return nil, err
+	}
+	if err := Inject(threads, cores, co.InjectEviction); err != nil {
+		return nil, err
+	}
+	if err := co.Flush(); err != nil {
+		return nil, err
+	}
+	return AwaitHalts(len(threads), co.Halts(), co.Deaths(), timeout, co.HeartbeatSummary)
 }
 
 // AwaitHalts collects one HALT report per thread from halts and returns

@@ -120,12 +120,12 @@ type Part struct {
 	// caches remote reads (core.Leaser); 0 for every other scheme.
 	leaseWindow uint64
 	// specs is the per-slot thread table. Slots are atomic pointers because
-	// serve mode rewrites them between jobs (SetThread/RetireJob) while
-	// the core goroutines are live; the atomics make the handoff visible and
-	// race-detector clean. The serve protocol guarantees a slot is never
-	// rewritten while one of its contexts is resident or in flight (the
-	// job submit barrier orders installation before injection; a halt report
-	// orders completion before reuse).
+	// jobs rewrite them (SetThread/RetireJob) while the core goroutines are
+	// live; the atomics make the handoff visible and race-detector clean.
+	// The job protocol guarantees a slot is never rewritten while one of
+	// its contexts is resident or in flight (the job submit barrier orders
+	// installation before injection; a halt report orders completion
+	// before reuse).
 	specs []atomic.Pointer[ThreadSpec]
 	// ctxs holds one reusable context per thread slot: at most one context
 	// per thread is live system-wide, so every arrival lands in its slot
@@ -236,9 +236,11 @@ func (p *Part) Peek(addr uint32) (uint32, bool) {
 	return 0, false
 }
 
-// Start spawns the core loops. threads is the full cluster-wide thread
-// list (any thread can migrate in); onHalt fires on the core where a
-// thread executes HALT, with its final register file.
+// Start spawns the core loops with every slot installed up front: threads
+// is the full machine-wide thread list (any thread can migrate in); onHalt
+// fires on the core where a thread executes HALT, with its final register
+// file. The in-process Machine starts this way; a cluster node starts with
+// StartServe and receives its programs per job.
 func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error {
 	if err := validateSpecs(threads); err != nil {
 		return err
@@ -252,9 +254,10 @@ func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error
 }
 
 // StartServe spawns the core loops over a pool of numSlots empty thread
-// slots: programs arrive later, per job, through SetThread. A context for
-// a slot whose spec has not been installed is protocol corruption (the
-// serve submit/ack barrier exists to prevent it) and panics in fromWire.
+// slots: programs arrive later, per job, through ApplyJob. Every cluster
+// node and the local serve backend start this way. A context for a slot
+// whose spec has not been installed is protocol corruption (the job
+// submit barrier exists to prevent it) and panics in fromWire.
 func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 	if numSlots <= 0 {
 		return fmt.Errorf("machine: serve pool needs at least one slot")
@@ -299,9 +302,9 @@ func (p *Part) abort() {
 	p.stopOnce.Do(func() { close(p.done) })
 }
 
-// SetThread installs spec in a serve slot. The caller must guarantee no
-// context of the slot is resident or in flight (the serve submit/ack and
-// halt protocol provides exactly that ordering).
+// SetThread installs spec in a pool slot. The caller must guarantee no
+// context of the slot is resident or in flight (the job submit and halt
+// protocol provides exactly that ordering).
 func (p *Part) SetThread(slot int, spec ThreadSpec) error {
 	if slot < 0 || slot >= len(p.specs) {
 		return fmt.Errorf("machine: thread slot %d outside the %d-slot pool", slot, len(p.specs))
@@ -387,16 +390,15 @@ func (p *Part) CollectChunked(emit func(transport.Reply) error) error {
 	return emit(transport.Reply{})
 }
 
-// RetireJob retires a finished serve job: its slots are cleared, so a
-// stray late context for one fails loudly instead of executing a stale
-// program, and the words and event-log entries of its region are deleted
-// from every owned shard — the hook that keeps a long-running server's
-// footprint bounded. It returns the removed events, in core order.
+// RetireJob retires a finished job: its slots 0..d.Threads-1 are
+// cleared, so a stray late context for one fails loudly instead of
+// executing a stale program, and the words and event-log entries of its
+// region are deleted from every owned shard — the hook that keeps a
+// long-running server's footprint bounded. It returns the removed events,
+// in core order.
 func (p *Part) RetireJob(d transport.JobDone) []transport.Event {
-	for _, s := range d.Slots {
-		if s >= 0 && s < len(p.specs) {
-			p.specs[s].Store(nil)
-		}
+	for s := range min(d.Threads, len(p.specs)) {
+		p.specs[s].Store(nil)
 	}
 	lo, hi := d.Base, d.Base+d.Size
 	var events []transport.Event

@@ -46,15 +46,13 @@ type DrainResult struct {
 }
 
 // loadSpec describes the serving machine by name, as the LoadSpec both
-// backends resolve (and the cluster backend ships): serve mode over a pool
-// of slots empty slots, events logged for the per-job SC check.
-// GuestContexts stays 0 (unlimited): capacity evictions depend on arrival
-// timing between unrelated cores, which would make job latencies
-// schedule-dependent and break the byte-identical report guarantee.
+// backends resolve (and the cluster backend ships): a pool of slots empty
+// slots, events logged for the per-job SC check. GuestContexts stays 0
+// (unlimited): capacity evictions depend on arrival timing between
+// unrelated cores, which would make job latencies schedule-dependent and
+// break the byte-identical report guarantee.
 func (c Config) loadSpec(slots int) *transport.LoadSpec {
-	spec := machine.ClusterConfig{Quantum: c.Quantum, Scheme: c.Scheme, Placement: c.Placement, LogEvents: true}.LoadSpec(slots)
-	spec.Serve = true
-	return spec
+	return machine.ClusterConfig{Quantum: c.Quantum, Scheme: c.Scheme, Placement: c.Placement, LogEvents: true}.LoadSpec(slots)
 }
 
 // localBackend serves jobs on an in-process Part over the channel
@@ -66,7 +64,7 @@ type localBackend struct {
 }
 
 // NewLocalBackend builds the in-process backend: one Part spanning the
-// whole mesh, started in serve mode over the workload's slot pool.
+// whole mesh, started over the workload's empty slot pool.
 func NewLocalBackend(cfg Config) (Backend, error) {
 	cfg = cfg.withDefaults()
 	slots, err := slotsFor(cfg.Workload)
@@ -90,7 +88,7 @@ func NewLocalBackend(cfg Config) (Backend, error) {
 }
 
 func (b *localBackend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMsg, error) {
-	spec, err := machine.BuildJob(j.Index, j.Slots(), j.Threads, j.Mem)
+	spec, err := machine.BuildJob(j.Index, j.Threads, j.Mem)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +108,7 @@ func (b *localBackend) Retire(j *Job, _ time.Duration) ([]machine.Event, error) 
 // jobDone is j's retirement as both backends issue it: its slots and its
 // whole region.
 func jobDone(j *Job) transport.JobDone {
-	return transport.JobDone{Job: j.Index, Slots: j.Slots(), Base: j.Base, Size: RegionBytes}
+	return transport.JobDone{Job: j.Index, Threads: len(j.Threads), Base: j.Base, Size: RegionBytes}
 }
 
 func (b *localBackend) Sample() (transport.Sample, error) {
@@ -139,7 +137,7 @@ type clusterBackend struct {
 }
 
 // NewClusterBackend dials the cluster in the manifest and loads every node
-// in serve mode. The node processes (machine.ServeNode / cmd/em2node)
+// over the workload's slot pool. The node processes (machine.ServeNode / cmd/em2node)
 // must be starting or started on the manifest's addresses.
 func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 	cfg = cfg.withDefaults()
@@ -158,23 +156,11 @@ func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 }
 
 func (b *clusterBackend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMsg, error) {
-	spec, err := machine.BuildJob(j.Index, j.Slots(), j.Threads, j.Mem)
+	spec, err := machine.BuildJob(j.Index, j.Threads, j.Mem)
 	if err != nil {
 		return nil, err
 	}
-	// The submit barrier: every node has installed the job's specs and
-	// memory before any context is injected, so a context can never race
-	// its own program across nodes.
-	if err := b.co.SubmitJob(spec, timeout); err != nil {
-		return nil, err
-	}
-	if err := machine.Inject(j.Threads, b.cores, b.co.InjectEviction); err != nil {
-		return nil, err
-	}
-	if err := b.co.Flush(); err != nil {
-		return nil, err
-	}
-	return machine.AwaitHalts(len(j.Threads), b.co.Halts(), b.co.Deaths(), timeout, b.co.HeartbeatSummary)
+	return machine.RunJob(b.co, spec, j.Threads, b.cores, timeout)
 }
 
 func (b *clusterBackend) Retire(j *Job, timeout time.Duration) ([]machine.Event, error) {

@@ -66,25 +66,16 @@ func (p *regionPool) Release(base uint32) error {
 }
 
 // Job is one admitted unit of work: a litmus program rebased into its
-// private region, ready to install in slots 0..len(Threads)-1.
+// private region, ready to install in slots 0..len(Threads)-1. Jobs
+// execute one at a time physically, so every job reuses the same slots —
+// which is exactly what the slot-rewrite machinery (SetThread / RetireJob
+// and the job submit barrier) exists to make safe.
 type Job struct {
 	Index   int
 	Name    string
 	Base    uint32
 	Threads []machine.ThreadSpec
 	Mem     map[uint32]uint32 // initial image, already rebased
-}
-
-// Slots returns the slot assignment: job thread t runs in pool slot t.
-// Jobs execute one at a time physically, so every job reuses the same
-// slots — which is exactly what the slot-rewrite machinery (SetThread /
-// RetireJob and the job submit barrier) exists to make safe.
-func (j *Job) Slots() []int {
-	s := make([]int, len(j.Threads))
-	for i := range s {
-		s[i] = i
-	}
-	return s
 }
 
 // Workloads lists the job generators, in presentation order. Only

@@ -492,10 +492,10 @@ func TestRebasedJobMatchesOriginal(t *testing.T) {
 }
 
 // TestClusterDrainNodeDiesDuringCollect is the serve face of the collect
-// barrier's death arm: a fake node loads in serve mode and drops its
-// connection when the drain's collect request arrives (it installs no
-// control handler, so the request is protocol corruption to it). Drain
-// must fail at once naming the node, not wait out its timeout.
+// barrier's death arm: a fake node loads and drops its connection when
+// the drain's collect request arrives (it installs no control handler, so
+// the request is protocol corruption to it). Drain must fail at once
+// naming the node, not wait out its timeout.
 func TestClusterDrainNodeDiesDuringCollect(t *testing.T) {
 	t.Parallel()
 	man, err := transport.LocalManifest(1, 2, 2)

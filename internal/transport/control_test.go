@@ -106,13 +106,13 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	if err := co.Load(&transport.LoadSpec{NumThreads: 4, Serve: true}, 10*time.Second); err != nil {
+	if err := co.Load(&transport.LoadSpec{NumThreads: 4}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	// The retirement barrier hands the node the whole JobDone and returns
 	// the reclaimed events.
-	done := transport.JobDone{Job: 3, Slots: []int{0, 1}, Base: 4096, Size: 4096}
+	done := transport.JobDone{Job: 3, Threads: 2, Base: 4096, Size: 4096}
 	got, err := co.RetireJob(done, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -212,54 +212,6 @@ func TestLoadAckSurfacesNodeError(t *testing.T) {
 	}
 	if _, err := co.Sample(); err == nil || !strings.Contains(err.Error(), "refused") {
 		t.Fatalf("sample after a failed load = %v, want a refusal", err)
-	}
-}
-
-// TestJobRequestToNonServingNodeFails: a node loaded without Serve treats
-// a job submit or retire as protocol corruption — it shuts down, and the
-// coordinator's barrier fails naming the node instead of installing or
-// clearing slots under a closed-loop run.
-func TestJobRequestToNonServingNodeFails(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		send func(*transport.Coordinator) error
-	}{
-		{"submit", func(co *transport.Coordinator) error {
-			return co.SubmitJob(&transport.JobSpec{Job: 1, Slots: []int{0}}, 10*time.Second)
-		}},
-		{"retire", func(co *transport.Coordinator) error {
-			_, err := co.RetireJob(transport.JobDone{Job: 1, Slots: []int{0}}, 10*time.Second)
-			return err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			man, err := transport.LocalManifest(1, 2, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctl := &stubControl{retired: make(chan transport.JobDone, 1)}
-			errs := serveStub(man, 0, ctl)
-			co, err := transport.DialCluster(man, 10*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer co.Close()
-			if err := co.Load(&transport.LoadSpec{NumThreads: 1}, 10*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			err = tc.send(co)
-			if err == nil || !strings.Contains(err.Error(), "connection to node 0 lost") {
-				t.Fatalf("job request to a non-serving node = %v, want the node's death", err)
-			}
-			select {
-			case d := <-ctl.retired:
-				t.Fatalf("non-serving node retired %+v", d)
-			default:
-			}
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -145,11 +145,9 @@ func LocalManifest(nodes, w, h int) (Manifest, error) {
 	return m, err
 }
 
-// LoadSpec is the coordinator's "load this run" broadcast: machine
-// configuration plus every thread's program (in the ISA's 32-bit binary
-// encoding — programs are replicated to all nodes, like instruction memory)
-// and the initial memory image, of which each node preloads the addresses
-// it homes.
+// LoadSpec is the coordinator's "load this machine" broadcast: machine
+// configuration only. Every node builds its part over a pool of NumThreads
+// empty thread slots; programs and memory arrive per job, in a JobSpec.
 type LoadSpec struct {
 	GuestContexts int
 	Quantum       int
@@ -157,13 +155,6 @@ type LoadSpec struct {
 	Placement     string // parsed by machine.ParsePlacement on each node
 	LogEvents     bool
 	NumThreads    int
-	Programs      [][]uint32       // Programs[t]: thread t's instructions, isa.Encode form
-	Regs          []map[int]uint32 // initial register values per thread
-	Mem           map[uint32]uint32
-	// Serve opens the machine in job-serving mode: NumThreads sizes a pool
-	// of empty slots (Programs/Regs/Mem stay empty) and programs arrive
-	// per job through JobSubmit frames instead of riding the LoadSpec.
-	Serve bool
 }
 
 // Heartbeat is a node's periodic liveness report: a sequence number that
@@ -204,31 +195,31 @@ type Reply struct {
 	Net     *NetStats         `json:",omitempty"`
 }
 
-// JobSpec is one serve-mode job: programs and initial registers for the
-// slots it occupies, plus its slice of the initial memory image. Like the
-// LoadSpec, it is broadcast to every node; each node installs the thread
-// specs (replicated, like instruction memory) and preloads the addresses
-// it homes.
+// JobSpec is one job, threads 0..len(Programs)-1 of the slot pool: their
+// programs (in the ISA's 32-bit binary encoding) and initial registers,
+// plus the job's initial memory image. It is broadcast to every node; each
+// node installs the thread specs (replicated, like instruction memory) and
+// preloads the addresses it homes.
 type JobSpec struct {
 	Job      int
-	Slots    []int            // global thread slots, one per job thread
-	Programs [][]uint32       // Programs[i]: Slots[i]'s instructions, isa.Encode form
-	Regs     []map[int]uint32 // initial register values per job thread
+	Programs [][]uint32       // Programs[t]: thread t's instructions, isa.Encode form
+	Regs     []map[int]uint32 // initial register values per thread
 	Mem      map[uint32]uint32
 }
 
-// JobDone retires a completed job on every node: its slots are cleared,
-// so a stray late context for a retired slot fails loudly instead of
-// executing a stale program, and its memory region [Base, Base+Size) is
+// JobDone retires a completed job on every node: its slots 0..Threads-1
+// are cleared, so a stray late context for a retired slot fails loudly
+// instead of executing a stale program, and its memory region [Base,
+// Base+Size) is
 // reclaimed — each node deletes the region's shard words and removes (and
 // returns, in its Reply) the region's event-log entries, which is what
 // keeps an open-loop server's footprint bounded by the in-flight window
 // instead of growing O(jobs).
 type JobDone struct {
-	Job   int
-	Slots []int
-	Base  uint32 `json:",omitempty"`
-	Size  uint32 `json:",omitempty"`
+	Job     int
+	Threads int
+	Base    uint32 `json:",omitempty"`
+	Size    uint32 `json:",omitempty"`
 }
 
 // ControlHandler answers the coordinator's requests on a node, called
@@ -236,7 +227,7 @@ type JobDone struct {
 // JobSubmit on the same connection find the job installed, and each answer
 // leaves before the next request is read. *machine.Part implements it.
 type ControlHandler interface {
-	// ApplyJob installs a serve-mode job (JobSubmit).
+	// ApplyJob installs a job (JobSubmit).
 	ApplyJob(*JobSpec) error
 	// RetireJob clears a finished job's slots and reclaims its region,
 	// returning the region's removed event-log entries (JobDone).
@@ -404,7 +395,7 @@ type Node struct {
 	handler  func(core geom.CoreID, req MemRequest) MemReply
 	invH     func(inv LeaseInval)
 	ctl      ControlHandler
-	serve    atomic.Bool // the delivered LoadSpec's Serve flag
+	loaded   atomic.Bool // a LoadSpec was delivered; a node serves one
 	hbOnce   sync.Once
 	nextID   atomic.Uint64
 	pending  map[uint64]*pendingCall
@@ -567,11 +558,12 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		if err := json.Unmarshal(f.Blob, spec); err != nil {
 			return malformedf("load spec: %v", err)
 		}
-		select {
-		case n.loads <- spec:
-			n.serve.Store(spec.Serve)
-		default:
+		// A node serves one run: a second load is answered, not parked, so
+		// the coordinator's barrier fails at once, naming this node.
+		if n.loaded.Swap(true) {
+			return c.sendJSON(FrameReply, &Reply{Err: "already loaded (a node serves one run)"})
 		}
+		n.loads <- spec
 	case FrameMigration, FrameEviction:
 		ctx, err := DecodeContext(f.Ctx)
 		if err != nil {
@@ -642,9 +634,6 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 // injection that follows it on the connection is read, and a JobDone's
 // that the slots and region are free before the coordinator reuses them.
 func (n *Node) answer(c *conn, f Frame) error {
-	if (f.Kind == FrameJobSubmit || f.Kind == FrameJobDone) && !n.serve.Load() {
-		return malformedf("job frame kind %d to a node not serving jobs", f.Kind)
-	}
 	var r Reply
 	switch f.Kind {
 	case FrameJobSubmit:
@@ -762,7 +751,7 @@ func (n *Node) waitReady() bool {
 	}
 }
 
-// Loads returns the channel delivering the coordinator's LoadSpec.
+// Loads returns the channel delivering the coordinator's one LoadSpec.
 func (n *Node) Loads() <-chan *LoadSpec { return n.loads }
 
 // ShutdownC closes when the coordinator sends Shutdown.
@@ -973,11 +962,10 @@ func (n *Node) SendLeaseInval(inv LeaseInval) error {
 // --- coordinator ---------------------------------------------------------
 
 // Coordinator is the driver side of a cluster run: it owns no cores but
-// connects to every node to broadcast the LoadSpec, inject the initial
-// contexts, gather HALT reports, and collect the post-run state. In serve
-// mode it additionally submits and retires jobs. Every request — load,
-// job submit, job retire, sample, collect — is one request: a broadcast
-// and one Reply per node.
+// connects to every node to broadcast the LoadSpec, submit jobs, inject
+// their initial contexts, gather HALT reports, retire jobs, and collect
+// the post-run state. Every request — load, job submit, job retire,
+// sample, collect — is one request: a broadcast and one Reply per node.
 type Coordinator struct {
 	man     Manifest
 	route   []int
