@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -381,5 +382,101 @@ func TestClusterRunValidation(t *testing.T) {
 	bad := ThreadSpec{Program: lit.Threads[0].Program, Regs: map[int]uint32{0: 1}}
 	if err := run(ClusterConfig{}, []ThreadSpec{bad}); err == nil {
 		t.Error("write to r0 accepted")
+	}
+}
+
+// TestFlushAgeReleasesSpinners is the liveness test of the TCP node's
+// write rule: a node holds deferred frames while contexts are resident, so
+// two threads spinning on node 0 keep it from ever going quiescent while
+// the context that will release them — thread 0, bound for node 1 — waits
+// in node 0's batch buffer. Only the age arm (a frame that lived through
+// len(owned) flush points is written) gets it out; without it the run
+// ends in its timeout.
+func TestFlushAgeReleasesSpinners(t *testing.T) {
+	t.Parallel()
+	spin := isa.MustAssemble(`
+	spin:
+		lw   r1, 0(r0)    ; flag, homed at core 0 (node 0)
+		beq  r1, r0, spin
+		halt
+	`)
+	// The countdown keeps thread 0 home until both spinners are resident.
+	release := isa.MustAssemble(`
+		addi r3, r0, 300
+	wait:
+		addi r3, r3, -1
+		bne  r3, r0, wait
+		lw   r1, 128(r0)  ; homed at core 2: migrate to node 1
+		addi r2, r0, 1
+		sw   r2, 0(r0)    ; back to core 0: release the spinners
+		halt
+	`)
+	halt := isa.MustAssemble(`halt`)
+	lit := Litmus{
+		Name: "flush-age",
+		// Threads 0 and 4 are native to core 0, 1 to core 1 (node 0); 2
+		// and 3 to node 1's cores.
+		Threads:       []ThreadSpec{{Program: release}, {Program: spin}, {Program: halt}, {Program: halt}, {Program: spin}},
+		Deterministic: true,
+		Check: func(read func(uint32) uint32, regs [][isa.NumRegs]uint32) error {
+			if read(0) != 1 {
+				return fmt.Errorf("flag %d, want 1", read(0))
+			}
+			return nil
+		},
+	}
+	man, join, err := Loopback(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ClusterConfig{Quantum: 8, LogEvents: true, Timeout: 10 * time.Second}
+	res, err := ClusterRun{Manifest: man, Config: cfg, Threads: lit.Threads}.Run()
+	err = errors.Join(err, joinWithin(t, join, 30*time.Second))
+	if err != nil {
+		t.Fatalf("spinners never released: %v", err)
+	}
+	if err := lit.Verify(res); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterRunThreadFromTwoPeers sends one thread around a 3-node ring
+// so that it reaches node 1 alternately from node 0 and from node 2: its
+// context, history-predictor state included, decodes into node 1's one
+// slot for the thread from two different connection readers (run it under
+// -race). The result must match the in-process run exactly.
+func TestClusterRunThreadFromTwoPeers(t *testing.T) {
+	t.Parallel()
+	// page-striped:4096 on 3 cores: page p is homed at core p mod 3, one
+	// core per node. Runs of two accesses teach history:2 to migrate.
+	ring := isa.MustAssemble(fmt.Sprintf(`
+		addi r2, r0, %d
+	loop:
+		lw   r1, 4096(r0)  ; page 1: node 1, from node 0
+		lw   r1, 4100(r0)
+		lw   r1, 8192(r0)  ; page 2: node 2
+		lw   r1, 8196(r0)
+		lw   r1, 4104(r0)  ; page 1 again: node 1, from node 2
+		lw   r1, 4108(r0)
+		lw   r1, 0(r0)     ; page 0: node 0
+		lw   r1, 4(r0)
+		addi r2, r2, -1
+		bne  r2, r0, loop
+		halt
+	`, sized(40, 10)))
+	lit := Litmus{Name: "ring", Threads: []ThreadSpec{{Program: ring}}, Deterministic: true}
+	cfg := ClusterConfig{Quantum: 8, Scheme: "history:2", Placement: "page-striped:4096", LogEvents: true}
+	local := runVerified(t, transport.Manifest{W: 3, H: 1}, nil, cfg, lit)
+	man, join, err := Loopback(3, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := runVerified(t, man, join, cfg, lit)
+	if err := lit.Identical(local, tcp); err != nil {
+		t.Fatal(err)
+	}
+	// Every migration core 0 or core 2 ships lands at core 1.
+	if m0, m2 := tcp.PerCore[0].Migrations, tcp.PerCore[2].Migrations; m0 == 0 || m2 == 0 {
+		t.Fatalf("node 1 reached from node 0 %d times and from node 2 %d times, want both", m0, m2)
 	}
 }

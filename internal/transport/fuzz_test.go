@@ -9,7 +9,7 @@ import (
 	"repro/internal/transport"
 )
 
-// FuzzWireContext: any byte string DecodeContext accepts must re-encode to
+// FuzzWireContext: any byte string DecodeWire accepts must re-encode to
 // exactly the same bytes (the wire form is canonical — there is one
 // encoding per context, which is what lets the differential tests compare
 // transports bit-for-bit). The corpus covers the predictor-state trailer:
@@ -34,7 +34,7 @@ func FuzzWireContext(f *testing.F) {
 	f.Add(make([]byte, transport.ContextWireBytes+7)) // header says 0 sched bytes, 7 present
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		ctx, err := transport.DecodeContext(b)
+		ctx, err := decodeContext(b)
 		if err != nil {
 			return
 		}
@@ -42,7 +42,7 @@ func FuzzWireContext(f *testing.F) {
 		if !bytes.Equal(b, back) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", b, back)
 		}
-		again, err := transport.DecodeContext(back)
+		again, err := decodeContext(back)
 		if err != nil || !reflect.DeepEqual(again, ctx) {
 			t.Fatalf("re-decode diverged: %+v vs %+v (%v)", again, ctx, err)
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -290,14 +291,44 @@ const coordinatorID = -1
 // frame, duplicate connection) — not a protocol error.
 var errStopRead = errors.New("transport: stop reading")
 
-// pendingCall is one in-flight Remote round trip: the reply channel and the
-// connection the request left on (replies come back on the same link, so a
-// dying connection fails exactly its own calls). Every entry is removed
-// from Node.pending under the mutex exactly once — by the reply, or by the
-// teardown sweep — so ch is either sent to or closed, never both.
-type pendingCall struct {
-	ch   chan MemReply
-	conn *conn
+// callSlot is one issuing core's Remote round trip, reused call after call:
+// a core has at most one remote op in flight, so the core's index is the
+// request id. conn is the link the request left on, nil while idle. A
+// reply, the link's teardown (failPending) and a caller giving up all
+// race to swap it back to nil; the winner alone completes the call, so
+// each call gets exactly one result and a dying link fails exactly its
+// own calls.
+type callSlot struct {
+	conn atomic.Pointer[conn]
+	done chan callResult // capacity 1: the winner never blocks
+}
+
+type callResult struct {
+	rep  MemReply
+	lost bool // the link died with the reply owed
+}
+
+// complete delivers r if the call is still waiting on c.
+func (s *callSlot) complete(c *conn, r callResult) {
+	if s.conn.CompareAndSwap(c, nil) {
+		s.done <- r
+	}
+}
+
+// cancel withdraws an unanswered call; if a reply or the teardown won the
+// race, its result is drained so the slot is clean for the next call.
+func (s *callSlot) cancel(c *conn) {
+	if !s.conn.CompareAndSwap(c, nil) {
+		<-s.done
+	}
+}
+
+// memCall is one inbound remote-access request, queued for its link's
+// server.
+type memCall struct {
+	dst geom.CoreID
+	id  uint64
+	req MemRequest
 }
 
 // conn is one batch-framed TCP connection (wire.go): coalescing writes
@@ -305,9 +336,10 @@ type pendingCall struct {
 // their fixed ContextWireBytes encoding, so what crosses the wire per
 // migration is exactly the byte string a hardware transfer would ship.
 type conn struct {
-	c  net.Conn
-	br *bufio.Reader
-	w  batchWriter
+	c    net.Conn
+	br   *bufio.Reader
+	w    batchWriter
+	reqs chan memCall // a peer link's remote-access queue (serveMem)
 }
 
 func newConn(c net.Conn, nc *netCounters) *conn {
@@ -323,7 +355,7 @@ func (c *conn) sendJSON(kind FrameKind, v any) error {
 	if err != nil {
 		return err
 	}
-	return c.w.appendBlob(kind, blob)
+	return c.w.appendEager(Frame{Kind: kind, Blob: blob})
 }
 
 // peerSlot holds a connection that may not exist yet; ready closes when it
@@ -351,19 +383,25 @@ func (p *peerSlot) get(cancel <-chan struct{}) (*conn, error) {
 	}
 }
 
-// dialRetry dials addr until it succeeds or the deadline passes — node and
-// coordinator processes start in arbitrary order.
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
+// dialRetry dials addr until it succeeds, timeout passes (when positive)
+// or stop closes — node and coordinator processes start in arbitrary
+// order. Refused dials back off from 1 ms, doubling to a 20 ms cap, so a
+// peer that is still binding costs a millisecond, not a tick.
+func dialRetry(addr string, timeout time.Duration, stop <-chan struct{}) (net.Conn, error) {
 	deadline := time.Now().Add(timeout) //em2:wallclock-ok: the retry deadline is about real connect attempts; never feeds results
-	for {
-		c, err := net.DialTimeout("tcp", addr, timeout)
+	for wait := time.Millisecond; ; wait = min(2*wait, 20*time.Millisecond) {
+		c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 		if err == nil {
 			return c, nil
 		}
-		if time.Now().After(deadline) { //em2:wallclock-ok: the retry deadline is about real connect attempts; never feeds results
+		if timeout > 0 && time.Now().After(deadline) { //em2:wallclock-ok: the retry deadline is about real connect attempts; never feeds results
 			return nil, fmt.Errorf("transport: dial %s: %v", addr, err)
 		}
-		time.Sleep(20 * time.Millisecond) //em2:wallclock-ok: backoff between real connect attempts; never feeds results
+		select {
+		case <-stop:
+			return nil, err
+		case <-time.After(wait): //em2:wallclock-ok: backoff between real connect attempts; never feeds results
+		}
 	}
 }
 
@@ -389,19 +427,26 @@ type Node struct {
 	coord *peerSlot
 
 	ready    chan struct{} // closed by Ready(): inboxes + handler installed
-	mu       sync.Mutex
 	mig      map[geom.CoreID]chan Context
 	evict    map[geom.CoreID]chan Context
+	sched    [][]byte // by thread: the Sched storage inbound contexts decode into
 	handler  func(core geom.CoreID, req MemRequest) MemReply
 	invH     func(inv LeaseInval)
 	ctl      ControlHandler
 	loaded   atomic.Bool // a LoadSpec was delivered; a node serves one
 	hbOnce   sync.Once
-	nextID   atomic.Uint64
-	pending  map[uint64]*pendingCall
+	calls    []callSlot // by issuing core
 	loads    chan *LoadSpec
 	shutdown chan struct{}
 	closed   atomic.Bool
+
+	// When to write (Flush): resident counts the contexts delivered here
+	// and not yet gone — +1 per inbound push, −1 per remote send and per
+	// halt. points counts flush points, and oldest is the point (+1) at
+	// which the oldest still-deferred frame was appended, 0 when none.
+	resident atomic.Int64
+	points   atomic.Uint64
+	oldest   atomic.Uint64
 }
 
 // ListenNode is ListenNodeOn over a fresh listener at the manifest address.
@@ -441,12 +486,15 @@ func ListenNodeOn(man Manifest, idx int, ln net.Listener) (*Node, error) {
 		peers:    make([]*peerSlot, len(man.Nodes)),
 		coord:    newPeerSlot(),
 		ready:    make(chan struct{}),
-		pending:  make(map[uint64]*pendingCall),
+		calls:    make([]callSlot, man.Cores()),
 		loads:    make(chan *LoadSpec, 1),
 		shutdown: make(chan struct{}),
 	}
 	for i := range n.peers {
 		n.peers[i] = newPeerSlot()
+	}
+	for i := range n.calls {
+		n.calls[i].done = make(chan callResult, 1)
 	}
 	go n.acceptLoop()
 	for j := 0; j < idx; j++ {
@@ -483,6 +531,7 @@ func (n *Node) acceptLoop() {
 						if !n.peers[f.From].set(cc) {
 							return errStopRead // duplicate peer connection
 						}
+						n.serveMem(cc, int(f.From))
 					default:
 						return malformedf("hello from unknown peer %d", f.From)
 					}
@@ -522,28 +571,55 @@ func (n *Node) finishRead(c *conn, err error, fromCoordinator, identified bool) 
 			n.triggerShutdown()
 		}
 	}
+	if c.reqs != nil {
+		close(c.reqs) // the link's server drains what is queued and exits
+	}
 	n.failPending(c)
 }
 
-// failPending completes every in-flight Remote whose request left on c
-// with a closed channel (the caller surfaces it as a lost-connection
-// error). Entries are removed under the mutex, so a racing reply either
-// owns the entry or never sees it — the channel is sent to or closed,
-// never both.
+// failPending fails every in-flight Remote whose request left on c (the
+// caller surfaces it as a lost-connection error).
 func (n *Node) failPending(c *conn) {
-	var lost []*pendingCall
-	n.mu.Lock()
-	//em2:unordered-ok: every matching call gets the same closed-channel fate; nothing observes the close order
-	for id, call := range n.pending {
-		if call.conn == c {
-			delete(n.pending, id)
-			lost = append(lost, call)
+	for i := range n.calls {
+		n.calls[i].complete(c, callResult{lost: true})
+	}
+}
+
+// serveMem starts c's remote-access server: one goroutine per peer link
+// that performs the link's requests in arrival order and writes their
+// replies. The reader only queues — capacity is the peer's core count, and
+// each core has at most one request in flight — so a reader never blocks
+// and never writes, which is what keeps every socket drained (DESIGN.md
+// §6). The server exits when the reader closes the queue.
+func (n *Node) serveMem(c *conn, peer int) {
+	c.reqs = make(chan memCall, len(n.man.Nodes[peer].Cores))
+	go func() {
+		for r := range c.reqs {
+			f := Frame{Kind: FrameMemRep, ID: r.id, Rep: n.handler(r.dst, r.req)}
+			if f.Rep.Lease != 0 {
+				f.Kind = FrameLeaseRep // the home granted a lease
+			}
+			c.w.appendEager(f)
 		}
+	}()
+}
+
+// arrive counts an inbound context as resident and decodes it into its
+// thread's Sched slot. The count comes first: its atomic add orders this
+// decode after the slot's last reader, whose context had to leave (a
+// remote send or a halt, each −1) before the thread could come back —
+// from any peer.
+func (n *Node) arrive(b []byte) (Context, error) {
+	n.resident.Add(1)
+	var c Context
+	t := int32(binary.BigEndian.Uint32(b))
+	if t < 0 || int(t) >= len(n.sched) {
+		return c, fmt.Errorf("thread %d outside the %d-slot pool", t, len(n.sched))
 	}
-	n.mu.Unlock()
-	for _, call := range lost {
-		close(call.ch)
-	}
+	c.Sched = n.sched[t]
+	err := c.DecodeWire(b)
+	n.sched[t] = c.Sched
+	return c, err
 }
 
 // handleFrame dispatches one inbound frame. Data-plane frames wait for
@@ -565,7 +641,10 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		}
 		n.loads <- spec
 	case FrameMigration, FrameEviction:
-		ctx, err := DecodeContext(f.Ctx)
+		if !n.waitReady() {
+			return errStopRead
+		}
+		ctx, err := n.arrive(f.Ctx)
 		if err != nil {
 			// A context that does not decode is protocol corruption (version
 			// skew, mangled frame): the thread it carried is gone.
@@ -576,34 +655,21 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 				return malformedf("%v", err)
 			}
 		}
-		if !n.waitReady() {
-			return errStopRead
-		}
-		if f.Kind == FrameMigration {
-			n.inbox(n.mig, f.Dst) <- ctx
-		} else {
-			n.inbox(n.evict, f.Dst) <- ctx
-		}
+		n.inbox(f.Kind, f.Dst) <- ctx
 	case FrameMemReq:
 		if !n.waitReady() {
 			return errStopRead
 		}
-		go func(dst geom.CoreID, id uint64, req MemRequest) {
-			rep := n.handler(dst, req)
-			if rep.Lease != 0 {
-				c.w.appendLeaseRep(id, rep)
-			} else {
-				c.w.appendMemRep(id, rep)
-			}
-		}(f.Dst, f.ID, f.Req)
-	case FrameMemRep, FrameLeaseRep:
-		n.mu.Lock()
-		call := n.pending[f.ID]
-		delete(n.pending, f.ID)
-		n.mu.Unlock()
-		if call != nil {
-			call.ch <- f.Rep
+		select {
+		case c.reqs <- memCall{f.Dst, f.ID, f.Req}:
+		default: // also the coordinator link, which has no queue
+			return malformedf("more remote ops in flight than the peer has cores")
 		}
+	case FrameMemRep, FrameLeaseRep:
+		if f.ID >= uint64(len(n.calls)) {
+			return malformedf("reply to core %d outside the mesh", f.ID)
+		}
+		n.calls[f.ID].complete(c, callResult{rep: f.Rep})
 	case FrameLeaseInval:
 		if !n.waitReady() {
 			return errStopRead
@@ -678,24 +744,12 @@ func (n *Node) answer(c *conn, f Frame) error {
 // long "any order" stretches is the operator's business (the coordinator's
 // run timeout bounds the overall wait).
 func (n *Node) dialPeer(j int) {
-	var c net.Conn
-	for {
-		var err error
-		c, err = net.DialTimeout("tcp", n.man.Nodes[j].Addr, 2*time.Second)
-		if err == nil {
-			break
-		}
-		select {
-		case <-n.shutdown:
-			return
-		case <-time.After(20 * time.Millisecond):
-		}
-		if n.closed.Load() {
-			return
-		}
+	c, err := dialRetry(n.man.Nodes[j].Addr, 0, n.shutdown)
+	if err != nil {
+		return // shut down first
 	}
 	cc := newConn(c, &n.nc)
-	if err := cc.w.appendKind(FrameHello, int32(n.idx)); err != nil {
+	if err := cc.w.appendEager(Frame{Kind: FrameHello, From: int32(n.idx)}); err != nil {
 		c.Close()
 		return
 	}
@@ -703,7 +757,8 @@ func (n *Node) dialPeer(j int) {
 		c.Close()
 		return
 	}
-	err := readBatches(cc.br, &n.nc, func(f Frame) error { return n.handleFrame(cc, f) })
+	n.serveMem(cc, j)
+	err = readBatches(cc.br, &n.nc, func(f Frame) error { return n.handleFrame(cc, f) })
 	n.finishRead(cc, err, false, true)
 	c.Close()
 }
@@ -716,8 +771,12 @@ func (n *Node) triggerShutdown() {
 	}
 }
 
-func (n *Node) inbox(m map[geom.CoreID]chan Context, core geom.CoreID) chan Context {
-	ch := m[core]
+// inbox returns core's migration or eviction inbox, by frame kind.
+func (n *Node) inbox(kind FrameKind, core geom.CoreID) chan Context {
+	ch := n.mig[core]
+	if kind == FrameEviction {
+		ch = n.evict[core]
+	}
 	if ch == nil {
 		panic(fmt.Sprintf("transport: node %d received message for core %d it does not own", n.idx, core))
 	}
@@ -725,8 +784,10 @@ func (n *Node) inbox(m map[geom.CoreID]chan Context, core geom.CoreID) chan Cont
 }
 
 // Prepare sizes the per-core inboxes for a run of numThreads threads (an
-// eviction inbox for its core's natives). Call it before Ready.
+// eviction inbox for its core's natives) and the per-thread Sched slots
+// inbound contexts decode into. Call it before Ready.
 func (n *Node) Prepare(numThreads int) {
+	n.sched = make([][]byte, numThreads)
 	n.mig = make(map[geom.CoreID]chan Context, len(n.owned))
 	n.evict = make(map[geom.CoreID]chan Context, len(n.owned))
 	for _, c := range n.owned {
@@ -767,8 +828,12 @@ func (n *Node) sendCoord(kind FrameKind, v any) error {
 	return c.sendJSON(kind, v)
 }
 
-// SendHalt reports a thread HALT to the coordinator.
-func (n *Node) SendHalt(h HaltMsg) error { return n.sendCoord(FrameHalt, &h) }
+// SendHalt reports a thread HALT to the coordinator; the thread's context
+// is no longer resident.
+func (n *Node) SendHalt(h HaltMsg) error {
+	n.resident.Add(-1)
+	return n.sendCoord(FrameHalt, &h)
+}
 
 // SendReply answers the LoadSpec, the one request the node's lifecycle
 // answers itself (the control handler answers the rest): an empty Reply
@@ -840,10 +905,10 @@ func (n *Node) Owns(core geom.CoreID) bool {
 }
 
 // MigrationIn implements Transport; Prepare must have run.
-func (n *Node) MigrationIn(core geom.CoreID) <-chan Context { return n.inbox(n.mig, core) }
+func (n *Node) MigrationIn(core geom.CoreID) <-chan Context { return n.inbox(FrameMigration, core) }
 
 // EvictionIn implements Transport; Prepare must have run.
-func (n *Node) EvictionIn(core geom.CoreID) <-chan Context { return n.inbox(n.evict, core) }
+func (n *Node) EvictionIn(core geom.CoreID) <-chan Context { return n.inbox(FrameEviction, core) }
 
 // HandleMem implements Transport.
 func (n *Node) HandleMem(h func(core geom.CoreID, req MemRequest) MemReply) { n.handler = h }
@@ -860,7 +925,7 @@ func (n *Node) HandleControl(h ControlHandler) { n.ctl = h }
 
 // SendMigration implements Transport: a channel push when dst is owned
 // locally, a deferred frame into the owning node's batch buffer otherwise —
-// coalesced with every other ready message at the next Flush.
+// coalesced with every other ready message until Flush writes.
 func (n *Node) SendMigration(dst geom.CoreID, c Context) error {
 	return n.sendCtx(FrameMigration, dst, c)
 }
@@ -872,28 +937,42 @@ func (n *Node) SendEviction(dst geom.CoreID, c Context) error {
 
 func (n *Node) sendCtx(kind FrameKind, dst geom.CoreID, c Context) error {
 	if n.Owns(dst) {
-		if kind == FrameMigration {
-			n.inbox(n.mig, dst) <- c
-		} else {
-			n.inbox(n.evict, dst) <- c
-		}
+		n.inbox(kind, dst) <- c
 		return nil
 	}
-	pc, err := n.peers[n.route[dst]].get(n.shutdown)
-	if err != nil {
-		return err
-	}
 	// Deferred: the context encodes straight into the batch buffer and
-	// ships at the machine's next flush point (or piggybacks on an eager
-	// frame to the same peer).
-	return pc.w.appendCtx(kind, dst, c)
+	// ships when Flush writes (or piggybacks on an eager frame to the same
+	// peer). Sent or lost with the link, it has left this node.
+	pc, err := n.peers[n.route[dst]].get(n.shutdown)
+	if err == nil {
+		err = pc.w.appendCtx(kind, dst, c)
+	}
+	n.resident.Add(-1)
+	if err == nil {
+		n.oldest.CompareAndSwap(0, n.points.Load()+1) // after the append: see Flush
+	}
+	return err
 }
 
-// Flush implements Transport: every peer connection's coalesced batch goes
-// out, one write per connection. Peers this endpoint never spoke to (or
-// that have not connected yet) are skipped — Flush never blocks on an
-// unestablished link.
+// Flush implements Transport. A flush point writes every peer connection's
+// coalesced batch, one write per connection, when the node is quiescent —
+// no context resident in its inboxes or run queues, so no core will reach
+// another flush point — or when the oldest deferred frame has lived
+// through len(owned) flush points; otherwise it keeps coalescing. The age
+// arm bounds the wait while contexts stay resident (cores spinning on a
+// flag the deferred frame would set, say). The mark is cleared before the
+// buffers are written and set after a frame is appended, so a frame is
+// always either in a batch this flush writes or marked for a later one.
+// Peers this endpoint never spoke to (or that have not connected yet) are
+// skipped — Flush never blocks on an unestablished link.
 func (n *Node) Flush() error {
+	point := n.points.Add(1)
+	if n.resident.Load() > 0 {
+		if o := n.oldest.Load(); o == 0 || int64(point+1-o) < int64(len(n.owned)) {
+			return nil
+		}
+	}
+	n.oldest.Store(0)
 	var first error
 	for _, p := range n.peers {
 		select {
@@ -915,28 +994,29 @@ func (n *Node) Remote(dst geom.CoreID, req MemRequest) (MemReply, error) {
 	if n.Owns(dst) {
 		return n.handler(dst, req), nil
 	}
+	if int(req.From) >= len(n.calls) {
+		return MemReply{}, fmt.Errorf("transport: remote op from core %d outside the mesh", req.From)
+	}
 	pc, err := n.peers[n.route[dst]].get(n.shutdown)
 	if err != nil {
 		return MemReply{}, err
 	}
-	id := n.nextID.Add(1)
-	call := &pendingCall{ch: make(chan MemReply, 1), conn: pc}
-	n.mu.Lock()
-	n.pending[id] = call
-	n.mu.Unlock()
-	if err := pc.w.appendMemReq(dst, id, req); err != nil {
-		n.mu.Lock()
-		delete(n.pending, id)
-		n.mu.Unlock()
+	s := &n.calls[req.From]
+	if !s.conn.CompareAndSwap(nil, pc) {
+		return MemReply{}, fmt.Errorf("transport: core %d issued a remote op with one in flight", req.From)
+	}
+	if err := pc.w.appendEager(Frame{Kind: FrameMemReq, Dst: dst, ID: uint64(req.From), Req: req}); err != nil {
+		s.cancel(pc)
 		return MemReply{}, err
 	}
 	select {
-	case rep, ok := <-call.ch:
-		if !ok {
+	case r := <-s.done:
+		if r.lost {
 			return MemReply{}, fmt.Errorf("transport: connection to core %d's node lost awaiting reply", dst)
 		}
-		return rep, nil
+		return r.rep, nil
 	case <-n.shutdown:
+		s.cancel(pc)
 		return MemReply{}, fmt.Errorf("transport: shut down awaiting reply from core %d", dst)
 	}
 }
@@ -956,7 +1036,7 @@ func (n *Node) SendLeaseInval(inv LeaseInval) error {
 	if err != nil {
 		return err
 	}
-	return pc.w.appendLeaseInval(inv)
+	return pc.w.appendEager(Frame{Kind: FrameLeaseInval, Inv: inv})
 }
 
 // --- coordinator ---------------------------------------------------------
@@ -971,10 +1051,11 @@ type Coordinator struct {
 	route   []int
 	conns   []*conn
 	nc      netCounters
-	halts   chan HaltMsg
+	halts   chan HaltMsg // one slot per node link (DialCluster)
 	replies chan Reply
 	deaths  chan error
-	down    atomic.Bool // set by Shutdown/Close: reader exits become orderly
+	down    atomic.Bool   // set by Shutdown/Close: reader exits become orderly
+	quit    chan struct{} // closed with down's first set
 
 	// reqMu serializes requests, so the replies on hand always answer the
 	// one in flight. failed is the error of the first failed request: its
@@ -1002,23 +1083,28 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
+	// Halts arrive only while a job runs, and AwaitHalts drains them for
+	// the whole job, so a reader waits on a full halts channel at most until
+	// the await starts (injection needs no reader); quit releases the
+	// readers of a coordinator abandoned mid-job.
 	co := &Coordinator{
 		man:     man,
 		route:   man.routes(),
 		conns:   make([]*conn, len(man.Nodes)),
-		halts:   make(chan HaltMsg, 4096),
+		halts:   make(chan HaltMsg, len(man.Nodes)),
 		replies: make(chan Reply, len(man.Nodes)),
 		deaths:  make(chan error, len(man.Nodes)),
+		quit:    make(chan struct{}),
 		hb:      make([]HeartbeatInfo, len(man.Nodes)),
 	}
 	for i, ns := range man.Nodes {
-		c, err := dialRetry(ns.Addr, timeout)
+		c, err := dialRetry(ns.Addr, timeout, nil)
 		if err != nil {
 			co.Close()
 			return nil, err
 		}
 		cc := newConn(c, &co.nc)
-		if err := cc.w.appendKind(FrameHello, coordinatorID); err != nil {
+		if err := cc.w.appendEager(Frame{Kind: FrameHello, From: coordinatorID}); err != nil {
 			co.Close()
 			return nil, err
 		}
@@ -1046,7 +1132,11 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 			if err := json.Unmarshal(f.Blob, &h); err != nil {
 				return malformedf("halt report: %v", err)
 			}
-			co.halts <- h
+			select {
+			case co.halts <- h:
+			case <-co.quit:
+				return errStopRead
+			}
 		case FrameReply:
 			r = Reply{}
 			if err := json.Unmarshal(f.Blob, &r); err != nil {
@@ -1108,12 +1198,7 @@ func (co *Coordinator) broadcast(kind FrameKind, v any) (err error) {
 		}
 	}
 	for _, c := range co.conns {
-		if v == nil {
-			err = c.w.appendKind(kind, 0)
-		} else {
-			err = c.w.appendBlob(kind, blob)
-		}
-		if err != nil {
+		if err = c.w.appendEager(Frame{Kind: kind, Blob: blob}); err != nil {
 			return err
 		}
 	}
@@ -1346,20 +1431,27 @@ func (co *Coordinator) Collect(timeout time.Duration) ([]CollectReply, error) {
 	return reps, nil
 }
 
+// stop marks the teardown as the coordinator's own, once.
+func (co *Coordinator) stop() {
+	if !co.down.Swap(true) {
+		close(co.quit)
+	}
+}
+
 // Shutdown tells every node to exit. Connection teardowns that follow are
 // orderly: they no longer count as node deaths.
 func (co *Coordinator) Shutdown() {
-	co.down.Store(true)
+	co.stop()
 	for _, c := range co.conns {
 		if c != nil {
-			c.w.appendKind(FrameShutdown, 0)
+			c.w.appendEager(Frame{Kind: FrameShutdown})
 		}
 	}
 }
 
 // Close drops the coordinator's connections.
 func (co *Coordinator) Close() {
-	co.down.Store(true)
+	co.stop()
 	for _, c := range co.conns {
 		if c != nil {
 			c.c.Close()

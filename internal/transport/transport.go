@@ -12,8 +12,9 @@
 //     travel as canonical length-prefixed frame batches over TCP (wire.go),
 //     and the migrated context really is the ContextWireBytes byte string a
 //     hardware transfer would serialize. Data-plane sends coalesce into a
-//     per-connection batch buffer that the machine flushes once per
-//     scheduling cycle, so a node ships all ready messages in one syscall.
+//     per-connection batch buffer that the node writes when it has no
+//     context left to run or its oldest frame has waited a round of flush
+//     points, so a node ships many ready messages in one syscall.
 //
 // The channel-capacity invariant carries over to the wire: every per-core
 // inbox has capacity for every context that can be sent to it, so an
@@ -149,15 +150,6 @@ func (c *Context) DecodeWire(b []byte) error {
 	c.Arch = arch
 	c.Sched = append(c.Sched[:0], b[ContextWireBytes:]...)
 	return nil
-}
-
-// DecodeContext decodes b into a fresh Context (see DecodeWire).
-func DecodeContext(b []byte) (Context, error) {
-	var c Context
-	if err := c.DecodeWire(b); err != nil {
-		return Context{}, err
-	}
-	return c, nil
 }
 
 // MemOp names a remote-access operation kind.
@@ -385,10 +377,12 @@ type Transport interface {
 	// Like SendMigration, remote sends may coalesce until Flush.
 	SendEviction(dst geom.CoreID, c Context) error
 
-	// Flush pushes every coalesced outbound message to the wire, all ready
-	// messages per destination in one write. The machine calls it at its
-	// scheduling flush points (after each execution slice and before a core
-	// parks idle); transports without buffering make it a no-op.
+	// Flush marks a flush point: coalesced outbound messages go to the
+	// wire, all ready messages per destination in one write. The machine
+	// calls it after each execution slice and before a core parks idle.
+	// A buffering transport may hold them past a point while it still has
+	// contexts to run (Node: DESIGN.md §6); transports without buffering
+	// make it a no-op.
 	Flush() error
 
 	// Remote performs req at dst's home shard and returns the reply. For a

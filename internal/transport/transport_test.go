@@ -21,6 +21,13 @@ func sampleContext() transport.Context {
 	return c
 }
 
+// decodeContext decodes b into a fresh Context.
+func decodeContext(b []byte) (transport.Context, error) {
+	var c transport.Context
+	err := c.DecodeWire(b)
+	return c, err
+}
+
 func TestContextWireRoundTrip(t *testing.T) {
 	withSched := sampleContext()
 	withSched.Flags = transport.FlagObserved
@@ -35,7 +42,7 @@ func TestContextWireRoundTrip(t *testing.T) {
 		if want := transport.ContextWireBytes + len(c.Sched); len(b) != want {
 			t.Fatalf("encoded %d bytes, want %d", len(b), want)
 		}
-		back, err := transport.DecodeContext(b)
+		back, err := decodeContext(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,16 +50,16 @@ func TestContextWireRoundTrip(t *testing.T) {
 			t.Fatalf("round trip: got %+v, want %+v", back, c)
 		}
 	}
-	if _, err := transport.DecodeContext(make([]byte, 3)); err == nil {
+	if _, err := decodeContext(make([]byte, 3)); err == nil {
 		t.Error("short context accepted")
 	}
 	// A trailer longer or shorter than the header's declared Sched length is
 	// protocol corruption, not a longer context.
-	if _, err := transport.DecodeContext(append(withSched.EncodeWire(), 0)); err == nil {
+	if _, err := decodeContext(append(withSched.EncodeWire(), 0)); err == nil {
 		t.Error("over-long sched trailer accepted")
 	}
 	if b := withSched.EncodeWire(); true {
-		if _, err := transport.DecodeContext(b[:len(b)-1]); err == nil {
+		if _, err := decodeContext(b[:len(b)-1]); err == nil {
 			t.Error("truncated sched trailer accepted")
 		}
 	}

@@ -6,10 +6,10 @@ package transport
 // canonical binary (no reflection, no per-message allocation); the control
 // plane (requests, replies, halts, heartbeats) rides the same framing as
 // length-prefixed JSON blobs. Outbound frames coalesce in a per-connection
-// batch buffer — built over pooled storage, written with one syscall per
-// batch — so a node flushes all ready messages per scheduling cycle in a
-// single write. DESIGN.md §6 documents the layout and how batch delivery
-// interacts with the inbox wire credits.
+// batch buffer, written with one syscall per batch, so a node ships all its
+// ready messages to a peer in a single write. DESIGN.md §6 documents the
+// layout, when a node writes, and how batch delivery interacts with the
+// inbox wire credits.
 
 import (
 	"bufio"
@@ -149,83 +149,44 @@ type Frame struct {
 	Blob []byte      // control-plane kinds (Load, Halt, job, heartbeat, reply frames): JSON body
 }
 
-// The per-kind frame encoders below are shared by AppendFrame and the
-// batchWriter's hot-path append methods, so the wire has exactly one
-// encoder per layout (the only divergence is the context body's source:
-// the writer serializes a Context in place via AppendWire — itself the
-// canonical context encoder — where AppendFrame copies pre-encoded bytes).
-
-// appendCtxFrameHeader starts a migration/eviction frame: kind + dst. The
-// context body that follows is self-delimiting (its own SchedLen header is
-// the only length on the wire).
-func appendCtxFrameHeader(b []byte, kind FrameKind, dst geom.CoreID) []byte {
-	b = append(b, byte(kind))
-	return binary.BigEndian.AppendUint32(b, uint32(dst))
-}
-
-func appendHelloFrame(b []byte, from int32) []byte {
-	b = append(b, byte(FrameHello))
-	return binary.BigEndian.AppendUint32(b, uint32(from))
-}
-
-func appendMemReqFrame(b []byte, dst geom.CoreID, id uint64, r MemRequest) []byte {
-	b = append(b, byte(FrameMemReq))
-	b = binary.BigEndian.AppendUint32(b, uint32(dst))
-	b = binary.BigEndian.AppendUint64(b, id)
-	b = binary.BigEndian.AppendUint32(b, uint32(r.Thread))
-	b = binary.BigEndian.AppendUint64(b, uint64(r.TSeq))
-	b = append(b, byte(r.Op))
-	b = binary.BigEndian.AppendUint32(b, r.Addr)
-	b = binary.BigEndian.AppendUint32(b, r.Arg)
-	b = binary.BigEndian.AppendUint32(b, r.From)
-	return binary.BigEndian.AppendUint16(b, r.Lease)
-}
-
-func appendMemRepFrame(b []byte, id uint64, rep MemReply) []byte {
-	b = append(b, byte(FrameMemRep))
-	b = binary.BigEndian.AppendUint64(b, id)
-	return binary.BigEndian.AppendUint32(b, rep.Value)
-}
-
-func appendLeaseRepFrame(b []byte, id uint64, rep MemReply) []byte {
-	b = append(b, byte(FrameLeaseRep))
-	b = binary.BigEndian.AppendUint64(b, id)
-	b = binary.BigEndian.AppendUint32(b, rep.Value)
-	return binary.BigEndian.AppendUint16(b, rep.Lease)
-}
-
-func appendLeaseInvalFrame(b []byte, inv LeaseInval) []byte {
-	b = append(b, byte(FrameLeaseInval))
-	b = binary.BigEndian.AppendUint32(b, uint32(inv.Dst))
-	b = binary.BigEndian.AppendUint32(b, inv.Addr)
-	return binary.BigEndian.AppendUint32(b, inv.Value)
-}
-
-func appendBlobFrame(b []byte, kind FrameKind, blob []byte) []byte {
-	b = append(b, byte(kind))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(blob)))
-	return append(b, blob...)
-}
-
-// AppendFrame appends f's wire encoding (kind byte + body) to b.
+// AppendFrame appends f's wire encoding (kind byte + body) to b: the one
+// encoder per frame layout, the batch writer's included. A context frame's
+// body is self-delimiting (its own SchedLen header is the only length on
+// the wire); with Ctx empty, AppendFrame writes just the frame header and
+// the batch writer serializes the Context after it in place (AppendWire).
 func AppendFrame(b []byte, f Frame) []byte {
+	b = append(b, byte(f.Kind))
+	be := binary.BigEndian
 	switch f.Kind {
-	case FrameHello:
-		return appendHelloFrame(b, f.From)
 	case FrameMigration, FrameEviction:
-		return append(appendCtxFrameHeader(b, f.Kind, f.Dst), f.Ctx...)
+		return append(be.AppendUint32(b, uint32(f.Dst)), f.Ctx...)
+	case FrameHello:
+		return be.AppendUint32(b, uint32(f.From))
 	case FrameMemReq:
-		return appendMemReqFrame(b, f.Dst, f.ID, f.Req)
-	case FrameMemRep:
-		return appendMemRepFrame(b, f.ID, f.Rep)
-	case FrameLeaseRep:
-		return appendLeaseRepFrame(b, f.ID, f.Rep)
+		b = be.AppendUint32(b, uint32(f.Dst))
+		b = be.AppendUint64(b, f.ID)
+		b = be.AppendUint32(b, uint32(f.Req.Thread))
+		b = be.AppendUint64(b, uint64(f.Req.TSeq))
+		b = append(b, byte(f.Req.Op))
+		b = be.AppendUint32(b, f.Req.Addr)
+		b = be.AppendUint32(b, f.Req.Arg)
+		b = be.AppendUint32(b, f.Req.From)
+		return be.AppendUint16(b, f.Req.Lease)
+	case FrameMemRep, FrameLeaseRep:
+		b = be.AppendUint64(b, f.ID)
+		b = be.AppendUint32(b, f.Rep.Value)
+		if f.Kind == FrameLeaseRep {
+			b = be.AppendUint16(b, f.Rep.Lease)
+		}
+		return b
 	case FrameLeaseInval:
-		return appendLeaseInvalFrame(b, f.Inv)
+		b = be.AppendUint32(b, uint32(f.Inv.Dst))
+		b = be.AppendUint32(b, f.Inv.Addr)
+		return be.AppendUint32(b, f.Inv.Value)
 	case FrameLoad, FrameHalt, FrameJobSubmit, FrameJobDone, FrameHeartbeat, FrameReply:
-		return appendBlobFrame(b, f.Kind, f.Blob)
+		return append(be.AppendUint32(b, uint32(len(f.Blob))), f.Blob...)
 	case FrameCollect, FrameShutdown, FrameSampleReq:
-		return append(b, byte(f.Kind)) // kind byte only
+		return b // kind byte only
 	default:
 		panic(fmt.Sprintf("transport: AppendFrame of unknown kind %d", f.Kind))
 	}
@@ -259,7 +220,7 @@ func parseFrame(b []byte) (Frame, int, error) {
 		f.Dst = geom.CoreID(binary.BigEndian.Uint32(p))
 		ctx := p[4:]
 		// The context is self-delimiting: its SchedLen header declares the
-		// trailer. DecodeContext re-validates the total.
+		// trailer. DecodeWire re-validates the total.
 		total := ContextWireBytes + int(binary.BigEndian.Uint16(ctx[schedLenOffset:]))
 		if len(ctx) < total {
 			return Frame{}, 0, malformedf("context frame truncated: %d of %d bytes", len(ctx), total)
@@ -463,43 +424,24 @@ func (c *netCounters) snapshot() NetStats {
 	}
 }
 
-// batchBufPool recycles batch buffers across connections and runs; every
-// buffer starts with the BatchHeaderLen reserved bytes already in place.
-var batchBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, BatchHeaderLen, 4<<10)
-		return &b
-	},
-}
-
-func getBatchBuf() []byte {
-	return (*batchBufPool.Get().(*[]byte))[:BatchHeaderLen]
-}
-
-func putBatchBuf(b []byte) {
-	if cap(b) > 1<<20 {
-		return // don't let one oversized run pin memory in the pool
-	}
-	b = b[:BatchHeaderLen]
-	batchBufPool.Put(&b)
-}
-
 // batchWriter coalesces outbound frames for one connection. Frames append
-// under the mutex into a pooled buffer whose first BatchHeaderLen bytes are
+// under the mutex into a buffer whose first BatchHeaderLen bytes are
 // reserved for the header; a flush patches the header and ships the whole
 // batch with one Write. Deferred frames (migrations, evictions) wait for
-// the machine's Flush; latency-critical frames (remote accesses, replies,
+// the node's Flush; latency-critical frames (remote accesses, replies,
 // control) flush immediately — carrying every deferred frame ahead of them
 // in the same syscall. The flusher-role loop keeps exactly one goroutine
 // writing while later enqueuers keep appending, so bursts coalesce even
-// between explicit flushes.
+// between explicit flushes. The writer owns two buffers: the flusher swaps
+// the filled one for the spare, writes it, and keeps it as the next spare.
 type batchWriter struct {
 	c  net.Conn
 	nc *netCounters
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled when the flusher swaps the buffer out
-	buf      []byte     // nil when empty; otherwise header-prefixed frames
+	buf      []byte     // header-prefixed frames, count of them
+	spare    []byte     // nil while the flusher has it on the wire
 	count    int
 	flushing bool
 	err      error // sticky: first write failure poisons the connection
@@ -512,7 +454,12 @@ func (w *batchWriter) init(c net.Conn, nc *netCounters) {
 	w.c = c
 	w.nc = nc
 	w.cond = sync.NewCond(&w.mu)
+	w.buf = newBatchBuf()
+	w.spare = newBatchBuf()
 }
+
+// newBatchBuf returns an empty batch buffer: the reserved header bytes.
+func newBatchBuf() []byte { return make([]byte, BatchHeaderLen, 4<<10) }
 
 // begin locks the writer and readies the buffer for one append. On success
 // the lock is HELD; the caller must follow with finish. When another
@@ -528,9 +475,6 @@ func (w *batchWriter) begin() error {
 		err := w.err
 		w.mu.Unlock()
 		return err
-	}
-	if w.buf == nil {
-		w.buf = getBatchBuf()
 	}
 	return nil
 }
@@ -569,7 +513,7 @@ func (w *batchWriter) flushLocked() error {
 	w.flushing = true
 	for w.count > 0 && w.err == nil {
 		buf, count := w.buf, w.count
-		w.buf, w.count = nil, 0
+		w.buf, w.spare, w.count = w.spare, nil, 0
 		w.cond.Broadcast() // producers waiting on the caps may proceed
 		w.mu.Unlock()
 
@@ -580,9 +524,12 @@ func (w *batchWriter) flushLocked() error {
 			w.nc.msgsSent.Add(int64(count))
 			w.nc.bytesSent.Add(int64(len(buf)))
 		}
-		putBatchBuf(buf)
+		if cap(buf) > 1<<20 {
+			buf = newBatchBuf() // don't let one oversized burst pin memory
+		}
 
 		w.mu.Lock()
+		w.spare = buf[:BatchHeaderLen]
 		if err != nil && w.err == nil {
 			w.err = err
 		}
@@ -601,80 +548,26 @@ func (w *batchWriter) appendCtx(kind FrameKind, dst geom.CoreID, ctx Context) er
 	if err := w.begin(); err != nil {
 		return err
 	}
-	w.buf = appendCtxFrameHeader(w.buf, kind, dst)
-	w.buf = ctx.AppendWire(w.buf)
+	w.buf = ctx.AppendWire(AppendFrame(w.buf, Frame{Kind: kind, Dst: dst}))
 	return w.finish(false)
 }
 
-// appendMemReq enqueues a remote-access request and flushes: the sender is
-// about to block on the reply, so the request (and everything deferred
-// before it) must reach the wire now.
-func (w *batchWriter) appendMemReq(dst geom.CoreID, id uint64, req MemRequest) error {
-	if err := w.begin(); err != nil {
-		return err
-	}
-	w.buf = appendMemReqFrame(w.buf, dst, id, req)
-	return w.finish(true)
-}
-
-// appendMemRep enqueues a remote-access reply and flushes (the requester is
-// blocked on it). Concurrent replies coalesce through the flusher role.
-func (w *batchWriter) appendMemRep(id uint64, rep MemReply) error {
-	if err := w.begin(); err != nil {
-		return err
-	}
-	w.buf = appendMemRepFrame(w.buf, id, rep)
-	return w.finish(true)
-}
-
-// appendLeaseRep enqueues a lease-granting remote-access reply and
-// flushes (the requester is blocked on it, exactly like appendMemRep).
-func (w *batchWriter) appendLeaseRep(id uint64, rep MemReply) error {
-	if err := w.begin(); err != nil {
-		return err
-	}
-	w.buf = appendLeaseRepFrame(w.buf, id, rep)
-	return w.finish(true)
-}
-
-// appendLeaseInval enqueues a write-update to a lease holder and flushes:
-// the writer's shard op has already completed, so the update must not sit
-// behind the next machine Flush or the holder could serve a value more
-// than one window stale.
-func (w *batchWriter) appendLeaseInval(inv LeaseInval) error {
-	if err := w.begin(); err != nil {
-		return err
-	}
-	w.buf = appendLeaseInvalFrame(w.buf, inv)
-	return w.finish(true)
-}
-
-// appendBlob enqueues a control frame with a JSON body and flushes. A blob
-// that could not fit a legal batch is rejected here, at the point of
-// origin, instead of being shipped for every receiver to kill the run as
-// protocol corruption.
-func (w *batchWriter) appendBlob(kind FrameKind, blob []byte) error {
-	if len(blob) > maxBlobBytes {
-		return fmt.Errorf("transport: %d-byte control blob exceeds the %d-byte limit", len(blob), maxBlobBytes)
+// appendEager enqueues a latency-critical frame and flushes, carrying
+// every deferred frame ahead of it: a remote-access request (the sender is
+// about to block on the reply), a reply (the requester is blocked on it),
+// a lease write-update (the writer's shard op has completed; waiting for
+// the node's next write could leave the holder more than one window
+// stale), or a control frame. A blob that could not fit a legal batch is
+// rejected here, at the point of origin, instead of being shipped for
+// every receiver to kill the run as protocol corruption.
+func (w *batchWriter) appendEager(f Frame) error {
+	if len(f.Blob) > maxBlobBytes {
+		return fmt.Errorf("transport: %d-byte control blob exceeds the %d-byte limit", len(f.Blob), maxBlobBytes)
 	}
 	if err := w.begin(); err != nil {
 		return err
 	}
-	w.buf = appendBlobFrame(w.buf, kind, blob)
-	return w.finish(true)
-}
-
-// appendKind enqueues a body-less frame (hello, collect, shutdown) and
-// flushes.
-func (w *batchWriter) appendKind(kind FrameKind, from int32) error {
-	if err := w.begin(); err != nil {
-		return err
-	}
-	if kind == FrameHello {
-		w.buf = appendHelloFrame(w.buf, from)
-	} else {
-		w.buf = append(w.buf, byte(kind))
-	}
+	w.buf = AppendFrame(w.buf, f)
 	return w.finish(true)
 }
 

@@ -260,6 +260,59 @@ func TestNodeRejectsMalformedBatch(t *testing.T) {
 	}
 }
 
+// TestNodeRejectsOutOfRangeData: a ready node indexes its per-thread decode
+// slots, its per-core call slots and its link's request queue by numbers a
+// peer sends, so each out-of-range number must fail the node loudly instead
+// of indexing past a table or wedging the reader.
+func TestNodeRejectsOutOfRangeData(t *testing.T) {
+	t.Parallel()
+	ctx := sampleContext() // thread 3
+	ctx.Native = 0
+	req := transport.Frame{Kind: transport.FrameMemReq, Dst: 0, Req: transport.MemRequest{Op: transport.OpRead}}
+	cases := []struct {
+		name   string
+		frames []transport.Frame
+	}{
+		{"thread outside the slot pool", []transport.Frame{{Kind: transport.FrameMigration, Dst: 0, Ctx: ctx.EncodeWire()}}},
+		{"reply to a core outside the mesh", []transport.Frame{{Kind: transport.FrameMemRep, ID: 2}}},
+		// Peer 1 owns one core: one request in service, one queued, and a
+		// third is more than its cores can have in flight.
+		{"more remote ops than the peer has cores", []transport.Frame{req, req, req}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			man, err := transport.LocalManifest(2, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := transport.ListenNode(man, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			release := make(chan struct{})
+			t.Cleanup(func() { close(release) })
+			n.Prepare(2)
+			n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply {
+				<-release // hold the first request in service
+				return transport.MemReply{}
+			})
+			n.Ready()
+			c := dialNode(t, man, 0, 1)
+			defer c.Close()
+			if _, err := c.Write(transport.AppendBatch(nil, tc.frames)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-n.ShutdownC():
+			case <-time.After(10 * time.Second):
+				t.Fatal("node accepted the out-of-range frame")
+			}
+		})
+	}
+}
+
 // TestDeferredSendsCoalesce pins the batching contract: context sends
 // buffer silently until Flush, then the whole burst leaves as one batch —
 // one write syscall — and arrives intact.
@@ -402,6 +455,73 @@ func TestWireHotPathZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("DecodeBatch: %.0f allocs, want 0", n)
+	}
+
+	// The TCP paths, on a 3x1 mesh: src is node 0, sink node 1, and a bare
+	// connection speaks for the never-started node 2.
+	man, err := transport.LocalManifest(3, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := transport.ListenNode(man, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	sink, err := transport.ListenNode(man, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	sink.Prepare(4)
+	sink.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{Value: 1} })
+	sink.Ready()
+	raw := dialNode(t, man, 1, 2)
+	defer raw.Close()
+
+	ctx.Native = 1
+	in := sink.MigrationIn(1)
+	stuck := time.NewTimer(30 * time.Second) // one timer: time.After allocates
+	defer stuck.Stop()
+	arrive := func() {
+		select {
+		case <-in:
+		case <-stuck.C:
+			t.Fatal("context never arrived")
+		}
+	}
+	inbound := transport.AppendBatch(nil, []transport.Frame{{Kind: transport.FrameMigration, Dst: 1, Ctx: ctx.EncodeWire()}})
+	for _, p := range []struct {
+		name string
+		run  func()
+	}{
+		{"batchWriter append+flush (Node.SendMigration, Node.Flush)", func() {
+			if err := src.SendMigration(1, ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			arrive()
+		}},
+		{"inbound context decode into the thread slot", func() {
+			if _, err := raw.Write(inbound); err != nil {
+				t.Fatal(err)
+			}
+			arrive()
+		}},
+		{"Node.Remote round trip", func() {
+			if _, err := src.Remote(1, transport.MemRequest{Op: transport.OpRead, Addr: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		for i := 0; i < 10; i++ {
+			p.run() // warm: slot storage, read buffers
+		}
+		if n := testing.AllocsPerRun(100, p.run); n != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", p.name, n)
+		}
 	}
 }
 
