@@ -216,9 +216,11 @@ func (n *coreNode) loop() {
 	for {
 		n.drain()
 		if len(n.runq) == 0 {
-			// Idle: nothing more will be produced until an arrival, so any
-			// coalesced sends (a migration away, evictions from drain) must
-			// reach the wire before this core parks.
+			// Idle: nothing more will be produced until an arrival. Parking
+			// is a flush point: a TCP node writes its coalesced sends here
+			// if it is quiescent or its oldest deferred frame is due, and
+			// otherwise the cores still holding contexts reach further
+			// flush points (DESIGN.md §6, liveness).
 			n.flush()
 			select {
 			case c := <-n.evictIn:
@@ -238,11 +240,14 @@ func (n *coreNode) loop() {
 		// executes; execGuest marks it so the pool invariant covers it.
 		n.execGuest = c.native != n.id
 		n.execute(c)
-		// One execution slice is this core's NOC cycle: everything it
-		// produced — evictions while accepting guests, the migration that
-		// ended the slice — leaves in one batch per destination node.
-		// (Remote round trips inside the slice flush their own connection
-		// eagerly, so a buffered message waits at most one slice.)
+		// The end of an execution slice is a flush point. A buffering
+		// transport decides there whether what the slice produced —
+		// evictions while accepting guests, the migration that ended it —
+		// goes to the wire: a TCP node writes one batch per destination
+		// node when it is quiescent, or when its oldest deferred frame has
+		// lived through len(owned) flush points (DESIGN.md §6). Remote round
+		// trips inside the slice flush their own connection eagerly,
+		// carrying every deferred frame on it.
 		n.flush()
 		// An abort (Part.Stop with contexts still resident — a serve drain,
 		// a coordinator teardown) must terminate this loop even though the

@@ -38,8 +38,6 @@ package machine
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -84,15 +82,20 @@ type ThreadSpec struct {
 	Regs    map[int]uint32 // initial register values
 }
 
-// validateSpecs checks every thread's initial register map.
+// validateSpecs checks every thread's initial register map. A spec with
+// several bad registers reports the smallest, so the message does not
+// depend on map order.
 func validateSpecs(threads []ThreadSpec) error {
 	for t := range threads {
-		// Sorted so a spec with several bad registers always reports the
-		// same one.
-		for _, r := range slices.Sorted(maps.Keys(threads[t].Regs)) {
-			if r <= 0 || r >= isa.NumRegs {
-				return fmt.Errorf("machine: thread %d: bad initial register r%d", t, r)
+		bad, found := 0, false
+		//em2:unordered-ok: the minimum of the bad registers is order-independent
+		for r := range threads[t].Regs {
+			if (r <= 0 || r >= isa.NumRegs) && (!found || r < bad) {
+				bad, found = r, true
 			}
+		}
+		if found {
+			return fmt.Errorf("machine: thread %d: bad initial register r%d", t, bad)
 		}
 	}
 	return nil

@@ -373,9 +373,9 @@ func (p *Part) collectState(node int) transport.CollectReply {
 // CollectChunked streams this part's post-run state through emit: one
 // reply per owned core — that core's metrics row, its shard's events and
 // memory slice, More set — then a last, empty one, which the node stamps
-// with its wire counters. Chunking bounds each control-plane blob by one
+// with its wire counters. Chunking bounds each control-plane body by one
 // core's state, which is what keeps a 256-core node's collection inside
-// the wire's blob cap.
+// the wire's body cap.
 func (p *Part) CollectChunked(emit func(transport.Reply) error) error {
 	for _, id := range p.tr.Owned() {
 		s := p.shards[id]

@@ -14,7 +14,7 @@ import (
 // stubControl is a scripted ControlHandler: it records the retirement it
 // was asked for and answers every request from fixed data.
 type stubControl struct {
-	retired chan transport.JobDone
+	retired chan transport.JobDone // nil: retirements go unrecorded
 	events  []transport.Event
 	sample  transport.Sample
 	chunks  []transport.Reply
@@ -26,7 +26,9 @@ type stubControl struct {
 func (s *stubControl) ApplyJob(*transport.JobSpec) error { return nil }
 
 func (s *stubControl) RetireJob(d transport.JobDone) []transport.Event {
-	s.retired <- d
+	if s.retired != nil {
+		s.retired <- d
+	}
 	return s.events
 }
 
@@ -242,4 +244,97 @@ func TestCollectDeathNamesNode(t *testing.T) {
 	// The stub's load reply may report the link's teardown: a send that
 	// takes the flusher role also writes the chunk queued behind it.
 	<-errs
+}
+
+// controlBody is the codec every control body type has.
+type controlBody interface {
+	AppendWire([]byte) []byte
+	DecodeWire([]byte) error
+}
+
+// newControlBody returns a fresh decode target for kind's body, nil for a
+// kind without one.
+func newControlBody(kind transport.FrameKind) controlBody {
+	switch kind {
+	case transport.FrameLoad:
+		return new(transport.LoadSpec)
+	case transport.FrameJobSubmit:
+		return new(transport.JobSpec)
+	case transport.FrameJobDone:
+		return new(transport.JobDone)
+	case transport.FrameHalt:
+		return new(transport.HaltMsg)
+	case transport.FrameHeartbeat:
+		return new(transport.Heartbeat)
+	case transport.FrameReply:
+		return new(transport.Reply)
+	}
+	return nil
+}
+
+// controlSample is one control body and the frame kind that carries it.
+type controlSample struct {
+	name string
+	kind transport.FrameKind
+	body controlBody
+}
+
+// sampleEvents returns n distinct retire-reply events.
+func sampleEvents(n int) []transport.Event {
+	es := make([]transport.Event, n)
+	for i := range es {
+		es[i] = transport.Event{Thread: i % 4, TSeq: int64(i), Addr: 4096 + 4*uint32(i), Kind: transport.EventKind(i % 3),
+			Read: uint32(i), Wrote: uint32(i + 1), Seq: int64(100 + i), Home: geom.CoreID(i % 2)}
+	}
+	return es
+}
+
+// sampleControl covers every control body type with realistic values,
+// every optional part and flag set somewhere. Empty lists are nil: that is
+// what they decode as.
+func sampleControl() []controlSample {
+	halt := transport.HaltMsg{Thread: 5, Cycles: 1 << 40, Msgs: 17}
+	for i := range halt.Regs {
+		halt.Regs[i] = 0xC0DE0000 + uint32(i)
+	}
+	return []controlSample{
+		{"load", transport.FrameLoad, &transport.LoadSpec{GuestContexts: 2, Quantum: 64, Scheme: "history:2",
+			Placement: "striped:64", LogEvents: true, NumThreads: 4}},
+		{"job submit", transport.FrameJobSubmit, &transport.JobSpec{Job: 7,
+			Programs: [][]uint32{{0x01020304, 0xFFFFFFFF, 0}, {42}},
+			Regs:     []map[int]uint32{{1: 5, 3: 9, 31: 1}, nil},
+			Mem:      map[uint32]uint32{4096: 1, 4100: 0, 1 << 31: 7}}},
+		{"job done", transport.FrameJobDone, &transport.JobDone{Job: 7, Threads: 2, Base: 4096, Size: 4096}},
+		{"halt", transport.FrameHalt, &halt},
+		{"heartbeat", transport.FrameHeartbeat, &transport.Heartbeat{Node: 1, Seq: 3}},
+		{"ack with error", transport.FrameReply, &transport.Reply{Job: 7, Err: "unknown scheme \"bogus\""}},
+		{"retire reply", transport.FrameReply, &transport.Reply{Job: 7, Events: sampleEvents(3)}},
+		{"sample reply", transport.FrameReply, &transport.Reply{Sample: &transport.Sample{Cycle: 9000,
+			PerCore: []transport.CoreMetrics{{Core: 1, Instructions: 6, LocalOps: 2, RemoteReads: 1, RemoteWrites: 1,
+				Migrations: 3, Evictions: 1, ContextFlits: 40, LeaseHits: 2, LeaseMisses: 1, LeaseInvals: 1, Overcommits: 1}},
+			Guests: []int64{1}, Words: 12, Events: 4,
+			Net: transport.NetStats{BatchesSent: 1, MsgsSent: 2, BytesSent: 3, BatchesRecv: 4, MsgsRecv: 5, BytesRecv: 6}}}},
+		{"collect chunk", transport.FrameReply, &transport.Reply{
+			PerCore: []transport.CoreMetrics{{Core: 0, Instructions: 5}},
+			Events:  sampleEvents(2),
+			Mem:     map[uint32]uint32{8192: 1, 8196: 2},
+			More:    true,
+			Net:     &transport.NetStats{MsgsSent: 9}}},
+	}
+}
+
+// TestControlCodecRoundTrip: every control body decodes back to the value
+// it was encoded from.
+func TestControlCodecRoundTrip(t *testing.T) {
+	t.Parallel()
+	for _, s := range sampleControl() {
+		b := s.body.AppendWire(nil)
+		got := newControlBody(s.kind)
+		if err := got.DecodeWire(b); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if !reflect.DeepEqual(got, s.body) {
+			t.Errorf("%s: decoded %+v, want %+v", s.name, got, s.body)
+		}
+	}
 }

@@ -48,3 +48,24 @@ func FuzzWireContext(f *testing.F) {
 		}
 	})
 }
+
+// FuzzControlRoundTrip: for every control body kind, any byte string the
+// kind's decoder accepts must re-encode to exactly the same bytes — the
+// control bodies, like the frames around them, are canonical. The corpus
+// seeds one encoded value of every kind, a reply with events, one with a
+// sample, and a collect chunk with Mem, More and Net.
+func FuzzControlRoundTrip(f *testing.F) {
+	for _, s := range sampleControl() {
+		f.Add(byte(s.kind), s.body.AppendWire(nil))
+	}
+	f.Add(byte(transport.FrameReply), []byte{0x08})
+	f.Fuzz(func(t *testing.T, kind byte, b []byte) {
+		v := newControlBody(transport.FrameKind(kind))
+		if v == nil || v.DecodeWire(b) != nil {
+			return
+		}
+		if back := v.AppendWire(nil); !bytes.Equal(b, back) {
+			t.Fatalf("kind %d body not canonical:\n in  %x\n out %x", kind, b, back)
+		}
+	})
+}

@@ -58,7 +58,7 @@ func TestGather(t *testing.T) {
 				// either first; both orders must end in the same error.
 				deaths <- tc.death
 			}
-			err := gather("load", 2, replies, deaths, tc.timeout, check)
+			err := gather("load", 2, replies, deaths, time.After(tc.timeout), check)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("gather failed: %v", err)

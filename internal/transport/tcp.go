@@ -175,25 +175,25 @@ type Heartbeat struct {
 type Reply struct {
 	// Node is stamped by the coordinator from the connection the reply
 	// arrived on; a node cannot answer for another.
-	Node int `json:"-"`
+	Node int
 	// Job echoes the job of the JobSubmit or JobDone answered; the
 	// coordinator cross-checks it against the request.
-	Job int    `json:",omitempty"`
-	Err string `json:",omitempty"`
+	Job int
+	Err string
 	// Events are the retired region's event-log entries (JobDone) or one
 	// core's shard events (Collect).
-	Events []Event `json:",omitempty"`
-	Sample *Sample `json:",omitempty"` // SampleReq
+	Events []Event
+	Sample *Sample // SampleReq
 	// Collect streams one reply per owned core — its metrics row, its
 	// shard's Events and memory words, More set — then a last reply
-	// carrying the node's wire counters. Chunking bounds each control blob
+	// carrying the node's wire counters. Chunking bounds each control body
 	// by one core's state instead of one node's, which is what keeps a
-	// 256-core collection inside the wire's blob cap. The coordinator
+	// 256-core collection inside the wire's body cap. The coordinator
 	// delivers the stream folded into one Reply per node.
-	PerCore []CoreMetrics     `json:",omitempty"`
-	Mem     map[uint32]uint32 `json:",omitempty"`
-	More    bool              `json:",omitempty"`
-	Net     *NetStats         `json:",omitempty"`
+	PerCore []CoreMetrics
+	Mem     map[uint32]uint32
+	More    bool
+	Net     *NetStats
 }
 
 // JobSpec is one job, threads 0..len(Programs)-1 of the slot pool: their
@@ -219,8 +219,8 @@ type JobSpec struct {
 type JobDone struct {
 	Job     int
 	Threads int
-	Base    uint32 `json:",omitempty"`
-	Size    uint32 `json:",omitempty"`
+	Base    uint32
+	Size    uint32
 }
 
 // ControlHandler answers the coordinator's requests on a node, called
@@ -348,15 +348,9 @@ func newConn(c net.Conn, nc *netCounters) *conn {
 	return cn
 }
 
-// sendJSON marshals v and ships it as a control frame, flushing anything
-// deferred ahead of it.
-func (c *conn) sendJSON(kind FrameKind, v any) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return c.w.appendEager(Frame{Kind: kind, Blob: blob})
-}
+// sendReply ships r as a FrameReply, its body encoded straight into the
+// batch buffer, flushing anything deferred ahead of it.
+func (c *conn) sendReply(r Reply) error { return c.w.appendControl(FrameReply, r.AppendWire) }
 
 // peerSlot holds a connection that may not exist yet; ready closes when it
 // does, so senders can block until the mesh is wired up.
@@ -439,6 +433,7 @@ type Node struct {
 	loads    chan *LoadSpec
 	shutdown chan struct{}
 	closed   atomic.Bool
+	fault    atomic.Pointer[error] // first protocol error on an identified link
 
 	// When to write (Flush): resident counts the contexts delivered here
 	// and not yet gone — +1 per inbound push, −1 per remote send and per
@@ -562,6 +557,7 @@ func (n *Node) finishRead(c *conn, err error, fromCoordinator, identified bool) 
 	case errors.Is(err, ErrMalformedFrame):
 		if identified {
 			fmt.Fprintf(os.Stderr, "transport: node %d: %v\n", n.idx, err)
+			n.fault.CompareAndSwap(nil, &err)
 			n.triggerShutdown()
 		}
 	default: // io error: EOF or closed connection
@@ -631,13 +627,13 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 	switch f.Kind {
 	case FrameLoad:
 		spec := new(LoadSpec)
-		if err := json.Unmarshal(f.Blob, spec); err != nil {
-			return malformedf("load spec: %v", err)
+		if err := spec.DecodeWire(f.Blob); err != nil {
+			return err
 		}
 		// A node serves one run: a second load is answered, not parked, so
 		// the coordinator's barrier fails at once, naming this node.
 		if n.loaded.Swap(true) {
-			return c.sendJSON(FrameReply, &Reply{Err: "already loaded (a node serves one run)"})
+			return c.sendReply(Reply{Err: "already loaded (a node serves one run)"})
 		}
 		n.loads <- spec
 	case FrameMigration, FrameEviction:
@@ -704,8 +700,8 @@ func (n *Node) answer(c *conn, f Frame) error {
 	switch f.Kind {
 	case FrameJobSubmit:
 		spec := new(JobSpec)
-		if err := json.Unmarshal(f.Blob, spec); err != nil {
-			return malformedf("job spec: %v", err)
+		if err := spec.DecodeWire(f.Blob); err != nil {
+			return err
 		}
 		r.Job = spec.Job
 		if err := n.ctl.ApplyJob(spec); err != nil {
@@ -713,8 +709,8 @@ func (n *Node) answer(c *conn, f Frame) error {
 		}
 	case FrameJobDone:
 		var d JobDone
-		if err := json.Unmarshal(f.Blob, &d); err != nil {
-			return malformedf("job done: %v", err)
+		if err := d.DecodeWire(f.Blob); err != nil {
+			return err
 		}
 		r = Reply{Job: d.Job, Events: n.ctl.RetireJob(d)}
 	case FrameSampleReq:
@@ -733,10 +729,10 @@ func (n *Node) answer(c *conn, f Frame) error {
 			if !r.More {
 				r.Net = &net
 			}
-			return c.sendJSON(FrameReply, &r)
+			return c.sendReply(r)
 		})
 	}
-	return c.sendJSON(FrameReply, &r)
+	return c.sendReply(r)
 }
 
 // dialPeer connects to a lower-index peer, retrying until it answers or
@@ -818,21 +814,21 @@ func (n *Node) Loads() <-chan *LoadSpec { return n.loads }
 // ShutdownC closes when the coordinator sends Shutdown.
 func (n *Node) ShutdownC() <-chan struct{} { return n.shutdown }
 
-// sendCoord ships one JSON control frame to the coordinator. Control
-// frames flush immediately.
-func (n *Node) sendCoord(kind FrameKind, v any) error {
+// sendCoord ships one control frame to the coordinator, body (a control
+// type's AppendWire) encoding it. Control frames flush immediately.
+func (n *Node) sendCoord(kind FrameKind, body func([]byte) []byte) error {
 	c, err := n.coord.get(n.shutdown)
 	if err != nil {
 		return err
 	}
-	return c.sendJSON(kind, v)
+	return c.w.appendControl(kind, body)
 }
 
 // SendHalt reports a thread HALT to the coordinator; the thread's context
 // is no longer resident.
 func (n *Node) SendHalt(h HaltMsg) error {
 	n.resident.Add(-1)
-	return n.sendCoord(FrameHalt, &h)
+	return n.sendCoord(FrameHalt, h.AppendWire)
 }
 
 // SendReply answers the LoadSpec, the one request the node's lifecycle
@@ -840,7 +836,7 @@ func (n *Node) SendHalt(h HaltMsg) error {
 // after the node's data plane is open, or one carrying the actual failure
 // message — so the coordinator surfaces "bad scheme name" instead of a
 // bare connection death.
-func (n *Node) SendReply(r Reply) error { return n.sendCoord(FrameReply, &r) }
+func (n *Node) SendReply(r Reply) error { return n.sendCoord(FrameReply, r.AppendWire) }
 
 // StartHeartbeat begins the node's liveness heartbeat toward the
 // coordinator: every interval, a Heartbeat frame with an increasing Seq.
@@ -861,7 +857,7 @@ func (n *Node) StartHeartbeat(interval time.Duration) {
 				case <-tick.C:
 				}
 				seq++
-				if n.sendCoord(FrameHeartbeat, &Heartbeat{Node: n.idx, Seq: seq}) != nil {
+				if n.sendCoord(FrameHeartbeat, Heartbeat{Node: n.idx, Seq: seq}.AppendWire) != nil {
 					return
 				}
 			}
@@ -1060,8 +1056,12 @@ type Coordinator struct {
 	// reqMu serializes requests, so the replies on hand always answer the
 	// one in flight. failed is the error of the first failed request: its
 	// unanswered replies may still arrive, so every later request refuses.
+	// body (the request's encoded body) and timer (its deadline) are reused
+	// request after request under the lock.
 	reqMu  sync.Mutex
 	failed error
+	body   []byte
+	timer  *time.Timer
 
 	hbMu sync.Mutex
 	hb   []HeartbeatInfo // by node; Seq 0 until the node's first heartbeat
@@ -1095,8 +1095,10 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 		replies: make(chan Reply, len(man.Nodes)),
 		deaths:  make(chan error, len(man.Nodes)),
 		quit:    make(chan struct{}),
+		timer:   time.NewTimer(time.Hour),
 		hb:      make([]HeartbeatInfo, len(man.Nodes)),
 	}
+	co.timer.Stop()
 	for i, ns := range man.Nodes {
 		c, err := dialRetry(ns.Addr, timeout, nil)
 		if err != nil {
@@ -1120,7 +1122,7 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 	// this reader — no lock, no cross-node interleaving.
 	var acc CollectReply
 	folding := false
-	// One decode target per frame kind, reset before each decode: the
+	// One decode target per frame kind, overwritten by each decode: the
 	// halt collector and the barrier receive copies, so nothing aliases.
 	var h HaltMsg
 	var r Reply
@@ -1128,9 +1130,8 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 	err := readBatches(c.br, &co.nc, func(f Frame) error {
 		switch f.Kind {
 		case FrameHalt:
-			h = HaltMsg{}
-			if err := json.Unmarshal(f.Blob, &h); err != nil {
-				return malformedf("halt report: %v", err)
+			if err := h.DecodeWire(f.Blob); err != nil {
+				return err
 			}
 			select {
 			case co.halts <- h:
@@ -1138,9 +1139,8 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 				return errStopRead
 			}
 		case FrameReply:
-			r = Reply{}
-			if err := json.Unmarshal(f.Blob, &r); err != nil {
-				return malformedf("reply: %v", err)
+			if err := r.DecodeWire(f.Blob); err != nil {
+				return err
 			}
 			r.Node = node
 			if r.More || folding {
@@ -1158,9 +1158,8 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 				return malformedf("node %d answered a request twice", node)
 			}
 		case FrameHeartbeat:
-			hb = Heartbeat{}
-			if err := json.Unmarshal(f.Blob, &hb); err != nil {
-				return malformedf("heartbeat: %v", err)
+			if err := hb.DecodeWire(f.Blob); err != nil {
+				return err
 			}
 			co.hbMu.Lock()
 			//em2:wallclock-ok: the arrival stamp only dates the heartbeat in a timeout error
@@ -1182,23 +1181,24 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 	}
 	if !co.down.Load() {
 		select {
-		case co.deaths <- fmt.Errorf("transport: connection to node %d lost: %v", node, err):
+		case co.deaths <- fmt.Errorf("transport: connection to node %d lost: %w", node, err):
 		default:
 		}
 	}
 }
 
-// broadcast sends one control frame to every node: v marshalled once as
-// the frame's JSON body, or the bare kind byte when v is nil.
-func (co *Coordinator) broadcast(kind FrameKind, v any) (err error) {
+// broadcast sends one control frame to every node: body (a control type's
+// AppendWire) encoded once into the reused co.body and those bytes
+// appended to each link, or the bare kind byte when body is nil. The
+// caller holds reqMu.
+func (co *Coordinator) broadcast(kind FrameKind, body func([]byte) []byte) error {
 	var blob []byte
-	if v != nil {
-		if blob, err = json.Marshal(v); err != nil {
-			return err
-		}
+	if body != nil {
+		co.body = body(co.body[:0])
+		blob = co.body
 	}
 	for _, c := range co.conns {
-		if err = c.w.appendEager(Frame{Kind: kind, Blob: blob}); err != nil {
+		if err := c.w.appendEager(Frame{Kind: kind, Blob: blob}); err != nil {
 			return err
 		}
 	}
@@ -1207,15 +1207,13 @@ func (co *Coordinator) broadcast(kind FrameKind, v any) (err error) {
 
 // gather is the coordinator's one barrier: it takes one Reply per node
 // from replies, handing each to check, and fails on the first check error,
-// on a second reply from one node, on a node death, or when timeout
-// passes. A dying node's last reply can be queued ahead of its death (a
+// on a second reply from one node, on a node death, or when expired
+// fires. A dying node's last reply can be queued ahead of its death (a
 // node that fails to load sends the reply carrying its error, then exits;
 // one reader delivers both, in that order), so queued replies are checked
 // before a death is reported: the reply that explains a death beats the
 // death.
-func gather(what string, nodes int, replies <-chan Reply, deaths <-chan error, timeout time.Duration, check func(Reply) error) error {
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+func gather(what string, nodes int, replies <-chan Reply, deaths <-chan error, expired <-chan time.Time, check func(Reply) error) error {
 	var small [64]bool // no allocation for up to 64 nodes
 	seen := small[:]
 	if nodes > len(small) {
@@ -1241,7 +1239,7 @@ func gather(what string, nodes int, replies <-chan Reply, deaths <-chan error, t
 				}
 			}
 			return death
-		case <-timer.C:
+		case <-expired:
 			return fmt.Errorf("transport: %s: %d of %d nodes replied before timeout", what, got, nodes)
 		}
 	}
@@ -1254,15 +1252,17 @@ func gather(what string, nodes int, replies <-chan Reply, deaths <-chan error, t
 // gets every other reply. A failed request may leave replies in flight, so
 // every later request fails too — serve.Run, ClusterRun.Run and
 // LoadCluster abandon the coordinator on any barrier error anyway.
-func (co *Coordinator) request(what string, kind FrameKind, v any, job int, timeout time.Duration, each func(Reply) error) error {
+func (co *Coordinator) request(what string, kind FrameKind, body func([]byte) []byte, job int, timeout time.Duration, each func(Reply) error) error {
 	co.reqMu.Lock()
 	defer co.reqMu.Unlock()
 	if co.failed != nil {
 		return fmt.Errorf("transport: %s refused after a failed request: %w", what, co.failed)
 	}
-	err := co.broadcast(kind, v)
+	err := co.broadcast(kind, body)
 	if err == nil {
-		err = gather(what, len(co.conns), co.replies, co.deaths, timeout, func(r Reply) error {
+		co.timer.Reset(timeout)
+		defer co.timer.Stop()
+		err = gather(what, len(co.conns), co.replies, co.deaths, co.timer.C, func(r Reply) error {
 			if r.Job != job {
 				return fmt.Errorf("transport: %s: node %d answered job %d, want %d", what, r.Node, r.Job, job)
 			}
@@ -1284,7 +1284,7 @@ func (co *Coordinator) request(what string, kind FrameKind, v any, job int, time
 // actual error message ("unknown scheme …") instead of a bare connection
 // death, and after which every node's data plane is open.
 func (co *Coordinator) Load(spec *LoadSpec, timeout time.Duration) error {
-	return co.request("load", FrameLoad, spec, 0, timeout, nil)
+	return co.request("load", FrameLoad, spec.AppendWire, 0, timeout, nil)
 }
 
 // Heartbeats snapshots the last heartbeat seen from each node, sorted by
@@ -1356,7 +1356,7 @@ func (co *Coordinator) Deaths() <-chan error { return co.deaths }
 // node before that node installed the job's thread specs. Inject the job's
 // contexts only after SubmitJob returns nil.
 func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
-	return co.request("job submit", FrameJobSubmit, spec, spec.Job, timeout, nil)
+	return co.request("job submit", FrameJobSubmit, spec.AppendWire, spec.Job, timeout, nil)
 }
 
 // RetireJob broadcasts a JobDone and waits for every answer — the barrier
@@ -1366,7 +1366,7 @@ func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
 // irrelevant because SC checking orders events by home and sequence).
 func (co *Coordinator) RetireJob(d JobDone, timeout time.Duration) ([]Event, error) {
 	var events []Event
-	err := co.request("job retire", FrameJobDone, &d, d.Job, timeout, func(r Reply) error {
+	err := co.request("job retire", FrameJobDone, d.AppendWire, d.Job, timeout, func(r Reply) error {
 		events = append(events, r.Events...)
 		return nil
 	})

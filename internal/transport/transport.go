@@ -29,7 +29,7 @@
 // retire, sample, collect — is answered by one Reply per node, gathered
 // by one barrier that names a failing node; the load's Reply carries a
 // node's actual failure message, and collect streams one Reply per core
-// so no single control blob scales with a node's core count. Node
+// so no single control body scales with a node's core count. Node
 // liveness rides an async Heartbeat frame instead of being inferred from
 // connection death.
 package transport

@@ -1,15 +1,16 @@
 package transport
 
-// The v2 data plane: every TCP connection carries a stream of *batches*,
-// each a fixed 8-byte header followed by a run of self-delimiting frames.
-// Contexts, evictions and remote-access round trips are fixed-size
-// canonical binary (no reflection, no per-message allocation); the control
-// plane (requests, replies, halts, heartbeats) rides the same framing as
-// length-prefixed JSON blobs. Outbound frames coalesce in a per-connection
-// batch buffer, written with one syscall per batch, so a node ships all its
-// ready messages to a peer in a single write. DESIGN.md §6 documents the
-// layout, when a node writes, and how batch delivery interacts with the
-// inbox wire credits.
+// The wire: every TCP connection carries a stream of *batches*, each a
+// fixed 8-byte header followed by a run of self-delimiting frames. Every
+// frame is fixed, canonical binary with no reflection. Contexts, evictions
+// and remote-access round trips have fixed layouts here; the control plane
+// (requests, replies, halts, heartbeats) rides the same framing as
+// length-prefixed bodies whose binary codecs live in control.go. Frames
+// encode straight into a per-connection batch buffer, written with one
+// syscall per batch, so a node ships all its ready messages to a peer in a
+// single write and a warm send allocates nothing. DESIGN.md §6 documents
+// the layout, when a node writes, and how batch delivery interacts with
+// the inbox wire credits.
 
 import (
 	"bufio"
@@ -36,7 +37,7 @@ type FrameKind uint8
 // the only unsolicited node frames: a thread's HALT report and the
 // advisory liveness beat. The blank slots are retired reply kinds; the
 // decoder rejects them like any unknown kind, so every live kind keeps its
-// value under WireVersion 2.
+// value.
 const (
 	FrameHello FrameKind = iota + 1
 	FrameMigration
@@ -72,14 +73,16 @@ const (
 	FrameLeaseRep
 	FrameLeaseInval
 	// FrameReply is a node's answer to the coordinator's current request:
-	// one JSON Reply.
+	// one Reply.
 	FrameReply
 )
 
 const (
-	// WireVersion is the data-plane protocol version carried in every batch
-	// header; a mismatch is protocol corruption.
-	WireVersion = 2
+	// WireVersion is the protocol version carried in every batch header; a
+	// mismatch is protocol corruption. Version 3 gave the control bodies
+	// their binary encodings (control.go) under unchanged kind bytes;
+	// version 2 carried them as JSON.
+	WireVersion = 3
 	// BatchHeaderLen is the fixed batch header: u32 payload length, u16
 	// frame count, u8 version, u8 reserved (zero).
 	BatchHeaderLen = 8
@@ -120,7 +123,7 @@ const (
 	// goroutine is mid-flush; producers that would exceed it wait for the
 	// flusher to swap the buffer out.
 	maxPendingBytes = 8 << 20
-	// maxBlobBytes caps one control blob so that blob + header + every
+	// maxBlobBytes caps one control body so that body + header + every
 	// frame already coalesced in the buffer (bounded by maxPendingBytes
 	// plus one in-flight frame) still fits a legal MaxBatchBytes batch.
 	maxBlobBytes = MaxBatchBytes - maxPendingBytes - (1 << 17)
@@ -146,7 +149,7 @@ type Frame struct {
 	Req  MemRequest  // FrameMemReq
 	Rep  MemReply    // FrameMemRep, FrameLeaseRep
 	Inv  LeaseInval  // FrameLeaseInval
-	Blob []byte      // control-plane kinds (Load, Halt, job, heartbeat, reply frames): JSON body
+	Blob []byte      // control-plane kinds (Load, Halt, job, heartbeat, reply frames): the body (control.go)
 }
 
 // AppendFrame appends f's wire encoding (kind byte + body) to b: the one
@@ -156,7 +159,6 @@ type Frame struct {
 // the batch writer serializes the Context after it in place (AppendWire).
 func AppendFrame(b []byte, f Frame) []byte {
 	b = append(b, byte(f.Kind))
-	be := binary.BigEndian
 	switch f.Kind {
 	case FrameMigration, FrameEviction:
 		return append(be.AppendUint32(b, uint32(f.Dst)), f.Ctx...)
@@ -273,7 +275,7 @@ func parseFrame(b []byte) (Frame, int, error) {
 		}
 		n := int(binary.BigEndian.Uint32(p))
 		if n > MaxBatchBytes || len(p)-4 < n {
-			return Frame{}, 0, malformedf("blob frame declares %d bytes, %d present", n, len(p)-4)
+			return Frame{}, 0, malformedf("control frame declares %d body bytes, %d present", n, len(p)-4)
 		}
 		f.Blob = p[4 : 4+n]
 		return f, 1 + 4 + n, nil
@@ -557,18 +559,42 @@ func (w *batchWriter) appendCtx(kind FrameKind, dst geom.CoreID, ctx Context) er
 // about to block on the reply), a reply (the requester is blocked on it),
 // a lease write-update (the writer's shard op has completed; waiting for
 // the node's next write could leave the holder more than one window
-// stale), or a control frame. A blob that could not fit a legal batch is
+// stale), or a control frame. A body that could not fit a legal batch is
 // rejected here, at the point of origin, instead of being shipped for
 // every receiver to kill the run as protocol corruption.
 func (w *batchWriter) appendEager(f Frame) error {
 	if len(f.Blob) > maxBlobBytes {
-		return fmt.Errorf("transport: %d-byte control blob exceeds the %d-byte limit", len(f.Blob), maxBlobBytes)
+		return errBodyTooLarge(len(f.Blob))
 	}
 	if err := w.begin(); err != nil {
 		return err
 	}
 	w.buf = AppendFrame(w.buf, f)
 	return w.finish(true)
+}
+
+// appendControl enqueues a control frame and flushes like appendEager,
+// with body (a control type's AppendWire) encoding straight into the
+// batch buffer behind the frame's kind byte and length — no intermediate
+// slice. The length is patched in once the body is written.
+func (w *batchWriter) appendControl(kind FrameKind, body func([]byte) []byte) error {
+	if err := w.begin(); err != nil {
+		return err
+	}
+	start := len(w.buf)
+	w.buf = body(append(w.buf, byte(kind), 0, 0, 0, 0))
+	n := len(w.buf) - start - 5
+	if n > maxBlobBytes {
+		w.buf = w.buf[:start]
+		w.mu.Unlock()
+		return errBodyTooLarge(n)
+	}
+	binary.BigEndian.PutUint32(w.buf[start+1:], uint32(n))
+	return w.finish(true)
+}
+
+func errBodyTooLarge(n int) error {
+	return fmt.Errorf("transport: %d-byte control body exceeds the %d-byte limit", n, maxBlobBytes)
 }
 
 // readBatches drains batches from br until an error, dispatching every

@@ -14,11 +14,12 @@ import (
 	"repro/internal/transport"
 )
 
-// sampleFrames covers every frame kind with realistic bodies.
+// sampleFrames covers every frame kind with realistic bodies: the control
+// kinds carry every body of sampleControl.
 func sampleFrames() []transport.Frame {
 	ctx := sampleContext()
 	ctx.Sched = []byte{1, 2, 3, 4, 5}
-	return []transport.Frame{
+	frames := []transport.Frame{
 		{Kind: transport.FrameHello, From: -1},
 		{Kind: transport.FrameMigration, Dst: 2, Ctx: ctx.EncodeWire()},
 		{Kind: transport.FrameEviction, Dst: 1, Ctx: transport.Context{}.EncodeWire()},
@@ -29,17 +30,14 @@ func sampleFrames() []transport.Frame {
 		{Kind: transport.FrameMemRep, ID: 99, Rep: transport.MemReply{Value: 42}},
 		{Kind: transport.FrameLeaseRep, ID: 100, Rep: transport.MemReply{Value: 42, Lease: 64}},
 		{Kind: transport.FrameLeaseInval, Inv: transport.LeaseInval{Dst: 2, Addr: 128, Value: 43}},
-		{Kind: transport.FrameLoad, Blob: []byte(`{"NumThreads":2}`)},
-		{Kind: transport.FrameHalt, Blob: []byte(`{"Thread":1}`)},
 		{Kind: transport.FrameCollect},
 		{Kind: transport.FrameShutdown},
-		{Kind: transport.FrameJobSubmit, Blob: []byte(`{"Job":7,"NumThreads":2}`)},
-		{Kind: transport.FrameJobDone, Blob: []byte(`{"Job":7,"Threads":[0,1]}`)},
-		{Kind: transport.FrameHeartbeat, Blob: []byte(`{"Node":0,"Seq":3}`)},
 		{Kind: transport.FrameSampleReq},
-		{Kind: transport.FrameReply, Blob: []byte(`{"Job":7,"Err":"x"}`)},
-		{Kind: transport.FrameReply, Blob: []byte(`{"PerCore":[{"Core":1}],"Mem":{"8192":1},"More":true}`)},
 	}
+	for _, c := range sampleControl() {
+		frames = append(frames, transport.Frame{Kind: c.kind, Blob: c.body.AppendWire(nil)})
+	}
+	return frames
 }
 
 // retiredKinds are the reserved slots of retired control frames — the
@@ -152,10 +150,10 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestRetiredKindsRejected: a frame that is well formed as a JSON blob
-// frame but carries a retired kind byte is an unknown kind, not an old
-// reply honored — a node or coordinator built before FrameReply fails
-// loudly against this one.
+// TestRetiredKindsRejected: a frame that is well formed as a
+// length-prefixed control frame but carries a retired kind byte is an
+// unknown kind, not an old reply honored — a node or coordinator built
+// before FrameReply fails loudly against this one.
 func TestRetiredKindsRejected(t *testing.T) {
 	t.Parallel()
 	for _, k := range retiredKinds {
@@ -308,6 +306,134 @@ func TestNodeRejectsOutOfRangeData(t *testing.T) {
 			case <-n.ShutdownC():
 			case <-time.After(10 * time.Second):
 				t.Fatal("node accepted the out-of-range frame")
+			}
+		})
+	}
+}
+
+// badControl is a control frame whose body is wrong in one way, and what
+// the receiver's error must name.
+type badControl struct {
+	name, want string
+	frame      transport.Frame
+}
+
+// malformedControl returns the control frames TestNodeRejectsMalformedControl
+// sends, by receiver: job specs and a load spec for a node, replies, a halt
+// report and a heartbeat for the coordinator.
+func malformedControl() (toNode, toCoord []badControl) {
+	be := binary.BigEndian
+	spec := transport.JobSpec{Job: 1, Programs: [][]uint32{{1}}, Regs: []map[int]uint32{nil},
+		Mem: map[uint32]uint32{16: 1, 32: 2}}.AppendWire(nil)
+	// secondAddr rewrites the second address of a body ending in a
+	// two-word memory image.
+	secondAddr := func(b []byte, a uint32) []byte {
+		b = slices.Clone(b)
+		be.PutUint32(b[len(b)-8:], a)
+		return b
+	}
+	reply := transport.Reply{Events: sampleEvents(2), Mem: map[uint32]uint32{16: 1, 32: 2}}.AppendWire(nil)
+	badKind := slices.Clone(reply)
+	badKind[1+8+4+4+8+8+4] = 9 // the first event's kind byte
+	frame := func(kind transport.FrameKind, body []byte) transport.Frame {
+		return transport.Frame{Kind: kind, Blob: body}
+	}
+	toNode = []badControl{
+		{"truncated job spec", "job spec", frame(transport.FrameJobSubmit, spec[:len(spec)-3])},
+		// 2^30 programs: allocating them first would take 24 GiB.
+		{"job spec claiming 2^30 programs", "count 1073741824 exceeds",
+			frame(transport.FrameJobSubmit, be.AppendUint32(be.AppendUint64(nil, 1), 1<<30))},
+		{"job spec with a duplicate mem key", "job spec", frame(transport.FrameJobSubmit, secondAddr(spec, 16))},
+		{"job spec with unsorted mem keys", "out of order", frame(transport.FrameJobSubmit, secondAddr(spec, 8))},
+		{"job spec with a trailing byte", "1 trailing bytes", frame(transport.FrameJobSubmit, append(slices.Clone(spec), 0))},
+		{"job done with a trailing byte", "job done",
+			frame(transport.FrameJobDone, append(transport.JobDone{}.AppendWire(nil), 0))},
+		{"load spec with an unknown flag bit", "load spec",
+			frame(transport.FrameLoad, append([]byte{0x40}, transport.LoadSpec{}.AppendWire(nil)[1:]...))},
+	}
+	toCoord = []badControl{
+		{"reply with an unknown flag bit", "reply", frame(transport.FrameReply, append([]byte{0x80}, reply[1:]...))},
+		{"truncated reply", "reply", frame(transport.FrameReply, reply[:len(reply)-1])},
+		{"reply with a duplicate mem key", "reply", frame(transport.FrameReply, secondAddr(reply, 16))},
+		{"reply with an unknown event kind", "event kind 9", frame(transport.FrameReply, badKind)},
+		{"reply claiming 2^30 events", "count 1073741824 exceeds",
+			frame(transport.FrameReply, be.AppendUint32(make([]byte, 1+8+4), 1<<30))},
+		{"truncated halt report", "halt report", frame(transport.FrameHalt, make([]byte, 20))},
+		{"heartbeat with a trailing byte", "heartbeat", frame(transport.FrameHeartbeat, make([]byte, 17))},
+	}
+	return toNode, toCoord
+}
+
+// TestNodeRejectsMalformedControl: a control body that breaks the binary
+// encoding — truncated, a count past the bytes left, keys repeated or out
+// of order, an unknown flag bit or enum value, trailing bytes — drops the
+// link as protocol corruption, naming the
+// body, with no panic and nothing allocated for the claimed count. A node
+// shuts down; a coordinator reports the node's death.
+func TestNodeRejectsMalformedControl(t *testing.T) {
+	t.Parallel()
+	toNode, toCoord := malformedControl()
+	for _, tc := range toNode {
+		t.Run("node/"+tc.name, func(t *testing.T) {
+			t.Parallel()
+			man, err := transport.LocalManifest(1, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := transport.ListenNode(man, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if tc.frame.Kind != transport.FrameLoad {
+				n.Prepare(1)
+				n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{} })
+				n.HandleControl(&stubControl{})
+				n.Ready()
+			}
+			c := dialNode(t, man, 0, -1)
+			defer c.Close()
+			if _, err := c.Write(transport.AppendBatch(nil, []transport.Frame{tc.frame})); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-n.ShutdownC():
+			case <-time.After(10 * time.Second):
+				t.Fatal("node accepted the malformed control body")
+			}
+			if err := n.Fault(); !errors.Is(err, transport.ErrMalformedFrame) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("node failed with %v, want an ErrMalformedFrame naming %q", err, tc.want)
+			}
+		})
+	}
+	for _, tc := range toCoord {
+		t.Run("coordinator/"+tc.name, func(t *testing.T) {
+			t.Parallel()
+			man, lns, err := transport.LocalListeners(1, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lns[0].Close()
+			co, err := transport.DialCluster(man, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			c, err := lns[0].Accept() // the test plays the node
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Write(transport.AppendBatch(nil, []transport.Frame{tc.frame})); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-co.Deaths():
+				if !errors.Is(err, transport.ErrMalformedFrame) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("coordinator reported %v, want an ErrMalformedFrame naming %q", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("coordinator accepted the malformed control body")
 			}
 		})
 	}
@@ -523,6 +649,60 @@ func TestWireHotPathZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %.0f allocs, want 0", p.name, n)
 		}
 	}
+
+	// The control paths. A bare connection plays src's coordinator and
+	// drains what src sends it; a stub node answers a real coordinator.
+	coordLink := dialNode(t, man, 0, -1)
+	defer coordLink.Close()
+	go func() {
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := coordLink.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	retire := transport.Reply{Job: 9, Events: sampleEvents(32)}
+	stubMan, err := transport.LocalManifest(1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stubErrs := serveStub(stubMan, 0, &stubControl{})
+	co, err := transport.DialCluster(stubMan, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if err := co.Load(&transport.LoadSpec{NumThreads: 1}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	done := transport.JobDone{Job: 9, Threads: 1, Base: 4096, Size: 4096}
+	for _, p := range []struct {
+		name string
+		run  func()
+	}{
+		{"node encoding a 32-event retire Reply into its link (Node.SendReply)", func() {
+			if err := src.SendReply(retire); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"coordinator broadcast of a JobDone, answered (Coordinator.RetireJob)", func() {
+			if _, err := co.RetireJob(done, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		for i := 0; i < 10; i++ {
+			p.run()
+		}
+		if n := testing.AllocsPerRun(100, p.run); n != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", p.name, n)
+		}
+	}
+	co.Shutdown()
+	if err := <-stubErrs; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // FuzzFrameRoundTrip: any byte string DecodeBatch accepts must re-encode —
@@ -540,7 +720,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		{Kind: transport.FrameMemRep, ID: 1, Rep: transport.MemReply{Value: 7}},
 	}))
 	bad := transport.AppendBatch(nil, sampleFrames())
-	bad[6] = 3 // future version
+	bad[6] = transport.WireVersion + 1 // future version
 	f.Add(bad)
 	f.Add([]byte{0, 0, 0, 1, 0, 1, transport.WireVersion, 0, byte(transport.FrameShutdown)})
 	f.Add([]byte("short"))
