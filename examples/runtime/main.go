@@ -71,7 +71,7 @@ func main() {
 	}
 
 	// --- In one process: the manifest names the 4x4 mesh and no nodes, so
-	// cores are goroutines and channels are the networks.
+	// one executor steps every core and a migration is a queue push.
 	run.Manifest = transport.Manifest{W: 4, H: 4}
 	res, err := run.Run()
 	if err != nil {

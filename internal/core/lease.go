@@ -48,20 +48,24 @@ type Leaser interface {
 	LeaseWindow() uint64
 }
 
-// leaseEnt is one cached word: its value and the last own-op count at
-// which it may still be served.
+// leaseEnt is one cached word: its address, value, and the last own-op
+// count at which it may still be served.
 type leaseEnt struct {
+	addr   cache.Addr
 	value  uint32
 	expire uint64
 }
 
 // LeaseCache is one thread's lease cache: a word-granular,
-// fully-associative, true-LRU tag store (internal/cache) plus the
-// value/expiry map. It is not safe for concurrent use; the runtime
-// serializes access per core.
+// fully-associative, true-LRU tag store (internal/cache) plus the held
+// words' values and expiries. It is not safe for concurrent use; the
+// runtime serializes access per core.
 type LeaseCache struct {
-	tags   *cache.Cache
-	ents   map[cache.Addr]leaseEnt
+	tags *cache.Cache
+	// ents holds one entry per held word, in no particular order. It is a
+	// slice, not a map: at a handful of entries a scan beats hashing on
+	// every probe, and the probe runs on every remote-homed access.
+	ents   []leaseEnt
 	window uint64
 }
 
@@ -78,7 +82,7 @@ func NewLeaseCache(entries int, window uint64) *LeaseCache {
 		// One set of `entries` ways over 4-byte lines: fully associative
 		// at word granularity, deterministic true LRU.
 		tags:   cache.New(cache.Config{SizeBytes: 4 * entries, LineBytes: 4, Ways: entries}),
-		ents:   make(map[cache.Addr]leaseEnt, entries),
+		ents:   make([]leaseEnt, 0, entries),
 		window: window,
 	}
 }
@@ -89,28 +93,38 @@ func (c *LeaseCache) Window() uint64 { return c.window }
 // Len returns the number of held leases (for invariant checks).
 func (c *LeaseCache) Len() int { return len(c.ents) }
 
+// find returns the index of addr's entry, or -1.
+func (c *LeaseCache) find(addr cache.Addr) int {
+	for i := range c.ents {
+		if c.ents[i].addr == addr {
+			return i
+		}
+	}
+	return -1
+}
+
 // Valid reports whether a cached read of addr would hit at own-op count
 // now. It never mutates: Decide probes through it, and a pure probe
 // keeps the decision replayable.
 func (c *LeaseCache) Valid(addr cache.Addr, now uint64) bool {
-	e, ok := c.ents[addr]
-	return ok && now <= e.expire
+	i := c.find(addr)
+	return i >= 0 && now <= c.ents[i].expire
 }
 
 // Lookup serves a cached read at own-op count now: on a valid entry it
 // returns the value and touches the LRU stamp; an expired entry is
 // removed and misses. The hit path is allocation-free.
 func (c *LeaseCache) Lookup(addr cache.Addr, now uint64) (uint32, bool) {
-	e, ok := c.ents[addr]
-	if !ok {
+	i := c.find(addr)
+	if i < 0 {
 		return 0, false
 	}
-	if now > e.expire {
-		c.remove(addr)
+	if now > c.ents[i].expire {
+		c.remove(i)
 		return 0, false
 	}
 	c.tags.Access(addr, false)
-	return e.value, true
+	return c.ents[i].value, true
 }
 
 // Fill installs the reply of a lease-granting remote read performed at
@@ -118,19 +132,27 @@ func (c *LeaseCache) Lookup(addr cache.Addr, now uint64) (uint32, bool) {
 func (c *LeaseCache) Fill(addr cache.Addr, value uint32, now uint64) {
 	r := c.tags.Access(addr, false)
 	if r.Evicted {
-		delete(c.ents, r.EvictedAddr)
+		if i := c.find(r.EvictedAddr); i >= 0 {
+			c.drop(i)
+		}
 	}
-	c.ents[addr] = leaseEnt{value: value, expire: now + c.window}
+	e := leaseEnt{addr: addr, value: value, expire: now + c.window}
+	if i := c.find(addr); i >= 0 {
+		c.ents[i] = e
+	} else {
+		c.ents = append(c.ents, e)
+	}
 }
 
 // InvalidateOwn removes addr after the holder's own write to it,
 // reporting whether a lease was actually held (the lease_invals
 // counter counts true returns).
 func (c *LeaseCache) InvalidateOwn(addr cache.Addr) bool {
-	if _, ok := c.ents[addr]; !ok {
+	i := c.find(addr)
+	if i < 0 {
 		return false
 	}
-	c.remove(addr)
+	c.remove(i)
 	return true
 }
 
@@ -139,12 +161,11 @@ func (c *LeaseCache) InvalidateOwn(addr cache.Addr) bool {
 // remove entries, so hit counts stay a pure function of the holder's
 // own stream.
 func (c *LeaseCache) Update(addr cache.Addr, value uint32) bool {
-	e, ok := c.ents[addr]
-	if !ok {
+	i := c.find(addr)
+	if i < 0 {
 		return false
 	}
-	e.value = value
-	c.ents[addr] = e
+	c.ents[i].value = value
 	return true
 }
 
@@ -152,7 +173,7 @@ func (c *LeaseCache) Update(addr cache.Addr, value uint32) bool {
 // storage: a reused context slot resets its cache on every arrival.
 func (c *LeaseCache) Reset() {
 	c.tags.Reset()
-	clear(c.ents)
+	c.ents = c.ents[:0]
 }
 
 // DropAll empties the cache — migration or eviction departure.
@@ -160,27 +181,33 @@ func (c *LeaseCache) DropAll() {
 	if len(c.ents) == 0 {
 		return
 	}
-	c.tags.Reset()
-	clear(c.ents)
+	c.Reset()
 }
 
 // DropRange removes every lease in [lo, hi) — serve-mode region
 // reclamation, so a recycled region can never serve a stale lease.
 func (c *LeaseCache) DropRange(lo, hi cache.Addr) int {
 	n := 0
-	//em2:unordered-ok: each in-range key is removed independently; the surviving set is order-independent
-	for addr := range c.ents {
-		if lo <= addr && addr < hi {
-			c.remove(addr)
+	for i := len(c.ents) - 1; i >= 0; i-- {
+		if a := c.ents[i].addr; lo <= a && a < hi {
+			c.remove(i)
 			n++
 		}
 	}
 	return n
 }
 
-func (c *LeaseCache) remove(addr cache.Addr) {
-	c.tags.Invalidate(addr)
-	delete(c.ents, addr)
+// remove drops entry i and its tag.
+func (c *LeaseCache) remove(i int) {
+	c.tags.Invalidate(c.ents[i].addr)
+	c.drop(i)
+}
+
+// drop deletes entry i, moving the last entry into its place.
+func (c *LeaseCache) drop(i int) {
+	last := len(c.ents) - 1
+	c.ents[i] = c.ents[last]
+	c.ents = c.ents[:last]
 }
 
 // LeaseView is the non-mutating probe a predictor sees in

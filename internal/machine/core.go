@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,7 +48,8 @@ type context struct {
 	// scheme (nil otherwise). It is machine state, not predictor state: it
 	// is unregistered on every departure and reset on every arrival, so it
 	// never rides the wire. Guarded by the residing core's leaseMu —
-	// the home shard's write-updates arrive on handler goroutines.
+	// on a TCP node the home shards' write-updates arrive on the link
+	// server goroutines.
 	lease *core.LeaseCache
 	// observed marks a context shipped mid-instruction: the access at pc
 	// was fed to pred.Observe before the migration, and the re-execution at
@@ -63,16 +65,23 @@ func archContext(c *context) isa.Context {
 	return isa.Context{PC: c.pc, Regs: c.regs}
 }
 
-// coreNode is one core: an execution loop plus the per-core ends of the
-// migration and eviction virtual networks, obtained from the transport,
-// and the core's slot in the runtime metrics.
+// coreNode is one core: its run queue, the per-core ends of the migration
+// and eviction virtual networks, and the core's slot in the runtime
+// metrics. In process the networks are the queues the executor pushes
+// slots onto; on a TCP node, the node's inbox channels that the core's
+// loop reads.
 type coreNode struct {
-	id      geom.CoreID
-	p       *Part
-	ctr     *coreCounters
-	migIn   <-chan transport.Context // guest-bound migrations (paper's migration VN)
-	evictIn <-chan transport.Context // native returns (paper's eviction VN)
-	runq    []*context
+	id  geom.CoreID
+	p   *Part
+	ctr *coreCounters
+	// evictQ and migQ are the in-process ends: native returns and
+	// guest-bound migrations waiting for the core's next turn. Unbounded —
+	// at most one context per thread exists — and touched only by the
+	// executor.
+	evictQ, migQ []*context
+	migIn        <-chan transport.Context // TCP node: guest-bound migrations (paper's migration VN)
+	evictIn      <-chan transport.Context // TCP node: native returns (paper's eviction VN)
+	runq         []*context
 	// guests counts the core's *resident* non-native contexts: those queued
 	// in runq plus the one currently executing (execGuest). Counting the
 	// mid-flight guest is what makes the GuestContexts limit honest — the
@@ -82,15 +91,13 @@ type coreNode struct {
 	execGuest bool // the currently executing context is a guest
 
 	// leaseMu guards the lease caches of every resident context (the
-	// leases registry and the caches themselves): the core goroutine
-	// probes and fills them while the home shards' write-updates arrive on
-	// transport handler goroutines. Never held across a blocking transport
-	// call — two cores mid-remote-access would deadlock delivering each
-	// other's updates.
+	// leases registry and the caches themselves): the goroutine stepping
+	// the core probes and fills them while write-updates from a TCP node's
+	// server goroutines, and RetireJob's range drops, arrive from other
+	// goroutines. Never held across a blocking transport call — two cores
+	// mid-remote-access would deadlock delivering each other's updates.
 	leaseMu sync.Mutex
-	leases  map[int]*core.LeaseCache // by thread, while resident here
-
-	flushFailed bool // a flush error was already reported for this core
+	leases  []*core.LeaseCache // of the contexts resident here
 }
 
 // debugGuestPool, when set (tests only), makes every guest-pool mutation
@@ -99,8 +106,8 @@ type coreNode struct {
 var debugGuestPool atomic.Bool
 
 // checkGuestPool asserts the guest-pool invariant. Called (under
-// debugGuestPool) after every accept, requeue, eviction, and departure —
-// each core goroutine only ever checks its own state.
+// debugGuestPool) after every accept, requeue, eviction, and departure, by
+// the goroutine that steps the core.
 func (n *coreNode) checkGuestPool() {
 	if !debugGuestPool.Load() {
 		return
@@ -151,10 +158,7 @@ func (n *coreNode) adoptLease(c *context) {
 		return
 	}
 	n.leaseMu.Lock()
-	if n.leases == nil {
-		n.leases = make(map[int]*core.LeaseCache)
-	}
-	n.leases[c.thread] = c.lease
+	n.leases = append(n.leases, c.lease)
 	n.leaseMu.Unlock()
 }
 
@@ -167,7 +171,9 @@ func (n *coreNode) dropLease(c *context) {
 		return
 	}
 	n.leaseMu.Lock()
-	delete(n.leases, c.thread)
+	if i := slices.Index(n.leases, c.lease); i >= 0 {
+		n.leases = slices.Delete(n.leases, i, i+1)
+	}
 	n.leaseMu.Unlock()
 }
 
@@ -177,7 +183,6 @@ func (n *coreNode) dropLease(c *context) {
 // count — the same value lands whichever cache holds the word.
 func (n *coreNode) applyLeaseUpdate(inv transport.LeaseInval) {
 	n.leaseMu.Lock()
-	//em2:unordered-ok: updates are value replacements with one shared value; the resulting caches are order-independent
 	for _, lc := range n.leases {
 		lc.Update(cache.Addr(inv.Addr), inv.Value)
 	}
@@ -188,67 +193,62 @@ func (n *coreNode) applyLeaseUpdate(inv transport.LeaseInval) {
 // region reclamation (Part.RetireJob).
 func (n *coreNode) dropLeaseRange(lo, hi uint32) {
 	n.leaseMu.Lock()
-	//em2:unordered-ok: per-cache range drops are independent
 	for _, lc := range n.leases {
 		lc.DropRange(cache.Addr(lo), cache.Addr(hi))
 	}
 	n.leaseMu.Unlock()
 }
 
-// flush pushes the transport's coalesced sends out at this core's flush
-// points. A failed flush means a peer connection died with contexts in the
-// buffer — the run is lost, so say why once (the writer's error is sticky
-// and would repeat every cycle) and park the whole part: work produced
-// after the wire is gone can never leave the machine, so continuing to
-// execute would just spin until external teardown. The abort trips the
-// loop's post-execute done check, terminating every core in this part.
-func (n *coreNode) flush() {
-	if err := n.p.tr.Flush(); err != nil && !n.flushFailed {
-		n.flushFailed = true
-		fmt.Fprintf(os.Stderr, "machine: core %d: transport flush: %v\n", n.id, err)
-		n.p.abort()
+// flush pushes the transport's coalesced sends out at a flush point. A
+// failed flush means a peer connection died with contexts in the buffer —
+// the run is lost, so say why once (the writer's error is sticky and would
+// repeat every cycle) and park the whole part: work produced after the
+// wire is gone can never leave the machine, so continuing to execute would
+// just spin until external teardown. The abort trips every core's done
+// check.
+func (p *Part) flush() {
+	if err := p.tr.Flush(); err != nil && p.flushFailed.CompareAndSwap(false, true) {
+		fmt.Fprintf(os.Stderr, "machine: transport flush: %v\n", err)
+		p.abort()
 	}
 }
 
-// loop is the core goroutine: accept arrivals, time-slice resident contexts.
+// loop is a TCP node's core goroutine: accept arrivals, time-slice resident
+// contexts.
 func (n *coreNode) loop() {
 	defer n.p.wg.Done()
+	guest := false // a guest was admitted since the core's last slice
 	for {
-		n.drain()
+		guest = n.drain(guest)
 		if len(n.runq) == 0 {
 			// Idle: nothing more will be produced until an arrival. Parking
-			// is a flush point: a TCP node writes its coalesced sends here
-			// if it is quiescent or its oldest deferred frame is due, and
+			// is a flush point: the node writes its coalesced sends here if
+			// it is quiescent or its oldest deferred frame is due, and
 			// otherwise the cores still holding contexts reach further
 			// flush points (DESIGN.md §6, liveness).
-			n.flush()
+			n.p.flush()
 			select {
 			case c := <-n.evictIn:
 				n.acceptNative(n.p.fromWire(n.id, c))
-			case c := <-n.migIn:
-				n.acceptGuest(n.p.fromWire(n.id, c))
+			case w := <-n.migIn:
+				c := n.p.fromWire(n.id, w)
+				n.acceptGuest(c)
+				guest = c.native != n.id
 			case <-n.p.done:
 				return
 			}
 			continue
 		}
-		// Pop in place: re-slicing would shed capacity at the front and
-		// make every later append allocate.
-		c := n.runq[0]
-		n.runq = n.runq[:copy(n.runq, n.runq[1:])]
-		// The popped context stays resident (and counted in guests) while it
-		// executes; execGuest marks it so the pool invariant covers it.
-		n.execGuest = c.native != n.id
-		n.execute(c)
-		// The end of an execution slice is a flush point. A buffering
-		// transport decides there whether what the slice produced —
-		// evictions while accepting guests, the migration that ended it —
-		// goes to the wire: a TCP node writes one batch per destination
-		// node when it is quiescent, or when its oldest deferred frame has
-		// lived through len(owned) flush points (DESIGN.md §6). Remote round
-		// trips inside the slice flush their own connection eagerly,
-		// carrying every deferred frame on it.
-		n.flush()
+		n.runNext()
+		guest = false
+		// The end of an execution slice is a flush point. The node decides
+		// there whether what the slice produced — evictions while accepting
+		// guests, the migration that ended it — goes to the wire: it writes
+		// one batch per destination node when it is quiescent, or when its
+		// oldest deferred frame has lived through len(owned) flush points
+		// (DESIGN.md §6). Remote round trips inside the slice flush their
+		// own connection eagerly, carrying every deferred frame on it.
+		n.p.flush()
 		// An abort (Part.Stop with contexts still resident — a serve drain,
 		// a coordinator teardown) must terminate this loop even though the
 		// runq never empties; without this check a resident non-halting
@@ -262,10 +262,27 @@ func (n *coreNode) loop() {
 	}
 }
 
-// drain accepts all queued arrivals without blocking. Native returns are
-// accepted first: they can never be refused, which is what makes the
-// eviction network's consumption unconditional.
-func (n *coreNode) drain() {
+// runNext executes one slice of the context at the head of the run queue.
+func (n *coreNode) runNext() {
+	// Pop in place: re-slicing would shed capacity at the front and make
+	// every later append allocate.
+	c := n.runq[0]
+	n.runq = n.runq[:copy(n.runq, n.runq[1:])]
+	// The popped context stays resident (and counted in guests) while it
+	// executes; execGuest marks it so the pool invariant covers it.
+	n.execGuest = c.native != n.id
+	n.execute(c)
+}
+
+// drain accepts queued arrivals without blocking, by the executor's rule
+// (admit): every native return — they can never be refused, which is what
+// makes the eviction network's consumption unconditional — then
+// migrations in arrival order up to and including the first guest, none
+// if guest says one was already admitted since the core's last slice. The
+// rest wait in the migration inbox, which has room for every thread, for
+// the core's next turn. Reports whether a guest is now waiting for its
+// first slice.
+func (n *coreNode) drain(guest bool) bool {
 	for {
 		select {
 		case c := <-n.evictIn:
@@ -273,19 +290,24 @@ func (n *coreNode) drain() {
 			continue
 		default:
 		}
+		if guest {
+			return true
+		}
 		select {
-		case c := <-n.migIn:
-			n.acceptGuest(n.p.fromWire(n.id, c))
+		case w := <-n.migIn:
+			c := n.p.fromWire(n.id, w)
+			n.acceptGuest(c)
+			guest = c.native != n.id
 			continue
 		default:
 		}
-		return
+		return false
 	}
 }
 
 func (n *coreNode) acceptNative(c *context) {
 	if c.native != n.id {
-		panic(fmt.Sprintf("machine: context of thread %d (native %d) on eviction channel of core %d",
+		panic(fmt.Sprintf("machine: context of thread %d (native %d) on the eviction network of core %d",
 			c.thread, c.native, n.id))
 	}
 	n.adoptLease(c)
@@ -295,11 +317,16 @@ func (n *coreNode) acceptNative(c *context) {
 
 // acceptGuest implements Figure 1's "# threads exceeded?" box: if the guest
 // pool is full, a resident guest is evicted to its native core on the
-// eviction channel (which has capacity for every native of that core, so
-// this send cannot block — the deadlock-freedom argument). The currently
-// executing guest cannot be displaced mid-instruction; when it is the only
-// remaining guest the arrival is accepted anyway (refusing would deadlock
-// the migration network) and the overflow is counted as an overcommit.
+// eviction network, whose delivery never blocks — an unbounded queue in
+// process, an inbox with room for every native of that core on a TCP node
+// (the deadlock-freedom argument). The currently executing guest cannot be
+// displaced mid-instruction; when it is the only remaining guest the
+// arrival is accepted anyway (refusing would deadlock the migration
+// network) and the overflow is counted as an overcommit. A guest that
+// evicts takes its victim's place in the run queue rather than the tail,
+// so queued guests only ever move toward the head; together with
+// admitting at most one guest between two slices (admit, drain), that is
+// the progress rule (DESIGN.md §6).
 func (n *coreNode) acceptGuest(c *context) {
 	if c.native == n.id {
 		// A migration can target the thread's own native core (returning
@@ -309,31 +336,36 @@ func (n *coreNode) acceptGuest(c *context) {
 		n.checkGuestPool()
 		return
 	}
+	at := len(n.runq)
 	if n.p.cfg.GuestContexts > 0 {
 		for n.guests >= n.p.cfg.GuestContexts {
-			if n.evictOneGuest() == nil {
+			victim, i := n.evictOneGuest()
+			if victim == nil {
 				// Only the mid-flight executing guest remains: the pool
 				// exceeds its limit by this acceptance. Count it instead of
 				// pretending the limit held.
 				n.ctr.overcommits.Add(1)
 				break
 			}
+			at = i
 		}
 	}
 	n.guests++
 	n.ctr.guests.Store(int64(n.guests))
 	n.adoptLease(c)
-	n.runq = append(n.runq, c)
+	n.runq = slices.Insert(n.runq, at, c)
 	n.checkGuestPool()
 }
 
-// evictOneGuest removes the first guest in run-queue order and sends it
-// home. Note this is *not* the longest-resident guest: requeue returns an
-// executed guest to the queue tail, so queue order is recency-of-scheduling
-// order and the victim is the guest that has waited longest since its last
-// execution slice (LRU-by-schedule, pinned by TestEvictionOrder). Returns
+// evictOneGuest removes the first guest in run-queue order, sends it home,
+// and returns it with the run-queue position it held. Queue order is turn
+// order: requeue returns an executed context to the tail, and a guest
+// admitted into a full pool takes its victim's place. So the victim is
+// the guest whose turn comes first — not the longest-resident one, but
+// the one that has waited longest since its last slice or a guest that
+// inherited such a place and has not run yet (TestEvictionOrder). Returns
 // nil if no guest is queued.
-func (n *coreNode) evictOneGuest() *context {
+func (n *coreNode) evictOneGuest() (*context, int) {
 	for i, g := range n.runq {
 		if g.native != n.id {
 			n.runq = append(n.runq[:i], n.runq[i+1:]...)
@@ -343,22 +375,17 @@ func (n *coreNode) evictOneGuest() *context {
 			n.dropLease(g)
 			g.live = false
 			// The eviction traversal is charged to the evicted context (its
-			// thread caused the residency), before serialization so the wire
-			// carries the updated accumulators.
+			// thread caused the residency), before it leaves, so it carries
+			// the updated accumulators.
 			g.cycles += n.shipCost(g, n.p.cfg.Mesh.Hops(n.id, g.native))
 			g.msgs++
-			// Eviction inboxes hold every native of their core, so this
-			// send never blocks (in-process) / never stalls the wire (TCP).
-			w := n.p.toWire(g)
-			n.ctr.contextFlits.Add(contextFlits(w))
-			// A send error means the transport was torn down mid-run; either
-			// way the context has left this core, exactly as for migrations.
-			_ = n.p.tr.SendEviction(g.native, w) //em2:errsink-ok: teardown mid-run; the run's failure surfaces at the halt barrier
+			n.ctr.contextFlits.Add(contextFlits(g.pred.StateLen()))
+			n.p.ship(g.native, g, true)
 			n.checkGuestPool()
-			return g
+			return g, i
 		}
 	}
-	return nil
+	return nil, 0
 }
 
 // requeue returns the executing context to the local run queue after its
@@ -420,8 +447,8 @@ func (n *coreNode) execute(c *context) {
 				info.Access.Write = in.IsWrite()
 				var dec core.Decision
 				if c.lease != nil {
-					// Probe and decide under leaseMu (foreign write-updates
-					// arrive on handler goroutines), but never hold it across
+					// Probe and decide under leaseMu (a TCP node's write-updates
+					// arrive on link server goroutines), but never hold it across
 					// the transport calls below — two cores mid-remote-access
 					// would deadlock delivering each other's updates.
 					n.leaseMu.Lock()
@@ -461,20 +488,16 @@ func (n *coreNode) execute(c *context) {
 				}
 				if dec == core.Migrate {
 					// Ship the context; the instruction re-executes at home,
-					// where the access will be local. Either way (sent or
-					// transport torn down mid-run) the context has left this
-					// core. The traversal is charged before serialization so
-					// the wire carries the updated accumulators.
+					// where the access will be local. The traversal is charged
+					// before the context leaves, so it carries the updated
+					// accumulators.
 					n.ctr.migrations.Add(1)
 					c.cycles += n.shipCost(c, n.p.cfg.Mesh.Hops(n.id, home))
 					c.msgs++
-					w := n.p.toWire(c)
-					n.ctr.contextFlits.Add(contextFlits(w))
+					n.ctr.contextFlits.Add(contextFlits(c.pred.StateLen()))
 					n.ctr.publish(&sc)
 					n.guestDeparted(c)
-					// A send error means the transport was torn down mid-run;
-					// either way the context has left this core.
-					_ = n.p.tr.SendMigration(home, w) //em2:errsink-ok: teardown mid-run; the run's failure surfaces at the halt barrier
+					n.p.ship(home, c, false)
 					return
 				}
 				if in.IsWrite() {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -11,27 +12,37 @@ import (
 	"repro/internal/transport"
 )
 
-// newGuestPoolNode builds a bare coreNode (no goroutine) for core 1 of a
-// two-core part, so the guest-pool transitions can be driven synchronously
-// and deterministically.
-func newGuestPoolNode(t *testing.T, guestContexts int) (*coreNode, *transport.Local) {
+// newGuestPoolNode returns core 1 of a two-core in-process part that was
+// never started (no executor), so the guest-pool transitions can be driven
+// synchronously and deterministically; core 0's queues receive what it
+// evicts. Eight thread slots are installed, as Start would, because an
+// eviction checks its thread's slot.
+func newGuestPoolNode(t *testing.T, guestContexts int) (*coreNode, *Part) {
 	t.Helper()
-	tr := transport.NewLocal(2, 8)
 	cfg := Config{
 		Mesh:          geom.NewMesh(2, 1),
 		GuestContexts: guestContexts,
 		Placement:     placement.NewStriped(64, 2),
 	}
-	p, err := NewPart(cfg, tr)
+	p, err := NewPart(cfg, transport.NewLocal(2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &coreNode{id: 1, p: p, ctr: &p.ctr[1]}, tr
+	spec := &ThreadSpec{Program: isa.MustAssemble("halt")}
+	p.specs = make([]atomic.Pointer[ThreadSpec], 8)
+	for i := range p.specs {
+		p.specs[i].Store(spec)
+	}
+	p.ctxs = make([]context, len(p.specs))
+	return p.nodeOf[1], p
 }
 
-// guestCtx returns a context native to core 0 (a guest anywhere else).
-func guestCtx(thread int) *context {
-	return &context{thread: thread, native: 0, pred: core.AlwaysMigrate{}.NewPredictor(thread)}
+// guestCtx fills thread's slot with a live context native to core 0 (a
+// guest anywhere else) and returns it.
+func guestCtx(p *Part, thread int) *context {
+	c := &p.ctxs[thread]
+	*c = context{thread: thread, native: 0, pred: core.AlwaysMigrate{}.NewPredictor(thread), live: true}
+	return c
 }
 
 // TestEvictionOrder pins what evictOneGuest actually does: it removes the
@@ -44,8 +55,8 @@ func guestCtx(thread int) *context {
 func TestEvictionOrder(t *testing.T) {
 	debugGuestPool.Store(true)
 	defer debugGuestPool.Store(false)
-	n, tr := newGuestPoolNode(t, 3)
-	a, b, c := guestCtx(0), guestCtx(1), guestCtx(2)
+	n, p := newGuestPoolNode(t, 3)
+	a, b, c := guestCtx(p, 0), guestCtx(p, 1), guestCtx(p, 2)
 	n.acceptGuest(a)
 	n.acceptGuest(b)
 	n.acceptGuest(c)
@@ -63,7 +74,7 @@ func TestEvictionOrder(t *testing.T) {
 	}
 	n.requeue(got) // queue order is now b, c, a
 
-	victim := n.evictOneGuest()
+	victim, _ := n.evictOneGuest()
 	if victim == nil {
 		t.Fatal("no guest evicted from a queue of three")
 	}
@@ -72,13 +83,10 @@ func TestEvictionOrder(t *testing.T) {
 	if victim != b {
 		t.Errorf("evicted thread %d, want thread 1 (first in queue order, not longest-resident)", victim.thread)
 	}
-	select {
-	case w := <-tr.EvictionIn(0):
-		if w.Thread != 1 {
-			t.Errorf("eviction channel carried thread %d, want 1", w.Thread)
-		}
-	default:
-		t.Error("eviction did not reach the victim's native eviction channel")
+	if q := p.nodeOf[0].evictQ; len(q) != 1 {
+		t.Errorf("victim's native eviction queue holds %d contexts, want 1", len(q))
+	} else if q[0].thread != 1 {
+		t.Errorf("eviction queue carried thread %d, want 1", q[0].thread)
 	}
 	if n.guests != 2 {
 		t.Errorf("guests = %d after eviction, want 2", n.guests)
@@ -96,8 +104,8 @@ func TestEvictionOrder(t *testing.T) {
 func TestGuestPoolOvercommitCounted(t *testing.T) {
 	debugGuestPool.Store(true)
 	defer debugGuestPool.Store(false)
-	n, _ := newGuestPoolNode(t, 1)
-	a := guestCtx(0)
+	n, p := newGuestPoolNode(t, 1)
+	a := guestCtx(p, 0)
 	n.acceptGuest(a)
 
 	// The engine pops a for execution; it stays resident (and counted).
@@ -106,7 +114,7 @@ func TestGuestPoolOvercommitCounted(t *testing.T) {
 	n.execGuest = true
 	n.checkGuestPool()
 
-	b := guestCtx(1)
+	b := guestCtx(p, 1)
 	n.acceptGuest(b) // no queued guest to evict: overcommit
 	if got := n.ctr.overcommits.Load(); got != 1 {
 		t.Errorf("overcommits = %d after accept past a mid-flight guest, want 1", got)
@@ -147,6 +155,26 @@ func TestGuestPoolOvercommitCounted(t *testing.T) {
 func TestGuestPoolInvariantUnderContention(t *testing.T) {
 	debugGuestPool.Store(true)
 	defer debugGuestPool.Store(false)
+	cfg, specs := guestContention()
+	_, res := run(t, cfg, specs)
+	if res.Evictions == 0 {
+		t.Error("no evictions with GuestContexts: 1 under all-core contention")
+	}
+	if res.Overcommits != 0 {
+		t.Errorf("overcommits = %d; arrivals are only accepted between slices, so the pool should never overflow", res.Overcommits)
+	}
+	var perCore int64
+	for _, m := range res.PerCore {
+		perCore += m.Overcommits
+	}
+	if perCore != res.Overcommits {
+		t.Errorf("per-core overcommits sum %d != aggregate %d", perCore, res.Overcommits)
+	}
+}
+
+// guestContention is the all-core contention run: GuestContexts 1, a
+// 4-instruction quantum, and every thread walking every core's memory.
+func guestContention() (Config, []ThreadSpec) {
 	cfg := testConfig()
 	cfg.GuestContexts = 1
 	cfg.Quantum = 4
@@ -169,20 +197,7 @@ func TestGuestPoolInvariantUnderContention(t *testing.T) {
 	for i := range specs {
 		specs[i] = ThreadSpec{Program: prog}
 	}
-	_, res := run(t, cfg, specs)
-	if res.Evictions == 0 {
-		t.Error("no evictions with GuestContexts: 1 under all-core contention")
-	}
-	if res.Overcommits != 0 {
-		t.Errorf("overcommits = %d; arrivals are only accepted between slices, so the pool should never overflow", res.Overcommits)
-	}
-	var perCore int64
-	for _, m := range res.PerCore {
-		perCore += m.Overcommits
-	}
-	if perCore != res.Overcommits {
-		t.Errorf("per-core overcommits sum %d != aggregate %d", perCore, res.Overcommits)
-	}
+	return cfg, specs
 }
 
 // TestHaltReportedAfterGuestDeparts pins the order of a guest's HALT: the

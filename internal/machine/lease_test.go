@@ -128,7 +128,7 @@ func TestShardLeaseTable(t *testing.T) {
 	read := func(from uint32) transport.MemReply {
 		rep, invals := s.apply(transport.MemRequest{
 			Thread: -1, Op: transport.OpRead, Addr: 64, From: from, Lease: 8,
-		})
+		}, nil)
 		if len(invals) != 0 {
 			t.Fatalf("a read produced %d invalidations", len(invals))
 		}
@@ -137,7 +137,7 @@ func TestShardLeaseTable(t *testing.T) {
 	write := func(from, val uint32) []transport.LeaseInval {
 		_, invals := s.apply(transport.MemRequest{
 			Thread: -1, Op: transport.OpWrite, Addr: 64, Arg: val, From: from,
-		})
+		}, nil)
 		return invals
 	}
 
@@ -178,7 +178,7 @@ func TestShardLeaseTable(t *testing.T) {
 	read(0)
 	_, invals = s.apply(transport.MemRequest{
 		Thread: -1, Op: transport.OpFAA, Addr: 64, Arg: 1, From: 2,
-	})
+	}, nil)
 	if len(invals) != 1 || invals[0].Dst != 0 {
 		t.Fatalf("FAA returned updates %v, want one for core 0", invals)
 	}

@@ -4,13 +4,16 @@
 // shipped between cores whenever they touch memory homed elsewhere.
 //
 // The execution engine is written against the transport abstraction in
-// internal/transport, so the same core loop runs in two shapes:
+// internal/transport, so the same core code runs in two shapes:
 //
-//   - In one process (Machine): cores are goroutines and the migration and
-//     eviction virtual networks are Go channels (transport.Local).
+//   - In one process (Machine, transport.Local): one executor goroutine
+//     steps every core round-robin, a quantum slice per core per round, and
+//     the migration and eviction virtual networks are per-core queues of
+//     thread slots — a hand-off is a queue push, with nothing encoded. Given
+//     the injected contexts, the schedule is deterministic.
 //   - Across processes (ServeNode/ClusterRun): each node process runs the
-//     cores of its manifest entry, and contexts cross real TCP sockets in
-//     their fixed wire encoding (transport.Node).
+//     cores of its manifest entry, one goroutine per core, and contexts
+//     cross real TCP sockets in their fixed wire encoding (transport.Node).
 //
 // Either way a run is resolve → inject → await halts → fold, written once
 // in lifecycle.go; Machine.Run, ClusterRun.Run and the serve backends only
@@ -29,11 +32,12 @@
 //     verifies it on recorded executions (experiment M1).
 //
 //   - Deadlock-free migration: each thread has a reserved native context;
-//     evictions travel on a dedicated channel (the paper's separate virtual
-//     network) whose capacity covers every thread that could ever be evicted
-//     toward that core, so an eviction send never blocks (experiment M2).
-//     Over TCP the channel capacity becomes a wire credit: inbound readers
-//     always find inbox space, sockets always drain (DESIGN.md §6).
+//     evictions travel on a dedicated network (the paper's separate virtual
+//     network) that is always consumed, so an eviction never waits
+//     (experiment M2). In process its queues are unbounded; over TCP each
+//     core's inbox has room for every thread native to it, a wire credit:
+//     inbound readers always find inbox space, sockets always drain
+//     (DESIGN.md §6).
 package machine
 
 import (
@@ -126,7 +130,7 @@ type Result struct {
 }
 
 // Machine is a runnable in-process EM² instance: one Part spanning every
-// core over the channel transport. Create with New, run with Run.
+// core over the in-process transport. Create with New, run with Run.
 type Machine struct {
 	numThreads int
 	tr         *transport.Local
@@ -134,8 +138,7 @@ type Machine struct {
 	ran        bool
 }
 
-// New builds a machine for the given thread count (the count sizes the
-// virtual-network inboxes, which is what makes eviction sends safe).
+// New builds a machine for at most numThreads threads.
 func New(cfg Config, numThreads int) (*Machine, error) {
 	if numThreads <= 0 {
 		return nil, fmt.Errorf("machine: need at least one thread")
@@ -184,9 +187,9 @@ func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
 	return &res, nil
 }
 
-// run is lifecycle.go's inject and await steps over the channel transport,
-// under Run and the in-process arm of ClusterRun.Run; a zero timeout never
-// fires.
+// run is lifecycle.go's inject and await steps over the in-process
+// transport, under Run and the in-process arm of ClusterRun.Run; a zero
+// timeout never fires.
 func (m *Machine) run(threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error) {
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("machine: no threads")
@@ -198,22 +201,25 @@ func (m *Machine) run(threads []ThreadSpec, timeout time.Duration) ([]transport.
 		return nil, fmt.Errorf("machine: Run called twice")
 	}
 
-	// Sized for every thread, so a halting core never blocks on the
-	// collector below.
-	halts := make(chan transport.HaltMsg, len(threads))
-	// Part.Start is the single validation authority for thread specs; it
-	// spawns nothing on error.
-	if err := m.part.Start(threads, func(h transport.HaltMsg) { halts <- h }); err != nil {
+	// Inject before the executor starts, so it takes every initial context
+	// in its first round and the schedule cannot depend on when this
+	// goroutine is descheduled; validate first, so a rejected run leaves
+	// nothing queued. Injection never blocks.
+	if err := validateSpecs(threads); err != nil {
+		return nil, err
+	}
+	if err := Inject(threads, m.tr.Cores(), m.tr.SendEviction); err != nil {
 		return nil, err
 	}
 	m.ran = true
-	// Each eviction inbox holds its core's natives, so injection cannot
-	// block, and there is no death channel.
-	err := Inject(threads, m.tr.Cores(), m.tr.SendEviction)
-	var got []transport.HaltMsg
-	if err == nil {
-		got, err = AwaitHalts(len(threads), halts, nil, timeout, nil)
+	// Sized for every thread, so a halting core never blocks on the
+	// collector below.
+	halts := make(chan transport.HaltMsg, len(threads))
+	if err := m.part.Start(threads, func(h transport.HaltMsg) { halts <- h }); err != nil {
+		return nil, err
 	}
+	// There are no nodes to lose, so there is no death channel.
+	got, err := AwaitHalts(len(threads), halts, nil, timeout, nil)
 	m.part.Stop()
 	return got, err
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // coreCounters is one core's runtime metrics. Each counter is written only
-// by its core's own goroutine, so the atomics are uncontended; they exist
+// by the goroutine that steps the core — the part's executor in process, the
+// core's own loop on a TCP node — so the atomics are uncontended; they exist
 // so Collect and Sample can read them from another goroutine. Those in
 // sliceCounts are published once per execution slice, before its send, halt
 // report, departure or requeue, which every deterministic sample point
@@ -88,18 +89,22 @@ var wireNoC = noc.DefaultConfig()
 // wireFlits converts a context wire byte count to flits.
 func wireFlits(bytes int) int64 { return int64(wireNoC.Flits(bytes * 8)) }
 
-// contextFlits is the wire footprint of one shipped context — the single
-// formula behind the runtime counters and ContextFlitsFor, so the M3
-// prediction cannot drift from what the cores actually count.
-func contextFlits(w transport.Context) int64 {
-	return wireFlits(transport.ContextWireBytes + len(w.Sched))
+// contextFlits is the wire footprint of one shipped context carrying
+// stateLen bytes of predictor state — the single formula behind the
+// runtime counters and ContextFlitsFor, so the M3 prediction cannot drift
+// from what the cores actually count. An in-process hand-off encodes
+// nothing and is charged the same: the flits a hardware transfer would
+// occupy.
+func contextFlits(stateLen int) int64 {
+	return wireFlits(transport.ContextWireBytes + stateLen)
 }
 
-// Part runs the cores a transport endpoint owns: their execution loops,
-// their shards, and the memory handler that serves remote accesses to
-// those shards. The whole machine is one Part over a transport.Local; a
-// cluster is one Part per node process over transport.Node endpoints, all
-// loaded with the same programs (code is replicated, data is not).
+// Part runs the cores a transport endpoint owns: their execution, their
+// shards, and the memory handler that serves remote accesses to those
+// shards. The whole machine is one Part over a transport.Local, whose cores
+// one executor goroutine steps (executor.go); a cluster is one Part per
+// node process over transport.Node endpoints, one loop goroutine per core,
+// all loaded with the same programs (code is replicated, data is not).
 type Part struct {
 	cfg   Config
 	tr    transport.Transport
@@ -110,18 +115,20 @@ type Part struct {
 	// ctr is indexed by core id; only owned cores' slots are ever written.
 	ctr   []coreCounters
 	nodes []*coreNode
-	// nodeOf is indexed by core id and routes inbound lease write-updates
-	// to the owning core's lease registry. Atomic because the transport's
-	// reader goroutine may consult it while start() is still publishing
-	// nodes (FrameLeaseInval waits for Ready, but the Local transport has
-	// no such gate).
-	nodeOf []atomic.Pointer[coreNode]
+	// nodeOf is indexed by core id, nil for cores other endpoints own. It
+	// routes in-process hand-offs and inbound lease write-updates to the
+	// owning core; built before any handler is installed, then read-only.
+	nodeOf []*coreNode
+	// local is the in-process endpoint when every core is in this address
+	// space (transport.Transport.InProcess): the executor steps the cores
+	// and hands contexts between them as slot pushes. Nil on a TCP node.
+	local *transport.Local
 	// leaseWindow is the scheme's lease validity window when the scheme
 	// caches remote reads (core.Leaser); 0 for every other scheme.
 	leaseWindow uint64
 	// specs is the per-slot thread table. Slots are atomic pointers because
-	// jobs rewrite them (SetThread/RetireJob) while the core goroutines are
-	// live; the atomics make the handoff visible and race-detector clean.
+	// jobs rewrite them (SetThread/RetireJob) while the cores run; the
+	// atomics make the handoff visible and race-detector clean.
 	// The job protocol guarantees a slot is never rewritten while one of
 	// its contexts is resident or in flight (the job submit barrier orders
 	// installation before injection; a halt report orders completion
@@ -130,11 +137,12 @@ type Part struct {
 	// ctxs holds one reusable context per thread slot: at most one context
 	// per thread is live system-wide, so every arrival lands in its slot
 	// (fromWire) and a hand-off allocates nothing.
-	ctxs     []context
-	onHalt   func(transport.HaltMsg)
-	done     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	ctxs        []context
+	onHalt      func(transport.HaltMsg)
+	done        chan struct{}
+	stopOnce    sync.Once
+	flushFailed atomic.Bool // a flush error was already reported
+	wg          sync.WaitGroup
 }
 
 // NewPart builds the part for the cores tr owns and installs its memory
@@ -178,18 +186,25 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 		place:       cfg.Placement,
 		shards:      make([]*shard, tr.Cores()),
 		ctr:         make([]coreCounters, tr.Cores()),
-		nodeOf:      make([]atomic.Pointer[coreNode], tr.Cores()),
+		nodeOf:      make([]*coreNode, tr.Cores()),
+		local:       tr.InProcess(),
 		leaseWindow: leaseWindow,
 		done:        make(chan struct{}),
 	}
 	for _, id := range tr.Owned() {
 		p.shards[id] = newShard(id, cfg.LogEvents)
+		n := &coreNode{id: id, p: p, ctr: &p.ctr[id]}
+		p.nodes = append(p.nodes, n)
+		p.nodeOf[id] = n
 	}
 	tr.HandleMem(func(core geom.CoreID, req transport.MemRequest) transport.MemReply {
 		if int(core) < 0 || int(core) >= len(p.shards) || p.shards[core] == nil {
 			panic(fmt.Sprintf("machine: memory request for core %d not owned by this part", core))
 		}
-		rep, invals := p.shards[core].apply(req)
+		// The write-updates land in a buffer on this handler's stack, so a
+		// write with a few holders allocates nothing.
+		var buf [4]transport.LeaseInval
+		rep, invals := p.shards[core].apply(req, buf[:0])
 		// The shard lock is released; ship the write-updates now. A failed
 		// send means the holder's connection is dying — the update is
 		// advisory (holders expire on their own virtual clocks), so the
@@ -203,7 +218,7 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 		if int(inv.Dst) < 0 || int(inv.Dst) >= len(p.nodeOf) {
 			return
 		}
-		if n := p.nodeOf[inv.Dst].Load(); n != nil {
+		if n := p.nodeOf[inv.Dst]; n != nil {
 			n.applyLeaseUpdate(inv)
 		}
 	})
@@ -216,7 +231,7 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 func (p *Part) Preload(addr uint32, value uint32, by geom.CoreID) {
 	home := p.place.Touch(cache.Addr(addr), by)
 	if s := p.shards[home]; s != nil {
-		s.apply(transport.MemRequest{Thread: -1, Op: transport.OpWrite, Addr: addr, Arg: value})
+		s.apply(transport.MemRequest{Thread: -1, Op: transport.OpWrite, Addr: addr, Arg: value}, nil)
 	}
 }
 
@@ -236,7 +251,7 @@ func (p *Part) Peek(addr uint32) (uint32, bool) {
 	return 0, false
 }
 
-// Start spawns the core loops with every slot installed up front: threads
+// Start starts the cores with every slot installed up front: threads
 // is the full machine-wide thread list (any thread can migrate in); onHalt
 // fires on the core where a thread executes HALT, with its final register
 // file. The in-process Machine starts this way; a cluster node starts with
@@ -253,7 +268,7 @@ func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error
 	return p.start(onHalt)
 }
 
-// StartServe spawns the core loops over a pool of numSlots empty thread
+// StartServe starts the cores over a pool of numSlots empty thread
 // slots: programs arrive later, per job, through ApplyJob. Every cluster
 // node and the local serve backend start this way. A context for a slot
 // whose spec has not been installed is protocol corruption (the job
@@ -266,35 +281,41 @@ func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 	return p.start(onHalt)
 }
 
+// start spawns the goroutines that step the cores: one executor for an
+// in-process endpoint, whatever decorator wraps it, or one loop per core
+// over the inboxes of a TCP node.
 func (p *Part) start(onHalt func(transport.HaltMsg)) error {
 	p.onHalt = onHalt
 	p.ctxs = make([]context, len(p.specs))
-	for _, id := range p.tr.Owned() {
-		n := &coreNode{
-			id:      id,
-			p:       p,
-			ctr:     &p.ctr[id],
-			migIn:   p.tr.MigrationIn(id),
-			evictIn: p.tr.EvictionIn(id),
-		}
-		p.nodes = append(p.nodes, n)
-		p.nodeOf[id].Store(n)
+	if p.local != nil {
+		p.wg.Add(1)
+		go p.runExecutor()
+		return nil
+	}
+	// Not in process means a TCP node (or a decorator embedding one): a
+	// transport with neither is a programming error.
+	inboxes := p.tr.(interface {
+		MigrationIn(geom.CoreID) <-chan transport.Context
+		EvictionIn(geom.CoreID) <-chan transport.Context
+	})
+	for _, n := range p.nodes {
+		n.migIn, n.evictIn = inboxes.MigrationIn(n.id), inboxes.EvictionIn(n.id)
 		p.wg.Add(1)
 		go n.loop()
 	}
 	return nil
 }
 
-// Stop winds the core loops down; resident contexts finish their current
-// quantum first, then every core exits — including cores whose contexts
+// Stop winds the cores down; resident contexts finish their current
+// quantum first, then every core stops — including cores whose contexts
 // would never halt on their own (an abort or serve drain).
 func (p *Part) Stop() {
 	p.abort()
 	p.wg.Wait()
 }
 
-// abort signals every core loop to exit without waiting for them. A core
-// whose transport died calls it (coreNode.flush): work produced after the
+// abort signals every core to stop without waiting for them. A part
+// whose transport died calls it (Part.flush): work produced after the
 // wire is gone can never leave the machine, so the whole part parks
 // instead of spinning until external teardown. Idempotent, so the abort
 // and a later Stop compose.
@@ -408,9 +429,7 @@ func (p *Part) RetireJob(d transport.JobDone) []transport.Event {
 		// Resident threads' lease caches may hold words of the reclaimed
 		// region; drop them so a recycled region can never serve a stale
 		// lease to the next job.
-		if n := p.nodeOf[id].Load(); n != nil {
-			n.dropLeaseRange(lo, hi)
-		}
+		p.nodeOf[id].dropLeaseRange(lo, hi)
 	}
 	return events
 }
@@ -428,6 +447,33 @@ func (p *Part) MemImage() map[uint32]uint32 {
 		p.shards[id].imageInto(out)
 	}
 	return out
+}
+
+// ship sends a context that has departed this core to dst, on the
+// eviction network if evict is set and on the migration network otherwise.
+// In process the slot itself moves, after the checks every arrival passes
+// (landing): the cost counters, predictor and progress flag stay in it,
+// and only the lease cache is reset, as every arrival's is (lease state
+// never rides the wire). Across processes the context is serialized.
+// Either way the context has left this core: a send error means the
+// transport was torn down mid-run, and the run's failure surfaces at the
+// halt barrier.
+func (p *Part) ship(dst geom.CoreID, c *context, evict bool) {
+	if p.local != nil {
+		p.landing(c.thread, dst)
+		c.live = true
+		if c.lease != nil {
+			c.lease.Reset()
+		}
+		p.nodeOf[dst].deliver(c, evict)
+		return
+	}
+	w := p.toWire(c)
+	if evict {
+		_ = p.tr.SendEviction(dst, w) //em2:errsink-ok: teardown mid-run; the run's failure surfaces at the halt barrier
+	} else {
+		_ = p.tr.SendMigration(dst, w) //em2:errsink-ok: teardown mid-run; the run's failure surfaces at the halt barrier
+	}
 }
 
 // toWire serializes a resident context for the transport, including the
@@ -454,17 +500,10 @@ func (p *Part) toWire(c *context) transport.Context {
 	return w
 }
 
-// fromWire lands a context in its thread's slot, rebuilding every field
-// from the wire form; the program is looked up locally because code is
-// replicated to every part. The slot's predictor takes the shipped state; a
-// fresh one is built only when the slot has none or Sched is empty (the
-// coordinator's initial injection, so every serve job starts fresh). The
-// slot's lease cache is reset: lease state never rides the wire.
-func (p *Part) fromWire(at geom.CoreID, w transport.Context) *context {
-	t := int(w.Thread)
-	if t < 0 || t >= len(p.specs) {
-		panic(fmt.Sprintf("machine: context for unknown thread %d", t))
-	}
+// landing returns thread t's slot and installed spec for a context
+// arriving at core at, checking the two invariants every arrival relies
+// on, in process or over the wire.
+func (p *Part) landing(t int, at geom.CoreID) (*context, *ThreadSpec) {
 	sp := p.specs[t].Load()
 	if sp == nil {
 		// A context for a slot with no installed spec means the serve
@@ -478,6 +517,21 @@ func (p *Part) fromWire(at geom.CoreID, w transport.Context) *context {
 		// arrival would alias the resident one.
 		panic(fmt.Sprintf("machine: thread %d arrived at core %d while its context is still live on this part", t, at))
 	}
+	return c, sp
+}
+
+// fromWire lands a context in its thread's slot, rebuilding every field
+// from the wire form; the program is looked up locally because code is
+// replicated to every part. The slot's predictor takes the shipped state; a
+// fresh one is built only when the slot has none or Sched is empty (the
+// coordinator's initial injection, so every serve job starts fresh). The
+// slot's lease cache is reset: lease state never rides the wire.
+func (p *Part) fromWire(at geom.CoreID, w transport.Context) *context {
+	t := int(w.Thread)
+	if t < 0 || t >= len(p.specs) {
+		panic(fmt.Sprintf("machine: context for unknown thread %d", t))
+	}
+	c, sp := p.landing(t, at)
 	pred, lease := c.pred, c.lease
 	if pred == nil || len(w.Sched) == 0 {
 		pred = p.cfg.Scheme.NewPredictor(t)

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -44,6 +45,9 @@ type shard struct {
 	// per holder. Nil until the first grant: non-caching schemes never pay
 	// for the table.
 	leases map[uint32][]geom.CoreID
+	// spare holds the emptied holder lists of closed records, reused by
+	// the next new record, so a grant-write cycle allocates nothing.
+	spare [][]geom.CoreID
 }
 
 func newShard(home geom.CoreID, log bool) *shard {
@@ -52,10 +56,11 @@ func newShard(home geom.CoreID, log bool) *shard {
 
 // apply performs one memory request under the shard lock — the home-core
 // serialization point — and logs it against (req.Thread, req.TSeq). A
-// negative Thread marks a preload: applied, never logged. The returned
-// invalidation list carries one write-update per lease holder of a
-// written word; the CALLER sends them, after this lock is released.
-func (s *shard) apply(req transport.MemRequest) (transport.MemReply, []transport.LeaseInval) {
+// negative Thread marks a preload: applied, never logged. A write appends
+// one write-update per lease holder of the word to invals, the caller's
+// buffer, and returns it; the CALLER sends them, after this lock is
+// released.
+func (s *shard) apply(req transport.MemRequest, invals []transport.LeaseInval) (transport.MemReply, []transport.LeaseInval) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var old uint32 // a plain write never reads it: one hash, not two
@@ -63,7 +68,6 @@ func (s *shard) apply(req transport.MemRequest) (transport.MemReply, []transport
 		old = s.mem[req.Addr]
 	}
 	var rep transport.MemReply
-	var invals []transport.LeaseInval
 	e := Event{Addr: req.Addr}
 	switch req.Op {
 	case transport.OpRead:
@@ -76,17 +80,17 @@ func (s *shard) apply(req transport.MemRequest) (transport.MemReply, []transport
 	case transport.OpWrite:
 		s.mem[req.Addr] = req.Arg
 		e.Kind, e.Wrote = EvWrite, req.Arg
-		invals = s.closeLeasesLocked(req, req.Arg)
+		invals = s.closeLeasesLocked(req, req.Arg, invals)
 	case transport.OpFAA:
 		s.mem[req.Addr] = old + req.Arg
 		e.Kind, e.Read, e.Wrote = EvRMW, old, old+req.Arg
 		rep.Value = old
-		invals = s.closeLeasesLocked(req, old+req.Arg)
+		invals = s.closeLeasesLocked(req, old+req.Arg, invals)
 	case transport.OpSwap:
 		s.mem[req.Addr] = req.Arg
 		e.Kind, e.Read, e.Wrote = EvRMW, old, req.Arg
 		rep.Value = old
-		invals = s.closeLeasesLocked(req, req.Arg)
+		invals = s.closeLeasesLocked(req, req.Arg, invals)
 	default:
 		panic(fmt.Sprintf("machine: unknown memory op %d", req.Op))
 	}
@@ -109,31 +113,36 @@ func (s *shard) grantLocked(addr uint32, core geom.CoreID) {
 	if s.leases == nil {
 		s.leases = make(map[uint32][]geom.CoreID)
 	}
-	for _, h := range s.leases[addr] {
-		if h == core {
-			return
+	holders := s.leases[addr]
+	if slices.Contains(holders, core) {
+		return
+	}
+	if len(holders) == 0 {
+		if n := len(s.spare); n > 0 {
+			holders = s.spare[n-1]
+			s.spare = s.spare[:n-1]
 		}
 	}
-	s.leases[addr] = append(s.leases[addr], core)
+	s.leases[addr] = append(holders, core)
 }
 
-// closeLeasesLocked clears addr's lease records on a write and returns one
-// write-update per holder core — including the writer's own core: the
-// writing thread's entry was already dropped by its own-write
+// closeLeasesLocked clears addr's lease records on a write and appends one
+// write-update per holder core to invals — including the writer's own
+// core: the writing thread's entry was already dropped by its own-write
 // invalidation (Update then no-ops), but other threads resident there may
 // still hold the word. Clearing on the first write keeps traffic at one
 // update per holder per write burst; holders expire remaining staleness
 // on their own virtual clocks.
-func (s *shard) closeLeasesLocked(req transport.MemRequest, newVal uint32) []transport.LeaseInval {
+func (s *shard) closeLeasesLocked(req transport.MemRequest, newVal uint32, invals []transport.LeaseInval) []transport.LeaseInval {
 	holders := s.leases[req.Addr]
 	if len(holders) == 0 {
-		return nil
+		return invals
 	}
 	delete(s.leases, req.Addr)
-	invals := make([]transport.LeaseInval, 0, len(holders))
 	for _, h := range holders {
 		invals = append(invals, transport.LeaseInval{Dst: h, Addr: req.Addr, Value: newVal})
 	}
+	s.spare = append(s.spare, holders[:0])
 	return invals
 }
 

@@ -147,7 +147,7 @@ func FuzzShardApply(f *testing.F) {
 				case 5:
 					req.Lease = 64 // a leased read
 				}
-				gotRep, gotInv := s.apply(req)
+				gotRep, gotInv := s.apply(req, nil)
 				wantRep, wantInv := ref.apply(req)
 				if gotRep != wantRep || !slices.Equal(gotInv, wantInv) {
 					t.Fatalf("step %d %+v: reply %+v updates %+v; reference %+v, %+v", i, req, gotRep, gotInv, wantRep, wantInv)

@@ -13,6 +13,7 @@ package placement
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/cache"
@@ -91,7 +92,7 @@ func (f *FirstTouch) Name() string { return "first-touch" }
 // Striped interleaves consecutive lines across cores round-robin, the
 // S-NUCA-style static hash used as a placement baseline.
 type Striped struct {
-	lineBytes Addr
+	lineShift uint // log2 of the line size
 	cores     int
 }
 
@@ -103,7 +104,7 @@ func NewStriped(lineBytes, cores int) *Striped {
 	if cores <= 0 {
 		panic(fmt.Sprintf("placement: invalid core count %d", cores))
 	}
-	return &Striped{lineBytes: Addr(lineBytes), cores: cores}
+	return &Striped{lineShift: uint(bits.TrailingZeros(uint(lineBytes))), cores: cores}
 }
 
 // Touch implements Policy.
@@ -114,7 +115,7 @@ func (s *Striped) Touch(a Addr, _ geom.CoreID) geom.CoreID {
 
 // HomeOf implements Policy.
 func (s *Striped) HomeOf(a Addr) (geom.CoreID, bool) {
-	return geom.CoreID((a / s.lineBytes) % Addr(s.cores)), true
+	return geom.CoreID((a >> s.lineShift) % Addr(s.cores)), true
 }
 
 // Name implements Policy.
@@ -122,7 +123,7 @@ func (s *Striped) Name() string { return "striped" }
 
 // PageStriped interleaves pages (rather than lines) across cores.
 type PageStriped struct {
-	pageBytes Addr
+	pageShift uint // log2 of the page size
 	cores     int
 }
 
@@ -137,7 +138,7 @@ func NewPageStriped(pageBytes, cores int) *PageStriped {
 	if cores <= 0 {
 		panic(fmt.Sprintf("placement: invalid core count %d", cores))
 	}
-	return &PageStriped{pageBytes: Addr(pageBytes), cores: cores}
+	return &PageStriped{pageShift: uint(bits.TrailingZeros(uint(pageBytes))), cores: cores}
 }
 
 // Touch implements Policy.
@@ -148,7 +149,7 @@ func (s *PageStriped) Touch(a Addr, _ geom.CoreID) geom.CoreID {
 
 // HomeOf implements Policy.
 func (s *PageStriped) HomeOf(a Addr) (geom.CoreID, bool) {
-	return geom.CoreID((a / s.pageBytes) % Addr(s.cores)), true
+	return geom.CoreID((a >> s.pageShift) % Addr(s.cores)), true
 }
 
 // Name implements Policy.

@@ -1,73 +1,122 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"repro/internal/geom"
 )
 
-// Local is the in-process transport: every core lives in this endpoint and
-// the two virtual networks are Go channels, exactly the plumbing the
-// original goroutine machine used. Remote accesses are a direct call into
-// the registered handler — the shard lock remains the only serialization
-// point, as before the transport extraction.
+// Local is the in-process transport: every core lives in this address
+// space, so a machine.Part over it steps them all on one executor
+// goroutine and hands a context from core to core as a push of the
+// thread's slot onto the destination's queue — no message, no encoding.
+// What reaches Local is what comes from outside that executor: injected
+// contexts, queued here until the executor takes them, and remote
+// accesses and write-updates, which are direct calls into the registered
+// handlers — the shard lock remains the only serialization point.
 type Local struct {
-	mig   []chan Context
-	evict []chan Context
 	owned []geom.CoreID
 	h     func(core geom.CoreID, req MemRequest) MemReply
 	invH  func(inv LeaseInval)
+
+	mu     sync.Mutex
+	evicts []Arrival // queued eviction-network sends, in send order
+	migs   []Arrival // queued migration-network sends, in send order
+	wake   chan struct{}
 }
 
-// NewLocal builds an in-process transport for the given core count. A
-// migration inbox holds all numThreads threads and an eviction inbox the
-// natives of its core: eviction sends, so guest acceptance, never block.
+// Arrival is a context sent to an in-process core from outside its
+// executor, waiting to be taken.
+type Arrival struct {
+	Dst   geom.CoreID
+	Evict bool // sent on the eviction network
+	Ctx   Context
+}
+
+// NewLocal builds an in-process transport for the given core count;
+// numThreads sizes the injection queue. The queue is unbounded, so a send
+// never blocks.
 func NewLocal(cores, numThreads int) *Local {
 	l := &Local{
-		mig:   make([]chan Context, cores),
-		evict: make([]chan Context, cores),
-		owned: make([]geom.CoreID, cores),
+		owned:  make([]geom.CoreID, cores),
+		evicts: make([]Arrival, 0, numThreads),
+		wake:   make(chan struct{}, 1),
 	}
-	for i := range l.mig {
-		l.mig[i] = make(chan Context, numThreads)
-		l.evict[i] = make(chan Context, (numThreads+cores-1)/cores)
+	for i := range l.owned {
 		l.owned[i] = geom.CoreID(i)
 	}
 	return l
 }
 
 // Cores implements Transport.
-func (l *Local) Cores() int { return len(l.mig) }
+func (l *Local) Cores() int { return len(l.owned) }
 
 // Owned implements Transport.
 func (l *Local) Owned() []geom.CoreID { return l.owned }
 
 // Owns implements Transport.
-func (l *Local) Owns(core geom.CoreID) bool { return int(core) >= 0 && int(core) < len(l.mig) }
+func (l *Local) Owns(core geom.CoreID) bool { return int(core) >= 0 && int(core) < len(l.owned) }
 
-// MigrationIn implements Transport.
-func (l *Local) MigrationIn(core geom.CoreID) <-chan Context { return l.mig[core] }
+// InProcess implements Transport: every core is in this address space.
+func (l *Local) InProcess() *Local { return l }
 
-// EvictionIn implements Transport.
-func (l *Local) EvictionIn(core geom.CoreID) <-chan Context { return l.evict[core] }
-
-// SendMigration implements Transport.
+// SendMigration implements Transport: c joins dst's queue until the
+// executor takes it.
 func (l *Local) SendMigration(dst geom.CoreID, c Context) error {
-	l.mig[dst] <- c
-	return nil
+	return l.queue(dst, false, c)
 }
 
-// SendEviction implements Transport.
+// SendEviction implements Transport: c joins dst's queue until the
+// executor takes it.
 func (l *Local) SendEviction(dst geom.CoreID, c Context) error {
 	if err := checkEviction(dst, c); err != nil {
 		return err
 	}
-	l.evict[dst] <- c
+	return l.queue(dst, true, c)
+}
+
+// queue appends one send and wakes the executor. Sched is copied, so the
+// sender may reuse its buffer at once.
+func (l *Local) queue(dst geom.CoreID, evict bool, c Context) error {
+	if !l.Owns(dst) {
+		return fmt.Errorf("transport: send to core %d of a %d-core machine", dst, len(l.owned))
+	}
+	c.Sched = bytes.Clone(c.Sched)
+	l.mu.Lock()
+	if evict {
+		l.evicts = append(l.evicts, Arrival{Dst: dst, Evict: true, Ctx: c})
+	} else {
+		l.migs = append(l.migs, Arrival{Dst: dst, Ctx: c})
+	}
+	l.mu.Unlock()
+	select {
+	case l.wake <- struct{}{}:
+	default: // a wake-up is already pending; it covers this send
+	}
 	return nil
 }
 
-// Flush implements Transport; channel sends deliver immediately, so there
-// is never anything buffered.
+// Wake returns the channel that receives a token after a send; a token
+// covers every send queued before the next Take.
+func (l *Local) Wake() <-chan struct{} { return l.wake }
+
+// Take appends every queued send to dst and empties the queue: all
+// evictions first, then all migrations, each in send order — a native
+// return is accepted before any guest, as on the two virtual networks.
+func (l *Local) Take(dst []Arrival) []Arrival {
+	l.mu.Lock()
+	dst = append(dst, l.evicts...)
+	dst = append(dst, l.migs...)
+	clear(l.evicts)
+	clear(l.migs)
+	l.evicts, l.migs = l.evicts[:0], l.migs[:0]
+	l.mu.Unlock()
+	return dst
+}
+
+// Flush implements Transport; nothing is ever buffered.
 func (l *Local) Flush() error { return nil }
 
 // Remote implements Transport as a direct handler call.

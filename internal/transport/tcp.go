@@ -900,10 +900,16 @@ func (n *Node) Owns(core geom.CoreID) bool {
 	return int(core) >= 0 && int(core) < len(n.route) && n.route[core] == n.idx
 }
 
-// MigrationIn implements Transport; Prepare must have run.
+// InProcess implements Transport: a node's contexts arrive over the wire
+// into its per-core inboxes.
+func (n *Node) InProcess() *Local { return nil }
+
+// MigrationIn returns an owned core's migration inbox, which the core's
+// loop reads; Prepare must have run.
 func (n *Node) MigrationIn(core geom.CoreID) <-chan Context { return n.inbox(FrameMigration, core) }
 
-// EvictionIn implements Transport; Prepare must have run.
+// EvictionIn returns an owned core's eviction inbox, which the core's loop
+// reads; Prepare must have run.
 func (n *Node) EvictionIn(core geom.CoreID) <-chan Context { return n.inbox(FrameEviction, core) }
 
 // HandleMem implements Transport.

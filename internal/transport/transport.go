@@ -6,8 +6,10 @@
 // internal/machine is written against the Transport interface; two
 // implementations exist:
 //
-//   - Local: every core in one process, virtual networks are Go channels —
-//     the original goroutine machine.
+//   - Local: every core in one process. The machine steps them on one
+//     executor and hands contexts between them as queue pushes; Local
+//     carries only what comes from outside it — injected contexts, remote
+//     accesses and write-updates as direct handler calls.
 //   - Node/Coordinator (tcp.go): each core group is an OS process, messages
 //     travel as canonical length-prefixed frame batches over TCP (wire.go),
 //     and the migrated context really is the ContextWireBytes byte string a
@@ -16,11 +18,10 @@
 //     context left to run or its oldest frame has waited a round of flush
 //     points, so a node ships many ready messages in one syscall.
 //
-// The channel-capacity invariant carries over to the wire: every per-core
-// inbox has capacity for every context that can be sent to it, so an
-// inbound reader never blocks delivering into it — the socket is always
-// drained, writes never stall, and the in-process deadlock-freedom argument
-// becomes a bounded-wire-credit argument (DESIGN.md §6).
+// A node's per-core inboxes have capacity for every context that can be
+// sent to them, so an inbound reader never blocks delivering into one —
+// the socket is always drained, writes never stall, and deadlock freedom
+// is a bounded-wire-credit argument (DESIGN.md §6).
 //
 // The control plane keeps the coordinator off the critical path at paper
 // scale (64–256 cores, 8+ nodes): injection defers into the per-node batch
@@ -352,7 +353,8 @@ type MetricsSource interface {
 // Transport moves contexts and remote accesses between cores. A transport
 // instance serves one *endpoint* — the set of cores it owns locally — and
 // routes sends to any core in the system. Implementations must be safe for
-// concurrent use by all local core goroutines.
+// concurrent use by every goroutine that steps an owned core and by the
+// driver that injects contexts.
 type Transport interface {
 	// Cores returns the total core count of the system.
 	Cores() int
@@ -361,16 +363,18 @@ type Transport interface {
 	// Owns reports whether core is served by this endpoint.
 	Owns(core geom.CoreID) bool
 
-	// MigrationIn and EvictionIn return the inbox channels of a locally
-	// owned core: capacity for every thread, and for every thread native to
-	// the core, so a delivery never blocks while the machine invariant (at
-	// most one in-flight context per thread) holds.
-	MigrationIn(core geom.CoreID) <-chan Context
-	EvictionIn(core geom.CoreID) <-chan Context
+	// InProcess returns the in-process endpoint behind this transport when
+	// every core lives in this address space (Local, or a decorator that
+	// wraps one), and nil when contexts reach this endpoint over a wire
+	// (Node, whose per-core inboxes are MigrationIn and EvictionIn). A
+	// machine.Part steps the cores of an in-process endpoint on one
+	// executor and hands contexts between them itself; only contexts sent
+	// from outside that executor pass through SendMigration/SendEviction.
+	InProcess() *Local
 
 	// SendMigration ships c to dst's migration inbox (possibly remote).
 	// Sends to remote endpoints may coalesce in a per-connection batch
-	// buffer until Flush; in-process sends deliver immediately.
+	// buffer until Flush; in-process sends queue for the executor.
 	SendMigration(dst geom.CoreID, c Context) error
 	// SendEviction ships c to dst's eviction inbox. dst must be c's native
 	// core; the eviction network's sizing makes this send non-blocking.
@@ -378,11 +382,12 @@ type Transport interface {
 	SendEviction(dst geom.CoreID, c Context) error
 
 	// Flush marks a flush point: coalesced outbound messages go to the
-	// wire, all ready messages per destination in one write. The machine
-	// calls it after each execution slice and before a core parks idle.
-	// A buffering transport may hold them past a point while it still has
-	// contexts to run (Node: DESIGN.md §6); transports without buffering
-	// make it a no-op.
+	// wire, all ready messages per destination in one write. A TCP node's
+	// core loop calls it after each execution slice and before the core
+	// parks idle; the in-process executor once per round. A buffering
+	// transport may hold them past a point while it still has contexts to
+	// run (Node: DESIGN.md §6); transports without buffering make it a
+	// no-op.
 	Flush() error
 
 	// Remote performs req at dst's home shard and returns the reply. For a
@@ -403,8 +408,10 @@ type Transport interface {
 	HandleLeaseInval(h func(inv LeaseInval))
 }
 
-// checkEviction rejects a context evicted to a core it is not native to,
-// which could find that core's natives-sized inbox full.
+// checkEviction rejects a context evicted to a core it is not native to:
+// the eviction network carries native returns only, and a node sizes each
+// core's eviction inbox for that core's natives, so any other core's could
+// be full.
 func checkEviction(dst geom.CoreID, c Context) error {
 	if c.Native != int32(dst) {
 		return fmt.Errorf("transport: eviction of thread %d to core %d, but its native core is %d", c.Thread, dst, c.Native)

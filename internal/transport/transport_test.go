@@ -100,24 +100,84 @@ func TestLocalManifestPartition(t *testing.T) {
 	}
 }
 
+// TestLocalTransport pins the in-process transport's contract: Take hands
+// the executor every queued send, evictions before migrations and each in
+// send order (so FIFO per core), with contexts intact and Sched copied;
+// a send never blocks however many are queued, and wakes the executor.
 func TestLocalTransport(t *testing.T) {
 	l := transport.NewLocal(4, 2)
-	if l.Cores() != 4 || !l.Owns(3) || l.Owns(4) {
+	if l.Cores() != 4 || !l.Owns(3) || l.Owns(4) || l.InProcess() != l {
 		t.Fatal("ownership wrong")
 	}
-	c := sampleContext()
-	if err := l.SendMigration(2, c); err != nil {
-		t.Fatal(err)
+	if got := l.Take(nil); len(got) != 0 {
+		t.Fatalf("fresh transport has %d queued sends", len(got))
 	}
-	if got := <-l.MigrationIn(2); !reflect.DeepEqual(got, c) {
-		t.Fatalf("migration round trip: %+v", got)
+	ctx := func(thread int32) transport.Context {
+		c := sampleContext()
+		c.Thread, c.Native = thread, thread%4
+		c.Sched = []byte{byte(thread)}
+		return c
 	}
-	if err := l.SendEviction(1, c); err != nil {
-		t.Fatal(err)
+	sends := []struct {
+		dst    geom.CoreID
+		evict  bool
+		thread int32
+	}{{2, false, 5}, {1, true, 1}, {2, false, 6}, {1, true, 9}, {3, false, 2}}
+	var last []byte
+	for _, s := range sends {
+		send, c := l.SendMigration, ctx(s.thread)
+		if s.evict {
+			send = l.SendEviction
+		}
+		if err := send(s.dst, c); err != nil {
+			t.Fatal(err)
+		}
+		last = c.Sched
 	}
-	if got := <-l.EvictionIn(1); !reflect.DeepEqual(got, c) {
-		t.Fatalf("eviction round trip: %+v", got)
+	last[0] = 0 // the last sender reuses its buffer at once
+	select {
+	case <-l.Wake():
+	default:
+		t.Fatal("a send did not wake the executor")
 	}
+	want := []transport.Arrival{
+		{Dst: 1, Evict: true, Ctx: ctx(1)}, {Dst: 1, Evict: true, Ctx: ctx(9)},
+		{Dst: 2, Ctx: ctx(5)}, {Dst: 2, Ctx: ctx(6)}, {Dst: 3, Ctx: ctx(2)},
+	}
+	if got := l.Take(nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("take = %+v\nwant %+v", got, want)
+	}
+	if got := l.Take(nil); len(got) != 0 {
+		t.Fatalf("second take returned %d sends, want none", len(got))
+	}
+
+	// Nothing takes: thousands of sends to one core still return at once.
+	const many = 10_000
+	done := make(chan error, 1)
+	go func() {
+		for i := range many {
+			if err := l.SendMigration(0, ctx(int32(i))); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sends blocked with nothing taking them")
+	}
+	if got := l.Take(nil); len(got) != many || got[many-1].Ctx.Thread != many-1 {
+		t.Fatalf("took %d sends, want %d in order", len(got), many)
+	}
+	if err := l.SendMigration(4, ctx(0)); err == nil {
+		t.Error("send to a core outside the machine succeeded")
+	}
+
 	l.HandleMem(func(core geom.CoreID, req transport.MemRequest) transport.MemReply {
 		return transport.MemReply{Value: uint32(core) + req.Arg}
 	})
@@ -140,8 +200,8 @@ func TestEvictionToWrongCoreRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "thread 3 to core 0") || !strings.Contains(err.Error(), "native core is 1") {
 			t.Errorf("eviction to the wrong core: error %v, want one naming thread 3 and cores 0 and 1", err)
 		}
-		if n := len(l.EvictionIn(0)); n != 0 {
-			t.Errorf("%d contexts reached core 0's eviction inbox", n)
+		if n := len(l.Take(nil)); n != 0 {
+			t.Errorf("%d contexts were queued for the executor", n)
 		}
 	})
 	t.Run("tcp", func(t *testing.T) {
