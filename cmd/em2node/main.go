@@ -1,5 +1,5 @@
 // Command em2node serves one node of a distributed EM² cluster: it runs
-// the core loops and memory shards of the cores its manifest entry owns,
+// the executor and memory shards of the cores its manifest entry owns,
 // with migrating contexts and remote accesses crossing TCP to the other
 // nodes, then exits when the coordinator shuts the run down.
 //

@@ -53,6 +53,8 @@ func (c Config) Validate() error {
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Ways) }
 
 // Lines returns the total line capacity.
+//
+//em2:reference-only the cache tests size their expectations with it
 func (c Config) Lines() int { return c.SizeBytes / c.LineBytes }
 
 // LineOf returns the line-aligned address containing a.
@@ -147,6 +149,8 @@ fill:
 }
 
 // Probe reports whether address a is present without updating LRU or stats.
+//
+//em2:reference-only the cache and dircc tests check residency without touching LRU order
 func (c *Cache) Probe(a Addr) bool {
 	set, tag := c.setAndTag(a)
 	for _, ln := range c.sets[set] {
@@ -214,6 +218,8 @@ func (c *Cache) ValidLines() []Addr {
 }
 
 // Reset empties the cache and zeroes statistics.
+//
+//em2:reference-only the cache tests reuse one cache with it
 func (c *Cache) Reset() {
 	for _, set := range c.sets {
 		for i := range set {
@@ -225,6 +231,8 @@ func (c *Cache) Reset() {
 }
 
 // HitRate returns hits/(hits+misses), or 0 if no accesses happened.
+//
+//em2:reference-only the cache tests check their hit counts through it
 func (c *Cache) HitRate() float64 {
 	total := c.Hits + c.Misses
 	if total == 0 {
@@ -256,6 +264,8 @@ const (
 )
 
 // String implements fmt.Stringer.
+//
+//em2:reference-only fmt.Stringer for test failure output
 func (l Level) String() string {
 	switch l {
 	case LevelL1:
@@ -282,13 +292,19 @@ func (h *Hierarchy) Access(a Addr, write bool) Level {
 }
 
 // Probe reports whether a is resident at either level.
+//
+//em2:reference-only the two-level cache tests check residency with it
 func (h *Hierarchy) Probe(a Addr) bool { return h.L1.Probe(a) || h.L2.Probe(a) }
 
 // Reset empties both levels.
+//
+//em2:reference-only the two-level cache tests reuse one hierarchy with it
 func (h *Hierarchy) Reset() { h.L1.Reset(); h.L2.Reset() }
 
 // Stats renders hierarchy counters into the given counter set under the
 // given prefix.
+//
+//em2:reference-only the two-level cache tests read the counters through it
 func (h *Hierarchy) Stats(prefix string, c *stats.Counters) {
 	c.Inc(prefix+".l1.hits", h.L1.Hits)
 	c.Inc(prefix+".l1.misses", h.L1.Misses)

@@ -38,6 +38,8 @@ const (
 )
 
 // String implements fmt.Stringer.
+//
+//em2:reference-only fmt.Stringer for test failure output
 func (o Outcome) String() string {
 	switch o {
 	case OutcomeLocal:
@@ -436,7 +438,11 @@ func (e *Engine) collectCounters() {
 
 // GuestOccupancy returns the number of guest contexts in use at core c after
 // a Run — exposed for the eviction-protocol tests.
+//
+//em2:reference-only the eviction-protocol tests check guest pools after a run
 func (e *Engine) GuestOccupancy(c geom.CoreID) int { return len(e.guests[c]) }
 
 // Location returns thread t's core after a Run.
+//
+//em2:reference-only the engine tests check where each thread ended
 func (e *Engine) Location(t int) geom.CoreID { return e.loc[t] }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/trace"
 )
@@ -48,24 +47,29 @@ type Leaser interface {
 	LeaseWindow() uint64
 }
 
-// leaseEnt is one cached word: its address, value, and the last own-op
-// count at which it may still be served.
+// leaseEnt is one cached word: its address, value, the last own-op count
+// at which it may still be served, and the use stamp of its last fill or
+// hit.
 type leaseEnt struct {
-	addr   cache.Addr
+	addr   trace.Addr
 	value  uint32
 	expire uint64
+	used   uint64
 }
 
 // LeaseCache is one thread's lease cache: a word-granular,
-// fully-associative, true-LRU tag store (internal/cache) plus the held
-// words' values and expiries. It is not safe for concurrent use; the
-// runtime serializes access per core.
+// fully-associative, true-LRU store of the held words' values and
+// expiries. It is not safe for concurrent use; the runtime serializes
+// access per core.
 type LeaseCache struct {
-	tags *cache.Cache
-	// ents holds one entry per held word, in no particular order. It is a
-	// slice, not a map: at a handful of entries a scan beats hashing on
-	// every probe, and the probe runs on every remote-homed access.
-	ents   []leaseEnt
+	// ents holds one entry per held word, in no particular order, and its
+	// capacity is the cache's entry count. It is a slice, not a map: at a
+	// handful of entries a scan beats hashing on every probe, and the probe
+	// runs on every remote-homed access.
+	ents []leaseEnt
+	// clock stamps each fill and hit; the entry with the oldest stamp is
+	// the least recently used.
+	clock  uint64
 	window uint64
 }
 
@@ -78,13 +82,7 @@ func NewLeaseCache(entries int, window uint64) *LeaseCache {
 	if window == 0 {
 		window = DefaultLeaseWindow
 	}
-	return &LeaseCache{
-		// One set of `entries` ways over 4-byte lines: fully associative
-		// at word granularity, deterministic true LRU.
-		tags:   cache.New(cache.Config{SizeBytes: 4 * entries, LineBytes: 4, Ways: entries}),
-		ents:   make([]leaseEnt, 0, entries),
-		window: window,
-	}
+	return &LeaseCache{ents: make([]leaseEnt, 0, entries), window: window}
 }
 
 // Window returns the validity window.
@@ -94,7 +92,7 @@ func (c *LeaseCache) Window() uint64 { return c.window }
 func (c *LeaseCache) Len() int { return len(c.ents) }
 
 // find returns the index of addr's entry, or -1.
-func (c *LeaseCache) find(addr cache.Addr) int {
+func (c *LeaseCache) find(addr trace.Addr) int {
 	for i := range c.ents {
 		if c.ents[i].addr == addr {
 			return i
@@ -106,53 +104,58 @@ func (c *LeaseCache) find(addr cache.Addr) int {
 // Valid reports whether a cached read of addr would hit at own-op count
 // now. It never mutates: Decide probes through it, and a pure probe
 // keeps the decision replayable.
-func (c *LeaseCache) Valid(addr cache.Addr, now uint64) bool {
+func (c *LeaseCache) Valid(addr trace.Addr, now uint64) bool {
 	i := c.find(addr)
 	return i >= 0 && now <= c.ents[i].expire
 }
 
 // Lookup serves a cached read at own-op count now: on a valid entry it
-// returns the value and touches the LRU stamp; an expired entry is
+// returns the value and stamps the entry used; an expired entry is
 // removed and misses. The hit path is allocation-free.
-func (c *LeaseCache) Lookup(addr cache.Addr, now uint64) (uint32, bool) {
+func (c *LeaseCache) Lookup(addr trace.Addr, now uint64) (uint32, bool) {
 	i := c.find(addr)
 	if i < 0 {
 		return 0, false
 	}
 	if now > c.ents[i].expire {
-		c.remove(i)
+		c.drop(i)
 		return 0, false
 	}
-	c.tags.Access(addr, false)
+	c.clock++
+	c.ents[i].used = c.clock
 	return c.ents[i].value, true
 }
 
 // Fill installs the reply of a lease-granting remote read performed at
 // own-op count now, evicting the LRU entry if the cache is full.
-func (c *LeaseCache) Fill(addr cache.Addr, value uint32, now uint64) {
-	r := c.tags.Access(addr, false)
-	if r.Evicted {
-		if i := c.find(r.EvictedAddr); i >= 0 {
-			c.drop(i)
-		}
-	}
-	e := leaseEnt{addr: addr, value: value, expire: now + c.window}
+func (c *LeaseCache) Fill(addr trace.Addr, value uint32, now uint64) {
+	c.clock++
+	e := leaseEnt{addr: addr, value: value, expire: now + c.window, used: c.clock}
 	if i := c.find(addr); i >= 0 {
 		c.ents[i] = e
-	} else {
-		c.ents = append(c.ents, e)
+		return
 	}
+	if len(c.ents) == cap(c.ents) {
+		lru := 0
+		for i := range c.ents {
+			if c.ents[i].used < c.ents[lru].used {
+				lru = i
+			}
+		}
+		c.drop(lru)
+	}
+	c.ents = append(c.ents, e)
 }
 
 // InvalidateOwn removes addr after the holder's own write to it,
 // reporting whether a lease was actually held (the lease_invals
 // counter counts true returns).
-func (c *LeaseCache) InvalidateOwn(addr cache.Addr) bool {
+func (c *LeaseCache) InvalidateOwn(addr trace.Addr) bool {
 	i := c.find(addr)
 	if i < 0 {
 		return false
 	}
-	c.remove(i)
+	c.drop(i)
 	return true
 }
 
@@ -160,7 +163,7 @@ func (c *LeaseCache) InvalidateOwn(addr cache.Addr) bool {
 // expiry untouched. A miss is a no-op: foreign writes never add or
 // remove entries, so hit counts stay a pure function of the holder's
 // own stream.
-func (c *LeaseCache) Update(addr cache.Addr, value uint32) bool {
+func (c *LeaseCache) Update(addr trace.Addr, value uint32) bool {
 	i := c.find(addr)
 	if i < 0 {
 		return false
@@ -171,10 +174,7 @@ func (c *LeaseCache) Update(addr cache.Addr, value uint32) bool {
 
 // Reset returns the cache to the state NewLeaseCache builds, keeping its
 // storage: a reused context slot resets its cache on every arrival.
-func (c *LeaseCache) Reset() {
-	c.tags.Reset()
-	c.ents = c.ents[:0]
-}
+func (c *LeaseCache) Reset() { c.ents, c.clock = c.ents[:0], 0 }
 
 // DropAll empties the cache — migration or eviction departure.
 func (c *LeaseCache) DropAll() {
@@ -186,21 +186,15 @@ func (c *LeaseCache) DropAll() {
 
 // DropRange removes every lease in [lo, hi) — serve-mode region
 // reclamation, so a recycled region can never serve a stale lease.
-func (c *LeaseCache) DropRange(lo, hi cache.Addr) int {
+func (c *LeaseCache) DropRange(lo, hi trace.Addr) int {
 	n := 0
 	for i := len(c.ents) - 1; i >= 0; i-- {
 		if a := c.ents[i].addr; lo <= a && a < hi {
-			c.remove(i)
+			c.drop(i)
 			n++
 		}
 	}
 	return n
-}
-
-// remove drops entry i and its tag.
-func (c *LeaseCache) remove(i int) {
-	c.tags.Invalidate(c.ents[i].addr)
-	c.drop(i)
 }
 
 // drop deletes entry i, moving the last entry into its place.
@@ -224,7 +218,7 @@ func NewLeaseView(c *LeaseCache, now uint64) LeaseView { return LeaseView{c: c, 
 
 // Valid reports whether a cached read of addr would hit.
 func (v LeaseView) Valid(addr trace.Addr) bool {
-	return v.c != nil && v.c.Valid(cache.Addr(addr), v.now)
+	return v.c != nil && v.c.Valid(trace.Addr(addr), v.now)
 }
 
 // CachedRemote is the pure-caching baseline (the dircc-equivalent point

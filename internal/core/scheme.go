@@ -352,6 +352,8 @@ func (p *HistoryPredictor) Flush() {
 
 // LastRun returns the learned run length for the page containing addr and
 // whether the table holds it — a test hook mirroring what Decide consults.
+//
+//em2:reference-only the history tests read the learned table through it
 func (p *HistoryPredictor) LastRun(addr trace.Addr) (int, bool) {
 	page := p.page(addr)
 	for _, e := range p.entries {

@@ -103,6 +103,8 @@ type Result struct {
 }
 
 // String renders a one-line summary.
+//
+//em2:reference-only fmt.Stringer for test failure output
 func (r *Result) String() string {
 	return fmt.Sprintf("dircc/%s: accesses=%d hits=%d rdMiss=%d wrMiss=%d inval=%d cycles=%d traffic=%d repl=%.2f",
 		r.Workload, r.Accesses, r.LocalHits, r.ReadMisses, r.WriteMisses,
@@ -316,9 +318,13 @@ func (e *Engine) collectCounters() {
 }
 
 // CacheOf exposes a core's private cache for tests.
+//
+//em2:reference-only the dircc tests inspect a core cache through it
 func (e *Engine) CacheOf(c geom.CoreID) *cache.Cache { return e.caches[c] }
 
 // DirectoryState reports (sharerCount, modified) for a line, for tests.
+//
+//em2:reference-only the dircc tests check directory state through it
 func (e *Engine) DirectoryState(a trace.Addr) (int, bool) {
 	d := e.dir[e.line(a)]
 	if d == nil {

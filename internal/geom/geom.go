@@ -72,6 +72,8 @@ func (m Mesh) CoordOf(id CoreID) Coord {
 
 // CoreAt returns the core at a coordinate. It panics if the coordinate is
 // outside the mesh.
+//
+//em2:reference-only the geometry tests check coordinates round-trip through it
 func (m Mesh) CoreAt(c Coord) CoreID {
 	if c.X < 0 || c.X >= m.w || c.Y < 0 || c.Y >= m.h {
 		panic(fmt.Sprintf("geom: coord %+v outside %dx%d mesh", c, m.w, m.h))
@@ -93,6 +95,8 @@ func (m Mesh) Diameter() int { return (m.w - 1) + (m.h - 1) }
 // visits travelling from src to dst, inclusive of both endpoints. XY routing
 // is deadlock-free on a mesh, which is why EM² uses it for all six virtual
 // networks.
+//
+//em2:reference-only the geometry tests check XY routing against hop counts
 func (m Mesh) Route(src, dst CoreID) []CoreID {
 	cs, cd := m.CoordOf(src), m.CoordOf(dst)
 	path := make([]CoreID, 0, m.Hops(src, dst)+1)
@@ -119,6 +123,7 @@ func abs(x int) int {
 	return x
 }
 
+//em2:reference-only Route steps with it
 func sign(x int) int {
 	switch {
 	case x < 0:

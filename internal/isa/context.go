@@ -28,12 +28,7 @@ func (c Context) AppendWire(b []byte) []byte {
 	return b
 }
 
-// EncodeWire returns the ContextWireBytes-byte encoding of c.
-func (c Context) EncodeWire() []byte {
-	return c.AppendWire(make([]byte, 0, ContextWireBytes))
-}
-
-// DecodeContext is the inverse of EncodeWire. The input must be exactly
+// DecodeContext is the inverse of AppendWire. The input must be exactly
 // ContextWireBytes long; every such input decodes successfully, and
 // decode∘encode is the identity.
 func DecodeContext(b []byte) (Context, error) {

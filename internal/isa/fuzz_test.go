@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// EncodeWire returns the ContextWireBytes-byte encoding of c.
+func (c Context) EncodeWire() []byte {
+	return c.AppendWire(make([]byte, 0, ContextWireBytes))
+}
+
 // exampleSources seed the fuzz corpora with the program shapes the
 // repository actually runs (examples/runtime, the litmus tests).
 var exampleSources = []string{

@@ -148,7 +148,7 @@ func WithWireStats(w io.Writer) NodeOption {
 const defaultHeartbeatMillis = 500
 
 // ServeNode runs one cluster node to completion: listen per the manifest,
-// receive the coordinator's LoadSpec, start the owned cores' loops over an
+// receive the coordinator's LoadSpec, start the executor over an
 // empty slot pool and answer the load (or report the actual load failure),
 // let the part answer every later request — each job's programs and memory
 // arrive in a JobSpec — with contexts and remote accesses crossing the TCP
@@ -211,7 +211,7 @@ func ServeNode(man transport.Manifest, idx int, opts ...NodeOption) error {
 	if err := part.StartServe(spec.NumThreads, onHalt); err != nil {
 		return failLoad(err)
 	}
-	tn.Ready() // open the data plane: Prepare'd inboxes + handler are live
+	tn.Ready() // open the data plane: the queue and handlers are live
 	if err := tn.SendReply(transport.Reply{}); err != nil {
 		return err
 	}

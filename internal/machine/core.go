@@ -47,9 +47,8 @@ type context struct {
 	// lease is the thread's read cache for remote words under a caching
 	// scheme (nil otherwise). It is machine state, not predictor state: it
 	// is unregistered on every departure and reset on every arrival, so it
-	// never rides the wire. Guarded by the residing core's leaseMu —
-	// on a TCP node the home shards' write-updates arrive on the link
-	// server goroutines.
+	// never rides the wire. Guarded by the residing core's leaseMu, for
+	// RetireJob's range drops.
 	lease *core.LeaseCache
 	// observed marks a context shipped mid-instruction: the access at pc
 	// was fed to pred.Observe before the migration, and the re-execution at
@@ -67,21 +66,24 @@ func archContext(c *context) isa.Context {
 
 // coreNode is one core: its run queue, the per-core ends of the migration
 // and eviction virtual networks, and the core's slot in the runtime
-// metrics. In process the networks are the queues the executor pushes
-// slots onto; on a TCP node, the node's inbox channels that the core's
-// loop reads.
+// metrics. Touched only by the part's executor, except as noted.
 type coreNode struct {
 	id  geom.CoreID
 	p   *Part
 	ctr *coreCounters
-	// evictQ and migQ are the in-process ends: native returns and
-	// guest-bound migrations waiting for the core's next turn. Unbounded —
-	// at most one context per thread exists — and touched only by the
-	// executor.
+	// evictQ and migQ are the core's ends of the eviction and migration
+	// networks: native returns and guest-bound migrations waiting for the
+	// core's next turn. Unbounded — at most one context per thread exists.
 	evictQ, migQ []*context
-	migIn        <-chan transport.Context // TCP node: guest-bound migrations (paper's migration VN)
-	evictIn      <-chan transport.Context // TCP node: native returns (paper's eviction VN)
 	runq         []*context
+	// wait is the remote op to another node that the executing context
+	// awaits (c nil when none); the core skips its turns until it lands.
+	wait struct {
+		c    *context
+		req  transport.MemRequest // Lease set for a leased read
+		in   isa.Instr
+		step int // the instruction's step in its quantum slice
+	}
 	// guests counts the core's *resident* non-native contexts: those queued
 	// in runq plus the one currently executing (execGuest). Counting the
 	// mid-flight guest is what makes the GuestContexts limit honest — the
@@ -91,11 +93,10 @@ type coreNode struct {
 	execGuest bool // the currently executing context is a guest
 
 	// leaseMu guards the lease caches of every resident context (the
-	// leases registry and the caches themselves): the goroutine stepping
-	// the core probes and fills them while write-updates from a TCP node's
-	// server goroutines, and RetireJob's range drops, arrive from other
-	// goroutines. Never held across a blocking transport call — two cores
-	// mid-remote-access would deadlock delivering each other's updates.
+	// leases registry and the caches themselves): the executor probes,
+	// fills and updates them while RetireJob's range drops arrive from the
+	// goroutine that retires the job. Never held across a transport call,
+	// which may deliver write-updates to this core.
 	leaseMu sync.Mutex
 	leases  []*core.LeaseCache // of the contexts resident here
 }
@@ -199,66 +200,17 @@ func (n *coreNode) dropLeaseRange(lo, hi uint32) {
 	n.leaseMu.Unlock()
 }
 
-// flush pushes the transport's coalesced sends out at a flush point. A
+// flush writes the transport's coalesced sends (runExecutor says when). A
 // failed flush means a peer connection died with contexts in the buffer —
 // the run is lost, so say why once (the writer's error is sticky and would
 // repeat every cycle) and park the whole part: work produced after the
 // wire is gone can never leave the machine, so continuing to execute would
-// just spin until external teardown. The abort trips every core's done
-// check.
+// just spin until external teardown. The abort stops the executor at the
+// end of its round.
 func (p *Part) flush() {
 	if err := p.tr.Flush(); err != nil && p.flushFailed.CompareAndSwap(false, true) {
 		fmt.Fprintf(os.Stderr, "machine: transport flush: %v\n", err)
 		p.abort()
-	}
-}
-
-// loop is a TCP node's core goroutine: accept arrivals, time-slice resident
-// contexts.
-func (n *coreNode) loop() {
-	defer n.p.wg.Done()
-	guest := false // a guest was admitted since the core's last slice
-	for {
-		guest = n.drain(guest)
-		if len(n.runq) == 0 {
-			// Idle: nothing more will be produced until an arrival. Parking
-			// is a flush point: the node writes its coalesced sends here if
-			// it is quiescent or its oldest deferred frame is due, and
-			// otherwise the cores still holding contexts reach further
-			// flush points (DESIGN.md §6, liveness).
-			n.p.flush()
-			select {
-			case c := <-n.evictIn:
-				n.acceptNative(n.p.fromWire(n.id, c))
-			case w := <-n.migIn:
-				c := n.p.fromWire(n.id, w)
-				n.acceptGuest(c)
-				guest = c.native != n.id
-			case <-n.p.done:
-				return
-			}
-			continue
-		}
-		n.runNext()
-		guest = false
-		// The end of an execution slice is a flush point. The node decides
-		// there whether what the slice produced — evictions while accepting
-		// guests, the migration that ended it — goes to the wire: it writes
-		// one batch per destination node when it is quiescent, or when its
-		// oldest deferred frame has lived through len(owned) flush points
-		// (DESIGN.md §6). Remote round trips inside the slice flush their
-		// own connection eagerly, carrying every deferred frame on it.
-		n.p.flush()
-		// An abort (Part.Stop with contexts still resident — a serve drain,
-		// a coordinator teardown) must terminate this loop even though the
-		// runq never empties; without this check a resident non-halting
-		// context would keep the idle branch, and its done case, forever
-		// unreachable.
-		select {
-		case <-n.p.done:
-			return
-		default:
-		}
 	}
 }
 
@@ -271,38 +223,32 @@ func (n *coreNode) runNext() {
 	// The popped context stays resident (and counted in guests) while it
 	// executes; execGuest marks it so the pool invariant covers it.
 	n.execGuest = c.native != n.id
-	n.execute(c)
+	n.execute(c, 0, sliceCounts{})
 }
 
-// drain accepts queued arrivals without blocking, by the executor's rule
-// (admit): every native return — they can never be refused, which is what
-// makes the eviction network's consumption unconditional — then
-// migrations in arrival order up to and including the first guest, none
-// if guest says one was already admitted since the core's last slice. The
-// rest wait in the migration inbox, which has room for every thread, for
-// the core's next turn. Reports whether a guest is now waiting for its
-// first slice.
-func (n *coreNode) drain(guest bool) bool {
-	for {
-		select {
-		case c := <-n.evictIn:
-			n.acceptNative(n.p.fromWire(n.id, c))
-			continue
-		default:
-		}
-		if guest {
-			return true
-		}
-		select {
-		case w := <-n.migIn:
-			c := n.p.fromWire(n.id, w)
-			n.acceptGuest(c)
-			guest = c.native != n.id
-			continue
-		default:
-		}
+// resume finishes the turn of a core whose context awaits a remote reply:
+// nothing while the reply is owed; once it has landed, the memory
+// instruction completes and the suspended slice runs on from the next
+// step; if the link died first, the context is lost with it. Reports
+// whether the context ran.
+func (n *coreNode) resume() bool {
+	rep, done, err := n.p.tr.Poll(n.id)
+	if !done {
 		return false
 	}
+	w := n.wait
+	n.wait.c = nil
+	if err != nil {
+		n.guestDeparted(w.c) // run lost to transport teardown
+		return true
+	}
+	if w.req.Lease != 0 {
+		n.fillLease(w.c, w.req, rep)
+	}
+	var sc sliceCounts
+	memDone(w.c, w.in, rep, &sc)
+	n.execute(w.c, w.step+1, sc)
+	return true
 }
 
 func (n *coreNode) acceptNative(c *context) {
@@ -318,15 +264,14 @@ func (n *coreNode) acceptNative(c *context) {
 // acceptGuest implements Figure 1's "# threads exceeded?" box: if the guest
 // pool is full, a resident guest is evicted to its native core on the
 // eviction network, whose delivery never blocks — an unbounded queue in
-// process, an inbox with room for every native of that core on a TCP node
-// (the deadlock-freedom argument). The currently executing guest cannot be
+// process and on a TCP node alike (the deadlock-freedom argument). The currently executing guest cannot be
 // displaced mid-instruction; when it is the only remaining guest the
 // arrival is accepted anyway (refusing would deadlock the migration
 // network) and the overflow is counted as an overcommit. A guest that
 // evicts takes its victim's place in the run queue rather than the tail,
 // so queued guests only ever move toward the head; together with
-// admitting at most one guest between two slices (admit, drain), that is
-// the progress rule (DESIGN.md §6).
+// admitting at most one guest between two slices (admit), that is the
+// progress rule (DESIGN.md §6).
 func (n *coreNode) acceptGuest(c *context) {
 	if c.native == n.id {
 		// A migration can target the thread's own native core (returning
@@ -412,12 +357,13 @@ func (n *coreNode) guestDeparted(c *context) {
 	n.checkGuestPool()
 }
 
-// execute runs a context for up to one quantum. The context either stays
-// (requeued), halts, or migrates away; each exit publishes sc first.
-func (n *coreNode) execute(c *context) {
+// execute runs a context from the given step of its quantum slice to the
+// slice's end, adding to sc, the slice's counts so far. The context either
+// stays (requeued), halts, migrates away, or suspends on a remote op to
+// another node (resume runs the rest); each exit publishes sc first.
+func (n *coreNode) execute(c *context, step int, sc sliceCounts) {
 	prog := c.spec.Program
-	var sc sliceCounts
-	for step := 0; step < n.p.cfg.Quantum; step++ {
+	for ; step < n.p.cfg.Quantum; step++ {
 		if c.pc < 0 || int(c.pc) >= len(prog) {
 			panic(fmt.Sprintf("machine: thread %d pc %d outside program of %d instructions",
 				c.thread, c.pc, len(prog)))
@@ -447,10 +393,10 @@ func (n *coreNode) execute(c *context) {
 				info.Access.Write = in.IsWrite()
 				var dec core.Decision
 				if c.lease != nil {
-					// Probe and decide under leaseMu (a TCP node's write-updates
-					// arrive on link server goroutines), but never hold it across
-					// the transport calls below — two cores mid-remote-access
-					// would deadlock delivering each other's updates.
+					// Probe and decide under leaseMu (RetireJob drops ranges
+					// from another goroutine), but never hold it across the
+					// transport calls below, which may deliver write-updates
+					// to this core.
 					n.leaseMu.Lock()
 					info.Lease = core.NewLeaseView(c.lease, uint64(c.memSeq))
 					dec = c.pred.Decide(info)
@@ -519,15 +465,12 @@ func (n *coreNode) execute(c *context) {
 			} else {
 				sc.localOps++
 			}
-			if !n.applyMem(c, in, addr, home, leased) {
+			rep, ok := n.applyMem(c, in, addr, home, leased, step)
+			if !ok {
 				n.ctr.publish(&sc)
-				n.guestDeparted(c) // run lost to transport teardown
 				return
 			}
-			c.observed = false // the access completed; the next one is fresh
-			c.pc++
-			sc.instructions++
-			c.cycles++
+			memDone(c, in, rep, &sc)
 			continue
 		}
 		if in.Op == isa.HALT {
@@ -551,13 +494,14 @@ func (n *coreNode) execute(c *context) {
 	n.requeue(c)
 }
 
-// applyMem performs the memory instruction against addr's home shard via
-// the transport: a direct locked call when this endpoint owns home, a wire
-// round trip otherwise. Either way the home shard's lock is the
-// serialization point. A leased read additionally asks the home for a
-// lease grant and fills the thread's cache from the reply. Returns false
-// if the transport failed (teardown).
-func (n *coreNode) applyMem(c *context, in isa.Instr, addr uint32, home geom.CoreID, leased bool) bool {
+// applyMem performs the memory instruction against addr's home shard: a
+// direct call through the transport when this part owns home — the home
+// shard's lock is the serialization point — and otherwise a request to
+// the owning node, on which the context suspends at this step of its slice
+// until the reply lands (resume). A leased read additionally asks the home
+// for a lease grant. Reports the reply, or false if the context has
+// suspended or was lost to transport teardown.
+func (n *coreNode) applyMem(c *context, in isa.Instr, addr uint32, home geom.CoreID, leased bool, step int) (transport.MemReply, bool) {
 	req := transport.MemRequest{Thread: int32(c.thread), TSeq: c.memSeq, Addr: addr, From: uint32(n.id)}
 	if leased {
 		// The window fits u16 by NewPart's validation; the home does not
@@ -576,24 +520,48 @@ func (n *coreNode) applyMem(c *context, in isa.Instr, addr uint32, home geom.Cor
 	default:
 		panic(fmt.Sprintf("machine: %v is not a memory instruction", in.Op))
 	}
+	if n.p.nodeOf[home] == nil {
+		if n.p.tr.Request(home, req) != nil {
+			n.guestDeparted(c)
+			return transport.MemReply{}, false
+		}
+		n.wait.c, n.wait.req, n.wait.in, n.wait.step = c, req, in, step
+		return transport.MemReply{}, false
+	}
 	rep, err := n.p.tr.Remote(home, req)
 	if err != nil {
-		return false
+		n.guestDeparted(c)
+		return rep, false
 	}
 	if leased {
-		// Fill at the PRE-access op count (req.TSeq): the same virtual
-		// fill time the trace-model oracle uses, so expiry boundaries land
-		// on identical own-stream indices.
-		n.leaseMu.Lock()
-		c.lease.Fill(cache.Addr(addr), rep.Value, uint64(req.TSeq))
-		n.leaseMu.Unlock()
+		n.fillLease(c, req, rep)
 	}
+	return rep, true
+}
+
+// fillLease fills c's lease cache from a granted read's reply, at the
+// PRE-access op count (req.TSeq): the same virtual fill time the
+// trace-model oracle uses, so expiry boundaries land on identical
+// own-stream indices.
+func (n *coreNode) fillLease(c *context, req transport.MemRequest, rep transport.MemReply) {
+	n.leaseMu.Lock()
+	c.lease.Fill(cache.Addr(req.Addr), rep.Value, uint64(req.TSeq))
+	n.leaseMu.Unlock()
+}
+
+// memDone retires the memory instruction in with its home's reply: the
+// thread's memory-op count advances and the destination register takes
+// the value.
+func memDone(c *context, in isa.Instr, rep transport.MemReply, sc *sliceCounts) {
 	c.memSeq++
 	switch in.Op {
 	case isa.LW, isa.FAA, isa.SWAP:
 		writeReg(c, in.Rd, rep.Value)
 	}
-	return true
+	c.observed = false // the access completed; the next one is fresh
+	c.pc++
+	sc.instructions++
+	c.cycles++
 }
 
 // executeALU interprets a non-memory, non-halt instruction.

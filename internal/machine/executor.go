@@ -4,37 +4,52 @@ import (
 	"repro/internal/transport"
 )
 
-// runExecutor steps every core of an in-process part on one goroutine. A
-// round visits the cores in id order; each admits its arrivals and runs one
-// quantum slice of the context at the head of its run queue. A migration
-// or eviction between these cores is a push of the thread's slot onto the
-// destination's queue (Part.ship), so given the injected contexts the whole
-// schedule — every eviction, every lease write-update — is a function of
-// the program and the configuration alone. The executor blocks only when a
-// round ran nothing, which leaves every queue empty; contexts sent from
-// outside it (transport.Local's queue) wake it.
+// runExecutor steps every core of the part on one goroutine, on either
+// transport. A round visits the cores in id order and gives each its turn:
+// admit its arrivals and run one quantum slice of the context at the head
+// of its run queue, or, for a core whose context awaits another node's
+// reply, resume that slice once the reply has landed. A migration or
+// eviction between these cores is a push of the thread's slot onto the
+// destination's queue (Part.ship). Between rounds the executor takes what
+// the transport queued — injected contexts, and on a TCP node contexts,
+// memory requests and lease updates from the peers. In process, given the injected contexts, the whole schedule —
+// every eviction, every lease write-update — is a function of the program
+// and the configuration alone.
+//
+// Flush writes what the rounds sent to other nodes, one write per peer
+// link: when a round ran nothing, before the executor parks, and otherwise
+// once every len(p.nodes) rounds, so no frame waits longer than that many
+// rounds (DESIGN.md §6). The executor blocks only when a round ran
+// nothing, with nothing left buffered; an arrival or a landed reply wakes
+// it.
 func (p *Part) runExecutor() {
 	defer p.wg.Done()
 	var in []transport.Arrival
-	wake := p.local.Wake()
+	wake := p.tr.Wake()
+	age := 0 // rounds since the last Flush
 	for {
 		ran := false
 		for _, n := range p.nodes {
+			if n.wait.c != nil {
+				ran = n.resume() || ran
+				continue
+			}
 			n.admit()
 			if len(n.runq) > 0 {
 				n.runNext()
 				ran = true
 			}
 		}
-		// One flush point per round: in process nothing is buffered, but a
-		// decorator's failing Flush must still park the part.
-		p.flush()
+		if age++; !ran || age >= len(p.nodes) {
+			p.flush()
+			age = 0
+		}
 		if ran {
 			select {
 			case <-p.done:
 				return
 			case <-wake:
-				in = p.landInjected(in)
+				in = p.land(in)
 			default:
 			}
 			continue
@@ -43,19 +58,27 @@ func (p *Part) runExecutor() {
 		case <-p.done:
 			return
 		case <-wake:
-			in = p.landInjected(in)
+			in = p.land(in)
 		}
 	}
 }
 
-// landInjected takes the contexts queued on the in-process transport, lands
-// each in its thread's slot, and queues it at its destination core. in is
-// the reused take buffer.
-func (p *Part) landInjected(in []transport.Arrival) []transport.Arrival {
-	in = p.local.Take(in[:0])
+// land takes what the transport queued: each context lands in its
+// thread's slot and joins its destination core's queue, each memory
+// request is served and answered on its link, and each lease update
+// reaches the holder's resident caches. in is the previous take's slice,
+// handed back for reuse.
+func (p *Part) land(in []transport.Arrival) []transport.Arrival {
+	in = p.tr.Take(in)
 	for i := range in {
-		a := &in[i]
-		p.nodeOf[a.Dst].deliver(p.fromWire(a.Dst, a.Ctx), a.Evict)
+		switch a := &in[i]; a.Kind {
+		case transport.FrameMigration, transport.FrameEviction:
+			p.nodeOf[a.Dst].deliver(p.fromWire(a.Dst, a.Ctx), a.Kind == transport.FrameEviction)
+		case transport.FrameMemReq:
+			_ = p.tr.Answer(a, p.serveMem(a.Dst, a.Req)) //em2:errsink-ok: the requester's link is dying; its node fails the call
+		case transport.FrameLeaseInval:
+			p.nodeOf[a.Dst].applyLeaseUpdate(a.Inv)
+		}
 	}
 	return in
 }

@@ -187,3 +187,52 @@ func TestDecoratedLocalRunsContexts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExecutorServesWhileAwaitingRemote: threads on both nodes of a 2-node
+// cluster issue remote ops to the other node at the same time, so each
+// node's executor has cores waiting on replies while the peer's requests
+// queue for it. An executor that blocked in the remote call would serve
+// none of them: the two nodes would wait on each other until the run timed
+// out. The executor polls instead, and every counter ends exact.
+func TestExecutorServesWhileAwaitingRemote(t *testing.T) {
+	t.Parallel()
+	// striped:64 on a 2x2 mesh: word 64c is homed at core c, and node 0
+	// owns cores 0 and 1, node 1 cores 2 and 3. Thread t, native to core
+	// t, adds to the counter at core (t+2) mod 4, on the other node, and
+	// reads the word beside it.
+	n := sized(300, 60)
+	prog := isa.MustAssemble(fmt.Sprintf(`
+		addi r2, r0, %d
+		addi r3, r0, 1
+	loop:
+		faa  r4, 0(r5), r3
+		lw   r4, 4(r5)
+		addi r2, r2, -1
+		bne  r2, r0, loop
+		halt
+	`, n))
+	threads := make([]ThreadSpec, 4)
+	for i := range threads {
+		threads[i] = ThreadSpec{Program: prog, Regs: map[int]uint32{5: uint32(64 * ((i + 2) % 4))}}
+	}
+	lit := Litmus{Name: "cross-node-remote", Threads: threads,
+		Check: func(read func(uint32) uint32, _ [][isa.NumRegs]uint32) error {
+			for c := uint32(0); c < 4; c++ {
+				if got := read(64 * c); got != uint32(n) {
+					return fmt.Errorf("counter at core %d is %d, want %d", c, got, n)
+				}
+			}
+			return nil
+		}}
+	man, join, err := Loopback(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ClusterConfig{Scheme: "always-remote", Placement: "striped:64", Quantum: 8, LogEvents: true, Timeout: 20 * time.Second}
+	res := runVerified(t, man, join, cfg, lit)
+	for _, m := range res.PerCore {
+		if got := m.RemoteReads + m.RemoteWrites; got != int64(2*n) {
+			t.Errorf("core %d issued %d remote ops, want %d", m.Core, got, 2*n)
+		}
+	}
+}

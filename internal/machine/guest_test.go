@@ -221,7 +221,11 @@ func TestHaltReportedAfterGuestDeparts(t *testing.T) {
 	if err := part.Start([]ThreadSpec{{Program: prog}}, func(transport.HaltMsg) {
 		var s transport.Sample
 		part.SampleInto(&s)
-		guests <- s.GuestTotal()
+		var total int64
+		for _, g := range s.Guests {
+			total += g
+		}
+		guests <- total
 	}); err != nil {
 		t.Fatal(err)
 	}

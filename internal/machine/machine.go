@@ -11,9 +11,10 @@
 //     the migration and eviction virtual networks are per-core queues of
 //     thread slots — a hand-off is a queue push, with nothing encoded. Given
 //     the injected contexts, the schedule is deterministic.
-//   - Across processes (ServeNode/ClusterRun): each node process runs the
-//     cores of its manifest entry, one goroutine per core, and contexts
-//     cross real TCP sockets in their fixed wire encoding (transport.Node).
+//   - Across processes (ServeNode/ClusterRun): each node process steps the
+//     cores of its manifest entry on the same executor, and contexts bound
+//     for another node cross real TCP sockets in their fixed wire encoding
+//     (transport.Node).
 //
 // Either way a run is resolve → inject → await halts → fold, written once
 // in lifecycle.go; Machine.Run, ClusterRun.Run and the serve backends only
@@ -34,10 +35,9 @@
 //   - Deadlock-free migration: each thread has a reserved native context;
 //     evictions travel on a dedicated network (the paper's separate virtual
 //     network) that is always consumed, so an eviction never waits
-//     (experiment M2). In process its queues are unbounded; over TCP each
-//     core's inbox has room for every thread native to it, a wire credit:
-//     inbound readers always find inbox space, sockets always drain
-//     (DESIGN.md §6).
+//     (experiment M2). Its queues are unbounded on both transports, and a
+//     TCP node's readers only queue, so sockets always drain (DESIGN.md
+//     §6).
 package machine
 
 import (
@@ -171,6 +171,8 @@ func (m *Machine) Read(addr uint32) uint32 {
 // MemImage returns a copy of the machine's entire memory contents — every
 // word any shard holds — for whole-state comparisons (the differential
 // transport tests).
+//
+//em2:reference-only the differential and determinism tests compare whole images
 func (m *Machine) MemImage() map[uint32]uint32 {
 	return m.part.MemImage()
 }

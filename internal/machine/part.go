@@ -15,9 +15,9 @@ import (
 )
 
 // coreCounters is one core's runtime metrics. Each counter is written only
-// by the goroutine that steps the core — the part's executor in process, the
-// core's own loop on a TCP node — so the atomics are uncontended; they exist
-// so Collect and Sample can read them from another goroutine. Those in
+// by the part's executor, on either transport, so the atomics are
+// uncontended; they exist so Collect and Sample can read them from another
+// goroutine (a serve driver, a node's control handler). Those in
 // sliceCounts are published once per execution slice, before its send, halt
 // report, departure or requeue, which every deterministic sample point
 // follows; an advisory heartbeat sample may lag by one slice.
@@ -101,10 +101,10 @@ func contextFlits(stateLen int) int64 {
 
 // Part runs the cores a transport endpoint owns: their execution, their
 // shards, and the memory handler that serves remote accesses to those
-// shards. The whole machine is one Part over a transport.Local, whose cores
-// one executor goroutine steps (executor.go); a cluster is one Part per
-// node process over transport.Node endpoints, one loop goroutine per core,
-// all loaded with the same programs (code is replicated, data is not).
+// shards. One executor goroutine steps them (executor.go). The whole
+// machine is one Part over a transport.Local; a cluster is one Part per
+// node process over a transport.Node, all loaded with the same programs
+// (code is replicated, data is not).
 type Part struct {
 	cfg   Config
 	tr    transport.Transport
@@ -116,13 +116,10 @@ type Part struct {
 	ctr   []coreCounters
 	nodes []*coreNode
 	// nodeOf is indexed by core id, nil for cores other endpoints own. It
-	// routes in-process hand-offs and inbound lease write-updates to the
-	// owning core; built before any handler is installed, then read-only.
+	// routes hand-offs between owned cores and inbound lease write-updates
+	// to the owning core; built before any handler is installed, then
+	// read-only.
 	nodeOf []*coreNode
-	// local is the in-process endpoint when every core is in this address
-	// space (transport.Transport.InProcess): the executor steps the cores
-	// and hands contexts between them as slot pushes. Nil on a TCP node.
-	local *transport.Local
 	// leaseWindow is the scheme's lease validity window when the scheme
 	// caches remote reads (core.Leaser); 0 for every other scheme.
 	leaseWindow uint64
@@ -187,7 +184,6 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 		shards:      make([]*shard, tr.Cores()),
 		ctr:         make([]coreCounters, tr.Cores()),
 		nodeOf:      make([]*coreNode, tr.Cores()),
-		local:       tr.InProcess(),
 		leaseWindow: leaseWindow,
 		done:        make(chan struct{}),
 	}
@@ -197,32 +193,31 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 		p.nodes = append(p.nodes, n)
 		p.nodeOf[id] = n
 	}
-	tr.HandleMem(func(core geom.CoreID, req transport.MemRequest) transport.MemReply {
-		if int(core) < 0 || int(core) >= len(p.shards) || p.shards[core] == nil {
-			panic(fmt.Sprintf("machine: memory request for core %d not owned by this part", core))
-		}
-		// The write-updates land in a buffer on this handler's stack, so a
-		// write with a few holders allocates nothing.
-		var buf [4]transport.LeaseInval
-		rep, invals := p.shards[core].apply(req, buf[:0])
-		// The shard lock is released; ship the write-updates now. A failed
-		// send means the holder's connection is dying — the update is
-		// advisory (holders expire on their own virtual clocks), so the
-		// write itself must not fail with it.
-		for _, inv := range invals {
-			tr.SendLeaseInval(inv) //em2:errsink-ok: advisory update; a dead link surfaces through the data plane
-		}
-		return rep
-	})
-	tr.HandleLeaseInval(func(inv transport.LeaseInval) {
-		if int(inv.Dst) < 0 || int(inv.Dst) >= len(p.nodeOf) {
-			return
-		}
-		if n := p.nodeOf[inv.Dst]; n != nil {
-			n.applyLeaseUpdate(inv)
-		}
-	})
+	tr.HandleMem(p.serveMem)
+	// A transport delivers only updates for cores it owns.
+	tr.HandleLeaseInval(func(inv transport.LeaseInval) { p.nodeOf[inv.Dst].applyLeaseUpdate(inv) })
 	return p, nil
+}
+
+// serveMem performs one memory request at an owned core's shard: the
+// transport's direct calls (an owned access) and the executor's queued
+// requests from peer nodes both end here.
+func (p *Part) serveMem(core geom.CoreID, req transport.MemRequest) transport.MemReply {
+	if int(core) < 0 || int(core) >= len(p.shards) || p.shards[core] == nil {
+		panic(fmt.Sprintf("machine: memory request for core %d not owned by this part", core))
+	}
+	// The write-updates land in a buffer on this handler's stack, so a
+	// write with a few holders allocates nothing.
+	var buf [4]transport.LeaseInval
+	rep, invals := p.shards[core].apply(req, buf[:0])
+	// The shard lock is released; ship the write-updates now. A failed
+	// send means the holder's connection is dying — the update is
+	// advisory (holders expire on their own virtual clocks), so the
+	// write itself must not fail with it.
+	for _, inv := range invals {
+		p.tr.SendLeaseInval(inv) //em2:errsink-ok: advisory update; a dead link surfaces through the data plane
+	}
+	return rep
 }
 
 // Preload stores a word at addr before the run if this part owns addr's
@@ -281,34 +276,25 @@ func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 	return p.start(onHalt)
 }
 
-// start spawns the goroutines that step the cores: one executor for an
-// in-process endpoint, whatever decorator wraps it, or one loop per core
-// over the inboxes of a TCP node.
+// start spawns the executor that steps the cores.
 func (p *Part) start(onHalt func(transport.HaltMsg)) error {
 	p.onHalt = onHalt
 	p.ctxs = make([]context, len(p.specs))
-	if p.local != nil {
-		p.wg.Add(1)
-		go p.runExecutor()
-		return nil
-	}
-	// Not in process means a TCP node (or a decorator embedding one): a
-	// transport with neither is a programming error.
-	inboxes := p.tr.(interface {
-		MigrationIn(geom.CoreID) <-chan transport.Context
-		EvictionIn(geom.CoreID) <-chan transport.Context
-	})
+	// One array backs every core's three queues, each with room for the
+	// core's share of the threads, so filling them rarely allocates.
+	k := max(2, (len(p.specs)+len(p.nodes)-1)/len(p.nodes))
+	qs := make([]*context, 3*k*len(p.nodes))
 	for _, n := range p.nodes {
-		n.migIn, n.evictIn = inboxes.MigrationIn(n.id), inboxes.EvictionIn(n.id)
-		p.wg.Add(1)
-		go n.loop()
+		n.evictQ, n.migQ, n.runq, qs = qs[:0:k], qs[k:k:2*k], qs[2*k:2*k:3*k], qs[3*k:]
 	}
+	p.wg.Add(1)
+	go p.runExecutor()
 	return nil
 }
 
-// Stop winds the cores down; resident contexts finish their current
-// quantum first, then every core stops — including cores whose contexts
-// would never halt on their own (an abort or serve drain).
+// Stop winds the cores down: the executor finishes its round and stops,
+// also when resident contexts would never halt on their own (an abort or
+// serve drain).
 func (p *Part) Stop() {
 	p.abort()
 	p.wg.Wait()
@@ -451,21 +437,22 @@ func (p *Part) MemImage() map[uint32]uint32 {
 
 // ship sends a context that has departed this core to dst, on the
 // eviction network if evict is set and on the migration network otherwise.
-// In process the slot itself moves, after the checks every arrival passes
-// (landing): the cost counters, predictor and progress flag stay in it,
-// and only the lease cache is reset, as every arrival's is (lease state
-// never rides the wire). Across processes the context is serialized.
+// When this part owns dst — every core, in process — the slot itself
+// moves, after the checks every arrival passes (landing): the cost
+// counters, predictor and progress flag stay in it, and only the lease
+// cache is reset, as every arrival's is (lease state never rides the
+// wire). For a core another node owns the context is serialized.
 // Either way the context has left this core: a send error means the
 // transport was torn down mid-run, and the run's failure surfaces at the
 // halt barrier.
 func (p *Part) ship(dst geom.CoreID, c *context, evict bool) {
-	if p.local != nil {
+	if n := p.nodeOf[dst]; n != nil {
 		p.landing(c.thread, dst)
 		c.live = true
 		if c.lease != nil {
 			c.lease.Reset()
 		}
-		p.nodeOf[dst].deliver(c, evict)
+		n.deliver(c, evict)
 		return
 	}
 	w := p.toWire(c)

@@ -25,6 +25,8 @@ import (
 // It returns nil for SC executions and a descriptive error otherwise.
 // CheckSC assumes memory starts zeroed; executions that Preload initial
 // values must use CheckSCFrom with the preloaded image.
+//
+//em2:reference-only the SC checker tests call it on zero-initialised executions
 func CheckSC(events []Event) error { return CheckSCFrom(nil, events) }
 
 // CheckSCFrom is CheckSC for an execution whose memory began as init

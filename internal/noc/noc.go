@@ -33,6 +33,8 @@ var vnetNames = [NumVNets]string{
 }
 
 // String implements fmt.Stringer.
+//
+//em2:reference-only fmt.Stringer for test failure output
 func (v VNet) String() string {
 	if v < 0 || v >= NumVNets {
 		return fmt.Sprintf("vnet(%d)", int(v))
@@ -41,6 +43,8 @@ func (v VNet) String() string {
 }
 
 // Valid reports whether v names one of the six virtual networks.
+//
+//em2:reference-only the noc tests check the virtual-network table with it
 func (v VNet) Valid() bool { return v >= 0 && v < NumVNets }
 
 // DependsOn reports whether consuming a message on network a may require
@@ -55,6 +59,8 @@ func (v VNet) Valid() bool { return v >= 0 && v < NumVNets }
 // Because the graph is acyclic and each edge crosses to a distinct network,
 // wormhole routing with per-VN buffering cannot deadlock (each terminal
 // network is always consumable).
+//
+//em2:reference-only the noc tests check the virtual-network dependency order is acyclic
 func DependsOn(a, b VNet) bool {
 	switch a {
 	case VNMigration:
@@ -89,6 +95,8 @@ var kindNames = []string{
 }
 
 // String implements fmt.Stringer.
+//
+//em2:reference-only fmt.Stringer for test failure output
 func (k Kind) String() string {
 	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("kind(%d)", int(k))
@@ -97,6 +105,8 @@ func (k Kind) String() string {
 }
 
 // VNetFor returns the virtual network that carries a message kind.
+//
+//em2:reference-only the noc tests check every message kind has a virtual network
 func VNetFor(k Kind) VNet {
 	switch k {
 	case KindMigration:

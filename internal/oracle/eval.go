@@ -61,6 +61,8 @@ func EvaluateScheme(cfg core.Config, steps []Step, start geom.CoreID, scheme cor
 // (e.g. an oracle Result) and returns its model cost. It panics if the list
 // length does not match the number of non-local accesses, which indicates a
 // trace/placement mismatch.
+//
+//em2:reference-only the oracle tests price decision sequences against the DP with it
 func EvaluateDecisions(cfg core.Config, steps []Step, start geom.CoreID, decisions []core.Decision) int64 {
 	at := start
 	var total int64

@@ -30,6 +30,8 @@ type Step struct {
 // StepsForThread projects a multithreaded trace onto one thread and resolves
 // each access's home under the placement (touching in global trace order so
 // first-touch bindings match what a full-engine run would produce).
+//
+//em2:reference-only the oracle tests build per-thread inputs for the DP with it
 func StepsForThread(tr *trace.Trace, pl interface {
 	Touch(trace.Addr, geom.CoreID) geom.CoreID
 }, cores int, thread int) []Step {

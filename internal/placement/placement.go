@@ -79,6 +79,8 @@ func (f *FirstTouch) Touch(a Addr, by geom.CoreID) geom.CoreID {
 }
 
 // HomeOf implements Policy.
+//
+//em2:reference-only first-touch runs only in tests; Policy needs it
 func (f *FirstTouch) HomeOf(a Addr) (geom.CoreID, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -57,6 +57,8 @@ func (cs CellSet) NewTable() *stats.Table {
 
 // RunSerial executes every cell in order on the calling goroutine and
 // assembles the table. base is the sweep-level seed (normally Platform.Seed).
+//
+//em2:reference-only the sweep tests check the parallel runner against this serial run
 func (cs CellSet) RunSerial(base uint64) *stats.Table {
 	t := cs.NewTable()
 	for i, c := range cs.Cells {

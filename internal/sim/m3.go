@@ -243,6 +243,8 @@ func M3Cells(p Platform) CellSet {
 }
 
 // M3 runs the runtime-vs-model comparison serially.
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func M3(p Platform) *stats.Table {
 	return M3Cells(p).RunSerial(p.Seed)
 }

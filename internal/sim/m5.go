@@ -106,6 +106,8 @@ func M5Cells(p Platform) CellSet {
 }
 
 // M5 runs the hybrid-coherence battery serially.
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func M5(p Platform) *stats.Table {
 	return M5Cells(p).RunSerial(p.Seed)
 }

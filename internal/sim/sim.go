@@ -80,6 +80,8 @@ func (p Platform) runScheme(tr *trace.Trace, s core.Scheme) *core.Result {
 // Figure1 exercises every path of the paper's Figure 1 flow chart on a
 // directed micro-trace and tabulates how many accesses took each path:
 // local hit, migration, and migration-with-eviction.
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func Figure1(p Platform) *stats.Table {
 	return Figure1Cells(p).RunSerial(p.Seed)
 }
@@ -122,6 +124,8 @@ func Figure2Shape(h *stats.Hist) (fracLen1, fracLong float64) {
 
 // Figure3 exercises the EM²-RA flow of the paper's Figure 3 with a hybrid
 // decision scheme and tabulates the path taken per access.
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func Figure3(p Platform) *stats.Table {
 	return Figure3Cells(p).RunSerial(p.Seed)
 }
@@ -130,6 +134,8 @@ func Figure3(p Platform) *stats.Table {
 // variants must agree on the optimal cost, and the O(N) scheme evaluator
 // bounds it from above, across trace lengths. The table reports model costs
 // (deterministic), never wall-clock.
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func TableT1(p Platform, lengths []int) *stats.Table {
 	return TableT1Cells(p, lengths).RunSerial(p.Seed)
 }
@@ -160,18 +166,24 @@ func syntheticSteps(n, cores int, seed uint64) []oracle.Step {
 // TableT2 compares decision schemes against the DP oracle across workloads
 // (§3's claim: the hybrid, decided well, beats both pure EM² and pure
 // remote access; the oracle upper-bounds everything).
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func TableT2(p Platform, workloads []string, scale, iters int) *stats.Table {
 	return TableT2Cells(p, workloads, scale, iters).RunSerial(p.Seed)
 }
 
 // TableT3 compares stack-depth schemes against the depth DP (§4's claim:
 // the same model framework bounds depth-decision schemes).
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func TableT3(p Platform, scale, iters int) *stats.Table {
 	return TableT3Cells(p, scale, iters).RunSerial(p.Seed)
 }
 
 // TableT4 compares EM² against the directory-coherence baseline on the §2
 // axes: network cycles, traffic, and data replication.
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func TableT4(p Platform, workloads []string, scale, iters int) *stats.Table {
 	return TableT4Cells(p, workloads, scale, iters).RunSerial(p.Seed)
 }
@@ -179,6 +191,8 @@ func TableT4(p Platform, workloads []string, scale, iters int) *stats.Table {
 // TableT5 tabulates migrated context sizes: the register-file context the
 // paper cites (1–2 Kbit) against stack contexts at increasing depths —
 // the motivation for §4.
+//
+//em2:reference-only the sim tests check the sweep cells against this serial run
 func TableT5(p Platform) *stats.Table {
 	return TableT5Cells(p).RunSerial(p.Seed)
 }

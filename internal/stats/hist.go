@@ -53,6 +53,8 @@ func (h *Hist) Add(v int) {
 // AddN records n observations of v at once, in O(1): bin, total, sum and
 // max move by arithmetic rather than n repeated Adds. Equivalent to calling
 // Add(v) n times (property-tested).
+//
+//em2:reference-only the histogram tests check it equals n calls of Add
 func (h *Hist) AddN(v int, n int64) {
 	if n < 0 {
 		panic(fmt.Sprintf("stats: negative histogram count %d", n))
@@ -91,12 +93,16 @@ func (h *Hist) Count(v int) int64 {
 func (h *Hist) Overflow() int64 { return h.overflow }
 
 // Total returns the number of observations.
+//
+//em2:reference-only the histogram and sim tests read counts through it
 func (h *Hist) Total() int64 { return h.total }
 
 // Sum returns the exact sum of all observed values.
 func (h *Hist) Sum() int64 { return h.sum }
 
 // Max returns the largest observed value (0 if empty).
+//
+//em2:reference-only the histogram tests read the maximum through it
 func (h *Hist) Max() int { return h.max }
 
 // Bound returns the direct-bin bound passed to NewHist.
@@ -111,6 +117,8 @@ func (h *Hist) Mean() float64 {
 }
 
 // Fraction returns the share of observations equal to v, in [0,1].
+//
+//em2:reference-only the histogram tests check shares through it
 func (h *Hist) Fraction(v int) float64 {
 	if h.total == 0 {
 		return 0
@@ -120,6 +128,8 @@ func (h *Hist) Fraction(v int) float64 {
 
 // CumFraction returns the share of observations with value <= v. Values in
 // the overflow bin are counted only when v >= Bound().
+//
+//em2:reference-only the histogram tests check cumulative shares through it
 func (h *Hist) CumFraction(v int) float64 {
 	if h.total == 0 {
 		return 0
@@ -137,6 +147,8 @@ func (h *Hist) CumFraction(v int) float64 {
 // WeightedFraction returns the share of total mass (sum of value·count)
 // contributed by observations equal to v, the quantity plotted on Figure 2's
 // y-axis ("# of memory accesses contributing to the run length").
+//
+//em2:reference-only the histogram tests check Figure 2 shares through it
 func (h *Hist) WeightedFraction(v int) float64 {
 	if h.sum == 0 {
 		return 0
@@ -146,6 +158,8 @@ func (h *Hist) WeightedFraction(v int) float64 {
 
 // Merge adds every observation of other into h. The two histograms must have
 // the same bound.
+//
+//em2:reference-only the histogram tests check merging against one histogram
 func (h *Hist) Merge(other *Hist) {
 	if other.Bound() != h.Bound() {
 		panic(fmt.Sprintf("stats: merging histograms with bounds %d and %d", h.Bound(), other.Bound()))
@@ -162,6 +176,8 @@ func (h *Hist) Merge(other *Hist) {
 }
 
 // Bins returns a copy of the direct bins (index = value).
+//
+//em2:reference-only the histogram and engine tests read bins through it
 func (h *Hist) Bins() []int64 {
 	out := make([]int64, len(h.bins))
 	copy(out, h.bins)

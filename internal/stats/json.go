@@ -18,6 +18,8 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON restores a table marshalled by MarshalJSON.
+//
+//em2:reference-only the sweep tests round-trip exported tables with it
 func (t *Table) UnmarshalJSON(data []byte) error {
 	var tj tableJSON
 	if err := json.Unmarshal(data, &tj); err != nil {

@@ -54,10 +54,14 @@ func FormatRow(cells ...interface{}) []string {
 }
 
 // NumRows returns the number of data rows added so far.
+//
+//em2:reference-only the table and sim tests count rows with it
 func (t *Table) NumRows() int { return len(t.rows) }
 
 // Rows returns the formatted cell contents (no copy; callers must not
 // mutate).
+//
+//em2:reference-only the sim tests read table cells through it
 func (t *Table) Rows() [][]string { return t.rows }
 
 // String renders the table with a title line, a header row, a rule, and
@@ -159,6 +163,8 @@ func (c *Counters) Names() []string {
 }
 
 // Merge adds every counter of other into c.
+//
+//em2:reference-only the table tests check counter merging with it
 func (c *Counters) Merge(other *Counters) {
 	//em2:unordered-ok: Inc is commutative integer accumulation; order cannot matter
 	for n, v := range other.m {

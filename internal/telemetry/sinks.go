@@ -32,6 +32,8 @@ func (m *MemorySink) Bytes() []byte { return m.buf }
 
 // Lines returns the accumulated stream split into lines, trailing
 // newline dropped.
+//
+//em2:reference-only the telemetry tests read the captured stream with it
 func (m *MemorySink) Lines() []string {
 	var out []string
 	start := 0

@@ -54,6 +54,8 @@ type Field struct {
 func Int(key string, v int64) Field { return Field{Key: key, I: v} }
 
 // Float returns a float field.
+//
+//em2:reference-only the telemetry tests encode float fields with it
 func Float(key string, v float64) Field { return Field{Key: key, F: v, Float: true} }
 
 // Point is one line-protocol point: measurement, tags, fields, and a

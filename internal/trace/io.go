@@ -83,6 +83,8 @@ func Write(w io.Writer, t *Trace) error {
 }
 
 // Read deserializes a trace written by Write.
+//
+//em2:reference-only the trace tests round-trip Write through it
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte

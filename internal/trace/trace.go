@@ -165,6 +165,8 @@ func Interleave(name string, streams [][]Access) *Trace {
 }
 
 // Touched returns the sorted set of unique addresses in the trace.
+//
+//em2:reference-only the trace tests check address sets with it
 func (t *Trace) Touched() []Addr {
 	set := make(map[Addr]struct{})
 	for _, a := range t.Accesses {

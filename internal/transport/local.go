@@ -1,49 +1,32 @@
 package transport
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/geom"
 )
 
 // Local is the in-process transport: every core lives in this address
-// space, so a machine.Part over it steps them all on one executor
-// goroutine and hands a context from core to core as a push of the
-// thread's slot onto the destination's queue — no message, no encoding.
-// What reaches Local is what comes from outside that executor: injected
-// contexts, queued here until the executor takes them, and remote
+// space, so a machine.Part over it hands a context from core to core as a
+// push of the thread's slot onto the destination's queue — no message, no
+// encoding. What reaches Local is what comes from outside the executor:
+// injected contexts, queued until the executor takes them, and remote
 // accesses and write-updates, which are direct calls into the registered
 // handlers — the shard lock remains the only serialization point.
 type Local struct {
-	owned []geom.CoreID
-	h     func(core geom.CoreID, req MemRequest) MemReply
-	invH  func(inv LeaseInval)
-
-	mu     sync.Mutex
-	evicts []Arrival // queued eviction-network sends, in send order
-	migs   []Arrival // queued migration-network sends, in send order
-	wake   chan struct{}
-}
-
-// Arrival is a context sent to an in-process core from outside its
-// executor, waiting to be taken.
-type Arrival struct {
-	Dst   geom.CoreID
-	Evict bool // sent on the eviction network
-	Ctx   Context
+	owned    []geom.CoreID
+	h        func(core geom.CoreID, req MemRequest) MemReply
+	invH     func(inv LeaseInval)
+	arrivals // injected contexts (Take, Wake)
 }
 
 // NewLocal builds an in-process transport for the given core count;
 // numThreads sizes the injection queue. The queue is unbounded, so a send
 // never blocks.
 func NewLocal(cores, numThreads int) *Local {
-	l := &Local{
-		owned:  make([]geom.CoreID, cores),
-		evicts: make([]Arrival, 0, numThreads),
-		wake:   make(chan struct{}, 1),
-	}
+	l := &Local{owned: make([]geom.CoreID, cores)}
+	l.arrivals.init(numThreads)
 	for i := range l.owned {
 		l.owned[i] = geom.CoreID(i)
 	}
@@ -56,64 +39,30 @@ func (l *Local) Cores() int { return len(l.owned) }
 // Owned implements Transport.
 func (l *Local) Owned() []geom.CoreID { return l.owned }
 
-// Owns implements Transport.
+// Owns reports whether core is in the machine.
 func (l *Local) Owns(core geom.CoreID) bool { return int(core) >= 0 && int(core) < len(l.owned) }
 
-// InProcess implements Transport: every core is in this address space.
-func (l *Local) InProcess() *Local { return l }
-
-// SendMigration implements Transport: c joins dst's queue until the
-// executor takes it.
+// SendMigration implements Transport: c joins the queue until the executor
+// takes it.
 func (l *Local) SendMigration(dst geom.CoreID, c Context) error {
-	return l.queue(dst, false, c)
+	return l.queue(FrameMigration, dst, c)
 }
 
-// SendEviction implements Transport: c joins dst's queue until the
-// executor takes it.
+// SendEviction implements Transport: c joins the queue until the executor
+// takes it.
 func (l *Local) SendEviction(dst geom.CoreID, c Context) error {
 	if err := checkEviction(dst, c); err != nil {
 		return err
 	}
-	return l.queue(dst, true, c)
+	return l.queue(FrameEviction, dst, c)
 }
 
-// queue appends one send and wakes the executor. Sched is copied, so the
-// sender may reuse its buffer at once.
-func (l *Local) queue(dst geom.CoreID, evict bool, c Context) error {
+func (l *Local) queue(kind FrameKind, dst geom.CoreID, c Context) error {
 	if !l.Owns(dst) {
 		return fmt.Errorf("transport: send to core %d of a %d-core machine", dst, len(l.owned))
 	}
-	c.Sched = bytes.Clone(c.Sched)
-	l.mu.Lock()
-	if evict {
-		l.evicts = append(l.evicts, Arrival{Dst: dst, Evict: true, Ctx: c})
-	} else {
-		l.migs = append(l.migs, Arrival{Dst: dst, Ctx: c})
-	}
-	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default: // a wake-up is already pending; it covers this send
-	}
+	l.arrivals.pushCtx(kind, dst, c)
 	return nil
-}
-
-// Wake returns the channel that receives a token after a send; a token
-// covers every send queued before the next Take.
-func (l *Local) Wake() <-chan struct{} { return l.wake }
-
-// Take appends every queued send to dst and empties the queue: all
-// evictions first, then all migrations, each in send order — a native
-// return is accepted before any guest, as on the two virtual networks.
-func (l *Local) Take(dst []Arrival) []Arrival {
-	l.mu.Lock()
-	dst = append(dst, l.evicts...)
-	dst = append(dst, l.migs...)
-	clear(l.evicts)
-	clear(l.migs)
-	l.evicts, l.migs = l.evicts[:0], l.migs[:0]
-	l.mu.Unlock()
-	return dst
 }
 
 // Flush implements Transport; nothing is ever buffered.
@@ -129,6 +78,19 @@ func (l *Local) Remote(dst geom.CoreID, req MemRequest) (MemReply, error) {
 
 // HandleMem implements Transport.
 func (l *Local) HandleMem(h func(core geom.CoreID, req MemRequest) MemReply) { l.h = h }
+
+// errAllLocal answers the calls that only a core another endpoint owns
+// can need.
+var errAllLocal = errors.New("transport: every core is in process; use Remote")
+
+// Request implements Transport: no core is remote.
+func (l *Local) Request(geom.CoreID, MemRequest) error { return errAllLocal }
+
+// Poll implements Transport: no request is ever outstanding.
+func (l *Local) Poll(geom.CoreID) (MemReply, bool, error) { return MemReply{}, true, errAllLocal }
+
+// Answer implements Transport: no request is ever queued.
+func (l *Local) Answer(*Arrival, MemReply) error { return errAllLocal }
 
 // SendLeaseInval implements Transport as a direct handler call: every
 // core is in-process, so the write-update lands before the sender's shard

@@ -291,44 +291,26 @@ const coordinatorID = -1
 // frame, duplicate connection) — not a protocol error.
 var errStopRead = errors.New("transport: stop reading")
 
-// callSlot is one issuing core's Remote round trip, reused call after call:
-// a core has at most one remote op in flight, so the core's index is the
-// request id. conn is the link the request left on, nil while idle. A
-// reply, the link's teardown (failPending) and a caller giving up all
-// race to swap it back to nil; the winner alone completes the call, so
-// each call gets exactly one result and a dying link fails exactly its
-// own calls.
+// callSlot is one issuing core's remote op, reused call after call (one op
+// in flight per core, so the core's index is the request id). conn is the
+// link the request left on. A reply and the link's teardown (failPending)
+// race to swap it to nil; the winner stores the result, then the state, so
+// each call settles once and a dying link fails exactly its own calls.
 type callSlot struct {
-	conn atomic.Pointer[conn]
-	done chan callResult // capacity 1: the winner never blocks
+	conn    atomic.Pointer[conn]
+	settled atomic.Bool // rep and lost hold the result
+	rep     MemReply
+	lost    bool // the link died with the reply owed
 }
 
-type callResult struct {
-	rep  MemReply
-	lost bool // the link died with the reply owed
-}
-
-// complete delivers r if the call is still waiting on c.
-func (s *callSlot) complete(c *conn, r callResult) {
-	if s.conn.CompareAndSwap(c, nil) {
-		s.done <- r
-	}
-}
-
-// cancel withdraws an unanswered call; if a reply or the teardown won the
-// race, its result is drained so the slot is clean for the next call.
-func (s *callSlot) cancel(c *conn) {
+// settle completes the call if it is still waiting on c.
+func (s *callSlot) settle(c *conn, rep MemReply, lost bool) bool {
 	if !s.conn.CompareAndSwap(c, nil) {
-		<-s.done
+		return false
 	}
-}
-
-// memCall is one inbound remote-access request, queued for its link's
-// server.
-type memCall struct {
-	dst geom.CoreID
-	id  uint64
-	req MemRequest
+	s.rep, s.lost = rep, lost
+	s.settled.Store(true)
+	return true
 }
 
 // conn is one batch-framed TCP connection (wire.go): coalescing writes
@@ -336,10 +318,13 @@ type memCall struct {
 // their fixed ContextWireBytes encoding, so what crosses the wire per
 // migration is exactly the byte string a hardware transfer would ship.
 type conn struct {
-	c    net.Conn
-	br   *bufio.Reader
-	w    batchWriter
-	reqs chan memCall // a peer link's remote-access queue (serveMem)
+	c  net.Conn
+	br *bufio.Reader
+	w  batchWriter
+	// reqs counts the peer's requests queued here, at most maxReqs, its
+	// core count (0 on the coordinator link): one op in flight per core.
+	reqs    atomic.Int32
+	maxReqs int32
 }
 
 func newConn(c net.Conn, nc *netCounters) *conn {
@@ -420,10 +405,9 @@ type Node struct {
 	peers []*peerSlot // by node index
 	coord *peerSlot
 
-	ready    chan struct{} // closed by Ready(): inboxes + handler installed
-	mig      map[geom.CoreID]chan Context
-	evict    map[geom.CoreID]chan Context
-	sched    [][]byte // by thread: the Sched storage inbound contexts decode into
+	ready    chan struct{} // closed by Ready(): queue + handlers installed
+	arrivals               // what the readers queue for the executor
+	threads  int           // the slot pool's size (Prepare)
 	handler  func(core geom.CoreID, req MemRequest) MemReply
 	invH     func(inv LeaseInval)
 	ctl      ControlHandler
@@ -434,14 +418,6 @@ type Node struct {
 	shutdown chan struct{}
 	closed   atomic.Bool
 	fault    atomic.Pointer[error] // first protocol error on an identified link
-
-	// When to write (Flush): resident counts the contexts delivered here
-	// and not yet gone — +1 per inbound push, −1 per remote send and per
-	// halt. points counts flush points, and oldest is the point (+1) at
-	// which the oldest still-deferred frame was appended, 0 when none.
-	resident atomic.Int64
-	points   atomic.Uint64
-	oldest   atomic.Uint64
 }
 
 // ListenNode is ListenNodeOn over a fresh listener at the manifest address.
@@ -488,9 +464,7 @@ func ListenNodeOn(man Manifest, idx int, ln net.Listener) (*Node, error) {
 	for i := range n.peers {
 		n.peers[i] = newPeerSlot()
 	}
-	for i := range n.calls {
-		n.calls[i].done = make(chan callResult, 1)
-	}
+	n.arrivals.init(0)
 	go n.acceptLoop()
 	for j := 0; j < idx; j++ {
 		go n.dialPeer(j)
@@ -526,7 +500,7 @@ func (n *Node) acceptLoop() {
 						if !n.peers[f.From].set(cc) {
 							return errStopRead // duplicate peer connection
 						}
-						n.serveMem(cc, int(f.From))
+						cc.maxReqs = int32(len(n.man.Nodes[f.From].Cores))
 					default:
 						return malformedf("hello from unknown peer %d", f.From)
 					}
@@ -567,62 +541,48 @@ func (n *Node) finishRead(c *conn, err error, fromCoordinator, identified bool) 
 			n.triggerShutdown()
 		}
 	}
-	if c.reqs != nil {
-		close(c.reqs) // the link's server drains what is queued and exits
-	}
 	n.failPending(c)
 }
 
-// failPending fails every in-flight Remote whose request left on c (the
-// caller surfaces it as a lost-connection error).
+// failPending fails every outstanding request that left on c and wakes
+// the executor, whose waiting cores then fail their contexts.
 func (n *Node) failPending(c *conn) {
 	for i := range n.calls {
-		n.calls[i].complete(c, callResult{lost: true})
-	}
-}
-
-// serveMem starts c's remote-access server: one goroutine per peer link
-// that performs the link's requests in arrival order and writes their
-// replies. The reader only queues — capacity is the peer's core count, and
-// each core has at most one request in flight — so a reader never blocks
-// and never writes, which is what keeps every socket drained (DESIGN.md
-// §6). The server exits when the reader closes the queue.
-func (n *Node) serveMem(c *conn, peer int) {
-	c.reqs = make(chan memCall, len(n.man.Nodes[peer].Cores))
-	go func() {
-		for r := range c.reqs {
-			f := Frame{Kind: FrameMemRep, ID: r.id, Rep: n.handler(r.dst, r.req)}
-			if f.Rep.Lease != 0 {
-				f.Kind = FrameLeaseRep // the home granted a lease
-			}
-			c.w.appendEager(f)
+		if n.calls[i].settle(c, MemReply{}, true) {
+			n.arrivals.signal()
 		}
-	}()
+	}
 }
 
-// arrive counts an inbound context as resident and decodes it into its
-// thread's Sched slot. The count comes first: its atomic add orders this
-// decode after the slot's last reader, whose context had to leave (a
-// remote send or a halt, each −1) before the thread could come back —
-// from any peer.
-func (n *Node) arrive(b []byte) (Context, error) {
-	n.resident.Add(1)
-	var c Context
-	t := int32(binary.BigEndian.Uint32(b))
-	if t < 0 || int(t) >= len(n.sched) {
-		return c, fmt.Errorf("thread %d outside the %d-slot pool", t, len(n.sched))
+// queueCtx decodes an inbound context into a queue slot, under the queue
+// lock that orders it after the executor's last use of the slot.
+func (n *Node) queueCtx(f Frame) error {
+	t := int32(binary.BigEndian.Uint32(f.Ctx))
+	if t < 0 || int(t) >= n.threads {
+		return malformedf("context for core %d: thread %d outside the %d-slot pool", f.Dst, t, n.threads)
 	}
-	c.Sched = n.sched[t]
-	err := c.DecodeWire(b)
-	n.sched[t] = c.Sched
-	return c, err
+	a := n.arrivals.next()
+	a.Kind, a.Dst = f.Kind, f.Dst
+	err := a.Ctx.DecodeWire(f.Ctx)
+	if err != nil {
+		// A context that does not decode is protocol corruption (version
+		// skew, mangled frame): the thread it carried is gone.
+		err = malformedf("context for core %d: %v", f.Dst, err)
+	} else if a.Kind == FrameEviction {
+		if e := checkEviction(f.Dst, a.Ctx); e != nil {
+			err = malformedf("%v", e)
+		}
+	}
+	n.arrivals.done(err == nil)
+	return err
 }
 
 // handleFrame dispatches one inbound frame. Data-plane frames wait for
 // Ready — the coordinator's Load always gets through first because it
-// arrives on its own connection — and are delivered into per-core inboxes
-// whose capacity (one slot per thread that can arrive) guarantees the push
-// never blocks; that is the wire credit that keeps every socket drained.
+// arrives on its own connection — and are queued for the executor, or,
+// for a reply, settle the issuing core's call slot: the reader never
+// writes a data frame and never blocks on the executor, which is what
+// keeps every socket drained (DESIGN.md §6).
 func (n *Node) handleFrame(c *conn, f Frame) error {
 	switch f.Kind {
 	case FrameLoad:
@@ -640,39 +600,40 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		if !n.waitReady() {
 			return errStopRead
 		}
-		ctx, err := n.arrive(f.Ctx)
-		if err != nil {
-			// A context that does not decode is protocol corruption (version
-			// skew, mangled frame): the thread it carried is gone.
-			return malformedf("context for core %d: %v", f.Dst, err)
+		if !n.Owns(f.Dst) {
+			return malformedf("context for core %d, which node %d does not own", f.Dst, n.idx)
 		}
-		if f.Kind == FrameEviction {
-			if err := checkEviction(f.Dst, ctx); err != nil {
-				return malformedf("%v", err)
-			}
-		}
-		n.inbox(f.Kind, f.Dst) <- ctx
+		return n.queueCtx(f)
 	case FrameMemReq:
 		if !n.waitReady() {
 			return errStopRead
 		}
-		select {
-		case c.reqs <- memCall{f.Dst, f.ID, f.Req}:
-		default: // also the coordinator link, which has no queue
+		if !n.Owns(f.Dst) {
+			return malformedf("memory request for core %d, which node %d does not own", f.Dst, n.idx)
+		}
+		if c.reqs.Add(1) > c.maxReqs {
 			return malformedf("more remote ops in flight than the peer has cores")
 		}
+		a := n.arrivals.next()
+		a.Kind, a.Dst, a.Req, a.link, a.id = f.Kind, f.Dst, f.Req, c, f.ID
+		n.arrivals.done(true)
 	case FrameMemRep, FrameLeaseRep:
 		if f.ID >= uint64(len(n.calls)) {
 			return malformedf("reply to core %d outside the mesh", f.ID)
 		}
-		n.calls[f.ID].complete(c, callResult{rep: f.Rep})
+		if n.calls[f.ID].settle(c, f.Rep, false) {
+			n.arrivals.signal()
+		}
 	case FrameLeaseInval:
 		if !n.waitReady() {
 			return errStopRead
 		}
-		if n.invH != nil {
-			n.invH(f.Inv)
+		if !n.Owns(f.Inv.Dst) {
+			return malformedf("lease update for core %d, which node %d does not own", f.Inv.Dst, n.idx)
 		}
+		a := n.arrivals.next()
+		a.Kind, a.Dst, a.Inv = f.Kind, f.Inv.Dst, f.Inv
+		n.arrivals.done(true)
 	case FrameJobSubmit, FrameJobDone, FrameSampleReq, FrameCollect:
 		if !n.waitReady() {
 			return errStopRead
@@ -745,7 +706,7 @@ func (n *Node) dialPeer(j int) {
 		return // shut down first
 	}
 	cc := newConn(c, &n.nc)
-	if err := cc.w.appendEager(Frame{Kind: FrameHello, From: int32(n.idx)}); err != nil {
+	if err := cc.w.appendFrame(Frame{Kind: FrameHello, From: int32(n.idx)}, true); err != nil {
 		c.Close()
 		return
 	}
@@ -753,7 +714,7 @@ func (n *Node) dialPeer(j int) {
 		c.Close()
 		return
 	}
-	n.serveMem(cc, j)
+	cc.maxReqs = int32(len(n.man.Nodes[j].Cores))
 	err = readBatches(cc.br, &n.nc, func(f Frame) error { return n.handleFrame(cc, f) })
 	n.finishRead(cc, err, false, true)
 	c.Close()
@@ -767,33 +728,19 @@ func (n *Node) triggerShutdown() {
 	}
 }
 
-// inbox returns core's migration or eviction inbox, by frame kind.
-func (n *Node) inbox(kind FrameKind, core geom.CoreID) chan Context {
-	ch := n.mig[core]
-	if kind == FrameEviction {
-		ch = n.evict[core]
-	}
-	if ch == nil {
-		panic(fmt.Sprintf("transport: node %d received message for core %d it does not own", n.idx, core))
-	}
-	return ch
-}
-
-// Prepare sizes the per-core inboxes for a run of numThreads threads (an
-// eviction inbox for its core's natives) and the per-thread Sched slots
-// inbound contexts decode into. Call it before Ready.
+// Prepare sizes the node for a run of numThreads threads: inbound contexts
+// must name a slot below it, and the queue starts with room for every
+// thread. Call it before Ready.
 func (n *Node) Prepare(numThreads int) {
-	n.sched = make([][]byte, numThreads)
-	n.mig = make(map[geom.CoreID]chan Context, len(n.owned))
-	n.evict = make(map[geom.CoreID]chan Context, len(n.owned))
-	for _, c := range n.owned {
-		n.mig[c] = make(chan Context, numThreads)
-		n.evict[c] = make(chan Context, (numThreads+n.Cores()-1)/n.Cores())
-	}
+	n.threads = numThreads
+	n.arrivals.mu.Lock()
+	n.arrivals.q = make([]Arrival, 0, numThreads)
+	n.arrivals.mu.Unlock()
 }
 
-// Ready opens the data plane: inbound migrations, evictions and memory
-// requests held by readLoop proceed. Call after Prepare and HandleMem.
+// Ready opens the data plane: inbound contexts, memory requests and lease
+// updates held by the readers proceed to the queue. Call after Prepare and
+// the Handle* installs.
 func (n *Node) Ready() { close(n.ready) }
 
 // waitReady blocks until the data plane opens, or reports false if the
@@ -827,7 +774,6 @@ func (n *Node) sendCoord(kind FrameKind, body func([]byte) []byte) error {
 // SendHalt reports a thread HALT to the coordinator; the thread's context
 // is no longer resident.
 func (n *Node) SendHalt(h HaltMsg) error {
-	n.resident.Add(-1)
 	return n.sendCoord(FrameHalt, h.AppendWire)
 }
 
@@ -895,22 +841,48 @@ func (n *Node) Cores() int { return n.man.Cores() }
 // Owned implements Transport.
 func (n *Node) Owned() []geom.CoreID { return n.owned }
 
-// Owns implements Transport.
+// Owns reports whether core is served by this endpoint.
 func (n *Node) Owns(core geom.CoreID) bool {
 	return int(core) >= 0 && int(core) < len(n.route) && n.route[core] == n.idx
 }
 
-// InProcess implements Transport: a node's contexts arrive over the wire
-// into its per-core inboxes.
-func (n *Node) InProcess() *Local { return nil }
-
-// MigrationIn returns an owned core's migration inbox, which the core's
-// loop reads; Prepare must have run.
-func (n *Node) MigrationIn(core geom.CoreID) <-chan Context { return n.inbox(FrameMigration, core) }
-
-// EvictionIn returns an owned core's eviction inbox, which the core's loop
-// reads; Prepare must have run.
-func (n *Node) EvictionIn(core geom.CoreID) <-chan Context { return n.inbox(FrameEviction, core) }
+// MigrationIn steps a node no machine part runs on, for a probe of the wire
+// alone: a goroutine takes the queue, answers memory requests with the
+// HandleMem handler at once, forwards the migrations for core (Sched
+// copied) on the returned channel, and drops the rest. Call it once, after
+// Ready.
+func (n *Node) MigrationIn(core geom.CoreID) <-chan Context {
+	out := make(chan Context, max(1, n.threads))
+	go func() {
+		var in []Arrival
+		for {
+			select {
+			case <-n.arrivals.wake:
+			case <-n.shutdown:
+				return
+			}
+			in = n.Take(in)
+			for i := range in {
+				switch a := &in[i]; {
+				case a.Kind == FrameMemReq:
+					_ = n.Answer(a, n.handler(a.Dst, a.Req)) //em2:errsink-ok: a dead link fails the probe's own wait
+				case a.Kind == FrameMigration && a.Dst == core:
+					c := a.Ctx
+					c.Sched = append([]byte(nil), c.Sched...)
+					select {
+					case out <- c:
+					case <-n.shutdown:
+						return
+					}
+				}
+			}
+			if n.Flush() != nil {
+				return
+			}
+		}
+	}()
+	return out
+}
 
 // HandleMem implements Transport.
 func (n *Node) HandleMem(h func(core geom.CoreID, req MemRequest) MemReply) { n.handler = h }
@@ -925,7 +897,7 @@ func (n *Node) HandleLeaseInval(h func(inv LeaseInval)) { n.invH = h }
 // a node with no handler is protocol corruption.
 func (n *Node) HandleControl(h ControlHandler) { n.ctl = h }
 
-// SendMigration implements Transport: a channel push when dst is owned
+// SendMigration implements Transport: a queued arrival when dst is owned
 // locally, a deferred frame into the owning node's batch buffer otherwise —
 // coalesced with every other ready message until Flush writes.
 func (n *Node) SendMigration(dst geom.CoreID, c Context) error {
@@ -939,42 +911,29 @@ func (n *Node) SendEviction(dst geom.CoreID, c Context) error {
 
 func (n *Node) sendCtx(kind FrameKind, dst geom.CoreID, c Context) error {
 	if n.Owns(dst) {
-		n.inbox(kind, dst) <- c
+		n.arrivals.pushCtx(kind, dst, c)
 		return nil
 	}
-	// Deferred: the context encodes straight into the batch buffer and
-	// ships when Flush writes (or piggybacks on an eager frame to the same
-	// peer). Sent or lost with the link, it has left this node.
-	pc, err := n.peers[n.route[dst]].get(n.shutdown)
-	if err == nil {
-		err = pc.w.appendCtx(kind, dst, c)
+	// The context encodes straight into the batch buffer and ships when
+	// Flush writes. Sent or lost with the link, it has left this node.
+	pc, err := n.peer(dst)
+	if err != nil {
+		return err
 	}
-	n.resident.Add(-1)
-	if err == nil {
-		n.oldest.CompareAndSwap(0, n.points.Load()+1) // after the append: see Flush
-	}
-	return err
+	return pc.w.appendCtx(kind, dst, c)
 }
 
-// Flush implements Transport. A flush point writes every peer connection's
-// coalesced batch, one write per connection, when the node is quiescent —
-// no context resident in its inboxes or run queues, so no core will reach
-// another flush point — or when the oldest deferred frame has lived
-// through len(owned) flush points; otherwise it keeps coalescing. The age
-// arm bounds the wait while contexts stay resident (cores spinning on a
-// flag the deferred frame would set, say). The mark is cleared before the
-// buffers are written and set after a frame is appended, so a frame is
-// always either in a batch this flush writes or marked for a later one.
-// Peers this endpoint never spoke to (or that have not connected yet) are
-// skipped — Flush never blocks on an unestablished link.
+// peer returns the link to the node that owns dst, waiting for it to be
+// established.
+func (n *Node) peer(dst geom.CoreID) (*conn, error) {
+	return n.peers[n.route[dst]].get(n.shutdown)
+}
+
+// Flush implements Transport: every peer link that has frames is written,
+// one write per link. Peers this endpoint never spoke to (or that have not
+// connected yet) are skipped — Flush never blocks on an unestablished
+// link.
 func (n *Node) Flush() error {
-	point := n.points.Add(1)
-	if n.resident.Load() > 0 {
-		if o := n.oldest.Load(); o == 0 || int64(point+1-o) < int64(len(n.owned)) {
-			return nil
-		}
-	}
-	n.oldest.Store(0)
 	var first error
 	for _, p := range n.peers {
 		select {
@@ -988,45 +947,80 @@ func (n *Node) Flush() error {
 	return first
 }
 
-// Remote implements Transport: a direct handler call for owned cores, a
-// request/reply round trip to the owning node otherwise. The request frame
-// flushes immediately, carrying any deferred frames on that connection in
-// the same write.
+// Remote implements Transport. Its wait for another node's reply consumes
+// the wake tokens, so it serves a node no executor steps (a probe, a
+// test); the machine's executor polls instead.
 func (n *Node) Remote(dst geom.CoreID, req MemRequest) (MemReply, error) {
 	if n.Owns(dst) {
 		return n.handler(dst, req), nil
 	}
-	if int(req.From) >= len(n.calls) {
-		return MemReply{}, fmt.Errorf("transport: remote op from core %d outside the mesh", req.From)
-	}
-	pc, err := n.peers[n.route[dst]].get(n.shutdown)
-	if err != nil {
+	if err := n.Request(dst, req); err != nil {
 		return MemReply{}, err
 	}
-	s := &n.calls[req.From]
-	if !s.conn.CompareAndSwap(nil, pc) {
-		return MemReply{}, fmt.Errorf("transport: core %d issued a remote op with one in flight", req.From)
-	}
-	if err := pc.w.appendEager(Frame{Kind: FrameMemReq, Dst: dst, ID: uint64(req.From), Req: req}); err != nil {
-		s.cancel(pc)
+	if err := n.Flush(); err != nil {
 		return MemReply{}, err
 	}
-	select {
-	case r := <-s.done:
-		if r.lost {
-			return MemReply{}, fmt.Errorf("transport: connection to core %d's node lost awaiting reply", dst)
+	for {
+		if rep, done, err := n.Poll(geom.CoreID(req.From)); done {
+			return rep, err
 		}
-		return r.rep, nil
-	case <-n.shutdown:
-		s.cancel(pc)
-		return MemReply{}, fmt.Errorf("transport: shut down awaiting reply from core %d", dst)
+		select {
+		case <-n.arrivals.wake:
+		case <-n.shutdown:
+			return MemReply{}, fmt.Errorf("transport: shut down awaiting reply from core %d", dst)
+		}
 	}
 }
 
+// Request implements Transport: the request frame joins the owning node's
+// batch, and the reply settles req.From's call slot in that link's reader.
+func (n *Node) Request(dst geom.CoreID, req MemRequest) error {
+	if n.Owns(dst) || int(req.From) >= len(n.calls) {
+		return fmt.Errorf("transport: remote op from core %d to core %d cannot leave node %d", req.From, dst, n.idx)
+	}
+	pc, err := n.peer(dst)
+	if err != nil {
+		return err
+	}
+	s := &n.calls[req.From]
+	if s.settled.Load() || !s.conn.CompareAndSwap(nil, pc) {
+		return fmt.Errorf("transport: core %d issued a remote op with one in flight", req.From)
+	}
+	if err := pc.w.appendFrame(Frame{Kind: FrameMemReq, Dst: dst, ID: uint64(req.From), Req: req}, false); err != nil {
+		s.conn.CompareAndSwap(pc, nil)
+		return err
+	}
+	return nil
+}
+
+// Poll implements Transport.
+func (n *Node) Poll(core geom.CoreID) (MemReply, bool, error) {
+	s := &n.calls[core]
+	if !s.settled.Load() {
+		return MemReply{}, false, nil
+	}
+	s.settled.Store(false)
+	if s.lost {
+		return MemReply{}, true, fmt.Errorf("transport: core %d's link died awaiting a remote reply", core)
+	}
+	return s.rep, true, nil
+}
+
+// Answer implements Transport: the reply (FrameLeaseRep when the home
+// granted a lease) joins the batch of the link the request came on.
+func (n *Node) Answer(a *Arrival, rep MemReply) error {
+	a.link.reqs.Add(-1)
+	f := Frame{Kind: FrameMemRep, ID: a.id, Rep: rep}
+	if rep.Lease != 0 {
+		f.Kind = FrameLeaseRep
+	}
+	return a.link.w.appendFrame(f, false)
+}
+
 // SendLeaseInval implements Transport: a direct handler call when the
-// holder's core is owned locally, an eager one-way frame to the owning
-// node otherwise. There is no reply — the update is advisory and the
-// writer's shard op has already committed.
+// holder's core is owned locally, a frame into the owning node's batch
+// otherwise. There is no reply — the update is advisory and the writer's
+// shard op has already committed.
 func (n *Node) SendLeaseInval(inv LeaseInval) error {
 	if n.Owns(inv.Dst) {
 		if n.invH != nil {
@@ -1034,11 +1028,11 @@ func (n *Node) SendLeaseInval(inv LeaseInval) error {
 		}
 		return nil
 	}
-	pc, err := n.peers[n.route[inv.Dst]].get(n.shutdown)
+	pc, err := n.peer(inv.Dst)
 	if err != nil {
 		return err
 	}
-	return pc.w.appendEager(Frame{Kind: FrameLeaseInval, Inv: inv})
+	return pc.w.appendFrame(Frame{Kind: FrameLeaseInval, Inv: inv}, false)
 }
 
 // --- coordinator ---------------------------------------------------------
@@ -1112,7 +1106,7 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 			return nil, err
 		}
 		cc := newConn(c, &co.nc)
-		if err := cc.w.appendEager(Frame{Kind: FrameHello, From: coordinatorID}); err != nil {
+		if err := cc.w.appendFrame(Frame{Kind: FrameHello, From: coordinatorID}, true); err != nil {
 			co.Close()
 			return nil, err
 		}
@@ -1204,7 +1198,7 @@ func (co *Coordinator) broadcast(kind FrameKind, body func([]byte) []byte) error
 		blob = co.body
 	}
 	for _, c := range co.conns {
-		if err := c.w.appendEager(Frame{Kind: kind, Blob: blob}); err != nil {
+		if err := c.w.appendFrame(Frame{Kind: kind, Blob: blob}, true); err != nil {
 			return err
 		}
 	}
@@ -1450,7 +1444,7 @@ func (co *Coordinator) Shutdown() {
 	co.stop()
 	for _, c := range co.conns {
 		if c != nil {
-			c.w.appendEager(Frame{Kind: FrameShutdown})
+			c.w.appendFrame(Frame{Kind: FrameShutdown}, true)
 		}
 	}
 }

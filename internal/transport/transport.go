@@ -6,22 +6,25 @@
 // internal/machine is written against the Transport interface; two
 // implementations exist:
 //
-//   - Local: every core in one process. The machine steps them on one
-//     executor and hands contexts between them as queue pushes; Local
-//     carries only what comes from outside it — injected contexts, remote
-//     accesses and write-updates as direct handler calls.
+//   - Local: every core in one process. Contexts pass between cores as
+//     queue pushes inside the machine; Local carries only what comes from
+//     outside it — injected contexts, and remote accesses and
+//     write-updates as direct handler calls.
 //   - Node/Coordinator (tcp.go): each core group is an OS process, messages
 //     travel as canonical length-prefixed frame batches over TCP (wire.go),
 //     and the migrated context really is the ContextWireBytes byte string a
-//     hardware transfer would serialize. Data-plane sends coalesce into a
-//     per-connection batch buffer that the node writes when it has no
-//     context left to run or its oldest frame has waited a round of flush
-//     points, so a node ships many ready messages in one syscall.
+//     hardware transfer would serialize.
 //
-// A node's per-core inboxes have capacity for every context that can be
-// sent to them, so an inbound reader never blocks delivering into one —
-// the socket is always drained, writes never stall, and deadlock freedom
-// is a bounded-wire-credit argument (DESIGN.md §6).
+// On either, a machine.Part steps its cores on one executor goroutine that
+// consumes the endpoint's queue (Take, Wake) and produces messages. A
+// Node's connection readers only decode and queue — contexts, memory
+// requests with the link they came on, lease write-updates — and complete
+// the issuing core's call slot when a reply lands; a reader never writes
+// and never blocks, so every socket drains. Everything the executor sends
+// to a peer coalesces in that link's batch buffer until the executor's
+// Flush, which writes each link that has frames — before it parks, and at
+// least every few rounds — so one write carries every context, request,
+// reply and update those rounds produced for that peer (DESIGN.md §6).
 //
 // The control plane keeps the coordinator off the critical path at paper
 // scale (64–256 cores, 8+ nodes): injection defers into the per-node batch
@@ -38,6 +41,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/isa"
@@ -95,9 +99,6 @@ const schedLenOffset = 29
 // because a silently wrapped length would desynchronize the wire.
 const MaxSchedBytes = 1<<16 - 1
 
-// WireLen returns the exact encoded size of c.
-func (c Context) WireLen() int { return ContextWireBytes + len(c.Sched) }
-
 // AppendWire appends the big-endian encoding of c to b — the fixed header
 // and architectural context followed by the Sched trailer — and returns the
 // extended slice. It is the hot encode path: appending into a reused buffer
@@ -116,11 +117,6 @@ func (c Context) AppendWire(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(c.Sched)))
 	b = c.Arch.AppendWire(b)
 	return append(b, c.Sched...)
-}
-
-// EncodeWire returns the encoding of c in a fresh slice.
-func (c Context) EncodeWire() []byte {
-	return c.AppendWire(make([]byte, 0, c.WireLen()))
 }
 
 // DecodeWire decodes b into c, the inverse of AppendWire: the input must be
@@ -317,15 +313,6 @@ func SumMetrics(rows []CoreMetrics) CoreMetrics {
 	return t
 }
 
-// GuestTotal returns the summed guest gauge.
-func (s *Sample) GuestTotal() int64 {
-	var t int64
-	for _, g := range s.Guests {
-		t += g
-	}
-	return t
-}
-
 // Merge folds o into s: per-core rows are concatenated (callers re-sort by
 // Core once all endpoints are merged), gauges and wire counters sum. The
 // coordinator uses it to assemble a cluster-wide sample from per-node
@@ -353,65 +340,154 @@ type MetricsSource interface {
 // Transport moves contexts and remote accesses between cores. A transport
 // instance serves one *endpoint* — the set of cores it owns locally — and
 // routes sends to any core in the system. Implementations must be safe for
-// concurrent use by every goroutine that steps an owned core and by the
+// concurrent use by the executor that steps the owned cores and by a
 // driver that injects contexts.
 type Transport interface {
 	// Cores returns the total core count of the system.
 	Cores() int
 	// Owned returns the cores served by this endpoint, ascending.
 	Owned() []geom.CoreID
-	// Owns reports whether core is served by this endpoint.
-	Owns(core geom.CoreID) bool
 
-	// InProcess returns the in-process endpoint behind this transport when
-	// every core lives in this address space (Local, or a decorator that
-	// wraps one), and nil when contexts reach this endpoint over a wire
-	// (Node, whose per-core inboxes are MigrationIn and EvictionIn). A
-	// machine.Part steps the cores of an in-process endpoint on one
-	// executor and hands contexts between them itself; only contexts sent
-	// from outside that executor pass through SendMigration/SendEviction.
-	InProcess() *Local
+	// Take returns what was queued for the owned cores since the last
+	// Take, in arrival order, keeping dst (the previous Take's slice, which
+	// the caller is done with) as storage for the next arrivals.
+	Take(dst []Arrival) []Arrival
+	// Wake receives a token after an arrival is queued or a Request's
+	// reply lands; one token covers everything before the next Take.
+	Wake() <-chan struct{}
 
-	// SendMigration ships c to dst's migration inbox (possibly remote).
-	// Sends to remote endpoints may coalesce in a per-connection batch
-	// buffer until Flush; in-process sends queue for the executor.
+	// SendMigration ships c to dst on the migration network: a queued
+	// arrival when dst is owned here, a frame in the owning node's batch
+	// buffer until Flush otherwise.
 	SendMigration(dst geom.CoreID, c Context) error
-	// SendEviction ships c to dst's eviction inbox. dst must be c's native
-	// core; the eviction network's sizing makes this send non-blocking.
-	// Like SendMigration, remote sends may coalesce until Flush.
+	// SendEviction ships c to dst on the eviction network, which carries
+	// only native returns: dst must be c's native core.
 	SendEviction(dst geom.CoreID, c Context) error
 
-	// Flush marks a flush point: coalesced outbound messages go to the
-	// wire, all ready messages per destination in one write. A TCP node's
-	// core loop calls it after each execution slice and before the core
-	// parks idle; the in-process executor once per round. A buffering
-	// transport may hold them past a point while it still has contexts to
-	// run (Node: DESIGN.md §6); transports without buffering make it a
+	// Flush writes every peer link that has frames, one write per link.
+	// The executor calls it before it parks and at least every few rounds
+	// (machine.Part.runExecutor); transports without buffering make it a
 	// no-op.
 	Flush() error
 
-	// Remote performs req at dst's home shard and returns the reply. For a
-	// locally owned dst this is a direct handler call; otherwise a
-	// request/reply round trip.
+	// Remote performs req at dst's home shard and returns the reply: a
+	// direct handler call when this endpoint owns dst, and otherwise a
+	// blocking round trip, for a node no executor steps.
 	Remote(dst geom.CoreID, req MemRequest) (MemReply, error)
 	// HandleMem installs the function that serves MemRequests against
 	// locally owned shards. It must be installed before any traffic flows.
 	HandleMem(h func(core geom.CoreID, req MemRequest) MemReply)
 
-	// SendLeaseInval delivers a write-update notification to the endpoint
-	// owning inv.Dst. Updates are advisory value refreshes (never entry
-	// removals), so delivery timing cannot affect deterministic counters;
-	// remote sends flush eagerly rather than waiting for a batch.
+	// Request sends req to dst, a core another endpoint owns, with the
+	// next Flush; the reply settles the call slot of req.From, which has
+	// at most one request in flight, and Poll(req.From) reports it: not
+	// done while it is owed, done with an error if the link died first.
+	Request(dst geom.CoreID, req MemRequest) error
+	Poll(core geom.CoreID) (rep MemReply, done bool, err error)
+	// Answer sends a queued memory request's reply, with the next Flush.
+	Answer(a *Arrival, rep MemReply) error
+
+	// SendLeaseInval delivers a write-update to inv.Dst: a direct handler
+	// call when it is owned here, a frame with the next Flush otherwise.
+	// Updates only refresh values, so their timing cannot affect
+	// deterministic counters.
 	SendLeaseInval(inv LeaseInval) error
 	// HandleLeaseInval installs the function that applies lease updates
 	// to locally owned cores. It must be installed before traffic flows.
 	HandleLeaseInval(h func(inv LeaseInval))
 }
 
+// Arrival is one message queued for an endpoint's executor: a context on
+// either virtual network, a memory request from a peer node, or a home
+// shard's lease write-update.
+type Arrival struct {
+	// Kind is FrameMigration, FrameEviction, FrameMemReq or FrameLeaseInval.
+	Kind FrameKind
+	// Dst is the owned core a context or memory request is for.
+	Dst geom.CoreID
+	Ctx Context    // FrameMigration, FrameEviction
+	Req MemRequest // FrameMemReq
+	Inv LeaseInval // FrameLeaseInval
+	// link and id say where a memory request's reply goes (Answer).
+	link *conn
+	id   uint64
+}
+
+// arrivals is an endpoint's unbounded inbound queue, where connection
+// readers and injecting drivers meet the executor. Slots are filled in
+// place under the lock, keeping their Sched storage, and take swaps the
+// slice for the executor's previous one: a slot is touched only under the
+// lock or by the executor between two takes, which is the happens-before
+// edge for a context's Sched (DESIGN.md §6), and a warm queue allocates
+// nothing.
+type arrivals struct {
+	mu   sync.Mutex
+	q    []Arrival
+	wake chan struct{}
+}
+
+func (q *arrivals) init(capacity int) {
+	q.q = make([]Arrival, 0, capacity)
+	q.wake = make(chan struct{}, 1)
+}
+
+// next locks the queue and returns a new tail slot, holding what an
+// earlier arrival left there; the caller fills it and calls done.
+func (q *arrivals) next() *Arrival {
+	q.mu.Lock()
+	if len(q.q) < cap(q.q) {
+		q.q = q.q[:len(q.q)+1]
+	} else {
+		q.q = append(q.q, Arrival{})
+	}
+	return &q.q[len(q.q)-1]
+}
+
+// done unlocks the queue, keeping the new slot (and waking the executor)
+// if keep is set.
+func (q *arrivals) done(keep bool) {
+	if !keep {
+		q.q = q.q[:len(q.q)-1]
+	}
+	q.mu.Unlock()
+	if keep {
+		q.signal()
+	}
+}
+
+// signal leaves a wake-up token unless one is already pending.
+func (q *arrivals) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// pushCtx queues a context sent from this address space. Sched is copied
+// into the slot's storage, so the sender may reuse its buffer at once.
+func (q *arrivals) pushCtx(kind FrameKind, dst geom.CoreID, c Context) {
+	a := q.next()
+	sched := a.Ctx.Sched[:0]
+	a.Kind, a.Dst, a.Ctx = kind, dst, c
+	a.Ctx.Sched = append(sched, c.Sched...)
+	q.done(true)
+}
+
+// Wake implements Transport.Wake for Local and Node, which embed the queue.
+func (q *arrivals) Wake() <-chan struct{} { return q.wake }
+
+// Take implements Transport.Take.
+func (q *arrivals) Take(dst []Arrival) []Arrival {
+	q.mu.Lock()
+	out := q.q
+	q.q = dst[:0]
+	q.mu.Unlock()
+	return out
+}
+
 // checkEviction rejects a context evicted to a core it is not native to:
-// the eviction network carries native returns only, and a node sizes each
-// core's eviction inbox for that core's natives, so any other core's could
-// be full.
+// the eviction network carries native returns only — the network the
+// progress rule (DESIGN.md §6) lets every core consume unconditionally.
 func checkEviction(dst geom.CoreID, c Context) error {
 	if c.Native != int32(dst) {
 		return fmt.Errorf("transport: eviction of thread %d to core %d, but its native core is %d", c.Thread, dst, c.Native)

@@ -101,12 +101,12 @@ func TestLocalManifestPartition(t *testing.T) {
 }
 
 // TestLocalTransport pins the in-process transport's contract: Take hands
-// the executor every queued send, evictions before migrations and each in
-// send order (so FIFO per core), with contexts intact and Sched copied;
-// a send never blocks however many are queued, and wakes the executor.
+// the executor every queued send in send order (so FIFO per core), each
+// with its network, its context intact and Sched copied; a send never
+// blocks however many are queued, and wakes the executor.
 func TestLocalTransport(t *testing.T) {
 	l := transport.NewLocal(4, 2)
-	if l.Cores() != 4 || !l.Owns(3) || l.Owns(4) || l.InProcess() != l {
+	if l.Cores() != 4 || !l.Owns(3) || l.Owns(4) {
 		t.Fatal("ownership wrong")
 	}
 	if got := l.Take(nil); len(got) != 0 {
@@ -140,9 +140,11 @@ func TestLocalTransport(t *testing.T) {
 	default:
 		t.Fatal("a send did not wake the executor")
 	}
+	mig, evict := transport.FrameMigration, transport.FrameEviction
 	want := []transport.Arrival{
-		{Dst: 1, Evict: true, Ctx: ctx(1)}, {Dst: 1, Evict: true, Ctx: ctx(9)},
-		{Dst: 2, Ctx: ctx(5)}, {Dst: 2, Ctx: ctx(6)}, {Dst: 3, Ctx: ctx(2)},
+		{Kind: mig, Dst: 2, Ctx: ctx(5)}, {Kind: evict, Dst: 1, Ctx: ctx(1)},
+		{Kind: mig, Dst: 2, Ctx: ctx(6)}, {Kind: evict, Dst: 1, Ctx: ctx(9)},
+		{Kind: mig, Dst: 3, Ctx: ctx(2)},
 	}
 	if got := l.Take(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("take = %+v\nwant %+v", got, want)
@@ -228,8 +230,8 @@ func TestEvictionToWrongCoreRejected(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("node accepted an eviction for a core its context is not native to")
 		}
-		if k := len(n.EvictionIn(0)); k != 0 {
-			t.Errorf("%d contexts reached core 0's eviction inbox", k)
+		if k := len(n.Take(nil)); k != 0 {
+			t.Errorf("%d contexts were queued for core 0", k)
 		}
 	})
 }
@@ -244,7 +246,8 @@ func TestTCPNodesExchange(t *testing.T) {
 	}
 	errs := make(chan error, 2)
 
-	// Node 0 owns core 0: serves memory, receives the migration, halts it.
+	// Node 0 owns core 0: serves memory and receives the migration through
+	// MigrationIn (no machine part steps it), halts it.
 	go func() {
 		errs <- func() error {
 			n, err := transport.ListenNode(man, 0)
@@ -308,8 +311,8 @@ func TestTCPNodesExchange(t *testing.T) {
 			}
 			ctx := sampleContext()
 			ctx.Thread, ctx.Native, ctx.MemSeq = 7, 0, 3
-			// Migrations coalesce in the batch buffer; the machine's core
-			// loop flushes at its scheduling points, so a raw transport
+			// Migrations coalesce in the batch buffer; the machine's
+			// executor flushes at the end of every round, so a raw transport
 			// client flushes explicitly.
 			if err := n.SendMigration(0, ctx); err != nil {
 				return err

@@ -9,8 +9,7 @@ package transport
 // encode straight into a per-connection batch buffer, written with one
 // syscall per batch, so a node ships all its ready messages to a peer in a
 // single write and a warm send allocates nothing. DESIGN.md §6 documents
-// the layout, when a node writes, and how batch delivery interacts with
-// the inbox wire credits.
+// the layout, when a node writes, and why its readers never block.
 
 import (
 	"bufio"
@@ -429,12 +428,12 @@ func (c *netCounters) snapshot() NetStats {
 // batchWriter coalesces outbound frames for one connection. Frames append
 // under the mutex into a buffer whose first BatchHeaderLen bytes are
 // reserved for the header; a flush patches the header and ships the whole
-// batch with one Write. Deferred frames (migrations, evictions) wait for
-// the node's Flush; latency-critical frames (remote accesses, replies,
-// control) flush immediately — carrying every deferred frame ahead of them
-// in the same syscall. The flusher-role loop keeps exactly one goroutine
-// writing while later enqueuers keep appending, so bursts coalesce even
-// between explicit flushes. The writer owns two buffers: the flusher swaps
+// batch with one Write. Data-plane frames wait for the node's Flush;
+// control frames flush immediately — carrying every deferred frame ahead
+// of them in the same syscall. The flusher-role loop keeps exactly one
+// goroutine writing while later enqueuers keep appending, so an append
+// never waits for a write in progress and bursts coalesce even between
+// explicit flushes. The writer owns two buffers: the flusher swaps
 // the filled one for the spare, writes it, and keeps it as the next spare.
 type batchWriter struct {
 	c  net.Conn
@@ -554,15 +553,14 @@ func (w *batchWriter) appendCtx(kind FrameKind, dst geom.CoreID, ctx Context) er
 	return w.finish(false)
 }
 
-// appendEager enqueues a latency-critical frame and flushes, carrying
-// every deferred frame ahead of it: a remote-access request (the sender is
-// about to block on the reply), a reply (the requester is blocked on it),
-// a lease write-update (the writer's shard op has completed; waiting for
-// the node's next write could leave the holder more than one window
-// stale), or a control frame. A body that could not fit a legal batch is
-// rejected here, at the point of origin, instead of being shipped for
-// every receiver to kill the run as protocol corruption.
-func (w *batchWriter) appendEager(f Frame) error {
+// appendFrame enqueues a frame that is not a context, written at once when
+// eager: a control frame, or a hello. A node's data-plane frames — a
+// remote-access request, its reply, a lease write-update — are deferred
+// like contexts and leave with the executor's next Flush. A body that
+// could not fit a legal batch is rejected here, at the point of origin,
+// instead of being shipped for every receiver to kill the run as protocol
+// corruption.
+func (w *batchWriter) appendFrame(f Frame, eager bool) error {
 	if len(f.Blob) > maxBlobBytes {
 		return errBodyTooLarge(len(f.Blob))
 	}
@@ -570,13 +568,13 @@ func (w *batchWriter) appendEager(f Frame) error {
 		return err
 	}
 	w.buf = AppendFrame(w.buf, f)
-	return w.finish(true)
+	return w.finish(eager)
 }
 
-// appendControl enqueues a control frame and flushes like appendEager,
-// with body (a control type's AppendWire) encoding straight into the
-// batch buffer behind the frame's kind byte and length — no intermediate
-// slice. The length is patched in once the body is written.
+// appendControl enqueues a control frame and flushes like an eager
+// appendFrame, with body (a control type's AppendWire) encoding straight
+// into the batch buffer behind the frame's kind byte and length — no
+// intermediate slice. The length is patched in once the body is written.
 func (w *batchWriter) appendControl(kind FrameKind, body func([]byte) []byte) error {
 	if err := w.begin(); err != nil {
 		return err

@@ -273,9 +273,9 @@ func TestNodeRejectsOutOfRangeData(t *testing.T) {
 	}{
 		{"thread outside the slot pool", []transport.Frame{{Kind: transport.FrameMigration, Dst: 0, Ctx: ctx.EncodeWire()}}},
 		{"reply to a core outside the mesh", []transport.Frame{{Kind: transport.FrameMemRep, ID: 2}}},
-		// Peer 1 owns one core: one request in service, one queued, and a
-		// third is more than its cores can have in flight.
-		{"more remote ops than the peer has cores", []transport.Frame{req, req, req}},
+		// Peer 1 owns one core: one request queued, and a second is more
+		// than its cores can have in flight.
+		{"more remote ops than the peer has cores", []transport.Frame{req, req}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,14 +289,8 @@ func TestNodeRejectsOutOfRangeData(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer n.Close()
-			release := make(chan struct{})
-			t.Cleanup(func() { close(release) })
 			n.Prepare(2)
-			n.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply {
-				<-release // hold the first request in service
-				return transport.MemReply{}
-			})
-			n.Ready()
+			n.Ready() // no executor takes the queue: requests stay owed
 			c := dialNode(t, man, 0, 1)
 			defer c.Close()
 			if _, err := c.Write(transport.AppendBatch(nil, tc.frames)); err != nil {
@@ -481,39 +475,38 @@ func TestDeferredSendsCoalesce(t *testing.T) {
 	if s.BatchesSent != 1 || s.MsgsSent != burst {
 		t.Fatalf("flush shipped %d msgs in %d batches, want %d in 1", s.MsgsSent, s.BatchesSent, burst)
 	}
-	for i := 0; i < burst; i++ {
+	var got []transport.Arrival
+	for len(got) < burst {
 		select {
-		case got := <-sink.EvictionIn(1):
-			if got.Thread != ctx.Thread {
-				t.Fatalf("context %d arrived mangled: %+v", i, got)
-			}
+		case <-sink.Wake():
+			got = append(got, sink.Take(nil)...)
 		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of %d burst contexts arrived", i, burst)
+			t.Fatalf("only %d of %d burst contexts arrived", len(got), burst)
+		}
+	}
+	for i, a := range got {
+		if a.Kind != transport.FrameEviction || a.Dst != 1 || a.Ctx.Thread != ctx.Thread {
+			t.Fatalf("context %d arrived mangled: %+v", i, a)
 		}
 	}
 }
 
 // TestRemoteFailsWhenPeerDies: an in-flight Remote whose peer connection
 // dies must fail promptly with a lost-connection error — not stall until
-// the cluster-wide timeout.
+// the cluster-wide timeout. The peer queues the request and never answers:
+// no executor takes its queue.
 func TestRemoteFailsWhenPeerDies(t *testing.T) {
 	t.Parallel()
 	man, err := transport.LocalManifest(2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
 	sink, err := transport.ListenNode(man, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
 	sink.Prepare(1)
-	sink.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply {
-		<-release // hold the reply hostage until the test ends
-		return transport.MemReply{}
-	})
 	sink.Ready()
 
 	src, err := transport.ListenNode(man, 0)
@@ -600,50 +593,80 @@ func TestWireHotPathZeroAlloc(t *testing.T) {
 	}
 	defer sink.Close()
 	sink.Prepare(4)
-	sink.HandleMem(func(geom.CoreID, transport.MemRequest) transport.MemReply { return transport.MemReply{Value: 1} })
 	sink.Ready()
 	raw := dialNode(t, man, 1, 2)
 	defer raw.Close()
 
+	// The executor's paths, driven by hand: what it sends leaves with its
+	// round-end Flush, and what arrives it takes from the queue.
 	ctx.Native = 1
-	in := sink.MigrationIn(1)
 	stuck := time.NewTimer(30 * time.Second) // one timer: time.After allocates
 	defer stuck.Stop()
-	arrive := func() {
-		select {
-		case <-in:
-		case <-stuck.C:
-			t.Fatal("context never arrived")
+	var in []transport.Arrival
+	arrive := func(n *transport.Node) {
+		for {
+			select {
+			case <-n.Wake():
+			case <-stuck.C:
+				t.Fatal("nothing arrived")
+			}
+			if in = n.Take(in); len(in) > 0 {
+				return
+			}
 		}
 	}
 	inbound := transport.AppendBatch(nil, []transport.Frame{{Kind: transport.FrameMigration, Dst: 1, Ctx: ctx.EncodeWire()}})
+	req := transport.MemRequest{Op: transport.OpRead, Addr: 64}
 	for _, p := range []struct {
 		name string
 		run  func()
 	}{
-		{"batchWriter append+flush (Node.SendMigration, Node.Flush)", func() {
+		{"deferred migration and the executor's flush (Node.SendMigration, Node.Flush)", func() {
 			if err := src.SendMigration(1, ctx); err != nil {
 				t.Fatal(err)
 			}
 			if err := src.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			arrive()
+			arrive(sink)
 		}},
-		{"inbound context decode into the thread slot", func() {
+		{"inbound context decoded into the queue (Node.Take)", func() {
 			if _, err := raw.Write(inbound); err != nil {
 				t.Fatal(err)
 			}
-			arrive()
+			arrive(sink)
 		}},
-		{"Node.Remote round trip", func() {
-			if _, err := src.Remote(1, transport.MemRequest{Op: transport.OpRead, Addr: 64}); err != nil {
+		{"remote request, answer and reply poll (Node.Request, Node.Answer, Node.Poll)", func() {
+			if err := src.Request(1, req); err != nil {
 				t.Fatal(err)
+			}
+			if err := src.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			arrive(sink)
+			if err := sink.Answer(&in[0], transport.MemReply{Value: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if rep, done, err := src.Poll(0); done {
+					if err != nil || rep.Value != 1 {
+						t.Fatalf("reply %+v, %v", rep, err)
+					}
+					return
+				}
+				select {
+				case <-src.Wake():
+				case <-stuck.C:
+					t.Fatal("reply never landed")
+				}
 			}
 		}},
 	} {
 		for i := 0; i < 10; i++ {
-			p.run() // warm: slot storage, read buffers
+			p.run() // warm: queue slots, read buffers
 		}
 		if n := testing.AllocsPerRun(100, p.run); n != 0 {
 			t.Errorf("%s: %.0f allocs, want 0", p.name, n)
