@@ -12,7 +12,7 @@ import (
 // the run lifecycle (Load, SubmitJob, InjectEviction and
 // machine.Inject — a driver that drops one of these awaits halts no node
 // will ever send), machine Part lifecycle calls (Start, StartServe,
-// SetThread, ApplyJob, CollectChunked — a swallowed load failure is
+// ApplyJob, CollectChunked — a swallowed load failure is
 // exactly the silent node death the load barrier exists to surface)
 // and the verifier (Litmus.Verify, CheckSC, CheckSCFrom — a dropped verdict
 // is a silently wrong image).
@@ -71,7 +71,6 @@ var machineTracked = map[string]bool{
 	"Inject":              true,
 	"Part.Start":          true,
 	"Part.StartServe":     true,
-	"Part.SetThread":      true,
 	"Part.ApplyJob":       true,
 	"Part.CollectChunked": true,
 	"Litmus.Verify":       true,

@@ -6,7 +6,6 @@ type Part struct{}
 
 func (p *Part) Start() error          { return nil }
 func (p *Part) StartServe(int) error  { return nil }
-func (p *Part) SetThread(int) error   { return nil }
 func (p *Part) Stop()                 {}
 func (p *Part) CollectChunked() error { return nil }
 

@@ -59,8 +59,8 @@ type leaseEnt struct {
 
 // LeaseCache is one thread's lease cache: a word-granular,
 // fully-associative, true-LRU store of the held words' values and
-// expiries. It is not safe for concurrent use; the runtime serializes
-// access per core.
+// expiries. It is not safe for concurrent use; in the runtime only the
+// executor of the part its thread resides on touches it.
 type LeaseCache struct {
 	// ents holds one entry per held word, in no particular order, and its
 	// capacity is the cache's entry count. It is a slice, not a map: at a

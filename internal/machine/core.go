@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -47,8 +46,7 @@ type context struct {
 	// lease is the thread's read cache for remote words under a caching
 	// scheme (nil otherwise). It is machine state, not predictor state: it
 	// is unregistered on every departure and reset on every arrival, so it
-	// never rides the wire. Guarded by the residing core's leaseMu, for
-	// RetireJob's range drops.
+	// never rides the wire.
 	lease *core.LeaseCache
 	// observed marks a context shipped mid-instruction: the access at pc
 	// was fed to pred.Observe before the migration, and the re-execution at
@@ -65,12 +63,12 @@ func archContext(c *context) isa.Context {
 }
 
 // coreNode is one core: its run queue, the per-core ends of the migration
-// and eviction virtual networks, and the core's slot in the runtime
-// metrics. Touched only by the part's executor, except as noted.
+// and eviction virtual networks, and the core's runtime metrics. Touched
+// only by the part's executor and the commands it serves (Part.call).
 type coreNode struct {
 	id  geom.CoreID
 	p   *Part
-	ctr *coreCounters
+	ctr transport.CoreMetrics
 	// evictQ and migQ are the core's ends of the eviction and migration
 	// networks: native returns and guest-bound migrations waiting for the
 	// core's next turn. Unbounded — at most one context per thread exists.
@@ -90,15 +88,8 @@ type coreNode struct {
 	// earlier runq-only count let a guest slip in unaccounted during every
 	// execution slice of another guest.
 	guests    int
-	execGuest bool // the currently executing context is a guest
-
-	// leaseMu guards the lease caches of every resident context (the
-	// leases registry and the caches themselves): the executor probes,
-	// fills and updates them while RetireJob's range drops arrive from the
-	// goroutine that retires the job. Never held across a transport call,
-	// which may deliver write-updates to this core.
-	leaseMu sync.Mutex
-	leases  []*core.LeaseCache // of the contexts resident here
+	execGuest bool               // the currently executing context is a guest
+	leases    []*core.LeaseCache // of the contexts resident here
 }
 
 // debugGuestPool, when set (tests only), makes every guest-pool mutation
@@ -158,9 +149,7 @@ func (n *coreNode) adoptLease(c *context) {
 	if c.lease == nil {
 		return
 	}
-	n.leaseMu.Lock()
 	n.leases = append(n.leases, c.lease)
-	n.leaseMu.Unlock()
 }
 
 // dropLease unregisters a departing context's lease cache: migration,
@@ -171,11 +160,9 @@ func (n *coreNode) dropLease(c *context) {
 	if c.lease == nil {
 		return
 	}
-	n.leaseMu.Lock()
 	if i := slices.Index(n.leases, c.lease); i >= 0 {
 		n.leases = slices.Delete(n.leases, i, i+1)
 	}
-	n.leaseMu.Unlock()
 }
 
 // applyLeaseUpdate delivers one home-shard write-update to every resident
@@ -183,21 +170,17 @@ func (n *coreNode) dropLease(c *context) {
 // entries, so delivery order and timing cannot perturb any hit/miss
 // count — the same value lands whichever cache holds the word.
 func (n *coreNode) applyLeaseUpdate(inv transport.LeaseInval) {
-	n.leaseMu.Lock()
 	for _, lc := range n.leases {
 		lc.Update(cache.Addr(inv.Addr), inv.Value)
 	}
-	n.leaseMu.Unlock()
 }
 
 // dropLeaseRange removes every resident lease in [lo, hi) — serve-mode
 // region reclamation (Part.RetireJob).
 func (n *coreNode) dropLeaseRange(lo, hi uint32) {
-	n.leaseMu.Lock()
 	for _, lc := range n.leases {
 		lc.DropRange(cache.Addr(lo), cache.Addr(hi))
 	}
-	n.leaseMu.Unlock()
 }
 
 // flush writes the transport's coalesced sends (runExecutor says when). A
@@ -208,7 +191,8 @@ func (n *coreNode) dropLeaseRange(lo, hi uint32) {
 // just spin until external teardown. The abort stops the executor at the
 // end of its round.
 func (p *Part) flush() {
-	if err := p.tr.Flush(); err != nil && p.flushFailed.CompareAndSwap(false, true) {
+	if err := p.tr.Flush(); err != nil && !p.flushFailed {
+		p.flushFailed = true
 		fmt.Fprintf(os.Stderr, "machine: transport flush: %v\n", err)
 		p.abort()
 	}
@@ -223,7 +207,7 @@ func (n *coreNode) runNext() {
 	// The popped context stays resident (and counted in guests) while it
 	// executes; execGuest marks it so the pool invariant covers it.
 	n.execGuest = c.native != n.id
-	n.execute(c, 0, sliceCounts{})
+	n.execute(c, 0)
 }
 
 // resume finishes the turn of a core whose context awaits a remote reply:
@@ -243,11 +227,10 @@ func (n *coreNode) resume() bool {
 		return true
 	}
 	if w.req.Lease != 0 {
-		n.fillLease(w.c, w.req, rep)
+		fillLease(w.c, w.req, rep)
 	}
-	var sc sliceCounts
-	memDone(w.c, w.in, rep, &sc)
-	n.execute(w.c, w.step+1, sc)
+	n.memDone(w.c, w.in, rep)
+	n.execute(w.c, w.step+1)
 	return true
 }
 
@@ -289,14 +272,13 @@ func (n *coreNode) acceptGuest(c *context) {
 				// Only the mid-flight executing guest remains: the pool
 				// exceeds its limit by this acceptance. Count it instead of
 				// pretending the limit held.
-				n.ctr.overcommits.Add(1)
+				n.ctr.Overcommits++
 				break
 			}
 			at = i
 		}
 	}
 	n.guests++
-	n.ctr.guests.Store(int64(n.guests))
 	n.adoptLease(c)
 	n.runq = slices.Insert(n.runq, at, c)
 	n.checkGuestPool()
@@ -315,8 +297,7 @@ func (n *coreNode) evictOneGuest() (*context, int) {
 		if g.native != n.id {
 			n.runq = append(n.runq[:i], n.runq[i+1:]...)
 			n.guests--
-			n.ctr.guests.Store(int64(n.guests))
-			n.ctr.evictions.Add(1)
+			n.ctr.Evictions++
 			n.dropLease(g)
 			g.live = false
 			// The eviction traversal is charged to the evicted context (its
@@ -324,7 +305,7 @@ func (n *coreNode) evictOneGuest() (*context, int) {
 			// the updated accumulators.
 			g.cycles += n.shipCost(g, n.p.cfg.Mesh.Hops(n.id, g.native))
 			g.msgs++
-			n.ctr.contextFlits.Add(contextFlits(g.pred.StateLen()))
+			n.ctr.ContextFlits += contextFlits(g.pred.StateLen())
 			n.p.ship(g.native, g, true)
 			n.checkGuestPool()
 			return g, i
@@ -351,17 +332,15 @@ func (n *coreNode) guestDeparted(c *context) {
 	c.live = false
 	if c.native != n.id {
 		n.guests--
-		n.ctr.guests.Store(int64(n.guests))
 	}
 	n.execGuest = false
 	n.checkGuestPool()
 }
 
 // execute runs a context from the given step of its quantum slice to the
-// slice's end, adding to sc, the slice's counts so far. The context either
-// stays (requeued), halts, migrates away, or suspends on a remote op to
-// another node (resume runs the rest); each exit publishes sc first.
-func (n *coreNode) execute(c *context, step int, sc sliceCounts) {
+// slice's end. The context either stays (requeued), halts, migrates away,
+// or suspends on a remote op to another node (resume runs the rest).
+func (n *coreNode) execute(c *context, step int) {
 	prog := c.spec.Program
 	for ; step < n.p.cfg.Quantum; step++ {
 		if c.pc < 0 || int(c.pc) >= len(prog) {
@@ -391,31 +370,26 @@ func (n *coreNode) execute(c *context, step int, sc sliceCounts) {
 				}
 				info.Access.Addr = cache.Addr(addr)
 				info.Access.Write = in.IsWrite()
-				var dec core.Decision
 				if c.lease != nil {
-					// Probe and decide under leaseMu (RetireJob drops ranges
-					// from another goroutine), but never hold it across the
-					// transport calls below, which may deliver write-updates
-					// to this core.
-					n.leaseMu.Lock()
 					info.Lease = core.NewLeaseView(c.lease, uint64(c.memSeq))
-					dec = c.pred.Decide(info)
+				}
+				dec := c.pred.Decide(info)
+				if c.lease != nil {
 					if dec == core.CachedRead {
 						// Served from the lease: no shard op, no logged event
 						// — the SC-checked history sees only home-serialized
 						// accesses, and the cached value is bounded-staleness
 						// by the lease window (DESIGN.md §10).
 						v, ok := c.lease.Lookup(cache.Addr(addr), uint64(c.memSeq))
-						n.leaseMu.Unlock()
 						if !ok {
 							panic(fmt.Sprintf("machine: scheme %q answered cached-read for a lease miss", n.p.cfg.Scheme.Name()))
 						}
 						writeReg(c, in.Rd, v)
-						sc.leaseHits++
+						n.ctr.LeaseHits++
 						c.memSeq++
 						c.observed = false
 						c.pc++
-						sc.instructions++
+						n.ctr.Instructions++
 						c.cycles++
 						continue
 					}
@@ -426,71 +400,64 @@ func (n *coreNode) execute(c *context, step int, sc sliceCounts) {
 					// cache is dropped on departure, matching the trace
 					// model's migrate arm.
 					if in.IsWrite() && dec != core.Migrate && c.lease.InvalidateOwn(cache.Addr(addr)) {
-						sc.leaseInvals++
+						n.ctr.LeaseInvals++
 					}
-					n.leaseMu.Unlock()
-				} else {
-					dec = c.pred.Decide(info)
 				}
 				if dec == core.Migrate {
 					// Ship the context; the instruction re-executes at home,
 					// where the access will be local. The traversal is charged
 					// before the context leaves, so it carries the updated
 					// accumulators.
-					n.ctr.migrations.Add(1)
+					n.ctr.Migrations++
 					c.cycles += n.shipCost(c, n.p.cfg.Mesh.Hops(n.id, home))
 					c.msgs++
-					n.ctr.contextFlits.Add(contextFlits(c.pred.StateLen()))
-					n.ctr.publish(&sc)
+					n.ctr.ContextFlits += contextFlits(c.pred.StateLen())
 					n.guestDeparted(c)
 					n.p.ship(home, c, false)
 					return
 				}
 				if in.IsWrite() {
-					sc.remoteWrites++
+					n.ctr.RemoteWrites++
 				} else {
-					sc.remoteReads++
+					n.ctr.RemoteReads++
 				}
 				if dec == core.RemoteReadCached {
 					// A lease-requesting read: counted as a remote read AND a
 					// lease miss; the reply travels as the slightly larger
 					// FrameLeaseRep.
 					leased = true
-					sc.leaseMisses++
+					n.ctr.LeaseMisses++
 					c.cycles += leasedRemoteCost(n.p.cfg.Mesh.Hops(n.id, home))
 				} else {
 					c.cycles += remoteCost(n.p.cfg.Mesh.Hops(n.id, home))
 				}
 				c.msgs += 2 // request out, reply back
 			} else {
-				sc.localOps++
+				n.ctr.LocalOps++
 			}
 			rep, ok := n.applyMem(c, in, addr, home, leased, step)
 			if !ok {
-				n.ctr.publish(&sc)
 				return
 			}
-			memDone(c, in, rep, &sc)
+			n.memDone(c, in, rep)
 			continue
 		}
 		if in.Op == isa.HALT {
-			sc.instructions++
+			n.ctr.Instructions++
 			c.cycles++
 			c.pred.Flush() // end of the thread's access stream
 			// Depart before reporting: whoever awaits the halt may sample the
 			// machine at once and must find the guest gauge already settled.
 			// The report is built first, while the slot is still ours.
 			h := transport.HaltMsg{Thread: c.thread, Regs: c.regs, Cycles: c.cycles, Msgs: c.msgs}
-			n.ctr.publish(&sc)
 			n.guestDeparted(c)
 			n.p.onHalt(h)
 			return
 		}
 		executeALU(c, in)
-		sc.instructions++
+		n.ctr.Instructions++
 		c.cycles++
 	}
-	n.ctr.publish(&sc)
 	n.requeue(c)
 }
 
@@ -534,7 +501,7 @@ func (n *coreNode) applyMem(c *context, in isa.Instr, addr uint32, home geom.Cor
 		return rep, false
 	}
 	if leased {
-		n.fillLease(c, req, rep)
+		fillLease(c, req, rep)
 	}
 	return rep, true
 }
@@ -543,16 +510,14 @@ func (n *coreNode) applyMem(c *context, in isa.Instr, addr uint32, home geom.Cor
 // PRE-access op count (req.TSeq): the same virtual fill time the
 // trace-model oracle uses, so expiry boundaries land on identical
 // own-stream indices.
-func (n *coreNode) fillLease(c *context, req transport.MemRequest, rep transport.MemReply) {
-	n.leaseMu.Lock()
+func fillLease(c *context, req transport.MemRequest, rep transport.MemReply) {
 	c.lease.Fill(cache.Addr(req.Addr), rep.Value, uint64(req.TSeq))
-	n.leaseMu.Unlock()
 }
 
 // memDone retires the memory instruction in with its home's reply: the
 // thread's memory-op count advances and the destination register takes
 // the value.
-func memDone(c *context, in isa.Instr, rep transport.MemReply, sc *sliceCounts) {
+func (n *coreNode) memDone(c *context, in isa.Instr, rep transport.MemReply) {
 	c.memSeq++
 	switch in.Op {
 	case isa.LW, isa.FAA, isa.SWAP:
@@ -560,7 +525,7 @@ func memDone(c *context, in isa.Instr, rep transport.MemReply, sc *sliceCounts) 
 	}
 	c.observed = false // the access completed; the next one is fresh
 	c.pc++
-	sc.instructions++
+	n.ctr.Instructions++
 	c.cycles++
 }
 

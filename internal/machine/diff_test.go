@@ -386,12 +386,12 @@ func TestClusterRunValidation(t *testing.T) {
 }
 
 // TestFlushAgeReleasesSpinners is the liveness test of the TCP node's
-// write rule: a node holds deferred frames while contexts are resident, so
-// two threads spinning on node 0 keep it from ever going quiescent while
-// the context that will release them — thread 0, bound for node 1 — waits
-// in node 0's batch buffer. Only the age arm (a frame that lived through
-// len(owned) flush points is written) gets it out; without it the run
-// ends in its timeout.
+// write rule: the executor flushes when it is about to park, and two
+// threads spinning on node 0 keep it from ever parking while the context
+// that will release them — thread 0, bound for node 1 — waits in node 0's
+// batch buffer. Only the age arm (runExecutor flushes at least once every
+// len(owned) rounds, however busy) gets it out; without it the run ends
+// in its timeout.
 func TestFlushAgeReleasesSpinners(t *testing.T) {
 	t.Parallel()
 	spin := isa.MustAssemble(`

@@ -16,6 +16,10 @@ import (
 // every eviction, every lease write-update — is a function of the program
 // and the configuration alone.
 //
+// Between rounds it also serves one command from another goroutine
+// (Part.call), so a command waits at most one round; while parked it
+// lends the part to such calls outright.
+//
 // Flush writes what the rounds sent to other nodes, one write per peer
 // link: when a round ran nothing, before the executor parks, and otherwise
 // once every len(p.nodes) rounds, so no frame waits longer than that many
@@ -23,7 +27,8 @@ import (
 // nothing, with nothing left buffered; an arrival or a landed reply wakes
 // it.
 func (p *Part) runExecutor() {
-	defer p.wg.Done()
+	defer close(p.exited)
+	<-p.own // lent back only while parked (Part.call)
 	var in []transport.Arrival
 	wake := p.tr.Wake()
 	age := 0 // rounds since the last Flush
@@ -47,19 +52,24 @@ func (p *Part) runExecutor() {
 		if ran {
 			select {
 			case <-p.done:
+				p.own <- struct{}{}
 				return
 			case <-wake:
 				in = p.land(in)
+			case <-p.cmd:
+				<-p.ret
 			default:
 			}
 			continue
 		}
+		p.own <- struct{}{}
 		select {
 		case <-p.done:
 			return
 		case <-wake:
-			in = p.land(in)
 		}
+		<-p.own
+		in = p.land(in)
 	}
 }
 

@@ -77,13 +77,22 @@ func TestNodeDeathFailsLoudly(t *testing.T) {
 // stubJobs is a fake node's control handler: it accepts every job,
 // signalling applied, and when the collect request arrives it closes
 // collected and fails the stream, which drops the node's coordinator link.
-type stubJobs struct{ applied, collected chan struct{} }
+// With early set, ApplyJob first reports a HALT for each thread in it on
+// tn, so those halts precede the submit's reply on the wire.
+type stubJobs struct {
+	applied, collected chan struct{}
+	early              []int
+	tn                 *transport.Node
+}
 
 func newStubJobs() *stubJobs {
 	return &stubJobs{applied: make(chan struct{}, 1), collected: make(chan struct{})}
 }
 
 func (s *stubJobs) ApplyJob(*transport.JobSpec) error {
+	for _, th := range s.early {
+		_ = s.tn.SendHalt(transport.HaltMsg{Thread: th}) //em2:errsink-ok: stub node; coordinator teardown is the condition under test
+	}
 	s.applied <- struct{}{}
 	return nil
 }
@@ -105,6 +114,7 @@ func stubNode(t *testing.T, man transport.Manifest, ctl *stubJobs, halts func(nu
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tn.Close() })
+	ctl.tn = tn
 	go func() {
 		spec := <-tn.Loads()
 		tn.Prepare(spec.NumThreads)
@@ -128,16 +138,20 @@ func stubNode(t *testing.T, man transport.Manifest, ctl *stubJobs, halts func(nu
 // (a bare transport endpoint) that accepts the job, then reports malformed
 // HALTs. A duplicate
 // report must not satisfy the halt count on behalf of a thread that never
-// finished, and an out-of-range thread id must be rejected outright.
+// finished, and an out-of-range thread id must be rejected outright. Sent
+// before the submit's reply, the duplicates must still reach the halt
+// barrier: a coordinator reader that blocked on its halt queue never read
+// the reply, and the submit timed out instead.
 func TestClusterRunRejectsBogusHalts(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
-		name  string
-		halts []int
-		want  string
+		name         string
+		halts, early []int
+		want         string
 	}{
-		{"duplicate", []int{0, 0}, "duplicate halt report for thread 0"},
-		{"unknown-thread", []int{7}, "unknown thread 7"},
+		{"duplicate", []int{0, 0}, nil, "duplicate halt report for thread 0"},
+		{"unknown-thread", []int{7}, nil, "unknown thread 7"},
+		{"duplicate-before-reply", nil, []int{0, 0}, "duplicate halt report for thread 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -145,7 +159,9 @@ func TestClusterRunRejectsBogusHalts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stubNode(t, man, newStubJobs(), func(int) []int { return tc.halts })
+			ctl := newStubJobs()
+			ctl.early = tc.early
+			stubNode(t, man, ctl, func(int) []int { return tc.halts })
 			lit := StoreBufferingLitmus(64)
 			_, err = ClusterRun{Manifest: man, Config: ClusterConfig{Timeout: 10 * time.Second}, Threads: lit.Threads, Mem: lit.Mem}.Run()
 			if err == nil {

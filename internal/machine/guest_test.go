@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -29,9 +28,9 @@ func newGuestPoolNode(t *testing.T, guestContexts int) (*coreNode, *Part) {
 		t.Fatal(err)
 	}
 	spec := &ThreadSpec{Program: isa.MustAssemble("halt")}
-	p.specs = make([]atomic.Pointer[ThreadSpec], 8)
+	p.specs = make([]*ThreadSpec, 8)
 	for i := range p.specs {
-		p.specs[i].Store(spec)
+		p.specs[i] = spec
 	}
 	p.ctxs = make([]context, len(p.specs))
 	return p.nodeOf[1], p
@@ -116,14 +115,14 @@ func TestGuestPoolOvercommitCounted(t *testing.T) {
 
 	b := guestCtx(p, 1)
 	n.acceptGuest(b) // no queued guest to evict: overcommit
-	if got := n.ctr.overcommits.Load(); got != 1 {
+	if got := n.ctr.Overcommits; got != 1 {
 		t.Errorf("overcommits = %d after accept past a mid-flight guest, want 1", got)
 	}
 	if n.guests != 2 {
 		t.Errorf("guests = %d, want 2 (executing a + queued b)", n.guests)
 	}
-	if got := n.ctr.metrics(n.id).Overcommits; got != 1 {
-		t.Errorf("CoreMetrics.Overcommits = %d, want 1", got)
+	if s, _ := p.Sample(); s.PerCore[1].Overcommits != 1 {
+		t.Errorf("CoreMetrics.Overcommits = %d, want 1", s.PerCore[1].Overcommits)
 	}
 
 	// a migrates away at the end of its instruction: the pool returns to
@@ -217,23 +216,21 @@ func TestHaltReportedAfterGuestDeparts(t *testing.T) {
 		sw   r0, 64(r0)
 		halt
 	`)
-	guests := make(chan int64, 1)
-	if err := part.Start([]ThreadSpec{{Program: prog}}, func(transport.HaltMsg) {
-		var s transport.Sample
-		part.SampleInto(&s)
-		var total int64
-		for _, g := range s.Guests {
-			total += g
-		}
-		guests <- total
-	}); err != nil {
+	halted := make(chan transport.HaltMsg, 1)
+	if err := part.Start([]ThreadSpec{{Program: prog}}, func(h transport.HaltMsg) { halted <- h }); err != nil {
 		t.Fatal(err)
 	}
+	defer part.Stop()
 	if err := Inject([]ThreadSpec{{Program: prog}}, 2, tr.SendEviction); err != nil {
 		t.Fatal(err)
 	}
-	got := <-guests
-	part.Stop()
+	<-halted
+	var s transport.Sample
+	part.SampleInto(&s)
+	var got int64
+	for _, g := range s.Guests {
+		got += g
+	}
 	if got != 0 {
 		t.Fatalf("guest gauge reads %d when the halt is reported, want 0", got)
 	}

@@ -61,25 +61,39 @@ func decodeProgram(words []uint32) ([]isa.Instr, error) {
 
 // ApplyJob installs a received JobSpec into this part's slots 0..n-1 and
 // preloads the job's memory image (keeping only the addresses this part
-// homes). It runs synchronously on the transport's control-plane reader,
-// before any of the job's contexts can arrive.
+// homes). It decodes and checks the job on the caller's goroutine, then
+// installs it as one command (Part.call); on a node the coordinator
+// link's reader calls it before any of the job's contexts can arrive.
 func (p *Part) ApplyJob(js *transport.JobSpec) error {
 	if len(js.Regs) != len(js.Programs) {
 		return fmt.Errorf("machine: job %d carries %d programs and %d reg maps",
 			js.Job, len(js.Programs), len(js.Regs))
 	}
+	specs := make([]ThreadSpec, len(js.Programs))
 	for t, words := range js.Programs {
 		prog, err := decodeProgram(words)
 		if err != nil {
 			return fmt.Errorf("machine: job %d thread %d: %v", js.Job, t, err)
 		}
-		if err := p.SetThread(t, ThreadSpec{Program: prog, Regs: js.Regs[t]}); err != nil {
+		if t >= len(p.specs) {
+			return fmt.Errorf("machine: thread slot %d outside the %d-slot pool", t, len(p.specs))
+		}
+		if len(prog) == 0 {
+			return fmt.Errorf("machine: slot %d: empty program", t)
+		}
+		specs[t] = ThreadSpec{Program: prog, Regs: js.Regs[t]}
+		if err := validateSpecs(specs[t : t+1]); err != nil {
 			return err
 		}
 	}
-	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
-	for a, v := range js.Mem {
-		p.Preload(a, v, 0)
-	}
+	p.call(func() {
+		for t := range specs {
+			p.specs[t] = &specs[t]
+		}
+		//em2:unordered-ok: preload writes each address into its home shard's map; the final image is order-independent
+		for a, v := range js.Mem {
+			p.preload(a, v, 0)
+		}
+	})
 	return nil
 }

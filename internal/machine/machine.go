@@ -55,8 +55,8 @@ import (
 type Config struct {
 	Mesh          geom.Mesh
 	GuestContexts int              // guest contexts per core; 0 = unlimited
-	Placement     placement.Policy // must be safe for concurrent use; every internal/placement policy is
-	Scheme        core.Scheme      // nil = pure EM² (always migrate); NewPredictor must be safe for concurrent use (predictor state is per thread and migrates with the context)
+	Placement     placement.Policy // one part calls it from one goroutine at a time; shared by parts that run at once, it must be safe for concurrent use (every internal/placement policy is)
+	Scheme        core.Scheme      // nil = pure EM² (always migrate); one part calls NewPredictor from one goroutine at a time (predictor state is per thread and migrates with the context)
 	Quantum       int              // instructions per scheduling slice (default 64)
 	LogEvents     bool             // record memory events for the SC checker
 }
@@ -173,8 +173,9 @@ func (m *Machine) Read(addr uint32) uint32 {
 // transport tests).
 //
 //em2:reference-only the differential and determinism tests compare whole images
-func (m *Machine) MemImage() map[uint32]uint32 {
-	return m.part.MemImage()
+func (m *Machine) MemImage() (mem map[uint32]uint32) {
+	m.part.call(func() { mem = m.part.memImage() })
+	return mem
 }
 
 // Run executes the threads to completion and returns aggregate results.

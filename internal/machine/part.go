@@ -2,8 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -13,74 +13,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/transport"
 )
-
-// coreCounters is one core's runtime metrics. Each counter is written only
-// by the part's executor, on either transport, so the atomics are
-// uncontended; they exist so Collect and Sample can read them from another
-// goroutine (a serve driver, a node's control handler). Those in
-// sliceCounts are published once per execution slice, before its send, halt
-// report, departure or requeue, which every deterministic sample point
-// follows; an advisory heartbeat sample may lag by one slice.
-type coreCounters struct {
-	instructions atomic.Int64
-	localOps     atomic.Int64
-	remoteReads  atomic.Int64
-	remoteWrites atomic.Int64
-	migrations   atomic.Int64
-	evictions    atomic.Int64
-	contextFlits atomic.Int64
-	leaseHits    atomic.Int64
-	leaseMisses  atomic.Int64
-	leaseInvals  atomic.Int64
-	overcommits  atomic.Int64
-	// guests mirrors coreNode.guests as a gauge the sampling path can read
-	// from another goroutine. Not part of CoreMetrics (it is a gauge, not a
-	// counter) — Sample carries it separately, and it must read zero
-	// whenever the machine is quiescent.
-	guests atomic.Int64
-}
-
-// sliceCounts is one execution slice's per-instruction counts.
-type sliceCounts struct {
-	instructions, localOps, remoteReads, remoteWrites int64
-	leaseHits, leaseMisses, leaseInvals               int64
-}
-
-// publish adds one slice's counts to the core's counters.
-func (c *coreCounters) publish(s *sliceCounts) {
-	addNonZero(&c.instructions, s.instructions)
-	addNonZero(&c.localOps, s.localOps)
-	addNonZero(&c.remoteReads, s.remoteReads)
-	addNonZero(&c.remoteWrites, s.remoteWrites)
-	addNonZero(&c.leaseHits, s.leaseHits)
-	addNonZero(&c.leaseMisses, s.leaseMisses)
-	addNonZero(&c.leaseInvals, s.leaseInvals)
-}
-
-// addNonZero spares the atomic for the counters most slices leave at zero.
-func addNonZero(a *atomic.Int64, n int64) {
-	if n != 0 {
-		a.Add(n)
-	}
-}
-
-// metrics snapshots the counters for the Collect control plane.
-func (c *coreCounters) metrics(core geom.CoreID) transport.CoreMetrics {
-	return transport.CoreMetrics{
-		Core:         core,
-		Instructions: c.instructions.Load(),
-		LocalOps:     c.localOps.Load(),
-		RemoteReads:  c.remoteReads.Load(),
-		RemoteWrites: c.remoteWrites.Load(),
-		Migrations:   c.migrations.Load(),
-		Evictions:    c.evictions.Load(),
-		ContextFlits: c.contextFlits.Load(),
-		LeaseHits:    c.leaseHits.Load(),
-		LeaseMisses:  c.leaseMisses.Load(),
-		LeaseInvals:  c.leaseInvals.Load(),
-		Overcommits:  c.overcommits.Load(),
-	}
-}
 
 // wireNoC is the link model used to express shipped context bytes as flits
 // (the same default link parameters the §3 cost model charges).
@@ -101,10 +33,12 @@ func contextFlits(stateLen int) int64 {
 
 // Part runs the cores a transport endpoint owns: their execution, their
 // shards, and the memory handler that serves remote accesses to those
-// shards. One executor goroutine steps them (executor.go). The whole
-// machine is one Part over a transport.Local; a cluster is one Part per
-// node process over a transport.Node, all loaded with the same programs
-// (code is replicated, data is not).
+// shards. One executor goroutine steps them (executor.go) and owns all of
+// it: a call from another goroutine is a command the executor serves
+// between two rounds (call). The whole machine is one Part over a
+// transport.Local; a cluster is one Part per node process over a
+// transport.Node, all loaded with the same programs (code is replicated,
+// data is not).
 type Part struct {
 	cfg   Config
 	tr    transport.Transport
@@ -112,9 +46,7 @@ type Part struct {
 	// shards is indexed by core id — the hottest lookup in the machine —
 	// with nil entries for cores other endpoints own.
 	shards []*shard
-	// ctr is indexed by core id; only owned cores' slots are ever written.
-	ctr   []coreCounters
-	nodes []*coreNode
+	nodes  []*coreNode
 	// nodeOf is indexed by core id, nil for cores other endpoints own. It
 	// routes hand-offs between owned cores and inbound lease write-updates
 	// to the owning core; built before any handler is installed, then
@@ -123,23 +55,26 @@ type Part struct {
 	// leaseWindow is the scheme's lease validity window when the scheme
 	// caches remote reads (core.Leaser); 0 for every other scheme.
 	leaseWindow uint64
-	// specs is the per-slot thread table. Slots are atomic pointers because
-	// jobs rewrite them (SetThread/RetireJob) while the cores run; the
-	// atomics make the handoff visible and race-detector clean.
-	// The job protocol guarantees a slot is never rewritten while one of
-	// its contexts is resident or in flight (the job submit barrier orders
-	// installation before injection; a halt report orders completion
-	// before reuse).
-	specs []atomic.Pointer[ThreadSpec]
+	// specs is the per-slot thread table, rewritten by jobs (ApplyJob,
+	// RetireJob). The job protocol guarantees a slot is never rewritten
+	// while one of its contexts is resident or in flight (the job submit
+	// barrier orders installation before injection; a halt report orders
+	// completion before reuse).
+	specs []*ThreadSpec
 	// ctxs holds one reusable context per thread slot: at most one context
 	// per thread is live system-wide, so every arrival lands in its slot
 	// (fromWire) and a hand-off allocates nothing.
-	ctxs        []context
-	onHalt      func(transport.HaltMsg)
-	done        chan struct{}
-	stopOnce    sync.Once
-	flushFailed atomic.Bool // a flush error was already reported
-	wg          sync.WaitGroup
+	ctxs   []context
+	onHalt func(transport.HaltMsg)
+	// own holds the part's one ownership token whenever no goroutine
+	// steps the part: before start, while the executor is parked, and
+	// after it has exited. cmd and ret carry call's commands to a running
+	// executor; nil before start.
+	own, cmd, ret chan struct{}
+	exited        chan struct{}
+	done          chan struct{}
+	stopOnce      sync.Once
+	flushFailed   bool // a flush error was already reported
 }
 
 // NewPart builds the part for the cores tr owns and installs its memory
@@ -182,14 +117,16 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 		tr:          tr,
 		place:       cfg.Placement,
 		shards:      make([]*shard, tr.Cores()),
-		ctr:         make([]coreCounters, tr.Cores()),
 		nodeOf:      make([]*coreNode, tr.Cores()),
 		leaseWindow: leaseWindow,
+		own:         make(chan struct{}, 1),
+		exited:      make(chan struct{}),
 		done:        make(chan struct{}),
 	}
+	p.own <- struct{}{}
 	for _, id := range tr.Owned() {
 		p.shards[id] = newShard(id, cfg.LogEvents)
-		n := &coreNode{id: id, p: p, ctr: &p.ctr[id]}
+		n := &coreNode{id: id, p: p, ctr: transport.CoreMetrics{Core: id}}
 		p.nodes = append(p.nodes, n)
 		p.nodeOf[id] = n
 	}
@@ -210,20 +147,45 @@ func (p *Part) serveMem(core geom.CoreID, req transport.MemRequest) transport.Me
 	// write with a few holders allocates nothing.
 	var buf [4]transport.LeaseInval
 	rep, invals := p.shards[core].apply(req, buf[:0])
-	// The shard lock is released; ship the write-updates now. A failed
-	// send means the holder's connection is dying — the update is
-	// advisory (holders expire on their own virtual clocks), so the
-	// write itself must not fail with it.
+	// Ship the write-updates after the shard op. A failed send means the
+	// holder's connection is dying — the update is advisory (holders
+	// expire on their own virtual clocks), so the write itself must not
+	// fail with it.
 	for _, inv := range invals {
 		p.tr.SendLeaseInval(inv) //em2:errsink-ok: advisory update; a dead link surfaces through the data plane
 	}
 	return rep
 }
 
+// call runs f with the part to itself, on the caller's goroutine. When no
+// goroutine steps the part — before Start, while the executor is parked,
+// after it has exited — f takes the ownership token and runs at once; a
+// parked executor that an arrival wakes takes the token back only after
+// f. While the executor runs, f is a command: the executor takes it
+// between two rounds and steps nothing until f has returned. Either way f
+// sees a round boundary and nothing else touches the part meanwhile. f is
+// not handed to the executor: a closure sent through a channel escapes to
+// the heap, and a sample must allocate nothing. Never called from the
+// executor (onHalt included), which would wait on itself.
+func (p *Part) call(f func()) {
+	select {
+	case <-p.own:
+		f()
+		p.own <- struct{}{}
+	case p.cmd <- struct{}{}:
+		f()
+		p.ret <- struct{}{}
+	}
+}
+
 // Preload stores a word at addr before the run if this part owns addr's
 // home, binding the page to `by` under dynamic placements. Safe to call on
 // every part of a cluster with the full image: each keeps only its slice.
 func (p *Part) Preload(addr uint32, value uint32, by geom.CoreID) {
+	p.call(func() { p.preload(addr, value, by) })
+}
+
+func (p *Part) preload(addr uint32, value uint32, by geom.CoreID) {
 	home := p.place.Touch(cache.Addr(addr), by)
 	if s := p.shards[home]; s != nil {
 		s.apply(transport.MemRequest{Thread: -1, Op: transport.OpWrite, Addr: addr, Arg: value}, nil)
@@ -235,30 +197,29 @@ func (p *Part) Preload(addr uint32, value uint32, by geom.CoreID) {
 // must not bind its page (a dynamic placement would otherwise home it at
 // core 0 as a side effect of inspection), so an unbound address reports
 // not-homed.
-func (p *Part) Peek(addr uint32) (uint32, bool) {
-	home, ok := p.place.HomeOf(cache.Addr(addr))
-	if !ok {
-		return 0, false
-	}
-	if s := p.shards[home]; s != nil {
-		return s.peek(addr), true
-	}
-	return 0, false
+func (p *Part) Peek(addr uint32) (v uint32, homed bool) {
+	p.call(func() {
+		if home, ok := p.place.HomeOf(cache.Addr(addr)); ok && p.shards[home] != nil {
+			v, homed = p.shards[home].mem[addr], true
+		}
+	})
+	return v, homed
 }
 
 // Start starts the cores with every slot installed up front: threads
 // is the full machine-wide thread list (any thread can migrate in); onHalt
-// fires on the core where a thread executes HALT, with its final register
-// file. The in-process Machine starts this way; a cluster node starts with
-// StartServe and receives its programs per job.
+// fires on the executor when a thread executes HALT, with its final
+// register file, and must not call back into the part. The in-process
+// Machine starts this way; a cluster node starts with StartServe and
+// receives its programs per job.
 func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error {
 	if err := validateSpecs(threads); err != nil {
 		return err
 	}
-	p.specs = make([]atomic.Pointer[ThreadSpec], len(threads))
+	threads = slices.Clone(threads)
+	p.specs = make([]*ThreadSpec, len(threads))
 	for i := range threads {
-		t := threads[i]
-		p.specs[i].Store(&t)
+		p.specs[i] = &threads[i]
 	}
 	return p.start(onHalt)
 }
@@ -272,7 +233,7 @@ func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 	if numSlots <= 0 {
 		return fmt.Errorf("machine: serve pool needs at least one slot")
 	}
-	p.specs = make([]atomic.Pointer[ThreadSpec], numSlots)
+	p.specs = make([]*ThreadSpec, numSlots)
 	return p.start(onHalt)
 }
 
@@ -287,7 +248,7 @@ func (p *Part) start(onHalt func(transport.HaltMsg)) error {
 	for _, n := range p.nodes {
 		n.evictQ, n.migQ, n.runq, qs = qs[:0:k], qs[k:k:2*k], qs[2*k:2*k:3*k], qs[3*k:]
 	}
-	p.wg.Add(1)
+	p.cmd, p.ret = make(chan struct{}), make(chan struct{})
 	go p.runExecutor()
 	return nil
 }
@@ -297,7 +258,9 @@ func (p *Part) start(onHalt func(transport.HaltMsg)) error {
 // serve drain).
 func (p *Part) Stop() {
 	p.abort()
-	p.wg.Wait()
+	if p.cmd != nil {
+		<-p.exited
+	}
 }
 
 // abort signals every core to stop without waiting for them. A part
@@ -309,44 +272,28 @@ func (p *Part) abort() {
 	p.stopOnce.Do(func() { close(p.done) })
 }
 
-// SetThread installs spec in a pool slot. The caller must guarantee no
-// context of the slot is resident or in flight (the job submit and halt
-// protocol provides exactly that ordering).
-func (p *Part) SetThread(slot int, spec ThreadSpec) error {
-	if slot < 0 || slot >= len(p.specs) {
-		return fmt.Errorf("machine: thread slot %d outside the %d-slot pool", slot, len(p.specs))
-	}
-	if len(spec.Program) == 0 {
-		return fmt.Errorf("machine: slot %d: empty program", slot)
-	}
-	if err := validateSpecs([]ThreadSpec{spec}); err != nil {
-		return err
-	}
-	p.specs[slot].Store(&spec)
-	return nil
-}
-
 // SampleInto fills s with a non-destructive snapshot of this part's
 // metrics: per-core counters and guest gauges (ascending by core id) plus
 // the summed shard footprint. Unlike Collect it copies no memory and no
-// events — one atomic load per counter, one short lock per shard — so it
-// is cheap enough to take periodically while the machine runs. The slices
-// are reused via append(x[:0], ...), making repeated samples into the same
-// Sample allocation-free (the telemetry hot path; held at 0 by
-// TestSampleEncodeZeroAlloc).
+// events, so it is cheap enough to take periodically while the machine
+// runs. The slices are reused via append(x[:0], ...), making repeated
+// samples into the same Sample allocation-free (the telemetry hot path;
+// held at 0 by TestSampleEncodeZeroAlloc).
 // s.Cycle and s.Net are left untouched: the caller owns the virtual-time
 // stamp and the transport owns the wire counters.
 func (p *Part) SampleInto(s *transport.Sample) {
-	s.PerCore = s.PerCore[:0]
-	s.Guests = s.Guests[:0]
-	s.Words, s.Events = 0, 0
-	for _, id := range p.tr.Owned() {
-		s.PerCore = append(s.PerCore, p.ctr[id].metrics(id))
-		s.Guests = append(s.Guests, p.ctr[id].guests.Load())
-		w, e := p.shards[id].gauges()
-		s.Words += w
-		s.Events += e
-	}
+	p.call(func() {
+		s.PerCore = s.PerCore[:0]
+		s.Guests = s.Guests[:0]
+		s.Words, s.Events = 0, 0
+		for _, n := range p.nodes {
+			s.PerCore = append(s.PerCore, n.ctr)
+			s.Guests = append(s.Guests, int64(n.guests))
+			w, e := p.shards[n.id].gauges()
+			s.Words += w
+			s.Events += e
+		}
+	})
 }
 
 // Sample implements transport.MetricsSource for an in-process part.
@@ -359,19 +306,21 @@ func (p *Part) Sample() (transport.Sample, error) {
 // Collect returns this part's post-run state: aggregate and per-core
 // counters, the event logs of its shards in core order, and its slice of
 // the memory image.
-func (p *Part) Collect(node int) transport.CollectReply {
-	rep := p.collectState(node)
-	rep.Mem = p.MemImage()
+func (p *Part) Collect(node int) (rep transport.CollectReply) {
+	p.call(func() {
+		rep = p.collectState(node)
+		rep.Mem = p.memImage()
+	})
 	return rep
 }
 
 // collectState is Collect without the memory image, for Machine.Run, which
-// reads only counters and events.
+// reads only counters and events once the executor has exited.
 func (p *Part) collectState(node int) transport.CollectReply {
-	rep := transport.CollectReply{Node: node, PerCore: make([]transport.CoreMetrics, 0, len(p.tr.Owned()))}
-	for _, id := range p.tr.Owned() {
-		rep.PerCore = append(rep.PerCore, p.ctr[id].metrics(id))
-		rep.Events = p.shards[id].appendEvents(rep.Events)
+	rep := transport.CollectReply{Node: node, PerCore: make([]transport.CoreMetrics, 0, len(p.nodes))}
+	for _, n := range p.nodes {
+		rep.PerCore = append(rep.PerCore, n.ctr)
+		rep.Events = p.shards[n.id].appendEvents(rep.Events)
 	}
 	rep.Counters = stats.CounterMap(transport.SumMetrics(rep.PerCore))
 	return rep
@@ -383,18 +332,21 @@ func (p *Part) collectState(node int) transport.CollectReply {
 // with its wire counters. Chunking bounds each control-plane body by one
 // core's state, which is what keeps a 256-core node's collection inside
 // the wire's body cap.
-func (p *Part) CollectChunked(emit func(transport.Reply) error) error {
-	for _, id := range p.tr.Owned() {
-		s := p.shards[id]
-		words, _ := s.gauges()
-		mem := make(map[uint32]uint32, words)
-		s.imageInto(mem)
-		r := transport.Reply{PerCore: []transport.CoreMetrics{p.ctr[id].metrics(id)}, Events: s.appendEvents(nil), Mem: mem, More: true}
-		if err := emit(r); err != nil {
-			return err
+func (p *Part) CollectChunked(emit func(transport.Reply) error) (err error) {
+	p.call(func() {
+		for _, n := range p.nodes {
+			s := p.shards[n.id]
+			words, _ := s.gauges()
+			mem := make(map[uint32]uint32, words)
+			s.imageInto(mem)
+			r := transport.Reply{PerCore: []transport.CoreMetrics{n.ctr}, Events: s.appendEvents(nil), Mem: mem, More: true}
+			if err = emit(r); err != nil {
+				return
+			}
 		}
-	}
-	return emit(transport.Reply{})
+		err = emit(transport.Reply{})
+	})
+	return err
 }
 
 // RetireJob retires a finished job: its slots 0..d.Threads-1 are
@@ -403,34 +355,35 @@ func (p *Part) CollectChunked(emit func(transport.Reply) error) error {
 // region are deleted from every owned shard — the hook that keeps a
 // long-running server's footprint bounded. It returns the removed events,
 // in core order.
-func (p *Part) RetireJob(d transport.JobDone) []transport.Event {
-	for s := range min(d.Threads, len(p.specs)) {
-		p.specs[s].Store(nil)
-	}
-	lo, hi := d.Base, d.Base+d.Size
-	var events []transport.Event
-	for _, id := range p.tr.Owned() {
-		ev, _ := p.shards[id].reclaim(lo, hi)
-		events = append(events, ev...)
-		// Resident threads' lease caches may hold words of the reclaimed
-		// region; drop them so a recycled region can never serve a stale
-		// lease to the next job.
-		p.nodeOf[id].dropLeaseRange(lo, hi)
-	}
+func (p *Part) RetireJob(d transport.JobDone) (events []transport.Event) {
+	p.call(func() {
+		for s := range min(d.Threads, len(p.specs)) {
+			p.specs[s] = nil
+		}
+		lo, hi := d.Base, d.Base+d.Size
+		for _, n := range p.nodes {
+			ev, _ := p.shards[n.id].reclaim(lo, hi)
+			events = append(events, ev...)
+			// Resident threads' lease caches may hold words of the
+			// reclaimed region; drop them so a recycled region can never
+			// serve a stale lease to the next job.
+			n.dropLeaseRange(lo, hi)
+		}
+	})
 	return events
 }
 
-// MemImage returns a copy of every word this part's shards hold, without
+// memImage returns a copy of every word this part's shards hold, without
 // duplicating event logs or counters, in one map sized for all shards.
-func (p *Part) MemImage() map[uint32]uint32 {
+func (p *Part) memImage() map[uint32]uint32 {
 	words := int64(0)
-	for _, id := range p.tr.Owned() {
-		w, _ := p.shards[id].gauges()
+	for _, n := range p.nodes {
+		w, _ := p.shards[n.id].gauges()
 		words += w
 	}
 	out := make(map[uint32]uint32, words)
-	for _, id := range p.tr.Owned() {
-		p.shards[id].imageInto(out)
+	for _, n := range p.nodes {
+		p.shards[n.id].imageInto(out)
 	}
 	return out
 }
@@ -491,7 +444,7 @@ func (p *Part) toWire(c *context) transport.Context {
 // arriving at core at, checking the two invariants every arrival relies
 // on, in process or over the wire.
 func (p *Part) landing(t int, at geom.CoreID) (*context, *ThreadSpec) {
-	sp := p.specs[t].Load()
+	sp := p.specs[t]
 	if sp == nil {
 		// A context for a slot with no installed spec means the serve
 		// submit/ack barrier was violated (or a stray context outlived its

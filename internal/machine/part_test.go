@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/geom"
@@ -51,7 +53,9 @@ func TestPeekDoesNotBindPlacement(t *testing.T) {
 // 64-core part snapshotted into a reused Sample and rendered as
 // line-protocol points into a reused buffer — what one serve-loop sample
 // costs the machine — so periodic sampling can never become a per-tick
-// allocation tax on a soak.
+// allocation tax on a soak. It holds before Start, where the sample runs at
+// once, and on a started, parked part, where it is a command the executor
+// serves.
 func TestSampleEncodeZeroAlloc(t *testing.T) {
 	mesh := geom.NewMesh(8, 8)
 	cfg := Config{Mesh: mesh, Placement: placement.NewStriped(64, mesh.Cores())}
@@ -65,19 +69,26 @@ func TestSampleEncodeZeroAlloc(t *testing.T) {
 	if len(s.PerCore) != mesh.Cores() || len(buf) == 0 {
 		t.Fatalf("sampled %d cores into %d bytes, want %d cores", len(s.PerCore), len(buf), mesh.Cores())
 	}
-	if n := testing.AllocsPerRun(100, func() {
+	tick := func() {
 		part.SampleInto(&s)
 		buf = telemetry.AppendSamplePoints(buf[:0], &s, 1)
-	}); n != 0 {
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
 		t.Errorf("SampleInto + AppendSamplePoints into reused storage: %.0f allocs, want 0", n)
+	}
+	if err := part.StartServe(4, func(transport.HaltMsg) {}); err != nil {
+		t.Fatal(err)
+	}
+	defer part.Stop()
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("the same through the executor of a started part: %.0f allocs, want 0", n)
 	}
 }
 
-// TestCountersPublishedBeforeHalt: per-instruction counters reach the
-// core's atomics once per execution slice, and the halting slice's before
-// the halt report, so a driver that samples the moment a thread halts sees
-// every instruction it ran.
-func TestCountersPublishedBeforeHalt(t *testing.T) {
+// TestCountersBeforeHalt: a core counts the halting slice's instructions
+// before it reports the halt, so a driver that samples the moment a thread
+// halts sees every instruction it ran.
+func TestCountersBeforeHalt(t *testing.T) {
 	tr := transport.NewLocal(1, 1)
 	part, err := NewPart(Config{Mesh: geom.NewMesh(1, 1), Placement: placement.NewStriped(64, 1)}, tr)
 	if err != nil {
@@ -90,20 +101,97 @@ func TestCountersPublishedBeforeHalt(t *testing.T) {
 		lw   r2, 0(r0)
 		halt
 	`)}}
-	seen := make(chan transport.CoreMetrics, 1)
-	if err := part.Start(threads, func(transport.HaltMsg) {
-		s, _ := part.Sample()
-		seen <- s.PerCore[0]
-	}); err != nil {
+	halted := make(chan transport.HaltMsg, 1)
+	if err := part.Start(threads, func(h transport.HaltMsg) { halted <- h }); err != nil {
 		t.Fatal(err)
 	}
+	defer part.Stop()
 	if err := Inject(threads, 1, tr.SendEviction); err != nil {
 		t.Fatal(err)
 	}
-	got := <-seen
-	part.Stop()
-	if got.Instructions != 4 || got.LocalOps != 2 {
+	<-halted
+	s, _ := part.Sample()
+	if got := s.PerCore[0]; got.Instructions != 4 || got.LocalOps != 2 {
 		t.Fatalf("sampled at the halt report: %d instructions, %d local ops; want 4 and 2", got.Instructions, got.LocalOps)
+	}
+}
+
+// TestCommandsServedBesideLiveJob: a call from another goroutine is a
+// command the executor serves between two rounds, not only when it parks.
+// A thread spins on a word no one writes, so the executor never parks;
+// beside it the test samples and retires a disjoint region (no slots) over
+// and over, every call returns while the thread still runs, and the
+// samples show it running in between. A preload of the word it waits on,
+// one more command, then lets it halt. Run it under -race: nothing but the
+// command hand-off orders these calls against the executor.
+func TestCommandsServedBesideLiveJob(t *testing.T) {
+	t.Parallel()
+	tr := transport.NewLocal(4, 1)
+	part, err := NewPart(Config{Mesh: geom.NewMesh(2, 2), Placement: placement.NewStriped(64, 4), LogEvents: true}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halted := make(chan transport.HaltMsg, 1)
+	if err := part.StartServe(1, func(h transport.HaltMsg) { halted <- h }); err != nil {
+		t.Fatal(err)
+	}
+	defer part.Stop()
+	threads := []ThreadSpec{{Program: spinForever()}}
+	spec, err := BuildJob(0, threads, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := part.ApplyJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := Inject(threads, 4, tr.SendEviction); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		// The first samples may come before the injected context lands;
+		// once it has, the executor never parks, and it runs a round
+		// between any two commands.
+		var s transport.Sample
+		last := int64(0)
+		for last == 0 {
+			part.SampleInto(&s)
+			last = transport.SumMetrics(s.PerCore).Instructions
+		}
+		for i := range 200 {
+			part.SampleInto(&s)
+			ran := transport.SumMetrics(s.PerCore).Instructions
+			if ran <= last {
+				done <- fmt.Errorf("sample %d: %d instructions, no more than the last sample's %d", i, ran, last)
+				return
+			}
+			last = ran
+			if ev := part.RetireJob(transport.JobDone{Job: 1, Base: 1 << 20, Size: 4096}); len(ev) != 0 {
+				done <- fmt.Errorf("retiring an untouched region returned %d events", len(ev))
+				return
+			}
+			select {
+			case <-halted:
+				done <- fmt.Errorf("the spinning thread halted by call %d", i)
+				return
+			default:
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("calls beside a live job did not return within 30s")
+	}
+	part.Preload(128, 1, 0)
+	select {
+	case <-halted:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the thread did not halt after its word was written")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/transport"
@@ -31,10 +30,10 @@ type Event = transport.Event
 // shard is one core's slice of the global address space. All data for
 // addresses homed at this core lives here and nowhere else — EM²'s
 // single-home coherence invariant in executable form. Every access, no
-// matter which transport carried the request, is serialized under mu.
+// matter which transport carried the request, is serialized by the part's
+// executor, the one goroutine that touches the shard.
 type shard struct {
 	home   geom.CoreID
-	mu     sync.Mutex
 	mem    map[uint32]uint32
 	seq    int64
 	log    bool
@@ -54,15 +53,12 @@ func newShard(home geom.CoreID, log bool) *shard {
 	return &shard{home: home, mem: make(map[uint32]uint32), log: log}
 }
 
-// apply performs one memory request under the shard lock — the home-core
-// serialization point — and logs it against (req.Thread, req.TSeq). A
-// negative Thread marks a preload: applied, never logged. A write appends
-// one write-update per lease holder of the word to invals, the caller's
-// buffer, and returns it; the CALLER sends them, after this lock is
-// released.
+// apply performs one memory request — the home-core serialization point
+// — and logs it against (req.Thread, req.TSeq). A negative Thread marks a
+// preload: applied, never logged. A write appends one write-update per
+// lease holder of the word to invals, the caller's buffer, and returns it;
+// the CALLER sends them, after the shard op.
 func (s *shard) apply(req transport.MemRequest, invals []transport.LeaseInval) (transport.MemReply, []transport.LeaseInval) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var old uint32 // a plain write never reads it: one hash, not two
 	if req.Op != transport.OpWrite {
 		old = s.mem[req.Addr]
@@ -74,23 +70,23 @@ func (s *shard) apply(req transport.MemRequest, invals []transport.LeaseInval) (
 		e.Kind, e.Read = EvRead, old
 		rep.Value = old
 		if req.Lease != 0 {
-			s.grantLocked(req.Addr, geom.CoreID(req.From))
+			s.grant(req.Addr, geom.CoreID(req.From))
 			rep.Lease = req.Lease
 		}
 	case transport.OpWrite:
 		s.mem[req.Addr] = req.Arg
 		e.Kind, e.Wrote = EvWrite, req.Arg
-		invals = s.closeLeasesLocked(req, req.Arg, invals)
+		invals = s.closeLeases(req, req.Arg, invals)
 	case transport.OpFAA:
 		s.mem[req.Addr] = old + req.Arg
 		e.Kind, e.Read, e.Wrote = EvRMW, old, old+req.Arg
 		rep.Value = old
-		invals = s.closeLeasesLocked(req, old+req.Arg, invals)
+		invals = s.closeLeases(req, old+req.Arg, invals)
 	case transport.OpSwap:
 		s.mem[req.Addr] = req.Arg
 		e.Kind, e.Read, e.Wrote = EvRMW, old, req.Arg
 		rep.Value = old
-		invals = s.closeLeasesLocked(req, req.Arg, invals)
+		invals = s.closeLeases(req, req.Arg, invals)
 	default:
 		panic(fmt.Sprintf("machine: unknown memory op %d", req.Op))
 	}
@@ -108,8 +104,8 @@ func (s *shard) apply(req transport.MemRequest, invals []transport.LeaseInval) (
 	return rep, invals
 }
 
-// grantLocked records core as a lease holder of addr.
-func (s *shard) grantLocked(addr uint32, core geom.CoreID) {
+// grant records core as a lease holder of addr.
+func (s *shard) grant(addr uint32, core geom.CoreID) {
 	if s.leases == nil {
 		s.leases = make(map[uint32][]geom.CoreID)
 	}
@@ -126,14 +122,14 @@ func (s *shard) grantLocked(addr uint32, core geom.CoreID) {
 	s.leases[addr] = append(holders, core)
 }
 
-// closeLeasesLocked clears addr's lease records on a write and appends one
+// closeLeases clears addr's lease records on a write and appends one
 // write-update per holder core to invals — including the writer's own
 // core: the writing thread's entry was already dropped by its own-write
 // invalidation (Update then no-ops), but other threads resident there may
 // still hold the word. Clearing on the first write keeps traffic at one
 // update per holder per write burst; holders expire remaining staleness
 // on their own virtual clocks.
-func (s *shard) closeLeasesLocked(req transport.MemRequest, newVal uint32, invals []transport.LeaseInval) []transport.LeaseInval {
+func (s *shard) closeLeases(req transport.MemRequest, newVal uint32, invals []transport.LeaseInval) []transport.LeaseInval {
 	holders := s.leases[req.Addr]
 	if len(holders) == 0 {
 		return invals
@@ -154,8 +150,6 @@ func (s *shard) closeLeasesLocked(req transport.MemRequest, newVal uint32, inval
 // for SC checking: each still carries its Home and shard-local Seq, and
 // the checker orders by those, not by log position.
 func (s *shard) reclaim(lo, hi uint32) ([]Event, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	words := 0
 	//em2:unordered-ok: pure filter — each key is tested and deleted independently, nothing observes the order
 	for a := range s.mem {
@@ -188,35 +182,19 @@ func (s *shard) reclaim(lo, hi uint32) ([]Event, int) {
 }
 
 // gauges reports the shard's live footprint — words of backing memory and
-// logged SC events — for the non-destructive sampling path. One lock-light
-// pair of lengths, no copying.
+// logged SC events — for the non-destructive sampling path: a pair of
+// lengths, no copying.
 func (s *shard) gauges() (words, events int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return int64(len(s.mem)), int64(len(s.events))
 }
 
-// peek reads a word for post-run inspection.
-func (s *shard) peek(addr uint32) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem[addr]
-}
-
 // imageInto copies the shard's words into dst; shards are address-disjoint
-// (single home), so several can fill one map. Collection can overlap the
-// tail of remote-request handler goroutines (their appends happen before
-// the requester's next step, but that ordering crosses the wire, not this
-// process's memory model), so the collect readers take the writers' mutex.
+// (single home), so several can fill one map.
 func (s *shard) imageInto(dst map[uint32]uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	maps.Copy(dst, s.mem)
 }
 
-// appendEvents appends the shard's event log to dst under the lock.
+// appendEvents appends the shard's event log to dst.
 func (s *shard) appendEvents(dst []Event) []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append(dst, s.events...)
 }

@@ -7,8 +7,10 @@
 // All policies operate at page granularity (first-touch is an OS-page
 // mechanism) except Striped, which interleaves at line granularity like a
 // conventional S-NUCA address hash.
-// Every policy is safe for concurrent use, as the machine's cores touch at
-// once: the static ones are pure functions and FirstTouch locks its pages.
+// Every policy is safe for concurrent use, as Policy's contract promises
+// any caller: the static ones are pure functions and FirstTouch locks its
+// pages. A machine part calls its policy from one goroutine; the contract
+// is for policies shared beyond one part.
 package placement
 
 import (

@@ -26,10 +26,12 @@ func TestFirstTouchBindsOnce(t *testing.T) {
 	}
 }
 
-// TestFirstTouchConcurrent: FirstTouch is the one dynamic policy, and the
-// machine calls it from every core goroutine at once. Goroutines touching
-// and peeking overlapping pages in different orders must bind each page
-// once, to one of its touchers, and all see that same home.
+// TestFirstTouchConcurrent: FirstTouch is the one dynamic policy, and
+// Policy's contract makes every implementation safe for concurrent use by
+// callers outside the machine — one policy shared by several parts or
+// goroutines. (A part itself calls it only from its executor.) Goroutines
+// touching and peeking overlapping pages in different orders must bind
+// each page once, to one of its touchers, and all see that same home.
 func TestFirstTouchConcurrent(t *testing.T) {
 	const goroutines, pages = 8, 64
 	f := NewFirstTouch(64)

@@ -68,7 +68,7 @@ func (p *regionPool) Release(base uint32) error {
 // Job is one admitted unit of work: a litmus program rebased into its
 // private region, ready to install in slots 0..len(Threads)-1. Jobs
 // execute one at a time physically, so every job reuses the same slots —
-// which is exactly what the slot-rewrite machinery (SetThread / RetireJob
+// which is exactly what the slot-rewrite machinery (ApplyJob / RetireJob
 // and the job submit barrier) exists to make safe.
 type Job struct {
 	Index   int

@@ -11,9 +11,9 @@ import (
 // space, so a machine.Part over it hands a context from core to core as a
 // push of the thread's slot onto the destination's queue — no message, no
 // encoding. What reaches Local is what comes from outside the executor:
-// injected contexts, queued until the executor takes them, and remote
-// accesses and write-updates, which are direct calls into the registered
-// handlers — the shard lock remains the only serialization point.
+// injected contexts, queued until the executor takes them. Remote accesses
+// and write-updates come from the executor itself, as direct calls into
+// the registered handlers: the executor is the one serialization point.
 type Local struct {
 	owned    []geom.CoreID
 	h        func(core geom.CoreID, req MemRequest) MemReply

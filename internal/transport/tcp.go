@@ -1047,11 +1047,10 @@ type Coordinator struct {
 	route   []int
 	conns   []*conn
 	nc      netCounters
-	halts   chan HaltMsg // one slot per node link (DialCluster)
+	halts   atomic.Pointer[chan HaltMsg] // one slot per pool slot (Load)
 	replies chan Reply
 	deaths  chan error
-	down    atomic.Bool   // set by Shutdown/Close: reader exits become orderly
-	quit    chan struct{} // closed with down's first set
+	down    atomic.Bool // set by Shutdown/Close: reader exits become orderly
 
 	// reqMu serializes requests, so the replies on hand always answer the
 	// one in flight. failed is the error of the first failed request: its
@@ -1083,22 +1082,17 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
-	// Halts arrive only while a job runs, and AwaitHalts drains them for
-	// the whole job, so a reader waits on a full halts channel at most until
-	// the await starts (injection needs no reader); quit releases the
-	// readers of a coordinator abandoned mid-job.
 	co := &Coordinator{
 		man:     man,
 		route:   man.routes(),
 		conns:   make([]*conn, len(man.Nodes)),
-		halts:   make(chan HaltMsg, len(man.Nodes)),
 		replies: make(chan Reply, len(man.Nodes)),
 		deaths:  make(chan error, len(man.Nodes)),
-		quit:    make(chan struct{}),
 		timer:   time.NewTimer(time.Hour),
 		hb:      make([]HeartbeatInfo, len(man.Nodes)),
 	}
 	co.timer.Stop()
+	co.halts.Store(new(chan HaltMsg)) // no pool before Load: every halt is malformed
 	for i, ns := range man.Nodes {
 		c, err := dialRetry(ns.Addr, timeout, nil)
 		if err != nil {
@@ -1133,10 +1127,15 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 			if err := h.DecodeWire(f.Blob); err != nil {
 				return err
 			}
+			// A node reports each slot's halt once per job, and the
+			// driver drains the queue, one slot per pool slot, for the
+			// whole job: a halt that does not fit is a protocol violation,
+			// and this reader never blocks.
+			q := *co.halts.Load()
 			select {
-			case co.halts <- h:
-			case <-co.quit:
-				return errStopRead
+			case q <- h:
+			default:
+				return malformedf("node %d reported more halts than the %d-slot pool holds", node, cap(q))
 			}
 		case FrameReply:
 			if err := r.DecodeWire(f.Blob); err != nil {
@@ -1282,8 +1281,12 @@ func (co *Coordinator) request(what string, kind FrameKind, body func([]byte) []
 // Load broadcasts the run description to every node and awaits every
 // node's answer: the barrier that turns a node's load failure into its
 // actual error message ("unknown scheme …") instead of a bare connection
-// death, and after which every node's data plane is open.
+// death, and after which every node's data plane is open. It sizes the
+// halt queue by the pool: a job's threads halt once each, so one slot per
+// pool slot holds every halt a job reports (readLoop).
 func (co *Coordinator) Load(spec *LoadSpec, timeout time.Duration) error {
+	q := make(chan HaltMsg, spec.NumThreads)
+	co.halts.Store(&q)
 	return co.request("load", FrameLoad, spec.AppendWire, 0, timeout, nil)
 }
 
@@ -1343,8 +1346,8 @@ func (co *Coordinator) Flush() error {
 // NetStats snapshots the coordinator's wire-level traffic counters.
 func (co *Coordinator) NetStats() NetStats { return co.nc.snapshot() }
 
-// Halts delivers HALT reports as threads finish.
-func (co *Coordinator) Halts() <-chan HaltMsg { return co.halts }
+// Halts delivers HALT reports as threads finish; nil before Load.
+func (co *Coordinator) Halts() <-chan HaltMsg { return *co.halts.Load() }
 
 // Deaths delivers one error per node connection that failed before the
 // coordinator initiated shutdown — a node process dying mid-run. A driver
@@ -1431,17 +1434,10 @@ func (co *Coordinator) Collect(timeout time.Duration) ([]CollectReply, error) {
 	return reps, nil
 }
 
-// stop marks the teardown as the coordinator's own, once.
-func (co *Coordinator) stop() {
-	if !co.down.Swap(true) {
-		close(co.quit)
-	}
-}
-
 // Shutdown tells every node to exit. Connection teardowns that follow are
 // orderly: they no longer count as node deaths.
 func (co *Coordinator) Shutdown() {
-	co.stop()
+	co.down.Store(true)
 	for _, c := range co.conns {
 		if c != nil {
 			c.w.appendFrame(Frame{Kind: FrameShutdown}, true)
@@ -1451,7 +1447,7 @@ func (co *Coordinator) Shutdown() {
 
 // Close drops the coordinator's connections.
 func (co *Coordinator) Close() {
-	co.stop()
+	co.down.Store(true)
 	for _, c := range co.conns {
 		if c != nil {
 			c.c.Close()
