@@ -14,8 +14,8 @@ import (
 // will ever send), machine Part lifecycle calls (Start, StartServe,
 // ApplyJob, CollectChunked — a swallowed load failure is
 // exactly the silent node death the load barrier exists to surface)
-// and the verifier (Litmus.Verify, CheckSC, CheckSCFrom — a dropped verdict
-// is a silently wrong image).
+// and the verifier (Litmus.Verify, CheckSC, CheckSCFrom, SCChecker.Check —
+// a dropped verdict is a silently wrong image).
 // Both the bare-statement form and the explicit `_ =` discard are flagged:
 // a deliberate discard must say why, as `//em2:errsink-ok: <why>` on the
 // line.
@@ -76,6 +76,7 @@ var machineTracked = map[string]bool{
 	"Litmus.Verify":       true,
 	"CheckSC":             true,
 	"CheckSCFrom":         true,
+	"SCChecker.Check":     true,
 }
 
 // coordLifecycle is the set of Coordinator methods that move a run (or a

@@ -12,10 +12,14 @@ func (p *Part) CollectChunked() error { return nil }
 // Inject is the lifecycle's injection loop: a function, not a method.
 func Inject(send func(int) error) error { return send(0) }
 
-// Litmus, CheckSC and CheckSCFrom are the verifier: a run's SC and outcome
-// verdicts.
+// Litmus, CheckSC, CheckSCFrom and SCChecker are the verifier: a run's SC
+// and outcome verdicts.
 type Litmus struct{}
 
 func (l Litmus) Verify() error { return nil }
 func CheckSC() error           { return nil }
 func CheckSCFrom() error       { return nil }
+
+type SCChecker struct{}
+
+func (c *SCChecker) Check() error { return nil }

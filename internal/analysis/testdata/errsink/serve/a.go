@@ -41,14 +41,18 @@ func goodDriver(co *transport.Coordinator) error {
 	return machine.Inject(co.InjectEviction)
 }
 
-func badVerdict(lit machine.Litmus) {
+func badVerdict(lit machine.Litmus, sc *machine.SCChecker) {
 	lit.Verify()                // want `error result of lit\.Verify is discarded`
 	_ = machine.CheckSC()       // want `error result of machine\.CheckSC is discarded`
 	defer machine.CheckSCFrom() // want `error result of machine\.CheckSCFrom is discarded`
+	sc.Check()                  // want `error result of sc\.Check is discarded`
 }
 
-func goodVerdict(lit machine.Litmus) error {
+func goodVerdict(lit machine.Litmus, sc *machine.SCChecker) error {
 	if err := machine.CheckSCFrom(); err != nil {
+		return err
+	}
+	if err := sc.Check(); err != nil {
 		return err
 	}
 	return lit.Verify()

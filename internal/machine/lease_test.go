@@ -167,7 +167,7 @@ func TestShardLeaseTable(t *testing.T) {
 	// Region reclamation drops lease records with the data: a write to a
 	// reclaimed word owes nobody an update.
 	read(2)
-	if _, words := s.reclaim(0, 128); words == 0 {
+	if _, words := s.reclaim(0, 128, nil); words == 0 {
 		t.Fatal("reclaim removed no words")
 	}
 	if invals := write(3, 101); len(invals) != 0 {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -415,6 +416,24 @@ func TestCheckSCDetectsCycle(t *testing.T) {
 	}
 	if err := CheckSC(cyclic); err == nil {
 		t.Error("happens-before cycle not detected")
+	}
+}
+
+func TestCheckSCNamesDuplicateTSeq(t *testing.T) {
+	t.Parallel()
+	// One thread logs two memory ops at TSeq 0, at two addresses with two
+	// homes: value-legal, but program order no longer orders the pair, so
+	// the log itself is malformed — not a happens-before cycle.
+	events := []Event{
+		{Thread: 0, TSeq: 0, Addr: 0, Kind: EvWrite, Wrote: 1, Seq: 1, Home: 0},
+		{Thread: 0, TSeq: 0, Addr: 64, Kind: EvWrite, Wrote: 2, Seq: 1, Home: 1},
+	}
+	err := CheckSC(events)
+	if err == nil {
+		t.Fatal("duplicated (Thread, TSeq) not detected")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "thread 0 logged TSeq 0 twice") || strings.Contains(msg, "cycle") {
+		t.Errorf("error = %q, want it to name thread 0's TSeq 0 as logged twice", msg)
 	}
 }
 

@@ -362,8 +362,7 @@ func (p *Part) RetireJob(d transport.JobDone) (events []transport.Event) {
 		}
 		lo, hi := d.Base, d.Base+d.Size
 		for _, n := range p.nodes {
-			ev, _ := p.shards[n.id].reclaim(lo, hi)
-			events = append(events, ev...)
+			events, _ = p.shards[n.id].reclaim(lo, hi, events)
 			// Resident threads' lease caches may hold words of the
 			// reclaimed region; drop them so a recycled region can never
 			// serve a stale lease to the next job.

@@ -1,10 +1,10 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
+	"math"
 	"slices"
-	"sort"
 )
 
 // CheckSC verifies that a recorded execution is sequentially consistent
@@ -31,36 +31,76 @@ func CheckSC(events []Event) error { return CheckSCFrom(nil, events) }
 
 // CheckSCFrom is CheckSC for an execution whose memory began as init
 // (preloads are applied before the run and are deliberately not logged as
-// events, so value legality must replay from the preloaded image).
+// events, so value legality must replay from the preloaded image). Each
+// call checks with a fresh SCChecker, so concurrent calls are safe; a
+// caller that checks one execution after another keeps its own SCChecker.
 func CheckSCFrom(init map[uint32]uint32, events []Event) error {
-	if len(events) == 0 {
+	var c SCChecker
+	return c.Check(init, events)
+}
+
+// SCChecker is CheckSCFrom with scratch that is reused from one Check to
+// the next, so a long-running caller (serve's retirement path) checks each
+// job in time O(n log n) in its n events and allocates nothing once the
+// scratch has grown to the largest job seen. The happens-before graph is
+// program order plus each address's witness order, so every event has at
+// most two successors — the next event of its thread and the next event at
+// its address — and two index sorts build it without maps. The zero value
+// is ready to use; an SCChecker must not be used concurrently.
+type SCChecker struct {
+	witness []int32 // event indices by (Addr, Home, Seq): each address's witness order
+	program []int32 // event indices by (Thread, TSeq): each thread's program order
+	nextA   []int32 // successor in the event's witness order, or -1
+	nextT   []int32 // successor in the event's program order, or -1
+	indeg   []int32
+	stack   []int32 // Kahn's ready set
+}
+
+// Check verifies events as CheckSCFrom does, with the same verdicts and
+// error text, and additionally rejects a log that holds two events with
+// the same (Thread, TSeq): program order would not be total.
+func (c *SCChecker) Check(init map[uint32]uint32, events []Event) error {
+	n := len(events)
+	if n == 0 {
 		return nil
 	}
-	// --- Part 1: per-address value legality in witness order.
-	byAddr := make(map[uint32][]Event)
-	for _, e := range events {
-		byAddr[e.Addr] = append(byAddr[e.Addr], e)
+	if n > math.MaxInt32 {
+		return fmt.Errorf("machine: %d events exceed the SC checker's int32 index", n)
 	}
-	// Addresses are checked in sorted order so an execution with several
+
+	// --- Part 1: per-address value legality in witness order. Addresses
+	// are checked in ascending order so an execution with several
 	// violations always reports the same one.
-	addrs := slices.Sorted(maps.Keys(byAddr))
-	for _, addr := range addrs {
-		evs := byAddr[addr]
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].Home != evs[j].Home {
-				// A single address must have a single home.
-				return evs[i].Home < evs[j].Home
-			}
-			return evs[i].Seq < evs[j].Seq
-		})
-		for i := 1; i < len(evs); i++ {
-			if evs[i].Home != evs[0].Home {
+	c.witness = iota32(c.witness, n)
+	slices.SortFunc(c.witness, func(a, b int32) int {
+		x, y := &events[a], &events[b]
+		if x.Addr != y.Addr {
+			return cmp.Compare(x.Addr, y.Addr)
+		}
+		if x.Home != y.Home {
+			// A single address must have a single home.
+			return cmp.Compare(x.Home, y.Home)
+		}
+		return cmp.Compare(x.Seq, y.Seq)
+	})
+	for lo := 0; lo < n; {
+		addr := events[c.witness[lo]].Addr
+		hi := lo + 1
+		for hi < n && events[c.witness[hi]].Addr == addr {
+			hi++
+		}
+		evs := c.witness[lo:hi]
+		lo = hi
+		home := events[evs[0]].Home
+		for _, i := range evs[1:] {
+			if h := events[i].Home; h != home {
 				return fmt.Errorf("machine: address %#x served at two homes (%d and %d): single-home invariant violated",
-					addr, evs[0].Home, evs[i].Home)
+					addr, home, h)
 			}
 		}
 		cur := init[addr]
-		for _, e := range evs {
+		for _, i := range evs {
+			e := &events[i]
 			switch e.Kind {
 			case EvRead:
 				if e.Read != cur {
@@ -79,66 +119,83 @@ func CheckSCFrom(init map[uint32]uint32, events []Event) error {
 		}
 	}
 
-	// --- Part 2: acyclicity of program order ∪ witness orders.
-	// Nodes are events; build successor edges from consecutive events in
-	// each total order, which is sufficient for cycle detection.
-	n := len(events)
-	idx := make(map[[2]int64]int, n) // (thread, tseq) -> node
-	for i, e := range events {
-		idx[[2]int64{int64(e.Thread), e.TSeq}] = i
-	}
-	adj := make([][]int, n)
-	indeg := make([]int, n)
-	addEdge := func(a, b int) {
-		adj[a] = append(adj[a], b)
-		indeg[b]++
-	}
-	// Program order.
-	byThread := make(map[int][]Event)
-	for _, e := range events {
-		byThread[e.Thread] = append(byThread[e.Thread], e)
-	}
-	// Sorted thread / address iteration keeps the edge insertion order —
-	// and with it Kahn's traversal — identical across runs.
-	for _, t := range slices.Sorted(maps.Keys(byThread)) {
-		evs := byThread[t]
-		sort.Slice(evs, func(i, j int) bool { return evs[i].TSeq < evs[j].TSeq })
-		for i := 1; i < len(evs); i++ {
-			a := idx[[2]int64{int64(evs[i-1].Thread), evs[i-1].TSeq}]
-			b := idx[[2]int64{int64(evs[i].Thread), evs[i].TSeq}]
-			addEdge(a, b)
+	// --- Part 2: acyclicity of program order ∪ witness orders. Edges join
+	// consecutive events of each total order, which is sufficient for
+	// cycle detection.
+	c.program = iota32(c.program, n)
+	slices.SortFunc(c.program, func(a, b int32) int {
+		x, y := &events[a], &events[b]
+		if x.Thread != y.Thread {
+			return cmp.Compare(x.Thread, y.Thread)
+		}
+		return cmp.Compare(x.TSeq, y.TSeq)
+	})
+	for k := 1; k < n; k++ {
+		x, y := &events[c.program[k-1]], &events[c.program[k]]
+		if x.Thread == y.Thread && x.TSeq == y.TSeq {
+			return fmt.Errorf("machine: thread %d logged TSeq %d twice: program order is not a total order", x.Thread, x.TSeq)
 		}
 	}
-	// Witness orders (byAddr slices are already sorted by Seq).
-	for _, addr := range addrs {
-		evs := byAddr[addr]
-		for i := 1; i < len(evs); i++ {
-			a := idx[[2]int64{int64(evs[i-1].Thread), evs[i-1].TSeq}]
-			b := idx[[2]int64{int64(evs[i].Thread), evs[i].TSeq}]
-			addEdge(a, b)
+	c.nextA, c.nextT, c.indeg = fill32(c.nextA, n, -1), fill32(c.nextT, n, -1), fill32(c.indeg, n, 0)
+	for k := 1; k < n; k++ {
+		if a, b := c.witness[k-1], c.witness[k]; events[a].Addr == events[b].Addr {
+			c.nextA[a] = b
+			c.indeg[b]++
+		}
+		if a, b := c.program[k-1], c.program[k]; events[a].Thread == events[b].Thread {
+			c.nextT[a] = b
+			c.indeg[b]++
 		}
 	}
-	// Kahn's algorithm.
-	queue := make([]int, 0, n)
-	for i, d := range indeg {
+	// Kahn's algorithm. The events it orders are exactly those no cycle
+	// reaches, so the count it reports does not depend on the visit order.
+	stack := c.stack[:0]
+	for i, d := range c.indeg {
 		if d == 0 {
-			queue = append(queue, i)
+			stack = append(stack, int32(i))
 		}
 	}
 	seen := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		seen++
-		for _, w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+		for _, w := range [2]int32{c.nextT[v], c.nextA[v]} {
+			if w >= 0 {
+				if c.indeg[w]--; c.indeg[w] == 0 {
+					stack = append(stack, w)
+				}
 			}
 		}
 	}
+	c.stack = stack
 	if seen != n {
 		return fmt.Errorf("machine: happens-before graph has a cycle (%d of %d events ordered): execution not sequentially consistent", seen, n)
 	}
 	return nil
+}
+
+// iota32 returns s resized to n and holding 0, 1, ..., n-1.
+func iota32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		s = make([]int32, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
+// fill32 returns s resized to n, reusing its array when it is large
+// enough, with every element set to v.
+func fill32(s []int32, n int, v int32) []int32 {
+	if cap(s) < n {
+		s = make([]int32, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }

@@ -142,14 +142,14 @@ func (s *shard) closeLeases(req transport.MemRequest, newVal uint32, invals []tr
 	return invals
 }
 
-// reclaim deletes every word homed here in [lo, hi) and removes (and
-// returns) the range's event-log entries, preserving the kept entries'
-// relative order. Retiring a serve job's region through it keeps a
-// long-running server's shard footprint bounded by the live jobs instead
-// of growing with every job ever served. The returned events stay valid
+// reclaim deletes every word homed here in [lo, hi) and removes the
+// range's event-log entries, appending them to dst and returning it,
+// preserving the kept entries' relative order. Retiring a serve job's
+// region through it keeps a long-running server's shard footprint bounded
+// by the live jobs instead of growing with every job ever served. The returned events stay valid
 // for SC checking: each still carries its Home and shard-local Seq, and
 // the checker orders by those, not by log position.
-func (s *shard) reclaim(lo, hi uint32) ([]Event, int) {
+func (s *shard) reclaim(lo, hi uint32, dst []Event) ([]Event, int) {
 	words := 0
 	//em2:unordered-ok: pure filter — each key is tested and deleted independently, nothing observes the order
 	for a := range s.mem {
@@ -164,11 +164,10 @@ func (s *shard) reclaim(lo, hi uint32) ([]Event, int) {
 			delete(s.leases, a)
 		}
 	}
-	var removed []Event
 	kept := s.events[:0]
 	for _, e := range s.events {
 		if e.Addr >= lo && e.Addr < hi {
-			removed = append(removed, e)
+			dst = append(dst, e)
 		} else {
 			kept = append(kept, e)
 		}
@@ -178,7 +177,7 @@ func (s *shard) reclaim(lo, hi uint32) ([]Event, int) {
 		s.events[i] = Event{}
 	}
 	s.events = kept
-	return removed, words
+	return dst, words
 }
 
 // gauges reports the shard's live footprint — words of backing memory and

@@ -130,7 +130,7 @@ func FuzzShardApply(f *testing.F) {
 				thread = -1
 			}
 			if op[0]%6 == 4 {
-				gotEv, gotW := s.reclaim(addr, addr+uint32(op[7]))
+				gotEv, gotW := s.reclaim(addr, addr+uint32(op[7]), nil)
 				wantEv, wantW := ref.reclaim(addr, addr+uint32(op[7]))
 				if gotW != wantW || !slices.Equal(gotEv, wantEv) {
 					t.Fatalf("step %d reclaim [%#x, +%d): %d words, events %+v; reference %d, %+v", i, addr, op[7], gotW, gotEv, wantW, wantEv)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -98,6 +99,14 @@ func slotsFor(workload string) (int, error) {
 	}
 }
 
+// The seedless job programs, assembled once: Rebase copies what it
+// relocates and never writes its input, so every job and session can share
+// them.
+var (
+	sbLitmus      = sync.OnceValue(func() machine.Litmus { return machine.StoreBufferingLitmus(64) })
+	counterLitmus = sync.OnceValue(func() machine.Litmus { return machine.AtomicCounterLitmus(3, 4) })
+)
+
 // jobLitmus generates job i's program. Every branch here must keep
 // deterministic control flow (see Workloads).
 func jobLitmus(workload string, seed int64, i int) (machine.Litmus, error) {
@@ -106,17 +115,17 @@ func jobLitmus(workload string, seed int64, i int) (machine.Litmus, error) {
 	}
 	switch workload {
 	case "sb":
-		return machine.StoreBufferingLitmus(64), nil
+		return sbLitmus(), nil
 	case "counter":
-		return machine.AtomicCounterLitmus(3, 4), nil
+		return counterLitmus(), nil
 	case "rand-priv":
 		return randPriv(), nil
 	case "mix":
 		switch i % 3 {
 		case 0:
-			return machine.StoreBufferingLitmus(64), nil
+			return sbLitmus(), nil
 		case 1:
-			return machine.AtomicCounterLitmus(3, 4), nil
+			return counterLitmus(), nil
 		default:
 			return randPriv(), nil
 		}

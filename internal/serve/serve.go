@@ -17,7 +17,8 @@
 // consistency: each job runs in a private 4 KiB region drawn from a
 // recycled pool (RegionCount regions — job count is unbounded), and
 // retirement reclaims the region's shard words and event-log entries,
-// returning the events for the job's own machine.CheckSCFrom pass. The
+// returning the events for the job's own SC check (one machine.SCChecker
+// per session, its scratch reused from job to job). The
 // reclamation is what keeps a long-running server's footprint bounded by
 // the in-flight window instead of O(jobs); Run enforces it by failing if
 // the final drain finds any stray events or leftover words.
@@ -275,6 +276,7 @@ func Run(cfg Config, be Backend) (*Report, error) {
 	var (
 		inflight   = &completionHeap{}
 		pool       regionPool
+		sc         machine.SCChecker
 		latencies  []float64
 		msgsPerJob []float64
 		completed  int
@@ -332,7 +334,7 @@ func Run(cfg Config, be Backend) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: job %d (%s) retirement: %v", i, job.Name, err)
 		}
-		if err := machine.CheckSCFrom(job.Mem, events); err != nil {
+		if err := sc.Check(job.Mem, events); err != nil {
 			return nil, fmt.Errorf("serve: job %d failed its SC check: %v", i, err)
 		}
 		checked++
