@@ -9,9 +9,9 @@ import (
 // Errsink flags discarded error results from the calls whose failures the
 // runtime must propagate: transport Send*/Flush (a dead wire must park the
 // part, not spin — PR 7's dead-transport fix), the coordinator's side of
-// the run lifecycle (Load, SubmitJob, InjectEviction and
-// machine.Inject — a driver that drops one of these awaits halts no node
-// will ever send), machine Part lifecycle calls (Start, StartServe,
+// the run lifecycle (Load, SubmitJob, InjectEviction — also promoted
+// through machine.TCPCluster — and machine.Inject: a driver that drops one
+// of these awaits halts no node will ever send), machine Part lifecycle calls (Start, StartServe,
 // ApplyJob, CollectChunked — a swallowed load failure is
 // exactly the silent node death the load barrier exists to surface)
 // and the verifier (Litmus.Verify, CheckSC, CheckSCFrom, SCChecker.Check —

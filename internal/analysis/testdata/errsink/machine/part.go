@@ -2,12 +2,20 @@
 // methods returning error, plus Stop (no error) as the negative case.
 package machine
 
+import "errsink/transport"
+
 type Part struct{}
 
 func (p *Part) Start() error          { return nil }
 func (p *Part) StartServe(int) error  { return nil }
 func (p *Part) Stop()                 {}
 func (p *Part) CollectChunked() error { return nil }
+
+// TCPCluster is the loaded cluster: the coordinator embedded, so its
+// lifecycle calls are promoted.
+type TCPCluster struct {
+	*transport.Coordinator
+}
 
 // Inject is the lifecycle's injection loop: a function, not a method.
 func Inject(send func(int) error) error { return send(0) }

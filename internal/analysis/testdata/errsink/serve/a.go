@@ -41,6 +41,13 @@ func goodDriver(co *transport.Coordinator) error {
 	return machine.Inject(co.InjectEviction)
 }
 
+// A cluster that embeds the coordinator keeps its lifecycle calls
+// tracked: a promoted method is still the Coordinator's.
+func badCluster(c *machine.TCPCluster) {
+	c.Load()                         // want `error result of c\.Load is discarded`
+	machine.Inject(c.InjectEviction) // want `error result of machine\.Inject is discarded`
+}
+
 func badVerdict(lit machine.Litmus, sc *machine.SCChecker) {
 	lit.Verify()                // want `error result of lit\.Verify is discarded`
 	_ = machine.CheckSC()       // want `error result of machine\.CheckSC is discarded`

@@ -307,55 +307,42 @@ type ClusterRun struct {
 	Sink telemetry.Sink
 }
 
-// Run executes the description on the transport its manifest selects. A
-// manifest that names nodes drives that already-listening cluster through
-// one run: load, job 0 (submit, inject, await HALTs), collect, shut down —
-// the node processes (ServeNode / cmd/em2node) must be starting or started
-// on the manifest's addresses, and dialing retries until Config.Timeout. A
+// Run executes the description as job 0 of the Cluster its manifest
+// loads: load, run the job (install, inject, await HALTs), collect, close.
+// A manifest that names nodes drives that already-listening cluster — the
+// node processes (ServeNode / cmd/em2node) must be starting or started on
+// the manifest's addresses, and dialing retries until Config.Timeout. A
 // manifest that names only the mesh (transport.Manifest{W, H}) runs the
-// same description in this process over channels. Either way the
-// description is resolved, validated and rendered in wire form first, so
-// both transports accept and reject exactly the same runs.
+// same description on an in-process Machine. Either way the description
+// is resolved, validated and rendered in wire form first, so both
+// transports accept and reject exactly the same runs.
 func (r ClusterRun) Run() (*ClusterResult, error) {
-	man, threads := r.Manifest, r.Threads
-	if len(threads) == 0 {
+	if len(r.Threads) == 0 {
 		return nil, fmt.Errorf("machine: no threads")
 	}
 	cfg := r.Config.WithDefaults()
-	spec := cfg.LoadSpec(len(threads))
-	job, err := BuildJob(0, threads, r.Mem)
+	job, err := BuildJob(0, r.Threads, r.Mem)
 	if err != nil {
 		return nil, err
 	}
-
-	if len(man.Nodes) == 0 {
-		reps, halts, err := runLocal(man, spec, threads, r.Mem, cfg.Timeout)
-		if err != nil {
-			return nil, err
-		}
-		return r.finish(reps, halts, transport.NetStats{})
-	}
-
-	co, err := LoadCluster(man, spec, cfg.Timeout)
+	cl, err := LoadCluster(r.Manifest, cfg.LoadSpec(len(r.Threads)), cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	defer co.Close()
-	defer co.Shutdown()
-
-	halts, err := RunJob(co, job, threads, man.Cores(), cfg.Timeout)
+	defer cl.Close()
+	halts, err := cl.RunJob(job, r.Threads, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	reps, err := co.Collect(cfg.Timeout)
+	reps, err := cl.Collect(cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
-	return r.finish(reps, halts, co.NetStats())
+	return r.finish(reps, halts, cl.NetStats())
 }
 
-// finish folds the per-node replies and halts of either arm into the
-// result and emits the end-of-run sample.
+// finish folds the per-node replies and halts into the result and emits
+// the end-of-run sample.
 func (r ClusterRun) finish(reps []transport.CollectReply, halts []transport.HaltMsg, coordNet transport.NetStats) (*ClusterResult, error) {
 	all := MergeCollect(reps)
 	res := &ClusterResult{Result: newResult(all, halts), Mem: all.Mem, CoordNet: coordNet}
@@ -389,30 +376,4 @@ func (r ClusterRun) finish(reps []transport.CollectReply, halts []transport.Halt
 		}
 	}
 	return res, nil
-}
-
-// runLocal is the in-process arm: the node's own resolve and the job's
-// preload over a Machine spanning the whole mesh, which collects as one
-// node with no wire.
-func runLocal(man transport.Manifest, spec *transport.LoadSpec, threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.CollectReply, []transport.HaltMsg, error) {
-	if man.W <= 0 || man.H <= 0 {
-		return nil, nil, fmt.Errorf("machine: bad mesh %dx%d", man.W, man.H)
-	}
-	cfg, err := ResolveLoad(geom.NewMesh(man.W, man.H), spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := New(cfg, len(threads))
-	if err != nil {
-		return nil, nil, err
-	}
-	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
-	for a, v := range mem {
-		m.Preload(a, v, 0)
-	}
-	halts, err := m.run(threads, timeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	return []transport.CollectReply{m.part.Collect(0)}, halts, nil
 }

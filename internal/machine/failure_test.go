@@ -350,10 +350,11 @@ func TestLoadTwiceFailsNamingNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := ClusterConfig{}.LoadSpec(1)
-	co, err := LoadCluster(man, spec, 10*time.Second)
+	cl, err := LoadCluster(man, spec, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	co := cl.(*TCPCluster)
 	err = co.Load(spec, 3*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "node 0 failed: already loaded") {
 		t.Fatalf("second load = %v, want node 0's refusal", err)
@@ -374,10 +375,11 @@ func TestJobLargerThanPoolRefusedAtSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := LoadCluster(man, ClusterConfig{}.LoadSpec(1), 10*time.Second)
+	cl, err := LoadCluster(man, ClusterConfig{}.LoadSpec(1), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	co := cl.(*TCPCluster)
 	lit := StoreBufferingLitmus(64) // two threads
 	job, err := BuildJob(0, lit.Threads, lit.Mem)
 	if err != nil {
@@ -389,6 +391,37 @@ func TestJobLargerThanPoolRefusedAtSubmit(t *testing.T) {
 	}
 	co.Shutdown()
 	co.Close()
+	if err := joinWithin(t, join, 10*time.Second); err != nil {
+		t.Errorf("join after a refused job: %v", err)
+	}
+}
+
+// TestClustersRefuseJobOutsidePool: on a one-slot pool a two-thread job is
+// refused with the same slot range error by both Cluster implementations,
+// the in-process Machine and a one-node loopback cluster: both run the one
+// install step.
+func TestClustersRefuseJobOutsidePool(t *testing.T) {
+	t.Parallel()
+	lit := StoreBufferingLitmus(64) // two threads
+	job, err := BuildJob(0, lit.Threads, lit.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, join, err := Loopback(1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []transport.Manifest{{W: 2, H: 2}, man} {
+		cl, err := LoadCluster(m, ClusterConfig{}.LoadSpec(1), 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cl.RunJob(job, lit.Threads, 10*time.Second)
+		cl.Close()
+		if err == nil || !strings.Contains(err.Error(), "machine: thread slot 1 outside the 1-slot pool") {
+			t.Errorf("%d nodes: two-thread job on a one-slot pool = %v, want the slot range error", len(m.Nodes), err)
+		}
+	}
 	if err := joinWithin(t, join, 10*time.Second); err != nil {
 		t.Errorf("join after a refused job: %v", err)
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the machine side of the job lifecycle: packing a job's
-// threads into the JobSpec control frame on the coordinator, and
-// installing a received JobSpec into a part's slot pool on a node. Every
+// threads into the JobSpec control frame on the driver, and installing a
+// received JobSpec into a part's slot pool on a node. Every
 // run is a job: a ClusterRun is job 0, a serve session one job per
 // arrival. DESIGN.md §7 describes the protocol (submit → ack barrier →
 // inject → halts → retire).
@@ -19,6 +19,8 @@ import (
 // 32-bit ISA encoding, each instruction verified to survive the wire (an
 // immediate that overflows its field would silently execute differently
 // on the far side), initial registers, and the job's initial memory image.
+// An in-process Machine installs the threads themselves, not this form,
+// but every job passes these checks, so both transports refuse the same.
 func BuildJob(job int, threads []ThreadSpec, mem map[uint32]uint32) (*transport.JobSpec, error) {
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("machine: job %d has no threads", job)
@@ -62,8 +64,8 @@ func decodeProgram(words []uint32) ([]isa.Instr, error) {
 // ApplyJob installs a received JobSpec into this part's slots 0..n-1 and
 // preloads the job's memory image (keeping only the addresses this part
 // homes). It decodes and checks the job on the caller's goroutine, then
-// installs it as one command (Part.call); on a node the coordinator
-// link's reader calls it before any of the job's contexts can arrive.
+// installs it (install); on a node the coordinator link's reader calls it
+// before any of the job's contexts can arrive.
 func (p *Part) ApplyJob(js *transport.JobSpec) error {
 	if len(js.Regs) != len(js.Programs) {
 		return fmt.Errorf("machine: job %d carries %d programs and %d reg maps",
@@ -75,25 +77,13 @@ func (p *Part) ApplyJob(js *transport.JobSpec) error {
 		if err != nil {
 			return fmt.Errorf("machine: job %d thread %d: %v", js.Job, t, err)
 		}
-		if t >= len(p.specs) {
-			return fmt.Errorf("machine: thread slot %d outside the %d-slot pool", t, len(p.specs))
-		}
 		if len(prog) == 0 {
 			return fmt.Errorf("machine: slot %d: empty program", t)
 		}
 		specs[t] = ThreadSpec{Program: prog, Regs: js.Regs[t]}
-		if err := validateSpecs(specs[t : t+1]); err != nil {
-			return err
-		}
 	}
-	p.call(func() {
-		for t := range specs {
-			p.specs[t] = &specs[t]
-		}
-		//em2:unordered-ok: preload writes each address into its home shard's map; the final image is order-independent
-		for a, v := range js.Mem {
-			p.preload(a, v, 0)
-		}
-	})
-	return nil
+	if err := validateSpecs(specs); err != nil {
+		return err
+	}
+	return p.install(specs, js.Mem, nil)
 }

@@ -12,15 +12,16 @@ import (
 	"repro/internal/transport"
 )
 
-// This file is the run lifecycle, written once. Every way of driving the
-// machine — Machine.Run in one process, ClusterRun.Run across node
-// processes, a serve backend's RunJob and Drain on either — is the same
-// four steps, and differs only in the channels and send function it hands
-// them (DESIGN.md §6–§7):
+// This file is the run lifecycle, written once. A run is a job on a loaded
+// Cluster, whatever transport carries it: LoadCluster returns a Machine
+// when the manifest names only the mesh and a TCPCluster when it names
+// node processes, and ClusterRun.Run and the serve backend drive either
+// through the same Cluster methods (DESIGN.md §6–§7):
 //
 //	resolve  names → the LoadSpec that ships them → validated Config
-//	inject   every thread's initial context to its native core (on a
-//	         cluster, after the job's submit barrier: RunJob)
+//	install  the job's threads into slots 0..n-1 and its memory image
+//	         (Part.install; on a cluster, behind the job's submit barrier)
+//	inject   every thread's initial context to its native core
 //	await    one HALT per thread, or the first death / timeout
 //	fold     collected shards → one CollectReply → Result
 
@@ -71,11 +72,54 @@ func ResolveLoad(mesh geom.Mesh, spec *transport.LoadSpec) (Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// LoadCluster brings an already-listening cluster to the point where
-// contexts may be injected: resolve spec here (fail fast), dial, and load —
-// the barrier that turns a node's load failure into its actual message and
-// guarantees every data plane is open. On failure the nodes are shut down.
-func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.Duration) (*transport.Coordinator, error) {
+// Cluster is a loaded machine that runs jobs, one at a time: the
+// in-process Machine, or a TCPCluster of node processes. Both accept and
+// refuse the same jobs with the same messages, and on a job they both
+// accept they report the same halts, counters and events.
+type Cluster interface {
+	// RunJob installs job — threads 0..len(threads)-1 of the slot pool,
+	// spec its wire form from BuildJob — preloads its memory, injects
+	// every thread's initial context and returns one halt per thread,
+	// indexed by thread. Follow with RetireJob before reusing the slots
+	// or the job's memory region; threads must not change until then.
+	RunJob(spec *transport.JobSpec, threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error)
+	// RetireJob clears the job's slots and reclaims its region, returning
+	// the region's removed events.
+	RetireJob(d transport.JobDone, timeout time.Duration) ([]Event, error)
+	// Sample is a non-destructive snapshot of per-core counters and
+	// gauges (transport.MetricsSource).
+	Sample() (transport.Sample, error)
+	// Collect returns each node's post-run state, ascending by node; the
+	// in-process machine is one node with no wire.
+	Collect(timeout time.Duration) ([]transport.CollectReply, error)
+	// NetStats is the driver's own wire traffic; zero in process.
+	NetStats() transport.NetStats
+	// Close stops the machine (shutting the nodes down); idempotent.
+	Close()
+}
+
+// LoadCluster brings a machine to the point where jobs may run. A
+// manifest that names only the mesh (transport.Manifest{W, H}) builds an
+// in-process Machine over the pool spec describes. One that names nodes
+// loads that already-listening cluster: resolve spec here (fail fast),
+// dial, and load — the barrier that turns a node's load failure into its
+// actual message and guarantees every data plane is open. On failure the
+// nodes are shut down.
+func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.Duration) (Cluster, error) {
+	if len(man.Nodes) == 0 {
+		if man.W <= 0 || man.H <= 0 {
+			return nil, fmt.Errorf("machine: bad mesh %dx%d", man.W, man.H)
+		}
+		cfg, err := ResolveLoad(geom.NewMesh(man.W, man.H), spec)
+		if err != nil {
+			return nil, err
+		}
+		m, err := New(cfg, spec.NumThreads)
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,14 +135,22 @@ func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.
 		co.Close()
 		return nil, err
 	}
-	return co, nil
+	return &TCPCluster{Coordinator: co, cores: man.Cores()}, nil
+}
+
+// TCPCluster is a loaded cluster of node processes, driven through its
+// coordinator.
+type TCPCluster struct {
+	*transport.Coordinator
+	cores int
 }
 
 // Inject places every thread's initial context at its native core — thread
 // t at core t mod cores — by handing it to send, the eviction network of
-// whatever transport drives the run (Local.SendEviction in process,
-// Coordinator.InjectEviction across nodes): a native arrival is always
-// accepted, so initial placement can never be refused.
+// whatever transport drives the run (Local.SendEviction in process, inside
+// the job's install command; Coordinator.InjectEviction across nodes): a
+// native arrival is always accepted, so initial placement can never be
+// refused.
 func Inject(threads []ThreadSpec, cores int, send func(geom.CoreID, transport.Context) error) error {
 	for t := range threads {
 		ctx := transport.Context{Thread: int32(t), Native: int32(t % cores)}
@@ -113,23 +165,29 @@ func Inject(threads []ThreadSpec, cores int, send func(geom.CoreID, transport.Co
 	return nil
 }
 
-// RunJob runs one job on a loaded cluster: the submit barrier (every node
-// installs spec before any context is injected, so a context can never
-// race its own program across nodes), every thread's initial context
-// injected and flushed — one batch write per node — and the halt barrier,
-// whose timeout names each node's last heartbeat. ClusterRun.Run is job 0
-// of a fresh cluster; a serve cluster backend runs each job through here.
-func RunJob(co *transport.Coordinator, spec *transport.JobSpec, threads []ThreadSpec, cores int, timeout time.Duration) ([]transport.HaltMsg, error) {
-	if err := co.SubmitJob(spec, timeout); err != nil {
+// RunJob implements Cluster: the submit barrier (every node installs spec
+// before any context is injected, so a context can never race its own
+// program across nodes), every thread's initial context injected and
+// flushed — one batch write per node — and the halt barrier, whose
+// timeout names each node's last heartbeat.
+func (c *TCPCluster) RunJob(spec *transport.JobSpec, threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error) {
+	if err := c.SubmitJob(spec, timeout); err != nil {
 		return nil, err
 	}
-	if err := Inject(threads, cores, co.InjectEviction); err != nil {
+	if err := Inject(threads, c.cores, c.InjectEviction); err != nil {
 		return nil, err
 	}
-	if err := co.Flush(); err != nil {
+	if err := c.Flush(); err != nil {
 		return nil, err
 	}
-	return AwaitHalts(len(threads), co.Halts(), co.Deaths(), timeout, co.HeartbeatSummary)
+	return AwaitHalts(len(threads), c.Halts(), c.Deaths(), timeout, c.HeartbeatSummary)
+}
+
+// Close implements Cluster: tell every node to exit, then drop the links.
+// Repeating it only fails writes on closed links.
+func (c *TCPCluster) Close() {
+	c.Shutdown()
+	c.Coordinator.Close()
 }
 
 // AwaitHalts collects one HALT report per thread from halts and returns

@@ -9,21 +9,22 @@
 //   - In one process (Machine, transport.Local): one executor goroutine
 //     steps every core round-robin, a quantum slice per core per round, and
 //     the migration and eviction virtual networks are per-core queues of
-//     thread slots — a hand-off is a queue push, with nothing encoded. Given
-//     the injected contexts, the schedule is deterministic.
+//     thread slots — a hand-off is a queue push, with nothing encoded. A
+//     job's contexts land in one round, so its schedule is deterministic.
 //   - Across processes (ServeNode/ClusterRun): each node process steps the
 //     cores of its manifest entry on the same executor, and contexts bound
 //     for another node cross real TCP sockets in their fixed wire encoding
 //     (transport.Node).
 //
-// Either way a run is resolve → inject → await halts → fold, written once
-// in lifecycle.go; Machine.Run, ClusterRun.Run and the serve backends only
-// choose the channels and the send function. ClusterRun is the one way to
-// run a program by name on either shape — its manifest names the nodes, or
-// only the mesh and the run stays in this process — and Litmus.Verify and
-// Litmus.Identical check and compare what it returns; New and Machine.Run
-// are the object-level entry for what names cannot express (first-touch
-// placement, decorated schemes).
+// Either way a run is a job on a loaded Cluster — install → inject → await
+// halts → fold, written once in lifecycle.go — and LoadCluster picks the
+// shape from the manifest alone: a Machine when it names only the mesh, a
+// TCPCluster when it names nodes. ClusterRun (job 0 of a fresh Cluster) is
+// the one way to run a program by name on either shape, and Litmus.Verify
+// and Litmus.Identical check and compare what it returns; the serve
+// package runs every job of a session on one Cluster. New and Machine.Run
+// are the object-level facade over the same steps for what names cannot
+// express (first-touch placement, decorated schemes).
 //
 // The runtime preserves the paper's structural guarantees in both shapes:
 //
@@ -129,16 +130,19 @@ type Result struct {
 	Events []Event
 }
 
-// Machine is a runnable in-process EM² instance: one Part spanning every
-// core over the in-process transport. Create with New, run with Run.
+// Machine is the in-process Cluster: one Part spanning every core over
+// the in-process transport, its executor started by New over a pool of
+// numThreads slots. Run it as a Cluster, job by job, or through Run, the
+// one-job facade for a run that names cannot express.
 type Machine struct {
-	numThreads int
-	tr         *transport.Local
-	part       *Part
-	ran        bool
+	tr    *transport.Local
+	part  *Part
+	halts chan transport.HaltMsg
+	ran   bool
 }
 
-// New builds a machine for at most numThreads threads.
+// New builds a machine for at most numThreads threads and starts its
+// executor, parked until the first job lands.
 func New(cfg Config, numThreads int) (*Machine, error) {
 	if numThreads <= 0 {
 		return nil, fmt.Errorf("machine: need at least one thread")
@@ -151,7 +155,12 @@ func New(cfg Config, numThreads int) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{numThreads: numThreads, tr: tr, part: part}, nil
+	// Sized for the pool, so a halting core never blocks on the collector.
+	m := &Machine{tr: tr, part: part, halts: make(chan transport.HaltMsg, numThreads)}
+	if err := part.StartServe(numThreads, func(h transport.HaltMsg) { m.halts <- h }); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Preload stores a word at addr before the run, binding the page to `by`
@@ -178,51 +187,61 @@ func (m *Machine) MemImage() (mem map[uint32]uint32) {
 	return mem
 }
 
-// Run executes the threads to completion and returns aggregate results.
-// Thread t starts at core t mod cores. A machine runs once. With no nodes
-// to lose there is no timeout: the run ends when its threads do.
+// Run executes the threads to completion as one job and returns aggregate
+// results, then stops the machine. Thread t starts at core t mod cores. A
+// machine runs once. With no nodes to lose there is no timeout: the run
+// ends when its threads do.
 func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
-	halts, err := m.run(threads, 0)
-	if err != nil {
-		return nil, err
-	}
-	res := newResult(m.part.collectState(0), halts)
-	return &res, nil
-}
-
-// run is lifecycle.go's inject and await steps over the in-process
-// transport, under Run and the in-process arm of ClusterRun.Run; a zero
-// timeout never fires.
-func (m *Machine) run(threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error) {
 	if len(threads) == 0 {
 		return nil, fmt.Errorf("machine: no threads")
-	}
-	if len(threads) > m.numThreads {
-		return nil, fmt.Errorf("machine: %d threads on a machine sized for %d", len(threads), m.numThreads)
 	}
 	if m.ran {
 		return nil, fmt.Errorf("machine: Run called twice")
 	}
-
-	// Inject before the executor starts, so it takes every initial context
-	// in its first round and the schedule cannot depend on when this
-	// goroutine is descheduled; validate first, so a rejected run leaves
-	// nothing queued. Injection never blocks.
 	if err := validateSpecs(threads); err != nil {
 		return nil, err
 	}
-	if err := Inject(threads, m.tr.Cores(), m.tr.SendEviction); err != nil {
+	m.ran = true
+	var job transport.JobSpec
+	halts, err := m.RunJob(&job, threads, 0)
+	m.Close()
+	if err != nil {
 		return nil, err
 	}
-	m.ran = true
-	// Sized for every thread, so a halting core never blocks on the
-	// collector below.
-	halts := make(chan transport.HaltMsg, len(threads))
-	if err := m.part.Start(threads, func(h transport.HaltMsg) { halts <- h }); err != nil {
+	// The executor has exited, so the part is this goroutine's.
+	res := newResult(m.part.collectState(0), halts)
+	return &res, nil
+}
+
+// RunJob implements Cluster: one command installs the threads and the
+// job's memory image and injects every initial context, so the executor
+// takes the whole job in one round — the schedule is a function of the
+// job and the machine's state alone. The threads are installed as given;
+// spec's wire-form programs are not decoded back. A zero timeout never
+// fires.
+func (m *Machine) RunJob(spec *transport.JobSpec, threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error) {
+	if err := m.part.install(threads, spec.Mem, m.tr.SendEviction); err != nil {
 		return nil, err
 	}
 	// There are no nodes to lose, so there is no death channel.
-	got, err := AwaitHalts(len(threads), halts, nil, timeout, nil)
-	m.part.Stop()
-	return got, err
+	return AwaitHalts(len(threads), m.halts, nil, timeout, nil)
 }
+
+// RetireJob implements Cluster (Part.RetireJob).
+func (m *Machine) RetireJob(d transport.JobDone, _ time.Duration) ([]Event, error) {
+	return m.part.RetireJob(d), nil
+}
+
+// Sample implements Cluster (Part.Sample).
+func (m *Machine) Sample() (transport.Sample, error) { return m.part.Sample() }
+
+// Collect implements Cluster: the machine is one node with no wire.
+func (m *Machine) Collect(time.Duration) ([]transport.CollectReply, error) {
+	return []transport.CollectReply{m.part.Collect(0)}, nil
+}
+
+// NetStats implements Cluster: in process nothing crosses a wire.
+func (m *Machine) NetStats() transport.NetStats { return transport.NetStats{} }
+
+// Close implements Cluster: the executor stops (Part.Stop).
+func (m *Machine) Close() { m.part.Stop() }

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/cache"
@@ -55,7 +54,7 @@ type Part struct {
 	// leaseWindow is the scheme's lease validity window when the scheme
 	// caches remote reads (core.Leaser); 0 for every other scheme.
 	leaseWindow uint64
-	// specs is the per-slot thread table, rewritten by jobs (ApplyJob,
+	// specs is the per-slot thread table, rewritten by jobs (install,
 	// RetireJob). The job protocol guarantees a slot is never rewritten
 	// while one of its contexts is resident or in flight (the job submit
 	// barrier orders installation before injection; a halt report orders
@@ -78,7 +77,8 @@ type Part struct {
 }
 
 // NewPart builds the part for the cores tr owns and installs its memory
-// handler on the transport. Call Preload as needed, then Start.
+// handler on the transport. Call Preload as needed, then StartServe (or
+// Start).
 func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -158,7 +158,7 @@ func (p *Part) serveMem(core geom.CoreID, req transport.MemRequest) transport.Me
 }
 
 // call runs f with the part to itself, on the caller's goroutine. When no
-// goroutine steps the part — before Start, while the executor is parked,
+// goroutine steps the part — before StartServe, while the executor is parked,
 // after it has exited — f takes the ownership token and runs at once; a
 // parked executor that an arrival wakes takes the token back only after
 // f. While the executor runs, f is a command: the executor takes it
@@ -209,41 +209,34 @@ func (p *Part) Peek(addr uint32) (v uint32, homed bool) {
 // Start starts the cores with every slot installed up front: threads
 // is the full machine-wide thread list (any thread can migrate in); onHalt
 // fires on the executor when a thread executes HALT, with its final
-// register file, and must not call back into the part. The in-process
-// Machine starts this way; a cluster node starts with StartServe and
-// receives its programs per job.
+// register file, and must not call back into the part. It is StartServe
+// over len(threads) slots plus the install step of a job; the caller
+// injects the initial contexts.
 func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error {
 	if err := validateSpecs(threads); err != nil {
 		return err
 	}
-	threads = slices.Clone(threads)
-	p.specs = make([]*ThreadSpec, len(threads))
-	for i := range threads {
-		p.specs[i] = &threads[i]
+	if err := p.StartServe(len(threads), onHalt); err != nil {
+		return err
 	}
-	return p.start(onHalt)
+	return p.install(threads, nil, nil)
 }
 
-// StartServe starts the cores over a pool of numSlots empty thread
-// slots: programs arrive later, per job, through ApplyJob. Every cluster
-// node and the local serve backend start this way. A context for a slot
-// whose spec has not been installed is protocol corruption (the job
-// submit barrier exists to prevent it) and panics in fromWire.
+// StartServe starts the executor that steps the cores, over a pool of
+// numSlots empty thread slots: programs arrive later, per job
+// (install). A context for a slot whose spec has not been installed is
+// protocol corruption (the job submit barrier exists to prevent it) and
+// panics in landing.
 func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 	if numSlots <= 0 {
 		return fmt.Errorf("machine: serve pool needs at least one slot")
 	}
 	p.specs = make([]*ThreadSpec, numSlots)
-	return p.start(onHalt)
-}
-
-// start spawns the executor that steps the cores.
-func (p *Part) start(onHalt func(transport.HaltMsg)) error {
 	p.onHalt = onHalt
-	p.ctxs = make([]context, len(p.specs))
+	p.ctxs = make([]context, numSlots)
 	// One array backs every core's three queues, each with room for the
 	// core's share of the threads, so filling them rarely allocates.
-	k := max(2, (len(p.specs)+len(p.nodes)-1)/len(p.nodes))
+	k := max(2, (numSlots+len(p.nodes)-1)/len(p.nodes))
 	qs := make([]*context, 3*k*len(p.nodes))
 	for _, n := range p.nodes {
 		n.evictQ, n.migQ, n.runq, qs = qs[:0:k], qs[k:k:2*k], qs[2*k:2*k:3*k], qs[3*k:]
@@ -251,6 +244,32 @@ func (p *Part) start(onHalt func(transport.HaltMsg)) error {
 	p.cmd, p.ret = make(chan struct{}), make(chan struct{})
 	go p.runExecutor()
 	return nil
+}
+
+// install is the one install step of a job, whatever drives it (Start,
+// ApplyJob, Machine.RunJob): one command puts threads in slots
+// 0..len(threads)-1, preloads mem (keeping the addresses this part homes)
+// and, when inject is set, hands every thread's initial context to it —
+// so an executor takes the whole job between two rounds. The slots point
+// into threads until the job retires.
+func (p *Part) install(threads []ThreadSpec, mem map[uint32]uint32, inject func(geom.CoreID, transport.Context) error) (err error) {
+	p.call(func() {
+		if len(threads) > len(p.specs) {
+			err = fmt.Errorf("machine: thread slot %d outside the %d-slot pool", len(p.specs), len(p.specs))
+			return
+		}
+		for t := range threads {
+			p.specs[t] = &threads[t]
+		}
+		//em2:unordered-ok: preload writes each address into its home shard's map; the final image is order-independent
+		for a, v := range mem {
+			p.preload(a, v, 0)
+		}
+		if inject != nil {
+			err = Inject(threads, p.tr.Cores(), inject)
+		}
+	})
+	return err
 }
 
 // Stop winds the cores down: the executor finishes its round and stops,

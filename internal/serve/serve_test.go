@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -314,6 +316,51 @@ func TestServeAdmissionRejects(t *testing.T) {
 	}
 }
 
+// retireRecorder is a pass-through Backend that keeps every job's retired
+// events, in retirement order.
+type retireRecorder struct {
+	Backend
+	events [][]machine.Event
+}
+
+func (b *retireRecorder) Retire(j *Job, timeout time.Duration) ([]machine.Event, error) {
+	ev, err := b.Backend.Retire(j, timeout)
+	b.events = append(b.events, slices.Clone(ev))
+	return ev, err
+}
+
+// TestServeLocalJobsRepeatExactly: an in-process job lands in one round,
+// so its whole schedule — every event's home sequence number and the
+// order its shards log them in — repeats run to run. The report cannot
+// show this, since it is schedule-independent; the retired events can.
+// Contexts pushed into the running executor one at a time used to land
+// over however many rounds goroutine timing allowed.
+func TestServeLocalJobsRepeatExactly(t *testing.T) {
+	t.Parallel()
+	cfg := testCfg(40)
+	run := func() [][]machine.Event {
+		be, err := NewLocalBackend(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		rec := &retireRecorder{Backend: be}
+		if _, err := Run(cfg, rec); err != nil {
+			t.Fatal(err)
+		}
+		return rec.events
+	}
+	a, b := run(), run()
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("retired %d and %d jobs", len(a), len(b))
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Fatalf("job %d retired different events:\n%+v\n%+v", i, a[i], b[i])
+		}
+	}
+}
+
 // TestServeTraceArrivals drives the run from an explicit arrival trace
 // spaced wider than any job latency: every job is admitted even with a
 // window of one.
@@ -545,7 +592,7 @@ func TestClusterStuckJobTimeoutNamesNodes(t *testing.T) {
 	}
 	// Wait until both nodes have heartbeated, so the diagnosis has a line
 	// with a sequence number for each.
-	co := be.(*clusterBackend).co
+	co := be.(*backend).cl.(*machine.TCPCluster)
 	for deadline := time.After(10 * time.Second); len(co.Heartbeats()) < 2; {
 		select {
 		case <-deadline:

@@ -246,6 +246,38 @@ func TestCollectDeathNamesNode(t *testing.T) {
 	<-errs
 }
 
+// TestSampleRefusesMissingGuestGauges: a node sample with fewer guest
+// gauges than per-core rows is refused, naming the node. The merge used to
+// read each missing gauge as 0, hiding the guest-pool drift the soak
+// checks.
+func TestSampleRefusesMissingGuestGauges(t *testing.T) {
+	man, err := transport.LocalManifest(1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := &stubControl{sample: transport.Sample{
+		PerCore: []transport.CoreMetrics{{Core: 0}, {Core: 1}},
+		Guests:  []int64{1},
+	}}
+	errs := serveStub(man, 0, ctl)
+	co, err := transport.DialCluster(man, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if err := co.Load(&transport.LoadSpec{NumThreads: 1}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	_, err = co.Sample()
+	if err == nil || !strings.Contains(err.Error(), "node 0 sent 1 guest gauges for 2 cores") {
+		t.Fatalf("sample with a missing guest gauge = %v, want node 0's reply refused", err)
+	}
+	co.Shutdown()
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // controlBody is the codec every control body type has.
 type controlBody interface {
 	AppendWire([]byte) []byte

@@ -1394,6 +1394,10 @@ func (co *Coordinator) Sample() (Sample, error) {
 		if r.Sample == nil {
 			return fmt.Errorf("transport: sample: node %d answered with no sample", r.Node)
 		}
+		if len(r.Sample.Guests) != len(r.Sample.PerCore) {
+			return fmt.Errorf("transport: sample: node %d sent %d guest gauges for %d cores",
+				r.Node, len(r.Sample.Guests), len(r.Sample.PerCore))
+		}
 		merged.Merge(*r.Sample)
 		return nil
 	})
@@ -1401,7 +1405,8 @@ func (co *Coordinator) Sample() (Sample, error) {
 		return Sample{}, err
 	}
 	// Replies merge in arrival order; re-sort by core, carrying the aligned
-	// guest gauge along with its row.
+	// guest gauge along with its row (each reply was checked to carry one
+	// per row).
 	order := make([]int, len(merged.PerCore))
 	for i := range order {
 		order[i] = i
@@ -1410,10 +1415,7 @@ func (co *Coordinator) Sample() (Sample, error) {
 	perCore := make([]CoreMetrics, len(order))
 	guests := make([]int64, len(order))
 	for i, o := range order {
-		perCore[i] = merged.PerCore[o]
-		if o < len(merged.Guests) {
-			guests[i] = merged.Guests[o]
-		}
+		perCore[i], guests[i] = merged.PerCore[o], merged.Guests[o]
 	}
 	merged.PerCore, merged.Guests = perCore, guests
 	merged.Net = merged.Net.Add(co.nc.snapshot())
