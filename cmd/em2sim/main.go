@@ -67,10 +67,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// tracePlacements are the placement names trace mode accepts (cluster mode
-// accepts machine.PlacementNames, which excludes first-touch).
-var tracePlacements = []string{"first-touch", "striped", "page-striped"}
-
 // run is the whole command with injectable argv and streams, so the CLI
 // tests can pin flag handling, error text, and output without a subprocess.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -78,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	wl := fs.String("workload", "ocean", "workload name[:scale,iters,seed]: "+strings.Join(workload.Names(), " "))
 	schemeName := fs.String("scheme", "always-migrate", "decision scheme: "+strings.Join(machine.SchemeNames(), ", ")+" (trace mode also: oracle)")
-	placeName := fs.String("placement", "first-touch", "placement: "+strings.Join(tracePlacements, ", "))
+	placeName := fs.String("placement", "first-touch", "placement: "+strings.Join(machine.PlacementNames(), ", ")+" (trace mode also: first-touch)")
 	cores := fs.Int("cores", 64, "core count (square mesh)")
 	threads := fs.Int("threads", 64, "thread count")
 	scale := fs.Int("scale", 128, "workload scale")
@@ -183,32 +179,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.GuestContexts = *guests
 	cfg.ChargeMemory = *mem
 
-	newPlace := func() placement.Policy {
-		switch *placeName {
-		case "first-touch":
-			return placement.NewFirstTouch(workload.PageBytes)
-		case "striped":
-			return placement.NewStriped(64, cfg.Mesh.Cores())
-		case "page-striped":
-			return placement.NewPageStriped(workload.PageBytes, cfg.Mesh.Cores())
-		default:
-			return nil
+	// First-touch is trace mode's own; every other name is a cluster
+	// placement. A policy binds pages as it runs, so each run gets a
+	// fresh one.
+	newPlace := func() (placement.Policy, error) {
+		if *placeName == "first-touch" {
+			return placement.NewFirstTouch(workload.PageBytes), nil
 		}
+		return machine.ParsePlacement(*placeName, cfg.Mesh.Cores())
 	}
-	if newPlace() == nil {
-		return fail(fmt.Errorf("unknown placement %q (valid placements: %s)",
-			*placeName, strings.Join(tracePlacements, ", ")))
+	place, err := newPlace()
+	if err != nil {
+		return fail(fmt.Errorf("%v (trace mode also accepts: first-touch)", err))
 	}
 
 	var scheme core.Scheme
 	if *schemeName == "oracle" {
-		opt := oracle.OptimalForTrace(cfg, tr, newPlace())
+		opt := oracle.OptimalForTrace(cfg, tr, place)
+		if place, err = newPlace(); err != nil {
+			return fail(err)
+		}
 		scheme = core.NewFixed("oracle", opt.Decisions)
 	} else if scheme, err = machine.ParseScheme(*schemeName, cfg.Mesh); err != nil {
 		return fail(fmt.Errorf("%v (trace mode also accepts: oracle)", err))
 	}
 
-	eng, err := core.NewEngine(cfg, newPlace(), scheme)
+	eng, err := core.NewEngine(cfg, place, scheme)
 	if err != nil {
 		return fail(err)
 	}

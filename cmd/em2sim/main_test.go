@@ -58,6 +58,35 @@ func TestUnknownPlacementError(t *testing.T) {
 	}
 }
 
+// TestTraceModePlacementArguments: trace mode parses placements as
+// cluster mode does, so the sized forms -list-schemes documents for both
+// modes run, and the bare names keep their default sizes.
+func TestTraceModePlacementArguments(t *testing.T) {
+	base := []string{"-workload", "pingpong", "-cores", "4", "-threads", "4", "-scale", "8", "-iters", "1", "-json"}
+	migrations := map[string]int64{}
+	for _, pl := range []string{"striped:128", "page-striped:8192", "striped", "striped:64"} {
+		var out, errb bytes.Buffer
+		if code := run(append(base, "-placement", pl), &out, &errb); code != 0 {
+			t.Fatalf("-placement %s: exit %d, stderr: %s", pl, code, errb.String())
+		}
+		var res struct {
+			Placement  string `json:"placement"`
+			Migrations int64  `json:"migrations"`
+			Accesses   int64  `json:"accesses"`
+		}
+		if err := json.Unmarshal(out.Bytes(), &res); err != nil {
+			t.Fatalf("-placement %s: output is not JSON: %v\n%s", pl, err, out.String())
+		}
+		if res.Placement != pl || res.Accesses == 0 {
+			t.Errorf("-placement %s: result %+v", pl, res)
+		}
+		migrations[pl] = res.Migrations
+	}
+	if migrations["striped"] != migrations["striped:64"] {
+		t.Errorf("striped ran %d migrations, striped:64 %d; want the default line of 64", migrations["striped"], migrations["striped:64"])
+	}
+}
+
 // TestTraceModeHistoryJSON: trace mode accepts history:N and emits valid
 // JSON with the scheme's rendered name.
 func TestTraceModeHistoryJSON(t *testing.T) {

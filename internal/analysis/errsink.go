@@ -13,15 +13,16 @@ import (
 // through machine.TCPCluster — and machine.Inject: a driver that drops one
 // of these awaits halts no node will ever send), machine Part lifecycle calls (Start, StartServe,
 // ApplyJob, CollectChunked — a swallowed load failure is
-// exactly the silent node death the load barrier exists to surface)
-// and the verifier (Litmus.Verify, CheckSC, CheckSCFrom, SCChecker.Check —
+// exactly the silent node death the load barrier exists to surface),
+// the job refusal checks (checkJob, checkWireJob — a discarded refusal
+// runs the job it refused) and the verifier (Litmus.Verify, CheckSC, CheckSCFrom, SCChecker.Check —
 // a dropped verdict is a silently wrong image).
 // Both the bare-statement form and the explicit `_ =` discard are flagged:
 // a deliberate discard must say why, as `//em2:errsink-ok: <why>` on the
 // line.
 var Errsink = &Analyzer{
 	Name: "errsink",
-	Doc:  "flag discarded errors from transport sends/flushes, coordinator lifecycle calls, Part lifecycle calls and the run verifier",
+	Doc:  "flag discarded errors from transport sends/flushes, coordinator lifecycle calls, Part lifecycle calls, job refusal checks and the run verifier",
 	Run:  runErrsink,
 }
 
@@ -65,10 +66,12 @@ func runErrsink(pass *Pass) error {
 
 // machineTracked is the machine package's tracked surface, functions by
 // name and methods as Receiver.Name: the lifecycle's injection loop, the
-// Part methods whose error results carry load or lifecycle failures, and
-// the verifier.
+// Part methods whose error results carry load or lifecycle failures, the
+// job refusal checks, and the verifier.
 var machineTracked = map[string]bool{
 	"Inject":              true,
+	"checkJob":            true,
+	"checkWireJob":        true,
 	"Part.Start":          true,
 	"Part.StartServe":     true,
 	"Part.ApplyJob":       true,

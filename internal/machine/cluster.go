@@ -313,24 +313,20 @@ type ClusterRun struct {
 // node processes (ServeNode / cmd/em2node) must be starting or started on
 // the manifest's addresses, and dialing retries until Config.Timeout. A
 // manifest that names only the mesh (transport.Manifest{W, H}) runs the
-// same description on an in-process Machine. Either way the description
-// is resolved, validated and rendered in wire form first, so both
-// transports accept and reject exactly the same runs.
+// same description on an in-process Machine. Either way the threads are
+// checked (checkWireJob) and the description resolved before anything is
+// dialed, so both transports accept and reject exactly the same runs.
 func (r ClusterRun) Run() (*ClusterResult, error) {
-	if len(r.Threads) == 0 {
-		return nil, fmt.Errorf("machine: no threads")
-	}
-	cfg := r.Config.WithDefaults()
-	job, err := BuildJob(0, r.Threads, r.Mem)
-	if err != nil {
+	if err := checkWireJob(r.Threads); err != nil {
 		return nil, err
 	}
+	cfg := r.Config.WithDefaults()
 	cl, err := LoadCluster(r.Manifest, cfg.LoadSpec(len(r.Threads)), cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-	halts, err := cl.RunJob(job, r.Threads, cfg.Timeout)
+	halts, err := cl.RunJob(0, r.Threads, r.Mem, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}

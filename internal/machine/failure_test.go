@@ -304,30 +304,17 @@ func TestServeNodeAbortsMidRun(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- ServeNode(man, 0) }()
 
-	co, err := transport.DialCluster(man, 10*time.Second)
+	cl, err := LoadCluster(man, ClusterConfig{}.LoadSpec(1), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := co.Load(&transport.LoadSpec{Scheme: "always-migrate", Placement: "striped:64", NumThreads: 1}, 10*time.Second); err != nil {
-		t.Fatal(err)
+	// The job's timeout gives the remote context real time to spin; the
+	// run then ends with the context still resident.
+	_, err = cl.RunJob(0, []ThreadSpec{{Program: spinForever()}}, nil, 500*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "run timed out with 0 of 1 threads halted") {
+		t.Errorf("spinning job = %v, want the halt barrier's timeout", err)
 	}
-	job, err := BuildJob(0, []ThreadSpec{{Program: spinForever()}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := co.SubmitJob(job, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.InjectEviction(geom.CoreID(0), transport.Context{Thread: 0, Native: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	//em2:wallclock-ok: failure-injection test gives the remote context real time to start spinning
-	time.Sleep(300 * time.Millisecond)
-	co.Shutdown()
-	co.Close()
+	cl.Close()
 
 	select {
 	case err := <-done:
@@ -379,18 +366,12 @@ func TestJobLargerThanPoolRefusedAtSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := cl.(*TCPCluster)
 	lit := StoreBufferingLitmus(64) // two threads
-	job, err := BuildJob(0, lit.Threads, lit.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = co.SubmitJob(job, 10*time.Second)
+	_, err = cl.RunJob(0, lit.Threads, lit.Mem, 10*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "node 0 failed") || !strings.Contains(err.Error(), "outside the 1-slot pool") {
 		t.Fatalf("two-thread job on a one-slot pool = %v, want node 0's slot range error", err)
 	}
-	co.Shutdown()
-	co.Close()
+	cl.Close()
 	if err := joinWithin(t, join, 10*time.Second); err != nil {
 		t.Errorf("join after a refused job: %v", err)
 	}
@@ -403,10 +384,6 @@ func TestJobLargerThanPoolRefusedAtSubmit(t *testing.T) {
 func TestClustersRefuseJobOutsidePool(t *testing.T) {
 	t.Parallel()
 	lit := StoreBufferingLitmus(64) // two threads
-	job, err := BuildJob(0, lit.Threads, lit.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
 	man, join, err := Loopback(1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +393,7 @@ func TestClustersRefuseJobOutsidePool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = cl.RunJob(job, lit.Threads, 10*time.Second)
+		_, err = cl.RunJob(0, lit.Threads, lit.Mem, 10*time.Second)
 		cl.Close()
 		if err == nil || !strings.Contains(err.Error(), "machine: thread slot 1 outside the 1-slot pool") {
 			t.Errorf("%d nodes: two-thread job on a one-slot pool = %v, want the slot range error", len(m.Nodes), err)

@@ -7,58 +7,73 @@ import (
 	"repro/internal/transport"
 )
 
-// This file is the machine side of the job lifecycle: packing a job's
-// threads into the JobSpec control frame on the driver, and installing a
-// received JobSpec into a part's slot pool on a node. Every
-// run is a job: a ClusterRun is job 0, a serve session one job per
-// arrival. DESIGN.md §7 describes the protocol (submit → ack barrier →
-// inject → halts → retire).
+// This file is a job's two forms. Every Cluster runs a job as threads and
+// a memory image; only a job that crosses a wire is encoded, by
+// TCPCluster.RunJob into the JobSpec frame that a node's ApplyJob decodes.
+// A ClusterRun is job 0, a serve session one job per arrival. DESIGN.md
+// §7 describes the protocol (submit → ack barrier → inject → halts →
+// retire).
 
-// BuildJob validates a job's threads and packs them into the JobSpec wire
-// form, as threads 0..len(threads)-1 of the slot pool: programs in their
-// 32-bit ISA encoding, each instruction verified to survive the wire (an
-// immediate that overflows its field would silently execute differently
-// on the far side), initial registers, and the job's initial memory image.
-// An in-process Machine installs the threads themselves, not this form,
-// but every job passes these checks, so both transports refuse the same.
-func BuildJob(job int, threads []ThreadSpec, mem map[uint32]uint32) (*transport.JobSpec, error) {
+// checkJob is the one refusal check of a job, run by every entry before
+// it changes any state: a job needs a thread, every thread an
+// instruction, and every initial register must be r1..r31 (the smallest
+// bad one is reported, whatever the map order). It allocates only to
+// refuse.
+func checkJob(threads []ThreadSpec) error {
 	if len(threads) == 0 {
-		return nil, fmt.Errorf("machine: job %d has no threads", job)
+		return fmt.Errorf("machine: job has no threads")
 	}
-	if err := validateSpecs(threads); err != nil {
-		return nil, err
+	for t := range threads {
+		if len(threads[t].Program) == 0 {
+			return fmt.Errorf("machine: thread %d has an empty program", t)
+		}
+		bad, found := 0, false
+		//em2:unordered-ok: the minimum of the bad registers is order-independent
+		for r := range threads[t].Regs {
+			if (r <= 0 || r >= isa.NumRegs) && (!found || r < bad) {
+				bad, found = r, true
+			}
+		}
+		if found {
+			return fmt.Errorf("machine: thread %d: bad initial register r%d", t, bad)
+		}
 	}
+	return nil
+}
+
+// checkWireJob is the Cluster entries' check: checkJob, and every
+// instruction survives its 32-bit encoding (an immediate that overflows
+// its field would execute differently on the far side), so both
+// transports refuse the same jobs. Machine.Run and Part.Start, whose
+// threads never leave the process, skip its per-instruction cost. It
+// allocates only to refuse.
+func checkWireJob(threads []ThreadSpec) error {
+	if err := checkJob(threads); err != nil {
+		return err
+	}
+	for t := range threads {
+		for i, in := range threads[t].Program {
+			if back, err := isa.Decode(in.Encode()); err != nil || back != in {
+				return fmt.Errorf("machine: thread %d instruction %d (%v) does not survive the wire encoding", t, i, in)
+			}
+		}
+	}
+	return nil
+}
+
+// encodeJob packs a job that passed checkWireJob into its JobSpec, as
+// threads 0..len(threads)-1 of the slot pool. TCPCluster.RunJob is its
+// caller.
+func encodeJob(job int, threads []ThreadSpec, mem map[uint32]uint32) *transport.JobSpec {
 	spec := &transport.JobSpec{Job: job, Programs: make([][]uint32, len(threads)), Regs: make([]map[int]uint32, len(threads)), Mem: mem}
 	for t := range threads {
-		prog := threads[t].Program
-		if len(prog) == 0 {
-			return nil, fmt.Errorf("machine: thread %d has an empty program", t)
-		}
-		spec.Programs[t] = make([]uint32, len(prog))
-		for i, in := range prog {
-			w := in.Encode()
-			back, err := isa.Decode(w)
-			if err != nil || back != in {
-				return nil, fmt.Errorf("machine: thread %d instruction %d (%v) does not survive the wire encoding", t, i, in)
-			}
-			spec.Programs[t][i] = w
+		spec.Programs[t] = make([]uint32, len(threads[t].Program))
+		for i, in := range threads[t].Program {
+			spec.Programs[t][i] = in.Encode()
 		}
 		spec.Regs[t] = threads[t].Regs
 	}
-	return spec, nil
-}
-
-// decodeProgram is the node-side inverse of one BuildJob program.
-func decodeProgram(words []uint32) ([]isa.Instr, error) {
-	prog := make([]isa.Instr, len(words))
-	for i, w := range words {
-		in, err := isa.Decode(w)
-		if err != nil {
-			return nil, fmt.Errorf("machine: instruction %d: %v", i, err)
-		}
-		prog[i] = in
-	}
-	return prog, nil
+	return spec
 }
 
 // ApplyJob installs a received JobSpec into this part's slots 0..n-1 and
@@ -73,16 +88,16 @@ func (p *Part) ApplyJob(js *transport.JobSpec) error {
 	}
 	specs := make([]ThreadSpec, len(js.Programs))
 	for t, words := range js.Programs {
-		prog, err := decodeProgram(words)
-		if err != nil {
-			return fmt.Errorf("machine: job %d thread %d: %v", js.Job, t, err)
+		specs[t] = ThreadSpec{Program: make([]isa.Instr, len(words)), Regs: js.Regs[t]}
+		for i, w := range words {
+			in, err := isa.Decode(w)
+			if err != nil {
+				return fmt.Errorf("machine: job %d thread %d instruction %d: %v", js.Job, t, i, err)
+			}
+			specs[t].Program[i] = in
 		}
-		if len(prog) == 0 {
-			return fmt.Errorf("machine: slot %d: empty program", t)
-		}
-		specs[t] = ThreadSpec{Program: prog, Regs: js.Regs[t]}
 	}
-	if err := validateSpecs(specs); err != nil {
+	if err := checkJob(specs); err != nil {
 		return err
 	}
 	return p.install(specs, js.Mem, nil)

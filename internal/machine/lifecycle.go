@@ -42,8 +42,8 @@ func (c ClusterConfig) WithDefaults() ClusterConfig {
 }
 
 // LoadSpec renders the description as the broadcast that ships it, over
-// a pool of numThreads thread slots. Programs and memory travel per job,
-// in BuildJob's JobSpec.
+// a pool of numThreads thread slots. Programs and memory reach
+// Cluster.RunJob per job; a TCPCluster ships them in a JobSpec.
 func (c ClusterConfig) LoadSpec(numThreads int) *transport.LoadSpec {
 	c = c.WithDefaults()
 	return &transport.LoadSpec{
@@ -73,16 +73,17 @@ func ResolveLoad(mesh geom.Mesh, spec *transport.LoadSpec) (Config, error) {
 }
 
 // Cluster is a loaded machine that runs jobs, one at a time: the
-// in-process Machine, or a TCPCluster of node processes. Both accept and
-// refuse the same jobs with the same messages, and on a job they both
-// accept they report the same halts, counters and events.
+// in-process Machine, or a TCPCluster of node processes, which alone
+// encodes a job. Both refuse the same jobs with the same messages
+// (checkWireJob), and on a job they both accept they report the same
+// halts, counters and events.
 type Cluster interface {
-	// RunJob installs job — threads 0..len(threads)-1 of the slot pool,
-	// spec its wire form from BuildJob — preloads its memory, injects
-	// every thread's initial context and returns one halt per thread,
-	// indexed by thread. Follow with RetireJob before reusing the slots
-	// or the job's memory region; threads must not change until then.
-	RunJob(spec *transport.JobSpec, threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error)
+	// RunJob installs job — threads 0..len(threads)-1 of the slot pool —
+	// preloads its memory image mem, injects every thread's initial
+	// context and returns one halt per thread, indexed by thread. Follow
+	// with RetireJob before reusing the slots or the job's memory region;
+	// threads must not change until then.
+	RunJob(job int, threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.HaltMsg, error)
 	// RetireJob clears the job's slots and reclaims its region, returning
 	// the region's removed events.
 	RetireJob(d transport.JobDone, timeout time.Duration) ([]Event, error)
@@ -165,13 +166,16 @@ func Inject(threads []ThreadSpec, cores int, send func(geom.CoreID, transport.Co
 	return nil
 }
 
-// RunJob implements Cluster: the submit barrier (every node installs spec
-// before any context is injected, so a context can never race its own
-// program across nodes), every thread's initial context injected and
-// flushed — one batch write per node — and the halt barrier, whose
-// timeout names each node's last heartbeat.
-func (c *TCPCluster) RunJob(spec *transport.JobSpec, threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error) {
-	if err := c.SubmitJob(spec, timeout); err != nil {
+// RunJob implements Cluster: checkWireJob, the submit barrier (every node
+// installs the encoded job before any context is injected, so a context
+// can never race its own program across nodes), every thread's initial
+// context injected and flushed — one batch write per node — and the halt
+// barrier, whose timeout names each node's last heartbeat.
+func (c *TCPCluster) RunJob(job int, threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.HaltMsg, error) {
+	if err := checkWireJob(threads); err != nil {
+		return nil, err
+	}
+	if err := c.SubmitJob(encodeJob(job, threads, mem), timeout); err != nil {
 		return nil, err
 	}
 	if err := Inject(threads, c.cores, c.InjectEviction); err != nil {

@@ -87,25 +87,6 @@ type ThreadSpec struct {
 	Regs    map[int]uint32 // initial register values
 }
 
-// validateSpecs checks every thread's initial register map. A spec with
-// several bad registers reports the smallest, so the message does not
-// depend on map order.
-func validateSpecs(threads []ThreadSpec) error {
-	for t := range threads {
-		bad, found := 0, false
-		//em2:unordered-ok: the minimum of the bad registers is order-independent
-		for r := range threads[t].Regs {
-			if (r <= 0 || r >= isa.NumRegs) && (!found || r < bad) {
-				bad, found = r, true
-			}
-		}
-		if found {
-			return fmt.Errorf("machine: thread %d: bad initial register r%d", t, bad)
-		}
-	}
-	return nil
-}
-
 // Result aggregates a run.
 type Result struct {
 	Instructions int64
@@ -189,21 +170,17 @@ func (m *Machine) MemImage() (mem map[uint32]uint32) {
 
 // Run executes the threads to completion as one job and returns aggregate
 // results, then stops the machine. Thread t starts at core t mod cores. A
-// machine runs once. With no nodes to lose there is no timeout: the run
-// ends when its threads do.
+// machine runs once, and refuses only what checkJob does. With no nodes
+// to lose there is no timeout: the run ends when its threads do.
 func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
-	if len(threads) == 0 {
-		return nil, fmt.Errorf("machine: no threads")
-	}
 	if m.ran {
 		return nil, fmt.Errorf("machine: Run called twice")
 	}
-	if err := validateSpecs(threads); err != nil {
+	if err := checkJob(threads); err != nil {
 		return nil, err
 	}
 	m.ran = true
-	var job transport.JobSpec
-	halts, err := m.RunJob(&job, threads, 0)
+	halts, err := m.runJob(threads, nil, 0)
 	m.Close()
 	if err != nil {
 		return nil, err
@@ -213,14 +190,21 @@ func (m *Machine) Run(threads []ThreadSpec) (*Result, error) {
 	return &res, nil
 }
 
-// RunJob implements Cluster: one command installs the threads and the
+// RunJob implements Cluster: checkWireJob, then runJob; nothing is
+// encoded.
+func (m *Machine) RunJob(_ int, threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.HaltMsg, error) {
+	if err := checkWireJob(threads); err != nil {
+		return nil, err
+	}
+	return m.runJob(threads, mem, timeout)
+}
+
+// runJob runs a checked job: one command installs the threads and the
 // job's memory image and injects every initial context, so the executor
 // takes the whole job in one round — the schedule is a function of the
-// job and the machine's state alone. The threads are installed as given;
-// spec's wire-form programs are not decoded back. A zero timeout never
-// fires.
-func (m *Machine) RunJob(spec *transport.JobSpec, threads []ThreadSpec, timeout time.Duration) ([]transport.HaltMsg, error) {
-	if err := m.part.install(threads, spec.Mem, m.tr.SendEviction); err != nil {
+// job and the machine's state alone. A zero timeout never fires.
+func (m *Machine) runJob(threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.HaltMsg, error) {
+	if err := m.part.install(threads, mem, m.tr.SendEviction); err != nil {
 		return nil, err
 	}
 	// There are no nodes to lose, so there is no death channel.

@@ -210,10 +210,10 @@ func (p *Part) Peek(addr uint32) (v uint32, homed bool) {
 // is the full machine-wide thread list (any thread can migrate in); onHalt
 // fires on the executor when a thread executes HALT, with its final
 // register file, and must not call back into the part. It is StartServe
-// over len(threads) slots plus the install step of a job; the caller
-// injects the initial contexts.
+// over len(threads) slots plus the install step of a job, after checkJob
+// (before the executor starts); the caller injects the initial contexts.
 func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error {
-	if err := validateSpecs(threads); err != nil {
+	if err := checkJob(threads); err != nil {
 		return err
 	}
 	if err := p.StartServe(len(threads), onHalt); err != nil {
@@ -247,7 +247,7 @@ func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 }
 
 // install is the one install step of a job, whatever drives it (Start,
-// ApplyJob, Machine.RunJob): one command puts threads in slots
+// ApplyJob, Machine.runJob): one command puts threads in slots
 // 0..len(threads)-1, preloads mem (keeping the addresses this part homes)
 // and, when inject is set, hands every thread's initial context to it —
 // so an executor takes the whole job between two rounds. The slots point

@@ -136,15 +136,7 @@ func TestCommandsServedBesideLiveJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer part.Stop()
-	threads := []ThreadSpec{{Program: spinForever()}}
-	spec, err := BuildJob(0, threads, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := part.ApplyJob(spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := Inject(threads, 4, tr.SendEviction); err != nil {
+	if err := part.install([]ThreadSpec{{Program: spinForever()}}, nil, tr.SendEviction); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)

@@ -89,11 +89,7 @@ func NewClusterBackend(cfg Config, man transport.Manifest) (Backend, error) {
 }
 
 func (b *backend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMsg, error) {
-	spec, err := machine.BuildJob(j.Index, j.Threads, j.Mem)
-	if err != nil {
-		return nil, err
-	}
-	return b.cl.RunJob(spec, j.Threads, timeout)
+	return b.cl.RunJob(j.Index, j.Threads, j.Mem, timeout)
 }
 
 // Retire issues j's retirement: its slots and its whole region. On a
