@@ -183,7 +183,7 @@ func TestDecoratedLocalRunsContexts(t *testing.T) {
 	if err := Inject(threads, 4, tr.SendEviction); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AwaitHalts(len(threads), halts, nil, 10*time.Second, nil); err != nil {
+	if _, err := AwaitHalts(len(threads), halts, nil, idleTimer(), 10*time.Second, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -85,7 +85,9 @@ type Cluster interface {
 	// threads must not change until then.
 	RunJob(job int, threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.HaltMsg, error)
 	// RetireJob clears the job's slots and reclaims its region, returning
-	// the region's removed events.
+	// the region's removed events in a buffer the cluster reuses: the
+	// slice is valid until the next RetireJob, so a caller that keeps the
+	// events clones them.
 	RetireJob(d transport.JobDone, timeout time.Duration) ([]Event, error)
 	// Sample is a non-destructive snapshot of per-core counters and
 	// gauges (transport.MetricsSource).
@@ -136,7 +138,7 @@ func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.
 		co.Close()
 		return nil, err
 	}
-	return &TCPCluster{Coordinator: co, cores: man.Cores()}, nil
+	return &TCPCluster{Coordinator: co, cores: man.Cores(), timer: idleTimer()}, nil
 }
 
 // TCPCluster is a loaded cluster of node processes, driven through its
@@ -144,6 +146,7 @@ func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.
 type TCPCluster struct {
 	*transport.Coordinator
 	cores int
+	timer *time.Timer // the halt barrier's, reused by every job
 }
 
 // Inject places every thread's initial context at its native core — thread
@@ -184,7 +187,14 @@ func (c *TCPCluster) RunJob(job int, threads []ThreadSpec, mem map[uint32]uint32
 	if err := c.Flush(); err != nil {
 		return nil, err
 	}
-	return AwaitHalts(len(threads), c.Halts(), c.Deaths(), timeout, c.HeartbeatSummary)
+	return AwaitHalts(len(threads), c.Halts(), c.Deaths(), c.timer, timeout, c.HeartbeatSummary)
+}
+
+// idleTimer returns a stopped timer for AwaitHalts to arm, job after job.
+func idleTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
 }
 
 // Close implements Cluster: tell every node to exit, then drop the links.
@@ -201,10 +211,15 @@ func (c *TCPCluster) Close() {
 // timeout), or the timeout — whose error carries diag's text, the one
 // place a timeout becomes a diagnosis. A zero timeout never fires and nil
 // deaths/diag are skipped: the in-process machine has no nodes to lose.
-func AwaitHalts(n int, halts <-chan transport.HaltMsg, deaths <-chan error, timeout time.Duration, diag func() string) ([]transport.HaltMsg, error) {
+//
+// The timeout runs on timer, a stopped timer (idleTimer) that AwaitHalts
+// resets and stops again before it returns, so a cluster reuses one for
+// every job (a Go 1.23 timer delivers no stale expiry after Stop). For up
+// to 64 threads the result is its one allocation.
+func AwaitHalts(n int, halts <-chan transport.HaltMsg, deaths <-chan error, timer *time.Timer, timeout time.Duration, diag func() string) ([]transport.HaltMsg, error) {
 	var expired <-chan time.Time
 	if timeout > 0 {
-		timer := time.NewTimer(timeout)
+		timer.Reset(timeout)
 		defer timer.Stop()
 		expired = timer.C
 	}
@@ -213,7 +228,11 @@ func AwaitHalts(n int, halts <-chan transport.HaltMsg, deaths <-chan error, time
 	// duplicate (or fabricated) report for one thread mask another thread
 	// that never finished, and the run would "complete" with garbage
 	// registers for the missing thread.
-	seen := make([]bool, n)
+	var small [64]bool
+	seen := small[:]
+	if n > len(small) {
+		seen = make([]bool, n)
+	}
 	for got := 0; got < n; got++ {
 		select {
 		case h, ok := <-halts:

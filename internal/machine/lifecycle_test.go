@@ -77,7 +77,7 @@ func TestAwaitHalts(t *testing.T) {
 					}
 				}
 			}()
-			got, err := AwaitHalts(tc.n, halts, deaths, tc.timeout, tc.diag)
+			got, err := AwaitHalts(tc.n, halts, deaths, idleTimer(), tc.timeout, tc.diag)
 			if tc.want != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("AwaitHalts error %v, want it to contain %q", err, tc.want)

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -199,9 +200,15 @@ func privateBase(t int) uint32 { return 512 + 128*uint32(t) }
 // are 64 bytes apart, so under striped:64 placement each lives at a
 // different home core and the program exercises migration, remote access,
 // eviction, and home-shard serialization all at once.
+//
+// Its draws are math/rand's: the stream of rand.New(rand.NewSource(seed))
+// exactly, from a litmusSource that computes only the words of the
+// seeded table that the draws read.
 func RandomLitmus(seed uint64, o RandOpts) Litmus {
 	o = o.withDefaults()
-	rng := rand.New(rand.NewSource(int64(seed)))
+	rng := litmusRands.Get().(*rand.Rand)
+	defer litmusRands.Put(rng)
+	rng.Seed(int64(seed))
 
 	shared := make([]uint32, o.Addrs)
 	mem := make(map[uint32]uint32, o.Addrs)
@@ -260,3 +267,130 @@ func RandomLitmus(seed uint64, o RandOpts) Litmus {
 	}
 	return Litmus{Name: name, Threads: threads, Mem: mem, Deterministic: o.PrivateWrites}
 }
+
+// The additive lagged-Fibonacci generator behind math/rand.NewSource: a
+// 607-word register with its tap 273 words behind the feed, seeded word
+// by word from a Lehmer generator mod 2³¹−1 (multiplier 48271) XORed with
+// a fixed table of 607 "cooked" constants.
+const (
+	rngLen  = 607
+	rngTap  = 273
+	lehmerA = 48271
+	lehmerP = 1<<31 - 1
+)
+
+// litmusRands pools the generators RandomLitmus reseeds: a reseed is O(1),
+// so a call costs its draws and allocates no register.
+var litmusRands = sync.Pool{New: func() any { return rand.New(new(litmusSource)) }}
+
+// litmusSource is a rand.Source64 whose stream equals
+// math/rand.NewSource(seed)'s for every seed. math/rand fills the whole
+// register on Seed; this source computes a word only when a draw first
+// reads it. Draw k (from 0) adds the tap word 606−k to the feed word and
+// stores the sum at the feed, which is 333−k for k ≤ 333 and 940−k up to
+// k = 606. So in the first 607 draws every feed word is read for the
+// first time, and a tap word is too while k < 273; after that it is the
+// sum draw k−273 stored. Every other read sees a stored sum.
+type litmusSource struct {
+	vec       [rngLen]int64
+	tap, feed int
+	n         int    // draws since the seed, counted up to rngLen
+	x0        uint64 // the Lehmer state the seed maps to
+	t         *litmusTables
+}
+
+// litmusTables is what every seed shares: math/rand's cooked constants
+// and pow[i] = 48271^(21+3i) mod 2³¹−1, the Lehmer step that seeds word i.
+type litmusTables struct {
+	cooked, pow [rngLen]uint64
+}
+
+// Seed implements rand.Source: math/rand's seed normalization, then an
+// empty register.
+func (s *litmusSource) Seed(seed int64) {
+	seed %= lehmerP
+	if seed < 0 {
+		seed += lehmerP
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	s.tap, s.feed, s.n, s.x0, s.t = 0, rngLen-rngTap, 0, uint64(seed), litmusTabs()
+}
+
+// Int63 implements rand.Source.
+func (s *litmusSource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+
+// Uint64 implements rand.Source64: math/rand's draw, with first reads
+// computed (word).
+func (s *litmusSource) Uint64() uint64 {
+	if s.tap--; s.tap < 0 {
+		s.tap += rngLen
+	}
+	if s.feed--; s.feed < 0 {
+		s.feed += rngLen
+	}
+	f, t := s.vec[s.feed], s.vec[s.tap]
+	if s.n < rngLen {
+		f = s.word(s.feed)
+		if s.n < rngTap {
+			t = s.word(s.tap)
+		}
+		s.n++
+	}
+	s.vec[s.feed] = f + t
+	return uint64(f + t)
+}
+
+// word is the seeded register's word i: its Lehmer part from state
+// 48271^(21+3i)·x0, XOR the cooked constant.
+func (s *litmusSource) word(i int) int64 {
+	return int64(lehmerPart(s.t.pow[i]*s.x0%lehmerP) ^ s.t.cooked[i])
+}
+
+// lehmerPart packs Lehmer state x1 and the two states after it at bits
+// 40, 20 and 0; the shifts drop high bits exactly as math/rand's int64
+// ones do.
+func lehmerPart(x1 uint64) uint64 {
+	x2 := lehmerA * x1 % lehmerP
+	x3 := lehmerA * x2 % lehmerP
+	return x1<<40 ^ x2<<20 ^ x3
+}
+
+// litmusTabs builds the shared tables once per process. The cooked
+// constants are recovered from math/rand's own first 607 draws for seed 1:
+// draw k is V[333−k] + V[606−k] for k < 273, V[333−k] + o[k−273] for
+// k ∈ [273, 333] and V[940−k] + o[k−273] for k ∈ [334, 606], where V is
+// the seeded register; solving for V and XORing out the seed's Lehmer
+// part leaves the constants.
+var litmusTabs = sync.OnceValue(func() *litmusTables {
+	t := new(litmusTables)
+	p := uint64(1)
+	for range 21 {
+		p = p * lehmerA % lehmerP
+	}
+	const a3 = lehmerA * lehmerA % lehmerP * lehmerA % lehmerP
+	for i := range t.pow {
+		t.pow[i] = p
+		p = p * a3 % lehmerP
+	}
+	src := rand.NewSource(1).(rand.Source64)
+	var o, v [rngLen]uint64
+	for k := range o {
+		o[k] = src.Uint64()
+	}
+	for k := rngTap; k < rngLen; k++ {
+		if k <= 333 {
+			v[333-k] = o[k] - o[k-rngTap]
+		} else {
+			v[940-k] = o[k] - o[k-rngTap]
+		}
+	}
+	for k := range rngTap {
+		v[333-k] = o[k] - v[606-k]
+	}
+	for i := range v {
+		t.cooked[i] = v[i] ^ lehmerPart(t.pow[i]) // seed 1: x1 is the power itself
+	}
+	return t
+})

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -120,4 +122,66 @@ func TestRandomLitmusTerminates(t *testing.T) {
 	if res.Instructions > int64(len(lit.Threads))*perThread {
 		t.Fatalf("instructions = %d, bound %d", res.Instructions, int64(len(lit.Threads))*perThread)
 	}
+}
+
+// TestRandomLitmusMatchesReference holds RandomLitmus to the generator it
+// replaced: the same name, programs and memory image for seeds 0..2000,
+// for seeds that math/rand maps to its zero-seed substitute (multiples of
+// 2³¹−1), and for seeds at and above 2⁶³ (negative as int64), in both
+// write modes and in shapes whose draws run past the tap (273) and past
+// the whole register (607).
+func TestRandomLitmusMatchesReference(t *testing.T) {
+	t.Parallel()
+	var seeds []uint64
+	for s := range uint64(2001) {
+		seeds = append(seeds, s)
+	}
+	const p = 1<<31 - 1
+	for _, k := range []uint64{1, 2, 3, 1 << 20, 1 << 32, math.MaxUint64 / p} {
+		seeds = append(seeds, k*p)
+	}
+	seeds = append(seeds, 1<<63, 1<<63+1, 1<<63+p, math.MaxUint64-p+1, math.MaxUint64-2*p+1, math.MaxUint64-1, math.MaxUint64)
+	shapes := []RandOpts{
+		{},
+		{PrivateWrites: true},
+		{Threads: 4, Ops: 64},
+		{Threads: 4, Ops: 64, Iters: 2, Addrs: 8, PrivateWrites: true},
+	}
+	for _, o := range shapes {
+		for _, seed := range seeds {
+			got, want := RandomLitmus(seed, o), refRandomLitmus(seed, o)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %+v: %+v\nreference %+v", seed, o, got, want)
+			}
+		}
+	}
+}
+
+// FuzzLitmusSource compares litmusSource's raw stream with
+// math/rand.NewSource's for a fuzzed seed and up to 2000 draws, from a
+// fresh source and from one reseeded after a different seed's draws.
+func FuzzLitmusSource(f *testing.F) {
+	for _, seed := range []int64{0, 1, -1, 89482311, 1<<31 - 1, -(1<<31 - 1), math.MinInt64, math.MaxInt64} {
+		f.Add(seed, uint16(700))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+		n := int(draws % 2001)
+		want := rand.NewSource(seed).(rand.Source64)
+		var fresh, reused litmusSource
+		reused.Seed(seed ^ 0x5eed)
+		for range 1000 {
+			reused.Uint64()
+		}
+		fresh.Seed(seed)
+		reused.Seed(seed)
+		for k := range n {
+			w := want.Uint64()
+			if got := fresh.Uint64(); got != w {
+				t.Fatalf("seed %d draw %d: %#x, math/rand %#x", seed, k, got, w)
+			}
+			if got := reused.Uint64(); got != w {
+				t.Fatalf("seed %d draw %d after a reseed: %#x, math/rand %#x", seed, k, got, w)
+			}
+		}
+	})
 }

@@ -119,6 +119,7 @@ type Machine struct {
 	tr    *transport.Local
 	part  *Part
 	halts chan transport.HaltMsg
+	timer *time.Timer // the halt barrier's, made by the first job with a timeout and reused
 	ran   bool
 }
 
@@ -207,8 +208,11 @@ func (m *Machine) runJob(threads []ThreadSpec, mem map[uint32]uint32, timeout ti
 	if err := m.part.install(threads, mem, m.tr.SendEviction); err != nil {
 		return nil, err
 	}
+	if timeout > 0 && m.timer == nil {
+		m.timer = idleTimer()
+	}
 	// There are no nodes to lose, so there is no death channel.
-	return AwaitHalts(len(threads), m.halts, nil, timeout, nil)
+	return AwaitHalts(len(threads), m.halts, nil, m.timer, timeout, nil)
 }
 
 // RetireJob implements Cluster (Part.RetireJob).

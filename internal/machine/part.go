@@ -63,8 +63,11 @@ type Part struct {
 	// ctxs holds one reusable context per thread slot: at most one context
 	// per thread is live system-wide, so every arrival lands in its slot
 	// (fromWire) and a hand-off allocates nothing.
-	ctxs   []context
-	onHalt func(transport.HaltMsg)
+	ctxs []context
+	// retired holds the events the last RetireJob removed; each retire
+	// reuses it, so a warm retire allocates nothing.
+	retired []transport.Event
+	onHalt  func(transport.HaltMsg)
 	// own holds the part's one ownership token whenever no goroutine
 	// steps the part: before start, while the executor is parked, and
 	// after it has exited. cmd and ret carry call's commands to a running
@@ -373,13 +376,15 @@ func (p *Part) CollectChunked(emit func(transport.Reply) error) (err error) {
 // executing a stale program, and the words and event-log entries of its
 // region are deleted from every owned shard — the hook that keeps a
 // long-running server's footprint bounded. It returns the removed events,
-// in core order.
+// in core order, in a buffer the part owns: the slice is valid until the
+// next RetireJob.
 func (p *Part) RetireJob(d transport.JobDone) (events []transport.Event) {
 	p.call(func() {
 		for s := range min(d.Threads, len(p.specs)) {
 			p.specs[s] = nil
 		}
 		lo, hi := d.Base, d.Base+d.Size
+		events = p.retired[:0]
 		for _, n := range p.nodes {
 			events, _ = p.shards[n.id].reclaim(lo, hi, events)
 			// Resident threads' lease caches may hold words of the
@@ -387,6 +392,7 @@ func (p *Part) RetireJob(d transport.JobDone) (events []transport.Event) {
 			// serve a stale lease to the next job.
 			n.dropLeaseRange(lo, hi)
 		}
+		p.retired = events
 	})
 	return events
 }

@@ -214,3 +214,49 @@ func TestMachineRunCopiesNoImage(t *testing.T) {
 		t.Errorf("Machine.Run: %d allocations with 50 000 preloaded words, %d with one; the image is being copied", large, small)
 	}
 }
+
+// TestRetireJobZeroAlloc pins serve's retirement at zero allocations: on
+// a warm machine — one that has already run and retired the job once, so
+// its retire buffer has grown — retiring the next run of an sb, counter or
+// rand-priv job allocates nothing. Each measured call retires a job on its
+// own machine, so every call reclaims real words and events.
+func TestRetireJobZeroAlloc(t *testing.T) {
+	for _, lit := range []Litmus{
+		StoreBufferingLitmus(64),
+		AtomicCounterLitmus(3, 4),
+		RandomLitmus(2011, RandOpts{PrivateWrites: true}),
+	} {
+		const runs = 8
+		done := transport.JobDone{Threads: len(lit.Threads), Size: 4096}
+		ms := make([]*Machine, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range ms {
+			m, err := New(litmusConfig(), len(lit.Threads))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			for range 2 {
+				if _, err := m.RunJob(0, lit.Threads, lit.Mem, time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if ev, _ := m.RetireJob(done, 0); len(ev) == 0 {
+					t.Fatalf("%s retired no events", lit.Name)
+				}
+			}
+			if _, err := m.RunJob(0, lit.Threads, lit.Mem, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			ms[i] = m
+		}
+		next := 0
+		retire := func() {
+			if ev, _ := ms[next].RetireJob(done, 0); len(ev) == 0 {
+				t.Fatalf("%s retired no events", lit.Name)
+			}
+			next++
+		}
+		if allocs := testing.AllocsPerRun(runs, retire); allocs != 0 {
+			t.Errorf("%s: Machine.RetireJob allocates %.1f times on a warm machine, want 0", lit.Name, allocs)
+		}
+	}
+}

@@ -88,11 +88,16 @@ func (r *refShard) reclaim(lo, hi uint32) ([]Event, int) {
 // lease-holder list, reclaimed range, footprint gauge and, at the end, on
 // the memory image and event log every collect path copies out.
 //
+// After every step the shard's address bounds must cover every word,
+// lease record and event it holds, since reclaim skips or empties a shard
+// on their word alone.
+//
 // Input: one byte selecting event logging, then 8 bytes per step: op,
 // address (low 6 bits a byte offset, so unaligned words share cache lines;
-// top 2 bits one of four regions far apart), a 4-byte value, a thread (a
-// negative one is a preload), and a core (the lease holder, or for a
-// reclaim the range length).
+// top 2 bits one of four regions far apart, the last at the top of the
+// address space, where a reclaim range can wrap to empty), a 4-byte value,
+// a thread (a negative one is a preload), and a core (the lease holder, or
+// for a reclaim the range length).
 func FuzzShardApply(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{1,
@@ -114,6 +119,32 @@ func FuzzShardApply(f *testing.F) {
 		1, 0x80, 3, 0, 0, 0, 2, 0,
 		4, 0x00, 0, 0, 0, 0, 0, 0xff,
 	})
+	// Reclaim's three cases: the whole footprint in range, a disjoint
+	// range, and a partial overlap, whose walk tightens the bounds for the
+	// whole-footprint reclaim that follows.
+	f.Add([]byte{1,
+		1, 4, 1, 0, 0, 0, 0, 0, // write at 4
+		5, 8, 0, 0, 0, 0, 1, 2, // leased read at 8
+		0, 12, 0, 0, 0, 0, 2, 0, // logged read at 12
+		4, 0x41, 0, 0, 0, 0, 0, 0x3f, // disjoint: region 1
+		4, 0, 0, 0, 0, 0, 0, 16, // whole: [0, 16)
+		1, 4, 2, 0, 0, 0, 0, 0, // write at 4
+		5, 40, 0, 0, 0, 0, 1, 3, // leased read at 40
+		4, 0, 0, 0, 0, 0, 0, 16, // partial: [0, 16) keeps 40
+		4, 2, 0, 0, 0, 0, 0, 30, // disjoint after the walk: [2, 32)
+		4, 32, 0, 0, 0, 0, 0, 16, // whole again: [32, 48)
+	})
+	// A word at 0xFFFFFFFC and one at 0xFFFFFFFF, where an exclusive
+	// bound addr+1 would wrap; a range past the top wraps to empty.
+	f.Add([]byte{1,
+		1, 0xfc, 7, 0, 0, 0, 0, 0, // write at 0xFFFFFFFC
+		4, 0xf0, 0, 0, 0, 0, 0, 0x0f, // whole: [0xFFFFFFF0, 0xFFFFFFFF)
+		1, 0xfc, 8, 0, 0, 0, 1, 0, // write at 0xFFFFFFFC
+		1, 0xff, 9, 0, 0, 0, 2, 0, // write at 0xFFFFFFFF
+		4, 0xf0, 0, 0, 0, 0, 0, 0x20, // wraps: an empty range
+		4, 0xc0, 0, 0, 0, 0, 0, 0x3f, // partial: [0xFFFFFFC0, 0xFFFFFFFF)
+		0, 0xff, 0, 0, 0, 0, 1, 0, // the kept word
+	})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
@@ -123,7 +154,7 @@ func FuzzShardApply(f *testing.F) {
 		s := newShard(home, log)
 		ref := &refShard{home: home, log: log, mem: map[uint32]uint32{}, leases: map[uint32][]geom.CoreID{}}
 		for i, op := 0, b[1:]; len(op) >= 8; i, op = i+1, op[8:] {
-			addr := uint32(op[1]&0x3f) | uint32(op[1]>>6)<<20
+			addr := uint32(op[1]&0x3f) + [4]uint32{0, 1 << 20, 2 << 20, 0xffffffc0}[op[1]>>6]
 			arg := binary.LittleEndian.Uint32(op[2:])
 			thread := int32(int8(op[6])) % 4
 			if thread < 0 {
@@ -161,6 +192,16 @@ func FuzzShardApply(f *testing.F) {
 			}
 			if w, e := s.gauges(); w != int64(len(ref.mem)) || e != int64(len(ref.events)) {
 				t.Fatalf("step %d: gauges %d words %d events; reference %d, %d", i, w, e, len(ref.mem), len(ref.events))
+			}
+			held := slices.Collect(maps.Keys(ref.mem))
+			held = slices.AppendSeq(held, maps.Keys(ref.leases))
+			for _, e := range ref.events {
+				held = append(held, e.Addr)
+			}
+			for _, a := range held {
+				if a < s.lo || a > s.hi {
+					t.Fatalf("step %d: shard holds %#x outside its bounds [%#x, %#x]", i, a, s.lo, s.hi)
+				}
 			}
 		}
 		mem := map[uint32]uint32{}

@@ -21,7 +21,9 @@ type Backend interface {
 	// deleting the region's shard words and removing (and returning) its
 	// event-log entries, which is what keeps a long-running server's
 	// footprint bounded by the in-flight window instead of O(jobs). The
-	// returned events feed the job's own SC check.
+	// returned events feed the job's own SC check; they are the machine's
+	// buffer (Cluster.RetireJob), valid until the next Retire, so a
+	// caller that keeps them clones them.
 	Retire(j *Job, timeout time.Duration) ([]machine.Event, error)
 	// Sample implements transport.MetricsSource over the live machine: a
 	// non-destructive snapshot of per-core counters and gauges, mergeable

@@ -231,7 +231,9 @@ type ControlHandler interface {
 	// ApplyJob installs a job (JobSubmit).
 	ApplyJob(*JobSpec) error
 	// RetireJob clears a finished job's slots and reclaims its region,
-	// returning the region's removed event-log entries (JobDone).
+	// returning the region's removed event-log entries (JobDone). The
+	// slice may be the handler's own buffer, valid until its next
+	// RetireJob.
 	RetireJob(JobDone) []Event
 	// Sample takes a non-destructive metrics snapshot (SampleReq).
 	Sample() (Sample, error)
@@ -673,6 +675,9 @@ func (n *Node) answer(c *conn, f Frame) error {
 		if err := d.DecodeWire(f.Blob); err != nil {
 			return err
 		}
+		// The events are the handler's buffer, valid until its next
+		// RetireJob: sendReply below encodes them into the batch before
+		// this reader can read, and so answer, the next JobDone.
 		r = Reply{Job: d.Job, Events: n.ctl.RetireJob(d)}
 	case FrameSampleReq:
 		s, err := n.ctl.Sample()
@@ -1061,6 +1066,8 @@ type Coordinator struct {
 	failed error
 	body   []byte
 	timer  *time.Timer
+	// retired is RetireJob's merge buffer, reused retire after retire.
+	retired []Event
 
 	hbMu sync.Mutex
 	hb   []HeartbeatInfo // by node; Seq 0 until the node's first heartbeat
@@ -1366,13 +1373,16 @@ func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
 // that keeps the coordinator from reusing the job's slots or memory region
 // before every node cleared them. It returns the retired region's
 // event-log entries, removed from every node's shards (merge order is
-// irrelevant because SC checking orders events by home and sequence).
+// irrelevant because SC checking orders events by home and sequence), in
+// a buffer the coordinator reuses: the slice is valid until the next
+// RetireJob.
 func (co *Coordinator) RetireJob(d JobDone, timeout time.Duration) ([]Event, error) {
-	var events []Event
+	events := co.retired[:0]
 	err := co.request("job retire", FrameJobDone, d.AppendWire, d.Job, timeout, func(r Reply) error {
 		events = append(events, r.Events...)
 		return nil
 	})
+	co.retired = events
 	if err != nil {
 		return nil, err
 	}
