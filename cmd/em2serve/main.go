@@ -17,13 +17,12 @@
 // charges depend only on core geometry). -trace reads one absolute
 // arrival time in cycles per line ('#' comments and blank lines skipped).
 //
-// Job count is unbounded: each job draws a private 4 KiB region from a
-// recycled pool, and retirement is a cluster-wide barrier that reclaims
-// the region's memory and events on every node (feeding the job's own SC
-// check), so a long-running server's footprint stays bounded by the
-// in-flight window — the run fails loudly if the final drain finds
-// anything left over. See DESIGN.md §7 and the 2000-job soak procedure
-// in README.
+// Job count is unbounded: jobs run one at a time, each in the one 4 KiB
+// region, and retirement is a cluster-wide barrier that empties every
+// node of the job's memory and events (feeding the job's own SC check),
+// so a long-running server's footprint stays at one job — the run fails
+// loudly if the final drain finds anything left over. See DESIGN.md §7
+// and the 2000-job soak procedure in README.
 package main
 
 import (

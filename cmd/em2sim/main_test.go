@@ -213,6 +213,21 @@ func TestTraceModeWorkloadSuffix(t *testing.T) {
 	}
 }
 
+// runBinary runs cmd and returns its stdout, which is all the cluster
+// tests parse. The binary's stderr is kept apart, so a node's shutdown
+// line there cannot break a -json parse, and is logged if the test fails.
+func runBinary(t *testing.T, cmd *exec.Cmd) ([]byte, error) {
+	t.Helper()
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	t.Cleanup(func() {
+		if t.Failed() && stderr.Len() > 0 {
+			t.Logf("%s stderr:\n%s", filepath.Base(cmd.Path), stderr.Bytes())
+		}
+	})
+	return cmd.Output()
+}
+
 // TestClusterCompiledWorkloadBinary is the workload-scale acceptance test:
 // build the real em2sim binary and drive the ISSUE's command — the ocean
 // stand-in compiled to ISA programs across three node processes under the
@@ -232,7 +247,7 @@ func TestClusterCompiledWorkloadBinary(t *testing.T) {
 		t.Fatalf("go build cmd/em2sim: %v\n%s", err, out)
 	}
 	cmd := exec.Command(bin, "-workload", "ocean", "-cluster", "3", "-scheme", "history:2")
-	out, err := cmd.CombinedOutput()
+	out, err := runBinary(t, cmd)
 	if err != nil {
 		t.Fatalf("em2sim -workload ocean -cluster 3 -scheme history:2: %v\n%s", err, out)
 	}
@@ -262,7 +277,7 @@ func TestClusterHistoryBinary(t *testing.T) {
 	}
 	cmd := exec.Command(bin, "-cluster", "3", "-scheme", "history:2",
 		"-cores", "4", "-threads", "6", "-stats")
-	out, err := cmd.CombinedOutput()
+	out, err := runBinary(t, cmd)
 	if err != nil {
 		t.Fatalf("em2sim -cluster 3 -scheme history:2: %v\n%s", err, out)
 	}
@@ -291,7 +306,7 @@ func TestClusterHybridBinary(t *testing.T) {
 	}
 	cmd := exec.Command(bin, "-cluster", "2", "-workload", "fft:8,1,7",
 		"-cores", "4", "-threads", "4", "-scheme", "hybrid:16", "-json")
-	out, err := cmd.CombinedOutput()
+	out, err := runBinary(t, cmd)
 	if err != nil {
 		t.Fatalf("em2sim -cluster 2 -workload fft -scheme hybrid:16: %v\n%s", err, out)
 	}

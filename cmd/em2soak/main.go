@@ -219,10 +219,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 func soak(cfg serve.Config, be serve.Backend, extra telemetry.Sink) (*soakOutcome, error) {
 	mem := &telemetry.MemorySink{}
 	checker := &telemetry.Checker{
-		// The serve window bound: MaxInflight live regions of RegionBytes.
+		// The machine holds at most one job, in one region of RegionBytes.
 		// Sampling points are quiescent so the gauge should read zero; the
 		// bound catches a leak even if the quiescent contract regresses.
-		MaxWords: int64(cfg.MaxInflight) * serve.RegionBytes / 4,
+		MaxWords: serve.RegionBytes / 4,
 	}
 	cfg.Sink = mem
 	if extra != nil {

@@ -26,8 +26,7 @@ import (
 //     place (write-update, not write-invalidate).
 //   - Entries are removed only by events in the holder's own stream:
 //     window expiry, the holder's own write to a held word, capacity
-//     eviction, migration/eviction departure, and serve-mode region
-//     reclamation.
+//     eviction, and migration/eviction departure.
 
 // Lease defaults: a 16-entry fully-associative word cache with a
 // 64-own-ops validity window — a plausible hardware budget next to the
@@ -182,19 +181,6 @@ func (c *LeaseCache) DropAll() {
 		return
 	}
 	c.Reset()
-}
-
-// DropRange removes every lease in [lo, hi) — serve-mode region
-// reclamation, so a recycled region can never serve a stale lease.
-func (c *LeaseCache) DropRange(lo, hi trace.Addr) int {
-	n := 0
-	for i := len(c.ents) - 1; i >= 0; i-- {
-		if a := c.ents[i].addr; lo <= a && a < hi {
-			c.drop(i)
-			n++
-		}
-	}
-	return n
 }
 
 // drop deletes entry i, moving the last entry into its place.

@@ -175,14 +175,6 @@ func (n *coreNode) applyLeaseUpdate(inv transport.LeaseInval) {
 	}
 }
 
-// dropLeaseRange removes every resident lease in [lo, hi) — serve-mode
-// region reclamation (Part.RetireJob).
-func (n *coreNode) dropLeaseRange(lo, hi uint32) {
-	for _, lc := range n.leases {
-		lc.DropRange(cache.Addr(lo), cache.Addr(hi))
-	}
-}
-
 // flush writes the transport's coalesced sends (runExecutor says when). A
 // failed flush means a peer connection died with contexts in the buffer —
 // the run is lost, so say why once (the writer's error is sticky and would

@@ -120,7 +120,7 @@ func TestLeaseForeignWriteKeepsCounts(t *testing.T) {
 
 // TestShardLeaseTable unit-tests the home-side lease table: grants
 // dedupe, the first write closes every holder's lease with one
-// write-update each (in grant order), and region reclamation drops the
+// write-update each (in grant order), and a retire's drain drops the
 // records outright.
 func TestShardLeaseTable(t *testing.T) {
 	t.Parallel()
@@ -164,14 +164,15 @@ func TestShardLeaseTable(t *testing.T) {
 		t.Fatalf("second write returned %d updates; records were not cleared", len(again))
 	}
 
-	// Region reclamation drops lease records with the data: a write to a
-	// reclaimed word owes nobody an update.
+	// A drain drops lease records with the data: a write to a drained
+	// word owes nobody an update.
 	read(2)
-	if _, words := s.reclaim(0, 128, nil); words == 0 {
-		t.Fatal("reclaim removed no words")
+	s.drain(nil)
+	if words, _ := s.gauges(); words != 0 {
+		t.Fatalf("drain left %d words", words)
 	}
 	if invals := write(3, 101); len(invals) != 0 {
-		t.Fatalf("write after reclaim returned %d updates; lease records survived reclamation", len(invals))
+		t.Fatalf("write after drain returned %d updates; lease records survived the drain", len(invals))
 	}
 
 	// RMW ops close leases too.

@@ -81,13 +81,14 @@ type Cluster interface {
 	// RunJob installs job — threads 0..len(threads)-1 of the slot pool —
 	// preloads its memory image mem, injects every thread's initial
 	// context and returns one halt per thread, indexed by thread. Follow
-	// with RetireJob before reusing the slots or the job's memory region;
-	// threads must not change until then.
+	// with RetireJob before the next job; threads and mem must not change
+	// until then.
 	RunJob(job int, threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.HaltMsg, error)
-	// RetireJob clears the job's slots and reclaims its region, returning
-	// the region's removed events in a buffer the cluster reuses: the
-	// slice is valid until the next RetireJob, so a caller that keeps the
-	// events clones them.
+	// RetireJob retires the finished job, which takes everything the
+	// machine holds — every slot, and every shard's words, lease records
+	// and events — and runs only between jobs. It returns the events in a
+	// buffer the cluster reuses: the slice is valid until the next
+	// RetireJob, so a caller that keeps the events clones them.
 	RetireJob(d transport.JobDone, timeout time.Duration) ([]Event, error)
 	// Sample is a non-destructive snapshot of per-core counters and
 	// gauges (transport.MetricsSource).

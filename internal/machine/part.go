@@ -371,29 +371,32 @@ func (p *Part) CollectChunked(emit func(transport.Reply) error) (err error) {
 	return err
 }
 
-// RetireJob retires a finished job: its slots 0..d.Threads-1 are
-// cleared, so a stray late context for one fails loudly instead of
-// executing a stale program, and the words and event-log entries of its
-// region are deleted from every owned shard — the hook that keeps a
-// long-running server's footprint bounded. It returns the removed events,
+// RetireJob retires the finished job, which is everything the part
+// holds: every slot is cleared, so a stray late context fails loudly
+// instead of executing a stale program, and every owned shard is drained
+// of its words, lease records and events. It returns the drained events,
 // in core order, in a buffer the part owns: the slice is valid until the
-// next RetireJob.
-func (p *Part) RetireJob(d transport.JobDone) (events []transport.Event) {
+// next RetireJob. A retire runs only between jobs; one while a context is
+// live is protocol corruption and panics, as landing does.
+func (p *Part) RetireJob(transport.JobDone) (events []transport.Event) {
+	live := -1
 	p.call(func() {
-		for s := range min(d.Threads, len(p.specs)) {
-			p.specs[s] = nil
+		for t := range p.ctxs {
+			if p.ctxs[t].live {
+				live = t
+				return
+			}
 		}
-		lo, hi := d.Base, d.Base+d.Size
+		clear(p.specs)
 		events = p.retired[:0]
 		for _, n := range p.nodes {
-			events, _ = p.shards[n.id].reclaim(lo, hi, events)
-			// Resident threads' lease caches may hold words of the
-			// reclaimed region; drop them so a recycled region can never
-			// serve a stale lease to the next job.
-			n.dropLeaseRange(lo, hi)
+			events = p.shards[n.id].drain(events)
 		}
 		p.retired = events
 	})
+	if live >= 0 {
+		panic(fmt.Sprintf("machine: job retired while thread %d's context is live", live))
+	}
 	return events
 }
 

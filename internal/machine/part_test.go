@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/isa"
 	"repro/internal/placement"
@@ -119,9 +120,9 @@ func TestCountersBeforeHalt(t *testing.T) {
 // TestCommandsServedBesideLiveJob: a call from another goroutine is a
 // command the executor serves between two rounds, not only when it parks.
 // A thread spins on a word no one writes, so the executor never parks;
-// beside it the test samples and retires a disjoint region (no slots) over
-// and over, every call returns while the thread still runs, and the
-// samples show it running in between. A preload of the word it waits on,
+// beside it the test samples and peeks an untouched word over and over,
+// every call returns while the thread still runs, and the samples show it
+// running in between. A preload of the word it waits on,
 // one more command, then lets it halt. Run it under -race: nothing but the
 // command hand-off orders these calls against the executor.
 func TestCommandsServedBesideLiveJob(t *testing.T) {
@@ -158,8 +159,8 @@ func TestCommandsServedBesideLiveJob(t *testing.T) {
 				return
 			}
 			last = ran
-			if ev := part.RetireJob(transport.JobDone{Job: 1, Base: 1 << 20, Size: 4096}); len(ev) != 0 {
-				done <- fmt.Errorf("retiring an untouched region returned %d events", len(ev))
+			if v, _ := part.Peek(1 << 20); v != 0 {
+				done <- fmt.Errorf("peeking an untouched word read %d", v)
 				return
 			}
 			select {
@@ -219,7 +220,7 @@ func TestMachineRunCopiesNoImage(t *testing.T) {
 // a warm machine — one that has already run and retired the job once, so
 // its retire buffer has grown — retiring the next run of an sb, counter or
 // rand-priv job allocates nothing. Each measured call retires a job on its
-// own machine, so every call reclaims real words and events.
+// own machine, so every call drains real words and events.
 func TestRetireJobZeroAlloc(t *testing.T) {
 	for _, lit := range []Litmus{
 		StoreBufferingLitmus(64),
@@ -227,7 +228,7 @@ func TestRetireJobZeroAlloc(t *testing.T) {
 		RandomLitmus(2011, RandOpts{PrivateWrites: true}),
 	} {
 		const runs = 8
-		done := transport.JobDone{Threads: len(lit.Threads), Size: 4096}
+		var done transport.JobDone
 		ms := make([]*Machine, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range ms {
 			m, err := New(litmusConfig(), len(lit.Threads))
@@ -259,4 +260,66 @@ func TestRetireJobZeroAlloc(t *testing.T) {
 			t.Errorf("%s: Machine.RetireJob allocates %.1f times on a warm machine, want 0", lit.Name, allocs)
 		}
 	}
+}
+
+// TestRetireJobEmptiesMachine: a retire takes everything the machine
+// holds. A hybrid job reads, under lease grants, words it never writes, so
+// at its halt the home shard holds the words, their lease records and the
+// read events; after RetireJob no owned shard holds any of them, and the
+// retire returned every event. A retire while a context is live is
+// protocol corruption and panics.
+func TestRetireJobEmptiesMachine(t *testing.T) {
+	t.Parallel()
+	m, err := New(leaseConfig(core.NewHybrid(16)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	footprint := func() (words, leases, events int) {
+		m.part.call(func() {
+			for _, n := range m.part.nodes {
+				s := m.part.shards[n.id]
+				words, leases, events = words+len(s.mem), leases+len(s.leases), events+len(s.events)
+			}
+		})
+		return words, leases, events
+	}
+	reader := isa.MustAssemble(`
+		lw r4, 64(r0)
+		lw r4, 68(r0)
+		lw r4, 64(r0)
+		addi r4, r0, 0
+		halt
+	`)
+	if _, err := m.RunJob(0, []ThreadSpec{{Program: reader}}, map[uint32]uint32{64: 1, 68: 2}, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	words, leases, events := footprint()
+	if words == 0 || leases == 0 || events == 0 {
+		t.Fatalf("before the retire: %d words, %d lease records, %d events; want each non-zero", words, leases, events)
+	}
+	if ev, _ := m.RetireJob(transport.JobDone{}, 0); len(ev) != events {
+		t.Fatalf("retire returned %d events, want the %d the shards held", len(ev), events)
+	}
+	if w, l, e := footprint(); w+l+e != 0 {
+		t.Fatalf("after the retire: %d words, %d lease records, %d events; want none", w, l, e)
+	}
+
+	// A spinning thread keeps its context live; once it has run, a retire
+	// must refuse.
+	var s transport.Sample
+	m.part.SampleInto(&s)
+	before := transport.SumMetrics(s.PerCore).Instructions
+	if err := m.part.install([]ThreadSpec{{Program: spinForever()}}, nil, m.tr.SendEviction); err != nil {
+		t.Fatal(err)
+	}
+	for transport.SumMetrics(s.PerCore).Instructions == before {
+		m.part.SampleInto(&s)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a retire beside a live context did not panic")
+		}
+	}()
+	m.RetireJob(transport.JobDone{}, 0)
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 
 	"repro/internal/geom"
@@ -48,17 +47,10 @@ type shard struct {
 	// spare holds the emptied holder lists of closed records, reused by
 	// the next new record, so a grant-write cycle allocates nothing.
 	spare [][]geom.CoreID
-	// lo and hi bound, inclusive, every address the shard holds a word, a
-	// lease record or an event for; lo > hi when it holds none. Inclusive,
-	// so a word at 0xFFFFFFFF needs no bound past it. They may cover
-	// more than the shard holds (a read that logs nothing still widens
-	// them) but never less: reclaim trusts them to skip a shard or clear
-	// it whole.
-	lo, hi uint32
 }
 
 func newShard(home geom.CoreID, log bool) *shard {
-	return &shard{home: home, mem: make(map[uint32]uint32), log: log, lo: math.MaxUint32}
+	return &shard{home: home, mem: make(map[uint32]uint32), log: log}
 }
 
 // apply performs one memory request — the home-core serialization point
@@ -70,12 +62,6 @@ func (s *shard) apply(req transport.MemRequest, invals []transport.LeaseInval) (
 	var old uint32 // a plain write never reads it: one hash, not two
 	if req.Op != transport.OpWrite {
 		old = s.mem[req.Addr]
-	}
-	if req.Addr < s.lo {
-		s.lo = req.Addr
-	}
-	if req.Addr > s.hi {
-		s.hi = req.Addr
 	}
 	var rep transport.MemReply
 	e := Event{Addr: req.Addr}
@@ -156,69 +142,18 @@ func (s *shard) closeLeases(req transport.MemRequest, newVal uint32, invals []tr
 	return invals
 }
 
-// reclaim deletes every word homed here in [lo, hi) and removes the
-// range's event-log entries, appending them to dst and returning it,
-// preserving the kept entries' relative order. Retiring a serve job's
-// region through it keeps a long-running server's shard footprint bounded
-// by the live jobs instead of growing with every job ever served. The
-// returned events stay valid for SC checking: each still carries its Home
-// and shard-local Seq, and the checker orders by those, not by log
-// position.
-//
-// A retire costs its region, not the shard: a shard whose bounds miss the
-// range returns at once, and one whose bounds lie inside it is emptied
-// whole. Only a shard that holds addresses on both sides of a range
-// boundary is walked, and the walk tightens the bounds to what it keeps.
-func (s *shard) reclaim(lo, hi uint32, dst []Event) ([]Event, int) {
-	if lo >= hi || s.lo > s.hi || s.hi < lo || s.lo >= hi {
-		return dst, 0
-	}
-	if lo <= s.lo && s.hi < hi {
-		words := len(s.mem)
-		clear(s.mem)
-		clear(s.leases)
-		dst = append(dst, s.events...)
-		clear(s.events)
-		s.events = s.events[:0]
-		s.lo, s.hi = math.MaxUint32, 0
-		return dst, words
-	}
-	in := func(a uint32) bool { return a >= lo && a < hi }
-	s.lo, s.hi = math.MaxUint32, 0
-	keep := func(a uint32) {
-		s.lo, s.hi = min(s.lo, a), max(s.hi, a)
-	}
-	words := 0
-	//em2:unordered-ok: pure filter — each key is tested and deleted (or its bound kept) independently; min and max ignore order
-	for a := range s.mem {
-		if in(a) {
-			delete(s.mem, a)
-			words++
-		} else {
-			keep(a)
-		}
-	}
-	//em2:unordered-ok: pure filter — in-range lease records are dropped independently
-	for a := range s.leases {
-		if in(a) {
-			delete(s.leases, a)
-		} else {
-			keep(a)
-		}
-	}
-	kept := s.events[:0]
-	for _, e := range s.events {
-		if in(e.Addr) {
-			dst = append(dst, e)
-		} else {
-			kept = append(kept, e)
-			keep(e.Addr)
-		}
-	}
-	// Zero the tail so removed entries are not pinned by the backing array.
-	clear(s.events[len(kept):])
-	s.events = kept
-	return dst, words
+// drain empties the shard at a job's retire: it moves the event log onto
+// dst, returning it, and clears every word and lease record. The machine
+// holds one job at a time, so everything the shard holds is the retiring
+// job's. seq keeps counting, so the drained events stay valid for SC
+// checking: each still carries its Home and shard-local Seq, and the
+// checker orders by those, not by log position.
+func (s *shard) drain(dst []Event) []Event {
+	dst = append(dst, s.events...)
+	s.events = s.events[:0]
+	clear(s.mem)
+	clear(s.leases)
+	return dst
 }
 
 // gauges reports the shard's live footprint — words of backing memory and

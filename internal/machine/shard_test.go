@@ -60,44 +60,26 @@ func (r *refShard) apply(req transport.MemRequest) (transport.MemReply, []transp
 	return rep, invals
 }
 
-func (r *refShard) reclaim(lo, hi uint32) ([]Event, int) {
-	in := func(a uint32) bool { return a >= lo && a < hi }
-	words := 0
-	for _, a := range slices.Sorted(maps.Keys(r.mem)) {
-		if in(a) {
-			delete(r.mem, a)
-			words++
-		}
-	}
-	maps.DeleteFunc(r.leases, func(a uint32, _ []geom.CoreID) bool { return in(a) })
-	var removed, kept []Event
-	for _, e := range r.events {
-		if in(e.Addr) {
-			removed = append(removed, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	r.events = kept
-	return removed, words
+func (r *refShard) drain() []Event {
+	drained := r.events
+	r.events = nil
+	clear(r.mem)
+	clear(r.leases)
+	return drained
 }
 
-// FuzzShardApply runs random load/store/FAA/swap/reclaim/lease-grant
+// FuzzShardApply runs random load/store/FAA/swap/drain/lease-grant
 // sequences, preloads among them, on a shard and on refShard, and requires
 // the two to agree on every reply, write-update list, logged event,
-// lease-holder list, reclaimed range, footprint gauge and, at the end, on
-// the memory image and event log every collect path copies out.
-//
-// After every step the shard's address bounds must cover every word,
-// lease record and event it holds, since reclaim skips or empties a shard
-// on their word alone.
+// lease-holder list, drained log, footprint gauge and, at the end, on the
+// memory image and event log every collect path copies out. A drain keeps
+// the shard's seq, so events logged after it keep counting.
 //
 // Input: one byte selecting event logging, then 8 bytes per step: op,
 // address (low 6 bits a byte offset, so unaligned words share cache lines;
 // top 2 bits one of four regions far apart, the last at the top of the
-// address space, where a reclaim range can wrap to empty), a 4-byte value,
-// a thread (a negative one is a preload), and a core (the lease holder, or
-// for a reclaim the range length).
+// address space), a 4-byte value, a thread (a negative one is a preload),
+// and a core (the lease holder).
 func FuzzShardApply(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{1,
@@ -109,41 +91,41 @@ func FuzzShardApply(f *testing.F) {
 		1, 4, 9, 0, 0, 0, 2, 0, // overwrite 12: a write replies 0
 		3, 5, 9, 0, 0, 0, 3, 0, // swap at the unaligned 5
 		0, 5, 0, 0, 0, 0, 0xff, 0, // preload read
-		4, 4, 0, 0, 0, 0, 0, 2, // reclaim [4, 6)
-		0, 4, 0, 0, 0, 0, 1, 0, // read the reclaimed word
+		4, 0, 0, 0, 0, 0, 0, 0, // drain
+		0, 4, 0, 0, 0, 0, 1, 0, // read the drained word
 	})
 	f.Add([]byte{0,
 		1, 0x41, 1, 2, 3, 4, 0xff, 0, // preload write in region 1
 		2, 0x41, 0xff, 0xff, 0xff, 0xff, 0, 0, // faa wraps
 		5, 0x80, 0, 0, 0, 0, 1, 1,
 		1, 0x80, 3, 0, 0, 0, 2, 0,
-		4, 0x00, 0, 0, 0, 0, 0, 0xff,
+		4, 0, 0, 0, 0, 0, 0, 0, // drain an unlogged shard
 	})
-	// Reclaim's three cases: the whole footprint in range, a disjoint
-	// range, and a partial overlap, whose walk tightens the bounds for the
-	// whole-footprint reclaim that follows.
+	// Words, lease records and events in all four regions, the last at
+	// the top of the address space, drained together; then a drain of an
+	// empty shard, and a leased read and a write after it, which must owe
+	// no update to a holder the drain forgot.
 	f.Add([]byte{1,
 		1, 4, 1, 0, 0, 0, 0, 0, // write at 4
-		5, 8, 0, 0, 0, 0, 1, 2, // leased read at 8
-		0, 12, 0, 0, 0, 0, 2, 0, // logged read at 12
-		4, 0x41, 0, 0, 0, 0, 0, 0x3f, // disjoint: region 1
-		4, 0, 0, 0, 0, 0, 0, 16, // whole: [0, 16)
-		1, 4, 2, 0, 0, 0, 0, 0, // write at 4
-		5, 40, 0, 0, 0, 0, 1, 3, // leased read at 40
-		4, 0, 0, 0, 0, 0, 0, 16, // partial: [0, 16) keeps 40
-		4, 2, 0, 0, 0, 0, 0, 30, // disjoint after the walk: [2, 32)
-		4, 32, 0, 0, 0, 0, 0, 16, // whole again: [32, 48)
-	})
-	// A word at 0xFFFFFFFC and one at 0xFFFFFFFF, where an exclusive
-	// bound addr+1 would wrap; a range past the top wraps to empty.
-	f.Add([]byte{1,
-		1, 0xfc, 7, 0, 0, 0, 0, 0, // write at 0xFFFFFFFC
-		4, 0xf0, 0, 0, 0, 0, 0, 0x0f, // whole: [0xFFFFFFF0, 0xFFFFFFFF)
-		1, 0xfc, 8, 0, 0, 0, 1, 0, // write at 0xFFFFFFFC
+		5, 0x48, 0, 0, 0, 0, 1, 2, // leased read in region 1
+		0, 0x8c, 0, 0, 0, 0, 2, 0, // logged read in region 2
 		1, 0xff, 9, 0, 0, 0, 2, 0, // write at 0xFFFFFFFF
-		4, 0xf0, 0, 0, 0, 0, 0, 0x20, // wraps: an empty range
-		4, 0xc0, 0, 0, 0, 0, 0, 0x3f, // partial: [0xFFFFFFC0, 0xFFFFFFFF)
-		0, 0xff, 0, 0, 0, 0, 1, 0, // the kept word
+		5, 0xfc, 0, 0, 0, 0, 1, 3, // leased read at 0xFFFFFFFC
+		4, 0, 0, 0, 0, 0, 0, 0, // drain
+		4, 0, 0, 0, 0, 0, 0, 0, // drain again: nothing left
+		5, 4, 0, 0, 0, 0, 1, 1, // leased read at 4
+		1, 0x48, 2, 0, 0, 0, 0, 0, // write in region 1: no update
+		1, 4, 3, 0, 0, 0, 0, 0, // write at 4: one update
+	})
+	// The shard's seq survives a drain: the events logged after it number
+	// on from the drained ones, as the SC checker's (Home, Seq) order
+	// needs across a session's jobs.
+	f.Add([]byte{1,
+		1, 8, 1, 0, 0, 0, 0, 0, // logged write at 8
+		2, 8, 1, 0, 0, 0, 1, 0, // logged faa at 8
+		4, 0, 0, 0, 0, 0, 0, 0, // drain
+		0, 8, 0, 0, 0, 0, 2, 0, // logged read of the drained word: 0
+		3, 8, 5, 0, 0, 0, 2, 0, // logged swap
 	})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
@@ -161,10 +143,8 @@ func FuzzShardApply(f *testing.F) {
 				thread = -1
 			}
 			if op[0]%6 == 4 {
-				gotEv, gotW := s.reclaim(addr, addr+uint32(op[7]), nil)
-				wantEv, wantW := ref.reclaim(addr, addr+uint32(op[7]))
-				if gotW != wantW || !slices.Equal(gotEv, wantEv) {
-					t.Fatalf("step %d reclaim [%#x, +%d): %d words, events %+v; reference %d, %+v", i, addr, op[7], gotW, gotEv, wantW, wantEv)
+				if got, want := s.drain(nil), ref.drain(); !slices.Equal(got, want) {
+					t.Fatalf("step %d drain: events %+v; reference %+v", i, got, want)
 				}
 			} else {
 				req := transport.MemRequest{Thread: thread, TSeq: int64(i), Addr: addr, Arg: arg, From: uint32(op[7] % 4)}
@@ -192,16 +172,6 @@ func FuzzShardApply(f *testing.F) {
 			}
 			if w, e := s.gauges(); w != int64(len(ref.mem)) || e != int64(len(ref.events)) {
 				t.Fatalf("step %d: gauges %d words %d events; reference %d, %d", i, w, e, len(ref.mem), len(ref.events))
-			}
-			held := slices.Collect(maps.Keys(ref.mem))
-			held = slices.AppendSeq(held, maps.Keys(ref.leases))
-			for _, e := range ref.events {
-				held = append(held, e.Addr)
-			}
-			for _, a := range held {
-				if a < s.lo || a > s.hi {
-					t.Fatalf("step %d: shard holds %#x outside its bounds [%#x, %#x]", i, a, s.lo, s.hi)
-				}
 			}
 		}
 		mem := map[uint32]uint32{}

@@ -15,15 +15,15 @@ import (
 type Backend interface {
 	// RunJob installs the job in the slot pool, injects its contexts, and
 	// returns one halt per slot (indexed by slot) once every thread
-	// finished. Follow with Retire before reusing the slots or region.
+	// finished. Follow with Retire before the next job.
 	RunJob(j *Job, timeout time.Duration) ([]transport.HaltMsg, error)
-	// Retire clears the job's slots and reclaims its memory region —
-	// deleting the region's shard words and removing (and returning) its
-	// event-log entries, which is what keeps a long-running server's
-	// footprint bounded by the in-flight window instead of O(jobs). The
-	// returned events feed the job's own SC check; they are the machine's
-	// buffer (Cluster.RetireJob), valid until the next Retire, so a
-	// caller that keeps them clones them.
+	// Retire retires j, which takes everything the machine holds: every
+	// slot, and every shard's words, lease records and event-log entries,
+	// which is what keeps a long-running server's footprint at one job
+	// instead of O(jobs). It runs only between jobs. The returned events
+	// feed the job's own SC check; they are the machine's buffer
+	// (Cluster.RetireJob), valid until the next Retire, so a caller that
+	// keeps them clones them.
 	Retire(j *Job, timeout time.Duration) ([]machine.Event, error)
 	// Sample implements transport.MetricsSource over the live machine: a
 	// non-destructive snapshot of per-core counters and gauges, mergeable
@@ -39,8 +39,8 @@ type Backend interface {
 
 // DrainResult is the machine's post-run state a report is built from.
 // With every job retired through Retire, Events must be empty and
-// MemWords zero — serve.Run enforces both, so a reclamation leak fails
-// the run instead of silently growing the server.
+// MemWords zero — serve.Run enforces both, so a retire leak fails the
+// run instead of silently growing the server.
 type DrainResult struct {
 	Events   []machine.Event
 	Counters map[string]int64
@@ -94,13 +94,12 @@ func (b *backend) RunJob(j *Job, timeout time.Duration) ([]transport.HaltMsg, er
 	return b.cl.RunJob(j.Index, j.Threads, j.Mem, timeout)
 }
 
-// Retire issues j's retirement: its slots and its whole region. On a
-// cluster it is the retirement barrier — every node cleared the slots and
-// reclaimed the region before the pool may reuse either — and the merged
-// replies carry the job's events from whichever nodes homed its
-// addresses.
+// Retire issues j's retirement. On a cluster it is the retirement
+// barrier — every node emptied itself before the next job is submitted —
+// and the merged replies carry the job's events from whichever nodes
+// homed its addresses.
 func (b *backend) Retire(j *Job, timeout time.Duration) ([]machine.Event, error) {
-	return b.cl.RetireJob(transport.JobDone{Job: j.Index, Threads: len(j.Threads), Base: j.Base, Size: RegionBytes}, timeout)
+	return b.cl.RetireJob(transport.JobDone{Job: j.Index}, timeout)
 }
 
 func (b *backend) Sample() (transport.Sample, error) {

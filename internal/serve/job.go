@@ -10,9 +10,10 @@ import (
 	"repro/internal/machine"
 )
 
-// RegionBytes is the size of each job's private address region. A job
-// runs entirely inside [base, base+RegionBytes); region 0 is left unused
-// so a stray zero address cannot alias a job.
+// RegionBytes is the size of a job's address region and also its base:
+// a job runs entirely inside [RegionBytes, 2·RegionBytes), so a stray zero
+// address cannot alias it. The machine holds one job at a time and a
+// retire empties it, so every job runs at the one base.
 const RegionBytes = 4096
 
 // baseReg is the register that carries a job's region base. Litmus
@@ -21,60 +22,15 @@ const RegionBytes = 4096
 // the same program text runs in any region.
 const baseReg = 29
 
-// RegionCount sizes the region pool: the maximum number of physically
-// live (admitted but not yet retired) jobs. The old allocator derived a
-// job's base from its index (4096·(i+1)), which silently wrapped the
-// 32-bit address space at job 2²⁰−1, aliasing two live jobs' regions and
-// corrupting the per-job SC filter; the pool recycles a fixed set of
-// regions instead, so job indices are unbounded. Jobs execute one at a
-// time physically, so even 1024 is far more headroom than any schedule
-// can use — exhaustion means a retire leak, and Acquire errors loudly.
-const RegionCount = 1024
-
-// regionPool hands out private job regions, lowest-free first (a
-// deterministic order, so both backends build byte-identical jobs).
-type regionPool struct {
-	used [RegionCount]bool
-	live int
-}
-
-// Acquire returns the lowest free region's base address, or errors if all
-// RegionCount regions are live — which can only mean retired jobs are not
-// being released, and must fail loudly rather than alias a live region.
-func (p *regionPool) Acquire() (uint32, error) {
-	for i := range p.used {
-		if !p.used[i] {
-			p.used[i] = true
-			p.live++
-			return RegionBytes * (uint32(i) + 1), nil
-		}
-	}
-	return 0, fmt.Errorf("serve: region pool exhausted (%d regions live; retired jobs are not being released)", RegionCount)
-}
-
-// Release returns a region to the pool at job retirement.
-func (p *regionPool) Release(base uint32) error {
-	i := base/RegionBytes - 1
-	if base == 0 || base%RegionBytes != 0 || i >= RegionCount {
-		return fmt.Errorf("serve: release of %#x, not a pool region base", base)
-	}
-	if !p.used[i] {
-		return fmt.Errorf("serve: double release of region %#x", base)
-	}
-	p.used[i] = false
-	p.live--
-	return nil
-}
-
-// Job is one admitted unit of work: a litmus program rebased into its
-// private region, ready to install in slots 0..len(Threads)-1. Jobs
-// execute one at a time physically, so every job reuses the same slots —
-// which is exactly what the slot-rewrite machinery (ApplyJob / RetireJob
-// and the job submit barrier) exists to make safe.
+// Job is one admitted unit of work: a litmus program rebased at
+// RegionBytes, ready to install in slots 0..len(Threads)-1. Jobs execute
+// one at a time, so every job reuses the same slots and region — which is
+// exactly what the slot-rewrite machinery (ApplyJob / RetireJob and the
+// job submit barrier) exists to make safe. Threads and Mem are read-only:
+// the seedless jobs share theirs across every job and session.
 type Job struct {
 	Index   int
 	Name    string
-	Base    uint32
 	Threads []machine.ThreadSpec
 	Mem     map[uint32]uint32 // initial image, already rebased
 }
@@ -99,52 +55,47 @@ func slotsFor(workload string) (int, error) {
 	}
 }
 
-// The seedless job programs, assembled once: Rebase copies what it
-// relocates and never writes its input, so every job and session can share
-// them.
-var (
-	sbLitmus      = sync.OnceValue(func() machine.Litmus { return machine.StoreBufferingLitmus(64) })
-	counterLitmus = sync.OnceValue(func() machine.Litmus { return machine.AtomicCounterLitmus(3, 4) })
-)
-
-// jobLitmus generates job i's program. Every branch here must keep
-// deterministic control flow (see Workloads).
-func jobLitmus(workload string, seed int64, i int) (machine.Litmus, error) {
-	randPriv := func() machine.Litmus {
-		return machine.RandomLitmus(uint64(seed)+uint64(i), machine.RandOpts{PrivateWrites: true})
+// rebased is lit rebased at RegionBytes, as a job with index 0.
+func rebased(lit machine.Litmus) (Job, error) {
+	threads, mem, err := Rebase(lit, RegionBytes)
+	if err != nil {
+		return Job{}, fmt.Errorf("(%s): %v", lit.Name, err)
 	}
-	switch workload {
-	case "sb":
-		return sbLitmus(), nil
-	case "counter":
-		return counterLitmus(), nil
-	case "rand-priv":
-		return randPriv(), nil
-	case "mix":
-		switch i % 3 {
-		case 0:
-			return sbLitmus(), nil
-		case 1:
-			return counterLitmus(), nil
-		default:
-			return randPriv(), nil
-		}
-	}
-	return machine.Litmus{}, fmt.Errorf("serve: unknown workload %q (valid: %v)", workload, Workloads())
+	return Job{Name: lit.Name, Threads: threads, Mem: mem}, nil
 }
 
-// buildJob generates job i and rebases it into the region at base (an
-// Acquire'd pool region).
-func buildJob(cfg Config, i int, base uint32) (*Job, error) {
-	lit, err := jobLitmus(cfg.Workload, cfg.Seed, i)
-	if err != nil {
-		return nil, err
+// The seedless jobs, assembled and rebased once: at the one base every
+// job of theirs is the same, and no consumer writes a job's threads or
+// image, so every job and session shares them.
+var (
+	sbJob      = sync.OnceValues(func() (Job, error) { return rebased(machine.StoreBufferingLitmus(64)) })
+	counterJob = sync.OnceValues(func() (Job, error) { return rebased(machine.AtomicCounterLitmus(3, 4)) })
+)
+
+// buildJob generates job i. Every branch here must keep deterministic
+// control flow (see Workloads).
+func buildJob(cfg Config, i int) (*Job, error) {
+	kind := cfg.Workload
+	if kind == "mix" {
+		kind = [...]string{"sb", "counter", "rand-priv"}[i%3]
 	}
-	threads, mem, err := Rebase(lit, base)
-	if err != nil {
-		return nil, fmt.Errorf("serve: job %d (%s): %v", i, lit.Name, err)
+	var j Job
+	var err error
+	switch kind {
+	case "sb":
+		j, err = sbJob()
+	case "counter":
+		j, err = counterJob()
+	case "rand-priv":
+		j, err = rebased(machine.RandomLitmus(uint64(cfg.Seed)+uint64(i), machine.RandOpts{PrivateWrites: true}))
+	default:
+		return nil, fmt.Errorf("serve: unknown workload %q (valid: %v)", cfg.Workload, Workloads())
 	}
-	return &Job{Index: i, Name: lit.Name, Base: base, Threads: threads, Mem: mem}, nil
+	if err != nil {
+		return nil, fmt.Errorf("serve: job %d %v", i, err)
+	}
+	j.Index = i
+	return &j, nil
 }
 
 // writesRd reports whether op stores a result into Rd. (SW reads Rd as the

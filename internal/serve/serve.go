@@ -14,14 +14,14 @@
 // processes. The differential test in this package pins that guarantee.
 //
 // Every completed job is independently verified for sequential
-// consistency: each job runs in a private 4 KiB region drawn from a
-// recycled pool (RegionCount regions — job count is unbounded), and
-// retirement reclaims the region's shard words and event-log entries,
-// returning the events for the job's own SC check (one machine.SCChecker
-// per session, its scratch reused from job to job). The
-// reclamation is what keeps a long-running server's footprint bounded by
-// the in-flight window instead of O(jobs); Run enforces it by failing if
-// the final drain finds any stray events or leftover words.
+// consistency. Jobs execute physically one at a time, each in the one
+// 4 KiB region at RegionBytes, so job count is unbounded. A job's retire
+// empties the machine — every slot, shard word, lease record and
+// event-log entry — and returns the events for the job's own SC check
+// (one machine.SCChecker per session, its scratch reused from job to
+// job). The retire is what keeps a long-running server's footprint at
+// one job instead of O(jobs); Run enforces it by failing if the final
+// drain finds any stray events or leftover words.
 package serve
 
 import (
@@ -275,7 +275,6 @@ func Run(cfg Config, be Backend) (*Report, error) {
 
 	var (
 		inflight   = &completionHeap{}
-		pool       regionPool
 		sc         machine.SCChecker
 		latencies  []float64
 		msgsPerJob []float64
@@ -298,11 +297,7 @@ func Run(cfg Config, be Backend) (*Report, error) {
 			rejected++
 			continue
 		}
-		base, err := pool.Acquire()
-		if err != nil {
-			return nil, err
-		}
-		job, err := buildJob(cfg, i, base)
+		job, err := buildJob(cfg, i)
 		if err != nil {
 			return nil, err
 		}
@@ -326,10 +321,9 @@ func Run(cfg Config, be Backend) (*Report, error) {
 		}
 		heap.Push(inflight, fin)
 		completed++
-		// Retire now: the returned events are exactly this job's (its region
-		// is private while it holds it), so the SC check happens here, and
-		// the reclamation frees the region's words and events before the
-		// pool can hand the region to a later job.
+		// Retire now: the machine holds only this job, so the returned
+		// events are exactly its own and the SC check happens here, and the
+		// retire empties the machine for the next one.
 		events, err := be.Retire(job, cfg.Timeout)
 		if err != nil {
 			return nil, fmt.Errorf("serve: job %d (%s) retirement: %v", i, job.Name, err)
@@ -338,9 +332,6 @@ func Run(cfg Config, be Backend) (*Report, error) {
 			return nil, fmt.Errorf("serve: job %d failed its SC check: %v", i, err)
 		}
 		checked++
-		if err := pool.Release(base); err != nil {
-			return nil, err
-		}
 	}
 
 	// Flush the tail of the stream: ticks between the last arrival and the
@@ -353,12 +344,12 @@ func Run(cfg Config, be Backend) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The boundedness invariant: every job was retired and reclaimed, so
-	// the drained machine must hold no events and no words. A violation is
-	// a reclamation leak — exactly the O(jobs) growth retirement exists to
-	// prevent — and fails the run loudly.
+	// The boundedness invariant: every job was retired, and a retire
+	// empties the machine, so the drained machine must hold no events and
+	// no words. A violation is a retire leak — exactly the O(jobs) growth
+	// retirement exists to prevent — and fails the run loudly.
 	if len(dr.Events) > 0 || dr.MemWords != 0 {
-		return nil, fmt.Errorf("serve: drain found %d stray events and %d leftover words after %d retired jobs (region reclamation leak)",
+		return nil, fmt.Errorf("serve: drain found %d stray events and %d leftover words after %d retired jobs (retire leak)",
 			len(dr.Events), dr.MemWords, completed)
 	}
 

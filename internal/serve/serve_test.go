@@ -116,7 +116,7 @@ func TestServeDifferentialTransports(t *testing.T) {
 // check to a maximally sharded cluster: 8 node processes, one core each,
 // over the fan-out injection, retirement-barrier, and incremental-collect
 // control plane. Any partitioning dependence in the new paths — chunk
-// reassembly, reclaimed-event merging, heartbeat traffic leaking into the
+// reassembly, drained-event merging, heartbeat traffic leaking into the
 // report — breaks the byte comparison.
 func TestServeDifferential8Node(t *testing.T) {
 	t.Parallel()
@@ -203,11 +203,11 @@ func TestServeTelemetryDifferential8Node(t *testing.T) {
 }
 
 // TestServeSoakBounded is the long-run regression for the unbounded-
-// serving bugs: 2000 jobs on a 64-core mesh through the recycled region
-// pool. Run itself enforces the boundedness invariant — every retirement
-// must have reclaimed its region's words and events, and the final drain
-// errors on any stray state — so completing the soak is the assertion
-// that an open-loop server no longer grows O(jobs).
+// serving bugs: 2000 jobs on a 64-core mesh, every one at the one region
+// base. Run itself enforces the boundedness invariant — every retire must
+// have emptied the machine of the job's words and events, and the final
+// drain errors on any stray state — so completing the soak is the
+// assertion that an open-loop server no longer grows O(jobs).
 func TestServeSoakBounded(t *testing.T) {
 	t.Parallel()
 	cfg := testCfg(2000)
@@ -225,14 +225,14 @@ func TestServeSoakBounded(t *testing.T) {
 }
 
 // TestServeHybridSoakReclaimsLeases is the lease-lifecycle companion to
-// TestServeSoakBounded: the same recycled-region soak under the hybrid
-// caching scheme. Job retirement reclaims each region from the shards
-// (dropping its lease records) and from every resident lease cache
-// (Part.ReclaimRegion → dropLeaseRange), so a recycled region can never
-// serve a stale lease to a later job. Run enforces boundedness on every
-// retirement, and the seeded-replay check pins that lease traffic —
-// grants, write-updates, expiries — never perturbs the byte-identical
-// report.
+// TestServeSoakBounded: the same soak under the hybrid caching scheme.
+// Every job runs at the one base, so its retire must drop the shards'
+// lease records with the words (shard.drain), and a lease cache is
+// resident only with a live context, which no retire runs beside
+// (Part.RetireJob panics on one): a later job can never be served a
+// stale lease. Run enforces boundedness on every retirement, and the
+// seeded-replay check pins that lease traffic — grants, write-updates,
+// expiries — never perturbs the byte-identical report.
 func TestServeHybridSoakReclaimsLeases(t *testing.T) {
 	t.Parallel()
 	cfg := testCfg(300)
@@ -252,50 +252,6 @@ func TestServeHybridSoakReclaimsLeases(t *testing.T) {
 	ab, bb := reportBytes(t, a), reportBytes(t, b)
 	if !bytes.Equal(ab, bb) {
 		t.Fatalf("hybrid serving broke seeded replay:\n--- run A\n%s\n--- run B\n%s", ab, bb)
-	}
-}
-
-// TestRegionPool pins the allocator the soak relies on: lowest-free
-// deterministic ordering, recycling, and a loud error on exhaustion —
-// the old Base(i) allocator silently wrapped the address space at job
-// 2²⁰−1 instead.
-func TestRegionPool(t *testing.T) {
-	t.Parallel()
-	var p regionPool
-	a, err := p.Acquire()
-	if err != nil || a != RegionBytes {
-		t.Fatalf("first acquire = %#x, %v; want lowest region %#x", a, err, RegionBytes)
-	}
-	b, err := p.Acquire()
-	if err != nil || b != 2*RegionBytes {
-		t.Fatalf("second acquire = %#x, %v", b, err)
-	}
-	if err := p.Release(a); err != nil {
-		t.Fatal(err)
-	}
-	// Recycling: the freed region is reused before any fresh one.
-	c, err := p.Acquire()
-	if err != nil || c != a {
-		t.Fatalf("acquire after release = %#x, %v; want recycled %#x", c, err, a)
-	}
-	if err := p.Release(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Release(a); err == nil {
-		t.Fatal("double release accepted")
-	}
-	if err := p.Release(RegionBytes + 1); err == nil {
-		t.Fatal("release of a non-region address accepted")
-	}
-	// Exhaustion is loud, not a wraparound.
-	var full regionPool
-	for i := 0; i < RegionCount; i++ {
-		if _, err := full.Acquire(); err != nil {
-			t.Fatalf("acquire %d of %d failed: %v", i, RegionCount, err)
-		}
-	}
-	if _, err := full.Acquire(); err == nil || !strings.Contains(err.Error(), "exhausted") {
-		t.Fatalf("exhausted pool returned %v, want a loud exhaustion error", err)
 	}
 }
 
@@ -606,7 +562,7 @@ func TestClusterStuckJobTimeoutNamesNodes(t *testing.T) {
 		beq  r1, r0, spin
 		halt
 	`)
-	job := &Job{Index: 0, Name: "spin", Base: RegionBytes, Threads: []machine.ThreadSpec{{Program: spin}}}
+	job := &Job{Index: 0, Name: "spin", Threads: []machine.ThreadSpec{{Program: spin}}}
 	_, err = be.RunJob(job, 300*time.Millisecond)
 	be.Close()
 	if jerr := join(); jerr != nil {
@@ -656,7 +612,7 @@ func TestServeSlotReuseStateFree(t *testing.T) {
 
 func mustBuildJob(t *testing.T, cfg Config, i int) *Job {
 	t.Helper()
-	j, err := buildJob(cfg, i, RegionBytes)
+	j, err := buildJob(cfg, i)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,9 @@ type Violation struct {
 //   - non-negative gauges: the guest pool never drifts below zero;
 //   - quiescent zeros: whenever the caller declares the machine quiescent
 //     (no in-flight jobs), every guest gauge and both shard-footprint
-//     gauges must read exactly zero — retirement reclaimed everything;
+//     gauges must read exactly zero — every retire emptied the machine;
 //   - bounded memory: with MaxWords set, the words gauge never exceeds it
-//     (the serve window bound: live regions × region words).
+//     (the serve bound: one job's region, in words).
 //
 // The zero value is ready; feed samples in order via Check.
 type Checker struct {

@@ -142,10 +142,9 @@ func (s JobSpec) AppendWire(b []byte) []byte {
 	return appendMem(b, s.Mem)
 }
 
-// AppendWire appends d's control-body encoding to b: Job, Threads, Base,
-// Size.
+// AppendWire appends d's control-body encoding to b: Job.
 func (d JobDone) AppendWire(b []byte) []byte {
-	return be.AppendUint32(be.AppendUint32(appendInt(appendInt(b, d.Job), d.Threads), d.Base), d.Size)
+	return appendInt(b, d.Job)
 }
 
 // AppendWire appends h's control-body encoding to b: Thread, the register
@@ -383,7 +382,7 @@ func (s *JobSpec) DecodeWire(b []byte) error {
 // AppendWire.
 func (d *JobDone) DecodeWire(b []byte) error {
 	r := bodyReader{what: "job done", b: b}
-	*d = JobDone{Job: r.int(), Threads: r.int(), Base: r.u32(), Size: r.u32()}
+	*d = JobDone{Job: r.int()}
 	return r.done()
 }
 

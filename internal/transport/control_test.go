@@ -76,7 +76,7 @@ func serveStub(man transport.Manifest, idx int, ctl transport.ControlHandler) <-
 
 // TestControlPlaneRoundTrip exercises the control plane end to end on one
 // real Node/Coordinator pair: the load barrier, the async heartbeat, the
-// job-retirement barrier with reclaimed events, the sample request, and
+// job-retirement barrier with drained events, the sample request, and
 // the chunked collect folded into one reply per node.
 func TestControlPlaneRoundTrip(t *testing.T) {
 	man, err := transport.LocalManifest(1, 2, 1)
@@ -112,9 +112,9 @@ func TestControlPlaneRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The retirement barrier hands the node the whole JobDone and returns
-	// the reclaimed events.
-	done := transport.JobDone{Job: 3, Threads: 2, Base: 4096, Size: 4096}
+	// The retirement barrier hands the node the JobDone and returns the
+	// drained events.
+	done := transport.JobDone{Job: 3}
 	got, err := co.RetireJob(done, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func sampleControl() []controlSample {
 			Programs: [][]uint32{{0x01020304, 0xFFFFFFFF, 0}, {42}},
 			Regs:     []map[int]uint32{{1: 5, 3: 9, 31: 1}, nil},
 			Mem:      map[uint32]uint32{4096: 1, 4100: 0, 1 << 31: 7}}},
-		{"job done", transport.FrameJobDone, &transport.JobDone{Job: 7, Threads: 2, Base: 4096, Size: 4096}},
+		{"job done", transport.FrameJobDone, &transport.JobDone{Job: 7}},
 		{"halt", transport.FrameHalt, &halt},
 		{"heartbeat", transport.FrameHeartbeat, &transport.Heartbeat{Node: 1, Seq: 3}},
 		{"ack with error", transport.FrameReply, &transport.Reply{Job: 7, Err: "unknown scheme \"bogus\""}},

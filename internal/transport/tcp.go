@@ -180,7 +180,7 @@ type Reply struct {
 	// coordinator cross-checks it against the request.
 	Job int
 	Err string
-	// Events are the retired region's event-log entries (JobDone) or one
+	// Events are the retired job's event-log entries (JobDone) or one
 	// core's shard events (Collect).
 	Events []Event
 	Sample *Sample // SampleReq
@@ -208,19 +208,14 @@ type JobSpec struct {
 	Mem      map[uint32]uint32
 }
 
-// JobDone retires a completed job on every node: its slots 0..Threads-1
-// are cleared, so a stray late context for a retired slot fails loudly
-// instead of executing a stale program, and its memory region [Base,
-// Base+Size) is
-// reclaimed — each node deletes the region's shard words and removes (and
-// returns, in its Reply) the region's event-log entries, which is what
-// keeps an open-loop server's footprint bounded by the in-flight window
-// instead of growing O(jobs).
+// JobDone retires the completed job on every node. A node runs one job at
+// a time, so the retire names no slots and no region: every slot is
+// cleared, so a stray late context fails loudly instead of executing a
+// stale program, and every shard is emptied, its event-log entries
+// returned in the node's Reply. That keeps an open-loop server's
+// footprint at one job instead of growing O(jobs).
 type JobDone struct {
-	Job     int
-	Threads int
-	Base    uint32
-	Size    uint32
+	Job int
 }
 
 // ControlHandler answers the coordinator's requests on a node, called
@@ -230,10 +225,11 @@ type JobDone struct {
 type ControlHandler interface {
 	// ApplyJob installs a job (JobSubmit).
 	ApplyJob(*JobSpec) error
-	// RetireJob clears a finished job's slots and reclaims its region,
-	// returning the region's removed event-log entries (JobDone). The
-	// slice may be the handler's own buffer, valid until its next
-	// RetireJob.
+	// RetireJob retires the finished job (JobDone): it takes everything
+	// the node holds — every slot, every shard's words, lease records and
+	// events — and returns the events. It runs only between jobs, never
+	// beside a live context. The slice may be the handler's own buffer,
+	// valid until its next RetireJob.
 	RetireJob(JobDone) []Event
 	// Sample takes a non-destructive metrics snapshot (SampleReq).
 	Sample() (Sample, error)
@@ -657,7 +653,7 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 // synchronously on the coordinator link's reader, and sends its Reply back
 // on that link: a JobSubmit's answer means the job is installed before any
 // injection that follows it on the connection is read, and a JobDone's
-// that the slots and region are free before the coordinator reuses them.
+// that the node is empty before the coordinator submits the next job.
 func (n *Node) answer(c *conn, f Frame) error {
 	var r Reply
 	switch f.Kind {
@@ -1370,12 +1366,11 @@ func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
 }
 
 // RetireJob broadcasts a JobDone and waits for every answer — the barrier
-// that keeps the coordinator from reusing the job's slots or memory region
-// before every node cleared them. It returns the retired region's
-// event-log entries, removed from every node's shards (merge order is
-// irrelevant because SC checking orders events by home and sequence), in
-// a buffer the coordinator reuses: the slice is valid until the next
-// RetireJob.
+// that keeps the coordinator from submitting the next job before every
+// node emptied itself. It returns the job's event-log entries, drained
+// from every node's shards (merge order is irrelevant because SC checking
+// orders events by home and sequence), in a buffer the coordinator
+// reuses: the slice is valid until the next RetireJob.
 func (co *Coordinator) RetireJob(d JobDone, timeout time.Duration) ([]Event, error) {
 	events := co.retired[:0]
 	err := co.request("job retire", FrameJobDone, d.AppendWire, d.Job, timeout, func(r Reply) error {

@@ -294,8 +294,8 @@ type Sample struct {
 	// quiescent.
 	Guests []int64 `json:"guests"`
 	// Words and Events are the endpoint's shard footprint: words of backing
-	// memory and logged SC events across its shards. Gauges — region
-	// retirement reclaims both.
+	// memory and logged SC events across its shards. Gauges — a job's
+	// retire empties both.
 	Words  int64 `json:"words"`
 	Events int64 `json:"events"`
 	// Net is the endpoint's wire traffic at the moment of the sample.

@@ -78,10 +78,11 @@ const (
 
 const (
 	// WireVersion is the protocol version carried in every batch header; a
-	// mismatch is protocol corruption. Version 3 gave the control bodies
-	// their binary encodings (control.go) under unchanged kind bytes;
-	// version 2 carried them as JSON.
-	WireVersion = 3
+	// mismatch is protocol corruption. Version 4 shrank the FrameJobDone
+	// body to the Job alone (a retire empties the node). Version 3 gave
+	// the control bodies their binary encodings (control.go) under
+	// unchanged kind bytes; version 2 carried them as JSON.
+	WireVersion = 4
 	// BatchHeaderLen is the fixed batch header: u32 payload length, u16
 	// frame count, u8 version, u8 reserved (zero).
 	BatchHeaderLen = 8

@@ -699,7 +699,7 @@ func TestWireHotPathZeroAlloc(t *testing.T) {
 	if err := co.Load(&transport.LoadSpec{NumThreads: 1}, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	done := transport.JobDone{Job: 9, Threads: 1, Base: 4096, Size: 4096}
+	done := transport.JobDone{Job: 9}
 	for _, p := range []struct {
 		name string
 		run  func()
