@@ -234,9 +234,16 @@ func (h *History) normalized() History {
 	return n
 }
 
-// NewPredictor implements Scheme.
+// NewPredictor implements Scheme. Both tables are made at their bounds,
+// so learning never grows them.
 func (h *History) NewPredictor(int) Predictor {
-	return &HistoryPredictor{cfg: h.normalized(), curHome: geom.None}
+	cfg := h.normalized()
+	return &HistoryPredictor{
+		cfg:      cfg,
+		curHome:  geom.None,
+		curPages: make([]uint32, 0, cfg.RunPages),
+		entries:  make([]historyEntry, 0, cfg.Entries),
+	}
 }
 
 // historyEntry is one lastRun table slot: the most recent completed run

@@ -91,7 +91,9 @@ type Cluster interface {
 	// RetireJob, so a caller that keeps the events clones them.
 	RetireJob(d transport.JobDone, timeout time.Duration) ([]Event, error)
 	// Sample is a non-destructive snapshot of per-core counters and
-	// gauges (transport.MetricsSource).
+	// gauges (transport.MetricsSource). Its slices may be a buffer the
+	// cluster reuses: they are valid until the next Sample, so a caller
+	// that keeps them clones them.
 	Sample() (transport.Sample, error)
 	// Collect returns each node's post-run state, ascending by node; the
 	// in-process machine is one node with no wire.

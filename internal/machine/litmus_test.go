@@ -32,7 +32,7 @@ func runLitmus(t *testing.T, cfg Config, lit Litmus) (*Machine, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//em2:unordered-ok: Preload writes each address into its home shard's map; the final image is order-independent
+	//em2:unordered-ok: Preload writes each address into its home shard's word table; the final image is order-independent
 	for a, v := range lit.Mem {
 		m.Preload(a, v, 0)
 	}

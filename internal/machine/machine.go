@@ -121,6 +121,8 @@ type Machine struct {
 	halts chan transport.HaltMsg
 	timer *time.Timer // the halt barrier's, made by the first job with a timeout and reused
 	ran   bool
+	// sample is the buffer every Sample fills (Part.SampleInto).
+	sample transport.Sample
 }
 
 // New builds a machine for at most numThreads threads and starts its
@@ -220,8 +222,13 @@ func (m *Machine) RetireJob(d transport.JobDone, _ time.Duration) ([]Event, erro
 	return m.part.RetireJob(d), nil
 }
 
-// Sample implements Cluster (Part.Sample).
-func (m *Machine) Sample() (transport.Sample, error) { return m.part.Sample() }
+// Sample implements Cluster: Part.SampleInto fills the machine's one
+// buffer, so a warm sample allocates nothing and its slices are valid
+// until the next Sample.
+func (m *Machine) Sample() (transport.Sample, error) {
+	m.part.SampleInto(&m.sample)
+	return m.sample, nil
+}
 
 // Collect implements Cluster: the machine is one node with no wire.
 func (m *Machine) Collect(time.Duration) ([]transport.CollectReply, error) {

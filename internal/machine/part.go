@@ -127,11 +127,13 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 		done:        make(chan struct{}),
 	}
 	p.own <- struct{}{}
-	for _, id := range tr.Owned() {
-		p.shards[id] = newShard(id, cfg.LogEvents)
-		n := &coreNode{id: id, p: p, ctr: transport.CoreMetrics{Core: id}}
-		p.nodes = append(p.nodes, n)
-		p.nodeOf[id] = n
+	owned := tr.Owned()
+	shards, nodes := make([]shard, len(owned)), make([]coreNode, len(owned))
+	p.nodes = make([]*coreNode, len(owned))
+	for i, id := range owned {
+		shards[i] = newShard(id, cfg.LogEvents)
+		nodes[i] = coreNode{id: id, p: p, ctr: transport.CoreMetrics{Core: id}}
+		p.shards[id], p.nodes[i], p.nodeOf[id] = &shards[i], &nodes[i], &nodes[i]
 	}
 	tr.HandleMem(p.serveMem)
 	// A transport delivers only updates for cores it owns.
@@ -203,7 +205,7 @@ func (p *Part) preload(addr uint32, value uint32, by geom.CoreID) {
 func (p *Part) Peek(addr uint32) (v uint32, homed bool) {
 	p.call(func() {
 		if home, ok := p.place.HomeOf(cache.Addr(addr)); ok && p.shards[home] != nil {
-			v, homed = p.shards[home].mem[addr], true
+			v, homed = p.shards[home].mem.get(addr), true
 		}
 	})
 	return v, homed
@@ -264,7 +266,7 @@ func (p *Part) install(threads []ThreadSpec, mem map[uint32]uint32, inject func(
 		for t := range threads {
 			p.specs[t] = &threads[t]
 		}
-		//em2:unordered-ok: preload writes each address into its home shard's map; the final image is order-independent
+		//em2:unordered-ok: preload writes each address into its home shard's word table; the final image is order-independent
 		for a, v := range mem {
 			p.preload(a, v, 0)
 		}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -83,6 +84,29 @@ func TestSampleEncodeZeroAlloc(t *testing.T) {
 	defer part.Stop()
 	if n := testing.AllocsPerRun(100, tick); n != 0 {
 		t.Errorf("the same through the executor of a started part: %.0f allocs, want 0", n)
+	}
+}
+
+// TestMachineSampleZeroAlloc: Machine.Sample fills the buffer the machine
+// keeps, so a warm sample allocates nothing and reads what a fresh
+// Part.Sample does.
+func TestMachineSampleZeroAlloc(t *testing.T) {
+	t.Parallel()
+	lit := StoreBufferingLitmus(64)
+	m, err := New(litmusConfig(), len(lit.Threads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.RunJob(0, lit.Threads, lit.Mem, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := m.Sample()
+	if want, _ := m.part.Sample(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Machine.Sample %+v; Part.Sample %+v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Sample() }); n != 0 {
+		t.Errorf("a warm Machine.Sample: %.1f allocs, want 0", n)
 	}
 }
 
@@ -279,7 +303,7 @@ func TestRetireJobEmptiesMachine(t *testing.T) {
 		m.part.call(func() {
 			for _, n := range m.part.nodes {
 				s := m.part.shards[n.id]
-				words, leases, events = words+len(s.mem), leases+len(s.leases), events+len(s.events)
+				words, leases, events = words+s.mem.words(), leases+len(s.leases), events+len(s.events)
 			}
 		})
 		return words, leases, events

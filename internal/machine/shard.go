@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/geom"
@@ -34,7 +33,7 @@ type Event = transport.Event
 // executor, the one goroutine that touches the shard.
 type shard struct {
 	home   geom.CoreID
-	mem    map[uint32]uint32
+	mem    store
 	seq    int64
 	log    bool
 	events []Event
@@ -49,8 +48,8 @@ type shard struct {
 	spare [][]geom.CoreID
 }
 
-func newShard(home geom.CoreID, log bool) *shard {
-	return &shard{home: home, mem: make(map[uint32]uint32), log: log}
+func newShard(home geom.CoreID, log bool) shard {
+	return shard{home: home, mem: newStore(), log: log}
 }
 
 // apply performs one memory request — the home-core serialization point
@@ -59,14 +58,11 @@ func newShard(home geom.CoreID, log bool) *shard {
 // lease holder of the word to invals, the caller's buffer, and returns it;
 // the CALLER sends them, after the shard op.
 func (s *shard) apply(req transport.MemRequest, invals []transport.LeaseInval) (transport.MemReply, []transport.LeaseInval) {
-	var old uint32 // a plain write never reads it: one hash, not two
-	if req.Op != transport.OpWrite {
-		old = s.mem[req.Addr]
-	}
 	var rep transport.MemReply
 	e := Event{Addr: req.Addr}
 	switch req.Op {
 	case transport.OpRead:
+		old := s.mem.get(req.Addr)
 		e.Kind, e.Read = EvRead, old
 		rep.Value = old
 		if req.Lease != 0 {
@@ -74,16 +70,20 @@ func (s *shard) apply(req transport.MemRequest, invals []transport.LeaseInval) (
 			rep.Lease = req.Lease
 		}
 	case transport.OpWrite:
-		s.mem[req.Addr] = req.Arg
+		*s.mem.word(req.Addr) = req.Arg
 		e.Kind, e.Wrote = EvWrite, req.Arg
 		invals = s.closeLeases(req, req.Arg, invals)
 	case transport.OpFAA:
-		s.mem[req.Addr] = old + req.Arg
+		w := s.mem.word(req.Addr)
+		old := *w
+		*w = old + req.Arg
 		e.Kind, e.Read, e.Wrote = EvRMW, old, old+req.Arg
 		rep.Value = old
 		invals = s.closeLeases(req, old+req.Arg, invals)
 	case transport.OpSwap:
-		s.mem[req.Addr] = req.Arg
+		w := s.mem.word(req.Addr)
+		old := *w
+		*w = req.Arg
 		e.Kind, e.Read, e.Wrote = EvRMW, old, req.Arg
 		rep.Value = old
 		invals = s.closeLeases(req, req.Arg, invals)
@@ -151,7 +151,7 @@ func (s *shard) closeLeases(req transport.MemRequest, newVal uint32, invals []tr
 func (s *shard) drain(dst []Event) []Event {
 	dst = append(dst, s.events...)
 	s.events = s.events[:0]
-	clear(s.mem)
+	s.mem.drain()
 	clear(s.leases)
 	return dst
 }
@@ -160,16 +160,131 @@ func (s *shard) drain(dst []Event) []Event {
 // logged SC events — for the non-destructive sampling path: a pair of
 // lengths, no copying.
 func (s *shard) gauges() (words, events int64) {
-	return int64(len(s.mem)), int64(len(s.events))
+	return int64(s.mem.words()), int64(len(s.events))
 }
 
 // imageInto copies the shard's words into dst; shards are address-disjoint
 // (single home), so several can fill one map.
 func (s *shard) imageInto(dst map[uint32]uint32) {
-	maps.Copy(dst, s.mem)
+	s.mem.imageInto(dst)
 }
 
 // appendEvents appends the shard's event log to dst.
 func (s *shard) appendEvents(dst []Event) []Event {
 	return append(dst, s.events...)
+}
+
+// store holds a home shard's words in one open-addressed table: a word's
+// slot is the Fibonacci hash of its address, a collision probes the next
+// slot, and the table doubles before the next word would pass 7/8 load.
+// A word is never deleted alone — drain empties the table — so there are
+// no tombstones. A slot keeps addr+1, 0 meaning empty, so every uint32
+// stays an address: the one whose key would wrap, 0xFFFFFFFF, lives in a
+// field of its own. A word exists once written, as in a map: a read of an
+// unwritten address returns 0 and adds nothing.
+type store struct {
+	slots  []slot // a power of two long
+	shift  uint   // 32 - log2(len(slots)): the hash's top bits pick the slot
+	n      int    // words held in slots
+	top    uint32 // the word at 0xFFFFFFFF
+	hasTop bool
+}
+
+type slot struct{ k, v uint32 }
+
+// newStore returns an empty store of 16 slots (2⁴, 128 bytes).
+func newStore() store {
+	return store{slots: make([]slot, 16), shift: 32 - 4}
+}
+
+// slotOf is addr's first probe slot.
+func (s *store) slotOf(addr uint32) uint32 { return (addr * 0x9E3779B1) >> s.shift }
+
+// get returns the word at addr, 0 when it was never written.
+func (s *store) get(addr uint32) uint32 {
+	k := addr + 1
+	if k == 0 {
+		return s.top
+	}
+	mask := uint32(len(s.slots) - 1)
+	for i := s.slotOf(addr); ; i = (i + 1) & mask {
+		switch s.slots[i].k {
+		case k:
+			return s.slots[i].v
+		case 0:
+			return 0
+		}
+	}
+}
+
+// word returns the word at addr for the caller to read and write, adding
+// it, zero, when it was never written. The pointer is valid until the
+// next word or drain.
+func (s *store) word(addr uint32) *uint32 {
+	k := addr + 1
+	if k == 0 {
+		s.hasTop = true
+		return &s.top
+	}
+	mask := uint32(len(s.slots) - 1)
+	i := s.slotOf(addr)
+	for ; s.slots[i].k != 0; i = (i + 1) & mask {
+		if s.slots[i].k == k {
+			return &s.slots[i].v
+		}
+	}
+	if 8*(s.n+1) > 7*len(s.slots) {
+		s.grow()
+		return s.word(addr)
+	}
+	s.n++
+	s.slots[i].k = k
+	return &s.slots[i].v
+}
+
+// grow doubles the table and re-places every word.
+func (s *store) grow() {
+	old := s.slots
+	s.slots, s.shift = make([]slot, 2*len(old)), s.shift-1
+	mask := uint32(len(s.slots) - 1)
+	for _, e := range old {
+		if e.k == 0 {
+			continue
+		}
+		i := s.slotOf(e.k - 1)
+		for s.slots[i].k != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = e
+	}
+}
+
+// words is how many words the store holds.
+func (s *store) words() int {
+	if s.hasTop {
+		return s.n + 1
+	}
+	return s.n
+}
+
+// drain empties the store in place: the table keeps its capacity, so the
+// next job refills it without allocating.
+func (s *store) drain() {
+	if s.n > 0 {
+		clear(s.slots)
+		s.n = 0
+	}
+	s.top, s.hasTop = 0, false
+}
+
+// imageInto copies every word into dst.
+func (s *store) imageInto(dst map[uint32]uint32) {
+	for _, e := range s.slots {
+		if e.k != 0 {
+			dst[e.k-1] = e.v
+		}
+	}
+	if s.hasTop {
+		dst[0xFFFFFFFF] = s.top
+	}
 }

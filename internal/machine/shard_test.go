@@ -184,3 +184,151 @@ func FuzzShardApply(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWordStore runs random write/read/add/dense-run/drain sequences on a
+// store and on a map, and requires the two to agree after every step on
+// the step's word, the word count and the whole image, and the table to
+// stay within 7/8 load. A drain must leave nothing, keep the table's
+// capacity, and take back every drained word when it is written again.
+//
+// Input: 8 bytes per step: op, address mode, a 4-byte x and a 2-byte arg.
+// The mode picks x as it is (unaligned, 0xFFFFFFFF), its low byte times a
+// large power of two, a small aligned address, or one of the top 256
+// addresses. A dense run writes arg%8192 consecutive aligned words from
+// the address, wrapping at the top, enough to grow the table past 4 096
+// slots. An input runs at most 64 steps, and a dense run is skipped once
+// the store holds 8 192 words, so every input checks in milliseconds.
+func FuzzWordStore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{
+		0, 0, 0xff, 0xff, 0xff, 0xff, 7, 0, // write 7 at 0xFFFFFFFF
+		0, 0, 0xfe, 0xff, 0xff, 0xff, 0, 0, // write 0 at 0xFFFFFFFE: a word all the same
+		3, 2, 0, 0, 0, 0, 0xa0, 0x0f, // dense run of 4000 words from 0
+		2, 2, 4, 0, 0, 0, 1, 0, // add 1 at 16
+		4, 0, 0, 0, 0, 0, 0, 0, // drain and refill
+		1, 3, 0, 0, 0, 0, 0, 0, // read 0xFFFFFFFF
+	})
+	f.Add([]byte{
+		0, 0x01, 1, 0, 0, 0, 1, 0, // write 1 at 1<<16
+		0, 0x3d, 1, 0, 0, 0, 2, 0, // write 2 at 1<<31
+		0, 0x3d, 3, 0, 0, 0, 3, 0, // write 3 at 3<<31 = 1<<31 (wraps)
+		0, 0x39, 2, 0, 0, 0, 4, 0, // write 4 at 2<<30 = 1<<31
+		3, 3, 0, 0, 0, 0, 0x40, 0, // dense run of 64 across the top
+		4, 0, 0, 0, 0, 0, 0, 0,
+		4, 0, 0, 0, 0, 0, 0, 0, // drain an empty-again store
+	})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, ref, img := newStore(), map[uint32]uint32{}, map[uint32]uint32{}
+		check := func(step int, addr uint32) {
+			t.Helper()
+			if 8*s.n > 7*len(s.slots) {
+				t.Fatalf("step %d: %d words in %d slots, above 7/8 load", step, s.n, len(s.slots))
+			}
+			if s.words() != len(ref) {
+				t.Fatalf("step %d: %d words; reference %d", step, s.words(), len(ref))
+			}
+			if got, want := s.get(addr), ref[addr]; got != want {
+				t.Fatalf("step %d: get(%#x) = %d; reference %d", step, addr, got, want)
+			}
+			clear(img)
+			s.imageInto(img)
+			//em2:unordered-ok: every word is checked; the order picks only which mismatch is reported
+			for a, v := range ref {
+				if w, ok := img[a]; !ok || w != v {
+					t.Fatalf("step %d: image of %d words holds %#x: %d (%v); reference %d", step, len(img), a, w, ok, v)
+				}
+			}
+			if len(img) != len(ref) {
+				t.Fatalf("step %d: image of %d words; reference %d", step, len(img), len(ref))
+			}
+		}
+		for i, op := 0, b; len(op) >= 8 && i < 64; i, op = i+1, op[8:] {
+			x := binary.LittleEndian.Uint32(op[2:])
+			arg := uint32(binary.LittleEndian.Uint16(op[6:]))
+			var addr uint32
+			switch op[1] % 4 {
+			case 0:
+				addr = x
+			case 1:
+				addr = x & 0xff << (16 + op[1]>>2%16)
+			case 2:
+				addr = x & 0x3ff * 4
+			case 3:
+				addr = 0xffffffff - x&0xff
+			}
+			switch op[0] % 5 {
+			case 0:
+				*s.word(addr) = arg
+				ref[addr] = arg
+			case 2:
+				*s.word(addr) += arg
+				ref[addr] += arg
+			case 3:
+				if len(ref) >= 1<<13 {
+					break
+				}
+				for j := range arg % 8192 {
+					a := addr + 4*j
+					*s.word(a) = j
+					ref[a] = j
+				}
+			case 4:
+				held, slots := maps.Clone(ref), len(s.slots)
+				s.drain()
+				clear(ref)
+				check(i, addr)
+				//em2:unordered-ok: every drained word is checked; the order picks only which is reported
+				for a := range held {
+					if s.get(a) != 0 {
+						t.Fatalf("step %d: drained word %#x reads %d", i, a, s.get(a))
+					}
+				}
+				if len(s.slots) != slots {
+					t.Fatalf("step %d: drain left %d slots of %d", i, len(s.slots), slots)
+				}
+				for _, a := range slices.Sorted(maps.Keys(held)) {
+					*s.word(a) = held[a]
+					ref[a] = held[a]
+				}
+			}
+			check(i, addr)
+		}
+		//em2:unordered-ok: every word is checked; the order picks only which mismatch is reported
+		for a, v := range ref {
+			if s.get(a) != v {
+				t.Fatalf("end: get(%#x) = %d; reference %d", a, s.get(a), v)
+			}
+		}
+	})
+}
+
+// TestShardRefillZeroAlloc: a drain keeps the shard's table and event log,
+// so the next job refills it to the same size without allocating — here
+// 4 097 words, a table of 8 192 slots, the top word included.
+func TestShardRefillZeroAlloc(t *testing.T) {
+	t.Parallel()
+	s := newShard(0, true)
+	fill := func() {
+		for a := uint32(0); a < 4096; a++ {
+			s.apply(transport.MemRequest{Op: transport.OpWrite, Addr: 4 * a, Arg: a, TSeq: int64(a)}, nil)
+		}
+		s.apply(transport.MemRequest{Op: transport.OpFAA, Addr: 0xFFFFFFFF, Arg: 1}, nil)
+	}
+	fill()
+	words, events := s.gauges()
+	var drained []Event
+	drained = s.drain(drained)
+	if w, e := s.gauges(); w != 0 || e != 0 {
+		t.Fatalf("after the drain: %d words, %d events; want none", w, e)
+	}
+	refill := func() {
+		fill()
+		if w, e := s.gauges(); w != words || e != events {
+			t.Fatalf("refilled to %d words, %d events; want %d, %d", w, e, words, events)
+		}
+		drained = s.drain(drained[:0])
+	}
+	if n := testing.AllocsPerRun(10, refill); n != 0 {
+		t.Errorf("refilling a drained shard to %d words: %.1f allocs, want 0", words, n)
+	}
+}

@@ -129,6 +129,9 @@ func (s *Striped) Name() string { return "striped" }
 type PageStriped struct {
 	pageShift uint // log2 of the page size
 	cores     int
+	// mask is cores-1 when cores is a power of two above 1, so the home
+	// is the page number masked; 0 otherwise, and HomeOf divides.
+	mask Addr
 }
 
 // NewPageStriped returns a page-interleaved placement over n cores.
@@ -142,7 +145,11 @@ func NewPageStriped(pageBytes, cores int) *PageStriped {
 	if cores <= 0 {
 		panic(fmt.Sprintf("placement: invalid core count %d", cores))
 	}
-	return &PageStriped{pageShift: uint(bits.TrailingZeros(uint(pageBytes))), cores: cores}
+	s := &PageStriped{pageShift: uint(bits.TrailingZeros(uint(pageBytes))), cores: cores}
+	if cores&(cores-1) == 0 {
+		s.mask = Addr(cores - 1)
+	}
+	return s
 }
 
 // Touch implements Policy.
@@ -153,6 +160,9 @@ func (s *PageStriped) Touch(a Addr, _ geom.CoreID) geom.CoreID {
 
 // HomeOf implements Policy.
 func (s *PageStriped) HomeOf(a Addr) (geom.CoreID, bool) {
+	if s.mask != 0 {
+		return geom.CoreID((a >> s.pageShift) & s.mask), true
+	}
 	return geom.CoreID((a >> s.pageShift) % Addr(s.cores)), true
 }
 

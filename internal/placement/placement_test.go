@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -159,6 +160,22 @@ func TestPageStriped(t *testing.T) {
 	p2 := NewPageStriped(0, 4)
 	if h := p2.Touch(DefaultPageBytes, 99); h != 1 {
 		t.Errorf("default page size wrong: %d", h)
+	}
+}
+
+// TestPageStripedHomeIsModulo: the home is the page number modulo the
+// core count, whether HomeOf masks (a power of two) or divides, over
+// addresses above 2^32 too.
+func TestPageStripedHomeIsModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, cores := range []int{1, 3, 6, 16, 64} {
+		p := NewPageStriped(4096, cores)
+		for i := 0; i < 1000; i++ {
+			a := Addr(rng.Uint64() >> (16 * (i % 3))) // 64, 48 and 32 significant bits
+			if got, _ := p.HomeOf(a); got != geom.CoreID((a>>12)%Addr(cores)) {
+				t.Fatalf("%d cores: HomeOf(%#x) = %d, want %d", cores, a, got, (a>>12)%Addr(cores))
+			}
+		}
 	}
 }
 

@@ -29,7 +29,9 @@ type Backend interface {
 	// non-destructive snapshot of per-core counters and gauges, mergeable
 	// across nodes. At serve's sampling points (arrival-processing
 	// boundaries) both transports return identical deterministic fields;
-	// only the advisory Net differs.
+	// only the advisory Net differs. The slices are valid until the next
+	// Sample (Cluster.Sample), as Retire's events are until the next
+	// Retire, so a caller that keeps them clones them.
 	Sample() (transport.Sample, error)
 	// Drain ends the run and returns the machine's merged post-run state.
 	Drain(timeout time.Duration) (*DrainResult, error)
