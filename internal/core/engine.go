@@ -204,6 +204,10 @@ func (e *Engine) Run(tr *trace.Trace, callback func(i int, info AccessInfo, o Ou
 		e.res.Accesses++
 		e.lastActive[t] = int64(i)
 
+		// The lease clock is the thread's own completed-access count —
+		// exactly the runtime's per-thread memSeq, so expiry happens at
+		// the same own-op on both sides.
+		now := uint64(perThreadIndex[t])
 		info := AccessInfo{
 			Thread: t,
 			Index:  perThreadIndex[t],
@@ -211,13 +215,6 @@ func (e *Engine) Run(tr *trace.Trace, callback func(i int, info AccessInfo, o Ou
 			Home:   home,
 			Native: e.native[t],
 			Access: a,
-		}
-		// The lease clock is the thread's own completed-access count —
-		// exactly the runtime's per-thread memSeq, so expiry happens at
-		// the same own-op on both sides.
-		now := uint64(info.Index)
-		if e.lease != nil {
-			info.Lease = NewLeaseView(e.lease[t], now)
 		}
 		perThreadIndex[t]++
 
@@ -227,6 +224,11 @@ func (e *Engine) Run(tr *trace.Trace, callback func(i int, info AccessInfo, o Ou
 			outcome = OutcomeLocal
 			e.res.Local++
 			e.chargeMemory(t, home, a)
+		case e.leaseHit(t, a, now):
+			// Served entirely from the thread's cache, before the scheme
+			// is asked: no network, no home-side memory charge.
+			outcome = OutcomeCachedHit
+			e.res.LeaseHits++
 		default:
 			switch e.preds[t].Decide(info) {
 			case Migrate:
@@ -241,14 +243,6 @@ func (e *Engine) Run(tr *trace.Trace, callback func(i int, info AccessInfo, o Ou
 				if e.lease != nil && a.Write && e.lease[t].InvalidateOwn(cache.Addr(a.Addr)) {
 					e.res.LeaseInvals++
 				}
-			case CachedRead:
-				if _, ok := e.lease[t].Lookup(cache.Addr(a.Addr), now); !ok {
-					return nil, fmt.Errorf("core: scheme %q answered cached-read for a lease miss", e.scheme.Name())
-				}
-				outcome = OutcomeCachedHit
-				e.res.LeaseHits++
-				// Served entirely from the thread's cache: no network,
-				// no home-side memory charge.
 			case RemoteReadCached:
 				outcome = OutcomeRemoteCached
 				e.remoteAccess(t, home, a.Write)
@@ -276,6 +270,17 @@ func (e *Engine) Run(tr *trace.Trace, callback func(i int, info AccessInfo, o Ou
 	}
 	e.collectCounters()
 	return e.res, nil
+}
+
+// leaseHit serves a read by thread t from its lease cache at own-op count
+// now, reporting whether the lease held: a hit never reaches the scheme
+// (Leaser). Writes and non-caching schemes always miss.
+func (e *Engine) leaseHit(t int, a trace.Access, now uint64) bool {
+	if e.lease == nil || a.Write {
+		return false
+	}
+	_, ok := e.lease[t].Lookup(cache.Addr(a.Addr), now)
+	return ok
 }
 
 // trackRun maintains the Figure 2 run-length statistic: maximal sequences of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -451,5 +452,89 @@ func TestResultString(t *testing.T) {
 	_, res := mustRun(t, testConfig(), testPlacement(), AlwaysMigrate{}, tr, nil)
 	if res.String() == "" {
 		t.Error("empty result string")
+	}
+}
+
+// countingLeaser is a Hybrid whose predictors count their Decide calls;
+// it stays a Leaser by embedding.
+type countingLeaser struct {
+	*Hybrid
+	decides *int
+}
+
+func (s countingLeaser) NewPredictor(thread int) Predictor {
+	return countingPredictor{Predictor: s.Hybrid.NewPredictor(thread), decides: s.decides}
+}
+
+type countingPredictor struct {
+	Predictor
+	decides *int
+}
+
+func (p countingPredictor) Decide(info AccessInfo) Decision {
+	*p.decides++
+	return p.Predictor.Decide(info)
+}
+
+// TestEngineLeaseHitSkipsDecide: a read of a held word is a cached hit
+// served before the scheme is asked — the first read misses and fills,
+// the second hits without a Decide — and a write still asks.
+func TestEngineLeaseHitSkipsDecide(t *testing.T) {
+	tr := trace.New("held", 1)
+	tr.Append(trace.Access{Thread: 0, Addr: 0x1000})
+	tr.Append(trace.Access{Thread: 0, Addr: 0x1000})
+	tr.Append(trace.Access{Thread: 0, Addr: 0x1000, Write: true})
+	var decides int
+	var got []Outcome
+	var asked []int
+	s := countingLeaser{Hybrid: NewHybrid(8), decides: &decides}
+	mustRun(t, testConfig(), testPlacement(), s, tr, func(i int, _ AccessInfo, o Outcome) {
+		got = append(got, o)
+		asked = append(asked, decides)
+	})
+	if want := []Outcome{OutcomeRemoteCached, OutcomeCachedHit, OutcomeRemote}; !slices.Equal(got, want) {
+		t.Fatalf("outcomes %v, want %v", got, want)
+	}
+	if want := []int{1, 1, 2}; !slices.Equal(asked, want) {
+		t.Errorf("Decide calls after each access %v, want %v: the held read must not reach the scheme", asked, want)
+	}
+}
+
+// TestEngineDecideContract is the model side of the Leaser contract on a
+// hop-like trace under hybrid:64 (16 threads, a 4x4 mesh, 4 KiB pages
+// striped over the cores): each thread writes its own page and reads four
+// words of another thread's page, and one extra thread writes and reads
+// two far pages, so the run has lease hits, remote writes and migrations.
+// Decide runs exactly once per remote access or migration.
+func TestEngineDecideContract(t *testing.T) {
+	const n, page = 16, 4096
+	tr := trace.New("hop", n+1)
+	for it := 0; it < 40; it++ {
+		for th := 0; th < n; th++ {
+			own, peer := trace.Addr(page*th), trace.Addr(page*((th+n/2)%n))
+			tr.Append(trace.Access{Thread: th, Addr: own, Write: true})
+			for w := trace.Addr(0); w < 16; w += 4 {
+				tr.Append(trace.Access{Thread: th, Addr: peer + w})
+			}
+		}
+		for _, a := range []trace.Access{{Addr: 5 * page, Write: true}, {Addr: 5*page + 4, Write: true},
+			{Addr: 9 * page}, {Addr: 9*page + 4}, {Addr: 9*page + 8, Write: true}} {
+			a.Thread = n
+			tr.Append(a)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Mesh = geom.NewMesh(4, 4)
+	cfg.GuestContexts = 0
+	cfg.ChargeMemory = false
+	var decides int
+	_, res := mustRun(t, cfg, placement.NewPageStriped(page, n), countingLeaser{Hybrid: NewHybrid(64), decides: &decides}, tr, nil)
+	if res.LeaseHits == 0 || res.Migrations == 0 || res.Evictions != 0 {
+		t.Fatalf("%d lease hits, %d migrations, %d evictions; the check needs hits, migrations and no evictions",
+			res.LeaseHits, res.Migrations, res.Evictions)
+	}
+	if want := res.RemoteAccesses + res.Migrations; int64(decides) != want {
+		t.Errorf("%d Decide calls; want remote accesses %d + migrations %d = %d (lease hits %d)",
+			decides, res.RemoteAccesses, res.Migrations, want, res.LeaseHits)
 	}
 }

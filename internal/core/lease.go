@@ -36,9 +36,11 @@ const (
 	DefaultLeaseEntries = 16
 )
 
-// Leaser is implemented by schemes whose decisions use the lease cache
-// (CachedRead / RemoteReadCached). The engine and the runtime consult it
-// to size the per-thread caches.
+// Leaser is implemented by schemes whose reads go through the lease
+// cache. The engine and the runtime consult it to size the per-thread
+// caches, and they serve every read of a validly leased word from the
+// lease before the scheme is asked: Decide sees only lease misses and
+// writes, and a Leaser answers a read miss with RemoteReadCached.
 type Leaser interface {
 	// LeaseWindow is the validity window in holder memory operations: a
 	// word filled when the thread had completed m operations serves
@@ -98,14 +100,6 @@ func (c *LeaseCache) find(addr trace.Addr) int {
 		}
 	}
 	return -1
-}
-
-// Valid reports whether a cached read of addr would hit at own-op count
-// now. It never mutates: Decide probes through it, and a pure probe
-// keeps the decision replayable.
-func (c *LeaseCache) Valid(addr trace.Addr, now uint64) bool {
-	i := c.find(addr)
-	return i >= 0 && now <= c.ents[i].expire
 }
 
 // Lookup serves a cached read at own-op count now: on a valid entry it
@@ -190,23 +184,6 @@ func (c *LeaseCache) drop(i int) {
 	c.ents = c.ents[:last]
 }
 
-// LeaseView is the non-mutating probe a predictor sees in
-// AccessInfo.Lease: the thread's cache frozen at the current own-op
-// count. The zero view (no cache) is never valid, so stateless schemes
-// and the non-caching paths need no nil checks.
-type LeaseView struct {
-	c   *LeaseCache
-	now uint64
-}
-
-// NewLeaseView builds the probe for one access.
-func NewLeaseView(c *LeaseCache, now uint64) LeaseView { return LeaseView{c: c, now: now} }
-
-// Valid reports whether a cached read of addr would hit.
-func (v LeaseView) Valid(addr trace.Addr) bool {
-	return v.c != nil && v.c.Valid(trace.Addr(addr), v.now)
-}
-
 // CachedRemote is the pure-caching baseline (the dircc-equivalent point
 // of the design space): execution never moves, reads go through the
 // lease cache, writes are plain remote accesses.
@@ -234,14 +211,11 @@ func (s CachedRemote) NewPredictor(int) Predictor { return cachedRemotePredictor
 
 type cachedRemotePredictor struct{ Stateless }
 
-// Decide implements Predictor: cached hit, lease-requesting remote read,
-// or plain remote write. Never migrates.
+// Decide implements Predictor: a lease-requesting remote read, or a plain
+// remote write. Never migrates.
 func (cachedRemotePredictor) Decide(info AccessInfo) Decision {
 	if info.Access.Write {
 		return RemoteAccess
-	}
-	if info.Lease.Valid(info.Access.Addr) {
-		return CachedRead
 	}
 	return RemoteReadCached
 }
@@ -292,9 +266,6 @@ type hybridPredictor struct {
 // Decide implements Predictor.
 func (p *hybridPredictor) Decide(info AccessInfo) Decision {
 	if !info.Access.Write {
-		if info.Lease.Valid(info.Access.Addr) {
-			return CachedRead
-		}
 		return RemoteReadCached
 	}
 	return p.hist.Decide(info)

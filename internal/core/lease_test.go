@@ -20,18 +20,12 @@ func TestLeaseExpiryBoundary(t *testing.T) {
 	c.Fill(100, 42, 10) // expire = 14
 
 	for now := uint64(10); now <= 14; now++ {
-		if !c.Valid(100, now) {
-			t.Fatalf("Valid(now=%d) = false inside the window", now)
-		}
 		if v, ok := c.Lookup(100, now); !ok || v != 42 {
 			t.Fatalf("Lookup(now=%d) = %d, %v; want 42 hit", now, v, ok)
 		}
 	}
-	if c.Valid(100, 15) {
-		t.Error("Valid(now=expire+1) = true; the boundary is inclusive of expire only")
-	}
 	if _, ok := c.Lookup(100, 15); ok {
-		t.Error("Lookup one past the boundary hit")
+		t.Error("Lookup one past the boundary hit; the boundary is inclusive of expire only")
 	}
 	if c.Len() != 0 {
 		t.Errorf("expired entry not removed by the missing Lookup: Len = %d", c.Len())
@@ -40,20 +34,6 @@ func TestLeaseExpiryBoundary(t *testing.T) {
 	c.Fill(100, 43, 20)
 	if v, ok := c.Lookup(100, 24); !ok || v != 43 {
 		t.Errorf("re-filled Lookup = %d, %v; want 43 hit at new expire", v, ok)
-	}
-}
-
-// TestLeaseValidNeverMutates: Decide probes through Valid, so an expired
-// entry must survive a Valid call (only Lookup removes it) — otherwise a
-// probe-only path would perturb LRU/occupancy state the oracle replays.
-func TestLeaseValidNeverMutates(t *testing.T) {
-	c := NewLeaseCache(4, 2)
-	c.Fill(8, 1, 0) // expire = 2
-	if c.Valid(8, 3) {
-		t.Fatal("expired entry reported valid")
-	}
-	if c.Len() != 1 {
-		t.Errorf("Valid mutated the cache: Len = %d, want 1", c.Len())
 	}
 }
 
@@ -177,7 +157,7 @@ func TestLeaseCacheResetMatchesNew(t *testing.T) {
 		case 3:
 			return [2]uint32{0, b2u(c.InvalidateOwn(o.addr))}
 		}
-		return [2]uint32{uint32(c.Len()), b2u(c.Valid(o.addr, o.now))}
+		return [2]uint32{uint32(c.Len())}
 	}
 	randOps := func(n int) []op {
 		ops := make([]op, n)
@@ -216,18 +196,9 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// TestLeaseViewZeroValue: the zero view is never valid, so non-caching
-// paths need no nil checks.
-func TestLeaseViewZeroValue(t *testing.T) {
-	var v LeaseView
-	if v.Valid(0) {
-		t.Error("zero LeaseView reported a valid lease")
-	}
-}
-
 // TestCachedRemoteDecide pins the stateless pure-caching predictor:
-// writes are remote, reads hit the lease or request one; it never
-// migrates.
+// writes are remote, a read (always a lease miss: a hit never reaches
+// the scheme) requests a lease; it never migrates.
 func TestCachedRemoteDecide(t *testing.T) {
 	s := NewCachedRemote()
 	if s.Name() != "cached-remote" {
@@ -240,33 +211,24 @@ func TestCachedRemoteDecide(t *testing.T) {
 		t.Error("explicit window ignored")
 	}
 	p := s.NewPredictor(0)
-	lc := NewLeaseCache(4, 8)
-	lc.Fill(64, 5, 0)
-
-	mk := func(addr trace.Addr, write bool, now uint64) AccessInfo {
-		info := AccessInfo{Lease: NewLeaseView(lc, now)}
+	mk := func(addr trace.Addr, write bool) AccessInfo {
+		var info AccessInfo
 		info.Access.Addr = addr
 		info.Access.Write = write
 		return info
 	}
-	if d := p.Decide(mk(64, true, 1)); d != RemoteAccess {
+	if d := p.Decide(mk(64, true)); d != RemoteAccess {
 		t.Errorf("write decided %v, want remote-access", d)
 	}
-	if d := p.Decide(mk(64, false, 1)); d != CachedRead {
-		t.Errorf("held read decided %v, want cached-read", d)
-	}
-	if d := p.Decide(mk(64, false, 9)); d != RemoteReadCached {
-		t.Errorf("expired read decided %v, want remote-read-cached", d)
-	}
-	if d := p.Decide(mk(128, false, 1)); d != RemoteReadCached {
-		t.Errorf("unheld read decided %v, want remote-read-cached", d)
+	if d := p.Decide(mk(128, false)); d != RemoteReadCached {
+		t.Errorf("read miss decided %v, want remote-read-cached", d)
 	}
 	if p.StateLen() != 0 {
 		t.Errorf("stateless predictor carries %d state bytes", p.StateLen())
 	}
 }
 
-// TestHybridDecideAndState: reads take the lease path, writes delegate to
+// TestHybridDecideAndState: a read miss requests a lease, writes delegate to
 // the embedded history predictor, and the wire state is exactly the
 // history state (fixed-size, round-trips through Append/Set).
 func TestHybridDecideAndState(t *testing.T) {
@@ -278,25 +240,18 @@ func TestHybridDecideAndState(t *testing.T) {
 		t.Error("zero window did not default")
 	}
 	p := h.NewPredictor(0)
-	lc := NewLeaseCache(4, 16)
-	lc.Fill(64, 5, 0)
-
-	mk := func(addr trace.Addr, write bool, now uint64) AccessInfo {
-		info := AccessInfo{Lease: NewLeaseView(lc, now)}
+	mk := func(addr trace.Addr, write bool) AccessInfo {
+		info := AccessInfo{Home: 1}
 		info.Access.Addr = addr
 		info.Access.Write = write
-		info.Home = 1
 		return info
 	}
-	if d := p.Decide(mk(64, false, 1)); d != CachedRead {
-		t.Errorf("held read decided %v, want cached-read", d)
-	}
-	if d := p.Decide(mk(128, false, 1)); d != RemoteReadCached {
-		t.Errorf("unheld read decided %v, want remote-read-cached", d)
+	if d := p.Decide(mk(128, false)); d != RemoteReadCached {
+		t.Errorf("read miss decided %v, want remote-read-cached", d)
 	}
 	// Writes follow the history predictor: a long enough observed run to
 	// one home must flip the write decision to Migrate.
-	wrote := p.Decide(mk(64, true, 1))
+	wrote := p.Decide(mk(64, true))
 	if wrote != RemoteAccess && wrote != Migrate {
 		t.Fatalf("write decided %v, want a history decision", wrote)
 	}
@@ -304,7 +259,7 @@ func TestHybridDecideAndState(t *testing.T) {
 		p.Observe(geom.CoreID(1), 64)
 	}
 	p.Observe(geom.CoreID(0), 1<<20) // end the run so the table records it
-	if d := p.Decide(mk(64, true, 2)); d != Migrate {
+	if d := p.Decide(mk(64, true)); d != Migrate {
 		t.Errorf("write after a run of same-home observations decided %v, want migrate", d)
 	}
 

@@ -14,15 +14,13 @@ import (
 type Decision int
 
 // The decisions. Migrate and RemoteAccess are the paper's two moves;
-// CachedRead and RemoteReadCached are the lease layer's (lease.go):
-// serve a read from the thread's lease cache, or perform a remote read
-// that also requests a lease so the reply fills the cache. Schemes may
-// return the cached decisions only for reads whose AccessInfo.Lease
-// probe they consulted.
+// RemoteReadCached is the lease layer's (lease.go): a remote read that
+// also requests a lease, so the reply fills the thread's lease cache. A
+// read the cache can serve never reaches a scheme: the engine and the
+// runtime serve it from the lease first (Leaser).
 const (
 	Migrate Decision = iota
 	RemoteAccess
-	CachedRead
 	RemoteReadCached
 )
 
@@ -33,8 +31,6 @@ func (d Decision) String() string {
 		return "migrate"
 	case RemoteAccess:
 		return "remote-access"
-	case CachedRead:
-		return "cached-read"
 	case RemoteReadCached:
 		return "remote-read-cached"
 	}
@@ -51,10 +47,6 @@ type AccessInfo struct {
 	Home   geom.CoreID
 	Native geom.CoreID
 	Access trace.Access
-	// Lease is the non-mutating probe of the thread's lease cache at
-	// this access (lease.go); the zero view is never valid, so schemes
-	// that ignore it and engines that run without caching need no setup.
-	Lease LeaseView
 }
 
 // Scheme is a migrate-vs-remote-access decision scheme. A scheme is a
@@ -70,8 +62,9 @@ type Scheme interface {
 }
 
 // Predictor carries one thread's decision state. Decide is consulted only
-// for non-local accesses (Cur != Home); the engine handles local hits
-// itself, as in Figure 3's flow chart. Observe feeds the ground truth of
+// for non-local accesses (Cur != Home) that no lease serves; the engine
+// handles local hits itself, as in Figure 3's flow chart, and a read of a
+// validly leased word under a Leaser before asking. Observe feeds the ground truth of
 // every access (local or not) in program order, *before* the corresponding
 // Decide, and Flush marks the end of the thread's access stream so an open
 // run can be learned from.

@@ -354,28 +354,14 @@ func (n *coreNode) execute(c *context, step int) {
 			}
 			leased := false
 			if home != n.id {
-				info := core.AccessInfo{
-					Thread: c.thread,
-					Cur:    n.id,
-					Home:   home,
-					Native: c.native,
-				}
-				info.Access.Addr = cache.Addr(addr)
-				info.Access.Write = in.IsWrite()
-				if c.lease != nil {
-					info.Lease = core.NewLeaseView(c.lease, uint64(c.memSeq))
-				}
-				dec := c.pred.Decide(info)
-				if c.lease != nil {
-					if dec == core.CachedRead {
-						// Served from the lease: no shard op, no logged event
-						// — the SC-checked history sees only home-serialized
-						// accesses, and the cached value is bounded-staleness
-						// by the lease window (DESIGN.md §10).
-						v, ok := c.lease.Lookup(cache.Addr(addr), uint64(c.memSeq))
-						if !ok {
-							panic(fmt.Sprintf("machine: scheme %q answered cached-read for a lease miss", n.p.cfg.Scheme.Name()))
-						}
+				if c.lease != nil && !in.IsWrite() {
+					if v, ok := c.lease.Lookup(cache.Addr(addr), uint64(c.memSeq)); ok {
+						// Served from the lease before the scheme is asked
+						// (core.Leaser): no shard op, no logged event — the
+						// SC-checked history sees only home-serialized
+						// accesses, and the cached value is
+						// bounded-staleness by the lease window (DESIGN.md
+						// §10).
 						writeReg(c, in.Rd, v)
 						n.ctr.LeaseHits++
 						c.memSeq++
@@ -385,15 +371,23 @@ func (n *coreNode) execute(c *context, step int) {
 						c.cycles++
 						continue
 					}
-					// A remotely-performed write drops the holder's own lease
-					// — the one deterministic removal a write can cause (the
-					// home shard's updates to other holders replace values
-					// only). A migrating write is NOT counted: the whole
-					// cache is dropped on departure, matching the trace
-					// model's migrate arm.
-					if in.IsWrite() && dec != core.Migrate && c.lease.InvalidateOwn(cache.Addr(addr)) {
-						n.ctr.LeaseInvals++
-					}
+				}
+				info := core.AccessInfo{
+					Thread: c.thread,
+					Cur:    n.id,
+					Home:   home,
+					Native: c.native,
+				}
+				info.Access.Addr = cache.Addr(addr)
+				info.Access.Write = in.IsWrite()
+				dec := c.pred.Decide(info)
+				// A remotely-performed write drops the holder's own lease —
+				// the one deterministic removal a write can cause (the home
+				// shard's updates to other holders replace values only). A
+				// migrating write is NOT counted: the whole cache is dropped
+				// on departure, matching the trace model's migrate arm.
+				if c.lease != nil && in.IsWrite() && dec != core.Migrate && c.lease.InvalidateOwn(cache.Addr(addr)) {
+					n.ctr.LeaseInvals++
 				}
 				if dec == core.Migrate {
 					// Ship the context; the instruction re-executes at home,

@@ -1,7 +1,12 @@
 package machine
 
 import (
+	"net"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -124,7 +129,7 @@ func TestLeaseForeignWriteKeepsCounts(t *testing.T) {
 // records outright.
 func TestShardLeaseTable(t *testing.T) {
 	t.Parallel()
-	s := newShard(1, false)
+	s := leasingShard(1, false)
 	read := func(from uint32) transport.MemReply {
 		rep, invals := s.apply(transport.MemRequest{
 			Thread: -1, Op: transport.OpRead, Addr: 64, From: from, Lease: 8,
@@ -146,6 +151,9 @@ func TestShardLeaseTable(t *testing.T) {
 	}
 	read(2)
 	read(0) // duplicate grant must not duplicate the holder record
+	if recs := s.leases.records(); len(recs) != 1 || !slices.Equal(recs[64], []geom.CoreID{0, 2}) {
+		t.Fatalf("records after three grants: %v, want 64: [0 2]", recs)
+	}
 
 	invals := write(3, 99)
 	want := []transport.LeaseInval{
@@ -163,6 +171,18 @@ func TestShardLeaseTable(t *testing.T) {
 	if again := write(3, 100); len(again) != 0 {
 		t.Fatalf("second write returned %d updates; records were not cleared", len(again))
 	}
+	if recs := s.leases.records(); len(recs) != 0 {
+		t.Fatalf("records after the write: %v, want none", recs)
+	}
+	// A closed record's list is reused: grant→write cycles on one word
+	// keep the table at one list.
+	for range 100 {
+		read(2)
+		write(3, 99)
+	}
+	if n := len(s.leases.holders); n != 1 {
+		t.Fatalf("100 grant→write cycles left %d holder lists, want 1", n)
+	}
 
 	// A drain drops lease records with the data: a write to a drained
 	// word owes nobody an update.
@@ -170,6 +190,9 @@ func TestShardLeaseTable(t *testing.T) {
 	s.drain(nil)
 	if words, _ := s.gauges(); words != 0 {
 		t.Fatalf("drain left %d words", words)
+	}
+	if recs := s.leases.records(); len(recs) != 0 {
+		t.Fatalf("drain left records %v", recs)
 	}
 	if invals := write(3, 101); len(invals) != 0 {
 		t.Fatalf("write after drain returned %d updates; lease records survived the drain", len(invals))
@@ -196,4 +219,144 @@ func TestLeaseWindowTooWideRejected(t *testing.T) {
 	if _, err := New(leaseConfig(core.CachedRemote{Window: 1<<16 - 1}), 1); err != nil {
 		t.Errorf("widest encodable window rejected: %v", err)
 	}
+}
+
+// countingLeaser is hybrid:64 with every predictor counting its Decide
+// calls into one shared counter; it stays a core.Leaser by embedding.
+type countingLeaser struct {
+	*core.Hybrid
+	decides *atomic.Int64
+}
+
+func (s countingLeaser) NewPredictor(thread int) core.Predictor {
+	return countingPredictor{Predictor: s.Hybrid.NewPredictor(thread), decides: s.decides}
+}
+
+type countingPredictor struct {
+	core.Predictor
+	decides *atomic.Int64
+}
+
+func (p countingPredictor) Decide(info core.AccessInfo) core.Decision {
+	p.decides.Add(1)
+	return p.Predictor.Decide(info)
+}
+
+// checkDecideContract requires one Decide per access that left the core
+// (a remote read or write, or a migration) and none for a lease hit.
+func checkDecideContract(t *testing.T, decides int64, res *Result) {
+	t.Helper()
+	if res.LeaseHits == 0 || res.RemoteWrites == 0 || res.Migrations == 0 || res.Evictions != 0 {
+		t.Fatalf("%d lease hits, %d remote writes, %d migrations, %d evictions; the check needs each kind and no re-issued Decide",
+			res.LeaseHits, res.RemoteWrites, res.Migrations, res.Evictions)
+	}
+	if want := res.RemoteReads + res.RemoteWrites + res.Migrations; decides != want {
+		t.Errorf("%d Decide calls; want remote reads %d + remote writes %d + migrations %d = %d (lease hits %d)",
+			decides, res.RemoteReads, res.RemoteWrites, res.Migrations, want, res.LeaseHits)
+	}
+}
+
+// decideThreads is the hop kernel, whose writes are all to the writer's
+// own pages, plus a seventeenth thread, native to core 0, that writes and
+// reads words homed at cores 5 and 9: hybrid's history sends its writes
+// remote first and then migrates them.
+func decideThreads(iters int) []ThreadSpec {
+	prog := isa.MustAssemble(`
+	loop:
+		sw   r8, 0(r1)
+		sw   r8, 4(r1)
+		lw   r7, 0(r2)
+		lw   r7, 4(r2)
+		sw   r8, 8(r2)
+		addi r6, r6, -1
+		bne  r6, r0, loop
+		halt
+	`)
+	return append(hopThreads(iters), ThreadSpec{Program: prog, Regs: map[int]uint32{
+		1: 5 * 4096, 2: 9 * 4096, 6: uint32(iters), 8: 7,
+	}})
+}
+
+// TestLeaseHitSkipsDecide pins the Leaser contract in process: a read of
+// a validly leased word is served from the lease before the scheme is
+// asked, so under hybrid:64 Decide runs exactly once per remote read,
+// remote write and migration.
+func TestLeaseHitSkipsDecide(t *testing.T) {
+	t.Parallel()
+	var decides atomic.Int64
+	cfg := Config{
+		Mesh:      geom.NewMesh(4, 4),
+		Placement: placement.NewPageStriped(4096, 16),
+		Scheme:    countingLeaser{Hybrid: core.NewHybrid(64), decides: &decides},
+	}
+	_, res := run(t, cfg, decideThreads(sized(40, 10)))
+	checkDecideContract(t, decides.Load(), res)
+}
+
+// TestLeaseHitSkipsDecideTCP is TestLeaseHitSkipsDecide on a 2-node TCP
+// loopback cluster. The scheme crosses the wire by name, so each node
+// here is ServeNode's sequence with the resolved hybrid:64 wrapped in
+// countingLeaser.
+func TestLeaseHitSkipsDecideTCP(t *testing.T) {
+	t.Parallel()
+	man, lns, err := transport.LocalListeners(2, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decides atomic.Int64
+	var nodes sync.WaitGroup
+	for i := range man.Nodes {
+		nodes.Add(1)
+		go func() {
+			defer nodes.Done()
+			if err := countingNode(man, i, lns[i], &decides); err != nil {
+				t.Errorf("node %d: %v", i, err)
+			}
+		}()
+	}
+	res, err := ClusterRun{Manifest: man, Threads: decideThreads(sized(40, 10)),
+		Config: ClusterConfig{Scheme: "hybrid:64", Placement: "page-striped:4096", Timeout: time.Minute}}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes.Wait() // the run's close shut the nodes down
+	checkDecideContract(t, decides.Load(), &res.Result)
+}
+
+// countingNode serves node idx of man until shutdown, as ServeNode does,
+// with the loaded hybrid scheme counting its Decide calls into decides.
+func countingNode(man transport.Manifest, idx int, ln net.Listener, decides *atomic.Int64) error {
+	tn, err := transport.ListenNodeOn(man, idx, ln)
+	if err != nil {
+		return err
+	}
+	defer tn.Close()
+	var spec *transport.LoadSpec
+	select {
+	case spec = <-tn.Loads():
+	case <-tn.ShutdownC():
+		return nil
+	}
+	cfg, err := ResolveLoad(geom.NewMesh(man.W, man.H), spec)
+	if err != nil {
+		return err
+	}
+	cfg.Scheme = countingLeaser{Hybrid: cfg.Scheme.(*core.Hybrid), decides: decides}
+	tn.Prepare(spec.NumThreads)
+	part, err := NewPart(cfg, tn)
+	if err != nil {
+		return err
+	}
+	tn.HandleControl(part)
+	onHalt := func(h transport.HaltMsg) { _ = tn.SendHalt(h) } //em2:errsink-ok: link teardown surfaces at the coordinator's barrier
+	if err := part.StartServe(spec.NumThreads, onHalt); err != nil {
+		return err
+	}
+	tn.Ready()
+	if err := tn.SendReply(transport.Reply{}); err != nil {
+		return err
+	}
+	<-tn.ShutdownC()
+	part.Stop()
+	return nil
 }

@@ -130,8 +130,16 @@ func NewPart(cfg Config, tr transport.Transport) (*Part, error) {
 	owned := tr.Owned()
 	shards, nodes := make([]shard, len(owned)), make([]coreNode, len(owned))
 	p.nodes = make([]*coreNode, len(owned))
+	var leases []leaseTable
+	if leaseWindow != 0 {
+		leases = make([]leaseTable, len(owned))
+	}
 	for i, id := range owned {
 		shards[i] = newShard(id, cfg.LogEvents)
+		if leases != nil {
+			leases[i] = newLeaseTable()
+			shards[i].leases = &leases[i]
+		}
 		nodes[i] = coreNode{id: id, p: p, ctr: transport.CoreMetrics{Core: id}}
 		p.shards[id], p.nodes[i], p.nodeOf[id] = &shards[i], &nodes[i], &nodes[i]
 	}

@@ -303,7 +303,7 @@ func TestRetireJobEmptiesMachine(t *testing.T) {
 		m.part.call(func() {
 			for _, n := range m.part.nodes {
 				s := m.part.shards[n.id]
-				words, leases, events = words+s.mem.words(), leases+len(s.leases), events+len(s.events)
+				words, leases, events = words+s.mem.words(), leases+len(s.leases.records()), events+len(s.events)
 			}
 		})
 		return words, leases, events

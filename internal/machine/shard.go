@@ -37,15 +37,10 @@ type shard struct {
 	seq    int64
 	log    bool
 	events []Event
-	// leases maps an address to the cores holding a read lease on it.
-	// Records are added when a read requests a grant (req.Lease != 0) and
-	// cleared by the first subsequent write, which returns one write-update
-	// per holder. Nil until the first grant: non-caching schemes never pay
-	// for the table.
-	leases map[uint32][]geom.CoreID
-	// spare holds the emptied holder lists of closed records, reused by
-	// the next new record, so a grant-write cycle allocates nothing.
-	spare [][]geom.CoreID
+	// leases holds the read-lease records of the shard's words: nil when
+	// the part's scheme grants no leases, so a write to a non-leasing
+	// shard pays one nil compare for them.
+	leases *leaseTable
 }
 
 func newShard(home geom.CoreID, log bool) shard {
@@ -104,41 +99,39 @@ func (s *shard) apply(req transport.MemRequest, invals []transport.LeaseInval) (
 	return rep, invals
 }
 
-// grant records core as a lease holder of addr.
+// grant records core as a lease holder of addr. Only a leasing part's
+// shard sees a grant: every part of a run resolves the same scheme.
 func (s *shard) grant(addr uint32, core geom.CoreID) {
-	if s.leases == nil {
-		s.leases = make(map[uint32][]geom.CoreID)
+	h := s.leases.recs.word(addr)
+	if *h == 0 {
+		*h = s.leases.open()
 	}
-	holders := s.leases[addr]
-	if slices.Contains(holders, core) {
-		return
+	holders := &s.leases.holders[*h-1]
+	if !slices.Contains(*holders, core) {
+		*holders = append(*holders, core)
 	}
-	if len(holders) == 0 {
-		if n := len(s.spare); n > 0 {
-			holders = s.spare[n-1]
-			s.spare = s.spare[:n-1]
-		}
-	}
-	s.leases[addr] = append(holders, core)
 }
 
-// closeLeases clears addr's lease records on a write and appends one
-// write-update per holder core to invals — including the writer's own
-// core: the writing thread's entry was already dropped by its own-write
-// invalidation (Update then no-ops), but other threads resident there may
-// still hold the word. Clearing on the first write keeps traffic at one
-// update per holder per write burst; holders expire remaining staleness
-// on their own virtual clocks.
+// closeLeases clears addr's lease record on a write and appends one
+// write-update per holder core, in grant order, to invals — including the
+// writer's own core: the writing thread's entry was already dropped by its
+// own-write invalidation (Update then no-ops), but other threads resident
+// there may still hold the word. Clearing on the first write keeps traffic
+// at one update per holder per write burst; holders expire remaining
+// staleness on their own virtual clocks.
 func (s *shard) closeLeases(req transport.MemRequest, newVal uint32, invals []transport.LeaseInval) []transport.LeaseInval {
-	holders := s.leases[req.Addr]
-	if len(holders) == 0 {
+	if s.leases == nil {
 		return invals
 	}
-	delete(s.leases, req.Addr)
-	for _, h := range holders {
-		invals = append(invals, transport.LeaseInval{Dst: h, Addr: req.Addr, Value: newVal})
+	h := s.leases.recs.at(req.Addr)
+	if h == nil || *h == 0 {
+		return invals
 	}
-	s.spare = append(s.spare, holders[:0])
+	for _, c := range s.leases.holders[*h-1] {
+		invals = append(invals, transport.LeaseInval{Dst: c, Addr: req.Addr, Value: newVal})
+	}
+	s.leases.close(*h)
+	*h = 0
 	return invals
 }
 
@@ -152,7 +145,9 @@ func (s *shard) drain(dst []Event) []Event {
 	dst = append(dst, s.events...)
 	s.events = s.events[:0]
 	s.mem.drain()
-	clear(s.leases)
+	if s.leases != nil {
+		s.leases.drain()
+	}
 	return dst
 }
 
@@ -202,17 +197,30 @@ func (s *store) slotOf(addr uint32) uint32 { return (addr * 0x9E3779B1) >> s.shi
 
 // get returns the word at addr, 0 when it was never written.
 func (s *store) get(addr uint32) uint32 {
+	if w := s.at(addr); w != nil {
+		return *w
+	}
+	return 0
+}
+
+// at returns the word at addr for the caller to read and write, nil when
+// it was never written. The pointer is valid until the next word or
+// drain.
+func (s *store) at(addr uint32) *uint32 {
 	k := addr + 1
 	if k == 0 {
-		return s.top
+		if s.hasTop {
+			return &s.top
+		}
+		return nil
 	}
 	mask := uint32(len(s.slots) - 1)
 	for i := s.slotOf(addr); ; i = (i + 1) & mask {
 		switch s.slots[i].k {
 		case k:
-			return s.slots[i].v
+			return &s.slots[i].v
 		case 0:
-			return 0
+			return nil
 		}
 	}
 }
@@ -287,4 +295,49 @@ func (s *store) imageInto(dst map[uint32]uint32) {
 	if s.hasTop {
 		dst[0xFFFFFFFF] = s.top
 	}
+}
+
+// leaseTable is a home shard's read-lease records: recs maps an address to
+// its record's handle, an index into holders plus one, and handle 0 means
+// no open record. Closing a record writes 0 into recs, so recs needs no
+// tombstones and drains in place like the word store. A record's holder
+// list keeps grant order, which is the order of the write-updates. A
+// closed record's handle goes on free with its list emptied, so a warm
+// grant-write cycle allocates nothing.
+type leaseTable struct {
+	recs    store
+	holders [][]geom.CoreID // by handle-1; emptied lists past len keep their arrays
+	free    []uint32        // handles of closed records
+}
+
+func newLeaseTable() leaseTable { return leaseTable{recs: newStore()} }
+
+// open returns the handle of a new, empty record.
+func (t *leaseTable) open() uint32 {
+	if n := len(t.free); n > 0 {
+		h := t.free[n-1]
+		t.free = t.free[:n-1]
+		return h
+	}
+	if len(t.holders) < cap(t.holders) {
+		t.holders = t.holders[:len(t.holders)+1] // an emptied list, array kept
+	} else {
+		t.holders = append(t.holders, nil)
+	}
+	return uint32(len(t.holders))
+}
+
+// close empties record h's holder list and frees h.
+func (t *leaseTable) close(h uint32) {
+	t.holders[h-1] = t.holders[h-1][:0]
+	t.free = append(t.free, h)
+}
+
+// drain closes every record in place, keeping every array.
+func (t *leaseTable) drain() {
+	t.recs.drain()
+	for i := range t.holders {
+		t.holders[i] = t.holders[i][:0]
+	}
+	t.holders, t.free = t.holders[:0], t.free[:0]
 }

@@ -60,6 +60,31 @@ func (r *refShard) apply(req transport.MemRequest) (transport.MemReply, []transp
 	return rep, invals
 }
 
+// leasingShard returns a shard of a part whose scheme grants leases.
+func leasingShard(home geom.CoreID, log bool) shard {
+	s, t := newShard(home, log), newLeaseTable()
+	s.leases = &t
+	return s
+}
+
+// records returns the table's open records, address to holders in grant
+// order.
+func (t *leaseTable) records() map[uint32][]geom.CoreID {
+	recs := map[uint32][]geom.CoreID{}
+	if t == nil {
+		return recs
+	}
+	handles := map[uint32]uint32{}
+	t.recs.imageInto(handles)
+	//em2:unordered-ok: builds a map; the order decides nothing
+	for addr, h := range handles {
+		if h != 0 {
+			recs[addr] = t.holders[h-1]
+		}
+	}
+	return recs
+}
+
 func (r *refShard) drain() []Event {
 	drained := r.events
 	r.events = nil
@@ -127,13 +152,56 @@ func FuzzShardApply(f *testing.F) {
 		0, 8, 0, 0, 0, 0, 2, 0, // logged read of the drained word: 0
 		3, 8, 5, 0, 0, 0, 2, 0, // logged swap
 	})
+	// Record reuse: many grant→write cycles on one address, beside a
+	// second record that closes less often, recycle the same handles and
+	// holder lists; each write's updates must stay in grant order.
+	cycles := []byte{1}
+	for i := range byte(24) {
+		cycles = append(cycles,
+			5, 4, 0, 0, 0, 0, 1, i+1, // leased read at 4
+			5, 4, 0, 0, 0, 0, 1, i, // a second holder, granted after
+			5, 8, 0, 0, 0, 0, 2, i+2, // leased read at 8
+			1, 4, i, 0, 0, 0, 1, 0, // write at 4: two updates
+		)
+		if i%3 == 2 {
+			cycles = append(cycles, 2, 8, 1, 0, 0, 0, 2, 0) // faa at 8
+		}
+	}
+	f.Add(cycles)
+	// Lease records at 0xFFFFFFFF, the word the store keeps apart.
+	f.Add([]byte{1,
+		5, 0xff, 0, 0, 0, 0, 1, 2, // leased read at 0xFFFFFFFF by core 2
+		5, 0xff, 0, 0, 0, 0, 1, 3, // and by core 3
+		2, 0xff, 1, 0, 0, 0, 1, 0, // faa: two updates
+		5, 0xff, 0, 0, 0, 0, 2, 1, // a new record
+		5, 0xfe, 0, 0, 0, 0, 2, 0, // beside one at 0xFFFFFFFE
+		3, 0xff, 7, 0, 0, 0, 2, 0, // swap: one update
+		1, 0xfe, 7, 0, 0, 0, 2, 0, // write: one update
+	})
+	// Grants across a drain: records the drain closed owe nothing, and
+	// records opened after it reuse the drained lists.
+	f.Add([]byte{1,
+		5, 4, 0, 0, 0, 0, 1, 1, // leased read at 4 by core 1
+		5, 8, 0, 0, 0, 0, 1, 2, // leased read at 8 by core 2
+		5, 8, 0, 0, 0, 0, 1, 3, // and by core 3
+		4, 0, 0, 0, 0, 0, 0, 0, // drain
+		5, 8, 0, 0, 0, 0, 1, 3, // leased read at 8 by core 3
+		5, 12, 0, 0, 0, 0, 1, 1, // leased read at 12 by core 1
+		5, 8, 0, 0, 0, 0, 1, 0, // leased read at 8 by core 0
+		1, 8, 5, 0, 0, 0, 1, 0, // write at 8: cores 3, 0
+		1, 4, 5, 0, 0, 0, 1, 0, // write at 4: none
+		1, 12, 5, 0, 0, 0, 1, 0, // write at 12: core 1
+		4, 0, 0, 0, 0, 0, 0, 0, // drain
+		5, 4, 0, 0, 0, 0, 1, 2, // leased read at 4 by core 2
+		1, 4, 6, 0, 0, 0, 1, 0, // write at 4: core 2
+	})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
 			return
 		}
 		const home = 3
 		log := b[0]&1 == 1
-		s := newShard(home, log)
+		s := leasingShard(home, log)
 		ref := &refShard{home: home, log: log, mem: map[uint32]uint32{}, leases: map[uint32][]geom.CoreID{}}
 		for i, op := 0, b[1:]; len(op) >= 8; i, op = i+1, op[8:] {
 			addr := uint32(op[1]&0x3f) + [4]uint32{0, 1 << 20, 2 << 20, 0xffffffc0}[op[1]>>6]
@@ -167,8 +235,8 @@ func FuzzShardApply(f *testing.F) {
 			if !slices.Equal(s.events, ref.events) {
 				t.Fatalf("step %d: event log %+v; reference %+v", i, s.events, ref.events)
 			}
-			if !maps.EqualFunc(s.leases, ref.leases, slices.Equal) {
-				t.Fatalf("step %d: lease holders %v; reference %v", i, s.leases, ref.leases)
+			if recs := s.leases.records(); !maps.EqualFunc(recs, ref.leases, slices.Equal) {
+				t.Fatalf("step %d: lease holders %v; reference %v", i, recs, ref.leases)
 			}
 			if w, e := s.gauges(); w != int64(len(ref.mem)) || e != int64(len(ref.events)) {
 				t.Fatalf("step %d: gauges %d words %d events; reference %d, %d", i, w, e, len(ref.mem), len(ref.events))
@@ -302,24 +370,38 @@ func FuzzWordStore(f *testing.F) {
 	})
 }
 
-// TestShardRefillZeroAlloc: a drain keeps the shard's table and event log,
-// so the next job refills it to the same size without allocating — here
-// 4 097 words, a table of 8 192 slots, the top word included.
+// TestShardRefillZeroAlloc: a drain keeps the shard's tables and event
+// log, so the next job refills them to the same size without allocating —
+// here 4 097 words, a table of 8 192 slots, the top word included, and on
+// a leasing shard 64 lease records of two holders each, a write closing
+// half of them.
 func TestShardRefillZeroAlloc(t *testing.T) {
 	t.Parallel()
-	s := newShard(0, true)
+	s := leasingShard(0, true)
 	fill := func() {
 		for a := uint32(0); a < 4096; a++ {
 			s.apply(transport.MemRequest{Op: transport.OpWrite, Addr: 4 * a, Arg: a, TSeq: int64(a)}, nil)
 		}
 		s.apply(transport.MemRequest{Op: transport.OpFAA, Addr: 0xFFFFFFFF, Arg: 1}, nil)
+		var buf [2]transport.LeaseInval
+		for a := uint32(0); a < 64; a++ {
+			for from := range uint32(2) {
+				s.apply(transport.MemRequest{Op: transport.OpRead, Addr: 4 * a, From: from, Lease: 8}, nil)
+			}
+			if a%2 == 0 {
+				if _, inv := s.apply(transport.MemRequest{Op: transport.OpWrite, Addr: 4 * a}, buf[:0]); len(inv) != 2 {
+					t.Fatalf("a write to a word of two holders sent %d updates", len(inv))
+				}
+			}
+		}
 	}
 	fill()
 	words, events := s.gauges()
+	records := len(s.leases.records())
 	var drained []Event
 	drained = s.drain(drained)
-	if w, e := s.gauges(); w != 0 || e != 0 {
-		t.Fatalf("after the drain: %d words, %d events; want none", w, e)
+	if w, e := s.gauges(); w != 0 || e != 0 || len(s.leases.records()) != 0 {
+		t.Fatalf("after the drain: %d words, %d events, %v lease records; want none", w, e, s.leases.records())
 	}
 	refill := func() {
 		fill()
@@ -329,6 +411,6 @@ func TestShardRefillZeroAlloc(t *testing.T) {
 		drained = s.drain(drained[:0])
 	}
 	if n := testing.AllocsPerRun(10, refill); n != 0 {
-		t.Errorf("refilling a drained shard to %d words: %.1f allocs, want 0", words, n)
+		t.Errorf("refilling a drained shard to %d words and %d lease records: %.1f allocs, want 0", words, records, n)
 	}
 }
