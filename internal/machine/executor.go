@@ -18,7 +18,10 @@ import (
 //
 // Between rounds it also serves one command from another goroutine
 // (Part.call), so a command waits at most one round; while parked it
-// lends the part to such calls outright.
+// lends the part to such calls outright. The hold rule: arrivals that
+// wake it while no job is installed (Part.installed) stay queued, and it
+// keeps the part and serves calls until one installs a job, then lands
+// them.
 //
 // Flush writes what the rounds sent to other nodes, one write per peer
 // link: when a round ran nothing, before the executor parks, and otherwise
@@ -69,6 +72,15 @@ func (p *Part) runExecutor() {
 		case <-wake:
 		}
 		<-p.own
+		for !p.installed {
+			select {
+			case <-p.done:
+				p.own <- struct{}{}
+				return
+			case <-p.cmd:
+				<-p.ret
+			}
+		}
 		in = p.land(in)
 	}
 }
@@ -77,7 +89,9 @@ func (p *Part) runExecutor() {
 // thread's slot and joins its destination core's queue, each memory
 // request is served and answered on its link, and each lease update
 // reaches the holder's resident caches. in is the previous take's slice,
-// handed back for reuse.
+// handed back for reuse. It runs only while a job is installed: a peer's
+// frame that outran this node's submit waits for the install (the hold
+// rule, runExecutor).
 func (p *Part) land(in []transport.Arrival) []transport.Arrival {
 	in = p.tr.Take(in)
 	for i := range in {

@@ -354,8 +354,8 @@ func TestLoadTwiceFailsNamingNode(t *testing.T) {
 }
 
 // TestJobLargerThanPoolRefusedAtSubmit: a job with more threads than the
-// node's slot pool is refused at the submit barrier, naming the node and
-// carrying the node's own range error.
+// node's slot pool is refused at its submit, naming the node and carrying
+// the node's own range error, ahead of the link death its injections cause.
 func TestJobLargerThanPoolRefusedAtSubmit(t *testing.T) {
 	t.Parallel()
 	man, join, err := Loopback(1, 2, 2)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/transport"
@@ -11,8 +12,8 @@ import (
 // a memory image; only a job that crosses a wire is encoded, by
 // TCPCluster.RunJob into the JobSpec frame that a node's ApplyJob decodes.
 // A ClusterRun is job 0, a serve session one job per arrival. DESIGN.md
-// §7 describes the protocol (submit → ack barrier → inject → halts →
-// retire).
+// §7 describes the protocol (submit and inject in one write per node →
+// halts → retire).
 
 // checkJob is the one refusal check of a job, run by every entry before
 // it changes any state: a job needs a thread, every thread an
@@ -61,34 +62,46 @@ func checkWireJob(threads []ThreadSpec) error {
 	return nil
 }
 
-// encodeJob packs a job that passed checkWireJob into its JobSpec, as
-// threads 0..len(threads)-1 of the slot pool. TCPCluster.RunJob is its
-// caller.
-func encodeJob(job int, threads []ThreadSpec, mem map[uint32]uint32) *transport.JobSpec {
-	spec := &transport.JobSpec{Job: job, Programs: make([][]uint32, len(threads)), Regs: make([]map[int]uint32, len(threads)), Mem: mem}
+// encodeJob packs a job that passed checkWireJob into spec, as threads
+// 0..len(threads)-1 of the slot pool, reusing the slices spec holds; the
+// register maps and mem are the caller's. TCPCluster.RunJob is its caller.
+func encodeJob(spec *transport.JobSpec, job int, threads []ThreadSpec, mem map[uint32]uint32) {
+	spec.Job, spec.Mem = job, mem
+	spec.Programs = regrow(spec.Programs, len(threads))
+	spec.Regs = regrow(spec.Regs, len(threads))
 	for t := range threads {
-		spec.Programs[t] = make([]uint32, len(threads[t].Program))
+		prog := regrow(spec.Programs[t], len(threads[t].Program))
 		for i, in := range threads[t].Program {
-			spec.Programs[t][i] = in.Encode()
+			prog[i] = in.Encode()
 		}
-		spec.Regs[t] = threads[t].Regs
+		spec.Programs[t], spec.Regs[t] = prog, threads[t].Regs
 	}
-	return spec
+}
+
+// regrow returns xs at length n, keeping its storage and the elements past
+// its length for reuse.
+func regrow[T any](xs []T, n int) []T {
+	return slices.Grow(xs[:cap(xs)], max(0, n-cap(xs)))[:n]
 }
 
 // ApplyJob installs a received JobSpec into this part's slots 0..n-1 and
 // preloads the job's memory image (keeping only the addresses this part
 // homes). It decodes and checks the job on the caller's goroutine, then
 // installs it (install); on a node the coordinator link's reader calls it
-// before any of the job's contexts can arrive.
+// before the job's injections arrive, and the hold rule keeps a peer's
+// frame that outran the submit from landing before it. The decoded
+// thread specs (wireJob) and their programs are reused job after job: a
+// job is submitted only after the last one retired, so no core reads
+// them while they are rewritten.
 func (p *Part) ApplyJob(js *transport.JobSpec) error {
 	if len(js.Regs) != len(js.Programs) {
 		return fmt.Errorf("machine: job %d carries %d programs and %d reg maps",
 			js.Job, len(js.Programs), len(js.Regs))
 	}
-	specs := make([]ThreadSpec, len(js.Programs))
+	specs := regrow(p.wireJob, len(js.Programs))
+	p.wireJob = specs
 	for t, words := range js.Programs {
-		specs[t] = ThreadSpec{Program: make([]isa.Instr, len(words)), Regs: js.Regs[t]}
+		specs[t] = ThreadSpec{Program: regrow(specs[t].Program, len(words)), Regs: js.Regs[t]}
 		for i, w := range words {
 			in, err := isa.Decode(w)
 			if err != nil {

@@ -20,7 +20,7 @@ import (
 //
 //	resolve  names → the LoadSpec that ships them → validated Config
 //	install  the job's threads into slots 0..n-1 and its memory image
-//	         (Part.install; on a cluster, behind the job's submit barrier)
+//	         (Part.install; on a cluster, from the job's one-way submit)
 //	inject   every thread's initial context to its native core
 //	await    one HALT per thread, or the first death / timeout
 //	fold     collected shards → one CollectReply → Result
@@ -149,7 +149,8 @@ func LoadCluster(man transport.Manifest, spec *transport.LoadSpec, timeout time.
 type TCPCluster struct {
 	*transport.Coordinator
 	cores int
-	timer *time.Timer // the halt barrier's, reused by every job
+	timer *time.Timer       // the halt barrier's, reused by every job
+	spec  transport.JobSpec // the submit's encoding target, reused by every job
 }
 
 // Inject places every thread's initial context at its native core — thread
@@ -172,16 +173,19 @@ func Inject(threads []ThreadSpec, cores int, send func(geom.CoreID, transport.Co
 	return nil
 }
 
-// RunJob implements Cluster: checkWireJob, the submit barrier (every node
-// installs the encoded job before any context is injected, so a context
-// can never race its own program across nodes), every thread's initial
-// context injected and flushed — one batch write per node — and the halt
-// barrier, whose timeout names each node's last heartbeat.
+// RunJob implements Cluster: checkWireJob, the one-way submit and every
+// thread's initial context behind it in each node's batch, flushed — one
+// write per node, with no round trip before it — and the halt barrier,
+// where a node's refusal of the job also arrives and whose timeout names
+// each node's last heartbeat. A node installs the job before it reads the
+// injections behind the submit, and holds a peer's frame that outruns the
+// submit until then (Part's hold rule).
 func (c *TCPCluster) RunJob(job int, threads []ThreadSpec, mem map[uint32]uint32, timeout time.Duration) ([]transport.HaltMsg, error) {
 	if err := checkWireJob(threads); err != nil {
 		return nil, err
 	}
-	if err := c.SubmitJob(encodeJob(job, threads, mem), timeout); err != nil {
+	encodeJob(&c.spec, job, threads, mem)
+	if err := c.SubmitJob(&c.spec); err != nil {
 		return nil, err
 	}
 	if err := Inject(threads, c.cores, c.InjectEviction); err != nil {

@@ -55,11 +55,19 @@ type Part struct {
 	// caches remote reads (core.Leaser); 0 for every other scheme.
 	leaseWindow uint64
 	// specs is the per-slot thread table, rewritten by jobs (install,
-	// RetireJob). The job protocol guarantees a slot is never rewritten
-	// while one of its contexts is resident or in flight (the job submit
-	// barrier orders installation before injection; a halt report orders
-	// completion before reuse).
+	// RetireJob). A slot is never rewritten while one of its contexts is
+	// resident or in flight: nothing lands while no job is installed (the
+	// hold rule, installed), and the retire follows every halt.
 	specs []*ThreadSpec
+	// installed is set while a job is installed, from install to
+	// RetireJob. The hold rule: while it is clear the executor takes no
+	// arrivals, so a peer's context, memory request or write-update that
+	// outruns this node's job submit waits in the transport's queue until
+	// the job is installed.
+	installed bool
+	// wireJob is the thread table ApplyJob decodes a received job into,
+	// reused job after job.
+	wireJob []ThreadSpec
 	// ctxs holds one reusable context per thread slot: at most one context
 	// per thread is live system-wide, so every arrival lands in its slot
 	// (fromWire) and a hand-off allocates nothing.
@@ -174,8 +182,9 @@ func (p *Part) serveMem(core geom.CoreID, req transport.MemRequest) transport.Me
 // goroutine steps the part — before StartServe, while the executor is parked,
 // after it has exited — f takes the ownership token and runs at once; a
 // parked executor that an arrival wakes takes the token back only after
-// f. While the executor runs, f is a command: the executor takes it
-// between two rounds and steps nothing until f has returned. Either way f
+// f. While the executor runs, or holds arrivals for a job not yet
+// installed, f is a command: the executor takes it between two rounds and
+// steps nothing until f has returned. Either way f
 // sees a round boundary and nothing else touches the part meanwhile. f is
 // not handed to the executor: a closure sent through a channel escapes to
 // the heap, and a sample must allocate nothing. Never called from the
@@ -237,9 +246,9 @@ func (p *Part) Start(threads []ThreadSpec, onHalt func(transport.HaltMsg)) error
 
 // StartServe starts the executor that steps the cores, over a pool of
 // numSlots empty thread slots: programs arrive later, per job
-// (install). A context for a slot whose spec has not been installed is
-// protocol corruption (the job submit barrier exists to prevent it) and
-// panics in landing.
+// (install). Until a job is installed the executor takes no arrivals (the
+// hold rule); a context for a slot the installed job does not fill is
+// protocol corruption and panics in landing.
 func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 	if numSlots <= 0 {
 		return fmt.Errorf("machine: serve pool needs at least one slot")
@@ -263,8 +272,9 @@ func (p *Part) StartServe(numSlots int, onHalt func(transport.HaltMsg)) error {
 // ApplyJob, Machine.runJob): one command puts threads in slots
 // 0..len(threads)-1, preloads mem (keeping the addresses this part homes)
 // and, when inject is set, hands every thread's initial context to it —
-// so an executor takes the whole job between two rounds. The slots point
-// into threads until the job retires.
+// so an executor takes the whole job between two rounds. It marks the job
+// installed, and the executor then takes what the hold rule kept back.
+// The slots point into threads until the job retires.
 func (p *Part) install(threads []ThreadSpec, mem map[uint32]uint32, inject func(geom.CoreID, transport.Context) error) (err error) {
 	p.call(func() {
 		if len(threads) > len(p.specs) {
@@ -278,6 +288,7 @@ func (p *Part) install(threads []ThreadSpec, mem map[uint32]uint32, inject func(
 		for a, v := range mem {
 			p.preload(a, v, 0)
 		}
+		p.installed = true
 		if inject != nil {
 			err = Inject(threads, p.tr.Cores(), inject)
 		}
@@ -382,12 +393,13 @@ func (p *Part) CollectChunked(emit func(transport.Reply) error) (err error) {
 }
 
 // RetireJob retires the finished job, which is everything the part
-// holds: every slot is cleared, so a stray late context fails loudly
-// instead of executing a stale program, and every owned shard is drained
-// of its words, lease records and events. It returns the drained events,
-// in core order, in a buffer the part owns: the slice is valid until the
-// next RetireJob. A retire runs only between jobs; one while a context is
-// live is protocol corruption and panics, as landing does.
+// holds: every slot is cleared and the installed mark with it, so a
+// frame that arrives late is held until the next job is installed, and
+// every owned shard is drained of its words, lease records and events. It
+// returns the drained events, in core order, in a buffer the part owns:
+// the slice is valid until the next RetireJob. A retire runs only between
+// jobs; one while a context is live is protocol corruption and panics, as
+// landing does.
 func (p *Part) RetireJob(transport.JobDone) (events []transport.Event) {
 	live := -1
 	p.call(func() {
@@ -398,6 +410,7 @@ func (p *Part) RetireJob(transport.JobDone) (events []transport.Event) {
 			}
 		}
 		clear(p.specs)
+		p.installed = false
 		events = p.retired[:0]
 		for _, n := range p.nodes {
 			events = p.shards[n.id].drain(events)
@@ -483,9 +496,9 @@ func (p *Part) toWire(c *context) transport.Context {
 func (p *Part) landing(t int, at geom.CoreID) (*context, *ThreadSpec) {
 	sp := p.specs[t]
 	if sp == nil {
-		// A context for a slot with no installed spec means the serve
-		// submit/ack barrier was violated (or a stray context outlived its
-		// job's retirement): protocol corruption, fail loudly.
+		// Nothing lands while no job is installed (the hold rule), so a
+		// context for a slot with no spec names a thread the installed job
+		// does not have: protocol corruption, fail loudly.
 		panic(fmt.Sprintf("machine: context for thread slot %d with no installed spec", t))
 	}
 	c := &p.ctxs[t]

@@ -26,7 +26,7 @@ const baseReg = 29
 // RegionBytes, ready to install in slots 0..len(Threads)-1. Jobs execute
 // one at a time, so every job reuses the same slots and region — which is
 // exactly what the slot-rewrite machinery (ApplyJob / RetireJob and the
-// job submit barrier) exists to make safe. Threads and Mem are read-only:
+// hold rule) exists to make safe. Threads and Mem are read-only:
 // the seedless jobs share theirs across every job and session.
 type Job struct {
 	Index   int

@@ -142,6 +142,18 @@ func (s JobSpec) AppendWire(b []byte) []byte {
 	return appendMem(b, s.Mem)
 }
 
+// wireBytes is the length of s's control-body encoding.
+func (s JobSpec) wireBytes() int {
+	n := 8 + 4 + 4 + 4 + 8*len(s.Mem)
+	for _, prog := range s.Programs {
+		n += 4 + 4*len(prog)
+	}
+	for _, regs := range s.Regs {
+		n += 4 + 12*len(regs)
+	}
+	return n
+}
+
 // AppendWire appends d's control-body encoding to b: Job.
 func (d JobDone) AppendWire(b []byte) []byte {
 	return appendInt(b, d.Job)
@@ -280,24 +292,24 @@ func (r *bodyReader) done() error {
 }
 
 // list reads a list count whose elements take at least elem bytes each
-// and returns a slice of that length for the caller to fill, nil when
-// empty. (Element decoders are called in the caller's loop, not passed in:
-// handing the reader to a func value would move it to the heap.)
-func list[T any](r *bodyReader, elem int) []T {
-	if n := r.count(elem); n > 0 {
-		return make([]T, n)
-	}
-	return nil
+// and returns xs at that length for the caller to fill, reusing its
+// storage and the elements past its length: nil when empty and xs has no
+// storage. (Element decoders are called in the caller's loop, not passed
+// in: handing the reader to a func value would move it to the heap.)
+func list[T any](r *bodyReader, elem int, xs []T) []T {
+	n := r.count(elem)
+	return slices.Grow(xs[:cap(xs)], max(0, n-cap(xs)))[:n]
 }
 
 // readMap reads a map written by appendMap, each key keyBytes wide and
-// decoded by key: keys strictly ascending.
-func readMap[K cmp.Ordered](r *bodyReader, keyBytes int, key func([]byte) K) map[K]uint32 {
+// decoded by key: keys strictly ascending. It fills m, cleared, when m is
+// not nil, and a new map otherwise (nil when the map is empty).
+func readMap[K cmp.Ordered](r *bodyReader, keyBytes int, key func([]byte) K, m map[K]uint32) map[K]uint32 {
 	n := r.count(keyBytes + 4)
-	if n == 0 {
-		return nil
+	clear(m)
+	if m == nil && n > 0 {
+		m = make(map[K]uint32, n)
 	}
-	m := make(map[K]uint32, n)
 	var prev K
 	for i := 0; i < n; i++ {
 		p := r.take(keyBytes)
@@ -313,7 +325,7 @@ func readMap[K cmp.Ordered](r *bodyReader, keyBytes int, key func([]byte) K) map
 	return m
 }
 
-func (r *bodyReader) mem() map[uint32]uint32 { return readMap(r, 4, be.Uint32) }
+func (r *bodyReader) mem() map[uint32]uint32 { return readMap(r, 4, be.Uint32, nil) }
 
 func (r *bodyReader) event() Event {
 	e := Event{Thread: r.int(), TSeq: r.i64(), Addr: r.u32(), Kind: EventKind(r.u8())}
@@ -341,7 +353,7 @@ func (r *bodyReader) netStats() NetStats {
 }
 
 func (r *bodyReader) perCore() []CoreMetrics {
-	ms := list[CoreMetrics](r, coreMetricsWireBytes)
+	ms := list[CoreMetrics](r, coreMetricsWireBytes, nil)
 	for i := range ms {
 		ms[i] = r.coreMetrics()
 	}
@@ -359,22 +371,25 @@ func (s *LoadSpec) DecodeWire(b []byte) error {
 }
 
 // DecodeWire decodes a JobSpec control body into s, the inverse of
-// AppendWire.
+// AppendWire. It reuses what s holds — the program slices, the register
+// maps and the memory map, cleared — so a node that decodes every job
+// into one JobSpec allocates only to grow it.
 func (s *JobSpec) DecodeWire(b []byte) error {
 	r := bodyReader{what: "job spec", b: b}
-	*s = JobSpec{Job: r.int(), Programs: list[[]uint32](&r, 4)}
+	s.Job = r.int()
+	s.Programs = list(&r, 4, s.Programs)
 	for t := range s.Programs {
-		prog := list[uint32](&r, 4)
+		prog := list(&r, 4, s.Programs[t])
 		for i := range prog {
 			prog[i] = r.u32()
 		}
 		s.Programs[t] = prog
 	}
-	s.Regs = list[map[int]uint32](&r, 4)
+	s.Regs = list(&r, 4, s.Regs)
 	for t := range s.Regs {
-		s.Regs[t] = readMap(&r, 8, func(p []byte) int { return int(int64(be.Uint64(p))) })
+		s.Regs[t] = readMap(&r, 8, func(p []byte) int { return int(int64(be.Uint64(p))) }, s.Regs[t])
 	}
-	s.Mem = r.mem()
+	s.Mem = readMap(&r, 4, be.Uint32, s.Mem)
 	return r.done()
 }
 
@@ -411,12 +426,12 @@ func (h *Heartbeat) DecodeWire(b []byte) error {
 func (rep *Reply) DecodeWire(b []byte) error {
 	r := bodyReader{what: "reply", b: b}
 	flags := r.flags(replyMore | replySample | replyNet)
-	*rep = Reply{More: flags&replyMore != 0, Job: r.int(), Err: r.str(), Events: list[Event](&r, eventWireBytes)}
+	*rep = Reply{More: flags&replyMore != 0, Job: r.int(), Err: r.str(), Events: list[Event](&r, eventWireBytes, nil)}
 	for i := range rep.Events {
 		rep.Events[i] = r.event()
 	}
 	if flags&replySample != 0 {
-		s := &Sample{Cycle: r.u64(), PerCore: r.perCore(), Guests: list[int64](&r, 8)}
+		s := &Sample{Cycle: r.u64(), PerCore: r.perCore(), Guests: list[int64](&r, 8, nil)}
 		for i := range s.Guests {
 			s.Guests[i] = r.i64()
 		}

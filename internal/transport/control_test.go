@@ -1,7 +1,9 @@
 package transport_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,7 +25,13 @@ type stubControl struct {
 	collectErr error
 }
 
-func (s *stubControl) ApplyJob(*transport.JobSpec) error { return nil }
+// ApplyJob accepts every job with a job number of 0 or more.
+func (s *stubControl) ApplyJob(js *transport.JobSpec) error {
+	if js.Job < 0 {
+		return fmt.Errorf("stub refuses job %d", js.Job)
+	}
+	return nil
+}
 
 func (s *stubControl) RetireJob(d transport.JobDone) []transport.Event {
 	if s.retired != nil {
@@ -368,5 +376,99 @@ func TestControlCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, s.body) {
 			t.Errorf("%s: decoded %+v, want %+v", s.name, got, s.body)
 		}
+	}
+}
+
+// TestSubmitIsOneWay: a job submit writes nothing until Flush, which
+// carries it to the node in one write, and a node that accepts the job
+// answers nothing — the next request gathers only its own replies. A
+// node that refuses a job says so on Deaths, naming the node, and the
+// coordinator then refuses every later submit and request.
+func TestSubmitIsOneWay(t *testing.T) {
+	t.Parallel()
+	man, err := transport.LocalManifest(1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := serveStub(man, 0, &stubControl{})
+	co, err := transport.DialCluster(man, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if err := co.Load(&transport.LoadSpec{NumThreads: 1}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	spec := &transport.JobSpec{Job: 1, Programs: [][]uint32{{7}}, Regs: []map[int]uint32{nil}}
+	before := co.NetStats()
+	if err := co.SubmitJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	if sent := co.NetStats().Sub(before); sent.BatchesSent != 0 {
+		t.Fatalf("SubmitJob wrote %d batches before Flush", sent.BatchesSent)
+	}
+	if err := co.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sent := co.NetStats().Sub(before); sent.BatchesSent != 1 || sent.MsgsSent != 1 {
+		t.Fatalf("the flushed submit took %d batches and %d frames, want 1 and 1", sent.BatchesSent, sent.MsgsSent)
+	}
+	if _, err := co.Sample(); err != nil {
+		t.Fatalf("sample after an accepted submit: %v", err)
+	}
+	spec.Job = -1
+	if err := co.SubmitJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-co.Deaths():
+		if !strings.Contains(err.Error(), "job submit: node 0 failed: stub refuses job -1") {
+			t.Fatalf("refusal = %v, want node 0's own message", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the refusal never reached Deaths")
+	}
+	if _, err := co.Sample(); err == nil || !strings.Contains(err.Error(), "refused after a failed request") {
+		t.Fatalf("sample after a refused job = %v, want a refusal", err)
+	}
+	if err := co.SubmitJob(spec); err == nil || !strings.Contains(err.Error(), "stub refuses job -1") {
+		t.Fatalf("submit after a refused job = %v, want a refusal carrying the first", err)
+	}
+	co.Shutdown()
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJobSpecDecodeReuses: a node decodes every job into one JobSpec.
+// Decoding jobs of different shapes into it in turn gives each job's own
+// value — it re-encodes to the same bytes, whose length wireBytes
+// predicts — and a warm decode allocates nothing.
+func TestJobSpecDecodeReuses(t *testing.T) {
+	t.Parallel()
+	big := &transport.JobSpec{Job: 1,
+		Programs: [][]uint32{{1, 2, 3}, {4, 5}, {6}},
+		Regs:     []map[int]uint32{{1: 1, 2: 2}, {3: 3}, nil},
+		Mem:      map[uint32]uint32{0: 1, 4: 2, 8: 3}}
+	small := &transport.JobSpec{Job: 2, Programs: [][]uint32{{9}}, Regs: []map[int]uint32{{5: 6}}}
+	var kept transport.JobSpec
+	for _, js := range []*transport.JobSpec{big, small, big, small} {
+		b := js.AppendWire(nil)
+		if len(b) != js.WireBytes() {
+			t.Fatalf("job %d: %d bytes encoded, wireBytes %d", js.Job, len(b), js.WireBytes())
+		}
+		if err := kept.DecodeWire(b); err != nil {
+			t.Fatal(err)
+		}
+		if back := kept.AppendWire(nil); !bytes.Equal(back, b) {
+			t.Fatalf("job %d decoded into a reused spec re-encodes as %x, want %x", js.Job, back, b)
+		}
+	}
+	b := big.AppendWire(nil)
+	if n := testing.AllocsPerRun(100, func() { kept.DecodeWire(b) }); n != 0 {
+		t.Errorf("a warm JobSpec decode: %.0f allocs, want 0", n)
 	}
 }

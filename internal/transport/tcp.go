@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -171,13 +172,13 @@ type Heartbeat struct {
 // of every FrameReply. Each node answers each request once — Collect with a
 // run of replies, every one but the last with More set — so every request
 // ends in the same barrier: one answer per node, or an error naming the
-// node.
+// node. A job submit is answered only by its refusal.
 type Reply struct {
 	// Node is stamped by the coordinator from the connection the reply
 	// arrived on; a node cannot answer for another.
 	Node int
-	// Job echoes the job of the JobSubmit or JobDone answered; the
-	// coordinator cross-checks it against the request.
+	// Job echoes the job of the JobDone answered, or of the JobSubmit
+	// refused; the coordinator cross-checks a JobDone's.
 	Job int
 	Err string
 	// Events are the retired job's event-log entries (JobDone) or one
@@ -210,8 +211,8 @@ type JobSpec struct {
 
 // JobDone retires the completed job on every node. A node runs one job at
 // a time, so the retire names no slots and no region: every slot is
-// cleared, so a stray late context fails loudly instead of executing a
-// stale program, and every shard is emptied, its event-log entries
+// cleared (a frame that arrives later waits for the next job's
+// install) and every shard is emptied, its event-log entries
 // returned in the node's Reply. That keeps an open-loop server's
 // footprint at one job instead of growing O(jobs).
 type JobDone struct {
@@ -220,10 +221,12 @@ type JobDone struct {
 
 // ControlHandler answers the coordinator's requests on a node, called
 // synchronously on the coordinator link's reader: injections that follow a
-// JobSubmit on the same connection find the job installed, and each answer
-// leaves before the next request is read. *machine.Part implements it.
+// JobSubmit on the same connection find the job installed (a peer's frame
+// that outruns it waits: machine.Part's hold rule), and each answer leaves
+// before the next request is read. *machine.Part implements it.
 type ControlHandler interface {
-	// ApplyJob installs a job (JobSubmit).
+	// ApplyJob installs a job (JobSubmit), refusing it with an error. The
+	// spec is the node's, rewritten by the next submit.
 	ApplyJob(*JobSpec) error
 	// RetireJob retires the finished job (JobDone): it takes everything
 	// the node holds — every slot, every shard's words, lease records and
@@ -333,7 +336,7 @@ func newConn(c net.Conn, nc *netCounters) *conn {
 
 // sendReply ships r as a FrameReply, its body encoded straight into the
 // batch buffer, flushing anything deferred ahead of it.
-func (c *conn) sendReply(r Reply) error { return c.w.appendControl(FrameReply, r.AppendWire) }
+func (c *conn) sendReply(r Reply) error { return c.w.appendControl(FrameReply, r.AppendWire, 0, true) }
 
 // peerSlot holds a connection that may not exist yet; ready closes when it
 // does, so senders can block until the mesh is wired up.
@@ -409,6 +412,7 @@ type Node struct {
 	handler  func(core geom.CoreID, req MemRequest) MemReply
 	invH     func(inv LeaseInval)
 	ctl      ControlHandler
+	job      JobSpec     // every submit decodes here, reusing its storage
 	loaded   atomic.Bool // a LoadSpec was delivered; a node serves one
 	hbOnce   sync.Once
 	calls    []callSlot // by issuing core
@@ -444,8 +448,7 @@ func ListenNodeOn(man Manifest, idx int, ln net.Listener) (*Node, error) {
 		ln.Close()
 		return nil, err
 	}
-	owned := append([]geom.CoreID(nil), man.Nodes[idx].Cores...)
-	sort.Slice(owned, func(i, j int) bool { return owned[i] < owned[j] })
+	owned := slices.Sorted(slices.Values(man.Nodes[idx].Cores))
 	n := &Node{
 		man:      man,
 		idx:      idx,
@@ -583,6 +586,12 @@ func (n *Node) queueCtx(f Frame) error {
 // keeps every socket drained (DESIGN.md §6).
 func (n *Node) handleFrame(c *conn, f Frame) error {
 	switch f.Kind {
+	case FrameMigration, FrameEviction, FrameMemReq, FrameLeaseInval, FrameJobSubmit, FrameJobDone, FrameSampleReq, FrameCollect:
+		if !n.waitReady() {
+			return errStopRead
+		}
+	}
+	switch f.Kind {
 	case FrameLoad:
 		spec := new(LoadSpec)
 		if err := spec.DecodeWire(f.Blob); err != nil {
@@ -595,17 +604,11 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		}
 		n.loads <- spec
 	case FrameMigration, FrameEviction:
-		if !n.waitReady() {
-			return errStopRead
-		}
 		if !n.Owns(f.Dst) {
 			return malformedf("context for core %d, which node %d does not own", f.Dst, n.idx)
 		}
 		return n.queueCtx(f)
 	case FrameMemReq:
-		if !n.waitReady() {
-			return errStopRead
-		}
 		if !n.Owns(f.Dst) {
 			return malformedf("memory request for core %d, which node %d does not own", f.Dst, n.idx)
 		}
@@ -623,9 +626,6 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 			n.arrivals.signal()
 		}
 	case FrameLeaseInval:
-		if !n.waitReady() {
-			return errStopRead
-		}
 		if !n.Owns(f.Inv.Dst) {
 			return malformedf("lease update for core %d, which node %d does not own", f.Inv.Dst, n.idx)
 		}
@@ -633,9 +633,6 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 		a.Kind, a.Dst, a.Inv = f.Kind, f.Inv.Dst, f.Inv
 		n.arrivals.done(true)
 	case FrameJobSubmit, FrameJobDone, FrameSampleReq, FrameCollect:
-		if !n.waitReady() {
-			return errStopRead
-		}
 		if n.ctl == nil {
 			return malformedf("request kind %d to a node with no control handler", f.Kind)
 		}
@@ -651,21 +648,21 @@ func (n *Node) handleFrame(c *conn, f Frame) error {
 
 // answer serves one coordinator request through the control handler,
 // synchronously on the coordinator link's reader, and sends its Reply back
-// on that link: a JobSubmit's answer means the job is installed before any
-// injection that follows it on the connection is read, and a JobDone's
-// that the node is empty before the coordinator submits the next job.
+// on that link: a JobDone's answer means the node is empty before the
+// coordinator submits the next job. A JobSubmit is installed before any
+// injection that follows it on the connection is read, and answered only
+// by a refusal.
 func (n *Node) answer(c *conn, f Frame) error {
 	var r Reply
 	switch f.Kind {
 	case FrameJobSubmit:
-		spec := new(JobSpec)
-		if err := spec.DecodeWire(f.Blob); err != nil {
+		if err := n.job.DecodeWire(f.Blob); err != nil {
 			return err
 		}
-		r.Job = spec.Job
-		if err := n.ctl.ApplyJob(spec); err != nil {
-			r.Err = err.Error()
+		if err := n.ctl.ApplyJob(&n.job); err != nil {
+			return c.sendReply(Reply{Job: n.job.Job, Err: err.Error()})
 		}
+		return nil
 	case FrameJobDone:
 		var d JobDone
 		if err := d.DecodeWire(f.Blob); err != nil {
@@ -707,11 +704,7 @@ func (n *Node) dialPeer(j int) {
 		return // shut down first
 	}
 	cc := newConn(c, &n.nc)
-	if err := cc.w.appendFrame(Frame{Kind: FrameHello, From: int32(n.idx)}, true); err != nil {
-		c.Close()
-		return
-	}
-	if !n.peers[j].set(cc) {
+	if cc.w.appendFrame(Frame{Kind: FrameHello, From: int32(n.idx)}, true) != nil || !n.peers[j].set(cc) {
 		c.Close()
 		return
 	}
@@ -769,7 +762,7 @@ func (n *Node) sendCoord(kind FrameKind, body func([]byte) []byte) error {
 	if err != nil {
 		return err
 	}
-	return c.w.appendControl(kind, body)
+	return c.w.appendControl(kind, body, 0, true)
 }
 
 // SendHalt reports a thread HALT to the coordinator; the thread's context
@@ -821,17 +814,12 @@ func (n *Node) NetStats() NetStats { return n.nc.snapshot() }
 func (n *Node) Close() error {
 	n.triggerShutdown()
 	err := n.ln.Close()
-	for _, p := range n.peers {
+	for _, p := range append(slices.Clip(n.peers), n.coord) {
 		select {
 		case <-p.ready:
 			p.c.c.Close()
 		default:
 		}
-	}
-	select {
-	case <-n.coord.ready:
-		n.coord.c.c.Close()
-	default:
 	}
 	return err
 }
@@ -1041,8 +1029,8 @@ func (n *Node) SendLeaseInval(inv LeaseInval) error {
 // Coordinator is the driver side of a cluster run: it owns no cores but
 // connects to every node to broadcast the LoadSpec, submit jobs, inject
 // their initial contexts, gather HALT reports, retire jobs, and collect
-// the post-run state. Every request — load, job submit, job retire,
-// sample, collect — is one request: a broadcast and one Reply per node.
+// the post-run state. Every request — load, job retire, sample, collect —
+// is a broadcast and one Reply per node; a job submit is one-way.
 type Coordinator struct {
 	man     Manifest
 	route   []int
@@ -1051,17 +1039,16 @@ type Coordinator struct {
 	halts   atomic.Pointer[chan HaltMsg] // one slot per pool slot (Load)
 	replies chan Reply
 	deaths  chan error
-	down    atomic.Bool // set by Shutdown/Close: reader exits become orderly
+	down    atomic.Bool           // set by Shutdown/Close: reader exits become orderly
+	asking  atomic.Bool           // a request is gathering; a reply without one refuses a submit
+	failed  atomic.Pointer[error] // the first failed request or refused job: every later request refuses
 
-	// reqMu serializes requests, so the replies on hand always answer the
-	// one in flight. failed is the error of the first failed request: its
-	// unanswered replies may still arrive, so every later request refuses.
-	// body (the request's encoded body) and timer (its deadline) are reused
-	// request after request under the lock.
-	reqMu  sync.Mutex
-	failed error
-	body   []byte
-	timer  *time.Timer
+	// reqMu serializes requests and submits, so the replies on hand always
+	// answer the one in flight. body (the request's encoded body) and timer
+	// (its deadline) are reused request after request under the lock.
+	reqMu sync.Mutex
+	body  []byte
+	timer *time.Timer
 	// retired is RetireJob's merge buffer, reused retire after retire.
 	retired []Event
 
@@ -1098,17 +1085,15 @@ func DialCluster(man Manifest, timeout time.Duration) (*Coordinator, error) {
 	co.halts.Store(new(chan HaltMsg)) // no pool before Load: every halt is malformed
 	for i, ns := range man.Nodes {
 		c, err := dialRetry(ns.Addr, timeout, nil)
+		if err == nil {
+			co.conns[i] = newConn(c, &co.nc)
+			err = co.conns[i].w.appendFrame(Frame{Kind: FrameHello, From: coordinatorID}, true)
+		}
 		if err != nil {
 			co.Close()
 			return nil, err
 		}
-		cc := newConn(c, &co.nc)
-		if err := cc.w.appendFrame(Frame{Kind: FrameHello, From: coordinatorID}, true); err != nil {
-			co.Close()
-			return nil, err
-		}
-		co.conns[i] = cc
-		go co.readLoop(i, cc)
+		go co.readLoop(i, co.conns[i])
 	}
 	return co, nil
 }
@@ -1145,6 +1130,18 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 				return err
 			}
 			r.Node = node
+			if !co.asking.Load() {
+				// A submit's refusal, which reaches the halt barrier ahead
+				// of the death the job's injections may cause — or, once the
+				// coordinator has failed, a leftover of that request: dropped.
+				if err := fmt.Errorf("transport: job submit: node %d failed: %s", node, r.Err); co.fail(err) {
+					select {
+					case co.deaths <- err:
+					default:
+					}
+				}
+				return nil
+			}
 			if r.More || folding {
 				acc.Grow(r.Events, r.Mem, r.PerCore...)
 				if folding = r.More; folding {
@@ -1173,11 +1170,9 @@ func (co *Coordinator) readLoop(node int, c *conn) {
 		return nil
 	})
 	// Corruption fails loudly either way. Any reader exit before the
-	// coordinator itself initiated shutdown — EOF from a dying node process,
-	// a cut connection, a malformed stream — is a node death: report it on
-	// Deaths so the driver can fail the run immediately instead of
-	// discovering the loss as a timeout (or, worse, miscounting garbage
-	// halts toward completion).
+	// coordinator itself initiated shutdown — a dying node process, a cut
+	// connection, a malformed stream — is a node death, reported on Deaths
+	// so the run fails at once instead of timing out.
 	if errors.Is(err, ErrMalformedFrame) {
 		fmt.Fprintf(os.Stderr, "transport: coordinator: %v\n", err)
 	}
@@ -1257,9 +1252,11 @@ func gather(what string, nodes int, replies <-chan Reply, deaths <-chan error, e
 func (co *Coordinator) request(what string, kind FrameKind, body func([]byte) []byte, job int, timeout time.Duration, each func(Reply) error) error {
 	co.reqMu.Lock()
 	defer co.reqMu.Unlock()
-	if co.failed != nil {
-		return fmt.Errorf("transport: %s refused after a failed request: %w", what, co.failed)
+	if f := co.failed.Load(); f != nil {
+		return fmt.Errorf("transport: %s refused after a failed request: %w", what, *f)
 	}
+	co.asking.Store(true)
+	defer co.asking.Store(false)
 	err := co.broadcast(kind, body)
 	if err == nil {
 		co.timer.Reset(timeout)
@@ -1277,9 +1274,14 @@ func (co *Coordinator) request(what string, kind FrameKind, body func([]byte) []
 			return nil
 		})
 	}
-	co.failed = err
+	if err != nil {
+		co.fail(err)
+	}
 	return err
 }
+
+// fail records err unless the coordinator failed before; true if it did.
+func (co *Coordinator) fail(err error) bool { return co.failed.CompareAndSwap(nil, &err) }
 
 // Load broadcasts the run description to every node and awaits every
 // node's answer: the barrier that turns a node's load failure into its
@@ -1336,9 +1338,6 @@ func (co *Coordinator) InjectEviction(dst geom.CoreID, c Context) error {
 func (co *Coordinator) Flush() error {
 	var first error
 	for _, c := range co.conns {
-		if c == nil {
-			continue
-		}
 		if err := c.w.flush(); err != nil && first == nil {
 			first = err
 		}
@@ -1352,17 +1351,29 @@ func (co *Coordinator) NetStats() NetStats { return co.nc.snapshot() }
 // Halts delivers HALT reports as threads finish; nil before Load.
 func (co *Coordinator) Halts() <-chan HaltMsg { return *co.halts.Load() }
 
-// Deaths delivers one error per node connection that failed before the
-// coordinator initiated shutdown — a node process dying mid-run. A driver
-// awaiting halts should select on it and fail the run loudly.
+// Deaths delivers a node's refusal of a submitted job, and one error per
+// node connection that failed before the coordinator initiated shutdown —
+// a node dying mid-run. A driver awaiting halts selects on it.
 func (co *Coordinator) Deaths() <-chan error { return co.deaths }
 
-// SubmitJob broadcasts one job's specs to every node and waits for every
-// answer — the barrier that keeps a cross-node migration from reaching a
-// node before that node installed the job's thread specs. Inject the job's
-// contexts only after SubmitJob returns nil.
-func (co *Coordinator) SubmitJob(spec *JobSpec, timeout time.Duration) error {
-	return co.request("job submit", FrameJobSubmit, spec.AppendWire, spec.Job, timeout, nil)
+// SubmitJob encodes a job's spec straight into every node's batch and
+// leaves it unwritten: the injections follow and Flush writes both, one
+// write per node. It is one-way: a node answers only to refuse the job, on
+// Deaths, naming the node, and every later request then refuses.
+func (co *Coordinator) SubmitJob(spec *JobSpec) error {
+	co.reqMu.Lock()
+	defer co.reqMu.Unlock()
+	if f := co.failed.Load(); f != nil {
+		return fmt.Errorf("transport: job submit refused after a failed request: %w", *f)
+	}
+	room := 5 + spec.wireBytes()
+	for _, c := range co.conns {
+		if err := c.w.appendControl(FrameJobSubmit, spec.AppendWire, room, false); err != nil {
+			co.fail(err)
+			return err
+		}
+	}
+	return nil
 }
 
 // RetireJob broadcasts a JobDone and waits for every answer — the barrier
@@ -1409,22 +1420,21 @@ func (co *Coordinator) Sample() (Sample, error) {
 	if err != nil {
 		return Sample{}, err
 	}
-	// Replies merge in arrival order; re-sort by core, carrying the aligned
-	// guest gauge along with its row (each reply was checked to carry one
-	// per row).
-	order := make([]int, len(merged.PerCore))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return merged.PerCore[order[i]].Core < merged.PerCore[order[j]].Core })
-	perCore := make([]CoreMetrics, len(order))
-	guests := make([]int64, len(order))
-	for i, o := range order {
-		perCore[i], guests[i] = merged.PerCore[o], merged.Guests[o]
-	}
-	merged.PerCore, merged.Guests = perCore, guests
+	// Replies merge in arrival order; re-sort by core (each reply was
+	// checked to carry one guest gauge per row).
+	sort.Sort(byCore{&merged})
 	merged.Net = merged.Net.Add(co.nc.snapshot())
 	return merged, nil
+}
+
+// byCore sorts a merged sample's rows by core, each guest gauge moving
+// with its row.
+type byCore struct{ *Sample }
+
+func (s byCore) Len() int           { return len(s.PerCore) }
+func (s byCore) Less(i, j int) bool { return s.PerCore[i].Core < s.PerCore[j].Core }
+func (s byCore) Swap(i, j int) {
+	s.PerCore[i], s.PerCore[j], s.Guests[i], s.Guests[j] = s.PerCore[j], s.PerCore[i], s.Guests[j], s.Guests[i]
 }
 
 // Collect requests every node's post-run state and returns one reply per

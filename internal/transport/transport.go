@@ -27,9 +27,9 @@
 // reply and update those rounds produced for that peer (DESIGN.md §6).
 //
 // The control plane keeps the coordinator off the critical path at paper
-// scale (64–256 cores, 8+ nodes): injection defers into the per-node batch
-// buffers and ships as one write per node (O(nodes) coordinator writes,
-// not O(threads) round trips). Every request — load, job submit, job
+// scale (64–256 cores, 8+ nodes): a job's one-way submit and its
+// injections share each node's batch and ship as one write per node
+// (O(nodes) coordinator writes, no round trip). Every request — load, job
 // retire, sample, collect — is answered by one Reply per node, gathered
 // by one barrier that names a failing node; the load's Reply carries a
 // node's actual failure message, and collect streams one Reply per core
@@ -254,17 +254,10 @@ type CoreMetrics struct {
 // single aggregation every total row and collect reply uses, so a counter
 // added here cannot be dropped from one of several hand-written sums.
 func (m CoreMetrics) Add(o CoreMetrics) CoreMetrics {
-	m.Instructions += o.Instructions
-	m.LocalOps += o.LocalOps
-	m.RemoteReads += o.RemoteReads
-	m.RemoteWrites += o.RemoteWrites
-	m.Migrations += o.Migrations
-	m.Evictions += o.Evictions
-	m.ContextFlits += o.ContextFlits
-	m.LeaseHits += o.LeaseHits
-	m.LeaseMisses += o.LeaseMisses
-	m.LeaseInvals += o.LeaseInvals
-	m.Overcommits += o.Overcommits
+	mc := m.counters()
+	for i, c := range o.counters() {
+		*mc[i] += *c
+	}
 	return m
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,9 +31,10 @@ type FrameKind uint8
 // The frame kinds. Migration, eviction, memory request and memory reply
 // (with the lease reply and lease write-update) are the data plane; the
 // rest are the coordinator's control plane. The coordinator sends
-// requests — Load, JobSubmit, JobDone, SampleReq, Collect — and every node
-// answers each one with FrameReply: once, or as a run of replies ending in
-// one without More (collect streams one per core). Halt and Heartbeat are
+// requests — Load, JobDone, SampleReq, Collect — and every node answers
+// each one with FrameReply: once, or as a run of replies ending in one
+// without More (collect streams one per core). JobSubmit is one-way: a
+// node answers it only to refuse the job. Halt and Heartbeat are
 // the only unsolicited node frames: a thread's HALT report and the
 // advisory liveness beat. The blank slots are retired reply kinds; the
 // decoder rejects them like any unknown kind, so every live kind keeps its
@@ -194,6 +196,14 @@ func AppendFrame(b []byte, f Frame) []byte {
 	}
 }
 
+// frameBody is the fixed body size after each frame kind's byte, which
+// parseFrame checks before it reads the body: a context's Sched trailer
+// and a control body follow it. A kind it leaves 0 has no fixed body, or
+// is unknown.
+var frameBody = [...]int{FrameHello: 4, FrameMigration: 4 + ContextWireBytes, FrameEviction: 4 + ContextWireBytes,
+	FrameMemReq: memReqBody, FrameMemRep: memRepBody, FrameLeaseRep: leaseRepBody, FrameLeaseInval: leaseInvalBody,
+	FrameLoad: 4, FrameHalt: 4, FrameJobSubmit: 4, FrameJobDone: 4, FrameHeartbeat: 4, FrameReply: 4}
+
 // parseFrame decodes the first frame of b and returns it with the number
 // of bytes consumed. Ctx/Blob are views into b.
 func parseFrame(b []byte) (Frame, int, error) {
@@ -202,23 +212,14 @@ func parseFrame(b []byte) (Frame, int, error) {
 	}
 	f := Frame{Kind: FrameKind(b[0])}
 	p := b[1:]
-	need := func(n int) error {
-		if len(p) < n {
-			return malformedf("frame kind %d truncated: %d of %d body bytes", f.Kind, len(p), n)
-		}
-		return nil
+	if int(f.Kind) < len(frameBody) && len(p) < frameBody[f.Kind] {
+		return Frame{}, 0, malformedf("frame kind %d truncated: %d of %d body bytes", f.Kind, len(p), frameBody[f.Kind])
 	}
 	switch f.Kind {
 	case FrameHello:
-		if err := need(4); err != nil {
-			return Frame{}, 0, err
-		}
 		f.From = int32(binary.BigEndian.Uint32(p))
 		return f, 1 + 4, nil
 	case FrameMigration, FrameEviction:
-		if err := need(4 + ContextWireBytes); err != nil {
-			return Frame{}, 0, err
-		}
 		f.Dst = geom.CoreID(binary.BigEndian.Uint32(p))
 		ctx := p[4:]
 		// The context is self-delimiting: its SchedLen header declares the
@@ -230,9 +231,6 @@ func parseFrame(b []byte) (Frame, int, error) {
 		f.Ctx = ctx[:total]
 		return f, 1 + 4 + total, nil
 	case FrameMemReq:
-		if err := need(memReqBody); err != nil {
-			return Frame{}, 0, err
-		}
 		f.Dst = geom.CoreID(binary.BigEndian.Uint32(p))
 		f.ID = binary.BigEndian.Uint64(p[4:])
 		f.Req.Thread = int32(binary.BigEndian.Uint32(p[12:]))
@@ -246,33 +244,19 @@ func parseFrame(b []byte) (Frame, int, error) {
 		f.Req.From = binary.BigEndian.Uint32(p[33:])
 		f.Req.Lease = binary.BigEndian.Uint16(p[37:])
 		return f, 1 + memReqBody, nil
-	case FrameMemRep:
-		if err := need(memRepBody); err != nil {
-			return Frame{}, 0, err
-		}
+	case FrameMemRep, FrameLeaseRep:
 		f.ID = binary.BigEndian.Uint64(p)
 		f.Rep.Value = binary.BigEndian.Uint32(p[8:])
-		return f, 1 + memRepBody, nil
-	case FrameLeaseRep:
-		if err := need(leaseRepBody); err != nil {
-			return Frame{}, 0, err
+		if f.Kind == FrameLeaseRep {
+			f.Rep.Lease = binary.BigEndian.Uint16(p[12:])
 		}
-		f.ID = binary.BigEndian.Uint64(p)
-		f.Rep.Value = binary.BigEndian.Uint32(p[8:])
-		f.Rep.Lease = binary.BigEndian.Uint16(p[12:])
-		return f, 1 + leaseRepBody, nil
+		return f, 1 + frameBody[f.Kind], nil
 	case FrameLeaseInval:
-		if err := need(leaseInvalBody); err != nil {
-			return Frame{}, 0, err
-		}
 		f.Inv.Dst = geom.CoreID(binary.BigEndian.Uint32(p))
 		f.Inv.Addr = binary.BigEndian.Uint32(p[4:])
 		f.Inv.Value = binary.BigEndian.Uint32(p[8:])
 		return f, 1 + leaseInvalBody, nil
 	case FrameLoad, FrameHalt, FrameJobSubmit, FrameJobDone, FrameHeartbeat, FrameReply:
-		if err := need(4); err != nil {
-			return Frame{}, 0, err
-		}
 		n := int(binary.BigEndian.Uint32(p))
 		if n > MaxBatchBytes || len(p)-4 < n {
 			return Frame{}, 0, malformedf("control frame declares %d body bytes, %d present", n, len(p)-4)
@@ -378,24 +362,20 @@ type NetStats struct {
 
 // Add returns the field-wise sum of s and o.
 func (s NetStats) Add(o NetStats) NetStats {
-	s.BatchesSent += o.BatchesSent
-	s.MsgsSent += o.MsgsSent
-	s.BytesSent += o.BytesSent
-	s.BatchesRecv += o.BatchesRecv
-	s.MsgsRecv += o.MsgsRecv
-	s.BytesRecv += o.BytesRecv
+	sc := s.counters()
+	for i, c := range o.counters() {
+		*sc[i] += *c
+	}
 	return s
 }
 
 // Sub returns the field-wise difference s − o, for deltas between two
 // cumulative snapshots.
 func (s NetStats) Sub(o NetStats) NetStats {
-	s.BatchesSent -= o.BatchesSent
-	s.MsgsSent -= o.MsgsSent
-	s.BytesSent -= o.BytesSent
-	s.BatchesRecv -= o.BatchesRecv
-	s.MsgsRecv -= o.MsgsRecv
-	s.BytesRecv -= o.BytesRecv
+	sc := s.counters()
+	for i, c := range o.counters() {
+		*sc[i] -= *c
+	}
 	return s
 }
 
@@ -432,9 +412,9 @@ func (c *netCounters) snapshot() NetStats {
 // batch with one Write. Data-plane frames wait for the node's Flush;
 // control frames flush immediately — carrying every deferred frame ahead
 // of them in the same syscall. The flusher-role loop keeps exactly one
-// goroutine writing while later enqueuers keep appending, so an append
-// never waits for a write in progress and bursts coalesce even between
-// explicit flushes. The writer owns two buffers: the flusher swaps
+// goroutine writing while later enqueuers keep appending, so a deferred
+// append never waits for a write in progress and bursts coalesce even
+// between explicit flushes. The writer owns two buffers: the flusher swaps
 // the filled one for the spare, writes it, and keeps it as the next spare.
 type batchWriter struct {
 	c  net.Conn
@@ -482,13 +462,17 @@ func (w *batchWriter) begin() error {
 }
 
 // finish completes an append started by begin (lock held): it counts the
-// frame, enforces the buffer caps, and flushes when asked. It releases the
-// lock.
+// frame, enforces the buffer caps, and, asked to flush, returns once the
+// frame is written — by itself, or by the flusher it waits for, so a reply
+// sent before a link is torn down leaves first. It releases the lock.
 func (w *batchWriter) finish(flushNow bool) error {
 	w.count++
 	if !flushNow && len(w.buf) < flushThreshold && w.count < maxBatchFrames {
 		w.mu.Unlock()
 		return nil
+	}
+	for flushNow && w.flushing && w.err == nil {
+		w.cond.Wait()
 	}
 	return w.flushLocked()
 }
@@ -572,16 +556,17 @@ func (w *batchWriter) appendFrame(f Frame, eager bool) error {
 	return w.finish(eager)
 }
 
-// appendControl enqueues a control frame and flushes like an eager
+// appendControl enqueues a control frame, written at once when eager like
 // appendFrame, with body (a control type's AppendWire) encoding straight
 // into the batch buffer behind the frame's kind byte and length — no
-// intermediate slice. The length is patched in once the body is written.
-func (w *batchWriter) appendControl(kind FrameKind, body func([]byte) []byte) error {
+// intermediate slice, grown once by room (the frame's size, when known).
+// The length is patched in once the body is written.
+func (w *batchWriter) appendControl(kind FrameKind, body func([]byte) []byte, room int, eager bool) error {
 	if err := w.begin(); err != nil {
 		return err
 	}
 	start := len(w.buf)
-	w.buf = body(append(w.buf, byte(kind), 0, 0, 0, 0))
+	w.buf = body(append(slices.Grow(w.buf, room), byte(kind), 0, 0, 0, 0))
 	n := len(w.buf) - start - 5
 	if n > maxBlobBytes {
 		w.buf = w.buf[:start]
@@ -589,7 +574,7 @@ func (w *batchWriter) appendControl(kind FrameKind, body func([]byte) []byte) er
 		return errBodyTooLarge(n)
 	}
 	binary.BigEndian.PutUint32(w.buf[start+1:], uint32(n))
-	return w.finish(true)
+	return w.finish(eager)
 }
 
 func errBodyTooLarge(n int) error {
@@ -616,10 +601,7 @@ func readBatches(br *bufio.Reader, nc *netCounters, emit func(Frame) error) erro
 		if err != nil {
 			return err
 		}
-		if cap(payload) < payloadLen {
-			payload = make([]byte, payloadLen)
-		}
-		payload = payload[:payloadLen]
+		payload = slices.Grow(payload[:0], payloadLen)[:payloadLen]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return malformedf("batch truncated: %v", err)
 		}
